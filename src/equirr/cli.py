@@ -302,6 +302,14 @@ def run_suite(paths, golden_path, seed_override) -> int:
                 print(f"{name} {command}: INPUT ERROR ({e})")
                 worst = max(worst, 2)
                 continue
+            except CapExceeded as e:
+                print(f"{name} {command}: CAP ({e})")
+                worst = 3
+                continue
+            except Inconsistency as e:
+                print(f"{name} {command}: INCONSISTENCY ({e})")
+                worst = 3
+                continue
             code = _exit_code(report)
             expected = manifest.get(name, {}).get(command)
             match = ""

@@ -64,9 +64,11 @@ class CoverData:
                       data: list[RamificationDatum], coefficients,
                       rng: random.Random) -> "CoverData":
         reg = SimpleRegistry(G, k)
-        return cls(G=G, k=k, g_Y=g_Y, registry=reg, rng=rng,
-                   orbit_data=list(data), geometry=None,
-                   abstract_coefficients=dict(enumerate(coefficients)))
+        cover = cls(G=G, k=k, g_Y=g_Y, registry=reg, rng=rng,
+                    orbit_data=list(data), geometry=None,
+                    abstract_coefficients=dict(enumerate(coefficients)))
+        cover.genus_upstairs()  # rejects data that no cover has
+        return cover
 
     # -- shared classes ------------------------------------------------------
 
@@ -176,10 +178,12 @@ class CoverData:
             local = sum(size - 1 for size in datum.filtration)
             total += datum.orbit_size * datum.deg * local
         if total % 2:
-            raise Inconsistency("Riemann-Hurwitz total is odd")
+            raise InputError(f"Riemann-Hurwitz total {total} is odd; no "
+                             "cover has this ramification data")
         g_x = total // 2 + 1
         if g_x < 0:
-            raise Inconsistency("negative genus upstairs")
+            raise InputError(f"ramification data gives genus {g_x} < 0 "
+                             "upstairs")
         return g_x
 
 

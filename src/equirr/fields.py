@@ -5,16 +5,20 @@ Field elements are encoded as plain ints in [0, q): the base-p digits of the
 encoding, least significant first, are the coefficients of the representative
 polynomial in the canonical generator.  For the prime field the encoding is
 the residue itself.  All arithmetic routes through exp/log tables built once
-per field, so scalar operations are O(1) dict-free lookups.
+per field, so scalar operations are O(1) dict-free lookups.  The same
+encodings fill the numpy arrays behind matrices; Field's *_array methods do
+their arithmetic, so no other module knows how an element is stored.
 
 Field construction is deterministic: GF(p^n) always uses the first monic
-irreducible of degree n in encoding order, so two descriptors with equal
-(p, n) are the same object.
+irreducible of degree n in encoding order, found by a Rabin test on Poly
+over GF(p), so two descriptors with equal (p, n) are the same object.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -54,98 +58,6 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# low-level polynomial arithmetic over GF(p), used only to bootstrap fields
-# (modulus search, table construction).  Coefficient lists, low degree first.
-
-
-def _pp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _pp_trim(a)
-
-
-def _pp_powmod(a, e, m, p):
-    result = [1]
-    base = _pp_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), m, p)
-        base = _pp_mod(_pp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pp_monic(c, p):
-    lead = c[-1]
-    if lead == 1:
-        return list(c)
-    inv = pow(lead, -1, p)
-    return [x * inv % p for x in c]
-
-
-def _pp_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % p
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return _pp_trim(out)
-
-
-def _pp_gcd(a, b, p):
-    a, b = _pp_trim(list(a)), _pp_trim(list(b))
-    while b:
-        a, b = b, _pp_mod(a, _pp_monic(b, p), p)
-    return a
-
-
-def _pp_is_irreducible(c, p):
-    """Rabin test: x^(p^n) == x mod c and gcd(x^(p^(n/r)) - x, c) = 1."""
-    n = len(c) - 1
-    if n <= 0:
-        return False
-    c = _pp_monic(c, p)
-    x = [0, 1]
-    h = _pp_powmod(x, p**n, c, p)
-    if _pp_sub(h, x, p):
-        return False
-    for r in prime_factors(n):
-        h = _pp_powmod(x, p ** (n // r), c, p)
-        g = _pp_gcd(c, _pp_sub(h, x, p), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-
-
 class Field:
     """Descriptor plus arithmetic context for GF(p^n).
 
@@ -163,7 +75,6 @@ class Field:
         self.modulus = modulus
         self._powers = tuple(p**i for i in range(n))
         self._build_tables()
-        self._digits_arr = None
         self._embeddings: dict[tuple[int, int], np.ndarray] = {}
 
     # -- construction -------------------------------------------------
@@ -183,43 +94,46 @@ class Field:
     def _find_modulus(p: int, n: int) -> tuple[int, ...]:
         if n == 1:
             return (0, 1)
+        prime = Field.make(p, 1)
         for low in range(p**n):
-            coeffs = []
-            v = low
-            for _ in range(n):
-                coeffs.append(v % p)
-                v //= p
-            cand = coeffs + [1]
-            if _pp_is_irreducible(cand, p):
-                return tuple(cand)
+            cand = Poly(prime, [low // p**i % p for i in range(n)] + [1])
+            if _is_irreducible_rabin(cand):
+                return cand.coeffs
         raise CapExceeded(f"no irreducible of degree {n} over GF({p})")
 
     def _build_tables(self):
         if self.q > TABLE_LIMIT:
             raise CapExceeded(
                 f"GF({self.p}^{self.n}) exceeds the desk-scale table limit")
-        p, n, q = self.p, self.n, self.q
-        if n == 1:
-            gen = self._find_prime_generator()
+        q = self.q
+        if self.n == 1:
+            candidates = [self._find_prime_generator()]
+
+            def mul(a, b):
+                return a * b % self.p
         else:
-            gen = None
-        # exp/log over a multiplicative generator
-        exp = np.zeros(q, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        for cand in range(1, q):
-            if n == 1 and cand != gen:
-                continue
-            order = self._element_order_raw(cand)
-            if order == q - 1:
-                cur = 1
-                ok = True
-                for i in range(q - 1):
-                    exp[i] = cur
-                    log[cur] = i
-                    cur = self._mul_raw(cur, cand)
+            candidates = range(1, q)
+            # without tables yet: Poly multiplication over GF(p) reduced by
+            # the modulus
+            prime = Field.make(self.p, 1)
+            modulus = Poly(prime, self.modulus)
+
+            def mul(a, b):
+                prod = (Poly(prime, self.digits(a))
+                        * Poly(prime, self.digits(b)) % modulus)
+                return self.encode(prod.coeffs)
+        # exp/log over the encoding-least multiplicative generator
+        for cand in candidates:
+            powers = [1]
+            cur = cand
+            while cur != 1:
+                powers.append(cur)
+                cur = mul(cur, cand)
+            if len(powers) == q - 1:
                 self.generator = cand
-                self._exp = exp
-                self._log = log
+                self._exp = np.array(powers, dtype=np.int64)
+                self._log = np.zeros(q, dtype=np.int64)
+                self._log[self._exp] = np.arange(q - 1)
                 return
         raise CapExceeded("no multiplicative generator found")  # unreachable
 
@@ -232,26 +146,6 @@ class Field:
             if all(pow(g, (p - 1) // r, p) != 1 for r in fac):
                 return g
         return None
-
-    # raw digit arithmetic, used only while tables are being built
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, n = self.p, self.n
-        if n == 1:
-            return a * b % p
-        da = self.digits(a)
-        db = self.digits(b)
-        prod = _pp_mod(_pp_mul(list(da), list(db), p), list(self.modulus), p)
-        return self.encode(prod)
-
-    def _element_order_raw(self, a: int) -> int:
-        cur = a
-        k = 1
-        while cur != 1:
-            cur = self._mul_raw(cur, a)
-            k += 1
-            if k > self.q:
-                return 0
-        return k
 
     # -- encoding helpers ----------------------------------------------
 
@@ -269,15 +163,70 @@ class Field:
             total += (c % self.p) * w
         return total
 
-    @property
+    @cached_property
     def digits_array(self) -> np.ndarray:
         """(q, n) array of base-p digits for every encoded element."""
-        if self._digits_arr is None:
-            arr = np.zeros((self.q, self.n), dtype=np.int64)
-            for a in range(self.q):
-                arr[a] = self.digits(a)
-            self._digits_arr = arr
-        return self._digits_arr
+        return np.arange(self.q)[:, None] // self._powers % self.p
+
+    # -- array arithmetic ------------------------------------------------
+    # Arrays of any shape hold encodings.  The prime field works on residues
+    # directly; an extension field adds through digits_array and multiplies
+    # through the exp/log tables.
+
+    def _residues(self, x: np.ndarray) -> np.ndarray:
+        """x mod p, in place to save one allocation per row operation; x
+        must be a fresh temporary."""
+        x %= self.p
+        return x
+
+    def _encode_digits(self, d: np.ndarray) -> np.ndarray:
+        """Encodings of a fresh (..., n) digit array, reduced mod p."""
+        return self._residues(d) @ np.array(self._powers)
+
+    def add_array(self, a, b) -> np.ndarray:
+        if self.n == 1:
+            return self._residues(a + b)
+        d = self.digits_array
+        return self._encode_digits(d[a] + d[b])
+
+    def sub_array(self, a, b) -> np.ndarray:
+        if self.n == 1:
+            return self._residues(a - b)
+        d = self.digits_array
+        return self._encode_digits(d[a] - d[b])
+
+    def neg_array(self, a) -> np.ndarray:
+        if self.n == 1:
+            return self._residues(-a)
+        return self._encode_digits(-self.digits_array[a])
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product; a and b broadcast like numpy operands."""
+        if self.n == 1:
+            return self._residues(a * b)
+        prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def matmul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of 2-D encoding arrays.  An extension field multiplies
+        digit planes as polynomials in the generator, then folds the
+        coefficients of x^(n+t) back through their own digits."""
+        p, n = self.p, self.n
+        if n == 1:
+            return self._residues(a @ b)
+        d = self.digits_array
+        da, db = d[a], d[b]
+        raw = np.zeros((a.shape[0], b.shape[1], 2 * n - 1), dtype=np.int64)
+        for s in range(n):
+            raw[:, :, s:s + n] += np.tensordot(da[:, :, s], db, axes=(1, 0))
+        return self._encode_digits(
+            raw[..., :n] + raw[..., n:] % p @ self._high_power_digits)
+
+    @cached_property
+    def _high_power_digits(self) -> np.ndarray:
+        """Digits of x^(n+t) for t < n - 1; x encodes as p when n > 1."""
+        return self.digits_array[
+            [self.pow_(self.p, self.n + t) for t in range(self.n - 1)]]
 
     # -- scalar arithmetic ----------------------------------------------
 
@@ -342,7 +291,7 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         e = int(self._log[a])
-        return (self.q - 1) // _gcd(e, self.q - 1)
+        return (self.q - 1) // math.gcd(e, self.q - 1)
 
     def elements(self):
         return range(self.q)
@@ -393,12 +342,6 @@ class Field:
 
     def __repr__(self):
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def field_make(p: int, n: int) -> Field:
@@ -690,6 +633,17 @@ def poly_is_irreducible(f: Poly) -> bool:
         return False
     fac = poly_factor(f)
     return len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree == f.degree
+
+
+def _is_irreducible_rabin(f: Poly) -> bool:
+    """Rabin test for monic f of degree n >= 2 over a prime field:
+    x^(p^n) == x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for primes r | n."""
+    p, n = f.field.p, f.degree
+    x = Poly.x(f.field)
+    if not (x.powmod(p**n, f) - x).is_zero():
+        return False
+    return all(f.gcd(x.powmod(p ** (n // r), f) - x).degree == 0
+               for r in prime_factors(n))
 
 
 def poly_roots(f: Poly, rng: random.Random | None = None) -> list[int]:

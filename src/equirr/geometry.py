@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import Inconsistency, InputError
 from .fields import Field, Poly, RatFunc, field_make, poly_roots
 from .groups import FiniteGroup, Subgroup
@@ -151,15 +149,13 @@ class PowerBasisCoords:
             for t in range(k.n):
                 val = ambient.mul(int(emb[k.p**t]), self.beta_powers[i])
                 cols.append(ambient.digits(val))
-        arr = np.array(cols, dtype=np.int64).T  # (ambient.n, deg*k.n)
-        self.mat = Mat(fp, arr[:, :, None])
+        # (ambient.n, deg*k.n): ambient digits as GF(p) coordinates
+        self.mat = Mat.from_rows(fp, cols).T
         self._solved_rref = None
 
     def coords(self, z: int):
         """k-coordinates of z, or None if z is outside k(beta)."""
-        rhs = Mat(self.fp,
-                  np.array(self.ambient.digits(z),
-                           dtype=np.int64)[:, None, None])
+        rhs = Mat.column(self.fp, self.ambient.digits(z))
         sol = self.mat.solve(rhs)
         if sol is None:
             return None

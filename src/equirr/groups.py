@@ -10,8 +10,10 @@ generators only and rebuild other images from the words.
 
 from __future__ import annotations
 
+import math
+
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import Field
+from .fields import Field, is_prime
 
 DEFAULT_ORDER_CAP = 2000
 
@@ -351,10 +353,10 @@ def schur_zassenhaus_complement(I: FiniteGroup, P: Subgroup) -> Subgroup:
         raise InputError("P must be normal in I")
     m = I.order // P.order
     primes = {f for f in range(2, P.order + 1)
-              if P.order % f == 0 and _is_prime_small(f)}
+              if P.order % f == 0 and is_prime(f)}
     if len(primes) > 1:
         raise InputError("P must be a p-group")
-    if _gcd(P.order, m) != 1:
+    if math.gcd(P.order, m) != 1:
         raise InputError("complement requires coprime order and index")
     pset = set(P.indices)
     if m == 1:
@@ -374,16 +376,6 @@ def schur_zassenhaus_complement(I: FiniteGroup, P: Subgroup) -> Subgroup:
             if len(sub) == m and set(sub) & pset == {I.identity}:
                 return Subgroup(I, sub, check=False)
     raise Inconsistency("no Schur-Zassenhaus complement found")
-
-
-def _is_prime_small(f: int) -> bool:
-    return f > 1 and all(f % d for d in range(2, int(f**0.5) + 1))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cosets(G: FiniteGroup, H: Subgroup) -> list[int]:

@@ -1,10 +1,12 @@
 """Dense exact matrices over finite fields.
 
-Entries are stored as a numpy int64 tensor of shape (rows, cols, n) holding
-base-p coefficient digits, so row operations vectorize even over extension
-fields.  Elimination uses deterministic first-nonzero pivoting.  Everything
-is immutable from the caller's point of view: operations return new Mat
-values.
+Entries are stored as a (rows, cols) numpy int64 array of field encodings,
+the same ints Field uses for scalars.  Every array-level field operation
+goes through Field, which picks plain residue arithmetic for prime fields
+and digit/exp-log table gathers for extension fields, so the storage is the
+same for every field.  Elimination uses deterministic first-nonzero
+pivoting.  Everything is immutable from the caller's point of view:
+operations return new Mat values.
 """
 
 from __future__ import annotations
@@ -19,35 +21,30 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "a")
 
     def __init__(self, field: Field, a: np.ndarray):
-        # a: (rows, cols, n) digit tensor, values already reduced mod p
+        # a: (rows, cols) array of encodings, each already in [0, q)
+        if a.ndim != 2:
+            raise InputError(f"matrix entries need 2 axes, got {a.ndim}")
         self.field = field
-        self.rows = a.shape[0]
-        self.cols = a.shape[1]
+        self.rows, self.cols = a.shape
         self.a = a
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, np.zeros((rows, cols, field.n), dtype=np.int64))
+        return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Field, size: int) -> "Mat":
-        a = np.zeros((size, size, field.n), dtype=np.int64)
-        for i in range(size):
-            a[i, i, 0] = 1
-        return cls(field, a)
+        return cls(field, np.eye(size, dtype=np.int64))
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Mat":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        a = np.zeros((r, c, field.n), dtype=np.int64)
-        for i, row in enumerate(rows):
-            if len(row) != c:
-                raise InputError("ragged matrix rows")
-            for j, enc in enumerate(row):
-                a[i, j] = field.digits(enc % field.q if field.n == 1 else enc)
+        if any(len(row) != c for row in rows):
+            raise InputError("ragged matrix rows")
+        a = np.array(rows, dtype=np.int64).reshape(r, c) % field.q
         return cls(field, a)
 
     @classmethod
@@ -57,16 +54,10 @@ class Mat:
     # -- entry access -----------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
-        return self.field.encode(self.a[i, j])
+        return int(self.a[i, j])
 
     def to_lists(self):
-        return [[self.get(i, j) for j in range(self.cols)]
-                for i in range(self.rows)]
-
-    def encoded(self) -> np.ndarray:
-        """(rows, cols) array of encoded entries."""
-        powers = np.array(self.field._powers, dtype=np.int64)
-        return self.a @ powers
+        return self.a.tolist()
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -84,14 +75,14 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        return Mat(self.field, (self.a + other.a) % self.field.p)
+        return Mat(self.field, self.field.add_array(self.a, other.a))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        return Mat(self.field, (self.a - other.a) % self.field.p)
+        return Mat(self.field, self.field.sub_array(self.a, other.a))
 
     def __neg__(self) -> "Mat":
-        return Mat(self.field, (-self.a) % self.field.p)
+        return Mat(self.field, self.field.neg_array(self.a))
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols \
@@ -103,32 +94,14 @@ class Mat:
             raise InputError(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
-        F = self.field
-        n = F.n
-        if n == 1:
-            prod = (self.a[:, :, 0] @ other.a[:, :, 0]) % F.p
-            return Mat(F, prod[:, :, None])
-        raw = np.zeros((self.rows, other.cols, 2 * n - 1), dtype=np.int64)
-        for s in range(n):
-            part = np.tensordot(self.a[:, :, s], other.a, axes=([1], [0]))
-            raw[:, :, s:s + n] += part
-        return Mat(F, _reduce_tail(F, raw % F.p))
+        return Mat(self.field, self.field.matmul_array(self.a, other.a))
 
     def scale(self, enc: int) -> "Mat":
-        F = self.field
-        if F.n == 1:
-            return Mat(F, (self.a * enc) % F.p)
-        sd = np.array(F.digits(enc), dtype=np.int64)
-        raw = np.zeros(self.a.shape[:-1] + (2 * F.n - 1,), dtype=np.int64)
-        for s in range(F.n):
-            if sd[s]:
-                raw[..., s:s + F.n] += self.a * sd[s]
-        return Mat(F, _reduce_tail(F, raw % F.p))
+        return Mat(self.field, self.field.mul_array(self.a, enc))
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.field, np.ascontiguousarray(
-            self.a.transpose(1, 0, 2)))
+        return Mat(self.field, np.ascontiguousarray(self.a.T))
 
     def hstack(self, other: "Mat") -> "Mat":
         return Mat(self.field, np.concatenate([self.a, other.a], axis=1))
@@ -144,20 +117,10 @@ class Mat:
         return Mat(self.field, np.ascontiguousarray(self.a[:, list(cols)]))
 
     def kron(self, other: "Mat") -> "Mat":
-        F = self.field
-        n = F.n
-        r = self.rows * other.rows
-        c = self.cols * other.cols
-        if n == 1:
-            out = np.kron(self.a[:, :, 0], other.a[:, :, 0]) % F.p
-            return Mat(F, out[:, :, None])
-        raw = np.zeros((self.rows, other.rows, self.cols, other.cols,
-                        2 * n - 1), dtype=np.int64)
-        for s in range(n):
-            block = np.einsum("ij,klt->ikjlt", self.a[:, :, s], other.a)
-            raw[..., s:s + n] += block
-        raw = raw.reshape(r, c, 2 * n - 1) % F.p
-        return Mat(F, _reduce_tail(F, raw))
+        blocks = self.field.mul_array(self.a[:, None, :, None],
+                                      other.a[None, :, None, :])
+        return Mat(self.field, blocks.reshape(self.rows * other.rows,
+                                              self.cols * other.cols))
 
     def trace(self) -> int:
         F = self.field
@@ -189,21 +152,21 @@ class Mat:
         for col in range(self.cols):
             if r >= self.rows:
                 break
-            nz = np.nonzero(A[r:, col].any(axis=1))[0]
+            nz = A[r:, col].nonzero()[0]
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
             if i != r:
                 A[[r, i]] = A[[i, r]]
-            piv = F.encode(A[r, col])
+            piv = int(A[r, col])
             if piv != 1:
-                A[r] = _row_scale(F, A[r], F.inv(piv))
-            mask = A[:, col].any(axis=1)
+                A[r] = F.mul_array(A[r], F.inv(piv))
+            mask = A[:, col] != 0
             mask[r] = False
-            idx = np.nonzero(mask)[0]
+            idx = mask.nonzero()[0]
             if idx.size:
-                factors = A[idx, col].copy()
-                A[idx] = (A[idx] - _outer_rows(F, factors, A[r])) % F.p
+                A[idx] = F.sub_array(
+                    A[idx], F.mul_array(A[idx, col][:, None], A[r]))
             pivots.append(col)
             r += 1
         return Mat(F, A), pivots
@@ -217,27 +180,23 @@ class Mat:
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [j for j in range(self.cols) if j not in pivset]
-        out = np.zeros((self.cols, len(free), F.n), dtype=np.int64)
-        for k, j in enumerate(free):
-            out[j, k, 0] = 1
-            for i, pc in enumerate(pivots):
-                out[pc, k] = (-R.a[i, j]) % F.p
+        out = np.zeros((self.cols, len(free)), dtype=np.int64)
+        out[free, range(len(free))] = 1
+        out[pivots] = F.neg_array(R.a[:len(pivots)][:, free])
         return Mat(F, out)
 
     def solve(self, b: "Mat"):
         """Solve self @ X = b; returns X (free vars zero) or None."""
         if b.rows != self.rows:
             raise InputError("solve: right-hand side row mismatch")
-        F = self.field
         aug = self.hstack(b)
         R, pivots = aug.rref()
         for pc in pivots:
             if pc >= self.cols:
                 return None  # pivot in the rhs block: inconsistent
-        X = np.zeros((self.cols, b.cols, F.n), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            X[pc] = R.a[i, self.cols:]
-        return Mat(F, X)
+        X = np.zeros((self.cols, b.cols), dtype=np.int64)
+        X[pivots] = R.a[:len(pivots), self.cols:]
+        return Mat(self.field, X)
 
     def inv(self):
         if self.rows != self.cols:
@@ -263,7 +222,7 @@ class Mat:
         d = self.rows
         if d == 0:
             return Poly.one(F)
-        H = [[self.get(i, j) for j in range(d)] for i in range(d)]
+        H = self.a.tolist()
         # reduce to upper Hessenberg by similarity
         for m in range(1, d - 1):
             pivot_row = None
@@ -312,69 +271,10 @@ class Mat:
     # -- field maps ------------------------------------------------------------
 
     def map_field(self, target: Field) -> "Mat":
-        table = self.field.embedding_into(target)
-        enc = self.encoded()
-        mapped = table[enc]
-        return Mat(target, target.digits_array[mapped])
+        return Mat(target, self.field.embedding_into(target)[self.a])
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field})"
-
-
-def _reduce_tail(field: Field, raw: np.ndarray) -> np.ndarray:
-    """Fold coefficients of x^n..x^(2n-2) back using the field modulus."""
-    n = field.n
-    if raw.shape[-1] == n:
-        return raw % field.p
-    red = _reduction_rows(field)
-    head = raw[..., :n]
-    tail = raw[..., n:]
-    return (head + np.tensordot(tail, red, axes=([-1], [0]))) % field.p
-
-
-_reduction_cache: dict[int, np.ndarray] = {}
-
-
-def _reduction_rows(field: Field) -> np.ndarray:
-    key = id(field)
-    if key not in _reduction_cache:
-        n = field.n
-        rows = np.zeros((n - 1, n), dtype=np.int64)
-        # x^(n+t) mod modulus, iteratively
-        cur = [(-c) % field.p for c in field.modulus[:n]]  # x^n
-        for t in range(n - 1):
-            rows[t] = cur
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i in range(n):
-                    nxt[i] = (nxt[i] - lead * field.modulus[i]) % field.p
-            cur = nxt
-        _reduction_cache[key] = rows
-    return _reduction_cache[key]
-
-
-def _row_scale(field: Field, row: np.ndarray, enc: int) -> np.ndarray:
-    if field.n == 1:
-        return (row * enc) % field.p
-    sd = field.digits(enc)
-    raw = np.zeros(row.shape[:-1] + (2 * field.n - 1,), dtype=np.int64)
-    for s in range(field.n):
-        if sd[s]:
-            raw[..., s:s + field.n] += row * sd[s]
-    return _reduce_tail(field, raw % field.p)
-
-
-def _outer_rows(field: Field, factors: np.ndarray, row: np.ndarray):
-    """factors: (k, n) digit vectors; row: (c, n).  Returns (k, c, n)."""
-    if field.n == 1:
-        return (factors[:, 0][:, None, None] * row[None, :, :]) % field.p
-    raw = np.zeros((factors.shape[0], row.shape[0], 2 * field.n - 1),
-                   dtype=np.int64)
-    for s in range(field.n):
-        raw[..., s:s + field.n] += (factors[:, s][:, None, None]
-                                    * row[None, :, :])
-    return _reduce_tail(field, raw % field.p)
 
 
 class EchelonBasis:
@@ -395,28 +295,28 @@ class EchelonBasis:
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         F = self.field
-        v = vec % F.p
+        v = np.array(vec, dtype=np.int64)
         for row, pc in zip(self.rows, self.pivot_cols):
-            coef = F.encode(v[pc])
+            coef = int(v[pc])
             if coef:
-                v = (v - _row_scale(F, row, coef)) % F.p
+                v = F.sub_array(v, F.mul_array(row, coef))
         return v
 
     def add(self, vec: np.ndarray) -> bool:
         F = self.field
         v = self.reduce(vec)
-        nz = np.nonzero(v.any(axis=1))[0]
+        nz = v.nonzero()[0]
         if nz.size == 0:
             return False
         pc = int(nz[0])
-        lead = F.encode(v[pc])
+        lead = int(v[pc])
         if lead != 1:
-            v = _row_scale(F, v, F.inv(lead))
+            v = F.mul_array(v, F.inv(lead))
         # back-reduce existing rows to keep reduction canonical
         for i, row in enumerate(self.rows):
-            coef = F.encode(row[pc])
+            coef = int(row[pc])
             if coef:
-                self.rows[i] = (row - _row_scale(F, v, coef)) % F.p
+                self.rows[i] = F.sub_array(row, F.mul_array(v, coef))
         self.rows.append(v)
         self.pivot_cols.append(pc)
         return True

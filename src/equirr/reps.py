@@ -16,6 +16,7 @@ reproducible from its seed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -117,9 +118,8 @@ def rep_regular(G: FiniteGroup, field: Field) -> Rep:
     n = G.order
     images = {}
     for t, g in enumerate(G.generators):
-        a = np.zeros((n, n, field.n), dtype=np.int64)
-        for j in range(n):
-            a[G.table[g][j], j, 0] = 1
+        a = np.zeros((n, n), dtype=np.int64)
+        a[G.table[g], range(n)] = 1
         images[t] = Mat(field, a)
     return Rep(G, field, n, images)
 
@@ -148,7 +148,7 @@ def rep_induce(M: Rep, G: FiniteGroup, H: Subgroup) -> Rep:
     F = M.field
     images = {}
     for t, g in enumerate(G.generators):
-        a = np.zeros((k * m, k * m, F.n), dtype=np.int64)
+        a = np.zeros((k * m, k * m), dtype=np.int64)
         for j, rj in enumerate(reps):
             e = G.table[g][rj]
             i, h = where[e]
@@ -185,7 +185,7 @@ def rep_direct_sum(M: Rep, N: Rep) -> Rep:
     F = M.field
     images = {}
     for t in range(len(M.group.generators)):
-        a = np.zeros((M.dim + N.dim, M.dim + N.dim, F.n), dtype=np.int64)
+        a = np.zeros((M.dim + N.dim, M.dim + N.dim), dtype=np.int64)
         a[:M.dim, :M.dim] = M.gen_image(t).a
         a[M.dim:, M.dim:] = N.gen_image(t).a
         images[t] = Mat(F, a)
@@ -214,8 +214,8 @@ def hom_space(M: Rep, N: Rep) -> list[Mat]:
         basis = []
         for i in range(dn):
             for j in range(dm):
-                a = np.zeros((dn, dm, F.n), dtype=np.int64)
-                a[i, j, 0] = 1
+                a = np.zeros((dn, dm), dtype=np.int64)
+                a[i, j] = 1
                 basis.append(Mat(F, a))
         return basis
     blocks = []
@@ -231,8 +231,7 @@ def hom_space(M: Rep, N: Rep) -> list[Mat]:
     ns = stacked.nullspace()
     out = []
     for c in range(ns.cols):
-        a = ns.a[:, c, :].reshape(dn, dm, F.n)
-        out.append(Mat(F, np.ascontiguousarray(a)))
+        out.append(Mat(F, np.ascontiguousarray(ns.a[:, c].reshape(dn, dm))))
     return out
 
 
@@ -253,9 +252,9 @@ def spin_columns(field: Field, dim: int, seeds, gen_mats) -> Mat:
             queue.append(eb.rows[-1].copy())
     while queue:
         v = queue.pop()
-        col = Mat(field, v[:, None, :])
+        col = Mat(field, v[:, None])
         for A in gen_mats:
-            w = (A @ col).a[:, 0, :]
+            w = (A @ col).a[:, 0]
             if eb.add(w):
                 queue.append(eb.rows[-1].copy())
     return eb.as_matrix().T
@@ -281,9 +280,7 @@ def find_submodule_or_simple(M: Rep, rng: random.Random):
         return "simple"
     gen_mats = M.generator_images()
     if not gen_mats:
-        a = np.zeros((d, 1, F.n), dtype=np.int64)
-        a[0, 0, 0] = 1
-        return "sub", Mat(F, a)
+        return "sub", Mat.column(F, [1] + [0] * (d - 1))
     gen_t = [g.T for g in gen_mats]
     for _ in range(MEATAXE_ROUNDS):
         theta = _random_algebra_element(M, gen_mats, rng)
@@ -294,13 +291,13 @@ def find_submodule_or_simple(M: Rep, rng: random.Random):
             if ker.cols == 0:
                 continue
             for c in range(ker.cols):
-                w = spin_columns(F, d, [ker.a[:, c, :]], gen_mats)
+                w = spin_columns(F, d, [ker.a[:, c]], gen_mats)
                 if 0 < w.cols < d:
                     return "sub", w
             if ker.cols == f.degree:
                 kert = ftheta.T.nullspace()
                 for c in range(kert.cols):
-                    wt = spin_columns(F, d, [kert.a[:, c, :]], gen_t)
+                    wt = spin_columns(F, d, [kert.a[:, c]], gen_t)
                     if 0 < wt.cols < d:
                         perp = wt.T.nullspace()
                         return "sub", perp
@@ -315,20 +312,17 @@ def _complete_basis(field: Field, W: Mat) -> Mat:
     first, then standard basis vectors)."""
     d = W.rows
     eb = EchelonBasis(field, d)
-    cols = [W.a[:, c, :] for c in range(W.cols)]
-    for v in cols:
-        if not eb.add(v):
+    for c in range(W.cols):
+        if not eb.add(W.a[:, c]):
             raise Inconsistency("submodule basis is not independent")
+    eye = Mat.identity(field, d)
     extra = []
     for i in range(d):
-        v = np.zeros((d, field.n), dtype=np.int64)
-        v[i, 0] = 1
-        if eb.add(v):
-            extra.append(v)
         if len(eb) == d:
             break
-    stacked = np.stack([W.a[:, c, :] for c in range(W.cols)] + extra, axis=1)
-    return Mat(field, stacked)
+        if eb.add(eye.a[i]):
+            extra.append(i)
+    return W.hstack(eye.columns(extra))
 
 
 def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
@@ -732,7 +726,7 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
         o //= p
     if o != 1:
         raise InputError("wild subgroup must be a p-group")
-    if _gcd(P1.order, I.order // P1.order) != 1:
+    if math.gcd(P1.order, I.order // P1.order) != 1:
         raise InputError("wild subgroup must be a Sylow subgroup")
     eye = Mat.identity(M.field, M.dim)
     for g in _subgroup_generators(P1):
@@ -745,12 +739,6 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
     if not is_projective(cov):
         raise Inconsistency("projective cover failed the projectivity test")
     return cov
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- fingerprints --------------------------------------------------------------
@@ -769,10 +757,6 @@ def _mult_order(q: int, m: int) -> int:
     return k
 
 
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
-
-
 def class_fingerprint(M: Rep) -> tuple:
     """For each p-regular conjugacy class, the multiset of eigenvalue
     exponents of image(g) relative to a fixed root of unity in one common
@@ -783,7 +767,7 @@ def class_fingerprint(M: Rep) -> tuple:
     p_reg = [g for g in reps if G.element_order(g) % F.p != 0]
     s = 1
     for g in p_reg:
-        s = _lcm(s, _mult_order(F.q, G.element_order(g)))
+        s = math.lcm(s, _mult_order(F.q, G.element_order(g)))
     E = field_make(F.p, F.n * s)
     token = []
     for g in p_reg:

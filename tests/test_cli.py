@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from equirr import cli
 from equirr.cli import main
-from equirr.errors import InputError
+from equirr.errors import Inconsistency, InputError
 from equirr.scenarios import find_s3_pgl2, parse_scenario, realize
 from equirr.fields import field_make
 
@@ -161,6 +162,16 @@ def test_abstract_scenario_roundtrip(tmp_path, capsys):
     assert "rational_equals_integral" in out
 
 
+def test_abstract_scenario_without_cover_exits_2(tmp_path, capsys):
+    # one Z/3 orbit over a rational quotient gives 2g_X - 2 = -4
+    doc = json.loads((SCENARIO_DIR / "abstract_kummer_genus2.json")
+                     .read_text())
+    doc["genus_quotient"] = 0
+    doc["orbits"] = doc["orbits"][:1]
+    assert main(["analyze", write_scenario(tmp_path, doc)]) == 2
+    assert "genus -1" in capsys.readouterr().err
+
+
 def test_suite_ships_green(capsys):
     files = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
     golden = str(SCENARIO_DIR / "golden.json")
@@ -168,6 +179,38 @@ def test_suite_ships_green(capsys):
     out = capsys.readouterr().out
     assert "HASH MISMATCH" not in out
     assert out.count("hash ok") >= 15
+
+
+def test_suite_reports_every_scenario_past_cap_and_inconsistency(
+        tmp_path, capsys, monkeypatch):
+    capped = {
+        "field": {"p": 5, "n": 1},
+        "group": {"kind": "pgl2",
+                  "generators": [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]},
+        "mode": "oracle",
+        "divisors": [[]],
+        "seed": 0,
+        "options": {"group_order_cap": 10},
+    }
+    first = write_scenario(tmp_path, capped, "a_capped.json")
+    last = write_scenario(tmp_path, translation_config(), "b_ok.json")
+    assert main(["suite", first, last]) == 3
+    out = capsys.readouterr().out
+    assert out.count("a_capped.json") == out.count(": CAP (") == 3
+    assert out.count("b_ok.json") == out.count(": pass") == 3
+
+    real_run_one = cli._run_one
+
+    def broken_analyze(command, path, seed, mode):
+        if command == "analyze":
+            raise Inconsistency("forced")
+        return real_run_one(command, path, seed, mode)
+
+    monkeypatch.setattr(cli, "_run_one", broken_analyze)
+    assert main(["suite", last]) == 3
+    out = capsys.readouterr().out
+    assert "b_ok.json analyze: INCONSISTENCY (forced)" in out
+    assert out.count(": pass") == 2
 
 
 def test_find_s3_matches_shipped_scenario():

@@ -384,35 +384,42 @@ def test_abstract_rejects_divisor_argument():
         cover.orbit_table(Divisor({}))
 
 
-def test_abstract_residual_degree_two():
-    # feed the S3-over-GF(5) ramification data (e=3, f=2 at a degree-2
-    # point, plus a tame involution orbit) through the abstract pipeline:
-    # the Galois-compatibility validation and the divisibility
-    # certificates must both go through without any geometry
+def s3_gf5_abstract_data(tame_orbits):
+    """The S3-over-GF(5) ramification data (e=3, f=2 at a degree-2 point,
+    plus the first tame_orbits e=2 orbits), read off the geometry."""
     from equirr.scenarios import find_s3_pgl2
     F = field_make(5, 1)
     G = FiniteGroup.close_generators(F, find_s3_pgl2(F))
-    geo = P1Geometry(F, G)
-    cover_geo = CoverData.from_geometry(geo, random.Random(0))
+    cover_geo = CoverData.from_geometry(P1Geometry(F, G), random.Random(0))
     dquad = next(d for d in cover_geo.orbit_data if d.e == 3)
-    dtame = next(d for d in cover_geo.orbit_data if d.e == 2)
     gen3 = next(s for s in dquad.I_P.indices if G.element_order(s) == 3)
-    gen2 = next(s for s in dtame.I_P.indices if G.element_order(s) == 2)
-    data = [
-        abstract_datum(G, F, label="quad",
-                       decomposition=list(dquad.G_P.indices),
-                       inertia=list(dquad.I_P.indices),
-                       wild=[G.identity], residue_degree=2,
-                       cot_generator=gen3,
-                       cot_value=list(dquad.kP.digits(dquad.char[gen3]))),
-        abstract_datum(G, F, label="tame",
-                       decomposition=list(dtame.G_P.indices),
-                       inertia=list(dtame.I_P.indices),
-                       wild=[G.identity], residue_degree=1,
-                       cot_generator=gen2,
-                       cot_value=[dtame.char[gen2]]),
-    ]
-    cover = CoverData.from_abstract(G, F, 0, data, [2, 0], random.Random(0))
+    data = [abstract_datum(G, F, label="quad",
+                           decomposition=list(dquad.G_P.indices),
+                           inertia=list(dquad.I_P.indices),
+                           wild=[G.identity], residue_degree=2,
+                           cot_generator=gen3,
+                           cot_value=list(dquad.kP.digits(dquad.char[gen3])))]
+    tame = [d for d in cover_geo.orbit_data if d.e == 2][:tame_orbits]
+    for i, dtame in enumerate(tame):
+        gen2 = next(s for s in dtame.I_P.indices
+                    if G.element_order(s) == 2)
+        data.append(abstract_datum(G, F, label=f"tame{i}",
+                                   decomposition=list(dtame.G_P.indices),
+                                   inertia=list(dtame.I_P.indices),
+                                   wild=[G.identity], residue_degree=1,
+                                   cot_generator=gen2,
+                                   cot_value=[dtame.char[gen2]]))
+    return G, F, cover_geo, dquad, data
+
+
+def test_abstract_residual_degree_two():
+    # feed the S3-over-GF(5) ramification data through the abstract
+    # pipeline: the Galois-compatibility validation and the divisibility
+    # certificates must both go through without any geometry
+    G, F, cover_geo, dquad, data = s3_gf5_abstract_data(tame_orbits=2)
+    assert len(data) == len(cover_geo.orbit_data) == 3
+    cover = CoverData.from_abstract(G, F, 0, data, [2, 0, 0],
+                                    random.Random(0))
     quad_abs = cover.orbit_data[0]
     assert quad_abs.f == 2
     for d in (1, 2):
@@ -425,3 +432,16 @@ def test_abstract_residual_degree_two():
     # same divisor through the oracle pipeline gives the same total dim
     oracle = oracle_euler_class(cover_geo, Divisor({dquad.place: 2}))
     assert formula.total_dim() == oracle.total_dim() == 5
+
+
+def test_abstract_rejects_odd_riemann_hurwitz():
+    # one of the two e=2 orbits alone leaves an odd Riemann-Hurwitz total
+    G, F, _, _, data = s3_gf5_abstract_data(tame_orbits=1)
+    with pytest.raises(InputError, match="odd"):
+        CoverData.from_abstract(G, F, 0, data, [2, 0], random.Random(0))
+
+
+def test_abstract_rejects_negative_genus():
+    G, F, _, _, data = s3_gf5_abstract_data(tame_orbits=0)
+    with pytest.raises(InputError, match="genus"):
+        CoverData.from_abstract(G, F, 0, data, [0], random.Random(0))

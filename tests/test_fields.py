@@ -3,7 +3,7 @@ import random
 import pytest
 
 from equirr.errors import InputError
-from equirr.fields import (Poly, RatFunc, embed, field_make,
+from equirr.fields import (Poly, RatFunc, embed, field_make, is_prime,
                            poly_factor, poly_is_irreducible, poly_roots)
 
 
@@ -52,6 +52,90 @@ def test_field_make_deterministic():
     b = field_make(5, 2)
     assert a is b
     assert a.modulus == b.modulus
+
+
+# (modulus, generator) of every Field.make(p, n) with q <= 1024.  Changing
+# either renumbers element encodings, which changes every report hash.
+FIELD_PINS = {
+    (2, 1): ((0, 1), 1), (2, 2): ((1, 1, 1), 2), (2, 3): ((1, 1, 0, 1), 2),
+    (2, 4): ((1, 1, 0, 0, 1), 2), (2, 5): ((1, 0, 1, 0, 0, 1), 2),
+    (2, 6): ((1, 1, 0, 0, 0, 0, 1), 2), (2, 7): ((1, 1, 0, 0, 0, 0, 0, 1), 2),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3),
+    (2, 9): ((1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+    (2, 10): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2), (3, 1): ((0, 1), 2),
+    (3, 2): ((1, 0, 1), 4), (3, 3): ((1, 2, 0, 1), 3),
+    (3, 4): ((2, 1, 0, 0, 1), 3), (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3), (5, 1): ((0, 1), 2),
+    (5, 2): ((2, 0, 1), 6), (5, 3): ((1, 1, 0, 1), 9),
+    (5, 4): ((2, 0, 0, 0, 1), 6), (7, 1): ((0, 1), 3), (7, 2): ((1, 0, 1), 9),
+    (7, 3): ((2, 0, 0, 1), 22), (11, 1): ((0, 1), 2), (11, 2): ((1, 0, 1), 15),
+    (13, 1): ((0, 1), 2), (13, 2): ((2, 0, 1), 15), (17, 1): ((0, 1), 3),
+    (17, 2): ((3, 0, 1), 19), (19, 1): ((0, 1), 2), (19, 2): ((1, 0, 1), 22),
+    (23, 1): ((0, 1), 5), (23, 2): ((1, 0, 1), 25), (29, 1): ((0, 1), 2),
+    (29, 2): ((2, 0, 1), 30), (31, 1): ((0, 1), 3), (31, 2): ((1, 0, 1), 35),
+    (37, 1): ((0, 1), 2), (41, 1): ((0, 1), 6), (43, 1): ((0, 1), 3),
+    (47, 1): ((0, 1), 5), (53, 1): ((0, 1), 2), (59, 1): ((0, 1), 2),
+    (61, 1): ((0, 1), 2), (67, 1): ((0, 1), 2), (71, 1): ((0, 1), 7),
+    (73, 1): ((0, 1), 5), (79, 1): ((0, 1), 3), (83, 1): ((0, 1), 2),
+    (89, 1): ((0, 1), 3), (97, 1): ((0, 1), 5), (101, 1): ((0, 1), 2),
+    (103, 1): ((0, 1), 5), (107, 1): ((0, 1), 2), (109, 1): ((0, 1), 6),
+    (113, 1): ((0, 1), 3), (127, 1): ((0, 1), 3), (131, 1): ((0, 1), 2),
+    (137, 1): ((0, 1), 3), (139, 1): ((0, 1), 2), (149, 1): ((0, 1), 2),
+    (151, 1): ((0, 1), 6), (157, 1): ((0, 1), 5), (163, 1): ((0, 1), 2),
+    (167, 1): ((0, 1), 5), (173, 1): ((0, 1), 2), (179, 1): ((0, 1), 2),
+    (181, 1): ((0, 1), 2), (191, 1): ((0, 1), 19), (193, 1): ((0, 1), 5),
+    (197, 1): ((0, 1), 2), (199, 1): ((0, 1), 3), (211, 1): ((0, 1), 2),
+    (223, 1): ((0, 1), 3), (227, 1): ((0, 1), 2), (229, 1): ((0, 1), 6),
+    (233, 1): ((0, 1), 3), (239, 1): ((0, 1), 7), (241, 1): ((0, 1), 7),
+    (251, 1): ((0, 1), 6), (257, 1): ((0, 1), 3), (263, 1): ((0, 1), 5),
+    (269, 1): ((0, 1), 2), (271, 1): ((0, 1), 6), (277, 1): ((0, 1), 5),
+    (281, 1): ((0, 1), 3), (283, 1): ((0, 1), 3), (293, 1): ((0, 1), 2),
+    (307, 1): ((0, 1), 5), (311, 1): ((0, 1), 17), (313, 1): ((0, 1), 10),
+    (317, 1): ((0, 1), 2), (331, 1): ((0, 1), 3), (337, 1): ((0, 1), 10),
+    (347, 1): ((0, 1), 2), (349, 1): ((0, 1), 2), (353, 1): ((0, 1), 3),
+    (359, 1): ((0, 1), 7), (367, 1): ((0, 1), 6), (373, 1): ((0, 1), 2),
+    (379, 1): ((0, 1), 2), (383, 1): ((0, 1), 5), (389, 1): ((0, 1), 2),
+    (397, 1): ((0, 1), 5), (401, 1): ((0, 1), 3), (409, 1): ((0, 1), 21),
+    (419, 1): ((0, 1), 2), (421, 1): ((0, 1), 2), (431, 1): ((0, 1), 7),
+    (433, 1): ((0, 1), 5), (439, 1): ((0, 1), 15), (443, 1): ((0, 1), 2),
+    (449, 1): ((0, 1), 3), (457, 1): ((0, 1), 13), (461, 1): ((0, 1), 2),
+    (463, 1): ((0, 1), 3), (467, 1): ((0, 1), 2), (479, 1): ((0, 1), 13),
+    (487, 1): ((0, 1), 3), (491, 1): ((0, 1), 2), (499, 1): ((0, 1), 7),
+    (503, 1): ((0, 1), 5), (509, 1): ((0, 1), 2), (521, 1): ((0, 1), 3),
+    (523, 1): ((0, 1), 2), (541, 1): ((0, 1), 2), (547, 1): ((0, 1), 2),
+    (557, 1): ((0, 1), 2), (563, 1): ((0, 1), 2), (569, 1): ((0, 1), 3),
+    (571, 1): ((0, 1), 3), (577, 1): ((0, 1), 5), (587, 1): ((0, 1), 2),
+    (593, 1): ((0, 1), 3), (599, 1): ((0, 1), 7), (601, 1): ((0, 1), 7),
+    (607, 1): ((0, 1), 3), (613, 1): ((0, 1), 2), (617, 1): ((0, 1), 3),
+    (619, 1): ((0, 1), 2), (631, 1): ((0, 1), 3), (641, 1): ((0, 1), 3),
+    (643, 1): ((0, 1), 11), (647, 1): ((0, 1), 5), (653, 1): ((0, 1), 2),
+    (659, 1): ((0, 1), 2), (661, 1): ((0, 1), 2), (673, 1): ((0, 1), 5),
+    (677, 1): ((0, 1), 2), (683, 1): ((0, 1), 5), (691, 1): ((0, 1), 3),
+    (701, 1): ((0, 1), 2), (709, 1): ((0, 1), 2), (719, 1): ((0, 1), 11),
+    (727, 1): ((0, 1), 5), (733, 1): ((0, 1), 6), (739, 1): ((0, 1), 3),
+    (743, 1): ((0, 1), 5), (751, 1): ((0, 1), 3), (757, 1): ((0, 1), 2),
+    (761, 1): ((0, 1), 6), (769, 1): ((0, 1), 11), (773, 1): ((0, 1), 2),
+    (787, 1): ((0, 1), 2), (797, 1): ((0, 1), 2), (809, 1): ((0, 1), 3),
+    (811, 1): ((0, 1), 3), (821, 1): ((0, 1), 2), (823, 1): ((0, 1), 3),
+    (827, 1): ((0, 1), 2), (829, 1): ((0, 1), 2), (839, 1): ((0, 1), 11),
+    (853, 1): ((0, 1), 2), (857, 1): ((0, 1), 3), (859, 1): ((0, 1), 2),
+    (863, 1): ((0, 1), 5), (877, 1): ((0, 1), 2), (881, 1): ((0, 1), 3),
+    (883, 1): ((0, 1), 2), (887, 1): ((0, 1), 5), (907, 1): ((0, 1), 2),
+    (911, 1): ((0, 1), 17), (919, 1): ((0, 1), 7), (929, 1): ((0, 1), 3),
+    (937, 1): ((0, 1), 5), (941, 1): ((0, 1), 2), (947, 1): ((0, 1), 2),
+    (953, 1): ((0, 1), 3), (967, 1): ((0, 1), 5), (971, 1): ((0, 1), 6),
+    (977, 1): ((0, 1), 3), (983, 1): ((0, 1), 5), (991, 1): ((0, 1), 6),
+    (997, 1): ((0, 1), 7), (1009, 1): ((0, 1), 11), (1013, 1): ((0, 1), 3),
+    (1019, 1): ((0, 1), 2), (1021, 1): ((0, 1), 10),
+}
+
+
+def test_field_make_pinned_modulus_and_generator():
+    for (p, n), pin in FIELD_PINS.items():
+        F = field_make(p, n)
+        assert (F.modulus, F.generator) == pin, (p, n)
+    assert set(FIELD_PINS) == {(p, n) for p in range(2, 1025) if is_prime(p)
+                               for n in range(1, 11) if p**n <= 1024}
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2),

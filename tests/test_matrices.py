@@ -1,6 +1,8 @@
 import random
 
-from equirr.fields import Poly, field_make
+from hypothesis import given, settings, strategies as st
+
+from equirr.fields import Poly, embed, field_make
 from equirr.matrices import (EchelonBasis, Mat, matrix_charpoly,
                              matrix_nullspace, matrix_rank, matrix_solve)
 
@@ -92,20 +94,118 @@ def test_solve_inconsistent():
     assert matrix_solve(a, b) is None
 
 
-def test_matmul_extension_field():
-    F = field_make(3, 2)
-    rng = random.Random(8)
-    for _ in range(20):
-        a = random_matrix(F, 3, 3, rng)
-        b = random_matrix(F, 3, 3, rng)
-        prod = a @ b
-        # compare against scalar-by-scalar multiplication
-        for i in range(3):
-            for j in range(3):
-                acc = 0
-                for k in range(3):
-                    acc = F.add(acc, F.mul(a.get(i, k), b.get(k, j)))
-                assert prod.get(i, j) == acc
+DIFF_FIELDS = [(2, 3), (3, 2), (2, 4), (5, 2), (13, 2), (7, 1)]
+
+
+def ref_matmul(F, A, B):
+    out = []
+    for row in A:
+        out.append([])
+        for j in range(len(B[0]) if B else 0):
+            acc = 0
+            for x, brow in zip(row, B):
+                acc = F.add(acc, F.mul(x, brow[j]))
+            out[-1].append(acc)
+    return out
+
+
+def ref_rref(F, A):
+    """Scalar Gauss-Jordan with first-nonzero pivoting."""
+    A = [list(row) for row in A]
+    pivots = []
+    r = 0
+    for col in range(len(A[0])):
+        i = next((i for i in range(r, len(A)) if A[i][col]), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = F.inv(A[r][col])
+        A[r] = [F.mul(inv, x) for x in A[r]]
+        for i in range(len(A)):
+            f = A[i][col]
+            if i != r and f:
+                A[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(A[i], A[r])]
+        pivots.append(col)
+        r += 1
+    return A, pivots
+
+
+def ref_det(F, A):
+    A = [list(row) for row in A]
+    det = 1
+    for col in range(len(A)):
+        i = next((i for i in range(col, len(A)) if A[i][col]), None)
+        if i is None:
+            return 0
+        if i != col:
+            A[col], A[i] = A[i], A[col]
+            det = F.neg(det)
+        det = F.mul(det, A[col][col])
+        inv = F.inv(A[col][col])
+        for i in range(col + 1, len(A)):
+            f = F.mul(A[i][col], inv)
+            A[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(A[i], A[col])]
+    return det
+
+
+@st.composite
+def field_and_matrices(draw):
+    F = field_make(*draw(st.sampled_from(DIFF_FIELDS)))
+    # zeros half the time, so rank-deficient systems are common
+    entry = st.one_of(st.just(0), st.integers(1, F.q - 1))
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def mat(rows, cols):
+        return Mat.from_rows(F, [[draw(entry) for _ in range(cols)]
+                                 for _ in range(rows)])
+
+    return F, mat(r, k), mat(r, k), mat(k, c), draw(entry)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_and_matrices())
+def test_matmul_extension_field(case):
+    """Every Mat operation agrees entry by entry with scalar Field ops."""
+    F, a, b, m, c = case
+    A, B, M = a.to_lists(), b.to_lists(), m.to_lists()
+    assert a.a.ndim == b.a.ndim == m.a.ndim == 2
+    assert (a + b).to_lists() == [[F.add(x, y) for x, y in zip(r, s)]
+                                  for r, s in zip(A, B)]
+    assert (a - b).to_lists() == [[F.sub(x, y) for x, y in zip(r, s)]
+                                  for r, s in zip(A, B)]
+    assert (-a).to_lists() == [[F.neg(x) for x in r] for r in A]
+    assert a.scale(c).to_lists() == [[F.mul(c, x) for x in r] for r in A]
+    assert (a @ m).to_lists() == ref_matmul(F, A, M)
+    assert a.kron(m).to_lists() == [
+        [F.mul(A[i][j], M[k][t]) for j in range(a.cols)
+         for t in range(m.cols)]
+        for i in range(a.rows) for k in range(m.rows)]
+
+    R, pivots = a.rref()
+    assert (R.to_lists(), pivots) == ref_rref(F, A)
+    ns = a.nullspace()
+    assert ns.cols == a.cols - len(pivots)
+    assert not any(any(row) for row in ref_matmul(F, A, ns.to_lists()))
+    rhs = b.columns([0])
+    sol = a.solve(rhs)
+    aug_rank = len(ref_rref(F, a.hstack(rhs).to_lists())[1])
+    assert (sol is not None) == (aug_rank == len(pivots))
+    if sol is not None:
+        assert ref_matmul(F, A, sol.to_lists()) == rhs.to_lists()
+
+    d = min(a.rows, a.cols)
+    square = a.submatrix(range(d), range(d))
+    S = square.to_lists()
+    cp = square.charpoly()
+    assert cp.degree == d and cp.leading() == 1
+    for x in range(d + 1):  # d + 1 values fix a monic degree-d polynomial
+        xI_minus_S = [[F.sub(x if i == j else 0, S[i][j]) for j in range(d)]
+                      for i in range(d)]
+        assert cp.evaluate(x) == ref_det(F, xI_minus_S)
+
+    E = field_make(F.p, 2 * F.n)
+    assert a.map_field(E).to_lists() == [[embed(x, F, E) for x in r]
+                                         for r in A]
 
 
 def test_kron_dimensions_and_values():
@@ -120,25 +220,19 @@ def test_kron_dimensions_and_values():
 
 
 def test_echelon_basis_spin_behaviour():
-    F = field_make(3, 1)
-    eb = EchelonBasis(F, 3)
-    import numpy as np
-    v1 = np.array([[1], [2], [0]], dtype=np.int64).reshape(3, 1)
-    assert eb.add(v1)
-    assert not eb.add((2 * v1) % 3)
-    v2 = np.array([[0], [1], [1]], dtype=np.int64).reshape(3, 1)
-    assert eb.add(v2)
-    assert len(eb) == 2
+    for F in (field_make(3, 1), field_make(3, 2)):
+        eb = EchelonBasis(F, 3)
+        v1 = Mat.from_rows(F, [[1, 2, 0]])
+        assert eb.add(v1.a[0])
+        assert not eb.add(v1.scale(2).a[0])
+        assert eb.add(Mat.from_rows(F, [[0, 1, 1]]).a[0])
+        assert len(eb) == 2
+        assert eb.as_matrix() == Mat.from_rows(F, [[1, 0, 1], [0, 1, 1]])
 
 
 def test_charpoly_block_multiplicative():
     F = field_make(3, 1)
     a = Mat.from_rows(F, [[1, 1], [0, 1]])
     b = Mat.from_rows(F, [[2]])
-    blk = Mat.zeros(F, 3, 3)
-    import numpy as np
-    arr = np.zeros((3, 3, 1), dtype=np.int64)
-    arr[:2, :2] = a.a
-    arr[2:, 2:] = b.a
-    blk = Mat(F, arr)
+    blk = a.hstack(Mat.zeros(F, 2, 1)).vstack(Mat.zeros(F, 1, 2).hstack(b))
     assert blk.charpoly() == a.charpoly() * b.charpoly()
