@@ -85,7 +85,7 @@ def run_analyze(scn: Scenario) -> dict:
     return _finish(report)
 
 
-def _euler_one_divisor(scn: Scenario, D, tag: str, verdicts, routes):
+def _euler_one_divisor(scn: Scenario, D, tag: str, verdicts):
     cover = scn.cover
     entry = {"divisor": D.to_json() if D is not None else None,
              "degree": (D.degree() if D is not None
@@ -118,9 +118,8 @@ def _euler_one_divisor(scn: Scenario, D, tag: str, verdicts, routes):
                  f"C = {C}")
     if cover.geometry is not None and cover.is_tame():
         rhs = euler_class_tame_mod_regular(cover, D)
-        if cong:
-            reference, _ = euler_class_integral(cover, D)
-            ok, mult = regular_multiple(cover, reference - rhs)
+        if cong:  # tame covers are weakly ramified: integral is set
+            ok, mult = regular_multiple(cover, integral - rhs)
             _verdict(verdicts, f"{tag}:tame_mod_regular", ok,
                      f"multiple = {mult}")
             entry["tame_mod_regular_multiple"] = mult
@@ -161,11 +160,9 @@ def run_euler(scn: Scenario) -> dict:
     entries = []
     if scn.cover.geometry is not None:
         for i, D in enumerate(scn.divisors):
-            entries.append(_euler_one_divisor(scn, D, f"D{i}", verdicts,
-                                              routes))
+            entries.append(_euler_one_divisor(scn, D, f"D{i}", verdicts))
     else:
-        entries.append(_euler_one_divisor(scn, None, "abstract", verdicts,
-                                          routes))
+        entries.append(_euler_one_divisor(scn, None, "abstract", verdicts))
     report["divisors"] = entries
     report["registry"] = _registry_log(scn)
     return _finish(report)

@@ -97,7 +97,8 @@ def smith_normal_form(A):
 
 class CartanData:
     """Projective-indecomposable classes and the Cartan matrix over one
-    (group, field, registry)."""
+    (group, field, registry).  The Smith normal form U C V = D of the
+    Cartan matrix C is computed once; C must be nonsingular."""
 
     def __init__(self, group, field, registry, pim_reps, pim_classes,
                  matrix):
@@ -107,6 +108,10 @@ class CartanData:
         self.pim_reps = pim_reps
         self.pim_classes = pim_classes
         self.matrix = matrix  # matrix[i][j] = mult of simple i in PIM_j
+        self.snf = smith_normal_form(matrix)
+        _, D, _ = self.snf
+        if any(D[i][i] == 0 for i in range(self.size)):
+            raise Inconsistency("Cartan matrix is singular")
 
     @property
     def size(self):
@@ -126,20 +131,14 @@ def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
         raise InputError("registry does not match the requested group")
     reg = rep_regular(G, field)
     chop(reg, registry, rng, note="regular module")  # saturates the registry
-    summands = indecomposable_summands(reg, rng)
     s = len(registry)
     by_head: dict[int, list[Rep]] = {}
-    for P in summands:
-        heads = [i for i, S in enumerate(registry.simples)
-                 if hom_dim(P, S) > 0]
-        if len(heads) != 1:
-            raise Inconsistency("regular summand has no unique head")
-        by_head.setdefault(heads[0], []).append(P)
+    for P, head in indecomposable_summands(reg, registry, rng):
+        by_head.setdefault(head, []).append(P)
     if set(by_head) != set(range(s)):
         raise Inconsistency("some simple has no projective cover in k[G]")
     pim_reps = []
-    for i in range(s):
-        S = registry.simples[i]
+    for i, S in enumerate(registry.simples):
         end_dim = hom_dim(S, S)
         if S.dim % end_dim:
             raise Inconsistency("dim S is not a multiple of dim End(S)")
@@ -160,51 +159,27 @@ def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
             if chop(other, registry, rng) != ref:
                 raise Inconsistency("covers with equal head have distinct "
                                     "classes")
-    cd = CartanData(G, field, registry, pim_reps, pim_classes, matrix)
-    if _matrix_rank_q(matrix) != s:
-        raise Inconsistency("Cartan matrix is singular")
-    return cd
+    return CartanData(G, field, registry, pim_reps, pim_classes, matrix)
 
 
-def _matrix_rank_q(A) -> int:
-    m = [[Fraction(x) for x in row] for row in A]
-    rank = 0
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+def cartan_coordinates(v: ClassVector, cd: CartanData) -> list[Fraction]:
+    """The unique rational x with Cartan * x = v: x = V D^-1 U v."""
+    target = v.padded()
+    if len(target) != cd.size:
+        raise InputError("class vector length does not match the registry")
+    U, D, V = cd.snf
+    s = cd.size
+    w = [sum(U[i][k] * target[k] for k in range(s)) / D[i][i]
+         for i in range(s)]
+    return [sum(V[i][k] * w[k] for k in range(s)) for i in range(s)]
 
 
 def in_cartan_image(v: ClassVector, cd: CartanData) -> bool:
-    """Integer-lattice membership of v in the span of the Cartan columns,
-    decided by Smith normal form."""
+    """Integer-lattice membership of v in the span of the Cartan columns:
+    its Cartan coordinates are integral."""
     if not v.is_integral():
         raise InputError("Cartan membership needs an integral class")
-    target = v.integral_coeffs()
-    if len(target) != cd.size:
-        raise InputError("class vector length does not match the registry")
-    U, D, _ = smith_normal_form(cd.matrix)
-    w = [sum(U[i][k] * target[k] for k in range(cd.size))
-         for i in range(cd.size)]
-    for i in range(cd.size):
-        d = D[i][i] if i < len(D) and i < len(D[i]) else 0
-        if d == 0:
-            if w[i] != 0:
-                return False
-        elif w[i] % d:
-            return False
-    return True
+    return all(c.denominator == 1 for c in cartan_coordinates(v, cd))
 
 
 def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
@@ -212,39 +187,8 @@ def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
     coefficients are unique because the Cartan map is injective."""
     if not v.is_integral():
         raise InputError("projective-class test needs an integral class")
-    coeffs = cartan_coordinates(v, cd)
-    if coeffs is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coeffs)
-
-
-def cartan_coordinates(v: ClassVector, cd: CartanData):
-    """Solve Cartan * x = v over the rationals; None if inconsistent."""
-    s = cd.size
-    m = [[Fraction(cd.matrix[i][j]) for j in range(s)] + [Fraction(c)]
-         for i, c in zip(range(s), v.padded())]
-    rank = 0
-    where = []
-    for col in range(s):
-        piv = next((i for i in range(rank, s) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(s):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        where.append(col)
-        rank += 1
-    for i in range(rank, s):
-        if m[i][s]:
-            return None
-    x = [Fraction(0)] * s
-    for r, col in enumerate(where):
-        x[col] = m[r][s]
-    return x
+    return all(c.denominator == 1 and c >= 0
+               for c in cartan_coordinates(v, cd))
 
 
 # -- scalar extension -----------------------------------------------------------

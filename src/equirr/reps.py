@@ -5,9 +5,9 @@ Grothendieck group of finitely generated modules: chop() implements a
 Norton/Parker style MeatAxe (random algebra elements, kernel vectors of
 characteristic-polynomial factors, submodule spinning, recursion on sub and
 quotient) and certifies simplicity before a factor enters the registry.
-Full direct-sum splitting (Fitting decomposition with a locality
-certificate) is kept separate and used only where projective
-indecomposables are genuinely needed.
+Direct-sum splitting (primary decomposition along random endomorphisms,
+each unsplit piece certified by its simple head) is kept separate and used
+only where projective indecomposables are genuinely needed.
 
 All randomized routines draw from an explicit random.Random so a run is
 reproducible from its seed.
@@ -15,7 +15,6 @@ reproducible from its seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,8 +30,6 @@ from .matrices import EchelonBasis, Mat
 MEATAXE_ROUNDS = 80
 SPLIT_ROUNDS = 60
 ISO_TRIES = 60
-LOCALITY_EXHAUSTIVE_CAP = 1 << 14
-LOCALITY_SAMPLES = 400
 SUMMAND_DIM_CAP = 400
 
 
@@ -325,23 +322,30 @@ def _complete_basis(field: Field, W: Mat) -> Mat:
     return W.hstack(eye.columns(extra))
 
 
-def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
-    """Sub and quotient actions for an invariant column space W."""
-    F = M.field
-    r = W.cols
-    P = _complete_basis(F, W)
+def _change_basis(M: Rep, P: Mat, cuts) -> tuple[list[Mat], list[Rep]]:
+    """Generator images of M in the basis given by the columns of P, and
+    the actions on their diagonal blocks cuts[b]:cuts[b+1]; callers check
+    that the blocks they use are invariant."""
     Pinv = P.inv()
     if Pinv is None:
-        raise Inconsistency("completed basis is singular")
-    sub_imgs, quot_imgs = {}, {}
-    for t in range(len(M.group.generators)):
-        C = Pinv @ M.gen_image(t) @ P
-        if np.any(C.a[r:, :r]):
-            raise Inconsistency("claimed submodule is not invariant")
-        sub_imgs[t] = C.submatrix(range(r), range(r))
-        quot_imgs[t] = C.submatrix(range(r, M.dim), range(r, M.dim))
-    return (Rep(M.group, F, r, sub_imgs),
-            Rep(M.group, F, M.dim - r, quot_imgs))
+        raise Inconsistency("change of basis is singular")
+    images = [Pinv @ M.gen_image(t) @ P
+              for t in range(len(M.group.generators))]
+    blocks = [Rep(M.group, M.field, hi - lo,
+                  {t: C.submatrix(range(lo, hi), range(lo, hi))
+                   for t, C in enumerate(images)})
+              for lo, hi in zip(cuts, cuts[1:])]
+    return images, blocks
+
+
+def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
+    """Sub and quotient actions for an invariant column space W."""
+    r = W.cols
+    images, (sub, quot) = _change_basis(M, _complete_basis(M.field, W),
+                                        [0, r, M.dim])
+    if any(np.any(C.a[r:, :r]) for C in images):
+        raise Inconsistency("claimed submodule is not invariant")
+    return sub, quot
 
 
 # -- registry and class vectors ----------------------------------------------
@@ -523,60 +527,40 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None,
 # -- direct-sum splitting -----------------------------------------------------
 
 
-def _column_space(P: Mat) -> Mat:
-    R, pivots = P.T.rref()
-    if not pivots:
-        return Mat.zeros(P.field, P.rows, 0)
-    return Mat(P.field, R.a[:len(pivots)]).T
+def _simple_head(M: Rep, registry: SimpleRegistry) -> int | None:
+    """Registry index i with head(M) = S_i, or None when the head of M is
+    not simple: dim Hom(M, S_i) = dim End(S_i) and Hom(M, S_j) = 0 for
+    every other simple S_j of the (saturated) registry."""
+    head = None
+    for i, S in enumerate(registry.simples):
+        h = hom_dim(M, S)
+        if h == 0:
+            continue
+        if head is not None or h != hom_dim(S, S):
+            return None
+        head = i
+    return head
 
 
-def _fitting_split(M: Rep, phi: Mat) -> tuple[Rep, Rep]:
-    stable = phi.pow_(max(1, M.dim))
-    ker = stable.nullspace()
-    img = _column_space(stable)
-    if ker.cols == 0 or img.cols == 0 or ker.cols + img.cols != M.dim:
-        raise Inconsistency("Fitting decomposition is not a splitting")
-    both = ker.hstack(img)
-    sub, rest = split_on_submodule(M, both.columns(range(ker.cols)))
-    # rest is the quotient in the ker-first basis; recompute image side
-    # directly for an honest direct-sum split
-    P = both
-    Pinv = P.inv()
-    if Pinv is None:
-        raise Inconsistency("Fitting basis is singular")
-    r = ker.cols
-    a_imgs, b_imgs = {}, {}
-    for t in range(len(M.group.generators)):
-        C = Pinv @ M.gen_image(t) @ P
-        if np.any(C.a[r:, :r]) or np.any(C.a[:r, r:]):
-            raise Inconsistency("Fitting components are not invariant")
-        a_imgs[t] = C.submatrix(range(r), range(r))
-        b_imgs[t] = C.submatrix(range(r, M.dim), range(r, M.dim))
-    return (Rep(M.group, M.field, r, a_imgs),
-            Rep(M.group, M.field, M.dim - r, b_imgs))
-
-
-def _is_nilpotent(phi: Mat) -> bool:
-    return phi.pow_(max(1, phi.rows)).is_zero()
-
-
-def indecomposable_summands(M: Rep, rng: random.Random,
-                            dim_cap: int = SUMMAND_DIM_CAP) -> list[Rep]:
-    """Split M into indecomposable direct summands.
+def indecomposable_summands(M: Rep, registry: SimpleRegistry,
+                            rng: random.Random) -> list[tuple[Rep, int]]:
+    """Split a direct summand M of k[G] into indecomposable summands, each
+    returned with the registry index of its simple head.
 
     Random endomorphisms are decomposed along the distinct irreducible
-    factors of their characteristic polynomial (primary decomposition);
-    when no splitting appears, the endomorphism algebra is certified local,
-    exhaustively when q^dim(End) is desk-sized and otherwise by a sampled
-    nilpotent-or-invertible check whose failure feeds a Fitting split.
+    factors of their characteristic polynomial (primary decomposition).
+    A piece no endomorphism splits is certified by its simple head: a
+    decomposition A + B would have head(A) + head(B) as its head, and every
+    indecomposable summand of k[G] has a simple head.  The registry must
+    already hold every simple of k[G] (chop the regular module first).
+    A piece with neither a split nor a simple head raises CapExceeded;
+    no uncertified piece is returned.
     """
     if M.dim == 0:
         return []
-    if M.dim > dim_cap:
+    if M.dim > SUMMAND_DIM_CAP:
         raise CapExceeded(f"dim {M.dim} exceeds the summand-splitting cap")
     ends = hom_space(M, M)
-    if len(ends) == 1:
-        return [M]
     F = M.field
 
     def combos():
@@ -590,85 +574,39 @@ def indecomposable_summands(M: Rep, rng: random.Random,
                     acc = acc + X.scale(c)
             yield acc
 
-    for theta in combos():
-        if theta.is_zero():
-            continue
-        facs = poly_factor(theta.charpoly(), rng)
-        if len(facs) >= 2:
-            return _primary_split(M, theta, facs, rng, dim_cap)
-    return _certify_or_split(M, ends, rng, dim_cap)
+    if len(ends) > 1:  # End(M) = k is local, so M is indecomposable
+        for theta in combos():
+            if theta.is_zero():
+                continue
+            facs = poly_factor(theta.charpoly(), rng)
+            if len(facs) >= 2:
+                return _primary_split(M, theta, facs, registry, rng)
+    head = _simple_head(M, registry)
+    if head is None:
+        raise CapExceeded(
+            f"no endomorphism split a dim-{M.dim} module within "
+            f"SPLIT_ROUNDS = {SPLIT_ROUNDS} rounds and its head is not "
+            "simple; rerun with a different seed")
+    return [(M, head)]
 
 
-def _primary_split(M: Rep, theta: Mat, facs, rng, dim_cap) -> list[Rep]:
-    F = M.field
+def _primary_split(M: Rep, theta: Mat, facs, registry,
+                   rng) -> list[tuple[Rep, int]]:
     kernels = [theta.eval_poly(f).pow_(m).nullspace() for f, m in facs]
-    stacked = kernels[0]
-    for k in kernels[1:]:
-        stacked = stacked.hstack(k)
-    if stacked.cols != M.dim:
-        raise Inconsistency("primary decomposition dimensions are wrong")
-    Pinv = stacked.inv()
-    if Pinv is None:
-        raise Inconsistency("primary components are not independent")
-    offsets = [0]
+    cuts = [0]
     for k in kernels:
-        offsets.append(offsets[-1] + k.cols)
-    out = []
-    for bi in range(len(kernels)):
-        lo, hi = offsets[bi], offsets[bi + 1]
-        imgs = {}
-        for t in range(len(M.group.generators)):
-            C = Pinv @ M.gen_image(t) @ stacked
-            block = C.submatrix(range(lo, hi), range(lo, hi))
-            outside = C.a[lo:hi, :lo], C.a[lo:hi, hi:]
-            if np.any(outside[0]) or np.any(outside[1]):
-                raise Inconsistency("primary component is not invariant")
-            imgs[t] = block
-        out.extend(indecomposable_summands(
-            Rep(M.group, F, hi - lo, imgs), rng, dim_cap))
-    return out
-
-
-def _certify_or_split(M: Rep, ends, rng, dim_cap) -> list[Rep]:
-    F = M.field
-    dim_e = len(ends)
-
-    def check(phi: Mat):
-        """None if nilpotent or invertible, else phi splits M."""
-        if phi.is_invertible() or _is_nilpotent(phi):
-            return None
-        return phi
-
-    if F.q ** dim_e <= LOCALITY_EXHAUSTIVE_CAP:
-        for coeffs in itertools.product(range(F.q), repeat=dim_e):
-            acc = Mat.zeros(F, M.dim, M.dim)
-            for c, X in zip(coeffs, ends):
-                if c:
-                    acc = acc + X.scale(c)
-            bad = check(acc)
-            if bad is not None:
-                a, b = _fitting_split(M, bad)
-                return (indecomposable_summands(a, rng, dim_cap)
-                        + indecomposable_summands(b, rng, dim_cap))
-        return [M]  # every endomorphism nilpotent or invertible: local
-    for X in ends:
-        bad = check(X)
-        if bad is not None:
-            a, b = _fitting_split(M, bad)
-            return (indecomposable_summands(a, rng, dim_cap)
-                    + indecomposable_summands(b, rng, dim_cap))
-    for _ in range(LOCALITY_SAMPLES):
-        acc = Mat.zeros(F, M.dim, M.dim)
-        for X in ends:
-            c = F.rand_elem(rng)
-            if c:
-                acc = acc + X.scale(c)
-        bad = check(acc)
-        if bad is not None:
-            a, b = _fitting_split(M, bad)
-            return (indecomposable_summands(a, rng, dim_cap)
-                    + indecomposable_summands(b, rng, dim_cap))
-    return [M]
+        cuts.append(cuts[-1] + k.cols)
+    if cuts[-1] != M.dim:
+        raise Inconsistency("primary decomposition dimensions are wrong")
+    stacked = Mat(M.field, np.hstack([k.a for k in kernels]))
+    images, parts = _change_basis(M, stacked, cuts)
+    off_diagonal = np.ones((M.dim, M.dim), dtype=bool)
+    for lo, hi in zip(cuts, cuts[1:]):
+        off_diagonal[lo:hi, lo:hi] = False
+    if any(np.any(C.a[off_diagonal]) for C in images):
+        raise Inconsistency("primary components are not invariant")
+    return [piece for part in parts
+            for piece in indecomposable_summands(part, registry, rng)]
 
 
 # -- projectivity -------------------------------------------------------------

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from equirr.errors import Inconsistency
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
-from equirr.k0 import (beta_vector, cartan_coordinates, cartan_data,
-                       cartesian_check, extend_scalars, in_cartan_image,
-                       is_projective_class, smith_normal_form)
+from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
+                       cartan_data, cartesian_check, extend_scalars,
+                       in_cartan_image, is_projective_class,
+                       smith_normal_form)
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, chop, hom_dim,
                          rep_regular, rep_trivial, socle_dim)
@@ -221,3 +223,29 @@ def test_cartan_coordinates_unique():
     v = chop(rep_regular(G, F), reg, rng())
     coords = cartan_coordinates(v, cd)
     assert coords == [1]
+
+
+def test_cartan_coordinates_solve_nonunimodular_cartan():
+    # S3 over GF(3): Cartan matrix [[2, 1], [1, 2]], determinant 3, so some
+    # integral classes have fractional coordinates
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(3, 1)
+    reg = SimpleRegistry(G, F)
+    cd = cartan_data(G, F, reg, rng())
+    assert sorted(map(sorted, cd.matrix)) == [[1, 2], [1, 2]]
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        v = reg.basis_vector(0, a) + reg.basis_vector(1, b)
+        x = cartan_coordinates(v, cd)
+        assert [sum(cd.matrix[i][j] * x[j] for j in range(2))
+                for i in range(2)] == [a, b]
+        integral = all(c.denominator == 1 for c in x)
+        assert in_cartan_image(v, cd) == integral == ((a + b) % 3 == 0)
+        assert is_projective_class(v, cd) == (integral and min(x) >= 0)
+
+
+def test_singular_cartan_matrix_is_inconsistent():
+    G = FiniteGroup.from_table(cyclic_table(2))
+    F = field_make(2, 1)
+    reg = SimpleRegistry(G, F)
+    with pytest.raises(Inconsistency, match="singular"):
+        CartanData(G, F, reg, [], [], [[1, 2], [2, 4]])

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from equirr import reps
+from equirr.errors import CapExceeded
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup, Subgroup, quotient_group, sylow_p
 from equirr.matrices import Mat
@@ -214,36 +216,81 @@ def test_is_isomorphic_basics():
 # -- indecomposable summands ------------------------------------------------------
 
 
+def saturated_regular(G, F, r):
+    """The regular module and a registry saturated by chopping it."""
+    reg = SimpleRegistry(G, F)
+    M = rep_regular(G, F)
+    chop(M, reg, r)
+    return M, reg
+
+
 def test_summands_c2_gf3():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(3, 1)
-    parts = indecomposable_summands(rep_regular(G, F), rng())
-    assert sorted(p.dim for p in parts) == [1, 1]
+    r = rng()
+    M, reg = saturated_regular(G, F, r)
+    parts = indecomposable_summands(M, reg, r)
+    assert sorted(p.dim for p, _ in parts) == [1, 1]
+    assert sorted(head for _, head in parts) == [0, 1]
 
 
 def test_summands_c2_gf2_local():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(2, 1)
-    parts = indecomposable_summands(rep_regular(G, F), rng())
-    assert [p.dim for p in parts] == [2]
+    r = rng()
+    M, reg = saturated_regular(G, F, r)
+    parts = indecomposable_summands(M, reg, r)
+    assert [(p.dim, head) for p, head in parts] == [(2, 0)]
 
 
-def test_summands_s3_gf3_via_head_oracle():
+def c3xc3_table():
+    return [[3 * ((a // 3 + b // 3) % 3) + (a + b) % 3 for b in range(9)]
+            for a in range(9)]
+
+
+@pytest.mark.parametrize("table,p,n", [
+    (cyclic_table(2), 2, 1),
+    (cyclic_table(3), 3, 1),
+    (s3_table(), 3, 1),
+    (c3xc3_table(), 3, 2),  # End(k[G]) has 9^9 elements
+], ids=["C2-GF2", "C3-GF3", "S3-GF3", "C3xC3-GF9"])
+def test_summands_via_head_oracle(table, p, n):
     # do not trust any asserted dim multiset: recompute via the
     # head-multiplicity formula m_S = dim S / dim End(S)
-    G = FiniteGroup.from_table(s3_table())
-    F = field_make(3, 1)
-    reg = SimpleRegistry(G, F)
+    G = FiniteGroup.from_table(table)
+    F = field_make(p, n)
     r = rng()
-    M = rep_regular(G, F)
-    chop(M, reg, r)
-    parts = indecomposable_summands(M, r)
-    assert sum(p.dim for p in parts) == 6
-    for S in reg.simples:
+    M, reg = saturated_regular(G, F, r)
+    parts = indecomposable_summands(M, reg, r)
+    assert sum(P.dim for P, _ in parts) == G.order
+    end_dims = [hom_dim(S, S) for S in reg.simples]
+    assert len(parts) == sum(S.dim // e
+                             for S, e in zip(reg.simples, end_dims))
+    for P, head in parts:
+        assert [hom_dim(P, S) for S in reg.simples] == [
+            end_dims[i] if i == head else 0 for i in range(len(reg))]
+    for i, S in enumerate(reg.simples):
         m = head_multiplicity(M, S)
-        assert m == S.dim // hom_dim(S, S)
-        covers = [p for p in parts if hom_dim(p, S) > 0]
-        assert len(covers) == m
+        assert m == S.dim // end_dims[i]
+        assert sum(1 for _, head in parts if head == i) == m
+
+
+@pytest.mark.parametrize("table,p", [(cyclic_table(2), 3), (s3_table(), 5)],
+                         ids=["C2-GF3", "S3-GF5"])
+def test_summands_without_split_or_simple_head_raise(monkeypatch, table, p):
+    # with every characteristic polynomial reported irreducible nothing
+    # splits: k[C2] over GF(3) is triv + sign, two simples in its head, and
+    # over S3/GF(5) the 2-dimensional simple S gives S + S, head S twice
+    G = FiniteGroup.from_table(table)
+    F = field_make(p, 1)
+    r = rng()
+    M, reg = saturated_regular(G, F, r)
+    if G.order == 6:
+        S = next(S for S in reg.simples if S.dim == 2)
+        M = rep_direct_sum(S, S)
+    monkeypatch.setattr(reps, "poly_factor", lambda f, rng=None: [(f, 1)])
+    with pytest.raises(CapExceeded, match="SPLIT_ROUNDS"):
+        indecomposable_summands(M, reg, r)
 
 
 # -- projectivity -----------------------------------------------------------------
