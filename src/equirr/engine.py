@@ -29,9 +29,10 @@ from .fields import Field
 from .geometry import Divisor, P1Geometry, Place, RamificationDatum
 from .groups import FiniteGroup
 from .k0 import CartanData, cartan_data, in_cartan_image, is_projective_class
-from .reps import (ClassVector, SimpleRegistry, chop, head_multiplicity,
-                   is_projective, projective_cover_over_inertia,
-                   rep_induce, rep_regular, rep_restrict)
+from .reps import (ClassVector, Rep, SimpleRegistry, chop,
+                   head_multiplicity, is_projective,
+                   projective_cover_over_inertia, rep_induce, rep_regular,
+                   rep_restrict)
 
 
 @dataclass
@@ -265,17 +266,25 @@ def ramification_class_routes(cover: CoverData):
 # -- the oracle -----------------------------------------------------------------
 
 
-def oracle_euler_class(cover: CoverData, D: Divisor) -> ClassVector:
-    """Composition factors of the explicit Riemann-Roch representation;
-    valid while H^1 vanishes (deg D >= -1 on the line)."""
+def _oracle_rr_module(cover: CoverData, D: Divisor,
+                      note: str) -> tuple[Rep, ClassVector]:
+    """The explicit Riemann-Roch representation on L(D) and its chop,
+    built once per divisor.  The chop carries the note of the first caller:
+    the note labels the simples it registers in the registry log."""
     if cover.geometry is None:
         raise InputError("oracle classes need the geometry substrate")
     key = ("oracle", tuple((p.sort_key(), c) for p, c in D.items()))
     if key not in cover._caches:
         rep = cover.geometry.rr_action_rep(D)
-        cover._caches[key] = chop(rep, cover.registry, cover.rng,
-                                  note=f"oracle deg {D.degree()}")
+        cover._caches[key] = (rep, chop(rep, cover.registry, cover.rng,
+                                        note=note))
     return cover._caches[key]
+
+
+def oracle_euler_class(cover: CoverData, D: Divisor) -> ClassVector:
+    """Composition factors of the explicit Riemann-Roch representation;
+    valid while H^1 vanishes (deg D >= -1 on the line)."""
+    return _oracle_rr_module(cover, D, f"oracle deg {D.degree()}")[1]
 
 
 # -- divided cover classes (the divisibility theorem) ------------------------------
@@ -285,9 +294,18 @@ def divided_cover_class(cover: CoverData, datum: RamificationDatum,
                         d: int) -> dict:
     """The projective k[G_P]-module whose f_P-fold multiple is the induced
     cover of the (-d)-th cotangent power: certify the divisibility of every
-    head multiplicity by f_P and return the divided coordinates.
+    head multiplicity by f_P and return the divided coordinates, computed
+    once per (datum, d).
 
     A divisibility failure falsifies the theorem and raises with a dump."""
+    key = ("divided", id(datum), d)
+    if key not in cover._caches:
+        cover._caches[key] = _certify_divided_cover(cover, datum, d)
+    return cover._caches[key]
+
+
+def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
+                           d: int) -> dict:
     if not datum.is_weak_here:
         raise InputError("divided covers are defined for weakly ramified "
                          "places")
@@ -463,9 +481,7 @@ def projectivity_report(cover: CoverData, D: Divisor) -> dict:
     one divisor, including the implication checks."""
     if cover.geometry is None:
         raise InputError("projectivity predicates need the oracle")
-    geo = cover.geometry
-    h0 = geo.rr_action_rep(D)
-    chi = chop(h0, cover.registry, cover.rng, note="projectivity oracle")
+    h0, chi = _oracle_rr_module(cover, D, "projectivity oracle")
     weak = cover.is_weakly_ramified()
     tame = cover.is_tame()
     cong = congruence_condition(cover, D)

@@ -705,6 +705,21 @@ class P1Geometry:
                              "regime (H^1 is nonzero)")
         if deg_d < 0:
             return []
+        u = self._rr_generator(D)
+        x = RatFunc.from_poly(Poly.x(k))
+        basis = []
+        power = RatFunc.from_poly(Poly.one(k))
+        for j in range(deg_d + 1):
+            f = u * power
+            self._check_in_space(f, D)
+            basis.append(f)
+            power = power * x
+        return basis
+
+    def _rr_generator(self, D: Divisor) -> RatFunc:
+        """u with div(u) = -D away from infinity, so that L(D) is u times
+        the polynomials of degree <= deg D."""
+        k = self.k
         num = Poly.one(k)
         den = Poly.one(k)
         for P, c in D.items():
@@ -716,29 +731,19 @@ class P1Geometry:
             else:
                 for _ in range(-c):
                     num = num * P.poly
-        u = RatFunc(num, den)
-        x = RatFunc.from_poly(Poly.x(k))
-        basis = []
-        power = RatFunc.from_poly(Poly.one(k))
-        for j in range(deg_d + 1):
-            f = u * power
-            self._check_in_space(f, D)
-            basis.append(f)
-            power = power * x
-        return basis
+        return RatFunc(num, den)
 
     def _check_in_space(self, f: RatFunc, D: Divisor):
-        check_places = set(D.support())
-        check_places.add(Place.infinity())
-        for g, _ in (list(_poly_factor_cached(f.num))
-                     + list(_poly_factor_cached(f.den))):
-            check_places.add(Place(g, check=False))
-        for P in check_places:
-            if P.is_infinity:
-                v = f.valuation_at_infinity()
-            else:
-                v = f.valuation_at(P.poly)
-            if v < -D.coeff(P):
+        """div f + D >= 0, with div f read from the factored numerator and
+        denominator; the factor degrees must refill both."""
+        for poly in (f.num, f.den):
+            if sum(g.degree * m for g, m in _poly_factor_cached(poly)) \
+                    != poly.degree:
+                raise Inconsistency("factorization does not refill the "
+                                    f"degree of {poly!r}")
+        div = self.principal_divisor(f)
+        for P in set(D.support()) | set(div.support()):
+            if div.coeff(P) < -D.coeff(P):
                 raise Inconsistency(
                     f"basis element violates the divisor bound at {P!r}")
 
@@ -755,18 +760,7 @@ class P1Geometry:
         dim = len(basis)
         k = self.k
         deg_d = D.degree()
-        num = Poly.one(k)
-        den = Poly.one(k)
-        for P, c in D.items():
-            if P.is_infinity:
-                continue
-            if c > 0:
-                for _ in range(c):
-                    den = den * P.poly
-            else:
-                for _ in range(-c):
-                    num = num * P.poly
-        u = RatFunc(num, den)
+        u = self._rr_generator(D)
         images = {}
         for t, g in enumerate(self.G.generators):
             ginv = self.G.inverse[g]

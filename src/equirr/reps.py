@@ -353,26 +353,31 @@ def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
 
 class SimpleRegistry:
     """Ordered list of pairwise non-isomorphic certified-simple modules over
-    one (group, field); grows lazily as chop discovers new simples."""
+    one (group, field); grows lazily as chop discovers new simples.
+
+    A lookup compares a new simple only with registered simples of the same
+    charpoly_key (dimension and characteristic polynomials of the generator
+    images, which conjugate matrices share); a nonzero Hom space between
+    two simples then decides isomorphism."""
 
     def __init__(self, group: FiniteGroup, field: Field):
         self.group = group
         self.field = field
         self.simples: list[Rep] = []
-        self.fingerprints: list[tuple] = []
+        self.charpoly_keys: list[tuple] = []
         self.log: list[dict] = []
 
     def __len__(self):
         return len(self.simples)
 
-    def find_or_add(self, S: Rep, rng: random.Random, note: str = "") -> int:
-        fp = class_fingerprint(S)
+    def find_or_add(self, S: Rep, note: str = "") -> int:
+        key = charpoly_key(S)
         for i, T in enumerate(self.simples):
-            if T.dim == S.dim and self.fingerprints[i] == fp:
+            if self.charpoly_keys[i] == key:
                 if hom_dim(S, T) > 0:  # nonzero hom between simples is iso
                     return i
         self.simples.append(S)
-        self.fingerprints.append(fp)
+        self.charpoly_keys.append(key)
         self.log.append({"id": len(self.simples) - 1, "dim": S.dim,
                          "note": note})
         return len(self.simples) - 1
@@ -469,7 +474,7 @@ def chop(M: Rep, registry: SimpleRegistry, rng: random.Random,
             continue
         res = find_submodule_or_simple(A, rng)
         if res == "simple":
-            idx = registry.find_or_add(A, rng, note=note)
+            idx = registry.find_or_add(A, note=note)
             counts[idx] = counts.get(idx, 0) + 1
         else:
             _, W = res
@@ -679,7 +684,14 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
     return cov
 
 
-# -- fingerprints --------------------------------------------------------------
+# -- isomorphism invariants ---------------------------------------------------
+
+
+def charpoly_key(M: Rep) -> tuple:
+    """Dimension and characteristic polynomials of the generator images:
+    isomorphic modules have equal keys, and computing one factors
+    nothing."""
+    return (M.dim, tuple(X.charpoly().coeffs for X in M.generator_images()))
 
 
 def _mult_order(q: int, m: int) -> int:

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from equirr import cli
+from equirr import cli, engine
 from equirr.cli import main
 from equirr.errors import Inconsistency, InputError
+from equirr.geometry import P1Geometry
 from equirr.scenarios import find_s3_pgl2, parse_scenario, realize
 from equirr.fields import field_make
 
@@ -216,3 +217,44 @@ def test_suite_reports_every_scenario_past_cap_and_inconsistency(
 def test_find_s3_matches_shipped_scenario():
     gens = find_s3_pgl2(field_make(5, 1))
     assert len(gens) == 2
+
+
+# -- each oracle fact is computed once per command ----------------------------
+
+
+def shipped(name):
+    return realize(parse_scenario((SCENARIO_DIR / name).read_text()))
+
+
+def record_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name,builds", [("a2_kummer_gf7_m3.json", 6),
+                                         ("a3_s3_gf5.json", 4),
+                                         ("a4_affine_gf3.json", 4)])
+def test_check_builds_each_riemann_roch_rep_once(monkeypatch, name, builds):
+    # the projectivity report and the Cartesian section share one
+    # representation and one chop per divisor
+    scn = shipped(name)
+    calls = record_calls(monkeypatch, P1Geometry, "rr_action_rep")
+    assert cli._exit_code(cli.run_check(scn)) == 0
+    assert len(calls) == len(scn.divisors) == builds
+
+
+@pytest.mark.parametrize("command", ["euler", "check"])
+def test_divisibility_certificate_runs_once_per_place_and_twist(
+        monkeypatch, command):
+    scn = shipped("a2_kummer_gf7_m3.json")
+    calls = record_calls(monkeypatch, engine, "_certify_divided_cover")
+    assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
+    pairs = [(id(datum), d) for _cover, datum, d in calls]
+    assert len(pairs) == len(set(pairs)) == 4

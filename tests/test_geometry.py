@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from equirr.errors import InputError
+from equirr import geometry
+from equirr.errors import Inconsistency, InputError
 from equirr.fields import Poly, RatFunc, field_make
 from equirr.geometry import (Divisor, P1Geometry, Place, abstract_datum,
                              fiber_character, places_up_to)
@@ -269,6 +270,24 @@ def test_rr_dimension_formula_random():
         if D.degree() < -1:
             continue
         assert len(geo.rr_space_basis(D)) == max(0, D.degree() + 1)
+
+
+def test_check_in_space_rejects_functions_outside(monkeypatch):
+    F, G, geo = translation_geometry(3)
+    D = Divisor({Place.infinity(): 2, place_x(F): 1})
+    x = RatFunc.from_poly(Poly.x(F))
+    inside = [RatFunc(Poly.one(F), Poly.x(F)), x * x * x / x]
+    for f in inside + geo.rr_space_basis(D):
+        geo._check_in_space(f, D)
+    for f in [x * x * x * x, RatFunc(Poly.one(F), Poly(F, [0, 0, 1])),
+              RatFunc(Poly.one(F), Poly(F, [2, 1]))]:
+        with pytest.raises(Inconsistency, match="divisor bound"):
+            geo._check_in_space(f, D)
+    # a factorization that misses a factor fails the degree refill check
+    monkeypatch.setattr(geometry, "_poly_factor_cached",
+                        lambda poly: [])
+    with pytest.raises(Inconsistency, match="refill"):
+        geo._check_in_space(x, D)
 
 
 def test_principal_divisor_degree_zero():

@@ -248,6 +248,24 @@ def c3xc3_table():
             for a in range(9)]
 
 
+@pytest.mark.parametrize("table,p", [(cyclic_table(4), 5), (s3_table(), 5),
+                                     (s3_table(), 7)],
+                         ids=["C4-GF5", "S3-GF5", "S3-GF7"])
+def test_registry_lookup_key_only_filters(monkeypatch, table, p):
+    # the charpoly key only narrows the candidates and hom_dim decides, so
+    # a key that matches every simple must build the same registry
+    G = FiniteGroup.from_table(table)
+    F = field_make(p, 1)
+    _, reg = saturated_regular(G, F, rng())
+    monkeypatch.setattr(reps, "charpoly_key", lambda S: ())
+    _, flat = saturated_regular(G, F, rng())
+    assert [S.generator_images() for S in flat.simples] == \
+        [S.generator_images() for S in reg.simples]
+    for i, S in enumerate(flat.simples):
+        assert [hom_dim(S, T) > 0 for T in flat.simples] == \
+            [j == i for j in range(len(flat))]
+
+
 @pytest.mark.parametrize("table,p,n", [
     (cyclic_table(2), 2, 1),
     (cyclic_table(3), 3, 1),
