@@ -4,10 +4,17 @@ rational functions.
 Field elements are encoded as plain ints in [0, q): the base-p digits of the
 encoding, least significant first, are the coefficients of the representative
 polynomial in the canonical generator.  For the prime field the encoding is
-the residue itself.  All arithmetic routes through exp/log tables built once
-per field, so scalar operations are O(1) dict-free lookups.  The same
-encodings fill the numpy arrays behind matrices; Field's *_array methods do
-their arithmetic, so no other module knows how an element is stored.
+the residue itself.
+
+Scalar arithmetic reads plain Python lists built once per field: a doubled
+exp list (g^k for 0 <= k < 2(q - 1), so a sum of two logs needs no
+reduction) and a log list, and for n > 1 a negation list and a Zech-log
+list zech[k] = log(1 + g^k), so a + b = g^(log a + zech[log b - log a])
+needs no digit loop.  Prime-field addition, subtraction and negation are
+plain residues mod p.  Poly arithmetic and Mat.charpoly run on these scalar
+ops.  The same encodings fill the numpy arrays behind matrices; Field's
+*_array methods do their arithmetic through digit and exp/log gathers, so
+no other module knows how an element is stored.
 
 Field construction is deterministic: GF(p^n) always uses the first monic
 irreducible of degree n in encoding order, found by a Rabin test on Poly
@@ -105,17 +112,17 @@ class Field:
         if self.q > TABLE_LIMIT:
             raise CapExceeded(
                 f"GF({self.p}^{self.n}) exceeds the desk-scale table limit")
-        q = self.q
+        p, q = self.p, self.q
         if self.n == 1:
             candidates = [self._find_prime_generator()]
 
             def mul(a, b):
-                return a * b % self.p
+                return a * b % p
         else:
             candidates = range(1, q)
             # without tables yet: Poly multiplication over GF(p) reduced by
             # the modulus
-            prime = Field.make(self.p, 1)
+            prime = Field.make(p, 1)
             modulus = Poly(prime, self.modulus)
 
             def mul(a, b):
@@ -131,11 +138,24 @@ class Field:
                 cur = mul(cur, cand)
             if len(powers) == q - 1:
                 self.generator = cand
-                self._exp = np.array(powers, dtype=np.int64)
-                self._log = np.zeros(q, dtype=np.int64)
-                self._log[self._exp] = np.arange(q - 1)
-                return
-        raise CapExceeded("no multiplicative generator found")  # unreachable
+                break
+        else:
+            raise CapExceeded("no multiplicative generator found")
+        log = [0] * q  # log[0] is a placeholder: every reader tests for 0
+        for k, e in enumerate(powers):
+            log[e] = k
+        self._exp2 = powers + powers
+        self._log = log
+        if self.n > 1:
+            # -1 = g^((q-1)/2) for odd p, and -a = a in characteristic 2
+            half = (q - 1) // 2 if p > 2 else 0
+            self._neg = [0] + [self._exp2[k + half] for k in log[1:]]
+            # 1 + e adds 1 to the lowest digit of the encoding e; None marks
+            # 1 + g^k = 0
+            ones = [e - e % p + (e + 1) % p for e in powers]
+            self._zech = [log[s] if s else None for s in ones]
+        self._exp_array = np.array(powers, dtype=np.int64)
+        self._log_array = np.array(log, dtype=np.int64)
 
     def _find_prime_generator(self):
         p = self.p
@@ -204,7 +224,8 @@ class Field:
         """Elementwise product; a and b broadcast like numpy operands."""
         if self.n == 1:
             return self._residues(a * b)
-        prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        prod = self._exp_array[
+            (self._log_array[a] + self._log_array[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 
     def matmul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,41 +254,34 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.n == 1:
             return (a + b) % self.p
-        return self._add_digits(a, b)
-
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        total, w = 0, 1
-        for _ in range(self.n):
-            total += ((a % p) + (b % p)) % p * w
-            a //= p
-            b //= p
-            w *= p
-        return total
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        # a negative difference indexes from the end: log b - log a mod q-1
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp2[la + z]
 
     def neg(self, a: int) -> int:
         if self.n == 1:
             return -a % self.p
-        p = self.p
-        total, w = 0, 1
-        for _ in range(self.n):
-            total += (-(a % p)) % p * w
-            a //= p
-            w *= p
-        return total
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add_digits(a, self.neg(b)) if self.n > 1 else (a - b) % self.p
+        if self.n == 1:
+            return (a - b) % self.p
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
+        if a and b:
+            return self._exp2[self._log[a] + self._log[b]]
+        return 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
+        return self._exp2[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -279,7 +293,7 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
+        return self._exp2[self._log[a] * e % (self.q - 1)]
 
     def frobenius(self, a: int, iterate: int = 1) -> int:
         """a ** (p ** iterate), computed exactly."""
@@ -290,8 +304,7 @@ class Field:
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        e = int(self._log[a])
-        return (self.q - 1) // math.gcd(e, self.q - 1)
+        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
 
     def elements(self):
         return range(self.q)
@@ -335,7 +348,7 @@ class Field:
         for a in range(self.q):
             acc = 0
             for c, rp in zip(self.digits(a), powers):
-                acc = target._add_digits(acc, target.mul(c % target.p, rp))
+                acc = target.add(acc, target.mul(c % target.p, rp))
             table[a] = acc
         self._embeddings[key] = table
         return table
@@ -377,6 +390,17 @@ class Poly:
         self.coeffs = tuple(c)
 
     @classmethod
+    def _new(cls, field, c: list) -> "Poly":
+        """Trusted constructor for results of field arithmetic: c holds
+        valid encodings; trailing zeros are trimmed in place."""
+        while c and c[-1] == 0:
+            c.pop()
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = tuple(c)
+        return f
+
+    @classmethod
     def zero(cls, field):
         return cls(field, [])
 
@@ -414,34 +438,45 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, bi in enumerate(b):
-            out[i] = F._add_digits(out[i], bi) if F.n > 1 else (out[i] + bi) % F.p
-        return Poly(F, out)
+        add = F.add
+        out = [add(x, y) for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return Poly._new(F, out)
 
     def __neg__(self):
         F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        neg = F.neg
+        return Poly._new(F, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         F = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._new(F, [])
+        out = [0] * (len(a) + len(b) - 1)
+        if F.n == 1:
+            # integer products, one reduction mod p per coefficient
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        out[j] += ai * bj
+            p = F.p
+            return Poly._new(F, [c % p for c in out])
+        add, mul = F.add, F.mul
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(other.coeffs):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        out[i + j] = F._add_digits(out[i + j], F.mul(ai, bj)) \
-                            if F.n > 1 else (out[i + j] + ai * bj) % F.p
-        return Poly(F, out)
+                        out[j] = add(out[j], mul(ai, bj))
+        return Poly._new(F, out)
 
     def scale(self, a: int) -> "Poly":
         F = self.field
-        return Poly(F, [F.mul(c, a) for c in self.coeffs])
+        mul = F.mul
+        return Poly._new(F, [mul(c, a) for c in self.coeffs])
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.leading() == 1:
@@ -455,22 +490,40 @@ class Poly:
         return Poly(self.field, (0,) * k + self.coeffs)
 
     def divmod(self, other: "Poly"):
-        if other.is_zero():
+        b = other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
+        db = len(b) - 1
+        top = len(self.coeffs) - 1 - db  # degree of the quotient
+        if top < 0:
+            return Poly._new(F, []), self
         rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = F.inv(other.leading())
-        quot = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            if rem[-1] != 0:
-                factor = F.mul(rem[-1], inv_lead)
-                shift = len(rem) - 1 - db
-                quot[shift] = factor
-                for i, bc in enumerate(other.coeffs):
-                    rem[shift + i] = F.sub(rem[shift + i], F.mul(factor, bc))
-            rem.pop()
-        return Poly(F, quot), Poly(F, rem)
+        quot = [0] * (top + 1)
+        inv_lead = F.inv(b[-1])
+        if F.n == 1:
+            # rem holds unreduced integers; each leading entry is reduced
+            # when it is read, the remainder once at the end
+            p = F.p
+            b = b[:db]
+            for s in range(top, -1, -1):
+                c = rem[s + db] * inv_lead % p
+                if c:
+                    quot[s] = c
+                    for i, y in enumerate(b, s):
+                        rem[i] -= c * y
+            return Poly._new(F, quot), Poly._new(F, [r % p for r in rem[:db]])
+        add, mul, neg = F.add, F.mul, F.neg
+        nb = [neg(y) for y in b[:db]]
+        for s in range(top, -1, -1):
+            r = rem[s + db]
+            if r:
+                c = mul(r, inv_lead)
+                quot[s] = c
+                for i, y in enumerate(nb, s):
+                    if y:
+                        rem[i] = add(rem[i], mul(c, y))
+        return Poly._new(F, quot), Poly._new(F, rem[:db])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -487,17 +540,21 @@ class Poly:
     def evaluate(self, a: int) -> int:
         F = self.field
         acc = 0
+        if F.n == 1:
+            p = F.p
+            for c in reversed(self.coeffs):
+                acc = (acc * a + c) % p
+            return acc
+        add, mul = F.add, F.mul
         for c in reversed(self.coeffs):
-            acc = F._add_digits(F.mul(acc, a), c) if F.n > 1 \
-                else (acc * a + c) % F.p
+            acc = add(mul(acc, a), c)
         return acc
 
     def derivative(self) -> "Poly":
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(i % F.p, self.coeffs[i]))
-        return Poly(F, out)
+        mul, p = F.mul, F.p
+        return Poly._new(F, [mul(i % p, c)
+                             for i, c in enumerate(self.coeffs) if i])
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
         result = Poly.one(self.field)

@@ -4,6 +4,7 @@ Cartesian-diagram cross-check between a base field and an extension."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -169,9 +170,15 @@ def cartan_coordinates(v: ClassVector, cd: CartanData) -> list[Fraction]:
         raise InputError("class vector length does not match the registry")
     U, D, V = cd.snf
     s = cd.size
-    w = [sum(U[i][k] * target[k] for k in range(s)) / D[i][i]
+    # integers over one common denominator m * L: t = m v is integral, and
+    # D^-1 U t = y / L with y_i = (U t)_i * (L / D_i)
+    m = math.lcm(*(c.denominator for c in target))
+    L = math.lcm(*(D[i][i] for i in range(s)))
+    t = [c.numerator * (m // c.denominator) for c in target]
+    y = [sum(u * tk for u, tk in zip(U[i], t)) * (L // D[i][i])
          for i in range(s)]
-    return [sum(V[i][k] * w[k] for k in range(s)) for i in range(s)]
+    return [Fraction(sum(vk * yk for vk, yk in zip(V[i], y)), m * L)
+            for i in range(s)]
 
 
 def in_cartan_image(v: ClassVector, cd: CartanData) -> bool:

@@ -201,13 +201,8 @@ class Mat:
     def inv(self):
         if self.rows != self.cols:
             raise InputError("inverse needs a square matrix")
-        X = self.solve(Mat.identity(self.field, self.rows))
-        if X is None:
-            return None
-        # X is a right inverse iff rank was full; verify cheaply
-        if len(self.rref()[1]) != self.rows:
-            return None
-        return X
+        # A X = I is consistent only when the square A has full rank
+        return self.solve(Mat.identity(self.field, self.rows))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -215,48 +210,54 @@ class Mat:
     # -- characteristic polynomial -------------------------------------------
 
     def charpoly(self) -> Poly:
-        """Characteristic polynomial det(xI - A) via Hessenberg reduction."""
+        """Characteristic polynomial det(xI - A) via Hessenberg reduction,
+        on lists of encodings with the field's scalar ops."""
         if self.rows != self.cols:
             raise InputError("charpoly needs a square matrix")
         F = self.field
+        add, sub, mul, neg = F.add, F.sub, F.mul, F.neg
         d = self.rows
-        if d == 0:
-            return Poly.one(F)
         H = self.a.tolist()
         # reduce to upper Hessenberg by similarity
         for m in range(1, d - 1):
-            pivot_row = None
-            for i in range(m, d):
-                if H[i][m - 1] != 0:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(m, d) if H[i][m - 1]), None)
             if pivot_row is None:
                 continue
             if pivot_row != m:
                 H[m], H[pivot_row] = H[pivot_row], H[m]
-                for i in range(d):
-                    H[i][m], H[i][pivot_row] = H[i][pivot_row], H[i][m]
-            inv_p = F.inv(H[m][m - 1])
+                for row in H:
+                    row[m], row[pivot_row] = row[pivot_row], row[m]
+            hm = H[m]
+            inv_p = F.inv(hm[m - 1])
             for i in range(m + 1, d):
-                if H[i][m - 1] == 0:
+                if not H[i][m - 1]:
                     continue
-                u = F.mul(H[i][m - 1], inv_p)
-                for j in range(d):
-                    H[i][j] = F.sub(H[i][j], F.mul(u, H[m][j]))
-                for j in range(d):
-                    H[j][m] = F.add(H[j][m], F.mul(u, H[j][i]))
-        # recurrence for the characteristic polynomials of leading minors
-        polys = [Poly.one(F)]
+                u = mul(H[i][m - 1], inv_p)
+                H[i] = [sub(x, mul(u, y)) for x, y in zip(H[i], hm)]
+                for row in H:
+                    if row[i]:
+                        row[m] = add(row[m], mul(u, row[i]))
+        # charpolys of the leading minors, as coefficient lists low first:
+        # p_m = (x - h_{m-1,m-1}) p_{m-1}
+        #       - sum_i (h_{i,i-1} ... h_{m-1,m-2}) h_{i-1,m-1} p_{i-1}
+        polys = [[1]]
         for m in range(1, d + 1):
-            x_minus = Poly(F, [F.neg(H[m - 1][m - 1]), 1])
-            pm = x_minus * polys[m - 1]
+            prev = polys[m - 1]
+            h = neg(H[m - 1][m - 1])
+            pm = ([mul(h, prev[0])]
+                  + [add(prev[k - 1], mul(h, prev[k])) for k in range(1, m)]
+                  + [1])
             prod = 1
             for i in range(m - 1, 0, -1):
-                prod = F.mul(prod, H[i][i - 1])
-                term = polys[i - 1].scale(F.mul(prod, H[i - 1][m - 1]))
-                pm = pm - term
+                prod = mul(prod, H[i][i - 1])
+                if not prod:
+                    break  # every later term has this factor too
+                c = mul(prod, H[i - 1][m - 1])
+                if c:
+                    for k, y in enumerate(polys[i - 1]):
+                        pm[k] = sub(pm[k], mul(c, y))
             polys.append(pm)
-        return polys[d]
+        return Poly(F, polys[d])
 
     def eval_poly(self, f: Poly) -> "Mat":
         """f(self) by Horner."""

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from equirr.errors import InputError
@@ -155,6 +156,76 @@ def test_scalar_arithmetic_axioms(p, n):
     assert F.element_order(F.generator) == F.q - 1
 
 
+def array_powers(F, a, exponents):
+    """a ** e for each e in the increasing exponents, by repeated
+    mul_array."""
+    out = {}
+    acc = np.ones_like(a)
+    for e in range(max(exponents) + 1):
+        if e in exponents:
+            out[e] = acc
+        acc = F.mul_array(acc, a)
+    return out
+
+
+def check_scalar_ops_against_arrays(F, A, B):
+    """Every scalar op on the pairs (A[i], B[i]) equals the *_array op,
+    which works on residues or digits_array and exp/log gathers."""
+    pairs = list(zip(A.tolist(), B.tolist()))
+    assert [F.add(a, b) for a, b in pairs] == F.add_array(A, B).tolist()
+    assert [F.sub(a, b) for a, b in pairs] == F.sub_array(A, B).tolist()
+    assert [F.mul(a, b) for a, b in pairs] == F.mul_array(A, B).tolist()
+    nz = B != 0
+    quot = np.array([F.div(a, b) for a, b in pairs if b])
+    assert F.mul_array(quot, B[nz]).tolist() == A[nz].tolist()
+    elems = np.arange(F.q)
+    assert [F.neg(a) for a in range(F.q)] == F.neg_array(elems).tolist()
+    units = elems[1:]
+    inverses = np.array([F.inv(a) for a in units.tolist()])
+    assert F.mul_array(units, inverses).tolist() == [1] * (F.q - 1)
+    exponents = {0, 1, 2, 3, F.p, F.q - 2, F.q - 1, F.q}
+    for e, ref in array_powers(F, elems, exponents).items():
+        assert [F.pow_(a, e) for a in range(F.q)] == ref.tolist(), e
+    assert [F.pow_(a, -1) for a in units.tolist()] == inverses.tolist()
+    frob = elems
+    for i in range(F.n + 1):
+        assert [F.frobenius(a, i) for a in range(F.q)] == frob.tolist(), i
+        frob = array_powers(F, frob, {F.p})[F.p]
+
+
+SMALL_FIELDS = [(p, n) for p in range(2, 65) if is_prime(p)
+                for n in range(1, 7) if p**n <= 64]
+ALL_FIELDS = [(p, n) for p in range(2, 1025) if is_prime(p)
+              for n in range(1, 11) if p**n <= 1024]
+
+
+@pytest.mark.parametrize("p,n", SMALL_FIELDS)
+def test_scalar_ops_match_array_ops_all_pairs(p, n):
+    F = field_make(p, n)
+    A, B = np.divmod(np.arange(F.q * F.q), F.q)
+    check_scalar_ops_against_arrays(F, A, B)
+    # the canonical embedding into GF(p^2n) is a ring map for array ops too
+    if F.q**2 <= 1024:
+        E = field_make(p, 2 * n)
+        e = F.embedding_into(E)
+        assert e[F.add_array(A, B)].tolist() == \
+            E.add_array(e[A], e[B]).tolist()
+        assert e[F.mul_array(A, B)].tolist() == \
+            E.mul_array(e[A], e[B]).tolist()
+
+
+def test_scalar_ops_match_array_ops_sampled():
+    rng = np.random.default_rng(5)
+    assert len(ALL_FIELDS) == 198
+    for p, n in ALL_FIELDS:
+        F = field_make(p, n)
+        A, B = rng.integers(0, F.q, size=(2, 300))
+        A[:10] = 0  # the zero cases of the Zech and log lookups
+        B[5:15] = 0
+        B[20:30] = F.neg_array(A[20:30])  # sums that vanish
+        check_scalar_ops_against_arrays(F, A, B)
+
+
 def test_frobenius_basics():
     F9 = field_make(3, 2)
     for a in F9.elements():
@@ -280,6 +351,37 @@ def test_poly_divmod_random():
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+def random_poly(F, rng, max_deg):
+    size = rng.randrange(max_deg + 2)
+    return Poly(F, [F.rand_elem(rng) for _ in range(size)])
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 4), (13, 2), (13, 1), (2, 1)])
+def test_poly_arithmetic_identities(p, n):
+    F = field_make(p, n)
+    rng = random.Random(17)
+    for _ in range(60):
+        a, b, c = (random_poly(F, rng, 9) for _ in range(3))
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) + b == a and (a + (-a)).is_zero()
+        for x in rng.sample(range(F.q), min(F.q, 12)):
+            assert (a * b).evaluate(x) == F.mul(a.evaluate(x), b.evaluate(x))
+            assert (a + b).evaluate(x) == F.add(a.evaluate(x), b.evaluate(x))
+        k = F.rand_elem(rng)
+        assert a.scale(k) == Poly(F, [F.mul(k, y) for y in a.coeffs])
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+        if b.is_zero():
+            continue
+        q, r = a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+        assert (a * b).divmod(b) == (a, Poly.zero(F))
+        g = a.gcd(b)
+        assert g.leading() == 1 and (a % g).is_zero() and (b % g).is_zero()
+        if not c.is_zero():
+            assert (a * c).gcd(b * c) == g * c.monic()
 
 
 def test_ratfunc_normal_form():

@@ -249,3 +249,26 @@ def test_singular_cartan_matrix_is_inconsistent():
     reg = SimpleRegistry(G, F)
     with pytest.raises(Inconsistency, match="singular"):
         CartanData(G, F, reg, [], [], [[1, 2], [2, 4]])
+
+
+# Cartan matrix and the next 64 random bits after a seeded cartan_data run
+# of PGL2(GF(3)), recorded before the scalar kernel moved to list tables.
+# Kernel work must leave both unchanged: a moved draw changes reports.
+PINNED_CARTAN_DRAWS = {
+    1: ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+        5762662425107858629),
+    2: ([[1, 0, 0, 0], [0, 2, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]],
+        15283565988211588545),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["GF3", "GF9"])
+def test_cartan_data_keeps_random_draws(n):
+    F3 = field_make(3, 1)
+    G = FiniteGroup.close_generators(
+        F3, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
+    assert len(G.labels) == 24
+    F = field_make(3, n)
+    draws = random.Random(11)
+    cd = cartan_data(G, F, SimpleRegistry(G, F), draws)
+    assert (cd.matrix, draws.getrandbits(64)) == PINNED_CARTAN_DRAWS[n]

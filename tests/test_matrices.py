@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from equirr.fields import Poly, embed, field_make
@@ -85,6 +86,28 @@ def test_solve_and_inverse():
             if inv is not None:
                 assert a @ inv == Mat.identity(F, d)
                 assert inv @ a == Mat.identity(F, d)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (2, 2), (3, 2)])
+def test_inverse_is_none_exactly_when_singular(p, n):
+    F = field_make(p, n)
+    rng = random.Random(8)
+    singular = 0
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        r = rng.randrange(d + 1)
+        if rng.random() < 0.5 and r < d:
+            # rank at most r < d: a d x r by r x d product
+            a = random_matrix(F, d, r, rng) @ random_matrix(F, r, d, rng) \
+                if r else Mat.zeros(F, d, d)
+        else:
+            a = random_matrix(F, d, d, rng)
+        inv = a.inv()
+        assert (inv is None) == (a.rank() < d)
+        singular += inv is None
+        if inv is not None:
+            assert a @ inv == inv @ a == Mat.identity(F, d)
+    assert singular >= 10
 
 
 def test_solve_inconsistent():
@@ -206,6 +229,30 @@ def test_matmul_extension_field(case):
     E = field_make(F.p, 2 * F.n)
     assert a.map_field(E).to_lists() == [[embed(x, F, E) for x in r]
                                          for r in A]
+
+
+def sparse_matrix(F, d, rng):
+    """Random d x d matrix whose zero density is itself random, so zero
+    pivots, zero subdiagonals and split Hessenberg forms all occur."""
+    density = rng.choice([0.1, 0.3, 0.7, 1.0])
+    return [[F.rand_nonzero(rng) if rng.random() < density else 0
+             for _ in range(d)] for _ in range(d)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1),
+                                 (2, 4)])
+def test_charpoly_is_det_of_xI_minus_A_everywhere(p, n):
+    F = field_make(p, n)
+    rng = random.Random(23)
+    for d in [1, 2, 3, 5, 8, 13, 21, 30]:
+        for _ in range(2 if d < 21 else 1):
+            S = sparse_matrix(F, d, rng)
+            cp = Mat.from_rows(F, S).charpoly()
+            assert cp.degree == d and cp.leading() == 1
+            for x in F.elements():
+                xI_minus_S = [[F.sub(x if i == j else 0, S[i][j])
+                               for j in range(d)] for i in range(d)]
+                assert cp.evaluate(x) == ref_det(F, xI_minus_S), (d, x)
 
 
 def test_kron_dimensions_and_values():
