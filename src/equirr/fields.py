@@ -65,6 +65,18 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
+def _matrix_pow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e over GF(p) for a small square residue matrix a."""
+    result = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            result = result @ a % p
+        e >>= 1
+        if e:
+            a = a @ a % p
+    return result
+
+
 class Field:
     """Descriptor plus arithmetic context for GF(p^n).
 
@@ -113,34 +125,30 @@ class Field:
             raise CapExceeded(
                 f"GF({self.p}^{self.n}) exceeds the desk-scale table limit")
         p, q = self.p, self.q
-        if self.n == 1:
-            candidates = [self._find_prime_generator()]
-
-            def mul(a, b):
-                return a * b % p
-        else:
-            candidates = range(1, q)
-            # without tables yet: Poly multiplication over GF(p) reduced by
-            # the modulus
-            prime = Field.make(p, 1)
-            modulus = Poly(prime, self.modulus)
-
-            def mul(a, b):
-                prod = (Poly(prime, self.digits(a))
-                        * Poly(prime, self.digits(b)) % modulus)
-                return self.encode(prod.coeffs)
-        # exp/log over the encoding-least multiplicative generator
-        for cand in candidates:
-            powers = [1]
-            cur = cand
-            while cur != 1:
-                powers.append(cur)
-                cur = mul(cur, cand)
-            if len(powers) == q - 1:
+        # exp/log over the encoding-least multiplicative generator: g has
+        # order q - 1 iff g^((q-1)/r) != 1 for every prime r | q - 1
+        eye = np.eye(self.n, dtype=np.int64)
+        exponents = [(q - 1) // r for r in prime_factors(q - 1)]
+        for cand in range(1, q):
+            times_g = self._times_matrix(self.digits(cand))
+            if all(not np.array_equal(_matrix_pow_mod(times_g, e, p), eye)
+                   for e in exponents):
                 self.generator = cand
                 break
         else:
             raise CapExceeded("no multiplicative generator found")
+        # walk the powers once, doubling: rows m..2m-1 are rows 0..m-1
+        # times g^m
+        digits = np.zeros((q - 1, self.n), dtype=np.int64)
+        digits[0, 0] = 1
+        m = 1
+        while m < q - 1:
+            k = min(m, q - 1 - m)
+            digits[m:m + k] = digits[:k] @ times_g.T % p
+            times_g = times_g @ times_g % p  # now times g^(2m)
+            m += k
+        self._exp_array = digits @ np.array(self._powers, dtype=np.int64)
+        powers = self._exp_array.tolist()
         log = [0] * q  # log[0] is a placeholder: every reader tests for 0
         for k, e in enumerate(powers):
             log[e] = k
@@ -154,18 +162,21 @@ class Field:
             # 1 + g^k = 0
             ones = [e - e % p + (e + 1) % p for e in powers]
             self._zech = [log[s] if s else None for s in ones]
-        self._exp_array = np.array(powers, dtype=np.int64)
         self._log_array = np.array(log, dtype=np.int64)
 
-    def _find_prime_generator(self):
+    def _times_matrix(self, a) -> np.ndarray:
+        """(n, n) matrix over GF(p) of multiplication by the element with
+        digits a: column i holds a x^i, each column the previous one
+        shifted up one digit with the top digit folded back by the
+        modulus (x^n = -(m_0 + ... + m_{n-1} x^(n-1)))."""
         p = self.p
-        if p == 2:
-            return 1
-        fac = prime_factors(p - 1)
-        for g in range(2, p):
-            if all(pow(g, (p - 1) // r, p) != 1 for r in fac):
-                return g
-        return None
+        cols = [list(a)]
+        for _ in range(self.n - 1):
+            v = cols[-1]
+            top = v[-1]
+            cols.append([(u - top * c) % p
+                         for u, c in zip([0] + v[:-1], self.modulus)])
+        return np.array(cols, dtype=np.int64).T
 
     # -- encoding helpers ----------------------------------------------
 

@@ -12,7 +12,8 @@ from .errors import Inconsistency, InputError
 from .fields import Field
 from .groups import FiniteGroup
 from .reps import (ClassVector, Rep, SimpleRegistry, chop, hom_dim,
-                   indecomposable_summands, rep_regular)
+                   indecomposable_summands, regular_endomorphisms,
+                   rep_regular)
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -127,14 +128,16 @@ class CartanData:
 def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
                 rng: random.Random) -> CartanData:
     """PIMs from splitting the regular module, grouped by head; the Cartan
-    matrix collects their composition factors."""
+    matrix collects their composition factors.  End(k[G]) comes from the
+    multiplication table, not from a Hom system."""
     if registry.group is not G or registry.field is not field:
         raise InputError("registry does not match the requested group")
     reg = rep_regular(G, field)
     chop(reg, registry, rng, note="regular module")  # saturates the registry
     s = len(registry)
     by_head: dict[int, list[Rep]] = {}
-    for P, head in indecomposable_summands(reg, registry, rng):
+    ends = regular_endomorphisms(G, field)
+    for P, head in indecomposable_summands(reg, ends, registry, rng):
         by_head.setdefault(head, []).append(P)
     if set(by_head) != set(range(s)):
         raise Inconsistency("some simple has no projective cover in k[G]")

@@ -327,19 +327,3 @@ class EchelonBasis:
             return Mat.zeros(self.field, 0, self.width)
         return Mat(self.field, np.stack(self.rows))
 
-
-# spec-facing aliases
-def matrix_rank(m: Mat) -> int:
-    return m.rank()
-
-
-def matrix_solve(a: Mat, b: Mat):
-    return a.solve(b)
-
-
-def matrix_nullspace(m: Mat) -> Mat:
-    return m.nullspace()
-
-
-def matrix_charpoly(m: Mat) -> Poly:
-    return m.charpoly()

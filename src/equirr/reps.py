@@ -31,6 +31,10 @@ MEATAXE_ROUNDS = 80
 SPLIT_ROUNDS = 60
 ISO_TRIES = 60
 SUMMAND_DIM_CAP = 400
+# Largest Hom system hom_space builds, in int64 cells (256 MiB per copy;
+# elimination holds a few copies).  The largest on the order-120 and
+# order-110 groups is 1.8e7, on an End of a 55-dimensional piece.
+HOM_CELL_CAP = 1 << 25
 
 
 def _subgroup_generators(H: Subgroup) -> tuple[int, ...]:
@@ -198,15 +202,28 @@ def _check_compatible(M: Rep, N: Rep):
 # -- hom spaces -------------------------------------------------------------
 
 
+def _check_hom_cells(cells: int, what: str):
+    if cells > HOM_CELL_CAP:
+        raise CapExceeded(f"{what} needs {cells} cells, over "
+                          f"HOM_CELL_CAP = {HOM_CELL_CAP}")
+
+
 def hom_space(M: Rep, N: Rep) -> list[Mat]:
     """Basis of intertwiners X with X M(g) = N(g) X, as (dim N x dim M)
-    matrices; deterministic."""
+    matrices; deterministic.
+
+    The basis is the nullspace of a stacked Kronecker system with
+    (#gens * dn * dm) x (dn * dm) cells, checked against HOM_CELL_CAP
+    before anything is allocated (a group without generators gets the
+    dn * dm unit matrices, as many cells as one block)."""
     _check_compatible(M, N)
     F = M.field
     dm, dn = M.dim, N.dim
     if dm == 0 or dn == 0:
         return []
     gens = M.group.generators
+    _check_hom_cells(max(len(gens), 1) * (dn * dm) ** 2,
+                     f"Hom between modules of dims {dm} and {dn}")
     if not gens:
         basis = []
         for i in range(dn):
@@ -229,6 +246,29 @@ def hom_space(M: Rep, N: Rep) -> list[Mat]:
     out = []
     for c in range(ns.cols):
         out.append(Mat(F, np.ascontiguousarray(ns.a[:, c].reshape(dn, dm))))
+    return out
+
+
+def regular_endomorphisms(G: FiniteGroup, field: Field) -> list[Mat]:
+    """End(k[G]) for rep_regular(G, field), read off the multiplication
+    table: the right multiplications R_h (column j to row G.table[j][h]),
+    the same list, in the same order, as hom_space(k[G], k[G]).
+
+    hom_space returns the kernel basis that is the identity on the free
+    columns, and those are the positions where some kernel vector has its
+    last nonzero entry; the R_h have disjoint 0/1 supports, so that basis
+    is the R_h ordered by the row-major position of their last nonzero
+    entry."""
+    n = G.order
+    _check_hom_cells(n ** 3, f"End(k[G]) for |G| = {n}")
+    table = np.array(G.table, dtype=np.int64)  # table[j][h] = j h
+    cols = np.arange(n)
+    last = (table * n + cols[:, None]).max(axis=0)
+    out = []
+    for h in np.argsort(last):
+        a = np.zeros((n, n), dtype=np.int64)
+        a[table[:, h], cols] = 1
+        out.append(Mat(field, a))
     return out
 
 
@@ -547,10 +587,13 @@ def _simple_head(M: Rep, registry: SimpleRegistry) -> int | None:
     return head
 
 
-def indecomposable_summands(M: Rep, registry: SimpleRegistry,
+def indecomposable_summands(M: Rep, ends: list[Mat],
+                            registry: SimpleRegistry,
                             rng: random.Random) -> list[tuple[Rep, int]]:
     """Split a direct summand M of k[G] into indecomposable summands, each
-    returned with the registry index of its simple head.
+    returned with the registry index of its simple head.  `ends` is the
+    basis of End(M) that hom_space(M, M) returns (for M = k[G],
+    regular_endomorphisms builds it from the multiplication table).
 
     Random endomorphisms are decomposed along the distinct irreducible
     factors of their characteristic polynomial (primary decomposition).
@@ -565,7 +608,6 @@ def indecomposable_summands(M: Rep, registry: SimpleRegistry,
         return []
     if M.dim > SUMMAND_DIM_CAP:
         raise CapExceeded(f"dim {M.dim} exceeds the summand-splitting cap")
-    ends = hom_space(M, M)
     F = M.field
 
     def combos():
@@ -611,7 +653,8 @@ def _primary_split(M: Rep, theta: Mat, facs, registry,
     if any(np.any(C.a[off_diagonal]) for C in images):
         raise Inconsistency("primary components are not invariant")
     return [piece for part in parts
-            for piece in indecomposable_summands(part, registry, rng)]
+            for piece in indecomposable_summands(
+                part, hom_space(part, part), registry, rng)]
 
 
 # -- projectivity -------------------------------------------------------------

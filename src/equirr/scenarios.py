@@ -34,6 +34,14 @@ class ScenarioConfig:
     raw: dict = dc_field(default_factory=dict)
 
 
+def _json_int(value, key: str) -> int:
+    """value as an int when it is a JSON integer (an int, not a bool);
+    InputError naming the key path otherwise, so 1.5 is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
 def parse_scenario(source) -> ScenarioConfig:
     """Parse and validate a scenario from JSON text, a path-like read
     string, or an already-decoded dict."""
@@ -50,8 +58,8 @@ def parse_scenario(source) -> ScenarioConfig:
     field_spec = doc.get("field")
     if not isinstance(field_spec, dict) or "p" not in field_spec:
         raise InputError("field: expected an object with 'p' and 'n'")
-    p = int(field_spec["p"])
-    n = int(field_spec.get("n", 1))
+    p = _json_int(field_spec["p"], "field.p")
+    n = _json_int(field_spec.get("n", 1), "field.n")
 
     mode = doc.get("mode", "oracle")
     if mode not in ("oracle", "abstract"):
@@ -68,7 +76,8 @@ def parse_scenario(source) -> ScenarioConfig:
     if kind == "table" and "table" not in group_spec:
         raise InputError("group: table groups need a 'table'")
     for key in ("p", "n"):
-        if key in group_spec and int(group_spec[key]) != {"p": p, "n": n}[key]:
+        if (key in group_spec and _json_int(group_spec[key], f"group.{key}")
+                != {"p": p, "n": n}[key]):
             raise InputError(f"group.{key} disagrees with the field spec")
 
     divisors = doc.get("divisors", [])
@@ -87,8 +96,8 @@ def parse_scenario(source) -> ScenarioConfig:
         if not isinstance(orbits, list) or not orbits:
             raise InputError("abstract mode needs a nonempty 'orbits' list")
 
-    seed = int(doc.get("seed", 0))
-    genus = int(doc.get("genus_quotient", 0))
+    seed = _json_int(doc.get("seed", 0), "seed")
+    genus = _json_int(doc.get("genus_quotient", 0), "genus_quotient")
     if genus < 0:
         raise InputError("genus_quotient must be nonnegative")
     options = doc.get("options", {})
@@ -155,53 +164,54 @@ def find_s3_pgl2(k: Field):
 
 def build_group(cfg: ScenarioConfig, k: Field) -> FiniteGroup:
     spec = cfg.group_spec
-    cap = int(cfg.options.get("group_order_cap", DEFAULT_ORDER_CAP))
+    cap = _json_int(cfg.options.get("group_order_cap", DEFAULT_ORDER_CAP),
+                   "options.group_order_cap")
     if spec["kind"] == "table":
         return FiniteGroup.from_table(spec["table"])
     if spec["kind"] == "pgl2_s3_search":
         gens = find_s3_pgl2(k)
     else:
         gens = []
-        for mat in spec["generators"]:
+        for g, mat in enumerate(spec["generators"]):
             if (not isinstance(mat, list) or len(mat) != 2
-                    or any(len(row) != 2 for row in mat)):
+                    or any(not isinstance(row, list) or len(row) != 2
+                           for row in mat)):
                 raise InputError(f"group.generators: bad matrix {mat!r}")
-            a, b = mat[0]
-            c, d = mat[1]
-            gens.append((int(a) % k.q, int(b) % k.q,
-                         int(c) % k.q, int(d) % k.q))
+            gens.append(tuple(
+                _json_int(x, f"group.generators[{g}][{r}][{c}]") % k.q
+                for r, row in enumerate(mat) for c, x in enumerate(row)))
     return FiniteGroup.close_generators(k, gens, cap=cap)
 
 
 # -- divisor construction ------------------------------------------------------------
 
 
-def parse_place(k: Field, raw) -> Place:
+def parse_place(k: Field, raw, key: str) -> Place:
     if raw == "inf":
         return Place.infinity()
     if not isinstance(raw, list) or not raw:
         raise InputError(f"place: expected 'inf' or a coefficient list, "
                          f"got {raw!r}")
-    coeffs = [int(c) for c in raw]
+    coeffs = [_json_int(c, f"{key}[{i}]") for i, c in enumerate(raw)]
     poly = Poly(k, coeffs)
     if poly.degree < 1:
         raise InputError(f"place polynomial must be nonconstant: {raw!r}")
     return Place(poly)  # irreducibility checked by the constructor
 
 
-def parse_divisor(k: Field, raw) -> Divisor:
+def parse_divisor(k: Field, raw, key: str) -> Divisor:
     if not isinstance(raw, list):
         raise InputError(f"divisor: expected a list of [place, coeff] "
                          f"pairs, got {raw!r}")
     data: dict[Place, int] = {}
-    for entry in raw:
+    for j, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != 2:
             raise InputError(f"divisor entry: expected [place, coeff], "
                              f"got {entry!r}")
-        place = parse_place(k, entry[0])
+        place = parse_place(k, entry[0], f"{key}[{j}][0]")
         if place in data:
             raise InputError(f"divisor repeats the place {place!r}")
-        data[place] = int(entry[1])
+        data[place] = _json_int(entry[1], f"{key}[{j}][1]")
     return Divisor(data)
 
 
@@ -223,7 +233,8 @@ def realize(cfg: ScenarioConfig) -> Scenario:
     G = build_group(cfg, k)
     rng = random.Random(cfg.seed)
     if cfg.mode == "oracle":
-        divisors = [parse_divisor(k, raw) for raw in cfg.divisors]
+        divisors = [parse_divisor(k, raw, f"divisors[{i}]")
+                    for i, raw in enumerate(cfg.divisors)]
         degrees = {p.degree for D in divisors for p in D.support()}
         geometry = P1Geometry(k, G, extra_degrees=sorted(degrees))
         cover = CoverData.from_geometry(geometry, rng)
@@ -247,14 +258,16 @@ def realize(cfg: ScenarioConfig) -> Scenario:
                 decomposition=raw["decomposition"],
                 inertia=raw["inertia"],
                 wild=raw.get("wild", [G.identity]),
-                residue_degree=int(raw.get("residue_degree", 1)),
+                residue_degree=_json_int(raw.get("residue_degree", 1),
+                                        f"orbits[{i}].residue_degree"),
                 cot_generator=cot.get("generator"),
                 cot_value=cot.get("value"),
             )
         except KeyError as e:
             raise InputError(f"orbits[{i}]: missing key {e}") from None
         data.append(datum)
-        coefficients.append(int(raw.get("coefficient", 0)))
+        coefficients.append(_json_int(raw.get("coefficient", 0),
+                                     f"orbits[{i}].coefficient"))
     cover = CoverData.from_abstract(G, k, cfg.genus_quotient, data,
                                     coefficients, rng)
     return Scenario(cfg, k, G, cover, [], rng)

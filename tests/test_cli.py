@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from equirr import cli, engine
+from equirr import cli, engine, reps
 from equirr.cli import main
 from equirr.errors import Inconsistency, InputError
 from equirr.geometry import P1Geometry
@@ -212,6 +212,65 @@ def test_suite_reports_every_scenario_past_cap_and_inconsistency(
     out = capsys.readouterr().out
     assert "b_ok.json analyze: INCONSISTENCY (forced)" in out
     assert out.count(": pass") == 2
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _abstract_config():
+    return json.loads((SCENARIO_DIR / "abstract_kummer_genus2.json")
+                      .read_text())
+
+
+@pytest.mark.parametrize("make,path,value,key", [
+    (translation_config, ["seed"], "abc", "seed"),
+    (translation_config, ["seed"], True, "seed"),
+    (translation_config, ["field", "p"], "3", "field.p"),
+    (translation_config, ["field", "n"], 1.0, "field.n"),
+    (translation_config, ["group", "p"], 3.0, "group.p"),
+    (_abstract_config, ["genus_quotient"], "x", "genus_quotient"),
+    (translation_config, ["options"], {"group_order_cap": None},
+     "options.group_order_cap"),
+    (translation_config, ["group", "generators", 0, 0, 0], "a",
+     "group.generators[0][0][0]"),
+    (translation_config, ["group", "generators", 0, 1, 1], 1.5,
+     "group.generators[0][1][1]"),
+    (translation_config, ["divisors", 0, 0, 1], 1.5, "divisors[0][0][1]"),
+    (translation_config, ["divisors"], [[], [[[0.5, 1], 0]]],
+     "divisors[1][0][0][0]"),
+    (_abstract_config, ["orbits", 0, "residue_degree"], 1.5,
+     "orbits[0].residue_degree"),
+    (_abstract_config, ["orbits", 1, "coefficient"], "2",
+     "orbits[1].coefficient"),
+], ids=["seed-str", "seed-bool", "field-p-str", "field-n-float",
+        "group-p-float", "genus-str", "cap-null", "generator-str",
+        "generator-float", "divisor-coeff-float", "place-coeff-float",
+        "residue-degree-float", "orbit-coeff-str"])
+def test_non_integer_scalar_exits_2_naming_key(tmp_path, capsys, make, path,
+                                               value, key):
+    # integer-typed keys take JSON integers only: no crash, no truncation
+    doc = make()
+    _set(doc, path, value)
+    assert main(["analyze", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected an integer" in err
+
+
+def test_suite_reports_hom_cell_cap_and_goes_on(capsys, monkeypatch):
+    # a Hom system over the cap exits 3 naming the cap, before allocating,
+    # and the suite still reports every scenario and command
+    monkeypatch.setattr(reps, "HOM_CELL_CAP", 0)
+    names = ["a1_translations_gf3.json", "a3_s3_gf5.json"]
+    assert main(["suite", *(str(SCENARIO_DIR / n) for n in names)]) == 3
+    out = capsys.readouterr().out
+    for name in names:
+        assert out.count(name) == 3
+        assert f"{name} check: CAP (" in out
+    assert out.count(": CAP (") == out.count("HOM_CELL_CAP = 0)") >= 2
 
 
 def test_find_s3_matches_shipped_scenario():

@@ -139,6 +139,22 @@ def test_field_make_pinned_modulus_and_generator():
                                for n in range(1, 11) if p**n <= 1024}
 
 
+# Two fields near TABLE_LIMIT, where the generator search walks the most
+# candidates and powers.
+LARGE_FIELD_PINS = {
+    (2, 16): ((1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3),
+    (3, 10): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34),
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(LARGE_FIELD_PINS))
+def test_field_make_pinned_large_fields(p, n):
+    F = field_make(p, n)
+    assert (F.modulus, F.generator) == LARGE_FIELD_PINS[(p, n)]
+    assert F.element_order(F.generator) == F.q - 1
+    assert sorted(F._exp_array.tolist()) == list(range(1, F.q))
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
                                  (2, 3), (5, 2), (7, 1)])
 def test_scalar_arithmetic_axioms(p, n):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from equirr import reps
 from equirr.errors import Inconsistency
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
@@ -272,3 +273,24 @@ def test_cartan_data_keeps_random_draws(n):
     draws = random.Random(11)
     cd = cartan_data(G, F, SimpleRegistry(G, F), draws)
     assert (cd.matrix, draws.getrandbits(64)) == PINNED_CARTAN_DRAWS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["GF3", "GF9"])
+def test_cartan_data_builds_no_regular_hom_system(monkeypatch, n):
+    # End(k[G]) comes from the multiplication table: no hom_space call
+    # has a |G|-dimensional side
+    F3 = field_make(3, 1)
+    G = FiniteGroup.close_generators(
+        F3, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
+    F = field_make(3, n)
+    dims = []
+    real = reps.hom_space
+
+    def counted(M, N):
+        dims.append((M.dim, N.dim))
+        return real(M, N)
+
+    monkeypatch.setattr(reps, "hom_space", counted)
+    cartan_data(G, F, SimpleRegistry(G, F), random.Random(11))
+    assert dims
+    assert max(max(pair) for pair in dims) < G.order

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equirr.fields import Poly, embed, field_make
-from equirr.matrices import (EchelonBasis, Mat, matrix_charpoly,
-                             matrix_nullspace, matrix_rank, matrix_solve)
+from equirr.matrices import EchelonBasis, Mat
 
 
 def random_matrix(F, rows, cols, rng):
@@ -15,12 +14,12 @@ def random_matrix(F, rows, cols, rng):
 
 def test_rank_identity():
     F = field_make(5, 1)
-    assert matrix_rank(Mat.identity(F, 3)) == 3
+    assert Mat.identity(F, 3).rank() == 3
 
 
 def test_nullspace_zero_matrix():
     F = field_make(3, 1)
-    ns = matrix_nullspace(Mat.zeros(F, 2, 2))
+    ns = Mat.zeros(F, 2, 2).nullspace()
     assert ns.cols == 2
 
 
@@ -29,7 +28,7 @@ def test_charpoly_diagonal():
     m = Mat.from_rows(F, [[1, 0], [0, 2]])
     x = Poly.x(F)
     expected = (x - Poly.const(F, 1)) * (x - Poly.const(F, 2))
-    assert matrix_charpoly(m) == expected
+    assert m.charpoly() == expected
 
 
 def test_charpoly_companion():
@@ -39,7 +38,7 @@ def test_charpoly_companion():
     m = Mat.from_rows(F, [[0, 0, F.neg(3)],
                           [1, 0, F.neg(1)],
                           [0, 1, F.neg(4)]])
-    assert matrix_charpoly(m) == f
+    assert m.charpoly() == f
 
 
 def test_rank_nullity_random():
@@ -79,7 +78,7 @@ def test_solve_and_inverse():
             a = random_matrix(F, d, d, rng)
             x = random_matrix(F, d, 2, rng)
             b = a @ x
-            sol = matrix_solve(a, b)
+            sol = a.solve(b)
             assert sol is not None
             assert a @ sol == b
             inv = a.inv()
@@ -114,7 +113,7 @@ def test_solve_inconsistent():
     F = field_make(3, 1)
     a = Mat.from_rows(F, [[1, 0], [1, 0]])
     b = Mat.from_rows(F, [[1], [2]])
-    assert matrix_solve(a, b) is None
+    assert a.solve(b) is None
 
 
 DIFF_FIELDS = [(2, 3), (3, 2), (2, 4), (5, 2), (13, 2), (7, 1)]

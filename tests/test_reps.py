@@ -9,9 +9,11 @@ from equirr.fields import field_make
 from equirr.groups import FiniteGroup, Subgroup, quotient_group, sylow_p
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, chop, class_fingerprint,
-                         head_multiplicity, hom_dim, is_isomorphic,
+                         head_multiplicity, hom_dim, hom_space,
+                         is_isomorphic,
                          is_projective, indecomposable_summands,
-                         projective_cover_over_inertia, rep_direct_sum,
+                         projective_cover_over_inertia,
+                         regular_endomorphisms, rep_direct_sum,
                          rep_dual, rep_induce, rep_inflate, rep_regular,
                          rep_restrict, rep_tensor, rep_trivial)
 
@@ -229,7 +231,7 @@ def test_summands_c2_gf3():
     F = field_make(3, 1)
     r = rng()
     M, reg = saturated_regular(G, F, r)
-    parts = indecomposable_summands(M, reg, r)
+    parts = indecomposable_summands(M, regular_endomorphisms(G, F), reg, r)
     assert sorted(p.dim for p, _ in parts) == [1, 1]
     assert sorted(head for _, head in parts) == [0, 1]
 
@@ -239,7 +241,7 @@ def test_summands_c2_gf2_local():
     F = field_make(2, 1)
     r = rng()
     M, reg = saturated_regular(G, F, r)
-    parts = indecomposable_summands(M, reg, r)
+    parts = indecomposable_summands(M, regular_endomorphisms(G, F), reg, r)
     assert [(p.dim, head) for p, head in parts] == [(2, 0)]
 
 
@@ -279,7 +281,7 @@ def test_summands_via_head_oracle(table, p, n):
     F = field_make(p, n)
     r = rng()
     M, reg = saturated_regular(G, F, r)
-    parts = indecomposable_summands(M, reg, r)
+    parts = indecomposable_summands(M, regular_endomorphisms(G, F), reg, r)
     assert sum(P.dim for P, _ in parts) == G.order
     end_dims = [hom_dim(S, S) for S in reg.simples]
     assert len(parts) == sum(S.dim // e
@@ -291,6 +293,63 @@ def test_summands_via_head_oracle(table, p, n):
         m = head_multiplicity(M, S)
         assert m == S.dim // end_dims[i]
         assert sum(1 for _, head in parts if head == i) == m
+
+
+def pgl2_gf3():
+    return FiniteGroup.close_generators(
+        field_make(3, 1), [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
+
+
+def translations_gf9():
+    return FiniteGroup.close_generators(
+        field_make(3, 2), [(1, 1, 0, 1), (1, 3, 0, 1)])
+
+
+@pytest.mark.parametrize("make_group,p,n", [
+    (lambda: FiniteGroup.from_table(cyclic_table(2)), 2, 1),
+    (lambda: FiniteGroup.from_table(cyclic_table(3)), 3, 1),
+    (lambda: FiniteGroup.from_table(s3_table()), 5, 1),
+    (lambda: FiniteGroup.from_table(s3_table()), 5, 2),
+    (lambda: FiniteGroup.from_table(c3xc3_table()), 3, 2),
+    (pgl2_gf3, 3, 1),
+    (pgl2_gf3, 3, 2),
+    (translations_gf9, 3, 2),
+    (translations_gf9, 3, 4),
+], ids=["C2-GF2", "C3-GF3", "S3-GF5", "S3-GF25", "C3xC3-GF9",
+        "PGL2_3-GF3", "PGL2_3-GF9", "T9-GF9", "T9-GF81"])
+def test_regular_endomorphisms_are_the_hom_space_basis(make_group, p, n):
+    # the same matrices in the same order, so combos() draws the same
+    # random endomorphisms whichever builder supplies End(k[G])
+    G = make_group()
+    F = field_make(p, n)
+    M = rep_regular(G, F)
+    ends = regular_endomorphisms(G, F)
+    assert len(ends) == G.order
+    assert ends == hom_space(M, M)
+
+
+def test_regular_endomorphisms_respect_hom_cell_cap(monkeypatch):
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(5, 1)
+    monkeypatch.setattr(reps, "HOM_CELL_CAP", 6 ** 3 - 1)
+    with pytest.raises(CapExceeded, match="HOM_CELL_CAP"):
+        regular_endomorphisms(G, F)
+    monkeypatch.setattr(reps, "HOM_CELL_CAP", 6 ** 3)
+    assert len(regular_endomorphisms(G, F)) == 6
+
+
+def test_hom_space_checks_its_size_before_allocating(monkeypatch):
+    # 2 generators, dims 6 and 2: (2 * 12) x 12 = 288 cells
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(5, 1)
+    M = rep_regular(G, F)
+    N = rep_trivial(G, F, 2)
+    assert len(G.generators) == 2
+    monkeypatch.setattr(reps, "HOM_CELL_CAP", 287)
+    with pytest.raises(CapExceeded, match="HOM_CELL_CAP"):
+        hom_space(M, N)
+    monkeypatch.setattr(reps, "HOM_CELL_CAP", 288)
+    assert len(hom_space(M, N)) == 2
 
 
 @pytest.mark.parametrize("table,p", [(cyclic_table(2), 3), (s3_table(), 5)],
@@ -308,7 +367,7 @@ def test_summands_without_split_or_simple_head_raise(monkeypatch, table, p):
         M = rep_direct_sum(S, S)
     monkeypatch.setattr(reps, "poly_factor", lambda f, rng=None: [(f, 1)])
     with pytest.raises(CapExceeded, match="SPLIT_ROUNDS"):
-        indecomposable_summands(M, reg, r)
+        indecomposable_summands(M, hom_space(M, M), reg, r)
 
 
 # -- projectivity -----------------------------------------------------------------
