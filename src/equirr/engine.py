@@ -30,7 +30,7 @@ from .geometry import Divisor, P1Geometry, Place, RamificationDatum
 from .groups import FiniteGroup
 from .k0 import CartanData, cartan_data, in_cartan_image, is_projective_class
 from .reps import (ClassVector, Rep, SimpleRegistry, chop,
-                   head_multiplicity, is_projective,
+                   head_multiplicities, is_projective,
                    projective_cover_over_inertia, rep_induce, rep_regular,
                    rep_restrict)
 
@@ -52,12 +52,12 @@ class CoverData:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_geometry(cls, geometry: P1Geometry, rng: random.Random,
-                      registry: SimpleRegistry | None = None) -> "CoverData":
-        reg = registry or SimpleRegistry(geometry.G, geometry.k)
+    def from_geometry(cls, geometry: P1Geometry,
+                      rng: random.Random) -> "CoverData":
         data = [geometry.ramification(orb[0])
                 for orb in geometry.ramified_orbits()]
-        return cls(G=geometry.G, k=geometry.k, g_Y=0, registry=reg, rng=rng,
+        return cls(G=geometry.G, k=geometry.k, g_Y=0,
+                   registry=SimpleRegistry(geometry.G, geometry.k), rng=rng,
                    orbit_data=data, geometry=geometry)
 
     @classmethod
@@ -314,12 +314,7 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
     cov = cover.cover_module(datum, -d)
     induced = rep_induce(cov, gp_group, i_in_gp)
     reg_p, cartan_p = cover.registry_for(gp_group)
-    if not is_projective(induced):
-        raise Inconsistency("induced cover is not projective over the "
-                            "decomposition group")
-    head = {}
-    for i, S in enumerate(reg_p.simples):
-        head[i] = head_multiplicity(induced, S)
+    head = head_multiplicities(induced, reg_p)
     bad = {i: m for i, m in head.items() if m % datum.f}
     if bad:
         raise Inconsistency(
@@ -346,11 +341,12 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
 
 
 def euler_class_integral(cover: CoverData, D: Divisor | None = None,
-                         n_route: str = "inertia", certify: bool = True,
+                         n_route: str = "inertia",
                          last_representative: bool = False):
     """Integral formula: -[ram module] + sum over quotient points and
     twists of the divided induced-cover classes + (1 - g_Y +
-    sum [k(R):k] m) [k[G]].  Returns (class, term report)."""
+    sum [k(R):k] m) [k[G]], each divided class certified by
+    divided_cover_class.  Returns (class, term report)."""
     if not cover.is_weakly_ramified():
         raise InputError("the integral formula needs a weakly ramified "
                          "cover")
@@ -368,8 +364,7 @@ def euler_class_integral(cover: CoverData, D: Divisor | None = None,
         l, m = split_coefficient(n, datum.e_t, datum.e_w)
         reg_coeff += Fraction(datum.residue_deg * m)
         for d in range(1, l + 1):
-            if certify:
-                divided_cover_class(cover, datum, d)
+            divided_cover_class(cover, datum, d)
             w = cover.induced_cover_class(datum, -d) \
                 .scale(Fraction(1, datum.f))
             if not w.is_integral():
@@ -408,27 +403,19 @@ def euler_class_rational(cover: CoverData, D: Divisor | None = None):
     return total + cover.regular_class().scale(reg_coeff)
 
 
-def euler_class_tame_mod_regular(cover: CoverData, D: Divisor | None = None,
-                                 exponents=None, r: int = 1):
-    """Tame higher-rank variant: -r[ram module] + the cover-class sums for
-    the fiber exponents, valid modulo integer multiples of [k[G]].
-
-    For r = 1 with a line bundle the fiber exponent at P is n_P mod e_P
-    (in the conventions of this engine; see the ledger note on the sign of
-    the printed fiber decomposition)."""
+def euler_class_tame_mod_regular(cover: CoverData, D: Divisor | None = None):
+    """Tame variant for the line bundle O(D): -[ram module] + the
+    cover-class sums for the fiber exponent n_P mod e_P at each place,
+    valid modulo integer multiples of [k[G]] (in the conventions of this
+    engine; see the ledger note on the sign of the printed fiber
+    decomposition)."""
     if not cover.is_tame():
         raise InputError("the mod-regular variant needs a tame cover")
-    table = cover.orbit_table(D)
-    if exponents is None:
-        exponents = [[n % datum.e] for datum, n in table]
-    total = ramification_class_via_inertia(cover).scale(-r)
-    for (datum, _n), exps in zip(table, exponents):
-        for l_i in exps:
-            if not 0 <= l_i < max(datum.e, 1):
-                raise InputError("fiber exponent out of range")
-            for d in range(1, l_i + 1):
-                total = total + cover.induced_cover_class(datum, -d) \
-                    .scale(Fraction(1, datum.f))
+    total = -ramification_class_via_inertia(cover)
+    for datum, n in cover.orbit_table(D):
+        for d in range(1, n % datum.e + 1):
+            total = total + cover.induced_cover_class(datum, -d) \
+                .scale(Fraction(1, datum.f))
     return total
 
 

@@ -116,7 +116,7 @@ class Field:
         prime = Field.make(p, 1)
         for low in range(p**n):
             cand = Poly(prime, [low // p**i % p for i in range(n)] + [1])
-            if _is_irreducible_rabin(cand):
+            if poly_is_irreducible(cand):
                 return cand.coeffs
         raise CapExceeded(f"no irreducible of degree {n} over GF({p})")
 
@@ -423,10 +423,6 @@ class Poly:
     def x(cls, field):
         return cls(field, [0, 1])
 
-    @classmethod
-    def const(cls, field, a):
-        return cls(field, [a])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -493,12 +489,6 @@ class Poly:
         if self.is_zero() or self.leading() == 1:
             return self
         return self.scale(self.field.inv(self.leading()))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
 
     def divmod(self, other: "Poly"):
         b = other.coeffs
@@ -576,12 +566,6 @@ class Poly:
             base = (base * base) % mod
             e >>= 1
         return result
-
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(self.field, c)
-        return acc
 
     def map_field(self, target: Field) -> "Poly":
         table = self.field.embedding_into(target)
@@ -697,20 +681,18 @@ def poly_factor(f: Poly, rng: random.Random | None = None):
 
 
 def poly_is_irreducible(f: Poly) -> bool:
-    if f.degree < 1:
+    """Rabin's test over GF(q): f of degree n >= 1 is irreducible iff
+    x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for every prime
+    r | n.  x is reduced mod f before the comparison, since for deg f = 1
+    the power x^(q^n) mod f is a constant.  Draws nothing."""
+    n = f.degree
+    if n < 1:
         return False
-    fac = poly_factor(f)
-    return len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree == f.degree
-
-
-def _is_irreducible_rabin(f: Poly) -> bool:
-    """Rabin test for monic f of degree n >= 2 over a prime field:
-    x^(p^n) == x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for primes r | n."""
-    p, n = f.field.p, f.degree
+    q = f.field.q
     x = Poly.x(f.field)
-    if not (x.powmod(p**n, f) - x).is_zero():
+    if x.powmod(q**n, f) != x % f:
         return False
-    return all(f.gcd(x.powmod(p ** (n // r), f) - x).degree == 0
+    return all(f.gcd(x.powmod(q ** (n // r), f) - x).degree == 0
                for r in prime_factors(n))
 
 

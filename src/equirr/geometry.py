@@ -278,12 +278,6 @@ class RamificationDatum:
     def is_weak_here(self) -> bool:
         return len(self.filtration) <= 2 or self.filtration[2] == 1
 
-    def wild_in_inertia(self) -> Subgroup:
-        return self.wild.in_subgroup_of(self.I_P.as_group())
-
-    def inertia_in_decomposition(self) -> Subgroup:
-        return self.I_P.in_subgroup_of(self.G_P.as_group())
-
     def _mult_matrix(self, scalar: int, frob_steps: int = 0) -> Mat:
         """Matrix over k of z -> frobenius^steps(z) * scalar on kP in the
         power basis of rho."""
@@ -668,11 +662,6 @@ class P1Geometry:
         self._datum_cache[P] = datum
         return datum
 
-    def quotient_place_degree(self, P: Place):
-        """(deg of the image place on the quotient line, f_P)."""
-        datum = self.ramification(P)
-        return datum.residue_deg, datum.f
-
     def is_weakly_ramified(self) -> bool:
         return all(self.ramification(o[0]).is_weak_here
                    for o in self.ramified_orbits())
@@ -818,12 +807,12 @@ def _poly_factor_cached(f: Poly):
 
 def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
                    decomposition, inertia, wild, residue_degree: int,
-                   cot_generator: int | None, cot_value,
-                   coefficient: int = 0) -> RamificationDatum:
+                   cot_generator: int | None,
+                   cot_value: int | list[int] | None) -> RamificationDatum:
     """Build a RamificationDatum from an abstract description: subgroups by
     element index, the residue degree [k(P):k], and the cotangent character
     given by a generator of I/wild and a primitive value in the canonical
-    residue field (as a GF(p) coefficient list)."""
+    residue field (an encoding, or a GF(p) coefficient list)."""
     G_P = Subgroup(G, decomposition)
     I_P = Subgroup(G, inertia)
     wild_sub = Subgroup(G, wild)
@@ -856,9 +845,11 @@ def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
                              "e_t > 1")
         if cot_generator not in set(I_P.indices):
             raise InputError("cotangent generator must lie in inertia")
-        val = kP.encode(cot_value) if isinstance(cot_value, (list, tuple)) \
-            else int(cot_value)
-        if val == 0 or kP.element_order(val) != e_t:
+        if cot_value is None:
+            raise InputError("a cotangent value is required when e_t > 1")
+        val = kP.encode(cot_value) if isinstance(cot_value, list) \
+            else cot_value
+        if not 0 < val < kP.q or kP.element_order(val) != e_t:
             raise InputError("cotangent value must have order exactly e_t")
         # extend multiplicatively: s = g^j * w with w wild
         wild_set = set(wild_sub.indices)

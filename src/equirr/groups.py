@@ -254,9 +254,6 @@ class Subgroup:
         self.indices = idx
         self.order = len(idx)
 
-    def contains(self, i: int) -> bool:
-        return i in set(self.indices)
-
     def is_normal(self) -> bool:
         s = set(self.indices)
         return all(self.parent.conjugate(g, h) in s
@@ -306,10 +303,6 @@ def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
         classes.append(orbit)
     classes.sort(key=lambda c: c[0])
     return classes
-
-
-def p_regular_elements(G: FiniteGroup, p: int) -> list[int]:
-    return [i for i in range(G.order) if G.element_order(i) % p != 0]
 
 
 def _p_part(m: int, p: int) -> int:
@@ -402,14 +395,3 @@ def coset_lookup(G: FiniteGroup, H: Subgroup):
         for h in H.indices:
             where[G.table[r][h]] = (k, h)
     return reps, where
-
-
-def quotient_group(G: FiniteGroup, N: Subgroup):
-    """Quotient by a normal subgroup; returns (Q, projection list)."""
-    if not N.is_normal():
-        raise InputError("quotient requires a normal subgroup")
-    reps, where = coset_lookup(G, N)
-    proj = [where[g][0] for g in range(G.order)]
-    table = [[proj[G.table[a][b]] for b in reps] for a in reps]
-    Q = FiniteGroup(list(range(len(reps))), table, kind="table")
-    return Q, proj

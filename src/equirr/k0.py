@@ -11,7 +11,7 @@ from fractions import Fraction
 from .errors import Inconsistency, InputError
 from .fields import Field
 from .groups import FiniteGroup
-from .reps import (ClassVector, Rep, SimpleRegistry, chop, hom_dim,
+from .reps import (ClassVector, Rep, SimpleRegistry, chop,
                    indecomposable_summands, regular_endomorphisms,
                    rep_regular)
 
@@ -143,7 +143,7 @@ def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
         raise Inconsistency("some simple has no projective cover in k[G]")
     pim_reps = []
     for i, S in enumerate(registry.simples):
-        end_dim = hom_dim(S, S)
+        end_dim = registry.end_dim(i)
         if S.dim % end_dim:
             raise Inconsistency("dim S is not a multiple of dim End(S)")
         expected = S.dim // end_dim

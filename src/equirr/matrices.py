@@ -122,13 +122,6 @@ class Mat:
         return Mat(self.field, blocks.reshape(self.rows * other.rows,
                                               self.cols * other.cols))
 
-    def trace(self) -> int:
-        F = self.field
-        acc = 0
-        for i in range(min(self.rows, self.cols)):
-            acc = F.add(acc, self.get(i, i))
-        return acc
-
     def pow_(self, e: int) -> "Mat":
         if self.rows != self.cols:
             raise InputError("matrix power needs a square matrix")
@@ -203,9 +196,6 @@ class Mat:
             raise InputError("inverse needs a square matrix")
         # A X = I is consistent only when the square A has full rank
         return self.solve(Mat.identity(self.field, self.rows))
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
 
     # -- characteristic polynomial -------------------------------------------
 

@@ -29,29 +29,11 @@ from .matrices import EchelonBasis, Mat
 
 MEATAXE_ROUNDS = 80
 SPLIT_ROUNDS = 60
-ISO_TRIES = 60
 SUMMAND_DIM_CAP = 400
 # Largest Hom system hom_space builds, in int64 cells (256 MiB per copy;
 # elimination holds a few copies).  The largest on the order-120 and
 # order-110 groups is 1.8e7, on an End of a 55-dimensional piece.
 HOM_CELL_CAP = 1 << 25
-
-
-def _subgroup_generators(H: Subgroup) -> tuple[int, ...]:
-    """Parent indices of a greedy generating set of H."""
-    if H.order == 1:
-        return ()
-    parent = H.parent
-    gens = []
-    closed = {parent.identity}
-    for i in H.indices:
-        if i in closed:
-            continue
-        gens.append(i)
-        closed = parent._closure_set(gens)
-        if len(closed) == H.order:
-            break
-    return tuple(gens)
 
 
 def subgroup_to_parent(H: Subgroup) -> list[int]:
@@ -159,12 +141,6 @@ def rep_induce(M: Rep, G: FiniteGroup, H: Subgroup) -> Rep:
     return Rep(G, F, k * m, images)
 
 
-def rep_inflate(M: Rep, G: FiniteGroup, proj) -> Rep:
-    """Pull back a representation of a quotient along proj: G -> Q."""
-    images = {t: M.image(proj[g]) for t, g in enumerate(G.generators)}
-    return Rep(G, M.field, M.dim, images)
-
-
 def rep_tensor(M: Rep, N: Rep) -> Rep:
     _check_compatible(M, N)
     images = {t: M.gen_image(t).kron(N.gen_image(t))
@@ -214,8 +190,9 @@ def hom_space(M: Rep, N: Rep) -> list[Mat]:
 
     The basis is the nullspace of a stacked Kronecker system with
     (#gens * dn * dm) x (dn * dm) cells, checked against HOM_CELL_CAP
-    before anything is allocated (a group without generators gets the
-    dn * dm unit matrices, as many cells as one block)."""
+    before anything is allocated.  A group without generators stacks no
+    block; the nullspace of the empty system, the dn * dm unit matrices in
+    row-major order, is as many cells as one block."""
     _check_compatible(M, N)
     F = M.field
     dm, dn = M.dim, N.dim
@@ -224,24 +201,12 @@ def hom_space(M: Rep, N: Rep) -> list[Mat]:
     gens = M.group.generators
     _check_hom_cells(max(len(gens), 1) * (dn * dm) ** 2,
                      f"Hom between modules of dims {dm} and {dn}")
-    if not gens:
-        basis = []
-        for i in range(dn):
-            for j in range(dm):
-                a = np.zeros((dn, dm), dtype=np.int64)
-                a[i, j] = 1
-                basis.append(Mat(F, a))
-        return basis
-    blocks = []
     eye_n = Mat.identity(F, dn)
     eye_m = Mat.identity(F, dm)
+    stacked = Mat.zeros(F, 0, dn * dm)
     for t in range(len(gens)):
-        a1 = eye_n.kron(M.gen_image(t).T)
-        a2 = N.gen_image(t).kron(eye_m)
-        blocks.append(a1 - a2)
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.vstack(b)
+        stacked = stacked.vstack(eye_n.kron(M.gen_image(t).T)
+                                 - N.gen_image(t).kron(eye_m))
     ns = stacked.nullspace()
     out = []
     for c in range(ns.cols):
@@ -406,9 +371,17 @@ class SimpleRegistry:
         self.simples: list[Rep] = []
         self.charpoly_keys: list[tuple] = []
         self.log: list[dict] = []
+        self._end_dims: dict[int, int] = {}
 
     def __len__(self):
         return len(self.simples)
+
+    def end_dim(self, i: int) -> int:
+        """dim End(S_i), computed once per simple."""
+        if i not in self._end_dims:
+            S = self.simples[i]
+            self._end_dims[i] = hom_dim(S, S)
+        return self._end_dims[i]
 
     def find_or_add(self, S: Rep, note: str = "") -> int:
         key = charpoly_key(S)
@@ -482,11 +455,6 @@ class ClassVector:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def integral_coeffs(self) -> list[int]:
-        if not self.is_integral():
-            raise Inconsistency(f"class vector is not integral: {self}")
-        return [int(c) for c in self.padded()]
-
     def total_dim(self) -> Fraction:
         return sum((c * s.dim for c, s in
                     zip(self.padded(), self.registry.simples)),
@@ -531,44 +499,6 @@ def chop(M: Rep, registry: SimpleRegistry, rng: random.Random,
     return v
 
 
-# -- isomorphism -------------------------------------------------------------
-
-
-def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None,
-                  both_simple: bool = False) -> bool:
-    """Explicit-intertwiner isomorphism test; raises CapExceeded when a
-    nonzero Hom space yields no invertible element within the try budget
-    (undecided is an error, never False)."""
-    if M is N:
-        return True
-    if M.group is not N.group or M.field is not N.field or M.dim != N.dim:
-        return False
-    if M.dim == 0:
-        return True
-    basis = hom_space(M, N)
-    if not basis:
-        return False
-    if both_simple:
-        return True
-    for X in basis:
-        if X.is_invertible():
-            return True
-    rng = rng or random.Random(0)
-    F = M.field
-    for _ in range(ISO_TRIES):
-        acc = Mat.zeros(F, N.dim, M.dim)
-        for X in basis:
-            c = F.rand_elem(rng)
-            if c:
-                acc = acc + X.scale(c)
-        if acc.is_invertible():
-            return True
-    if hom_dim(M, M) != hom_dim(N, M):
-        # asymmetric hom dimensions can never support an isomorphism
-        return False
-    raise CapExceeded("isomorphism test undecided within the try budget")
-
-
 # -- direct-sum splitting -----------------------------------------------------
 
 
@@ -581,7 +511,7 @@ def _simple_head(M: Rep, registry: SimpleRegistry) -> int | None:
         h = hom_dim(M, S)
         if h == 0:
             continue
-        if head is not None or h != hom_dim(S, S):
+        if head is not None or h != registry.end_dim(i):
             return None
         head = i
     return head
@@ -683,16 +613,20 @@ def is_projective(M: Rep) -> bool:
     return M.dim == P.order * (M.dim - rad_dim)
 
 
-def head_multiplicity(M: Rep, S: Rep) -> int:
-    """Multiplicity of Cov(S) in the projective module M:
-    dim Hom(M, S) / dim End(S), asserted integral."""
+def head_multiplicities(M: Rep, registry: SimpleRegistry) -> dict[int, int]:
+    """Multiplicity of Cov(S_i) in the projective module M for each simple
+    of the registry: dim Hom(M, S_i) / dim End(S_i), asserted integral.
+    Projectivity is checked once; a failure raises Inconsistency, since
+    callers pass modules that the theory makes projective."""
     if not is_projective(M):
-        raise InputError("head multiplicities need a projective module")
-    num = hom_dim(M, S)
-    den = hom_dim(S, S)
-    if num % den:
-        raise Inconsistency("head multiplicity is not integral")
-    return num // den
+        raise Inconsistency("head multiplicities need a projective module")
+    out = {}
+    for i, S in enumerate(registry.simples):
+        num, den = hom_dim(M, S), registry.end_dim(i)
+        if num % den:
+            raise Inconsistency("head multiplicity is not integral")
+        out[i] = num // den
+    return out
 
 
 def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
@@ -715,7 +649,7 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
     if math.gcd(P1.order, I.order // P1.order) != 1:
         raise InputError("wild subgroup must be a Sylow subgroup")
     eye = Mat.identity(M.field, M.dim)
-    for g in _subgroup_generators(P1):
+    for g in P1.indices:
         if M.image(g) != eye:
             raise InputError("wild subgroup does not act trivially")
     C = schur_zassenhaus_complement(I, P1)
@@ -778,18 +712,3 @@ def class_fingerprint(M: Rep) -> tuple:
                                 "dimension")
         token.append((m, tuple(sorted(exps))))
     return tuple(token)
-
-
-# -- socle (used by the scalar-extension semisimplicity property) -----------
-
-
-def socle_dim(M: Rep, registry: SimpleRegistry, rng: random.Random) -> int:
-    """Dimension of the sum of all simple submodules."""
-    chop(M, registry, rng)  # make sure every relevant simple is registered
-    cols = None
-    for S in registry.simples:
-        if S.dim > M.dim:
-            continue
-        for X in hom_space(S, M):
-            cols = X if cols is None else cols.hstack(X)
-    return 0 if cols is None else cols.rank()

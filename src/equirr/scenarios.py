@@ -42,6 +42,22 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _json_indices(value, key: str, order: int) -> list[int]:
+    """value as a list of group element indices, each a JSON integer in
+    range(order); InputError naming the key path otherwise."""
+    if not isinstance(value, list):
+        raise InputError(f"{key}: expected a list of element indices, got "
+                         f"{value!r}")
+    out = []
+    for j, x in enumerate(value):
+        x = _json_int(x, f"{key}[{j}]")
+        if not 0 <= x < order:
+            raise InputError(f"{key}[{j}]: element index {x} is out of "
+                             f"range for a group of order {order}")
+        out.append(x)
+    return out
+
+
 def parse_scenario(source) -> ScenarioConfig:
     """Parse and validate a scenario from JSON text, a path-like read
     string, or an already-decoded dict."""
@@ -167,7 +183,13 @@ def build_group(cfg: ScenarioConfig, k: Field) -> FiniteGroup:
     cap = _json_int(cfg.options.get("group_order_cap", DEFAULT_ORDER_CAP),
                    "options.group_order_cap")
     if spec["kind"] == "table":
-        return FiniteGroup.from_table(spec["table"])
+        table = spec["table"]
+        if not isinstance(table, list):
+            raise InputError(f"group.table: expected a list of rows, got "
+                             f"{table!r}")
+        return FiniteGroup.from_table(
+            [_json_indices(row, f"group.table[{i}]", len(table))
+             for i, row in enumerate(table)])
     if spec["kind"] == "pgl2_s3_search":
         gens = find_s3_pgl2(k)
     else:
@@ -248,26 +270,43 @@ def realize(cfg: ScenarioConfig) -> Scenario:
     data = []
     coefficients = []
     for i, raw in enumerate(cfg.orbits):
+        key = f"orbits[{i}]"
         if not isinstance(raw, dict):
-            raise InputError(f"orbits[{i}]: expected an object")
+            raise InputError(f"{key}: expected an object")
         try:
-            cot = raw.get("cotangent") or {}
-            datum = abstract_datum(
-                G, k,
-                label=str(raw.get("label", f"orbit{i}")),
-                decomposition=raw["decomposition"],
-                inertia=raw["inertia"],
-                wild=raw.get("wild", [G.identity]),
-                residue_degree=_json_int(raw.get("residue_degree", 1),
-                                        f"orbits[{i}].residue_degree"),
-                cot_generator=cot.get("generator"),
-                cot_value=cot.get("value"),
-            )
+            decomposition, inertia = (
+                _json_indices(raw[name], f"{key}.{name}", G.order)
+                for name in ("decomposition", "inertia"))
         except KeyError as e:
-            raise InputError(f"orbits[{i}]: missing key {e}") from None
+            raise InputError(f"{key}: missing key {e}") from None
+        cot = raw.get("cotangent", {})
+        if not isinstance(cot, dict):
+            raise InputError(f"{key}.cotangent: expected an object, got "
+                             f"{cot!r}")
+        generator = cot.get("generator")
+        if generator is not None:
+            generator = _json_int(generator, f"{key}.cotangent.generator")
+        value = cot.get("value")
+        if isinstance(value, list):
+            value = [_json_int(c, f"{key}.cotangent.value[{j}]")
+                     for j, c in enumerate(value)]
+        elif value is not None:
+            value = _json_int(value, f"{key}.cotangent.value")
+        datum = abstract_datum(
+            G, k,
+            label=str(raw.get("label", f"orbit{i}")),
+            decomposition=decomposition,
+            inertia=inertia,
+            wild=_json_indices(raw.get("wild", [G.identity]), f"{key}.wild",
+                               G.order),
+            residue_degree=_json_int(raw.get("residue_degree", 1),
+                                     f"{key}.residue_degree"),
+            cot_generator=generator,
+            cot_value=value,
+        )
         data.append(datum)
         coefficients.append(_json_int(raw.get("coefficient", 0),
-                                     f"orbits[{i}].coefficient"))
+                                      f"{key}.coefficient"))
     cover = CoverData.from_abstract(G, k, cfg.genus_quotient, data,
                                     coefficients, rng)
     return Scenario(cfg, k, G, cover, [], rng)

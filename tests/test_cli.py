@@ -246,10 +246,21 @@ def _abstract_config():
      "orbits[0].residue_degree"),
     (_abstract_config, ["orbits", 1, "coefficient"], "2",
      "orbits[1].coefficient"),
+    (_abstract_config, ["orbits", 0, "cotangent", "generator"], 1.0,
+     "orbits[0].cotangent.generator"),
+    (_abstract_config, ["orbits", 0, "cotangent", "value"], ["a"],
+     "orbits[0].cotangent.value[0]"),
+    (_abstract_config, ["orbits", 0, "cotangent", "value"], 4.5,
+     "orbits[0].cotangent.value"),
+    (_abstract_config, ["orbits", 0, "inertia"], [0, "a"],
+     "orbits[0].inertia[1]"),
+    (_abstract_config, ["group", "table", 2, 2], 1.0, "group.table[2][2]"),
 ], ids=["seed-str", "seed-bool", "field-p-str", "field-n-float",
         "group-p-float", "genus-str", "cap-null", "generator-str",
         "generator-float", "divisor-coeff-float", "place-coeff-float",
-        "residue-degree-float", "orbit-coeff-str"])
+        "residue-degree-float", "orbit-coeff-str", "cot-generator-float",
+        "cot-value-str", "cot-value-float", "inertia-str",
+        "table-entry-float"])
 def test_non_integer_scalar_exits_2_naming_key(tmp_path, capsys, make, path,
                                                value, key):
     # integer-typed keys take JSON integers only: no crash, no truncation
@@ -258,6 +269,29 @@ def test_non_integer_scalar_exits_2_naming_key(tmp_path, capsys, make, path,
     assert main(["analyze", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert f"{key}: expected an integer" in err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (["orbits", 0, "inertia"], [0, 7],
+     "orbits[0].inertia[1]: element index 7 is out of range"),
+    (["orbits", 0, "decomposition"], 5,
+     "orbits[0].decomposition: expected a list"),
+    (["orbits", 0, "cotangent"], [1],
+     "orbits[0].cotangent: expected an object"),
+    (["orbits", 0, "cotangent", "value"], 100,
+     "cotangent value must have order exactly e_t"),
+    (["group", "table"], 3, "group.table: expected a list of rows"),
+    (["group", "table"], [5, 6, 7], "group.table[0]: expected a list"),
+], ids=["inertia-out-of-range", "decomposition-int", "cotangent-list",
+        "cot-value-out-of-field", "table-int", "table-row-int"])
+def test_malformed_abstract_data_exits_2_naming_key(tmp_path, capsys, path,
+                                                    value, message):
+    # malformed orbit lists, cotangent data and table rows exit 2 with a
+    # message naming the key path or the problem, never a traceback
+    doc = _abstract_config()
+    _set(doc, path, value)
+    assert main(["euler", write_scenario(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_suite_reports_hom_cell_cap_and_goes_on(capsys, monkeypatch):

@@ -327,7 +327,7 @@ def test_factor_reconstruction_property():
                      [F.rand_nonzero(rng)]
             f = Poly(F, coeffs)
             fac = poly_factor(f, random.Random(rng.randrange(10**6)))
-            prod = Poly.const(F, f.leading())
+            prod = Poly(F, [f.leading()])
             for g, m in fac:
                 for _ in range(m):
                     prod = prod * g
@@ -345,8 +345,8 @@ def test_factor_deterministic_given_seed():
 def test_poly_roots_multiplicity():
     F = field_make(5, 1)
     x = Poly.x(F)
-    f = (x - Poly.const(F, 2)) * (x - Poly.const(F, 2)) * \
-        (x - Poly.const(F, 4))
+    f = (x - Poly(F, [2])) * (x - Poly(F, [2])) * \
+        (x - Poly(F, [4]))
     assert poly_roots(f) == [2, 2, 4]
 
 
@@ -354,6 +354,17 @@ def test_poly_is_irreducible():
     F = field_make(2, 1)
     assert poly_is_irreducible(Poly(F, [1, 1, 1]))
     assert not poly_is_irreducible(Poly(F, [1, 0, 1]))  # (x+1)^2
+    # Rabin's test against full factorization, on every monic polynomial up
+    # to the degree bound; degree 1 and f = x included
+    for (p, n), bound in {(2, 1): 5, (3, 1): 4, (2, 2): 3, (2, 3): 3,
+                          (3, 2): 3}.items():
+        F = field_make(p, n)
+        for d in range(1, bound + 1):
+            for low in range(F.q ** d):
+                f = Poly(F, [low // F.q ** i % F.q for i in range(d)] + [1])
+                factors = poly_factor(f)
+                expected = len(factors) == 1 and factors[0][1] == 1
+                assert poly_is_irreducible(f) == expected, f
 
 
 def test_poly_divmod_random():

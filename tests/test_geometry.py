@@ -175,9 +175,9 @@ def test_frobenius_stabilizer_gives_f2():
     sigma = next(i for i in range(G.order) if i != G.identity)
     assert geo.mobius_point(sigma, roots[0]) == K.neg(roots[0])
     assert K.frobenius(roots[0], 1) == K.neg(roots[0])  # -i = i^3
-    deg_r, f = geo.quotient_place_degree(P)
-    assert f == 2 and deg_r == 1
     datum = geo.ramification(P)
+    deg_r, f = datum.residue_deg, datum.f
+    assert f == 2 and deg_r == 1
     assert datum.I_P.order == 1 and datum.G_P.order == 2
 
 

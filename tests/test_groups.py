@@ -6,8 +6,7 @@ import pytest
 from equirr.errors import CapExceeded, InputError
 from equirr.fields import field_make
 from equirr.groups import (FiniteGroup, Subgroup, conjugacy_classes, cosets,
-                           p_regular_elements, pgl2_normalize,
-                           quotient_group, schur_zassenhaus_complement,
+                           pgl2_normalize, schur_zassenhaus_complement,
                            sylow_p)
 
 
@@ -83,16 +82,6 @@ def test_class_equation_random_groups():
         G = FiniteGroup.close_generators(
             F5, [(1, a, 0, 1), (rng.randrange(1, 5), 0, 0, 1)])
         assert sum(len(c) for c in conjugacy_classes(G)) == G.order
-
-
-def test_p_regular():
-    G = FiniteGroup.from_table(s3_table())
-    # p does not divide |G|: everybody is p-regular
-    assert len(p_regular_elements(G, 5)) == 6
-    reg3 = p_regular_elements(G, 3)
-    assert len(reg3) == 4  # identity and the three transpositions
-    C3 = FiniteGroup.from_table(cyclic_table(3))
-    assert p_regular_elements(C3, 3) == [C3.identity]
 
 
 def test_sylow():
@@ -175,14 +164,6 @@ def test_materialize_subgroup_cached_and_consistent():
     # subgroup of a materialized subgroup resolves against the same root
     inner = Subgroup(g1, range(g1.order), check=False)
     assert inner.in_subgroup_of(g1).indices == inner.indices
-
-
-def test_quotient_group():
-    S3 = FiniteGroup.from_table(s3_table())
-    N = sylow_p(S3, 3)
-    Q, proj = quotient_group(S3, N)
-    assert Q.order == 2
-    assert proj[S3.identity] == Q.identity
 
 
 def test_subgroup_closure_validation():

@@ -13,7 +13,8 @@ from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
                        smith_normal_form)
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, chop, hom_dim,
-                         rep_regular, rep_trivial, socle_dim)
+                         rep_regular, rep_trivial)
+from reptools import socle_dim
 
 
 def cyclic_table(n):
@@ -112,7 +113,7 @@ def test_is_projective_class_examples():
 def test_head_reconstruction_of_projectives():
     # chop coordinates of a projective module equal the head-multiplicity
     # combination of PIM classes
-    from equirr.reps import head_multiplicity
+    from equirr.reps import head_multiplicities
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
     reg = SimpleRegistry(G, F)
@@ -121,8 +122,8 @@ def test_head_reconstruction_of_projectives():
     M = rep_regular(G, F)
     target = chop(M, reg, r)
     recon = reg.zero()
-    for j, S in enumerate(reg.simples):
-        recon = recon + cd.pim_classes[j].scale(head_multiplicity(M, S))
+    for j, m in head_multiplicities(M, reg).items():
+        recon = recon + cd.pim_classes[j].scale(m)
     assert recon == target
 
 
@@ -294,3 +295,27 @@ def test_cartan_data_builds_no_regular_hom_system(monkeypatch, n):
     cartan_data(G, F, SimpleRegistry(G, F), random.Random(11))
     assert dims
     assert max(max(pair) for pair in dims) < G.order
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["GF3", "GF9"])
+def test_cartan_data_computes_each_end_once(monkeypatch, n):
+    # dim End(S) is cached on the registry: one End computation per simple,
+    # however many summands have S as their head
+    F3 = field_make(3, 1)
+    G = FiniteGroup.close_generators(
+        F3, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
+    F = field_make(3, n)
+    pairs = []
+    real = reps.hom_space
+
+    def counted(M, N):
+        pairs.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(reps, "hom_space", counted)
+    reg = SimpleRegistry(G, F)
+    cartan_data(G, F, reg, random.Random(11))
+    assert len(reg) == 4
+    ends = [M for M, N in pairs
+            if M is N and any(M is S for S in reg.simples)]
+    assert len(ends) == len(reg)

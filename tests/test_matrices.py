@@ -27,7 +27,7 @@ def test_charpoly_diagonal():
     F = field_make(3, 1)
     m = Mat.from_rows(F, [[1, 0], [0, 2]])
     x = Poly.x(F)
-    expected = (x - Poly.const(F, 1)) * (x - Poly.const(F, 2))
+    expected = (x - Poly(F, [1])) * (x - Poly(F, [2]))
     assert m.charpoly() == expected
 
 
