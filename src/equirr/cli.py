@@ -226,12 +226,12 @@ def _cartesian_section(scn: Scenario, verdicts):
     cover = scn.cover
     k = cover.k
     k2 = field_make(k.p, 2 * k.n)
-    registry2 = SimpleRegistry(cover.G, k2)
+    registry2 = SimpleRegistry(cover.G, k2, cover.rng)
     cd_base = cover.main_cartan()
     cd_ext = cartan_data(cover.G, k2, registry2, cover.rng)
     rows = []
     classes = [("trivial", chop(rep_trivial(cover.G, k), cover.registry,
-                                cover.rng, note="trivial"))]
+                                cover.rng))]
     for i, D in enumerate(scn.divisors):
         classes.append((f"chi_D{i}", oracle_euler_class(cover, D)))
     for label, v in classes:

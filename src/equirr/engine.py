@@ -57,15 +57,16 @@ class CoverData:
         data = [geometry.ramification(orb[0])
                 for orb in geometry.ramified_orbits()]
         return cls(G=geometry.G, k=geometry.k, g_Y=0,
-                   registry=SimpleRegistry(geometry.G, geometry.k), rng=rng,
+                   registry=SimpleRegistry(geometry.G, geometry.k, rng),
+                   rng=rng,
                    orbit_data=data, geometry=geometry)
 
     @classmethod
     def from_abstract(cls, G: FiniteGroup, k: Field, g_Y: int,
                       data: list[RamificationDatum], coefficients,
                       rng: random.Random) -> "CoverData":
-        reg = SimpleRegistry(G, k)
-        cover = cls(G=G, k=k, g_Y=g_Y, registry=reg, rng=rng,
+        cover = cls(G=G, k=k, g_Y=g_Y, registry=SimpleRegistry(G, k, rng),
+                    rng=rng,
                     orbit_data=list(data), geometry=None,
                     abstract_coefficients=dict(enumerate(coefficients)))
         cover.genus_upstairs()  # rejects data that no cover has
@@ -76,8 +77,7 @@ class CoverData:
     def regular_class(self) -> ClassVector:
         if "regular" not in self._caches:
             self._caches["regular"] = chop(rep_regular(self.G, self.k),
-                                           self.registry, self.rng,
-                                           note="regular module")
+                                           self.registry, self.rng)
         return self._caches["regular"]
 
     def main_cartan(self) -> CartanData:
@@ -92,7 +92,7 @@ class CoverData:
             return self.registry, self.main_cartan()
         subs = self._caches.setdefault("sub_registries", {})
         if id(group) not in subs:
-            reg = SimpleRegistry(group, self.k)
+            reg = SimpleRegistry(group, self.k, self.rng)
             cd = cartan_data(group, self.k, reg, self.rng)
             subs[id(group)] = (reg, cd)
         return subs[id(group)]
@@ -114,8 +114,7 @@ class CoverData:
         key = ("indcov", id(datum), d)
         if key not in self._caches:
             ind = rep_induce(self.cover_module(datum, d), self.G, datum.I_P)
-            self._caches[key] = chop(ind, self.registry, self.rng,
-                                     note=f"Ind Cov d={d}")
+            self._caches[key] = chop(ind, self.registry, self.rng)
         return self._caches[key]
 
     def induced_fiber_class(self, datum: RamificationDatum,
@@ -125,8 +124,7 @@ class CoverData:
         key = ("indcot", id(datum), d)
         if key not in self._caches:
             ind = rep_induce(datum.cotangent_power(d), self.G, datum.I_P)
-            self._caches[key] = chop(ind, self.registry, self.rng,
-                                     note=f"Ind cot d={d}")
+            self._caches[key] = chop(ind, self.registry, self.rng)
         return self._caches[key]
 
     # -- divisor bookkeeping ----------------------------------------------------
@@ -266,25 +264,23 @@ def ramification_class_routes(cover: CoverData):
 # -- the oracle -----------------------------------------------------------------
 
 
-def _oracle_rr_module(cover: CoverData, D: Divisor,
-                      note: str) -> tuple[Rep, ClassVector]:
+def _oracle_rr_module(cover: CoverData,
+                      D: Divisor) -> tuple[Rep, ClassVector]:
     """The explicit Riemann-Roch representation on L(D) and its chop,
-    built once per divisor.  The chop carries the note of the first caller:
-    the note labels the simples it registers in the registry log."""
+    built once per divisor."""
     if cover.geometry is None:
         raise InputError("oracle classes need the geometry substrate")
     key = ("oracle", tuple((p.sort_key(), c) for p, c in D.items()))
     if key not in cover._caches:
         rep = cover.geometry.rr_action_rep(D)
-        cover._caches[key] = (rep, chop(rep, cover.registry, cover.rng,
-                                        note=note))
+        cover._caches[key] = (rep, chop(rep, cover.registry, cover.rng))
     return cover._caches[key]
 
 
 def oracle_euler_class(cover: CoverData, D: Divisor) -> ClassVector:
     """Composition factors of the explicit Riemann-Roch representation;
     valid while H^1 vanishes (deg D >= -1 on the line)."""
-    return _oracle_rr_module(cover, D, f"oracle deg {D.degree()}")[1]
+    return _oracle_rr_module(cover, D)[1]
 
 
 # -- divided cover classes (the divisibility theorem) ------------------------------
@@ -321,7 +317,7 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
             "divisibility certificate failed: head multiplicities "
             f"{bad} are not divisible by f={datum.f} at place "
             f"{datum.place!r}, twist {d}; full head data {head}")
-    total = chop(induced, reg_p, cover.rng, note=f"W certificate d={d}")
+    total = chop(induced, reg_p, cover.rng)
     divided = total.scale(Fraction(1, datum.f))
     if not divided.is_integral():
         raise Inconsistency("divided cover class is not integral")
@@ -468,7 +464,7 @@ def projectivity_report(cover: CoverData, D: Divisor) -> dict:
     one divisor, including the implication checks."""
     if cover.geometry is None:
         raise InputError("projectivity predicates need the oracle")
-    h0, chi = _oracle_rr_module(cover, D, "projectivity oracle")
+    h0, chi = _oracle_rr_module(cover, D)
     weak = cover.is_weakly_ramified()
     tame = cover.is_tame()
     cong = congruence_condition(cover, D)
@@ -505,11 +501,11 @@ def tame_structure_checks(cover: CoverData, datum: RamificationDatum,
     reg_p, _ = cover.registry_for(gp_group)
     w = divided_cover_class(cover, datum, d)
     line = datum.decomposition_line_rep(-d)
-    line_class = chop(line, reg_p, cover.rng, note=f"line -{d}")
+    line_class = chop(line, reg_p, cover.rng)
     identity_a = w["class"] == line_class
     i_in_gp = datum.I_P.in_subgroup_of(gp_group)
     back = rep_induce(rep_restrict(line, i_in_gp), gp_group, i_in_gp)
-    back_class = chop(back, reg_p, cover.rng, note="Ind Res line")
+    back_class = chop(back, reg_p, cover.rng)
     identity_b = back_class == line_class.scale(datum.f)
     return {"cover_equals_line": identity_a,
             "ind_res_multiplies": identity_b,

@@ -133,7 +133,6 @@ def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
     if registry.group is not G or registry.field is not field:
         raise InputError("registry does not match the requested group")
     reg = rep_regular(G, field)
-    chop(reg, registry, rng, note="regular module")  # saturates the registry
     s = len(registry)
     by_head: dict[int, list[Rep]] = {}
     ends = regular_endomorphisms(G, field)
@@ -152,8 +151,7 @@ def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
                 f"simple {i}: found {len(by_head[i])} covers in k[G], "
                 f"expected {expected}")
         pim_reps.append(by_head[i][0])
-    pim_classes = [chop(P, registry, rng, note=f"PIM {j}")
-                   for j, P in enumerate(pim_reps)]
+    pim_classes = [chop(P, registry, rng) for P in pim_reps]
     matrix = [[int(pim_classes[j].coeff(i)) for j in range(s)]
               for i in range(s)]
     # Cartan columns of distinct heads must agree within each head group
@@ -222,8 +220,7 @@ def beta_vector(v: ClassVector, registry2: SimpleRegistry,
         if c == 0:
             continue
         ext = extend_scalars(v.registry.simples[i], registry2.field)
-        out = out + chop(ext, registry2, rng,
-                         note=f"extension of simple {i}").scale(c)
+        out = out + chop(ext, registry2, rng).scale(c)
     return out
 
 

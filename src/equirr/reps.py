@@ -1,10 +1,13 @@
 """Matrix representations of finite groups over finite fields.
 
-Composition factors are the authoritative coordinates for classes in the
-Grothendieck group of finitely generated modules: chop() implements a
-Norton/Parker style MeatAxe (random algebra elements, kernel vectors of
+Classes in the Grothendieck group of finitely generated modules are
+coordinates over a registry of simple modules.  The Brauer character
+(BrauerCharacters: eigenvalue multiplicities on p-regular classes, read
+off characteristic polynomials) is the registry's one invariant: it keys,
+orders and identifies the simples.  chop() implements a Norton/Parker
+style MeatAxe (random algebra elements, kernel vectors of
 characteristic-polynomial factors, submodule spinning, recursion on sub and
-quotient) and certifies simplicity before a factor enters the registry.
+quotient) and certifies simplicity before a factor is looked up.
 Direct-sum splitting (primary decomposition along random endomorphisms,
 each unsplit piece certified by its simple head) is kept separate and used
 only where projective indecomposables are genuinely needed.
@@ -18,11 +21,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import Field, field_make, poly_factor
+from .fields import TABLE_LIMIT, Field, field_make, poly_factor
 from .groups import (FiniteGroup, Subgroup, conjugacy_classes, coset_lookup,
                      schur_zassenhaus_complement, sylow_p)
 from .matrices import EchelonBasis, Mat
@@ -353,25 +357,160 @@ def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
     return sub, quot
 
 
+# -- Brauer characters -------------------------------------------------------
+
+
+def _mult_order(q: int, m: int) -> int:
+    if m == 1:
+        return 1
+    k = 1
+    cur = q % m
+    while cur != 1:
+        cur = cur * q % m
+        k += 1
+        if k > m:
+            raise Inconsistency("multiplicative order loop ran away")
+    return k
+
+
+def _divide_linear(E: Field, coeffs: list[int], z: int):
+    """Quotient and remainder of the polynomial with low-first coefficients
+    `coeffs` by x - z (synthetic division)."""
+    quot = [0] * (len(coeffs) - 1)
+    acc = coeffs[-1]
+    for i in range(len(coeffs) - 2, -1, -1):
+        quot[i] = acc
+        acc = E.add(coeffs[i], E.mul(z, acc))
+    return quot, acc
+
+
+class BrauerCharacters:
+    """Brauer characters of k[G]-modules as integer vectors; no random
+    draws.
+
+    For each p-regular conjugacy class, in conjugacy_classes order, the
+    vector holds the multiplicities of the eigenvalues zeta_m^j (j < m) of
+    the image of a class element of order m.  zeta_m is g^((Q-1)/m) for
+    the generator g of the ambient field E = GF(Q), the smallest extension
+    of k holding every such root of unity.  One characteristic polynomial
+    per conjugacy class of maximal cyclic p'-subgroups gives the
+    eigenvalues of its generator, by exact division by x - zeta_m^j; every
+    other p-regular class is conjugate to a power of one of these
+    generators, whose eigenvalues are the same powers.
+
+    The vector is additive on short exact sequences and the vectors of the
+    simple modules are linearly independent, so it decides isomorphism of
+    simple modules and determines classes in G_0(k[G])."""
+
+    def __init__(self, G: FiniteGroup, F: Field):
+        regular = [c for c in conjugacy_classes(G)
+                   if G.element_order(c[0]) % F.p]
+        where = {x: i for i, c in enumerate(regular) for x in c}
+        self.orders = [G.element_order(c[0]) for c in regular]
+        # generators of maximal cyclic p'-subgroups, one per conjugacy
+        # class: a class of largest order that no earlier generator's
+        # powers meet generates a maximal one
+        self.generators: list[tuple[int, int]] = []  # (element, order)
+        self._reads: list = [None] * len(regular)  # (generator, power)
+        for i in sorted(range(len(regular)), key=lambda i: -self.orders[i]):
+            if self._reads[i] is not None:
+                continue
+            g, m = regular[i][0], self.orders[i]
+            x = G.identity
+            for k in range(m):
+                c = where[x]
+                if self._reads[c] is None:
+                    self._reads[c] = (len(self.generators), k)
+                x = G.table[x][g]
+            self.generators.append((g, m))
+        s = 1
+        for _, m in self.generators:
+            s = math.lcm(s, _mult_order(F.q, m))
+        if F.q ** s > TABLE_LIMIT:
+            raise CapExceeded(
+                f"Brauer characters over {F} need the ambient field "
+                f"GF({F.p}^{F.n * s}), past TABLE_LIMIT = {TABLE_LIMIT}")
+        E = self.ambient = field_make(F.p, F.n * s)
+        self._roots = []
+        for _, m in self.generators:
+            zeta = E.pow_(E.generator, (E.q - 1) // m)
+            self._roots.append([E.pow_(zeta, j) for j in range(m)])
+
+    def vector(self, M: Rep) -> tuple[tuple[int, ...], ...]:
+        """Per p-regular class, the eigenvalue multiplicities of M."""
+        E = self.ambient
+        found = []
+        for (g, _), roots in zip(self.generators, self._roots):
+            coeffs = list(M.image(g).charpoly().map_field(E).coeffs)
+            counts = [0] * len(roots)
+            for j, z in enumerate(roots):
+                while len(coeffs) > 1:
+                    quot, rem = _divide_linear(E, coeffs, z)
+                    if rem:
+                        break
+                    coeffs = quot
+                    counts[j] += 1
+            if sum(counts) != M.dim:
+                raise Inconsistency("the eigenvalues of a p-regular element "
+                                    "are not roots of unity of its order")
+            found.append(counts)
+        out = []
+        for (t, k), order in zip(self._reads, self.orders):
+            m = self.generators[t][1]
+            step = m // order  # gcd(m, k): zeta_order = zeta_m^step
+            counts = [0] * order
+            for j, c in enumerate(found[t]):
+                counts[k * j % m // step] += c
+            out.append(tuple(counts))
+        return tuple(out)
+
+
 # -- registry and class vectors ----------------------------------------------
 
 
 class SimpleRegistry:
-    """Ordered list of pairwise non-isomorphic certified-simple modules over
-    one (group, field); grows lazily as chop discovers new simples.
+    """The simple modules over one (group, field), in canonical order.
 
-    A lookup compares a new simple only with registered simples of the same
-    charpoly_key (dimension and characteristic polynomials of the generator
-    images, which conjugate matrices share); a nonzero Hom space between
-    two simples then decides isomorphism."""
+    On first use the registry chops k[G] once with its random source: every
+    simple module is a composition factor of the regular module, so that
+    one chop discovers them all.  find_or_add keys simples by their Brauer
+    vector, which non-isomorphic simples never share, and the simples are
+    then sorted by (dim, Brauer vector).  The order, the log and every
+    class vector are therefore functions of the group and the field, not
+    of the MeatAxe's random draws."""
 
-    def __init__(self, group: FiniteGroup, field: Field):
+    def __init__(self, group: FiniteGroup, field: Field,
+                 rng: random.Random):
         self.group = group
         self.field = field
-        self.simples: list[Rep] = []
-        self.charpoly_keys: list[tuple] = []
-        self.log: list[dict] = []
+        self._rng = rng
+        self._simples: list[Rep] | None = None
+        self._saturated = False
+        self._index: dict[tuple, int] = {}
         self._end_dims: dict[int, int] = {}
+
+    @cached_property
+    def brauer(self) -> BrauerCharacters:
+        return BrauerCharacters(self.group, self.field)
+
+    @property
+    def simples(self) -> list[Rep]:
+        if self._simples is None:
+            self._saturate()
+        return self._simples
+
+    def _saturate(self):
+        self._simples = []  # filled by find_or_add during the chop
+        chop(rep_regular(self.group, self.field), self, self._rng)
+        keys = sorted(self._index,
+                      key=lambda b: (self._simples[self._index[b]].dim, b))
+        self._simples = [self._simples[self._index[b]] for b in keys]
+        self._index = {b: i for i, b in enumerate(keys)}
+        self._saturated = True
+
+    @property
+    def log(self) -> list[dict]:
+        return [{"id": i, "dim": S.dim} for i, S in enumerate(self.simples)]
 
     def __len__(self):
         return len(self.simples)
@@ -383,17 +522,18 @@ class SimpleRegistry:
             self._end_dims[i] = hom_dim(S, S)
         return self._end_dims[i]
 
-    def find_or_add(self, S: Rep, note: str = "") -> int:
-        key = charpoly_key(S)
-        for i, T in enumerate(self.simples):
-            if self.charpoly_keys[i] == key:
-                if hom_dim(S, T) > 0:  # nonzero hom between simples is iso
-                    return i
-        self.simples.append(S)
-        self.charpoly_keys.append(key)
-        self.log.append({"id": len(self.simples) - 1, "dim": S.dim,
-                         "note": note})
-        return len(self.simples) - 1
+    def find_or_add(self, S: Rep) -> int:
+        """Index of the simple module S, found by its Brauer vector; only
+        the chop that saturates the registry adds simples."""
+        simples = self.simples
+        key = self.brauer.vector(S)
+        if key not in self._index:
+            if self._saturated:
+                raise Inconsistency(f"a dim-{S.dim} simple module is not a "
+                                    "composition factor of k[G]")
+            self._index[key] = len(simples)
+            simples.append(S)
+        return self._index[key]
 
     def zero(self) -> "ClassVector":
         return ClassVector(self, ())
@@ -469,8 +609,8 @@ class ClassVector:
         return "ClassVector(" + (" + ".join(parts) or "0") + ")"
 
 
-def chop(M: Rep, registry: SimpleRegistry, rng: random.Random,
-         note: str = "") -> ClassVector:
+def chop(M: Rep, registry: SimpleRegistry,
+         rng: random.Random) -> ClassVector:
     """Exact composition-factor multiplicities of M over the registry."""
     if M.group is not registry.group or M.field is not registry.field:
         raise InputError("module and registry are over different data")
@@ -482,7 +622,7 @@ def chop(M: Rep, registry: SimpleRegistry, rng: random.Random,
             continue
         res = find_submodule_or_simple(A, rng)
         if res == "simple":
-            idx = registry.find_or_add(A, note=note)
+            idx = registry.find_or_add(A)
             counts[idx] = counts.get(idx, 0) + 1
         else:
             _, W = res
@@ -529,8 +669,8 @@ def indecomposable_summands(M: Rep, ends: list[Mat],
     factors of their characteristic polynomial (primary decomposition).
     A piece no endomorphism splits is certified by its simple head: a
     decomposition A + B would have head(A) + head(B) as its head, and every
-    indecomposable summand of k[G] has a simple head.  The registry must
-    already hold every simple of k[G] (chop the regular module first).
+    indecomposable summand of k[G] has a simple head; the registry holds
+    every simple of k[G].
     A piece with neither a split nor a simple head raises CapExceeded;
     no uncertified piece is returned.
     """
@@ -659,56 +799,3 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
     if not is_projective(cov):
         raise Inconsistency("projective cover failed the projectivity test")
     return cov
-
-
-# -- isomorphism invariants ---------------------------------------------------
-
-
-def charpoly_key(M: Rep) -> tuple:
-    """Dimension and characteristic polynomials of the generator images:
-    isomorphic modules have equal keys, and computing one factors
-    nothing."""
-    return (M.dim, tuple(X.charpoly().coeffs for X in M.generator_images()))
-
-
-def _mult_order(q: int, m: int) -> int:
-    if m == 1:
-        return 1
-    k = 1
-    cur = q % m
-    while cur != 1:
-        cur = cur * q % m
-        k += 1
-        if k > m:
-            raise Inconsistency("multiplicative order loop ran away")
-    return k
-
-
-def class_fingerprint(M: Rep) -> tuple:
-    """For each p-regular conjugacy class, the multiset of eigenvalue
-    exponents of image(g) relative to a fixed root of unity in one common
-    cyclotomic ambient field.  Equal module classes give equal tokens."""
-    G = M.group
-    F = M.field
-    reps = [c[0] for c in conjugacy_classes(G)]
-    p_reg = [g for g in reps if G.element_order(g) % F.p != 0]
-    s = 1
-    for g in p_reg:
-        s = math.lcm(s, _mult_order(F.q, G.element_order(g)))
-    E = field_make(F.p, F.n * s)
-    token = []
-    for g in p_reg:
-        m = G.element_order(g)
-        zeta = E.pow_(E.generator, (E.q - 1) // m)
-        cp = M.image(g).charpoly()
-        exps = []
-        for h, mult in poly_factor(cp):
-            h_e = h.map_field(E)
-            for j in range(m):
-                if h_e.evaluate(E.pow_(zeta, j)) == 0:
-                    exps.extend([j] * mult)
-        if len(exps) != M.dim:
-            raise Inconsistency("eigenvalue exponents do not fill the "
-                                "dimension")
-        token.append((m, tuple(sorted(exps))))
-    return tuple(token)

@@ -263,7 +263,7 @@ def test_a7_cartesian(a1_covers, a2_covers, a3_cover):
     for label, cover, divisors, wild in jobs:
         k = cover.k
         k2 = field_make(k.p, 2 * k.n)
-        reg2 = SimpleRegistry(cover.G, k2)
+        reg2 = SimpleRegistry(cover.G, k2, cover.rng)
         cd = cover.main_cartan()
         cd2 = cartan_data(cover.G, k2, reg2, cover.rng)
         checked = 0
@@ -312,7 +312,7 @@ def test_a8_chop_reassembly_and_additivity():
     while reassembled < 100 or additive < 100:
         G, F, base = pool[rng.randrange(len(pool))]
         key = (id(G), id(F))
-        registries.setdefault(key, SimpleRegistry(G, F))
+        registries.setdefault(key, SimpleRegistry(G, F, rng))
         reg = registries[key]
         a, b = rng.choice(base), rng.choice(base)
         if rng.random() < 0.4 and a.dim * b.dim <= 36:

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "equirr"
 
 KEPT = {
     # claimed by open ROADMAP items
-    "reps.class_fingerprint": "ROADMAP item 2 (Brauer characters)",
     "reps.rep_dual": "ROADMAP item 3 (Serre duality)",
     "geometry.fiber_character": "ROADMAP item 3 (fiber classes)",
     "reps.rep_tensor": "ROADMAP item 4 (E = O(D) tensor V)",

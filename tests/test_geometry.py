@@ -314,7 +314,7 @@ def test_rr_action_translation_unipotent():
     m = rep.image(sigma)
     # sigma . x^j = (x - 1)^j = (x + 2)^j over GF(3)
     assert m.to_lists() == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     r = rng()
     v = chop(rep, reg, r)
     assert v == chop(rep_regular(G, F), reg, r)

@@ -8,7 +8,7 @@ from equirr.errors import CapExceeded
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup, Subgroup, sylow_p
 from equirr.matrices import Mat
-from equirr.reps import (Rep, SimpleRegistry, chop, class_fingerprint,
+from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          head_multiplicities, hom_dim, hom_space,
                          is_projective, indecomposable_summands,
                          projective_cover_over_inertia,
@@ -51,7 +51,7 @@ def test_regular_trivial_group():
     F = field_make(3, 1)
     M = rep_regular(G, F)
     assert M.dim == 1
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     v = chop(M, reg, rng())
     assert v.total_dim() == 1 and len(reg) == 1
 
@@ -59,7 +59,7 @@ def test_regular_trivial_group():
 def test_regular_c2_gf3_semisimple():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     v = chop(rep_regular(G, F), reg, rng())
     assert len(reg) == 2  # trivial and sign
     assert sorted(int(c) for c in v.padded()) == [1, 1]
@@ -69,7 +69,7 @@ def test_regular_c2_gf3_semisimple():
 def test_regular_cp_gfp_local(p):
     G = FiniteGroup.from_table(cyclic_table(p))
     F = field_make(p, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     v = chop(rep_regular(G, F), reg, rng())
     assert len(reg) == 1
     assert v.padded() == (p,)
@@ -82,7 +82,7 @@ def test_chop_s3_gf5_multiplicities():
     # hom_dim counts, the independent route.
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     M = rep_regular(G, F)
     v = chop(M, reg, rng())
     dims = sorted(S.dim for S in reg.simples)
@@ -135,7 +135,7 @@ def test_frobenius_reciprocity_dimension_identity():
 def test_tensor_dual_contains_trivial():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     r = rng()
     chop(rep_regular(G, F), reg, r)
     V = next(S for S in reg.simples if S.dim == 2)
@@ -150,7 +150,7 @@ def test_tensor_dual_contains_trivial():
 def test_direct_sum_chop_additive():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     r = rng()
     M = rep_regular(G, F)
     both = rep_direct_sum(M, rep_trivial(G, F))
@@ -164,7 +164,7 @@ def test_direct_sum_chop_additive():
 def test_hom_schur_absolutely_simple():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     chop(rep_regular(G, F), reg, rng())
     for S in reg.simples:
         assert hom_dim(S, S) == 1  # all simples of S3 absolutely simple
@@ -199,7 +199,7 @@ def test_hom_trivial_group_is_unit_matrices(n, dm, dn):
 def test_hom_regular_to_simple():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     M = rep_regular(G, F)
     chop(M, reg, rng())
     for S in reg.simples:
@@ -224,7 +224,7 @@ def test_is_isomorphic_basics():
 
 def saturated_regular(G, F, r):
     """The regular module and a registry saturated by chopping it."""
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     M = rep_regular(G, F)
     chop(M, reg, r)
     return M, reg
@@ -257,19 +257,29 @@ def c3xc3_table():
 @pytest.mark.parametrize("table,p", [(cyclic_table(4), 5), (s3_table(), 5),
                                      (s3_table(), 7)],
                          ids=["C4-GF5", "S3-GF5", "S3-GF7"])
-def test_registry_lookup_key_only_filters(monkeypatch, table, p):
-    # the charpoly key only narrows the candidates and hom_dim decides, so
-    # a key that matches every simple must build the same registry
+def test_registry_brauer_key_orders_nonisomorphic_simples(table, p):
+    # the Brauer vector alone decides: the saturated registry holds
+    # pairwise non-isomorphic simples sorted by (dim, Brauer vector), the
+    # same ones whatever the MeatAxe draws, and a conjugate copy of a
+    # simple is found at its index
     G = FiniteGroup.from_table(table)
     F = field_make(p, 1)
-    _, reg = saturated_regular(G, F, rng())
-    monkeypatch.setattr(reps, "charpoly_key", lambda S: ())
-    _, flat = saturated_regular(G, F, rng())
-    assert [S.generator_images() for S in flat.simples] == \
-        [S.generator_images() for S in reg.simples]
-    for i, S in enumerate(flat.simples):
-        assert [hom_dim(S, T) > 0 for T in flat.simples] == \
-            [j == i for j in range(len(flat))]
+    reg = SimpleRegistry(G, F, random.Random(1))
+    other = SimpleRegistry(G, F, random.Random(2))
+    keys = [(S.dim, reg.brauer.vector(S)) for S in reg.simples]
+    assert keys == sorted(set(keys))
+    assert keys == [(S.dim, other.brauer.vector(S)) for S in other.simples]
+    for i, S in enumerate(reg.simples):
+        assert [is_isomorphic(S, T) for T in reg.simples] == \
+            [j == i for j in range(len(reg))]
+        assert is_isomorphic(S, other.simples[i])
+        P = Mat.identity(F, S.dim) + Mat.from_rows(
+            F, [[int(c == r + 1) for c in range(S.dim)]
+                for r in range(S.dim)])  # unipotent, so invertible
+        Pinv = P.inv()
+        conj = Rep(G, F, S.dim, {t: Pinv @ X @ P
+                                 for t, X in enumerate(S.generator_images())})
+        assert reg.find_or_add(conj) == i
 
 
 @pytest.mark.parametrize("table,p,n", [
@@ -404,7 +414,7 @@ def test_head_multiplicity_of_cover_is_one():
     P1 = sylow_p(G, 3)
     cov = projective_cover_over_inertia(G, P1, rep_trivial(G, F))
     assert cov.dim == 3
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     chop(rep_regular(G, F), reg, rng())
     triv = reg.simples[0]
     assert head_multiplicities(cov, reg)[0] == 1
@@ -428,22 +438,22 @@ def test_cover_dimension_scaling():
     cov = projective_cover_over_inertia(G, P1, M)
     assert cov.dim == P1.order * M.dim
     # head of the cover matches the module on simples with trivial P1 action
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     chop(rep_regular(G, F), reg, rng())
     for S in reg.simples:
         if all(S.image(g) == Mat.identity(F, S.dim) for g in P1.indices):
             assert hom_dim(cov, S) == hom_dim(M, S)
 
 
-# -- fingerprints -----------------------------------------------------------------
+# -- Brauer vectors ---------------------------------------------------------------
 
 
 def test_fingerprint_trivial_rep():
     G = FiniteGroup.from_table(cyclic_table(4))
     F = field_make(3, 1)
-    fp = class_fingerprint(rep_trivial(G, F))
-    for order, exps in fp:
-        assert exps == (0,)
+    fp = BrauerCharacters(G, F).vector(rep_trivial(G, F))
+    for counts in fp:  # the eigenvalue 1 = zeta^0, once
+        assert counts == (1,) + (0,) * (len(counts) - 1)
 
 
 def test_fingerprint_regular_rep_root_structure():
@@ -451,26 +461,24 @@ def test_fingerprint_regular_rep_root_structure():
     # length m, so each m-th root of unity appears with equal multiplicity
     G = FiniteGroup.from_table(cyclic_table(6))
     F = field_make(7, 1)
-    fp = class_fingerprint(rep_regular(G, F))
-    for order, exps in fp:
-        counts = {}
-        for e in exps:
-            counts[e] = counts.get(e, 0) + 1
-        assert set(counts.values()) == {6 // order}
-        assert len(counts) == order
+    fp = BrauerCharacters(G, F).vector(rep_regular(G, F))
+    assert sorted(len(counts) for counts in fp) == [1, 2, 3, 3, 6, 6]
+    for counts in fp:
+        assert set(counts) == {6 // len(counts)}
 
 
 def test_fingerprint_direct_sum_union():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(3, 1)
+    brauer = BrauerCharacters(G, F)
     triv = rep_trivial(G, F)
     sign = rep_scalar(G, F, {0: 1, 1: 2})
-    fp_sum = class_fingerprint(rep_direct_sum(triv, sign))
-    fp_t = class_fingerprint(triv)
-    fp_s = class_fingerprint(sign)
-    for (m1, e1), (m2, e2), (m3, e3) in zip(fp_sum, fp_t, fp_s):
-        assert m1 == m2 == m3
-        assert tuple(sorted(e2 + e3)) == e1
+    fp_sum = brauer.vector(rep_direct_sum(triv, sign))
+    fp_t = brauer.vector(triv)
+    fp_s = brauer.vector(sign)
+    assert fp_t != fp_s
+    for c1, c2, c3 in zip(fp_sum, fp_t, fp_s):
+        assert c1 == tuple(a + b for a, b in zip(c2, c3))
 
 
 def test_fingerprint_iso_invariant():
@@ -480,7 +488,8 @@ def test_fingerprint_iso_invariant():
     H = Subgroup(G, [G.identity])
     N = rep_induce(rep_trivial(H.as_group(), F), G, H)
     assert is_isomorphic(M, N, rng())
-    assert class_fingerprint(M) == class_fingerprint(N)
+    brauer = BrauerCharacters(G, F)
+    assert brauer.vector(M) == brauer.vector(N)
 
 
 # -- chop additivity property (seeded batch) ---------------------------------------
@@ -490,7 +499,7 @@ def test_chop_additivity_random_pairs():
     r = random.Random(99)
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F)
+    reg = SimpleRegistry(G, F, rng())
     pool = [rep_trivial(G, F), rep_regular(G, F)]
     pool.append(rep_tensor(pool[1], pool[0]))
     for _ in range(20):
