@@ -27,7 +27,7 @@ from .engine import (congruence_condition, divided_cover_class,
 from .errors import CapExceeded, Inconsistency, InputError
 from .fields import field_make
 from .k0 import cartan_data, cartesian_check
-from .reps import SimpleRegistry, chop, rep_trivial
+from .reps import SimpleRegistry, rep_trivial
 from .scenarios import Scenario, parse_scenario, realize
 
 
@@ -230,12 +230,11 @@ def _cartesian_section(scn: Scenario, verdicts):
     cd_base = cover.main_cartan()
     cd_ext = cartan_data(cover.G, k2, registry2, cover.rng)
     rows = []
-    classes = [("trivial", chop(rep_trivial(cover.G, k), cover.registry,
-                                cover.rng))]
+    classes = [("trivial", cover.registry.class_of(rep_trivial(cover.G, k)))]
     for i, D in enumerate(scn.divisors):
         classes.append((f"chi_D{i}", oracle_euler_class(cover, D)))
     for label, v in classes:
-        agree, base, ext = cartesian_check(v, cd_base, cd_ext, cover.rng)
+        agree, base, ext = cartesian_check(v, cd_base, cd_ext)
         rows.append({"class": label, "base_member": base,
                      "extension_member": ext, "agree": agree})
         _verdict(verdicts, f"cartesian:{label}", agree,

@@ -5,7 +5,7 @@ of the quotient curve, one ramification datum per ramified orbit, and (in
 oracle mode) the P^1 geometry that supplies the explicit cohomology
 classes.  The two sides being cross-checked are
 
-  * the oracle: composition factors of the group action on an explicit
+  * the oracle: the class of the group action on an explicit
     Riemann-Roch space basis, and
   * the closed formulas: the ramification-module class, the divided
     induced-cover classes with their divisibility certificates, the
@@ -14,8 +14,9 @@ classes.  The two sides being cross-checked are
     assumption.
 
 All class arithmetic is exact (Fractions over composition-factor
-coordinates); integrality failures raise instead of rounding, because each
-integrality IS a theorem statement.
+coordinates, read off Brauer characters by SimpleRegistry.class_of);
+integrality failures raise instead of rounding, because each integrality
+IS a theorem statement.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .fields import Field
 from .geometry import Divisor, P1Geometry, Place, RamificationDatum
 from .groups import FiniteGroup
 from .k0 import CartanData, cartan_data, in_cartan_image, is_projective_class
-from .reps import (ClassVector, Rep, SimpleRegistry, chop,
-                   head_multiplicities, is_projective,
-                   projective_cover_over_inertia, rep_induce, rep_regular,
-                   rep_restrict)
+from .reps import (ClassVector, Rep, SimpleRegistry, head_multiplicities,
+                   is_projective, projective_cover_over_inertia, rep_induce,
+                   rep_regular, rep_restrict)
 
 
 @dataclass
@@ -58,16 +58,14 @@ class CoverData:
                 for orb in geometry.ramified_orbits()]
         return cls(G=geometry.G, k=geometry.k, g_Y=0,
                    registry=SimpleRegistry(geometry.G, geometry.k, rng),
-                   rng=rng,
-                   orbit_data=data, geometry=geometry)
+                   rng=rng, orbit_data=data, geometry=geometry)
 
     @classmethod
     def from_abstract(cls, G: FiniteGroup, k: Field, g_Y: int,
                       data: list[RamificationDatum], coefficients,
                       rng: random.Random) -> "CoverData":
         cover = cls(G=G, k=k, g_Y=g_Y, registry=SimpleRegistry(G, k, rng),
-                    rng=rng,
-                    orbit_data=list(data), geometry=None,
+                    rng=rng, orbit_data=list(data), geometry=None,
                     abstract_coefficients=dict(enumerate(coefficients)))
         cover.genus_upstairs()  # rejects data that no cover has
         return cover
@@ -76,8 +74,8 @@ class CoverData:
 
     def regular_class(self) -> ClassVector:
         if "regular" not in self._caches:
-            self._caches["regular"] = chop(rep_regular(self.G, self.k),
-                                           self.registry, self.rng)
+            self._caches["regular"] = self.registry.class_of(
+                rep_regular(self.G, self.k))
         return self._caches["regular"]
 
     def main_cartan(self) -> CartanData:
@@ -110,21 +108,21 @@ class CoverData:
 
     def induced_cover_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
-        """chop of Ind_{I_P}^G Cov((m/m^2)^{tensor d})."""
+        """Class of Ind_{I_P}^G Cov((m/m^2)^{tensor d})."""
         key = ("indcov", id(datum), d)
         if key not in self._caches:
             ind = rep_induce(self.cover_module(datum, d), self.G, datum.I_P)
-            self._caches[key] = chop(ind, self.registry, self.rng)
+            self._caches[key] = self.registry.class_of(ind)
         return self._caches[key]
 
     def induced_fiber_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
-        """chop of Ind_{I_P}^G of the bare d-th cotangent power (no cover);
+        """Class of Ind_{I_P}^G of the bare d-th cotangent power (no cover);
         used by the scaled identity, which has no weakness assumption."""
         key = ("indcot", id(datum), d)
         if key not in self._caches:
             ind = rep_induce(datum.cotangent_power(d), self.G, datum.I_P)
-            self._caches[key] = chop(ind, self.registry, self.rng)
+            self._caches[key] = self.registry.class_of(ind)
         return self._caches[key]
 
     # -- divisor bookkeeping ----------------------------------------------------
@@ -266,20 +264,20 @@ def ramification_class_routes(cover: CoverData):
 
 def _oracle_rr_module(cover: CoverData,
                       D: Divisor) -> tuple[Rep, ClassVector]:
-    """The explicit Riemann-Roch representation on L(D) and its chop,
+    """The explicit Riemann-Roch representation on L(D) and its class,
     built once per divisor."""
     if cover.geometry is None:
         raise InputError("oracle classes need the geometry substrate")
     key = ("oracle", tuple((p.sort_key(), c) for p, c in D.items()))
     if key not in cover._caches:
         rep = cover.geometry.rr_action_rep(D)
-        cover._caches[key] = (rep, chop(rep, cover.registry, cover.rng))
+        cover._caches[key] = (rep, cover.registry.class_of(rep))
     return cover._caches[key]
 
 
 def oracle_euler_class(cover: CoverData, D: Divisor) -> ClassVector:
-    """Composition factors of the explicit Riemann-Roch representation;
-    valid while H^1 vanishes (deg D >= -1 on the line)."""
+    """Class of the explicit Riemann-Roch representation; valid while H^1
+    vanishes (deg D >= -1 on the line)."""
     return _oracle_rr_module(cover, D)[1]
 
 
@@ -317,7 +315,7 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
             "divisibility certificate failed: head multiplicities "
             f"{bad} are not divisible by f={datum.f} at place "
             f"{datum.place!r}, twist {d}; full head data {head}")
-    total = chop(induced, reg_p, cover.rng)
+    total = reg_p.class_of(induced)
     divided = total.scale(Fraction(1, datum.f))
     if not divided.is_integral():
         raise Inconsistency("divided cover class is not integral")
@@ -501,11 +499,11 @@ def tame_structure_checks(cover: CoverData, datum: RamificationDatum,
     reg_p, _ = cover.registry_for(gp_group)
     w = divided_cover_class(cover, datum, d)
     line = datum.decomposition_line_rep(-d)
-    line_class = chop(line, reg_p, cover.rng)
+    line_class = reg_p.class_of(line)
     identity_a = w["class"] == line_class
     i_in_gp = datum.I_P.in_subgroup_of(gp_group)
     back = rep_induce(rep_restrict(line, i_in_gp), gp_group, i_in_gp)
-    back_class = chop(back, reg_p, cover.rng)
+    back_class = reg_p.class_of(back)
     identity_b = back_class == line_class.scale(datum.f)
     return {"cover_equals_line": identity_a,
             "ind_res_multiplies": identity_b,

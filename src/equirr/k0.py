@@ -11,9 +11,8 @@ from fractions import Fraction
 from .errors import Inconsistency, InputError
 from .fields import Field
 from .groups import FiniteGroup
-from .reps import (ClassVector, Rep, SimpleRegistry, chop,
-                   indecomposable_summands, regular_endomorphisms,
-                   rep_regular)
+from .reps import (ClassVector, Rep, SimpleRegistry, indecomposable_summands,
+                   regular_endomorphisms, rep_regular)
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -151,14 +150,14 @@ def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
                 f"simple {i}: found {len(by_head[i])} covers in k[G], "
                 f"expected {expected}")
         pim_reps.append(by_head[i][0])
-    pim_classes = [chop(P, registry, rng) for P in pim_reps]
+    pim_classes = [registry.class_of(P) for P in pim_reps]
     matrix = [[int(pim_classes[j].coeff(i)) for j in range(s)]
               for i in range(s)]
     # Cartan columns of distinct heads must agree within each head group
     for i in range(s):
         ref = pim_classes[i]
         for other in by_head[i][1:]:
-            if chop(other, registry, rng) != ref:
+            if registry.class_of(other) != ref:
                 raise Inconsistency("covers with equal head have distinct "
                                     "classes")
     return CartanData(G, field, registry, pim_reps, pim_classes, matrix)
@@ -212,27 +211,21 @@ def extend_scalars(M: Rep, target: Field) -> Rep:
     return Rep(M.group, target, M.dim, images)
 
 
-def beta_vector(v: ClassVector, registry2: SimpleRegistry,
-                rng: random.Random) -> ClassVector:
+def beta_vector(v: ClassVector, registry2: SimpleRegistry) -> ClassVector:
     """Image of a class under scalar extension, computed simple by simple."""
     out = registry2.zero()
     for i, c in enumerate(v.padded()):
         if c == 0:
             continue
         ext = extend_scalars(v.registry.simples[i], registry2.field)
-        out = out + chop(ext, registry2, rng).scale(c)
+        out = out + registry2.class_of(ext).scale(c)
     return out
 
 
 def cartesian_check(v: ClassVector, cd_base: CartanData,
-                    cd_ext: CartanData, rng: random.Random):
+                    cd_ext: CartanData):
     """Membership in the Cartan image must transfer along scalar extension
     in both directions; returns (agree, base_verdict, ext_verdict)."""
     base = in_cartan_image(v, cd_base)
-    ext_v = beta_vector(v, cd_ext.registry, rng)
-    # extension may register new simples after cd_ext was built; the Cartan
-    # data must already be saturated because the regular module was chopped
-    if len(cd_ext.registry) != cd_ext.size:
-        raise Inconsistency("extension registry grew past its Cartan data")
-    ext = in_cartan_image(ext_v, cd_ext)
+    ext = in_cartan_image(beta_vector(v, cd_ext.registry), cd_ext)
     return base == ext, base, ext

@@ -384,6 +384,26 @@ def _divide_linear(E: Field, coeffs: list[int], z: int):
     return quot, acc
 
 
+def _inverse_mod(A: list[list[int]], P: int):
+    """Inverse of a square integer matrix modulo the prime P (Gauss-Jordan
+    on [A | I]), or None when A is singular modulo P."""
+    s = len(A)
+    rows = [[a % P for a in row] + [int(i == j) for j in range(s)]
+            for i, row in enumerate(A)]
+    for c in range(s):
+        pivot = next((i for i in range(c, s) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, P)
+        rows[c] = [a * inv % P for a in rows[c]]
+        for i in range(s):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[c])]
+    return [row[s:] for row in rows]
+
+
 class BrauerCharacters:
     """Brauer characters of k[G]-modules as integer vectors; no random
     draws.
@@ -477,7 +497,8 @@ class SimpleRegistry:
     vector, which non-isomorphic simples never share, and the simples are
     then sorted by (dim, Brauer vector).  The order, the log and every
     class vector are therefore functions of the group and the field, not
-    of the MeatAxe's random draws."""
+    of the MeatAxe's random draws.  class_of reads the class of any module
+    off its Brauer vector, with no chop."""
 
     def __init__(self, group: FiniteGroup, field: Field,
                  rng: random.Random):
@@ -500,6 +521,7 @@ class SimpleRegistry:
         return self._simples
 
     def _saturate(self):
+        self.brauer  # an ambient field past TABLE_LIMIT fails before the chop
         self._simples = []  # filled by find_or_add during the chop
         chop(rep_regular(self.group, self.field), self, self._rng)
         keys = sorted(self._index,
@@ -534,6 +556,46 @@ class SimpleRegistry:
             self._index[key] = len(simples)
             simples.append(S)
         return self._index[key]
+
+    def class_of(self, M: Rep) -> "ClassVector":
+        """The class of M in G_0(k[G]): the x with beta(M) = sum_i x_i
+        beta(S_i) over the Brauer vectors beta.  The registry holds every
+        simple, so M has such an x with nonnegative integer entries; an x
+        that fails the exact check on the full vector and on dim M raises
+        Inconsistency.
+
+        With B the matrix of the simples' vectors, x solves the normal
+        equations B^T B x = B^T beta(M), read modulo the prime P through
+        the cached inverse of B^T B mod P.  That is exact: a nonnegative
+        solution has entries at most dim M < P, so it is its own residue."""
+        if M.group is not self.group or M.field is not self.field:
+            raise InputError("module and registry are over different data")
+        B, gram_inv, P = self._solver
+        b = np.array([c for counts in self.brauer.vector(M) for c in counts],
+                     dtype=np.int64)
+        rhs = (B.T @ b).tolist()
+        x = [sum(a * c for a, c in zip(row, rhs)) % P for row in gram_inv]
+        if (any(c > M.dim for c in x)
+                or not np.array_equal(B @ np.array(x, dtype=np.int64), b)
+                or sum(c * S.dim for c, S in zip(x, self.simples)) != M.dim):
+            raise Inconsistency(
+                f"the Brauer vector of a dim-{M.dim} module is no "
+                "nonnegative integral combination of the simples' vectors")
+        return ClassVector(self, x)
+
+    @cached_property
+    def _solver(self):
+        """(B, (B^T B)^-1 mod P, P) for the matrix B whose columns are the
+        simples' Brauer vectors and the Mersenne prime P = 2^61 - 1.  B^T B
+        is invertible mod P only if B has full column rank."""
+        P = (1 << 61) - 1
+        B = np.array([[c for counts in self.brauer.vector(S) for c in counts]
+                      for S in self.simples], dtype=np.int64).T
+        gram_inv = _inverse_mod((B.T @ B).tolist(), P)
+        if gram_inv is None:
+            raise Inconsistency("the Brauer vectors of the simples are "
+                                "linearly dependent modulo 2^61 - 1")
+        return B, gram_inv, P
 
     def zero(self) -> "ClassVector":
         return ClassVector(self, ())

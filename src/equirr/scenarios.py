@@ -58,6 +58,22 @@ def _json_indices(value, key: str, order: int) -> list[int]:
     return out
 
 
+def _residue_digits(value: list, key: str, p: int, degree: int) -> list[int]:
+    """value as the GF(p) coefficients of an element of a degree-`degree`
+    field: at most `degree` JSON integers, each in range(p); InputError
+    naming the key path otherwise, so no digit is reduced or dropped."""
+    if len(value) > degree:
+        raise InputError(f"{key}: {len(value)} digits for a residue field "
+                         f"of degree {degree} over GF({p})")
+    out = []
+    for j, c in enumerate(value):
+        c = _json_int(c, f"{key}[{j}]")
+        if not 0 <= c < p:
+            raise InputError(f"{key}[{j}]: digit {c} is outside range({p})")
+        out.append(c)
+    return out
+
+
 def parse_scenario(source) -> ScenarioConfig:
     """Parse and validate a scenario from JSON text, a path-like read
     string, or an already-decoded dict."""
@@ -286,10 +302,12 @@ def realize(cfg: ScenarioConfig) -> Scenario:
         generator = cot.get("generator")
         if generator is not None:
             generator = _json_int(generator, f"{key}.cotangent.generator")
+        residue_degree = _json_int(raw.get("residue_degree", 1),
+                                   f"{key}.residue_degree")
         value = cot.get("value")
         if isinstance(value, list):
-            value = [_json_int(c, f"{key}.cotangent.value[{j}]")
-                     for j, c in enumerate(value)]
+            value = _residue_digits(value, f"{key}.cotangent.value", k.p,
+                                    k.n * residue_degree)
         elif value is not None:
             value = _json_int(value, f"{key}.cotangent.value")
         datum = abstract_datum(
@@ -299,8 +317,7 @@ def realize(cfg: ScenarioConfig) -> Scenario:
             inertia=inertia,
             wild=_json_indices(raw.get("wild", [G.identity]), f"{key}.wild",
                                G.order),
-            residue_degree=_json_int(raw.get("residue_degree", 1),
-                                     f"{key}.residue_degree"),
+            residue_degree=residue_degree,
             cot_generator=generator,
             cot_value=value,
         )

@@ -5,7 +5,7 @@ import random
 
 from equirr.errors import CapExceeded
 from equirr.matrices import Mat
-from equirr.reps import Rep, SimpleRegistry, chop, hom_dim, hom_space
+from equirr.reps import Rep, SimpleRegistry, hom_dim, hom_space
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
@@ -43,9 +43,8 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> bool:
     raise CapExceeded("isomorphism test undecided within the try budget")
 
 
-def socle_dim(M: Rep, registry: SimpleRegistry, rng: random.Random) -> int:
+def socle_dim(M: Rep, registry: SimpleRegistry) -> int:
     """Dimension of the sum of all simple submodules."""
-    chop(M, registry, rng)  # make sure every relevant simple is registered
     cols = None
     for S in registry.simples:
         if S.dim > M.dim:

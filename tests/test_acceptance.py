@@ -269,11 +269,11 @@ def test_a7_cartesian(a1_covers, a2_covers, a3_cover):
         checked = 0
         for D in divisors:
             chi = oracle_euler_class(cover, D)
-            agree, _, _ = cartesian_check(chi, cd, cd2, cover.rng)
+            agree, _, _ = cartesian_check(chi, cd, cd2)
             assert agree, f"{label}, D={D!r}"
             checked += 1
         triv = chop(rep_trivial(cover.G, k), cover.registry, cover.rng)
-        agree, base, ext = cartesian_check(triv, cd, cd2, cover.rng)
+        agree, base, ext = cartesian_check(triv, cd, cd2)
         assert agree
         if wild:  # [trivial] over C_p is deliberately non-projective
             assert not base and not ext

@@ -302,10 +302,15 @@ def test_non_integer_scalar_exits_2_naming_key(tmp_path, capsys, make, path,
      "orbits[0].cotangent: expected an object"),
     (["orbits", 0, "cotangent", "value"], 100,
      "cotangent value must have order exactly e_t"),
+    (["orbits", 0, "cotangent", "value"], [11],
+     "orbits[0].cotangent.value[0]: digit 11 is outside range(7)"),
+    (["orbits", 0, "cotangent", "value"], [4, 9],
+     "orbits[0].cotangent.value: 2 digits for a residue field of degree 1"),
     (["group", "table"], 3, "group.table: expected a list of rows"),
     (["group", "table"], [5, 6, 7], "group.table[0]: expected a list"),
 ], ids=["inertia-out-of-range", "decomposition-int", "cotangent-list",
-        "cot-value-out-of-field", "table-int", "table-row-int"])
+        "cot-value-out-of-field", "cot-value-digit-past-p",
+        "cot-value-too-many-digits", "table-int", "table-row-int"])
 def test_malformed_abstract_data_exits_2_naming_key(tmp_path, capsys, path,
                                                     value, message):
     # malformed orbit lists, cotangent data and table rows exit 2 with a

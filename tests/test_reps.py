@@ -445,7 +445,7 @@ def test_cover_dimension_scaling():
             assert hom_dim(cov, S) == hom_dim(M, S)
 
 
-# -- Brauer vectors ---------------------------------------------------------------
+# -- Brauer vectors ------------------------------------------------------------
 
 
 def test_fingerprint_trivial_rep():
