@@ -228,7 +228,7 @@ def _cartesian_section(scn: Scenario, verdicts):
     k2 = field_make(k.p, 2 * k.n)
     registry2 = SimpleRegistry(cover.G, k2, cover.rng)
     cd_base = cover.main_cartan()
-    cd_ext = cartan_data(cover.G, k2, registry2, cover.rng)
+    cd_ext = cartan_data(cover.G, k2, registry2)
     rows = []
     classes = [("trivial", cover.registry.class_of(rep_trivial(cover.G, k)))]
     for i, D in enumerate(scn.divisors):

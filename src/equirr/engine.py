@@ -29,7 +29,8 @@ from .errors import Inconsistency, InputError
 from .fields import Field
 from .geometry import Divisor, P1Geometry, Place, RamificationDatum
 from .groups import FiniteGroup
-from .k0 import CartanData, cartan_data, in_cartan_image, is_projective_class
+from .k0 import (CartanData, cartan_coordinates, cartan_data, in_cartan_image,
+                 is_projective_class)
 from .reps import (ClassVector, Rep, SimpleRegistry, head_multiplicities,
                    is_projective, projective_cover_over_inertia, rep_induce,
                    rep_regular, rep_restrict)
@@ -81,7 +82,7 @@ class CoverData:
     def main_cartan(self) -> CartanData:
         if "cartan" not in self._caches:
             self._caches["cartan"] = cartan_data(self.G, self.k,
-                                                 self.registry, self.rng)
+                                                 self.registry)
         return self._caches["cartan"]
 
     def registry_for(self, group: FiniteGroup):
@@ -91,7 +92,7 @@ class CoverData:
         subs = self._caches.setdefault("sub_registries", {})
         if id(group) not in subs:
             reg = SimpleRegistry(group, self.k, self.rng)
-            cd = cartan_data(group, self.k, reg, self.rng)
+            cd = cartan_data(group, self.k, reg)
             subs[id(group)] = (reg, cd)
         return subs[id(group)]
 
@@ -309,13 +310,19 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
     induced = rep_induce(cov, gp_group, i_in_gp)
     reg_p, cartan_p = cover.registry_for(gp_group)
     head = head_multiplicities(induced, reg_p)
+    total = reg_p.class_of(induced)
+    # two routes to the multiplicities of the P_i: Hom into the simples,
+    # and the Cartan coordinates of the class
+    if cartan_coordinates(total, cartan_p) != [head[i] for i in sorted(head)]:
+        raise Inconsistency(
+            f"head multiplicities {head} at place {datum.place!r}, twist "
+            f"{d} are not the Cartan coordinates of the induced cover")
     bad = {i: m for i, m in head.items() if m % datum.f}
     if bad:
         raise Inconsistency(
             "divisibility certificate failed: head multiplicities "
             f"{bad} are not divisible by f={datum.f} at place "
             f"{datum.place!r}, twist {d}; full head data {head}")
-    total = reg_p.class_of(induced)
     divided = total.scale(Fraction(1, datum.f))
     if not divided.is_integral():
         raise Inconsistency("divided cover class is not integral")

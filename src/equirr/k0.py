@@ -5,14 +5,14 @@ Cartesian-diagram cross-check between a base field and an extension."""
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import Inconsistency, InputError
-from .fields import Field
+from .fields import Field, prime_factors
 from .groups import FiniteGroup
-from .reps import (ClassVector, Rep, SimpleRegistry, indecomposable_summands,
-                   regular_endomorphisms, rep_regular)
+from .reps import ClassVector, Rep, SimpleRegistry, rep_regular
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -97,70 +97,116 @@ def smith_normal_form(A):
 
 
 class CartanData:
-    """Projective-indecomposable classes and the Cartan matrix over one
-    (group, field, registry).  The Smith normal form U C V = D of the
-    Cartan matrix C is computed once; C must be nonsingular."""
+    """The Cartan matrix over one (group, field, registry), with its
+    columns as classes (the projective indecomposables P_j) and the
+    dimensions of the P_j.  The Smith normal form U C V = D of the Cartan
+    matrix C is computed once; C must be nonsingular."""
 
-    def __init__(self, group, field, registry, pim_reps, pim_classes,
-                 matrix):
+    def __init__(self, group, field, registry, matrix):
         self.group = group
         self.field = field
         self.registry = registry
-        self.pim_reps = pim_reps
-        self.pim_classes = pim_classes
         self.matrix = matrix  # matrix[i][j] = mult of simple i in PIM_j
         self.snf = smith_normal_form(matrix)
         _, D, _ = self.snf
         if any(D[i][i] == 0 for i in range(self.size)):
             raise Inconsistency("Cartan matrix is singular")
+        columns = [[row[j] for row in matrix] for j in range(self.size)]
+        self.pim_classes = [ClassVector(registry, col) for col in columns]
+        self.pim_dims = [sum(c * S.dim for c, S in zip(col, registry.simples))
+                         for col in columns]
 
     @property
     def size(self):
         return len(self.matrix)
 
-    def to_json(self):
-        return {"size": self.size,
-                "pim_dims": [p.dim for p in self.pim_reps],
-                "matrix": self.matrix}
+
+def _totient_mobius(n: int) -> tuple[int, int]:
+    phi, mu = n, 1
+    for p in prime_factors(n):
+        phi = phi // p * (p - 1)
+        mu = -mu if n % (p * p) else 0
+    return phi, mu
 
 
-def cartan_data(G: FiniteGroup, field: Field, registry: SimpleRegistry,
-                rng: random.Random) -> CartanData:
-    """PIMs from splitting the regular module, grouped by head; the Cartan
-    matrix collects their composition factors.  End(k[G]) comes from the
-    multiplication table, not from a Hom system."""
+def _galois_pairing(m: int) -> np.ndarray:
+    """The m x m integer matrix phi(m) * avg(zeta_m^(j - k)), where avg is
+    the average over the Galois group of Q(zeta_m)/Q.  zeta_m^d is a
+    primitive m'-th root of unity, m' = m / gcd(m, d), and the average of
+    those is mu(m') / phi(m'); phi(m') divides phi(m)."""
+    phi_m = _totient_mobius(m)[0]
+    row = []
+    for d in range(m):
+        phi, mu = _totient_mobius(m // math.gcd(m, d))
+        row.append(mu * (phi_m // phi))
+    return np.array([[row[(j - k) % m] for k in range(m)] for j in range(m)],
+                    dtype=np.int64)
+
+
+def cartan_data(G: FiniteGroup, field: Field,
+                registry: SimpleRegistry) -> CartanData:
+    """The Cartan matrix C = M^-1 diag(e), read off the Brauer characters
+    of the simples: no module is split and nothing is drawn at random.
+
+    Here e_i = dim End(S_i) and M_il = <phi_i, phi_l> = (1/|G|) sum over
+    the p-regular g of phi_i(g) phi_l(g^-1), for the Brauer characters
+    phi_i of the simples.  The characters Phi_j of the projective
+    indecomposables satisfy <Phi_j, phi_i> = e_i delta_ij: over a
+    splitting field the two families are dual bases (Serre, Linear
+    Representations of Finite Groups, Part III, section 18), and S_i splits
+    into e_i Galois conjugates.  With Phi_j = sum_i C_ij phi_i and M
+    symmetric, that is C^T M = diag(e).
+
+    Each class term lies in Q(zeta_m) and the sum is rational, so zeta_m^d
+    may be replaced by its Galois average: the sum is computed in integers
+    as |G| L M, L the lcm of phi(m) over the class orders m, and inverted
+    exactly through its Smith normal form.  C must be integral and
+    nonnegative with a positive diagonal, and the regular module must
+    decompose as k[G] = sum_j (dim S_j / e_j) P_j on classes."""
     if registry.group is not G or registry.field is not field:
         raise InputError("registry does not match the requested group")
-    reg = rep_regular(G, field)
-    s = len(registry)
-    by_head: dict[int, list[Rep]] = {}
-    ends = regular_endomorphisms(G, field)
-    for P, head in indecomposable_summands(reg, ends, registry, rng):
-        by_head.setdefault(head, []).append(P)
-    if set(by_head) != set(range(s)):
-        raise Inconsistency("some simple has no projective cover in k[G]")
-    pim_reps = []
-    for i, S in enumerate(registry.simples):
-        end_dim = registry.end_dim(i)
+    brauer = registry.brauer
+    vectors = registry.vectors
+    s = len(vectors)
+    L = math.lcm(*(_totient_mobius(m)[0] for m in brauer.orders))
+    gram = [[0] * s for _ in range(s)]  # |G| L M
+    pairings = {}
+    for c, (m, size) in enumerate(zip(brauer.orders, brauer.sizes)):
+        if m not in pairings:
+            pairings[m] = _galois_pairing(m)
+        B = np.array([v[c] for v in vectors], dtype=np.int64)
+        block = (B @ pairings[m] @ B.T).tolist()
+        weight = size * (L // _totient_mobius(m)[0])
+        for i in range(s):
+            for j in range(s):
+                gram[i][j] += weight * block[i][j]
+    U, D, V = smith_normal_form(gram)
+    if any(D[k][k] == 0 for k in range(s)):
+        raise Inconsistency("the Gram matrix of the simples' Brauer "
+                            "characters is singular")
+    e = [registry.end_dim(i) for i in range(s)]
+    # C = |G| L gram^-1 diag(e), with gram^-1 = V D^-1 U
+    exact = [[G.order * L * e[j]
+              * sum(Fraction(V[i][k] * U[k][j], D[k][k]) for k in range(s))
+              for j in range(s)] for i in range(s)]
+    if (any(c.denominator != 1 or c < 0 for row in exact for c in row)
+            or any(exact[i][i] < 1 for i in range(s))):
+        raise Inconsistency(
+            "the Cartan matrix read off the Brauer characters is not a "
+            "nonnegative integer matrix with a positive diagonal: "
+            f"{[[str(c) for c in row] for row in exact]}")
+    matrix = [[int(c) for c in row] for row in exact]
+    copies = []
+    for S, end_dim in zip(registry.simples, e):
         if S.dim % end_dim:
             raise Inconsistency("dim S is not a multiple of dim End(S)")
-        expected = S.dim // end_dim
-        if len(by_head[i]) != expected:
-            raise Inconsistency(
-                f"simple {i}: found {len(by_head[i])} covers in k[G], "
-                f"expected {expected}")
-        pim_reps.append(by_head[i][0])
-    pim_classes = [registry.class_of(P) for P in pim_reps]
-    matrix = [[int(pim_classes[j].coeff(i)) for j in range(s)]
-              for i in range(s)]
-    # Cartan columns of distinct heads must agree within each head group
-    for i in range(s):
-        ref = pim_classes[i]
-        for other in by_head[i][1:]:
-            if registry.class_of(other) != ref:
-                raise Inconsistency("covers with equal head have distinct "
-                                    "classes")
-    return CartanData(G, field, registry, pim_reps, pim_classes, matrix)
+        copies.append(S.dim // end_dim)
+    regular = [sum(n * row[j] for j, n in enumerate(copies))
+               for row in matrix]
+    if registry.class_of(rep_regular(G, field)).padded() != tuple(regular):
+        raise Inconsistency("k[G] is not the sum of dim S_j / dim End(S_j) "
+                            "copies of each P_j on classes")
+    return CartanData(G, field, registry, matrix)
 
 
 def cartan_coordinates(v: ClassVector, cd: CartanData) -> list[Fraction]:

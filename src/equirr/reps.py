@@ -9,8 +9,9 @@ style MeatAxe (random algebra elements, kernel vectors of
 characteristic-polynomial factors, submodule spinning, recursion on sub and
 quotient) and certifies simplicity before a factor is looked up.
 Direct-sum splitting (primary decomposition along random endomorphisms,
-each unsplit piece certified by its simple head) is kept separate and used
-only where projective indecomposables are genuinely needed.
+each unsplit piece certified by its simple head) is kept separate; the
+engine reads the Cartan matrix off Brauer characters instead, and the
+tests use the split as an independent cross-check of it.
 
 All randomized routines draw from an explicit random.Random so a run is
 reproducible from its seed.
@@ -420,13 +421,16 @@ class BrauerCharacters:
 
     The vector is additive on short exact sequences and the vectors of the
     simple modules are linearly independent, so it decides isomorphism of
-    simple modules and determines classes in G_0(k[G])."""
+    simple modules and determines classes in G_0(k[G]).  `orders` and
+    `sizes` give each p-regular class's element order and size, for the
+    inner products of k0.cartan_data."""
 
     def __init__(self, G: FiniteGroup, F: Field):
         regular = [c for c in conjugacy_classes(G)
                    if G.element_order(c[0]) % F.p]
         where = {x: i for i, c in enumerate(regular) for x in c}
         self.orders = [G.element_order(c[0]) for c in regular]
+        self.sizes = [len(c) for c in regular]
         # generators of maximal cyclic p'-subgroups, one per conjugacy
         # class: a class of largest order that no earlier generator's
         # powers meet generates a maximal one
@@ -508,6 +512,7 @@ class SimpleRegistry:
         self._simples: list[Rep] | None = None
         self._saturated = False
         self._index: dict[tuple, int] = {}
+        self._vectors: list[tuple] = []
         self._end_dims: dict[int, int] = {}
 
     @cached_property
@@ -528,7 +533,15 @@ class SimpleRegistry:
                       key=lambda b: (self._simples[self._index[b]].dim, b))
         self._simples = [self._simples[self._index[b]] for b in keys]
         self._index = {b: i for i, b in enumerate(keys)}
+        self._vectors = keys
         self._saturated = True
+
+    @property
+    def vectors(self) -> list[tuple]:
+        """The simples' Brauer vectors, in registry order."""
+        if self._simples is None:
+            self._saturate()
+        return self._vectors
 
     @property
     def log(self) -> list[dict]:
@@ -589,8 +602,8 @@ class SimpleRegistry:
         simples' Brauer vectors and the Mersenne prime P = 2^61 - 1.  B^T B
         is invertible mod P only if B has full column rank."""
         P = (1 << 61) - 1
-        B = np.array([[c for counts in self.brauer.vector(S) for c in counts]
-                      for S in self.simples], dtype=np.int64).T
+        B = np.array([[c for counts in key for c in counts]
+                      for key in self.vectors], dtype=np.int64).T
         gram_inv = _inverse_mod((B.T @ B).tolist(), P)
         if gram_inv is None:
             raise Inconsistency("the Brauer vectors of the simples are "
@@ -753,24 +766,22 @@ def indecomposable_summands(M: Rep, ends: list[Mat],
                     acc = acc + X.scale(c)
             yield acc
 
+    facs = []
     if len(ends) > 1:  # End(M) = k is local, so M is indecomposable
         for theta in combos():
-            if theta.is_zero():
-                continue
-            facs = poly_factor(theta.charpoly(), rng)
-            if len(facs) >= 2:
-                return _primary_split(M, theta, facs, registry, rng)
-    head = _simple_head(M, registry)
-    if head is None:
-        raise CapExceeded(
-            f"no endomorphism split a dim-{M.dim} module within "
-            f"SPLIT_ROUNDS = {SPLIT_ROUNDS} rounds and its head is not "
-            "simple; rerun with a different seed")
-    return [(M, head)]
-
-
-def _primary_split(M: Rep, theta: Mat, facs, registry,
-                   rng) -> list[tuple[Rep, int]]:
+            if not theta.is_zero():
+                facs = poly_factor(theta.charpoly(), rng)
+                if len(facs) >= 2:
+                    break
+    if len(facs) < 2:
+        head = _simple_head(M, registry)
+        if head is None:
+            raise CapExceeded(
+                f"no endomorphism split a dim-{M.dim} module within "
+                f"SPLIT_ROUNDS = {SPLIT_ROUNDS} rounds and its head is not "
+                "simple; rerun with a different seed")
+        return [(M, head)]
+    # the primary decomposition along theta
     kernels = [theta.eval_poly(f).pow_(m).nullspace() for f, m in facs]
     cuts = [0]
     for k in kernels:

@@ -1,11 +1,16 @@
 """Module-theoretic tools that only the tests use: an explicit-intertwiner
-isomorphism test and the socle dimension."""
+isomorphism test, the socle dimension and the Cartan matrix by splitting
+k[G] into projective indecomposables."""
 
 import random
 
-from equirr.errors import CapExceeded
+from equirr.errors import CapExceeded, Inconsistency
+from equirr.fields import Field
+from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
-from equirr.reps import Rep, SimpleRegistry, hom_dim, hom_space
+from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
+                         indecomposable_summands, regular_endomorphisms,
+                         rep_regular)
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
@@ -52,3 +57,30 @@ def socle_dim(M: Rep, registry: SimpleRegistry) -> int:
         for X in hom_space(S, M):
             cols = X if cols is None else cols.hstack(X)
     return 0 if cols is None else cols.rank()
+
+
+def split_cartan_matrix(G: FiniteGroup, F: Field, registry: SimpleRegistry,
+                        rng: random.Random) -> list[list[int]]:
+    """The Cartan matrix (entry [i][j] the multiplicity of S_i in P_j) from
+    splitting k[G] into indecomposable summands grouped by their simple
+    head; End(k[G]) comes from the multiplication table.  Every simple
+    must head dim S / dim End(S) summands, all with one class."""
+    by_head: dict[int, list[Rep]] = {}
+    ends = regular_endomorphisms(G, F)
+    for P, head in indecomposable_summands(rep_regular(G, F), ends,
+                                           registry, rng):
+        by_head.setdefault(head, []).append(P)
+    s = len(registry)
+    if set(by_head) != set(range(s)):
+        raise Inconsistency("some simple has no projective cover in k[G]")
+    classes = []
+    for i, S in enumerate(registry.simples):
+        if len(by_head[i]) != S.dim // registry.end_dim(i):
+            raise Inconsistency(f"simple {i}: found {len(by_head[i])} "
+                                "covers in k[G]")
+        found = {registry.class_of(P) for P in by_head[i]}
+        if len(found) != 1:
+            raise Inconsistency("covers with equal head have distinct "
+                                "classes")
+        classes.append(found.pop())
+    return [[int(classes[j].coeff(i)) for j in range(s)] for i in range(s)]

@@ -265,7 +265,7 @@ def test_a7_cartesian(a1_covers, a2_covers, a3_cover):
         k2 = field_make(k.p, 2 * k.n)
         reg2 = SimpleRegistry(cover.G, k2, cover.rng)
         cd = cover.main_cartan()
-        cd2 = cartan_data(cover.G, k2, reg2, cover.rng)
+        cd2 = cartan_data(cover.G, k2, reg2)
         checked = 0
         for D in divisors:
             chi = oracle_euler_class(cover, D)

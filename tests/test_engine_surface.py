@@ -17,6 +17,11 @@ KEPT = {
     "reps.rep_dual": "ROADMAP item 3 (Serre duality)",
     "geometry.fiber_character": "ROADMAP item 3 (fiber classes)",
     "reps.rep_tensor": "ROADMAP item 4 (E = O(D) tensor V)",
+    # the summand split: a tracer target and the tests' reference Cartan
+    "reps.indecomposable_summands": "perfbench tracer target; test-time "
+                                    "cross-check of the Brauer Cartan matrix",
+    "reps.regular_endomorphisms": "End(k[G]) for the test-time "
+                                  "cross-check of the Brauer Cartan matrix",
     # small utilities that tests use
     "fields.embed": "test_fields, test_matrices",
     "fields.Field.div": "test_fields",
