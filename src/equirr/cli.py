@@ -226,7 +226,7 @@ def _cartesian_section(scn: Scenario, verdicts):
     cover = scn.cover
     k = cover.k
     k2 = field_make(k.p, 2 * k.n)
-    registry2 = SimpleRegistry(cover.G, k2, cover.rng)
+    registry2 = SimpleRegistry.over_extension(cover.G, k2, cover.registry)
     cd_base = cover.main_cartan()
     cd_ext = cartan_data(cover.G, k2, registry2)
     rows = []

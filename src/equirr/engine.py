@@ -86,7 +86,8 @@ class CoverData:
         return self._caches["cartan"]
 
     def registry_for(self, group: FiniteGroup):
-        """(registry, cartan) for a materialized subgroup, cached."""
+        """(registry, cartan) for a materialized subgroup, cached; the
+        whole group materializes as G itself and gets the main pair."""
         if group is self.G:
             return self.registry, self.main_cartan()
         subs = self._caches.setdefault("sub_registries", {})

@@ -219,11 +219,14 @@ class FiniteGroup:
     def materialize_subgroup(self, indices) -> "FiniteGroup":
         """Subgroup on the given (closed) index set as its own FiniteGroup.
 
-        Cached per root-index set, so two routes to the same subgroup share
-        one object; element labels are root indices throughout.
+        The whole root group is the root itself.  Any other subgroup is
+        cached per root-index set, so two routes to the same subgroup share
+        one object; its element labels are root indices.
         """
         root = self.root
         root_set = frozenset(self.root_index[i] for i in indices)
+        if len(root_set) == root.order:
+            return root
         if root_set in root._subgroup_cache:
             return root._subgroup_cache[root_set]
         ordered = sorted(root_set)

@@ -5,6 +5,7 @@ Cartesian-diagram cross-check between a base field and an extension."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .errors import Inconsistency, InputError
 from .fields import Field, prime_factors
 from .groups import FiniteGroup
-from .reps import ClassVector, Rep, SimpleRegistry, rep_regular
+from .reps import ClassVector, SimpleRegistry, extend_scalars, rep_regular
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -160,9 +161,13 @@ def cartan_data(G: FiniteGroup, field: Field,
     Each class term lies in Q(zeta_m) and the sum is rational, so zeta_m^d
     may be replaced by its Galois average: the sum is computed in integers
     as |G| L M, L the lcm of phi(m) over the class orders m, and inverted
-    exactly through its Smith normal form.  C must be integral and
-    nonnegative with a positive diagonal, and the regular module must
-    decompose as k[G] = sum_j (dim S_j / e_j) P_j on classes."""
+    through its Smith normal form U (|G| L M) V = D, with integer sums over
+    the common denominator lcm(D_kk) and no fractions.  C must be integral
+    and nonnegative with a positive diagonal, the e_i must add up to the
+    number of p-regular classes (each S_i (x) k-bar is the sum of e_i
+    Galois conjugate absolutely simple modules, and Brauer counts those by
+    the p-regular classes), and the regular module must decompose as
+    k[G] = sum_j (dim S_j / e_j) P_j on classes."""
     if registry.group is not G or registry.field is not field:
         raise InputError("registry does not match the requested group")
     brauer = registry.brauer
@@ -185,17 +190,24 @@ def cartan_data(G: FiniteGroup, field: Field,
         raise Inconsistency("the Gram matrix of the simples' Brauer "
                             "characters is singular")
     e = [registry.end_dim(i) for i in range(s)]
-    # C = |G| L gram^-1 diag(e), with gram^-1 = V D^-1 U
-    exact = [[G.order * L * e[j]
-              * sum(Fraction(V[i][k] * U[k][j], D[k][k]) for k in range(s))
-              for j in range(s)] for i in range(s)]
-    if (any(c.denominator != 1 or c < 0 for row in exact for c in row)
-            or any(exact[i][i] < 1 for i in range(s))):
+    # C = |G| L gram^-1 diag(e) with gram^-1 = V D^-1 U, in integers over
+    # the common denominator den = lcm(D_kk): C = num / den
+    den = math.lcm(*(D[k][k] for k in range(s)))
+    VD = [[V[i][k] * (den // D[k][k]) for k in range(s)] for i in range(s)]
+    U_cols = list(zip(*U))
+    num = [[G.order * L * e[j] * sum(map(operator.mul, row, U_cols[j]))
+            for j in range(s)] for row in VD]
+    if (any(c % den or c < 0 for row in num for c in row)
+            or any(num[i][i] < den for i in range(s))):
         raise Inconsistency(
             "the Cartan matrix read off the Brauer characters is not a "
             "nonnegative integer matrix with a positive diagonal: "
-            f"{[[str(c) for c in row] for row in exact]}")
-    matrix = [[int(c) for c in row] for row in exact]
+            f"{[[str(Fraction(c, den)) for c in row] for row in num]}")
+    matrix = [[c // den for c in row] for row in num]
+    if sum(e) != len(brauer.orders):
+        raise Inconsistency(
+            f"the dims of End(S_i) add up to {sum(e)}, not to the "
+            f"{len(brauer.orders)} p-regular classes")
     copies = []
     for S, end_dim in zip(registry.simples, e):
         if S.dim % end_dim:
@@ -245,16 +257,6 @@ def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
 
 
 # -- scalar extension -----------------------------------------------------------
-
-
-def extend_scalars(M: Rep, target: Field) -> Rep:
-    """Same matrices with entries pushed through the canonical embedding;
-    realizes the base-change map on classes at a finite level."""
-    if target.p != M.field.p or target.n % M.field.n != 0:
-        raise InputError("target is not an extension of the module's field")
-    images = {t: M.gen_image(t).map_field(target)
-              for t in range(len(M.group.generators))}
-    return Rep(M.group, target, M.dim, images)
 
 
 def beta_vector(v: ClassVector, registry2: SimpleRegistry) -> ClassVector:

@@ -45,7 +45,7 @@ def subgroup_to_parent(H: Subgroup) -> list[int]:
     """Map position in H.as_group() to index in H.parent."""
     Hg = H.as_group()
     parent_pos = {r: i for i, r in enumerate(H.parent.root_index)}
-    return [parent_pos[r] for r in Hg.labels]
+    return [parent_pos[r] for r in Hg.root_index]
 
 
 class Rep:
@@ -172,6 +172,20 @@ def rep_direct_sum(M: Rep, N: Rep) -> Rep:
         a[M.dim:, M.dim:] = N.gen_image(t).a
         images[t] = Mat(F, a)
     return Rep(M.group, F, M.dim + N.dim, images)
+
+
+def extend_scalars(M: Rep, target: Field) -> Rep:
+    """Same matrices with entries pushed through the canonical embedding;
+    realizes the base-change map on classes at a finite level."""
+    _check_extension(M.field, target)
+    images = {t: M.gen_image(t).map_field(target)
+              for t in range(len(M.group.generators))}
+    return Rep(M.group, target, M.dim, images)
+
+
+def _check_extension(base: Field, target: Field):
+    if target.p != base.p or target.n % base.n != 0:
+        raise InputError(f"{target} is not an extension of {base}")
 
 
 def _check_compatible(M: Rep, N: Rep):
@@ -495,25 +509,45 @@ class BrauerCharacters:
 class SimpleRegistry:
     """The simple modules over one (group, field), in canonical order.
 
-    On first use the registry chops k[G] once with its random source: every
-    simple module is a composition factor of the regular module, so that
-    one chop discovers them all.  find_or_add keys simples by their Brauer
+    On first use the registry finds its simples with one chop of k[G] and
+    its random source: every simple module is a composition factor of the
+    regular module.  A registry made by over_extension chops instead the
+    base simples with scalars extended, which is the same set of factors
+    at a fraction of the size.  find_or_add keys simples by their Brauer
     vector, which non-isomorphic simples never share, and the simples are
     then sorted by (dim, Brauer vector).  The order, the log and every
     class vector are therefore functions of the group and the field, not
-    of the MeatAxe's random draws.  class_of reads the class of any module
-    off its Brauer vector, with no chop."""
+    of the MeatAxe's random draws or of the modules chopped.  class_of
+    reads the class of any module off its Brauer vector, with no chop."""
 
     def __init__(self, group: FiniteGroup, field: Field,
                  rng: random.Random):
         self.group = group
         self.field = field
         self._rng = rng
+        self._base: SimpleRegistry | None = None
         self._simples: list[Rep] | None = None
         self._saturated = False
         self._index: dict[tuple, int] = {}
         self._vectors: list[tuple] = []
         self._end_dims: dict[int, int] = {}
+
+    @classmethod
+    def over_extension(cls, group: FiniteGroup, field: Field,
+                       base: "SimpleRegistry") -> "SimpleRegistry":
+        """The registry over an extension field of base.field, saturated
+        from the simples of base with base's random source.
+
+        k'[G] = k[G] (x) k' and extending scalars is exact, so every simple
+        k'[G]-module is a composition factor of some S (x) k' with S simple
+        over k[G].  A missing simple would still be caught: k0.cartan_data
+        reads the class of k'[G] off the registry and checks it."""
+        if base.group is not group:
+            raise InputError("the base registry is over another group")
+        _check_extension(base.field, field)
+        registry = cls(group, field, base._rng)
+        registry._base = base
+        return registry
 
     @cached_property
     def brauer(self) -> BrauerCharacters:
@@ -527,8 +561,14 @@ class SimpleRegistry:
 
     def _saturate(self):
         self.brauer  # an ambient field past TABLE_LIMIT fails before the chop
-        self._simples = []  # filled by find_or_add during the chop
-        chop(rep_regular(self.group, self.field), self, self._rng)
+        if self._base is None:
+            sources = [rep_regular(self.group, self.field)]
+        else:
+            sources = [extend_scalars(S, self.field)
+                       for S in self._base.simples]
+        self._simples = []  # filled by find_or_add during the chops
+        for M in sources:
+            chop(M, self, self._rng)
         keys = sorted(self._index,
                       key=lambda b: (self._simples[self._index[b]].dim, b))
         self._simples = [self._simples[self._index[b]] for b in keys]

@@ -17,11 +17,11 @@ from equirr.cli import main
 from equirr.errors import CapExceeded, Inconsistency
 from equirr.fields import Poly, field_make
 from equirr.groups import FiniteGroup, conjugacy_classes
-from equirr.k0 import extend_scalars
 from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, SimpleRegistry, chop,
-                         rep_direct_sum, rep_induce, rep_regular, rep_trivial,
-                         spin_columns, split_on_submodule)
+                         extend_scalars, rep_direct_sum, rep_induce,
+                         rep_regular, rep_trivial, spin_columns,
+                         split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

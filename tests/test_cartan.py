@@ -163,3 +163,18 @@ def test_cartan_data_draws_nothing_and_splits_nothing(monkeypatch, n):
     cartan_data(G, F, reg)
     assert draws.getstate() == state
     assert calls == []
+
+
+def test_end_dims_must_count_the_p_regular_classes(monkeypatch):
+    # over GF(3) the first 3-dimensional simple of PGL2(GF(3)) has
+    # End = k; taking 3 for it scales its Cartan column by 3, which every
+    # other check tolerates, but the e_i then add up to 6, not to the 4
+    # p-regular classes
+    G, F = pgl2_gf3(), field_make(3, 1)
+    reg = SimpleRegistry(G, F, random.Random(0))
+    assert [S.dim for S in reg.simples] == [1, 1, 3, 3]
+    real = SimpleRegistry.end_dim
+    monkeypatch.setattr(SimpleRegistry, "end_dim",
+                        lambda self, i: 3 if i == 2 else real(self, i))
+    with pytest.raises(Inconsistency, match="4 p-regular classes"):
+        cartan_data(G, F, reg)

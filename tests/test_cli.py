@@ -378,3 +378,16 @@ def test_divisibility_certificate_runs_once_per_place_and_twist(
     assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
     pairs = [(id(datum), d) for _cover, datum, d in calls]
     assert len(pairs) == len(set(pairs)) == 4
+
+
+@pytest.mark.parametrize("command,saturations", [("euler", 1), ("check", 2)])
+def test_whole_decomposition_group_reuses_the_main_registry(
+        monkeypatch, command, saturations):
+    # G_P = G at 0 and infinity: registry_for hands back the main registry,
+    # so euler saturates one registry (G over GF(7)) and check one more
+    # (G over GF(49), from the GF(7) simples)
+    scn = shipped("a2_kummer_gf7_m3.json")
+    calls = record_calls(monkeypatch, reps.SimpleRegistry, "_saturate")
+    assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
+    assert [(reg.group, reg.field.q) for reg, in calls] == (
+        [(scn.group, 7), (scn.group, 49)][:saturations])

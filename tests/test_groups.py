@@ -8,6 +8,7 @@ from equirr.fields import field_make
 from equirr.groups import (FiniteGroup, Subgroup, conjugacy_classes, cosets,
                            pgl2_normalize, schur_zassenhaus_complement,
                            sylow_p)
+from equirr.reps import subgroup_to_parent
 
 
 def s3_table():
@@ -164,6 +165,15 @@ def test_materialize_subgroup_cached_and_consistent():
     # subgroup of a materialized subgroup resolves against the same root
     inner = Subgroup(g1, range(g1.order), check=False)
     assert inner.in_subgroup_of(g1).indices == inner.indices
+
+
+def test_whole_group_materializes_as_itself():
+    S3 = FiniteGroup.from_table(s3_table())
+    whole = Subgroup(S3, range(S3.order))
+    assert whole.as_group() is S3
+    assert subgroup_to_parent(whole) == list(range(S3.order))
+    H = sylow_p(S3, 3).as_group()
+    assert Subgroup(H, range(H.order)).as_group() is H
 
 
 def test_subgroup_closure_validation():

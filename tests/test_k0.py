@@ -8,11 +8,10 @@ from equirr.errors import Inconsistency
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
 from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
-                       cartan_data, cartesian_check, extend_scalars,
-                       in_cartan_image, is_projective_class,
-                       smith_normal_form)
+                       cartan_data, cartesian_check, in_cartan_image,
+                       is_projective_class, smith_normal_form)
 from equirr.matrices import Mat
-from equirr.reps import (Rep, SimpleRegistry, chop, hom_dim,
+from equirr.reps import (Rep, SimpleRegistry, chop, extend_scalars, hom_dim,
                          rep_regular, rep_trivial)
 from reptools import socle_dim
 
