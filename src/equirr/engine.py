@@ -33,7 +33,7 @@ from .k0 import (CartanData, cartan_coordinates, cartan_data, in_cartan_image,
                  is_projective_class)
 from .reps import (ClassVector, Rep, SimpleRegistry, head_multiplicities,
                    is_projective, projective_cover_over_inertia, rep_induce,
-                   rep_regular, rep_restrict)
+                   rep_restrict)
 
 
 @dataclass
@@ -74,10 +74,7 @@ class CoverData:
     # -- shared classes ------------------------------------------------------
 
     def regular_class(self) -> ClassVector:
-        if "regular" not in self._caches:
-            self._caches["regular"] = self.registry.class_of(
-                rep_regular(self.G, self.k))
-        return self._caches["regular"]
+        return self.registry.regular_class()
 
     def main_cartan(self) -> CartanData:
         if "cartan" not in self._caches:

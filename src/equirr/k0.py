@@ -13,7 +13,7 @@ import numpy as np
 from .errors import Inconsistency, InputError
 from .fields import Field, prime_factors
 from .groups import FiniteGroup
-from .reps import ClassVector, SimpleRegistry, extend_scalars, rep_regular
+from .reps import ClassVector, SimpleRegistry, extend_scalars
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -167,7 +167,10 @@ def cartan_data(G: FiniteGroup, field: Field,
     number of p-regular classes (each S_i (x) k-bar is the sum of e_i
     Galois conjugate absolutely simple modules, and Brauer counts those by
     the p-regular classes), and the regular module must decompose as
-    k[G] = sum_j (dim S_j / e_j) P_j on classes."""
+    k[G] = sum_j (dim S_j / e_j) P_j on classes.  That regular identity
+    checks that the registry is complete.  The class of k[G] is solved
+    from its closed-form Brauer vector (SimpleRegistry.regular_class), so
+    the check builds no matrix of k[G]."""
     if registry.group is not G or registry.field is not field:
         raise InputError("registry does not match the requested group")
     brauer = registry.brauer
@@ -215,7 +218,7 @@ def cartan_data(G: FiniteGroup, field: Field,
         copies.append(S.dim // end_dim)
     regular = [sum(n * row[j] for j, n in enumerate(copies))
                for row in matrix]
-    if registry.class_of(rep_regular(G, field)).padded() != tuple(regular):
+    if registry.regular_class().padded() != tuple(regular):
         raise Inconsistency("k[G] is not the sum of dim S_j / dim End(S_j) "
                             "copies of each P_j on classes")
     return CartanData(G, field, registry, matrix)

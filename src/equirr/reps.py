@@ -443,6 +443,7 @@ class BrauerCharacters:
         regular = [c for c in conjugacy_classes(G)
                    if G.element_order(c[0]) % F.p]
         where = {x: i for i, c in enumerate(regular) for x in c}
+        self.group_order = G.order
         self.orders = [G.element_order(c[0]) for c in regular]
         self.sizes = [len(c) for c in regular]
         # generators of maximal cyclic p'-subgroups, one per conjugacy
@@ -502,6 +503,12 @@ class BrauerCharacters:
             out.append(tuple(counts))
         return tuple(out)
 
+    def regular_vector(self) -> tuple[tuple[int, ...], ...]:
+        """The vector of k[G] in closed form, with no matrix: restricted to
+        <g> with g of order m, k[G] is free of rank |G|/m, so each zeta_m^j
+        has multiplicity |G|/m."""
+        return tuple((self.group_order // m,) * m for m in self.orders)
+
 
 # -- registry and class vectors ----------------------------------------------
 
@@ -509,16 +516,22 @@ class BrauerCharacters:
 class SimpleRegistry:
     """The simple modules over one (group, field), in canonical order.
 
-    On first use the registry finds its simples with one chop of k[G] and
-    its random source: every simple module is a composition factor of the
-    regular module.  A registry made by over_extension chops instead the
-    base simples with scalars extended, which is the same set of factors
-    at a fraction of the size.  find_or_add keys simples by their Brauer
+    On first use the registry finds its simples with one chop of the
+    permutation module Ind_P^G(k) on the cosets of a Sylow p-subgroup P,
+    of dimension |G:P|, and its random source.  That is every simple
+    module: k[P] has |P| trivial composition factors and induction is
+    exact, so k[G] = Ind_P^G k[P] has a filtration with |P| factors
+    Ind_P^G(k), and every composition factor of k[G] is one of
+    Ind_P^G(k).  (When p does not divide |G|, P = 1 and the module is k[G]
+    itself.)  A registry made by over_extension chops instead the base
+    simples with scalars extended, which is the same set of factors at a
+    fraction of the size.  find_or_add keys simples by their Brauer
     vector, which non-isomorphic simples never share, and the simples are
     then sorted by (dim, Brauer vector).  The order, the log and every
     class vector are therefore functions of the group and the field, not
     of the MeatAxe's random draws or of the modules chopped.  class_of
-    reads the class of any module off its Brauer vector, with no chop."""
+    reads the class of any module off its Brauer vector, with no chop, and
+    regular_class the class of k[G] off its closed-form vector."""
 
     def __init__(self, group: FiniteGroup, field: Field,
                  rng: random.Random):
@@ -562,7 +575,9 @@ class SimpleRegistry:
     def _saturate(self):
         self.brauer  # an ambient field past TABLE_LIMIT fails before the chop
         if self._base is None:
-            sources = [rep_regular(self.group, self.field)]
+            P = sylow_p(self.group, self.field.p)
+            sources = [rep_induce(rep_trivial(P.as_group(), self.field),
+                                  self.group, P)]
         else:
             sources = [extend_scalars(S, self.field)
                        for S in self._base.simples]
@@ -605,7 +620,8 @@ class SimpleRegistry:
         if key not in self._index:
             if self._saturated:
                 raise Inconsistency(f"a dim-{S.dim} simple module is not a "
-                                    "composition factor of k[G]")
+                                    "composition factor of Ind_P^G(k) for "
+                                    "a Sylow p-subgroup P")
             self._index[key] = len(simples)
             simples.append(S)
         return self._index[key]
@@ -623,16 +639,23 @@ class SimpleRegistry:
         solution has entries at most dim M < P, so it is its own residue."""
         if M.group is not self.group or M.field is not self.field:
             raise InputError("module and registry are over different data")
+        return self._solve(self.brauer.vector(M), M.dim)
+
+    def regular_class(self) -> "ClassVector":
+        """The class of k[G], solved and checked as class_of does, from
+        BrauerCharacters.regular_vector: no matrix of k[G] is built."""
+        return self._solve(self.brauer.regular_vector(), self.group.order)
+
+    def _solve(self, vector, dim: int) -> "ClassVector":
         B, gram_inv, P = self._solver
-        b = np.array([c for counts in self.brauer.vector(M) for c in counts],
-                     dtype=np.int64)
+        b = np.array([c for counts in vector for c in counts], dtype=np.int64)
         rhs = (B.T @ b).tolist()
         x = [sum(a * c for a, c in zip(row, rhs)) % P for row in gram_inv]
-        if (any(c > M.dim for c in x)
+        if (any(c > dim for c in x)
                 or not np.array_equal(B @ np.array(x, dtype=np.int64), b)
-                or sum(c * S.dim for c, S in zip(x, self.simples)) != M.dim):
+                or sum(c * S.dim for c, S in zip(x, self.simples)) != dim):
             raise Inconsistency(
-                f"the Brauer vector of a dim-{M.dim} module is no "
+                f"the Brauer vector of a dim-{dim} module is no "
                 "nonnegative integral combination of the simples' vectors")
         return ClassVector(self, x)
 

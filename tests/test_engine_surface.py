@@ -22,6 +22,7 @@ KEPT = {
                                     "cross-check of the Brauer Cartan matrix",
     "reps.regular_endomorphisms": "End(k[G]) for the test-time "
                                   "cross-check of the Brauer Cartan matrix",
+    "reps.rep_regular": "tests' reference k[G]",
     # small utilities that tests use
     "fields.embed": "test_fields, test_matrices",
     "fields.Field.div": "test_fields",
