@@ -384,7 +384,9 @@ class P1Geometry:
         self._root_cache: dict[Place, int] = {}
         self._datum_cache: dict[Place, RamificationDatum] = {}
         self._mobius_cache: dict[tuple[int, Place], Place] = {}
+        self._orbit_cache: dict[Place, list[Place]] = {}
         self._ramified: list[Place] | None = None
+        self._ramified_orbits: list[list[Place]] | None = None
 
     # -- points -------------------------------------------------------------
 
@@ -464,8 +466,15 @@ class P1Geometry:
         return self._mobius_cache[key]
 
     def orbit_of_place(self, P: Place) -> list[Place]:
-        out = {self.mobius_on_place(s, P) for s in range(self.G.order)}
-        return sorted(out, key=Place.sort_key)
+        """G.P sorted by `Place.sort_key`; computed once and cached under
+        every member, so callers share the list and must not mutate it."""
+        if P not in self._orbit_cache:
+            orbit = sorted({self.mobius_on_place(s, P)
+                            for s in range(self.G.order)},
+                           key=Place.sort_key)
+            for Q in orbit:
+                self._orbit_cache[Q] = orbit
+        return self._orbit_cache[P]
 
     def divisor_is_equivariant(self, D: Divisor):
         """(True, None) or (False, offending orbit)."""
@@ -502,15 +511,19 @@ class P1Geometry:
         return self._ramified
 
     def ramified_orbits(self) -> list[list[Place]]:
-        seen = set()
-        orbits = []
-        for P in self.ramified_places():
-            if P in seen:
-                continue
-            orb = self.orbit_of_place(P)
-            seen.update(orb)
-            orbits.append(orb)
-        return orbits
+        """The orbits of the ramified places, in the order of their first
+        members; computed once (callers must not mutate the lists)."""
+        if self._ramified_orbits is None:
+            seen = set()
+            orbits = []
+            for P in self.ramified_places():
+                if P in seen:
+                    continue
+                orb = self.orbit_of_place(P)
+                seen.update(orb)
+                orbits.append(orb)
+            self._ramified_orbits = orbits
+        return self._ramified_orbits
 
     def _contact_order(self, sigma: int, alpha) -> int:
         """i(sigma) = v_Q(sigma.t - t) at the fixed geometric point."""
@@ -684,9 +697,10 @@ class P1Geometry:
     # -- Riemann-Roch spaces -----------------------------------------------------
 
     def rr_space_basis(self, D: Divisor) -> list[RatFunc]:
-        """Partial-fraction basis of L(D) = {f : div f + D >= 0}; genus 0,
-        so the dimension is deg D + 1 once deg D >= 0 and H^1 vanishes for
-        deg D >= -1."""
+        """The basis f_j = u x^j (j = 0..deg D, u = `_rr_generator(D)`) of
+        L(D) = {f : div f + D >= 0}, each element checked to lie in L(D);
+        genus 0, so the dimension is deg D + 1 once deg D >= 0 and H^1
+        vanishes for deg D >= -1."""
         k = self.k
         deg_d = D.degree()
         if deg_d < -1:
@@ -737,33 +751,47 @@ class P1Geometry:
                     f"basis element violates the divisor bound at {P!r}")
 
     def rr_action_rep(self, D: Divisor) -> Rep:
-        """Matrices of f -> f o sigma^{-1} on the partial-fraction basis;
-        certified a homomorphism on generator pairs.  Non-equivariant
-        divisors are rejected, never symmetrized."""
+        """Matrices of f -> f o sigma^{-1} on the basis f_j = u x^j of
+        `rr_space_basis`; certified a homomorphism on generator pairs.
+        Non-equivariant divisors are rejected, never symmetrized.
+
+        Column j holds the coefficients of w_j = (f_j o sigma^{-1}) / u, a
+        polynomial of degree <= d = deg D.  With sigma^{-1} = (A, B, C, D')
+        it follows the two-term recurrence
+
+            w_0 = (u o sigma^{-1}) / u,   w_j = w_{j-1} (A x + B) / (C x + D'),
+
+        one Mobius substitution per generator, then one linear product and
+        one synthetic division per column.  Three exact checks together say
+        that every moved basis element stays in L(D): w_0 is a polynomial,
+        each division leaves remainder zero, and deg w_j <= d."""
         ok, orbit = self.divisor_is_equivariant(D)
         if not ok:
             raise InputError(
                 "divisor is not equivariant; offending orbit: "
                 + ", ".join(repr(p) for p in orbit))
-        basis = self.rr_space_basis(D)
-        dim = len(basis)
+        dim = len(self.rr_space_basis(D))
         k = self.k
-        deg_d = D.degree()
         u = self._rr_generator(D)
+        left = "moved basis element left the Riemann-Roch space"
         images = {}
         for t, g in enumerate(self.G.generators):
-            ginv = self.G.inverse[g]
-            A, B, C, Dd = self.G.labels[ginv]
+            A, B, C, Dd = self.G.labels[self.G.inverse[g]]
             cols = []
-            for f in basis:
-                moved = f.compose_mobius(A, B, C, Dd)
-                w = moved / u
-                if w.den.degree != 0 or w.den.leading() != 1:
-                    raise Inconsistency("moved basis element left the "
-                                        "Riemann-Roch space")
-                coeffs = list(w.num.coeffs) + [0] * (deg_d + 1
-                                                     - len(w.num.coeffs))
-                cols.append(coeffs)
+            if dim:
+                w0 = u.compose_mobius(A, B, C, Dd) / u
+                if w0.den.degree != 0 or w0.den.leading() != 1:
+                    raise Inconsistency(left)
+                w = w0.num
+                top, bottom = Poly(k, [B, A]), Poly(k, [Dd, C])
+            for j in range(dim):
+                if j:
+                    w, rem = (w * top).divmod(bottom)
+                    if not rem.is_zero():
+                        raise Inconsistency(left)
+                if w.degree >= dim:  # deg w_j > deg D
+                    raise Inconsistency(left)
+                cols.append(list(w.coeffs) + [0] * (dim - len(w.coeffs)))
             rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
             images[t] = Mat.from_rows(k, rows)
         rep = Rep(self.G, k, dim, images)

@@ -1,11 +1,13 @@
 """Module-theoretic tools that only the tests use: an explicit-intertwiner
-isomorphism test, the socle dimension and the Cartan matrix by splitting
-k[G] into projective indecomposables."""
+isomorphism test, the socle dimension, the Cartan matrix by splitting
+k[G] into projective indecomposables, and the Riemann-Roch action by
+moving every basis function on its own."""
 
 import random
 
 from equirr.errors import CapExceeded, Inconsistency
-from equirr.fields import Field
+from equirr.fields import Field, Poly
+from equirr.geometry import Divisor, P1Geometry
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
@@ -84,3 +86,26 @@ def split_cartan_matrix(G: FiniteGroup, F: Field, registry: SimpleRegistry,
                                 "classes")
         classes.append(found.pop())
     return [[int(classes[j].coeff(i)) for j in range(s)] for i in range(s)]
+
+
+def reference_rr_action(geo: P1Geometry, D: Divisor) -> list[Mat]:
+    """The matrix of each generator of G on L(D) by the direct route: every
+    basis function f_j = u x^j is composed with sigma^{-1} and divided by
+    u, and what is left must be a polynomial of degree <= deg D, read off
+    as column j."""
+    basis = geo.rr_space_basis(D)
+    dim = len(basis)
+    u = geo._rr_generator(D)
+    G = geo.G
+    out = []
+    for g in G.generators:
+        A, B, C, Dd = G.labels[G.inverse[g]]
+        cols = []
+        for f in basis:
+            w = f.compose_mobius(A, B, C, Dd) / u
+            if w.den != Poly.one(geo.k) or w.num.degree >= dim:
+                raise Inconsistency("moved basis element left L(D)")
+            cols.append(list(w.num.coeffs) + [0] * (dim - len(w.num.coeffs)))
+        out.append(Mat.from_rows(geo.k, [[cols[j][i] for j in range(dim)]
+                                         for i in range(dim)]))
+    return out
