@@ -263,14 +263,12 @@ def _summary(report: dict) -> str:
 RUNNERS = {"analyze": run_analyze, "euler": run_euler, "check": run_check}
 
 
-def _run_one(command: str, path: str, seed_override, mode_override) -> dict:
+def _run_one(command: str, path: str, seed_override) -> dict:
     text = Path(path).read_text() if path != "-" else sys.stdin.read()
     cfg = parse_scenario(text)
     if seed_override is not None:
         cfg.seed = seed_override
         cfg.raw["seed"] = seed_override
-    if mode_override is not None and mode_override != cfg.mode:
-        raise InputError("mode override disagrees with the scenario file")
     scn = realize(cfg)
     return RUNNERS[command](scn)
 
@@ -293,7 +291,7 @@ def run_suite(paths, golden_path, seed_override) -> int:
         name = Path(path).name
         for command in ("analyze", "euler", "check"):
             try:
-                report = _run_one(command, path, seed_override, None)
+                report = _run_one(command, path, seed_override)
             except InputError as e:
                 print(f"{name} {command}: INPUT ERROR ({e})")
                 worst = max(worst, 2)
@@ -327,7 +325,7 @@ def make_golden(paths, out_path) -> None:
         name = Path(path).name
         manifest[name] = {}
         for command in ("analyze", "euler", "check"):
-            report = _run_one(command, path, None, None)
+            report = _run_one(command, path, None)
             manifest[name][command] = report["canonical_hash"]
     Path(out_path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
@@ -343,8 +341,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", dest="json_out", default=None,
                        help="write the full JSON report here")
-        p.add_argument("--mode", choices=["oracle", "abstract"],
-                       default=None)
     p = sub.add_parser("suite")
     p.add_argument("scenarios", nargs="+")
     p.add_argument("--golden", default=None,
@@ -361,7 +357,7 @@ def main(argv=None) -> int:
                 print(f"wrote {args.write_golden}")
                 return 0
             return run_suite(args.scenarios, args.golden, args.seed)
-        report = _run_one(args.command, args.scenario, args.seed, args.mode)
+        report = _run_one(args.command, args.scenario, args.seed)
         print(_summary(report))
         if args.json_out:
             Path(args.json_out).write_text(

@@ -1,10 +1,12 @@
-"""Exact arithmetic for finite fields GF(p^n), univariate polynomials and
-rational functions.
+"""Exact arithmetic for finite fields GF(p^n) and univariate polynomials.
 
 Field elements are encoded as plain ints in [0, q): the base-p digits of the
 encoding, least significant first, are the coefficients of the representative
 polynomial in the canonical generator.  For the prime field the encoding is
-the residue itself.
+the residue itself.  A rational function on the line is kept by its user
+as a (numerator, denominator) pair of Poly: Poly.multiplicity gives its
+valuations at finite places, and Poly.mobius_numerator the numerators left
+by a substitution x -> (a x + b)/(c x + d).
 
 Scalar arithmetic reads plain Python lists built once per field: a doubled
 exp list (g^k for 0 <= k < 2(q - 1), so a sum of two logs needs no
@@ -551,6 +553,34 @@ class Poly:
             acc = add(mul(acc, a), c)
         return acc
 
+    def multiplicity(self, pi: "Poly") -> int:
+        """Largest m with pi^m dividing self; self is nonzero and pi is
+        not constant."""
+        if self.is_zero() or pi.degree < 1:
+            raise InputError("multiplicity needs a nonzero polynomial and a "
+                             "nonconstant factor")
+        f, m = self, 0
+        while True:
+            quo, rem = f.divmod(pi)
+            if not rem.is_zero():
+                return m
+            f, m = quo, m + 1
+
+    def mobius_numerator(self, a: int, b: int, c: int, d: int) -> "Poly":
+        """(c x + d)^m f((a x + b)/(c x + d)) for f = self of degree m: the
+        numerator left by the substitution, by Horner's rule with the
+        powers of c x + d carried along."""
+        F = self.field
+        top, bottom = Poly(F, [b, a]), Poly(F, [d, c])
+        acc = Poly._new(F, list(self.coeffs[-1:]))
+        power = Poly.one(F)
+        for ci in reversed(self.coeffs[:-1]):
+            power = power * bottom
+            acc = acc * top
+            if ci:
+                acc = acc + power.scale(ci)
+        return acc
+
     def derivative(self) -> "Poly":
         F = self.field
         mul, p = F.mul, F.p
@@ -703,125 +733,3 @@ def poly_roots(f: Poly, rng: random.Random | None = None) -> list[int]:
         if g.degree == 1:
             out.extend([f.field.neg(g.coeffs[0])] * mult)
     return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-
-
-class RatFunc:
-    """Reduced fraction of polynomials: gcd(num, den) = 1, den monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        F = num.field
-        if num.is_zero():
-            self.num = num
-            self.den = Poly.one(F)
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading()
-        if lead != 1:
-            inv = F.inv(lead)
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, f: Poly):
-        return cls(f, Poly.one(f.field))
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, RatFunc) and self.num == other.num
-                and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def evaluate(self, a: int):
-        """Value at x = a, or None at a pole."""
-        d = self.den.evaluate(a)
-        if d == 0:
-            return None
-        F = self.field
-        return F.mul(self.num.evaluate(a), F.inv(d))
-
-    def valuation_at(self, pi: Poly) -> int:
-        """Order at the finite place given by monic irreducible pi."""
-        if self.is_zero():
-            raise ZeroDivisionError("valuation of zero function")
-        return _multiplicity(self.num, pi) - _multiplicity(self.den, pi)
-
-    def valuation_at_infinity(self) -> int:
-        if self.is_zero():
-            raise ZeroDivisionError("valuation of zero function")
-        return self.den.degree - self.num.degree
-
-    def compose_mobius(self, a: int, b: int, c: int, d: int) -> "RatFunc":
-        """Substitute x -> (a x + b)/(c x + d) and clear denominators."""
-        F = self.field
-        P = Poly(F, [b, a])
-        Q = Poly(F, [d, c])
-        m = max(self.num.degree, self.den.degree, 0)
-        pow_p = [Poly.one(F)]
-        pow_q = [Poly.one(F)]
-        for _ in range(m):
-            pow_p.append(pow_p[-1] * P)
-            pow_q.append(pow_q[-1] * Q)
-
-        def homog(f):
-            acc = Poly.zero(F)
-            for i, ci in enumerate(f.coeffs):
-                if ci:
-                    acc = acc + (pow_p[i] * pow_q[m - i]).scale(ci)
-            return acc
-
-        return RatFunc(homog(self.num), homog(self.den))
-
-    def map_field(self, target: Field) -> "RatFunc":
-        return RatFunc(self.num.map_field(target), self.den.map_field(target))
-
-    def __repr__(self):
-        return f"RatFunc(({self.num!r}) / ({self.den!r}))"
-
-
-def _multiplicity(f: Poly, pi: Poly) -> int:
-    m = 0
-    while True:
-        quo, rem = f.divmod(pi)
-        if not rem.is_zero():
-            return m
-        f = quo
-        m += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import Inconsistency, InputError
-from .fields import Field, Poly, RatFunc, field_make, poly_roots
+from .fields import Field, Poly, field_make, poly_roots
 from .groups import FiniteGroup, Subgroup
 from .matrices import Mat
 from .reps import Rep, subgroup_to_parent
@@ -250,7 +250,7 @@ class RamificationDatum:
                 if self.kP.mul(self.char[s], self.char[t]) != self.char[st]:
                     raise Inconsistency("cotangent character is not a "
                                         "homomorphism")
-        if self.cocycle is not None and self.G_P.order <= 30:
+        if self.cocycle is not None:
             for s in self.G_P.indices:
                 js, bs = self.cocycle[s]
                 for t in self.G_P.indices:
@@ -540,15 +540,7 @@ class P1Geometry:
         h = Poly(K, [B, K.sub(A, D), K.neg(C)])
         if h.is_zero():
             raise Inconsistency("identity reached the contact loop")
-        lin = Poly(K, [K.neg(alpha), 1])
-        mult = 0
-        while True:
-            quo, rem = h.divmod(lin)
-            if not rem.is_zero():
-                break
-            h = quo
-            mult += 1
-        return mult
+        return h.multiplicity(Poly(K, [K.neg(alpha), 1]))
 
     def _cotangent_scalar(self, sigma: int, alpha) -> int:
         """a_sigma with sigma.t = a_sigma t mod m^2, in the ambient."""
@@ -564,7 +556,10 @@ class P1Geometry:
     def _cocycle_value(self, tau: int, P: Place, alpha) -> int:
         """b_tau with tau.(pi_P) = b_tau pi_P mod m^2, in the ambient;
         pi_P is the closed-point uniformizer (the place polynomial, or 1/x
-        at infinity)."""
+        at infinity).  With tau^{-1} = (A, B, C, D), tau fixes a finite P
+        exactly when pi_P o tau^{-1} = lambda pi_P / (C x + D)^deg P, that
+        is when `mobius_numerator` gives lambda pi_P; pi_P is separable, so
+        b_tau = lambda / (C alpha + D)^deg P at its root alpha."""
         K = self.K
         inv = self.G.inverse[tau]
         A, B, C, D = self._matrix_in_ambient(inv)
@@ -572,32 +567,16 @@ class P1Geometry:
             if C != 0:
                 raise Inconsistency("decomposition element moved infinity")
             return K.mul(D, K.inv(A))
-        deg = P.degree
-        pi_K = P.poly.map_field(K)
-        lin_a = Poly(K, [B, A])
-        lin_c = Poly(K, [D, C])
-        pow_a = [Poly.one(K)]
-        pow_c = [Poly.one(K)]
-        for _ in range(deg):
-            pow_a.append(pow_a[-1] * lin_a)
-            pow_c.append(pow_c[-1] * lin_c)
-        N = Poly.zero(K)
-        for i, ci in enumerate(pi_K.coeffs):
-            if ci:
-                N = N + (pow_a[i] * pow_c[deg - i]).scale(ci)
-        lin = Poly(K, [K.neg(alpha), 1])
-        q1, r1 = N.divmod(lin)
-        if not r1.is_zero():
+        pi = P.poly
+        moved = pi.mobius_numerator(*self.G.labels[inv])
+        lam = moved.leading()
+        if moved != pi.scale(lam):
             raise Inconsistency("decomposition element does not fix the "
                                 "place")
-        q2, r2 = pi_K.divmod(lin)
-        if not r2.is_zero():
+        if pi.map_field(K).multiplicity(Poly(K, [K.neg(alpha), 1])) == 0:
             raise Inconsistency("chosen root is not a root of the place")
-        den = K.add(K.mul(C, alpha), D)
-        scale = K.pow_(den, deg)
-        val = K.mul(q1.evaluate(alpha),
-                    K.inv(K.mul(q2.evaluate(alpha), scale)))
-        return val
+        den = K.pow_(K.add(K.mul(C, alpha), D), P.degree)
+        return K.mul(int(self._emb[lam]), K.inv(den))
 
     def ramification(self, P: Place) -> RamificationDatum:
         """Ramification filtration, residue data and cotangent character at
@@ -675,14 +654,6 @@ class P1Geometry:
         self._datum_cache[P] = datum
         return datum
 
-    def is_weakly_ramified(self) -> bool:
-        return all(self.ramification(o[0]).is_weak_here
-                   for o in self.ramified_orbits())
-
-    def is_tame(self) -> bool:
-        return all(self.ramification(o[0]).is_tame_here
-                   for o in self.ramified_orbits())
-
     def riemann_hurwitz(self):
         """Exact audit of sum deg(P) * sum_s (|G_{P,s}|-1) = 2|G| - 2 for
         the cover P^1 -> P^1; failure aborts a scenario."""
@@ -696,32 +667,14 @@ class P1Geometry:
 
     # -- Riemann-Roch spaces -----------------------------------------------------
 
-    def rr_space_basis(self, D: Divisor) -> list[RatFunc]:
-        """The basis f_j = u x^j (j = 0..deg D, u = `_rr_generator(D)`) of
-        L(D) = {f : div f + D >= 0}, each element checked to lie in L(D);
-        genus 0, so the dimension is deg D + 1 once deg D >= 0 and H^1
-        vanishes for deg D >= -1."""
-        k = self.k
-        deg_d = D.degree()
-        if deg_d < -1:
-            raise InputError("divisor degree below -1 leaves the oracle "
-                             "regime (H^1 is nonzero)")
-        if deg_d < 0:
-            return []
-        u = self._rr_generator(D)
-        x = RatFunc.from_poly(Poly.x(k))
-        basis = []
-        power = RatFunc.from_poly(Poly.one(k))
-        for j in range(deg_d + 1):
-            f = u * power
-            self._check_in_space(f, D)
-            basis.append(f)
-            power = power * x
-        return basis
+    def _rr_generator(self, D: Divisor) -> tuple[Poly, Poly]:
+        """(num, den) of u with div(u) = -D away from infinity, so that
+        L(D) = u k[x]_{<= deg D}: div(u x^j) + D = j (0) + (deg D - j) inf.
 
-    def _rr_generator(self, D: Divisor) -> RatFunc:
-        """u with div(u) = -D away from infinity, so that L(D) is u times
-        the polynomials of degree <= deg D."""
+        Certified before it is returned, without factoring: at each finite
+        place P of D, v_P(num) - v_P(den) = -D(P), and those places fill
+        deg num and deg den exactly, so u has no other finite zero or
+        pole."""
         k = self.k
         num = Poly.one(k)
         den = Poly.one(k)
@@ -734,56 +687,59 @@ class P1Geometry:
             else:
                 for _ in range(-c):
                     num = num * P.poly
-        return RatFunc(num, den)
-
-    def _check_in_space(self, f: RatFunc, D: Divisor):
-        """div f + D >= 0, with div f read from the factored numerator and
-        denominator; the factor degrees must refill both."""
-        for poly in (f.num, f.den):
-            if sum(g.degree * m for g, m in _poly_factor_cached(poly)) \
-                    != poly.degree:
-                raise Inconsistency("factorization does not refill the "
-                                    f"degree of {poly!r}")
-        div = self.principal_divisor(f)
-        for P in set(D.support()) | set(div.support()):
-            if div.coeff(P) < -D.coeff(P):
-                raise Inconsistency(
-                    f"basis element violates the divisor bound at {P!r}")
+        _certify_rr_generator(num, den, D)
+        return num, den
 
     def rr_action_rep(self, D: Divisor) -> Rep:
-        """Matrices of f -> f o sigma^{-1} on the basis f_j = u x^j of
-        `rr_space_basis`; certified a homomorphism on generator pairs.
-        Non-equivariant divisors are rejected, never symmetrized.
+        """Matrices of f -> f o sigma^{-1} on the basis f_j = u x^j
+        (j = 0..deg D) of L(D), u = num/den from `_rr_generator`, whose
+        certificate div(u) = -D away from infinity puts every f_j in L(D);
+        genus 0, so dim L(D) = deg D + 1 and H^1 vanishes for deg D >= -1.
+        Certified a homomorphism on generator pairs.  Non-equivariant
+        divisors are rejected, never symmetrized.
 
         Column j holds the coefficients of w_j = (f_j o sigma^{-1}) / u, a
-        polynomial of degree <= d = deg D.  With sigma^{-1} = (A, B, C, D')
-        it follows the two-term recurrence
+        polynomial of degree <= d = deg D.  With sigma^{-1} = (A, B, C, D'),
+        L = C x + D', s = deg den - deg num and h = `Poly.mobius_numerator`
+        of (A, B, C, D'), it follows the two-term recurrence
 
-            w_0 = (u o sigma^{-1}) / u,   w_j = w_{j-1} (A x + B) / (C x + D'),
+            w_0 = num^h den L^s / (den^h num),   w_j = w_{j-1} (A x + B) / L,
 
-        one Mobius substitution per generator, then one linear product and
-        one synthetic division per column.  Three exact checks together say
-        that every moved basis element stays in L(D): w_0 is a polynomial,
-        each division leaves remainder zero, and deg w_j <= d."""
+        (for s < 0 the power L^-s joins the divisor), one exact division
+        for w_0 and one linear product and one synthetic division per
+        column.  Three exact checks together say that every moved basis
+        element stays in L(D): w_0 leaves remainder zero, so does each
+        later division, and deg w_j <= d."""
         ok, orbit = self.divisor_is_equivariant(D)
         if not ok:
             raise InputError(
                 "divisor is not equivariant; offending orbit: "
                 + ", ".join(repr(p) for p in orbit))
-        dim = len(self.rr_space_basis(D))
+        dim = D.degree() + 1
+        if dim < 0:
+            raise InputError("divisor degree below -1 leaves the oracle "
+                             "regime (H^1 is nonzero)")
         k = self.k
-        u = self._rr_generator(D)
+        if dim:
+            num, den = self._rr_generator(D)
         left = "moved basis element left the Riemann-Roch space"
         images = {}
         for t, g in enumerate(self.G.generators):
             A, B, C, Dd = self.G.labels[self.G.inverse[g]]
             cols = []
             if dim:
-                w0 = u.compose_mobius(A, B, C, Dd) / u
-                if w0.den.degree != 0 or w0.den.leading() != 1:
-                    raise Inconsistency(left)
-                w = w0.num
                 top, bottom = Poly(k, [B, A]), Poly(k, [Dd, C])
+                above = num.mobius_numerator(A, B, C, Dd) * den
+                below = den.mobius_numerator(A, B, C, Dd) * num
+                s = den.degree - num.degree
+                for _ in range(abs(s)):
+                    if s > 0:
+                        above = above * bottom
+                    else:
+                        below = below * bottom
+                w, rem = above.divmod(below)
+                if not rem.is_zero():
+                    raise Inconsistency(left)
             for j in range(dim):
                 if j:
                     w, rem = (w * top).divmod(bottom)
@@ -798,35 +754,25 @@ class P1Geometry:
         rep.check_homomorphism()
         return rep
 
-    def principal_divisor(self, f: RatFunc) -> Divisor:
-        """div(f) including the place at infinity."""
-        if f.is_zero():
-            raise InputError("zero function has no divisor")
-        data: dict[Place, int] = {}
-        for g, m in _poly_factor_cached(f.num):
-            data[Place(g, check=False)] = data.get(Place(g, check=False),
-                                                   0) + m
-        for g, m in _poly_factor_cached(f.den):
-            P = Place(g, check=False)
-            data[P] = data.get(P, 0) - m
-        vinf = f.valuation_at_infinity()
-        if vinf:
-            data[Place.infinity()] = vinf
-        return Divisor(data)
 
-
-_factor_cache: dict = {}
-
-
-def _poly_factor_cached(f: Poly):
-    from .fields import poly_factor
-    key = (id(f.field), f.coeffs)
-    if key not in _factor_cache:
-        if f.degree < 1:
-            _factor_cache[key] = []
-        else:
-            _factor_cache[key] = [(g, m) for g, m in poly_factor(f)]
-    return _factor_cache[key]
+def _certify_rr_generator(num: Poly, den: Poly, D: Divisor):
+    """Raise Inconsistency unless div(num/den) = -D away from infinity:
+    v_P(num) - v_P(den) = -D(P) at each finite place P of D, and these
+    places fill deg num and deg den, so num/den has no other finite zero
+    or pole."""
+    filled_num = filled_den = 0
+    for P, c in D.items():
+        if P.is_infinity:
+            continue
+        zeros, poles = num.multiplicity(P.poly), den.multiplicity(P.poly)
+        if zeros - poles != -c:
+            raise Inconsistency(f"Riemann-Roch generator has valuation "
+                                f"{zeros - poles} at {P!r}, not {-c}")
+        filled_num += zeros * P.degree
+        filled_den += poles * P.degree
+    if (filled_num, filled_den) != (num.degree, den.degree):
+        raise Inconsistency("Riemann-Roch generator has a zero or pole "
+                            "outside the divisor")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Module-theoretic tools that only the tests use: an explicit-intertwiner
 isomorphism test, the socle dimension, the Cartan matrix by splitting
-k[G] into projective indecomposables, and the Riemann-Roch action by
-moving every basis function on its own."""
+k[G] into projective indecomposables, the Riemann-Roch action by moving
+every basis function on its own, and the cocycle value of a decomposition
+element by division at a root."""
 
 import random
 
 from equirr.errors import CapExceeded, Inconsistency
 from equirr.fields import Field, Poly
-from equirr.geometry import Divisor, P1Geometry
+from equirr.geometry import Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
@@ -90,22 +91,62 @@ def split_cartan_matrix(G: FiniteGroup, F: Field, registry: SimpleRegistry,
 
 def reference_rr_action(geo: P1Geometry, D: Divisor) -> list[Mat]:
     """The matrix of each generator of G on L(D) by the direct route: every
-    basis function f_j = u x^j is composed with sigma^{-1} and divided by
-    u, and what is left must be a polynomial of degree <= deg D, read off
-    as column j."""
-    basis = geo.rr_space_basis(D)
-    dim = len(basis)
-    u = geo._rr_generator(D)
+    basis function f_j = x^j num/den (num/den = u from `_rr_generator`) is
+    moved by sigma^{-1} = (A, B, C, D') in full, as
+    (x^j num)^h / (C x + D')^(j + deg num) over den^h / (C x + D')^deg den
+    with h = `Poly.mobius_numerator`, and divided by u; what is left must
+    be a polynomial of degree <= deg D, read off as column j."""
+    k = geo.k
+    dim = D.degree() + 1
+    if dim:
+        num, den = geo._rr_generator(D)
     G = geo.G
     out = []
     for g in G.generators:
         A, B, C, Dd = G.labels[G.inverse[g]]
+        lin = Poly(k, [Dd, C])
         cols = []
-        for f in basis:
-            w = f.compose_mobius(A, B, C, Dd) / u
-            if w.den != Poly.one(geo.k) or w.num.degree >= dim:
+        for j in range(dim):
+            f = Poly(k, [0] * j + [1]) * num
+            above = f.mobius_numerator(A, B, C, Dd) * den
+            below = den.mobius_numerator(A, B, C, Dd) * num
+            for _ in range(den.degree - f.degree):
+                above = above * lin
+            for _ in range(f.degree - den.degree):
+                below = below * lin
+            w, rem = above.divmod(below)
+            if not rem.is_zero() or w.degree >= dim:
                 raise Inconsistency("moved basis element left L(D)")
-            cols.append(list(w.num.coeffs) + [0] * (dim - len(w.num.coeffs)))
-        out.append(Mat.from_rows(geo.k, [[cols[j][i] for j in range(dim)]
-                                         for i in range(dim)]))
+            cols.append(list(w.coeffs) + [0] * (dim - len(w.coeffs)))
+        out.append(Mat.from_rows(k, [[cols[j][i] for j in range(dim)]
+                                     for i in range(dim)]))
     return out
+
+
+def reference_cocycle_value(geo: P1Geometry, tau: int, P: Place, alpha):
+    """b_tau at a finite place P with root alpha, by the route
+    P1Geometry._cocycle_value took before `Poly.mobius_numerator`: the
+    place polynomial pi is homogenised under tau^{-1} = (A, B, C, D) in
+    the ambient field, the result N and pi are each divided by x - alpha,
+    and b_tau = (N / (x - alpha))(alpha) / ((pi / (x - alpha))(alpha)
+    (C alpha + D)^deg P)."""
+    K = geo.K
+    A, B, C, D = geo._matrix_in_ambient(geo.G.inverse[tau])
+    deg = P.degree
+    pi_K = P.poly.map_field(K)
+    lin_a, lin_c = Poly(K, [B, A]), Poly(K, [D, C])
+    N = Poly.zero(K)
+    for i, ci in enumerate(pi_K.coeffs):
+        term = Poly(K, [ci])
+        for _ in range(i):
+            term = term * lin_a
+        for _ in range(deg - i):
+            term = term * lin_c
+        N = N + term
+    lin = Poly(K, [K.neg(alpha), 1])
+    q1, r1 = N.divmod(lin)
+    q2, r2 = pi_K.divmod(lin)
+    if not (r1.is_zero() and r2.is_zero()):
+        raise Inconsistency("tau does not fix P, or alpha is not its root")
+    den = K.pow_(K.add(K.mul(C, alpha), D), deg)
+    return K.mul(q1.evaluate(alpha), K.inv(K.mul(q2.evaluate(alpha), den)))

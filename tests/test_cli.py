@@ -224,10 +224,10 @@ def test_suite_reports_every_scenario_past_cap_and_inconsistency(
 
     real_run_one = cli._run_one
 
-    def broken_analyze(command, path, seed, mode):
+    def broken_analyze(command, path, seed):
         if command == "analyze":
             raise Inconsistency("forced")
-        return real_run_one(command, path, seed, mode)
+        return real_run_one(command, path, seed)
 
     monkeypatch.setattr(cli, "_run_one", broken_analyze)
     assert main(["suite", last]) == 3

@@ -1,11 +1,20 @@
 """The engine carries no function that nothing in src/ calls, apart from a
-listed few that open ROADMAP items or tests claim.  A new unused
-function fails here, and so does a listed name that is gone or has gained
-a caller in src/, so the list cannot rot.
+listed few that open ROADMAP items or tests claim, and no import that its
+module never uses.  A new unused function fails here, and so does a listed
+name that is gone or has gained a caller in src/, so the list cannot rot.
 
 References are found by name: a module-level function counts as used when
 some other function or module body names it (a load, an import or an
-attribute), a method when some attribute access outside it has its name."""
+attribute), a method when some attribute access outside it has its name.
+So a method that shares its name with a called method of another class
+(or with any attribute read anywhere in src/) is invisible here, however
+dead it is: that is how `P1Geometry.is_tame` (shadowed by
+`CoverData.is_tame`) and `RatFunc.evaluate` and `RatFunc.map_field`
+(shadowed by the `Poly` methods) outlived the first sweep.
+
+An import is used when its module loads the bound name (a module-level
+import anywhere in the module, one inside a function in that function),
+string annotations included; `__init__.py` re-exports are exempt."""
 
 import ast
 from pathlib import Path
@@ -27,7 +36,8 @@ KEPT = {
     "fields.embed": "test_fields, test_matrices",
     "fields.Field.div": "test_fields",
     "fields.Field.elements": "test_fields, test_matrices",
-    "fields.RatFunc.valuation_at": "test_fields, test_geometry",
+    "fields.Poly.evaluate": "test_fields, test_matrices, tests/reptools "
+                            "(the reference cocycle value)",
     "matrices.Mat.to_lists": "test_geometry, test_matrices",
     "geometry.places_up_to": "test_geometry",
     "reps.rep_direct_sum": "test_reps, test_acceptance",
@@ -99,3 +109,50 @@ def test_every_engine_function_has_a_caller_or_a_claim():
         "functions nothing in src/ calls: delete them or claim them in KEPT"
     assert set(KEPT) - found == set(), \
         "KEPT names that are gone or now have a caller in src/: unlist them"
+
+
+def _loaded_names(scope):
+    """Every name loaded in scope, string annotations included."""
+    out = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes.append(node.annotation)
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                out |= _loaded_names(ast.parse(note.value, mode="eval"))
+    return out
+
+
+def unused_imports():
+    """module.name for every import whose bound name its scope never
+    loads; a scope is a module or a function, and holds the imports that
+    are statements of its own body."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, ast.FunctionDef)]
+        for scope in scopes:
+            bound = set()
+            for stmt in scope.body:
+                if isinstance(stmt, ast.Import):
+                    bound |= {(a.asname or a.name).split(".")[0]
+                              for a in stmt.names}
+                elif isinstance(stmt, ast.ImportFrom) and \
+                        stmt.module != "__future__":
+                    bound |= {a.asname or a.name for a in stmt.names}
+            out |= {f"{path.stem}.{name}"
+                    for name in bound - _loaded_names(scope)}
+    return out
+
+
+def test_every_engine_import_is_used():
+    assert unused_imports() == set(), \
+        "imports their module never uses: delete them"

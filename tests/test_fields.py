@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from equirr.errors import InputError
-from equirr.fields import (Poly, RatFunc, embed, field_make, is_prime,
-                           poly_factor, poly_is_irreducible, poly_roots)
+from equirr.fields import (Poly, embed, field_make, is_prime, poly_factor,
+                           poly_is_irreducible, poly_roots)
 
 
 def brute_has_root(coeffs, p):
@@ -411,40 +411,44 @@ def test_poly_arithmetic_identities(p, n):
             assert (a * c).gcd(b * c) == g * c.monic()
 
 
-def test_ratfunc_normal_form():
+def test_poly_multiplicity():
     F = field_make(3, 1)
     x = Poly.x(F)
     one = Poly.one(F)
-    f = RatFunc(x * x - one, x - one)  # (x^2-1)/(x-1) = x+1
-    assert f == RatFunc(x + one, one)
-    assert f.den.leading() == 1
+    f = x * x * (x + one)
+    assert f.multiplicity(x) == 2
+    assert f.multiplicity(x + one) == 1
+    assert f.multiplicity(x - one) == 0
+    for bad_f, pi in [(Poly.zero(F), x), (f, one)]:
+        with pytest.raises(InputError):
+            bad_f.multiplicity(pi)
 
 
-def test_ratfunc_arithmetic():
-    F = field_make(5, 1)
-    x = Poly.x(F)
-    one = Poly.one(F)
-    f = RatFunc(one, x)
-    g = RatFunc(x, x + one)
-    h = f * g
-    assert h == RatFunc(one, x + one)
-    assert (f + g) - g == f
-    assert (f / g) * g == f
-
-
-def test_ratfunc_valuations():
-    F = field_make(3, 1)
-    x = Poly.x(F)
-    one = Poly.one(F)
-    f = RatFunc(x * x, x + one)  # zero of order 2 at x=0, pole at x=-1
-    assert f.valuation_at(x) == 2
-    assert f.valuation_at(x + one) == -1
-    assert f.valuation_at_infinity() == -1
-
-
-def test_ratfunc_compose_mobius():
-    F = field_make(5, 1)
-    x = Poly.x(F)
-    f = RatFunc.from_poly(x)
-    g = f.compose_mobius(0, 1, 1, 0)  # x -> 1/x
-    assert g == RatFunc(Poly.one(F), x)
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+def test_poly_mobius_numerator_pointwise(p, n):
+    # (c x + d)^m f((a x + b)/(c x + d)) for m = deg f, checked at every
+    # point of the field: at the pole of the substitution only the top
+    # coefficient survives, as c_m (a x + b)^m
+    F = field_make(p, n)
+    rng = random.Random(23)
+    for _ in range(30):
+        f = random_poly(F, rng, 6)
+        while True:
+            a, b, c, d = (F.rand_elem(rng) for _ in range(4))
+            if F.sub(F.mul(a, d), F.mul(b, c)):
+                break
+        g = f.mobius_numerator(a, b, c, d)
+        m = f.degree
+        if m < 0:
+            assert g.is_zero()
+            continue
+        assert g.degree <= m
+        for x in F.elements():
+            top = F.add(F.mul(a, x), b)
+            bottom = F.add(F.mul(c, x), d)
+            if bottom:
+                want = F.mul(F.pow_(bottom, m),
+                             f.evaluate(F.mul(top, F.inv(bottom))))
+            else:
+                want = F.mul(f.leading(), F.pow_(top, m))
+            assert g.evaluate(x) == want

@@ -4,7 +4,8 @@ import pytest
 
 from equirr import geometry
 from equirr.errors import Inconsistency, InputError
-from equirr.fields import Poly, RatFunc, field_make
+from equirr.engine import CoverData
+from equirr.fields import Poly, field_make
 from equirr.geometry import (Divisor, P1Geometry, Place, abstract_datum,
                              fiber_character, places_up_to)
 from equirr.groups import FiniteGroup
@@ -197,9 +198,11 @@ def test_orbit_degree_sum_property():
 
 def test_predicates_translation_vs_kummer():
     _, _, geo = translation_geometry(3)
-    assert geo.is_weakly_ramified() and not geo.is_tame()
+    cover = CoverData.from_geometry(geo, rng())
+    assert cover.is_weakly_ramified() and not cover.is_tame()
     _, _, geo_k, _ = kummer_geometry(7, 3)
-    assert geo_k.is_tame() and geo_k.is_weakly_ramified()
+    cover_k = CoverData.from_geometry(geo_k, rng())
+    assert cover_k.is_tame() and cover_k.is_weakly_ramified()
 
 
 def test_riemann_hurwitz_audit():
@@ -234,32 +237,32 @@ def test_riemann_hurwitz_affine_group():
 
 
 def test_rr_basis_polynomials():
+    # u = 1, so the basis u x^j of L(2 inf) is 1, x, x^2
     F, G, geo = translation_geometry(3)
-    basis = geo.rr_space_basis(Divisor({Place.infinity(): 2}))
-    assert len(basis) == 3
-    mons = [(f.num.coeffs, f.den.coeffs) for f in basis]
-    assert mons == [((1,), (1,)), ((0, 1), (1,)), ((0, 0, 1), (1,))]
+    one = Poly.one(F)
+    assert geo._rr_generator(Divisor({Place.infinity(): 2})) == (one, one)
 
 
 def test_rr_basis_mixed_divisor():
     F, G, geo = translation_geometry(3)
     D = Divisor({place_x(F): 1, place_lin(F, 2): -1})
     assert D.degree() == 0
-    basis = geo.rr_space_basis(D)
-    assert len(basis) == 1
-    f = basis[0]
-    assert f.valuation_at(place_x(F).poly) == -1
-    assert f.valuation_at(place_lin(F, 2).poly) == 1
+    num, den = geo._rr_generator(D)
+    assert (num, den) == (place_lin(F, 2).poly, place_x(F).poly)
+    assert num.multiplicity(place_x(F).poly) == 0
+    assert den.multiplicity(place_x(F).poly) == 1
+    assert num.multiplicity(place_lin(F, 2).poly) == 1
 
 
 def test_rr_basis_negative_degree():
     F, G, geo = translation_geometry(3)
-    assert geo.rr_space_basis(Divisor({place_x(F): -1})) == []
+    assert geo.rr_action_rep(Divisor({Place.infinity(): -1})).dim == 0
     with pytest.raises(InputError):
-        geo.rr_space_basis(Divisor({place_x(F): -2}))
+        geo.rr_action_rep(Divisor({Place.infinity(): -2}))
 
 
 def test_rr_dimension_formula_random():
+    # G is trivial, so every divisor is equivariant
     r = random.Random(31)
     F = field_make(5, 1)
     G = FiniteGroup.close_generators(F, [(1, 0, 0, 1)])
@@ -269,41 +272,24 @@ def test_rr_dimension_formula_random():
         D = Divisor({p: r.randrange(-2, 3) for p in r.sample(ps, 3)})
         if D.degree() < -1:
             continue
-        assert len(geo.rr_space_basis(D)) == max(0, D.degree() + 1)
+        assert geo.rr_action_rep(D).dim == max(0, D.degree() + 1)
 
 
-def test_check_in_space_rejects_functions_outside(monkeypatch):
+def test_rr_generator_certificate_rejects_wrong_generators():
     F, G, geo = translation_geometry(3)
-    D = Divisor({Place.infinity(): 2, place_x(F): 1})
-    x = RatFunc.from_poly(Poly.x(F))
-    inside = [RatFunc(Poly.one(F), Poly.x(F)), x * x * x / x]
-    for f in inside + geo.rr_space_basis(D):
-        geo._check_in_space(f, D)
-    for f in [x * x * x * x, RatFunc(Poly.one(F), Poly(F, [0, 0, 1])),
-              RatFunc(Poly.one(F), Poly(F, [2, 1]))]:
-        with pytest.raises(Inconsistency, match="divisor bound"):
-            geo._check_in_space(f, D)
-    # a factorization that misses a factor fails the degree refill check
-    monkeypatch.setattr(geometry, "_poly_factor_cached",
-                        lambda poly: [])
-    with pytest.raises(Inconsistency, match="refill"):
-        geo._check_in_space(x, D)
-
-
-def test_principal_divisor_degree_zero():
-    r = random.Random(17)
-    F = field_make(3, 1)
-    G = FiniteGroup.close_generators(F, [(1, 0, 0, 1)])
-    geo = P1Geometry(F, G)
-    for _ in range(25):
-        num = Poly(F, [r.randrange(3) for _ in range(r.randrange(1, 5))]
-                   + [r.randrange(1, 3)])
-        den = Poly(F, [r.randrange(3) for _ in range(r.randrange(1, 4))]
-                   + [r.randrange(1, 3)])
-        f = RatFunc(num, den)
-        if f.is_zero():
-            continue
-        assert geo.principal_divisor(f).degree() == 0
+    D = Divisor({Place.infinity(): 2, place_x(F): 1,
+                 place_lin(F, 1): -1})
+    x, x1 = place_x(F).poly, place_lin(F, 1).poly
+    assert geo._rr_generator(D) == (x1, x)
+    # a wrong valuation at a place of D
+    for num, den in [(x1, x * x), (x1 * x1, x), (Poly.one(F), x)]:
+        with pytest.raises(Inconsistency, match="valuation"):
+            geometry._certify_rr_generator(num, den, D)
+    # a zero, or a pole, at a finite place outside D
+    x2, quad = place_lin(F, 2).poly, Poly(F, [1, 0, 1])
+    for num, den in [(x1 * x2, x), (x1, x * quad)]:
+        with pytest.raises(Inconsistency, match="outside the divisor"):
+            geometry._certify_rr_generator(num, den, D)
 
 
 def test_rr_action_translation_unipotent():

@@ -1,12 +1,15 @@
-"""The Riemann-Roch action by its two-term recurrence, and the orbit caches.
+"""The Riemann-Roch action by its two-term recurrence, the cocycle values
+of decomposition elements, and the orbit caches.
 
 P1Geometry.rr_action_rep moves the basis f_j = u x^j of L(D) with one
-Mobius substitution per generator, w_0 = (u o sigma^{-1}) / u, and then
-w_j = w_{j-1} (A x + B) / (C x + D').  tests/reptools.reference_rr_action
+Mobius substitution of u per generator, w_0 = (u o sigma^{-1}) / u, and
+then w_j = w_{j-1} (A x + B) / (C x + D').  tests/reptools.reference_rr_action
 moves every f_j on its own; the two must give the same matrices on the
 shipped scenarios, on the benchmark groups and on drawn equivariant
-divisors.  Orbits of places are computed once per geometry and must equal
-a fresh computation."""
+divisors.  P1Geometry._cocycle_value reads b_tau off Poly.mobius_numerator
+of the place polynomial; tests/reptools.reference_cocycle_value divides at
+a root, and the two must agree on every ramified place.  Orbits of places
+are computed once per geometry and must equal a fresh computation."""
 
 import functools
 from pathlib import Path
@@ -14,12 +17,14 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from equirr import fields
 from equirr.errors import Inconsistency
-from equirr.fields import Poly, RatFunc, field_make
-from equirr.geometry import Divisor, P1Geometry, Place, places_up_to
+from equirr.fields import Poly, field_make
+from equirr.geometry import (Divisor, P1Geometry, Place, RamificationDatum,
+                             places_up_to)
 from equirr.groups import FiniteGroup
 from equirr.scenarios import parse_scenario, realize
-from reptools import reference_rr_action
+from reptools import reference_cocycle_value, reference_rr_action
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED_ORACLE = ["a1_translations_gf3.json", "a2_kummer_gf7_m3.json",
@@ -30,6 +35,11 @@ BENCHMARK_GROUPS = {
     "PGL2-GF3": (3, 1, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)]),
     "T9-GF9": (3, 2, [(1, 1, 0, 1), (1, 3, 0, 1)]),
     "K12-GF13": (13, 1, [(2, 0, 0, 1)]),
+}
+# the order-frontier groups, of orders 120 and 110
+FRONTIER_GROUPS = {
+    "PGL2-GF5": (5, 1, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)]),
+    "AGL1-GF11": (11, 1, [(1, 1, 0, 1), (2, 0, 0, 1)]),
 }
 GEOMETRIES = SHIPPED_ORACLE + sorted(BENCHMARK_GROUPS)
 
@@ -42,8 +52,8 @@ def shipped(name):
 
 @functools.lru_cache(maxsize=None)
 def geometry(name):
-    if name in BENCHMARK_GROUPS:
-        p, n, gens = BENCHMARK_GROUPS[name]
+    if name in BENCHMARK_GROUPS or name in FRONTIER_GROUPS:
+        p, n, gens = {**BENCHMARK_GROUPS, **FRONTIER_GROUPS}[name]
         F = field_make(p, n)
         return P1Geometry(F, FiniteGroup.close_generators(F, gens),
                           extra_degrees=[2])
@@ -122,14 +132,15 @@ def test_drawn_equivariant_divisors_match_reference(data, name):
 
 
 def test_one_mobius_substitution_per_generator(monkeypatch):
+    # moving u = num/den takes the Mobius numerators of num and of den
     calls = []
-    compose = RatFunc.compose_mobius
+    numerator = Poly.mobius_numerator
 
     def counting(self, *args):
         calls.append(args)
-        return compose(self, *args)
+        return numerator(self, *args)
 
-    monkeypatch.setattr(RatFunc, "compose_mobius", counting)
+    monkeypatch.setattr(Poly, "mobius_numerator", counting)
     for name in sorted(BENCHMARK_GROUPS):
         geo = geometry(name)
         for orb in orbits(name):
@@ -137,7 +148,7 @@ def test_one_mobius_substitution_per_generator(monkeypatch):
             calls.clear()
             rep = geo.rr_action_rep(D)
             assert rep.dim == D.degree() + 1
-            assert len(calls) == len(geo.G.generators)
+            assert len(calls) == 2 * len(geo.G.generators)
     # deg D = -1: L(D) = 0 and nothing is moved
     geo = geometry("K12-GF13")
     calls.clear()
@@ -161,6 +172,60 @@ def test_moved_column_of_too_high_degree_is_inconsistent(monkeypatch):
     D = Divisor({Place(Poly(F, [1, 1]), check=False): 3})
     with pytest.raises(Inconsistency, match="left the Riemann-Roch space"):
         geo.rr_action_rep(D)
+
+
+def test_no_factoring_once_orbits_are_known(monkeypatch):
+    # L(D) is certified from valuations of its generator: with the orbits
+    # of D already computed, building the action factors nothing
+    calls = []
+    factor = fields.poly_factor
+
+    def counting(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(fields, "poly_factor", counting)
+    geo = geometry("K12-GF13")
+    zero = Place(Poly(geo.k, [0, 1]), check=False)
+    quad = geo.orbit_of_place(Place(Poly(geo.k, [11, 0, 1]), check=False))
+    D = Divisor({zero: 3, Place.infinity(): -1, **{P: 2 for P in quad}})
+    assert geo.divisor_is_equivariant(D) == (True, None)
+    calls.clear()
+    assert geo.rr_action_rep(D).dim == D.degree() + 1
+    assert calls == []
+
+
+# -- cocycle values ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", GEOMETRIES + sorted(FRONTIER_GROUPS))
+def test_cocycle_values_match_reference(name):
+    geo = geometry(name)
+    # every ramified place, and the unramified ones of degree <= 2 too
+    places = set(geo.ramified_places()) | set(places_up_to(geo.k, 2))
+    for P in places - {Place.infinity()}:
+        alpha = geo.place_root(P)
+        for tau in geo.ramification(P).G_P.indices:
+            assert geo._cocycle_value(tau, P, alpha) == \
+                reference_cocycle_value(geo, tau, P, alpha)
+
+
+def test_cocycle_identity_checked_on_large_decomposition_groups():
+    # AGL1(GF(11)) fixes infinity: |G_P| = 110
+    geo = geometry("AGL1-GF11")
+    datum = geo.ramification(Place.infinity())
+    assert datum.G_P.order == 110
+    tau = datum.G_P.indices[-1]
+    j, b = datum.cocycle[tau]
+    cocycle = {**datum.cocycle, tau: (j, datum.kP.mul(b, 2))}
+    kwargs = dict(group=datum.group, k=datum.k, place=datum.place,
+                  G_P=datum.G_P, I_P=datum.I_P, wild=datum.wild,
+                  filtration=datum.filtration, deg=datum.deg,
+                  orbit_size=datum.orbit_size, kP=datum.kP, rho=datum.rho,
+                  char=datum.char)
+    RamificationDatum(**kwargs, cocycle=datum.cocycle)
+    with pytest.raises(Inconsistency, match="cocycle identity"):
+        RamificationDatum(**kwargs, cocycle=cocycle)
 
 
 # -- orbit caches ------------------------------------------------------------
