@@ -13,10 +13,11 @@ classes.  The two sides being cross-checked are
     mod-regular variant and the scaled identity that needs no weakness
     assumption.
 
-All class arithmetic is exact (Fractions over composition-factor
-coordinates, read off Brauer characters by SimpleRegistry.class_of);
-integrality failures raise instead of rounding, because each integrality
-IS a theorem statement.
+All class arithmetic is exact (integers over composition-factor
+coordinates, read off Brauer characters by SimpleRegistry.class_of, with
+a Fraction only where a coefficient is not integral, as in the 1/f terms
+of the rational formula); integrality failures raise instead of rounding,
+because each integrality IS a theorem statement.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ class CoverData:
 
     def cover_module(self, datum: RamificationDatum, d: int):
         """Ind-ready projective cover of the d-th cotangent power over the
-        inertia group."""
+        inertia group.  The cotangent character has order e_t, so the
+        twists d and d mod e_t give the same module and share an entry."""
+        d %= datum.e_t
         key = ("cov", id(datum), d)
         if key not in self._caches:
             Ig = datum.I_P.as_group()
@@ -107,7 +110,9 @@ class CoverData:
 
     def induced_cover_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
-        """Class of Ind_{I_P}^G Cov((m/m^2)^{tensor d})."""
+        """Class of Ind_{I_P}^G Cov((m/m^2)^{tensor d}), keyed by d mod
+        e_t as cover_module is."""
+        d %= datum.e_t
         key = ("indcov", id(datum), d)
         if key not in self._caches:
             ind = rep_induce(self.cover_module(datum, d), self.G, datum.I_P)
@@ -117,7 +122,9 @@ class CoverData:
     def induced_fiber_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
         """Class of Ind_{I_P}^G of the bare d-th cotangent power (no cover);
-        used by the scaled identity, which has no weakness assumption."""
+        used by the scaled identity, which has no weakness assumption.
+        Keyed by d mod e_t as cover_module is."""
+        d %= datum.e_t
         key = ("indcot", id(datum), d)
         if key not in self._caches:
             ind = rep_induce(datum.cotangent_power(d), self.G, datum.I_P)
@@ -426,11 +433,12 @@ def regular_multiple(cover: CoverData, diff: ClassVector):
     pivot = next((i for i, c in enumerate(reg_c) if c), None)
     if pivot is None:
         raise Inconsistency("regular class is zero")
-    t = diff_c[pivot] / reg_c[pivot]
+    # exact division: / on two ints would give a float
+    t = Fraction(diff_c[pivot], reg_c[pivot])
     if t.denominator != 1:
         return False, None
-    if diff == reg.scale(t):
-        return True, int(t)
+    if diff == reg.scale(t.numerator):
+        return True, t.numerator
     return False, None
 
 

@@ -493,19 +493,25 @@ class P1Geometry:
 
     def ramified_places(self) -> list[Place]:
         """All closed points with nontrivial inertia, via geometric fixed
-        points of the nonidentity elements."""
+        points of the nonidentity elements.  An element and its
+        nonidentity powers fix the same points, so their fixed-point forms
+        c x^2 + (d - a) x - b agree up to a scalar: each monic form is
+        solved once."""
         if self._ramified is None:
             pts = set()
+            seen = set()
+            K = self.K
             for s in range(self.G.order):
                 if s == self.G.identity:
                     continue
                 a, b, c, d = self._matrix_in_ambient(s)
-                K = self.K
+                fix = Poly(K, [K.neg(b), K.sub(d, a), c]).monic()
+                if fix.coeffs in seen:
+                    continue
+                seen.add(fix.coeffs)
                 if c == 0:
                     pts.add(INF_POINT)
-                fix = Poly(K, [K.neg(b), K.sub(d, a), c])
-                for r in poly_roots(fix):
-                    pts.add(r)
+                pts.update(poly_roots(fix))
             places = {self.place_of_point(x) for x in pts}
             self._ramified = sorted(places, key=Place.sort_key)
         return self._ramified

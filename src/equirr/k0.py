@@ -224,8 +224,10 @@ def cartan_data(G: FiniteGroup, field: Field,
     return CartanData(G, field, registry, matrix)
 
 
-def cartan_coordinates(v: ClassVector, cd: CartanData) -> list[Fraction]:
-    """The unique rational x with Cartan * x = v: x = V D^-1 U v."""
+def cartan_coordinates(v: ClassVector,
+                       cd: CartanData) -> list[int | Fraction]:
+    """The unique rational x with Cartan * x = v: x = V D^-1 U v, each
+    entry an int where it is integral and a Fraction otherwise."""
     target = v.padded()
     if len(target) != cd.size:
         raise InputError("class vector length does not match the registry")
@@ -238,8 +240,12 @@ def cartan_coordinates(v: ClassVector, cd: CartanData) -> list[Fraction]:
     t = [c.numerator * (m // c.denominator) for c in target]
     y = [sum(u * tk for u, tk in zip(U[i], t)) * (L // D[i][i])
          for i in range(s)]
-    return [Fraction(sum(vk * yk for vk, yk in zip(V[i], y)), m * L)
-            for i in range(s)]
+    out = []
+    for i in range(s):
+        num = sum(vk * yk for vk, yk in zip(V[i], y))
+        q, r = divmod(num, m * L)
+        out.append(Fraction(num, m * L) if r else q)
+    return out
 
 
 def in_cartan_image(v: ClassVector, cd: CartanData) -> bool:

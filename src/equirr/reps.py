@@ -677,28 +677,41 @@ class SimpleRegistry:
         return ClassVector(self, ())
 
     def basis_vector(self, i: int, mult=1) -> "ClassVector":
-        coeffs = [Fraction(0)] * (i + 1)
-        coeffs[i] = Fraction(mult)
+        coeffs = [0] * (i + 1)
+        coeffs[i] = mult
         return ClassVector(self, coeffs)
 
 
+def _exact(c) -> int | Fraction:
+    """The rational c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class ClassVector:
-    """Composition-factor multiplicities over a registry; rational
-    coefficients are allowed transiently, integrality is asserted where a
-    genuine module class is claimed."""
+    """Composition-factor multiplicities over a registry.
+
+    A coefficient is an int, or a Fraction when it is not integral, never
+    an integral Fraction: rational coefficients appear only transiently
+    (the 1/f terms of the rational formula), and integrality is asserted
+    where a genuine module class is claimed.  An int reads like a Fraction
+    for numerator, denominator, ==, hash and str, so the JSON form is the
+    same either way."""
 
     __slots__ = ("registry", "coeffs")
 
     def __init__(self, registry: SimpleRegistry, coeffs):
         self.registry = registry
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(_exact, coeffs))
 
-    def padded(self) -> tuple[Fraction, ...]:
+    def padded(self) -> tuple[int | Fraction, ...]:
         pad = len(self.registry) - len(self.coeffs)
-        return self.coeffs + (Fraction(0),) * max(0, pad)
+        return self.coeffs + (0,) * pad if pad > 0 else self.coeffs
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+    def coeff(self, i: int) -> int | Fraction:
+        return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def _binop(self, other, op):
         if self.registry is not other.registry:
@@ -716,7 +729,7 @@ class ClassVector:
         return ClassVector(self.registry, [-c for c in self.coeffs])
 
     def scale(self, s) -> "ClassVector":
-        s = Fraction(s)
+        s = _exact(s)
         return ClassVector(self.registry, [c * s for c in self.coeffs])
 
     def __eq__(self, other):
@@ -731,12 +744,11 @@ class ClassVector:
         return all(c == 0 for c in self.coeffs)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
-    def total_dim(self) -> Fraction:
-        return sum((c * s.dim for c, s in
-                    zip(self.padded(), self.registry.simples)),
-                   start=Fraction(0))
+    def total_dim(self) -> int | Fraction:
+        return sum(c * s.dim for c, s in
+                   zip(self.padded(), self.registry.simples))
 
     def to_json(self):
         return [[i, self.registry.simples[i].dim, str(c)]
@@ -767,9 +779,9 @@ def chop(M: Rep, registry: SimpleRegistry,
             sub, quot = split_on_submodule(A, W)
             stack.append(sub)
             stack.append(quot)
-    coeffs = [Fraction(0)] * len(registry)
+    coeffs = [0] * len(registry)
     for i, c in counts.items():
-        coeffs[i] = Fraction(c)
+        coeffs[i] = c
     v = ClassVector(registry, coeffs)
     if v.total_dim() != M.dim:
         raise Inconsistency("chop reassembly failed: factor dims do not "

@@ -1,14 +1,15 @@
 """Module-theoretic tools that only the tests use: an explicit-intertwiner
 isomorphism test, the socle dimension, the Cartan matrix by splitting
 k[G] into projective indecomposables, the Riemann-Roch action by moving
-every basis function on its own, and the cocycle value of a decomposition
-element by division at a root."""
+every basis function on its own, the cocycle value of a decomposition
+element by division at a root, and the ramified places by solving the
+fixed-point form of every element."""
 
 import random
 
 from equirr.errors import CapExceeded, Inconsistency
-from equirr.fields import Field, Poly
-from equirr.geometry import Divisor, P1Geometry, Place
+from equirr.fields import Field, Poly, poly_roots
+from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
@@ -150,3 +151,20 @@ def reference_cocycle_value(geo: P1Geometry, tau: int, P: Place, alpha):
         raise Inconsistency("tau does not fix P, or alpha is not its root")
     den = K.pow_(K.add(K.mul(C, alpha), D), deg)
     return K.mul(q1.evaluate(alpha), K.inv(K.mul(q2.evaluate(alpha), den)))
+
+
+def reference_ramified_places(geo: P1Geometry) -> list[Place]:
+    """The places with nontrivial inertia by the per-element route: the
+    roots of c x^2 + (d - a) x - b for every nonidentity element
+    (a, b, c, d), plus infinity where c = 0, each form solved on its
+    own."""
+    K = geo.K
+    pts = set()
+    for s in range(geo.G.order):
+        if s == geo.G.identity:
+            continue
+        a, b, c, d = geo._matrix_in_ambient(s)
+        if c == 0:
+            pts.add(INF_POINT)
+        pts.update(poly_roots(Poly(K, [K.neg(b), K.sub(d, a), c])))
+    return sorted({geo.place_of_point(x) for x in pts}, key=Place.sort_key)

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,10 @@ from equirr.geometry import (Divisor, P1Geometry, Place, abstract_datum,
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
 from equirr.reps import SimpleRegistry, chop, rep_regular
+from equirr.scenarios import parse_scenario, realize
+from reptools import reference_ramified_places
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def rng():
@@ -127,6 +133,39 @@ def test_translation_ramification_at_infinity():
     assert datum.e_w == 3 and datum.e_t == 1
     assert datum.f == 1
     assert datum.is_weak_here and not datum.is_tame_here
+
+
+# generators of the benchmark geometries, PGL2(GF(5)) and AGL1(GF(11))
+# among them; GF(9) elements are encoded b0 + 3 b1
+BENCHMARK_GROUPS = [
+    ((13, 1), [[[2, 0], [0, 1]]]),
+    ((3, 1), [[[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 1], [1, 0]]]),
+    ((3, 2), [[[1, 1], [0, 1]], [[1, 3], [0, 1]]]),
+    ((5, 1), [[[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 1], [1, 0]]]),
+    ((11, 1), [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]),
+]
+
+
+def _shipped_geometries():
+    out = []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        if path.name == "golden.json":
+            continue
+        doc = json.loads(path.read_text())
+        if doc["mode"] == "oracle":
+            out.append(pytest.param(doc, id=path.stem))
+    for (p, n), gens in BENCHMARK_GROUPS:
+        doc = {"field": {"p": p, "n": n},
+               "group": {"kind": "pgl2", "generators": gens},
+               "mode": "oracle", "divisors": [[]], "seed": 0}
+        out.append(pytest.param(doc, id=f"gf{p}^{n}-{len(gens)}gens"))
+    return out
+
+
+@pytest.mark.parametrize("doc", _shipped_geometries())
+def test_ramified_places_match_per_element_route(doc):
+    geo = realize(parse_scenario(doc)).cover.geometry
+    assert geo.ramified_places() == reference_ramified_places(geo)
 
 
 @pytest.mark.parametrize("q,m", [(7, 3), (5, 4), (7, 6)])
