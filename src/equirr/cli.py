@@ -48,29 +48,14 @@ def _verdict(verdicts: list, name: str, ok: bool, detail: str = ""):
     verdicts.append({"name": name, "pass": bool(ok), "detail": detail})
 
 
-def _class_json(v):
-    return v.to_json()
-
-
-def _ramification_rows(scn: Scenario):
-    rows = []
-    for datum in scn.cover.orbit_data:
-        rows.append(datum.to_json())
-    return rows
-
-
-def _registry_log(scn: Scenario):
-    return [dict(entry) for entry in scn.cover.registry.log]
-
-
 def run_analyze(scn: Scenario) -> dict:
     verdicts: list = []
     report = {
         "command": "analyze",
         "scenario": scn.config.raw,
         "seed": scn.config.seed,
-        "group_order": scn.group.order,
-        "ramification": _ramification_rows(scn),
+        "group_order": scn.cover.G.order,
+        "ramification": [datum.to_json() for datum in scn.cover.orbit_data],
         "verdicts": verdicts,
     }
     if scn.cover.geometry is not None:
@@ -88,20 +73,19 @@ def run_analyze(scn: Scenario) -> dict:
 def _euler_one_divisor(scn: Scenario, D, tag: str, verdicts):
     cover = scn.cover
     entry = {"divisor": D.to_json() if D is not None else None,
-             "degree": (D.degree() if D is not None
-                        else cover.divisor_degree(cover.orbit_table(None)))}
+             "degree": cover.divisor_degree(cover.orbit_table(D))}
     oracle = None
     if cover.geometry is not None:
         oracle = oracle_euler_class(cover, D)
-        entry["oracle"] = _class_json(oracle)
+        entry["oracle"] = oracle.to_json()
     cong = congruence_condition(cover, D)
     entry["congruence"] = cong
     if cong and cover.is_weakly_ramified():
         integral, terms = euler_class_integral(cover, D)
         rational = euler_class_rational(cover, D)
-        entry["integral_formula"] = _class_json(integral)
-        entry["integral_terms"] = _jsonable_terms(terms)
-        entry["rational_formula"] = _class_json(rational)
+        entry["integral_formula"] = integral.to_json()
+        entry["integral_terms"] = terms
+        entry["rational_formula"] = rational.to_json()
         _verdict(verdicts, f"{tag}:rational_equals_integral",
                  rational == integral)
         if oracle is not None:
@@ -111,7 +95,7 @@ def _euler_one_divisor(scn: Scenario, D, tag: str, verdicts):
         entry["integral_formula"] = "refused: congruence or weakness fails"
     scaled, C, _terms = euler_class_scaled(cover, D)
     entry["scaled_constant"] = C
-    entry["scaled_formula"] = _class_json(scaled)
+    entry["scaled_formula"] = scaled.to_json()
     if oracle is not None:
         _verdict(verdicts, f"{tag}:scaled_identity",
                  scaled == oracle.scale(cover.G.order),
@@ -126,16 +110,6 @@ def _euler_one_divisor(scn: Scenario, D, tag: str, verdicts):
     return entry
 
 
-def _jsonable_terms(terms: dict) -> dict:
-    out = dict(terms)
-    out["orbits"] = [
-        {**t, "place": (t["place"].to_json()
-                        if hasattr(t["place"], "to_json")
-                        else str(t["place"]))}
-        for t in terms["orbits"]]
-    return out
-
-
 def run_euler(scn: Scenario) -> dict:
     verdicts: list = []
     cover = scn.cover
@@ -145,26 +119,26 @@ def run_euler(scn: Scenario) -> dict:
         "command": "euler",
         "scenario": scn.config.raw,
         "seed": scn.config.seed,
-        "ramification": _ramification_rows(scn),
+        "ramification": [datum.to_json() for datum in cover.orbit_data],
         "verdicts": verdicts,
     }
     if routes is not None:
         report["ramification_module"] = {
-            "inertia_route": _class_json(routes["inertia"]),
-            "euler_route": (_class_json(routes["euler"])
+            "inertia_route": routes["inertia"].to_json(),
+            "euler_route": (routes["euler"].to_json()
                             if routes["euler"] is not None else None),
         }
         if routes["consistent"] is not None:
             _verdict(verdicts, "ramification_module_routes",
                      routes["consistent"])
     entries = []
-    if scn.cover.geometry is not None:
+    if cover.geometry is not None:
         for i, D in enumerate(scn.divisors):
             entries.append(_euler_one_divisor(scn, D, f"D{i}", verdicts))
     else:
         entries.append(_euler_one_divisor(scn, None, "abstract", verdicts))
     report["divisors"] = entries
-    report["registry"] = _registry_log(scn)
+    report["registry"] = cover.registry.log
     return _finish(report)
 
 
@@ -189,10 +163,7 @@ def run_check(scn: Scenario) -> dict:
         for d in range(1, datum.e_t):
             cert = divided_cover_class(cover, datum, d)
             w_reports.append({
-                "place": (datum.place.to_json()
-                          if hasattr(datum.place, "to_json")
-                          else str(datum.place)),
-                "twist": d, "f": datum.f,
+                "place": datum.place_json(), "twist": d, "f": datum.f,
                 "head_multiplicities": cert["head_multiplicities"],
             })
             _verdict(verdicts,
@@ -218,7 +189,7 @@ def run_check(scn: Scenario) -> dict:
                 _verdict(verdicts, f"D{i}:{name}", pr[name])
         report["projectivity"] = proj_entries
         report["cartesian"] = _cartesian_section(scn, verdicts)
-    report["registry"] = _registry_log(scn)
+    report["registry"] = cover.registry.log
     return _finish(report)
 
 
@@ -262,24 +233,52 @@ def _summary(report: dict) -> str:
 
 RUNNERS = {"analyze": run_analyze, "euler": run_euler, "check": run_check}
 
+# the errors a suite reports per (scenario, command), with their exit codes
+_SUITE_ERRORS = {InputError: ("INPUT ERROR", 2), CapExceeded: ("CAP", 3),
+                 Inconsistency: ("INCONSISTENCY", 3)}
 
-def _run_one(command: str, path: str, seed_override) -> dict:
+
+def _realize(path: str, seed_override) -> Scenario:
     text = Path(path).read_text() if path != "-" else sys.stdin.read()
     cfg = parse_scenario(text)
     if seed_override is not None:
         cfg.seed = seed_override
         cfg.raw["seed"] = seed_override
-    scn = realize(cfg)
-    return RUNNERS[command](scn)
+    return realize(cfg)
+
+
+def _run_one(command: str, path: str, seed_override) -> dict:
+    return RUNNERS[command](_realize(path, seed_override))
 
 
 def _exit_code(report: dict) -> int:
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1
 
 
-def _scenario_paths(paths, skip):
-    resolved_skip = {Path(s).resolve() for s in skip if s}
-    return [p for p in paths if Path(p).resolve() not in resolved_skip]
+def _suite_reports(paths, skip, seed_override):
+    """(file name, command, report or exception) for every scenario file
+    but skip and every command.  Each scenario is realized once and that
+    one Scenario serves all the commands, so they share its registries,
+    Cartan data and Riemann-Roch modules; a realize failure is reported
+    against every command."""
+    errors = tuple(_SUITE_ERRORS)
+    skip = Path(skip).resolve() if skip else None
+    for path in paths:
+        if Path(path).resolve() == skip:
+            continue
+        name = Path(path).name
+        try:
+            scn = _realize(path, seed_override)
+        except errors as e:
+            for command in RUNNERS:
+                yield name, command, e
+            continue
+        for command, run in RUNNERS.items():
+            try:
+                result = run(scn)
+            except errors as e:
+                result = e
+            yield name, command, result
 
 
 def run_suite(paths, golden_path, seed_override) -> int:
@@ -287,46 +286,34 @@ def run_suite(paths, golden_path, seed_override) -> int:
     if golden_path and Path(golden_path).exists():
         manifest = json.loads(Path(golden_path).read_text())
     worst = 0
-    for path in _scenario_paths(paths, [golden_path]):
-        name = Path(path).name
-        for command in ("analyze", "euler", "check"):
-            try:
-                report = _run_one(command, path, seed_override)
-            except InputError as e:
-                print(f"{name} {command}: INPUT ERROR ({e})")
-                worst = max(worst, 2)
-                continue
-            except CapExceeded as e:
-                print(f"{name} {command}: CAP ({e})")
-                worst = 3
-                continue
-            except Inconsistency as e:
-                print(f"{name} {command}: INCONSISTENCY ({e})")
-                worst = 3
-                continue
-            code = _exit_code(report)
-            expected = manifest.get(name, {}).get(command)
-            match = ""
-            if expected is not None:
-                if expected == report["canonical_hash"]:
-                    match = " hash ok"
-                else:
-                    match = " HASH MISMATCH"
-                    code = max(code, 1)
-            status = "pass" if code == 0 else "FAIL"
-            print(f"{name} {command}: {status}{match}")
+    for name, command, report in _suite_reports(paths, golden_path,
+                                                seed_override):
+        if isinstance(report, Exception):
+            label, code = _SUITE_ERRORS[type(report)]
+            print(f"{name} {command}: {label} ({report})")
             worst = max(worst, code)
+            continue
+        code = _exit_code(report)
+        expected = manifest.get(name, {}).get(command)
+        match = ""
+        if expected is not None:
+            if expected == report["canonical_hash"]:
+                match = " hash ok"
+            else:
+                match = " HASH MISMATCH"
+                code = max(code, 1)
+        status = "pass" if code == 0 else "FAIL"
+        print(f"{name} {command}: {status}{match}")
+        worst = max(worst, code)
     return worst
 
 
 def make_golden(paths, out_path) -> None:
-    manifest = {}
-    for path in _scenario_paths(paths, [out_path]):
-        name = Path(path).name
-        manifest[name] = {}
-        for command in ("analyze", "euler", "check"):
-            report = _run_one(command, path, None)
-            manifest[name][command] = report["canonical_hash"]
+    manifest: dict = {}
+    for name, command, report in _suite_reports(paths, out_path, None):
+        if isinstance(report, Exception):
+            raise type(report)(f"{name} {command}: {report}") from report
+        manifest.setdefault(name, {})[command] = report["canonical_hash"]
     Path(out_path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 

@@ -74,50 +74,52 @@ class CoverData:
 
     # -- shared classes ------------------------------------------------------
 
+    def memo(self, key, build):
+        """The value cached under key, built by build() on first use.  A
+        build that raises caches nothing, so the next call builds again."""
+        if key not in self._caches:
+            self._caches[key] = build()
+        return self._caches[key]
+
     def regular_class(self) -> ClassVector:
         return self.registry.regular_class()
 
     def main_cartan(self) -> CartanData:
-        if "cartan" not in self._caches:
-            self._caches["cartan"] = cartan_data(self.G, self.k,
-                                                 self.registry)
-        return self._caches["cartan"]
+        return self.memo("cartan", lambda: cartan_data(self.G, self.k,
+                                                       self.registry))
 
     def registry_for(self, group: FiniteGroup):
         """(registry, cartan) for a materialized subgroup, cached; the
         whole group materializes as G itself and gets the main pair."""
         if group is self.G:
             return self.registry, self.main_cartan()
-        subs = self._caches.setdefault("sub_registries", {})
-        if id(group) not in subs:
+
+        def build():
             reg = SimpleRegistry(group, self.k, self.rng)
-            cd = cartan_data(group, self.k, reg)
-            subs[id(group)] = (reg, cd)
-        return subs[id(group)]
+            return reg, cartan_data(group, self.k, reg)
+        return self.memo(("registry", id(group)), build)
 
     def cover_module(self, datum: RamificationDatum, d: int):
         """Ind-ready projective cover of the d-th cotangent power over the
         inertia group.  The cotangent character has order e_t, so the
         twists d and d mod e_t give the same module and share an entry."""
         d %= datum.e_t
-        key = ("cov", id(datum), d)
-        if key not in self._caches:
+
+        def build():
             Ig = datum.I_P.as_group()
-            wild_in_i = datum.wild.in_subgroup_of(Ig)
-            self._caches[key] = projective_cover_over_inertia(
-                Ig, wild_in_i, datum.cotangent_power(d))
-        return self._caches[key]
+            return projective_cover_over_inertia(
+                Ig, datum.wild.in_subgroup_of(Ig), datum.cotangent_power(d))
+        return self.memo(("cov", id(datum), d), build)
 
     def induced_cover_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
         """Class of Ind_{I_P}^G Cov((m/m^2)^{tensor d}), keyed by d mod
         e_t as cover_module is."""
         d %= datum.e_t
-        key = ("indcov", id(datum), d)
-        if key not in self._caches:
-            ind = rep_induce(self.cover_module(datum, d), self.G, datum.I_P)
-            self._caches[key] = self.registry.class_of(ind)
-        return self._caches[key]
+        return self.memo(("indcov", id(datum), d),
+                         lambda: self.registry.class_of(rep_induce(
+                             self.cover_module(datum, d), self.G,
+                             datum.I_P)))
 
     def induced_fiber_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
@@ -125,15 +127,13 @@ class CoverData:
         used by the scaled identity, which has no weakness assumption.
         Keyed by d mod e_t as cover_module is."""
         d %= datum.e_t
-        key = ("indcot", id(datum), d)
-        if key not in self._caches:
-            ind = rep_induce(datum.cotangent_power(d), self.G, datum.I_P)
-            self._caches[key] = self.registry.class_of(ind)
-        return self._caches[key]
+        return self.memo(("indcot", id(datum), d),
+                         lambda: self.registry.class_of(rep_induce(
+                             datum.cotangent_power(d), self.G, datum.I_P)))
 
     # -- divisor bookkeeping ----------------------------------------------------
 
-    def orbit_table(self, D: Divisor | None, last_representative=False):
+    def orbit_table(self, D: Divisor | None):
         """List of (datum, coefficient): every ramified orbit plus every
         orbit meeting the divisor support."""
         if self.geometry is None:
@@ -151,16 +151,14 @@ class CoverData:
         out = []
         seen: set = set()
         for orb in geo.ramified_orbits():
-            rep = orb[-1] if last_representative else orb[0]
-            out.append((geo.ramification(rep), D.coeff(rep)))
+            out.append((geo.ramification(orb[0]), D.coeff(orb[0])))
             seen.update(orb)
         for P in D.support():
             if P in seen:
                 continue
             orb = geo.orbit_of_place(P)
             seen.update(orb)
-            rep = orb[-1] if last_representative else orb[0]
-            out.append((geo.ramification(rep), D.coeff(rep)))
+            out.append((geo.ramification(orb[0]), D.coeff(orb[0])))
         return out
 
     def divisor_degree(self, table) -> int:
@@ -274,11 +272,12 @@ def _oracle_rr_module(cover: CoverData,
     built once per divisor."""
     if cover.geometry is None:
         raise InputError("oracle classes need the geometry substrate")
-    key = ("oracle", tuple((p.sort_key(), c) for p, c in D.items()))
-    if key not in cover._caches:
+
+    def build():
         rep = cover.geometry.rr_action_rep(D)
-        cover._caches[key] = (rep, cover.registry.class_of(rep))
-    return cover._caches[key]
+        return rep, cover.registry.class_of(rep)
+    return cover.memo(("oracle", tuple((p.sort_key(), c)
+                                       for p, c in D.items())), build)
 
 
 def oracle_euler_class(cover: CoverData, D: Divisor) -> ClassVector:
@@ -298,10 +297,8 @@ def divided_cover_class(cover: CoverData, datum: RamificationDatum,
     once per (datum, d).
 
     A divisibility failure falsifies the theorem and raises with a dump."""
-    key = ("divided", id(datum), d)
-    if key not in cover._caches:
-        cover._caches[key] = _certify_divided_cover(cover, datum, d)
-    return cover._caches[key]
+    return cover.memo(("divided", id(datum), d),
+                      lambda: _certify_divided_cover(cover, datum, d))
 
 
 def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
@@ -346,9 +343,7 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
 # -- the Riemann-Roch formulas ----------------------------------------------------
 
 
-def euler_class_integral(cover: CoverData, D: Divisor | None = None,
-                         n_route: str = "inertia",
-                         last_representative: bool = False):
+def euler_class_integral(cover: CoverData, D: Divisor | None = None):
     """Integral formula: -[ram module] + sum over quotient points and
     twists of the divided induced-cover classes + (1 - g_Y +
     sum [k(R):k] m) [k[G]], each divided class certified by
@@ -356,13 +351,10 @@ def euler_class_integral(cover: CoverData, D: Divisor | None = None,
     if not cover.is_weakly_ramified():
         raise InputError("the integral formula needs a weakly ramified "
                          "cover")
-    table = cover.orbit_table(D, last_representative=last_representative)
+    table = cover.orbit_table(D)
     if not congruence_condition(cover, D):
         raise InputError("divisor violates the -1 mod e_w congruence")
-    if n_route == "euler":
-        n_class = ramification_class_via_euler(cover)
-    else:
-        n_class = ramification_class_via_inertia(cover)
+    n_class = ramification_class_via_inertia(cover)
     w_sum = cover.registry.zero()
     reg_coeff = Fraction(1 - cover.g_Y)
     terms = []
@@ -376,14 +368,14 @@ def euler_class_integral(cover: CoverData, D: Divisor | None = None,
             if not w.is_integral():
                 raise Inconsistency("induced divided class is not integral")
             w_sum = w_sum + w
-        terms.append({"place": datum.place, "n": n, "l": l, "m": m,
+        terms.append({"place": datum.place_json(), "n": n, "l": l, "m": m,
                       "f": datum.f, "residue_deg": datum.residue_deg})
     if reg_coeff.denominator != 1:
         raise Inconsistency("regular coefficient is not integral")
     total = (-n_class) + w_sum + cover.regular_class().scale(reg_coeff)
     if not total.is_integral():
         raise Inconsistency("integral formula produced a fractional class")
-    report = {"n_route": n_route, "regular_coefficient": int(reg_coeff),
+    report = {"n_route": "inertia", "regular_coefficient": int(reg_coeff),
               "orbits": terms}
     return total, report
 
@@ -448,9 +440,7 @@ def euler_class_scaled(cover: CoverData, D: Divisor | None = None):
     (class, C, term report); C is computed exactly and must be integral."""
     table = cover.orbit_table(D)
     g_x = cover.genus_upstairs()
-    deg_e = cover.divisor_degree(table) if cover.geometry is None else \
-        (D or Divisor({})).degree()
-    C = Fraction(1 - g_x) + deg_e
+    C = Fraction(1 - g_x) + cover.divisor_degree(table)
     for datum in cover.orbit_data:
         C += Fraction(datum.orbit_size * datum.deg * (datum.e_t - 1), 2)
     if C.denominator != 1:
@@ -463,7 +453,7 @@ def euler_class_scaled(cover: CoverData, D: Divisor | None = None):
         for d in range(1, datum.e_t):
             v = cover.induced_fiber_class(datum, d - n_p)
             total = total - v.scale(datum.orbit_size * datum.e_w * d)
-        terms.append({"place": datum.place, "n": n_p})
+        terms.append({"place": datum.place_json(), "n": n_p})
     return total, int(C), terms
 
 

@@ -151,7 +151,6 @@ class PowerBasisCoords:
                 cols.append(ambient.digits(val))
         # (ambient.n, deg*k.n): ambient digits as GF(p) coordinates
         self.mat = Mat.from_rows(fp, cols).T
-        self._solved_rref = None
 
     def coords(self, z: int):
         """k-coordinates of z, or None if z is outside k(beta)."""
@@ -331,14 +330,19 @@ class RamificationDatum:
             self._line_cache[d] = rep
         return self._line_cache[d]
 
+    def place_json(self):
+        """The place as reports show it: a Place's JSON form, or the label
+        of an abstract orbit."""
+        return (self.place.to_json() if isinstance(self.place, Place)
+                else str(self.place))
+
     def to_json(self):
         # field elements serialize as the GF(p) coefficient lists of their
         # representative polynomials
         values = [[s, list(self.kP.digits(a))]
                   for s, a in sorted(self.char.items())]
         return {
-            "place": (self.place.to_json()
-                      if isinstance(self.place, Place) else str(self.place)),
+            "place": self.place_json(),
             "degree": self.deg,
             "orbit_size": self.orbit_size,
             "e": self.e, "e_tame": self.e_t, "e_wild": self.e_w,

@@ -582,8 +582,14 @@ class SimpleRegistry:
             sources = [extend_scalars(S, self.field)
                        for S in self._base.simples]
         self._simples = []  # filled by find_or_add during the chops
-        for M in sources:
-            chop(M, self, self._rng)
+        try:
+            for M in sources:
+                chop(M, self, self._rng)
+        except BaseException:
+            # a failed chop leaves the registry unsaturated: the next use
+            # saturates it again from scratch
+            self._simples, self._index = None, {}
+            raise
         keys = sorted(self._index,
                       key=lambda b: (self._simples[self._index[b]].dim, b))
         self._simples = [self._simples[self._index[b]] for b in keys]

@@ -258,12 +258,12 @@ def parse_divisor(k: Field, raw, key: str) -> Divisor:
 
 @dataclass
 class Scenario:
+    """A realized scenario: its cover (group, field, random source and the
+    per-scenario caches) and, in oracle mode, its divisors.  Every command
+    of one scenario can run on the same Scenario."""
     config: ScenarioConfig
-    k: Field
-    group: FiniteGroup
     cover: CoverData
     divisors: list[Divisor]
-    rng: random.Random
 
 
 def realize(cfg: ScenarioConfig) -> Scenario:
@@ -282,7 +282,7 @@ def realize(cfg: ScenarioConfig) -> Scenario:
                 raise InputError(
                     "divisor is not constant on the orbit "
                     + ", ".join(repr(p) for p in orbit))
-        return Scenario(cfg, k, G, cover, divisors, rng)
+        return Scenario(cfg, cover, divisors)
     data = []
     coefficients = []
     for i, raw in enumerate(cfg.orbits):
@@ -326,4 +326,4 @@ def realize(cfg: ScenarioConfig) -> Scenario:
                                       f"{key}.coefficient"))
     cover = CoverData.from_abstract(G, k, cfg.genus_quotient, data,
                                     coefficients, rng)
-    return Scenario(cfg, k, G, cover, [], rng)
+    return Scenario(cfg, cover, [])

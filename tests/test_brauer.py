@@ -37,7 +37,7 @@ def shipped(name):
     scn = realize(parse_scenario((SCENARIO_DIR / name).read_text()))
     k = scn.cover.k
     k2 = field_make(k.p, 2 * k.n)
-    return scn, SimpleRegistry(scn.group, k2, random.Random(5))
+    return scn, SimpleRegistry(scn.cover.G, k2, random.Random(5))
 
 
 def _random_vector(F, dim, r):

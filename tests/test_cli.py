@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from equirr import cli, engine, reps
+from equirr import cli, engine, reps, scenarios
 from equirr.cli import main
-from equirr.errors import Inconsistency, InputError
+from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.geometry import P1Geometry
 from equirr.scenarios import find_s3_pgl2, parse_scenario, realize
 from equirr.fields import field_make
@@ -44,13 +44,13 @@ def translation_config(extra=None):
 def test_parse_minimal_valid():
     cfg = parse_scenario(minimal_config())
     scn = realize(cfg)
-    assert scn.group.order == 1
+    assert scn.cover.G.order == 1
 
 
 def test_parse_translation_closure():
     cfg = parse_scenario(translation_config())
     scn = realize(cfg)
-    assert scn.group.order == 3
+    assert scn.cover.G.order == 3
 
 
 def test_parse_rejects_missing_field():
@@ -161,7 +161,7 @@ def test_order_cap_gives_exit_3(tmp_path):
 def test_s3_search_scenario_builds():
     cfg = parse_scenario((SCENARIO_DIR / "a3_s3_gf5.json").read_text())
     scn = realize(cfg)
-    assert scn.group.order == 6
+    assert scn.cover.G.order == 6
 
 
 def test_s3_search_fails_where_impossible(tmp_path):
@@ -222,18 +222,78 @@ def test_suite_reports_every_scenario_past_cap_and_inconsistency(
     assert out.count("a_capped.json") == out.count(": CAP (") == 3
     assert out.count("b_ok.json") == out.count(": pass") == 3
 
-    real_run_one = cli._run_one
+    def broken_analyze(scn):
+        raise Inconsistency("forced")
 
-    def broken_analyze(command, path, seed):
-        if command == "analyze":
-            raise Inconsistency("forced")
-        return real_run_one(command, path, seed)
-
-    monkeypatch.setattr(cli, "_run_one", broken_analyze)
+    monkeypatch.setitem(cli.RUNNERS, "analyze", broken_analyze)
     assert main(["suite", last]) == 3
     out = capsys.readouterr().out
     assert "b_ok.json analyze: INCONSISTENCY (forced)" in out
     assert out.count(": pass") == 2
+
+
+def shipped_files():
+    return sorted(str(p) for p in SCENARIO_DIR.glob("*.json")
+                  if p.name != "golden.json")
+
+
+def test_suite_realizes_each_scenario_once(capsys, monkeypatch):
+    # one realized Scenario serves analyze, euler and check
+    assert cli.realize is scenarios.realize
+    calls = record_calls(monkeypatch, cli, "realize")
+    golden = str(SCENARIO_DIR / "golden.json")
+    assert main(["suite", *shipped_files(), "--golden", golden]) == 0
+    assert len(calls) == 5
+    assert capsys.readouterr().out.count("pass hash ok") == 15
+
+
+def test_failed_command_leaves_the_shared_scenario_usable(capsys,
+                                                         monkeypatch):
+    # euler fails inside the saturation of the main registry; check then
+    # runs on the same Scenario, saturates again and keeps its hash
+    real_euler = cli.RUNNERS["euler"]
+    real_find = reps.find_submodule_or_simple
+
+    def broken_euler(scn):
+        calls = []
+
+        def failing(A, rng):
+            calls.append(A)
+            if len(calls) == 3:
+                raise CapExceeded("forced")
+            return real_find(A, rng)
+
+        monkeypatch.setattr(reps, "find_submodule_or_simple", failing)
+        try:
+            return real_euler(scn)
+        finally:
+            monkeypatch.setattr(reps, "find_submodule_or_simple", real_find)
+
+    monkeypatch.setitem(cli.RUNNERS, "euler", broken_euler)
+    golden = str(SCENARIO_DIR / "golden.json")
+    assert main(["suite", str(SCENARIO_DIR / "a3_s3_gf5.json"),
+                 "--golden", golden]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "a3_s3_gf5.json analyze: pass hash ok",
+        "a3_s3_gf5.json euler: CAP (forced)",
+        "a3_s3_gf5.json check: pass hash ok"]
+
+
+def test_write_golden_reproduces_the_shipped_manifest(tmp_path, capsys):
+    out = tmp_path / "golden.json"
+    assert main(["suite", *shipped_files(), "--write-golden", str(out)]) == 0
+    assert out.read_bytes() == (SCENARIO_DIR / "golden.json").read_bytes()
+
+
+def test_write_golden_names_the_failing_file(tmp_path, capsys):
+    # a manifest in the scenario list is parsed as a scenario and fails;
+    # the error names it, and no manifest is written
+    out = tmp_path / "g.json"
+    files = [*shipped_files()[:1], str(SCENARIO_DIR / "golden.json")]
+    assert main(["suite", *files, "--write-golden", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "golden.json analyze: field: expected an object" in err
+    assert not out.exists()
 
 
 def _set(doc, path, value):
@@ -390,4 +450,4 @@ def test_whole_decomposition_group_reuses_the_main_registry(
     calls = record_calls(monkeypatch, reps.SimpleRegistry, "_saturate")
     assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
     assert [(reg.group, reg.field.q) for reg, in calls] == (
-        [(scn.group, 7), (scn.group, 49)][:saturations])
+        [(scn.cover.G, 7), (scn.cover.G, 49)][:saturations])

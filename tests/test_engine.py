@@ -7,6 +7,7 @@ from equirr.engine import (CoverData, congruence_condition,
                            euler_class_rational, euler_class_scaled,
                            euler_class_tame_mod_regular, oracle_euler_class,
                            projectivity_report, ramification_class_routes,
+                           ramification_class_via_euler,
                            ramification_class_via_inertia, regular_multiple,
                            split_coefficient, tame_structure_checks)
 from equirr.errors import InputError
@@ -110,9 +111,12 @@ def test_translation_full_divisor(p):
     cover = translation_cover(p)
     D = Divisor({inf(): p - 1})
     oracle = oracle_euler_class(cover, D)
-    for route in ("inertia", "euler"):
-        formula, report = euler_class_integral(cover, D, n_route=route)
-        assert formula == oracle
+    formula, _ = euler_class_integral(cover, D)
+    assert formula == oracle
+    # the formula reads the ramification module by the local route; the
+    # global route gives the same class, so either route gives the oracle
+    assert (ramification_class_via_euler(cover)
+            == ramification_class_via_inertia(cover))
     assert oracle == cover.regular_class()
     assert is_projective(cover.geometry.rr_action_rep(D))
 
@@ -184,9 +188,26 @@ def test_representative_independence():
     cover = make_cover(F, [(1, 1, 0, 1), (2, 0, 0, 1)])
     rational_orbit = [Place(Poly(F, [c, 1]), check=False) for c in range(3)]
     D = Divisor({inf(): 2, **{P: 1 for P in rational_orbit}})
-    a, _ = euler_class_integral(cover, D)
-    b, _ = euler_class_integral(cover, D, last_representative=True)
-    assert a == b
+    # the integral formula reads an orbit only through these data of its
+    # first place; the last place of the orbit gives the same ones
+    geo = cover.geometry
+    lengths = []  # (orbit size, l) per orbit
+    for first, n in cover.orbit_table(D):
+        orbit = geo.orbit_of_place(first.place)
+        assert geo.ramification(orbit[0]) is first
+        last = geo.ramification(orbit[-1])
+        assert ((last.e_t, last.e_w, last.f, last.residue_deg)
+                == (first.e_t, first.e_w, first.f, first.residue_deg))
+        l, _ = split_coefficient(n, first.e_t, first.e_w)
+        lengths.append((len(orbit), l))
+        for d in range(1, l + 1):
+            assert (cover.induced_cover_class(last, -d)
+                    == cover.induced_cover_class(first, -d))
+            cert = divided_cover_class(cover, last, d)
+            assert all(m % last.f == 0
+                       for m in cert["head_multiplicities"].values())
+    # a twist is certified on the three-place orbit
+    assert sorted(lengths) == [(1, 0), (3, 1)]
 
 
 def test_integral_formula_refuses_bad_congruence():

@@ -3,7 +3,9 @@
 A report hash stands for every number in the report, so a change that
 claims "same results" must leave these unchanged.  The pairs come from
 `perfbench/workloads.py`, loaded read-only by path; the golden-suite
-workload is pinned by `scenarios/golden.json` in test_cli.py."""
+workload is pinned by `scenarios/golden.json` in test_cli.py.  Each pair
+is checked on a fresh realized scenario, as the benchmark runs it, and
+euler then check on one shared scenario, as `equirr suite` runs them."""
 
 import importlib.util
 import sys
@@ -70,3 +72,18 @@ def test_pair_hash(key):
     report = RUNNERS[pair.command](scn)
     assert all(v["pass"] for v in report["verdicts"])
     assert report["canonical_hash"] == PINNED[key]
+
+
+@pytest.mark.parametrize("scenario_id", sorted(
+    {(name, pair_id.rsplit(":", 1)[0]) for name, pair_id in PINNED}),
+    ids="/".join)
+def test_pair_hashes_on_one_shared_scenario(scenario_id):
+    name, prefix = scenario_id
+    pairs = [PAIRS[name, f"{prefix}:{command}"]
+             for command in ("euler", "check")]
+    assert pairs[0].scenario == pairs[1].scenario
+    scn = scenarios.realize(scenarios.parse_scenario(pairs[0].scenario))
+    for pair in pairs:
+        report = RUNNERS[pair.command](scn)
+        assert all(v["pass"] for v in report["verdicts"])
+        assert report["canonical_hash"] == PINNED[name, pair.pair_id]

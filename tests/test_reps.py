@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,10 @@ from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          regular_endomorphisms, rep_direct_sum,
                          rep_dual, rep_induce, rep_regular,
                          rep_restrict, rep_tensor, rep_trivial)
+from equirr.scenarios import parse_scenario, realize
 from reptools import is_isomorphic
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def cyclic_table(n):
@@ -280,6 +284,36 @@ def test_registry_brauer_key_orders_nonisomorphic_simples(table, p):
         conj = Rep(G, F, S.dim, {t: Pinv @ X @ P
                                  for t, X in enumerate(S.generator_images())})
         assert reg.find_or_add(conj) == i
+
+
+def test_failed_saturation_leaves_the_registry_unsaturated(monkeypatch):
+    # a chop that raises during saturation (here the 3rd MeatAxe call for
+    # the main registry of scenarios/a3_s3_gf5.json, S3 over GF(5)) keeps
+    # no partial state: the next use saturates again, to the same simples
+    # in the same order as a fresh registry
+    text = (SCENARIO_DIR / "a3_s3_gf5.json").read_text()
+    reg = realize(parse_scenario(text)).cover.registry
+    real = reps.find_submodule_or_simple
+    calls = []
+
+    def failing(A, rng):
+        calls.append(A)
+        if len(calls) == 3:
+            raise CapExceeded("forced")
+        return real(A, rng)
+
+    monkeypatch.setattr(reps, "find_submodule_or_simple", failing)
+    with pytest.raises(CapExceeded, match="forced"):
+        reg.simples
+    assert len(calls) == 3
+    assert len(reg.simples) == 3
+    assert len(calls) > 3  # saturated again
+    fresh = SimpleRegistry(reg.group, reg.field, random.Random(7))
+    assert len(fresh.simples) == 3
+    assert reg.vectors == fresh.vectors
+    for S, T in zip(reg.simples, fresh.simples):
+        assert S.dim == T.dim and is_isomorphic(S, T)
+    assert reg.regular_class().padded() == fresh.regular_class().padded()
 
 
 @pytest.mark.parametrize("table,p,n", [
