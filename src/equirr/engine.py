@@ -144,10 +144,7 @@ class CoverData:
                     for i, datum in enumerate(self.orbit_data)]
         D = D or Divisor({})
         geo = self.geometry
-        ok, orbit = geo.divisor_is_equivariant(D)
-        if not ok:
-            raise InputError("divisor is not equivariant; offending orbit: "
-                             + ", ".join(repr(p) for p in orbit))
+        geo.check_equivariant(D)
         out = []
         seen: set = set()
         for orb in geo.ramified_orbits():

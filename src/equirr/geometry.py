@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 
 from .errors import Inconsistency, InputError
-from .fields import Field, Poly, field_make, poly_roots
-from .groups import FiniteGroup, Subgroup
+from .fields import Field, Poly, field_make, poly_is_irreducible, poly_roots
+from .groups import FiniteGroup, Subgroup, _p_part
 from .matrices import Mat
 from .reps import Rep, subgroup_to_parent
 
@@ -38,7 +38,6 @@ class Place:
             self.degree = 1
             return
         if check:
-            from .fields import poly_is_irreducible
             if poly.leading() != 1 or not poly_is_irreducible(poly):
                 raise InputError(
                     f"place polynomial must be monic irreducible: {poly!r}")
@@ -80,7 +79,6 @@ def places_up_to(k: Field, bound: int) -> list[Place]:
     in deterministic (degree, encoding) order."""
     if bound < 1:
         raise InputError("place degree bound must be at least 1")
-    from .fields import poly_is_irreducible
     out = [Place.infinity()]
     for d in range(1, bound + 1):
         for low in range(k.q**d):
@@ -224,10 +222,7 @@ class RamificationDatum:
             raise Inconsistency("wild subgroup order differs from e_w")
         if any(a < b for a, b in zip(self.filtration, self.filtration[1:])):
             raise Inconsistency("ramification filtration must decrease")
-        o = self.e_w
-        while o % self.k.p == 0:
-            o //= self.k.p
-        if o != 1:
+        if _p_part(self.e_w, self.k.p) != self.e_w:
             raise Inconsistency("wild inertia is not a p-group")
         # character: homomorphism on I_P, kernel exactly wild, order e_t
         wild_set = set(self.wild.indices)
@@ -493,6 +488,14 @@ class P1Geometry:
                 return False, orbit
         return True, None
 
+    def check_equivariant(self, D: Divisor):
+        """Raise InputError naming the orbit on which D is not constant."""
+        ok, orbit = self.divisor_is_equivariant(D)
+        if not ok:
+            raise InputError("divisor is not equivariant: its coefficients "
+                             "differ on the orbit "
+                             + ", ".join(repr(p) for p in orbit))
+
     # -- ramification -----------------------------------------------------------
 
     def ramified_places(self) -> list[Place]:
@@ -720,11 +723,7 @@ class P1Geometry:
         column.  Three exact checks together say that every moved basis
         element stays in L(D): w_0 leaves remainder zero, so does each
         later division, and deg w_j <= d."""
-        ok, orbit = self.divisor_is_equivariant(D)
-        if not ok:
-            raise InputError(
-                "divisor is not equivariant; offending orbit: "
-                + ", ".join(repr(p) for p in orbit))
+        self.check_equivariant(D)
         dim = D.degree() + 1
         if dim < 0:
             raise InputError("divisor degree below -1 leaves the oracle "

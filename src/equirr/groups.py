@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import Field, is_prime
+from .fields import Field, prime_factors
 
 DEFAULT_ORDER_CAP = 2000
 
@@ -348,9 +348,7 @@ def schur_zassenhaus_complement(I: FiniteGroup, P: Subgroup) -> Subgroup:
     if not P.is_normal():
         raise InputError("P must be normal in I")
     m = I.order // P.order
-    primes = {f for f in range(2, P.order + 1)
-              if P.order % f == 0 and is_prime(f)}
-    if len(primes) > 1:
+    if len(prime_factors(P.order)) > 1:
         raise InputError("P must be a p-group")
     if math.gcd(P.order, m) != 1:
         raise InputError("complement requires coprime order and index")

@@ -5,7 +5,6 @@ Cartesian-diagram cross-check between a base field and an extension."""
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -13,85 +12,8 @@ import numpy as np
 from .errors import Inconsistency, InputError
 from .fields import Field, prime_factors
 from .groups import FiniteGroup
-from .reps import ClassVector, SimpleRegistry, extend_scalars
-
-
-# -- integer Smith normal form ------------------------------------------------
-
-
-def smith_normal_form(A):
-    """U A V = D with U, V unimodular and D diagonal with d_i | d_{i+1}.
-
-    Plain integer row/column reduction; matrices here are tiny (one row and
-    column per simple module)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    D = [list(r) for r in A]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, k):  # row_i -= k * row_j
-        D[i] = [a - k * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - k * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, k):  # col_i -= k * col_j
-        for r in range(rows):
-            D[r][i] -= k * D[r][j]
-        for r in range(cols):
-            V[r][i] -= k * V[r][j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate a nonzero entry of least absolute value in the rest
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] and (best is None
-                                or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if D[i][t]:
-                row_op(i, t, D[i][t] // D[t][t])
-                if D[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if D[t][j]:
-                col_op(j, t, D[t][j] // D[t][t])
-                if D[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility sweep: pivot must divide everything below-right
-        ok = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i][j] % D[t][t]:
-                    row_op(t, i, -1)  # pull the offending row up
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            if D[t][t] < 0:
-                D[t] = [-x for x in D[t]]
-                U[t] = [-x for x in U[t]]
-            t += 1
-    return U, D, V
+from .reps import (ClassVector, SimpleRegistry, extend_scalars,
+                   smith_normal_form, snf_solve)
 
 
 # -- Cartan data ---------------------------------------------------------------
@@ -160,10 +82,10 @@ def cartan_data(G: FiniteGroup, field: Field,
 
     Each class term lies in Q(zeta_m) and the sum is rational, so zeta_m^d
     may be replaced by its Galois average: the sum is computed in integers
-    as |G| L M, L the lcm of phi(m) over the class orders m, and inverted
-    through its Smith normal form U (|G| L M) V = D, with integer sums over
-    the common denominator lcm(D_kk) and no fractions.  C must be integral
-    and nonnegative with a positive diagonal, the e_i must add up to the
+    as |G| L M, L the lcm of phi(m) over the class orders m, and C is
+    solved from it column by column through its Smith normal form
+    (snf_solve), in integers.  C must be integral and nonnegative with a
+    positive diagonal, the e_i must add up to the
     number of p-regular classes (each S_i (x) k-bar is the sum of e_i
     Galois conjugate absolutely simple modules, and Brauer counts those by
     the p-regular classes), and the regular module must decompose as
@@ -188,25 +110,22 @@ def cartan_data(G: FiniteGroup, field: Field,
         for i in range(s):
             for j in range(s):
                 gram[i][j] += weight * block[i][j]
-    U, D, V = smith_normal_form(gram)
-    if any(D[k][k] == 0 for k in range(s)):
+    snf = smith_normal_form(gram)
+    if any(snf[1][k][k] == 0 for k in range(s)):
         raise Inconsistency("the Gram matrix of the simples' Brauer "
                             "characters is singular")
     e = [registry.end_dim(i) for i in range(s)]
-    # C = |G| L gram^-1 diag(e) with gram^-1 = V D^-1 U, in integers over
-    # the common denominator den = lcm(D_kk): C = num / den
-    den = math.lcm(*(D[k][k] for k in range(s)))
-    VD = [[V[i][k] * (den // D[k][k]) for k in range(s)] for i in range(s)]
-    U_cols = list(zip(*U))
-    num = [[G.order * L * e[j] * sum(map(operator.mul, row, U_cols[j]))
-            for j in range(s)] for row in VD]
-    if (any(c % den or c < 0 for row in num for c in row)
-            or any(num[i][i] < den for i in range(s))):
+    # C = |G| L gram^-1 diag(e), solved column by column
+    scale = G.order * L
+    columns = [snf_solve(snf, [scale * e[j] if i == j else 0
+                               for i in range(s)]) for j in range(s)]
+    matrix = [list(row) for row in zip(*columns)]
+    if (any(type(c) is not int or c < 0 for row in matrix for c in row)
+            or any(matrix[i][i] < 1 for i in range(s))):
         raise Inconsistency(
             "the Cartan matrix read off the Brauer characters is not a "
             "nonnegative integer matrix with a positive diagonal: "
-            f"{[[str(Fraction(c, den)) for c in row] for row in num]}")
-    matrix = [[c // den for c in row] for row in num]
+            f"{[[str(c) for c in row] for row in matrix]}")
     if sum(e) != len(brauer.orders):
         raise Inconsistency(
             f"the dims of End(S_i) add up to {sum(e)}, not to the "
@@ -226,26 +145,9 @@ def cartan_data(G: FiniteGroup, field: Field,
 
 def cartan_coordinates(v: ClassVector,
                        cd: CartanData) -> list[int | Fraction]:
-    """The unique rational x with Cartan * x = v: x = V D^-1 U v, each
-    entry an int where it is integral and a Fraction otherwise."""
-    target = v.padded()
-    if len(target) != cd.size:
-        raise InputError("class vector length does not match the registry")
-    U, D, V = cd.snf
-    s = cd.size
-    # integers over one common denominator m * L: t = m v is integral, and
-    # D^-1 U t = y / L with y_i = (U t)_i * (L / D_i)
-    m = math.lcm(*(c.denominator for c in target))
-    L = math.lcm(*(D[i][i] for i in range(s)))
-    t = [c.numerator * (m // c.denominator) for c in target]
-    y = [sum(u * tk for u, tk in zip(U[i], t)) * (L // D[i][i])
-         for i in range(s)]
-    out = []
-    for i in range(s):
-        num = sum(vk * yk for vk, yk in zip(V[i], y))
-        q, r = divmod(num, m * L)
-        out.append(Fraction(num, m * L) if r else q)
-    return out
+    """The unique rational x with Cartan * x = v, each entry an int where
+    it is integral and a Fraction otherwise."""
+    return snf_solve(cd.snf, v.padded())
 
 
 def in_cartan_image(v: ClassVector, cd: CartanData) -> bool:

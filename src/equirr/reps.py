@@ -8,6 +8,8 @@ orders and identifies the simples.  chop() implements a Norton/Parker
 style MeatAxe (random algebra elements, kernel vectors of
 characteristic-polynomial factors, submodule spinning, recursion on sub and
 quotient) and certifies simplicity before a factor is looked up.
+snf_solve on an integer Smith normal form is the one exact solver of small
+integer systems: the registry's class solves and k0's Cartan data use it.
 Direct-sum splitting (primary decomposition along random endomorphisms,
 each unsplit piece certified by its simple head) is kept separate; the
 engine reads the Cartan matrix off Brauer characters instead, and the
@@ -28,8 +30,8 @@ import numpy as np
 
 from .errors import CapExceeded, Inconsistency, InputError
 from .fields import TABLE_LIMIT, Field, field_make, poly_factor
-from .groups import (FiniteGroup, Subgroup, conjugacy_classes, coset_lookup,
-                     schur_zassenhaus_complement, sylow_p)
+from .groups import (FiniteGroup, Subgroup, _p_part, conjugacy_classes,
+                     coset_lookup, schur_zassenhaus_complement, sylow_p)
 from .matrices import EchelonBasis, Mat
 
 MEATAXE_ROUNDS = 80
@@ -399,26 +401,6 @@ def _divide_linear(E: Field, coeffs: list[int], z: int):
     return quot, acc
 
 
-def _inverse_mod(A: list[list[int]], P: int):
-    """Inverse of a square integer matrix modulo the prime P (Gauss-Jordan
-    on [A | I]), or None when A is singular modulo P."""
-    s = len(A)
-    rows = [[a % P for a in row] + [int(i == j) for j in range(s)]
-            for i, row in enumerate(A)]
-    for c in range(s):
-        pivot = next((i for i in range(c, s) if rows[i][c]), None)
-        if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], -1, P)
-        rows[c] = [a * inv % P for a in rows[c]]
-        for i in range(s):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[c])]
-    return [row[s:] for row in rows]
-
-
 class BrauerCharacters:
     """Brauer characters of k[G]-modules as integer vectors; no random
     draws.
@@ -508,6 +490,111 @@ class BrauerCharacters:
         <g> with g of order m, k[G] is free of rank |G|/m, so each zeta_m^j
         has multiplicity |G|/m."""
         return tuple((self.group_order // m,) * m for m in self.orders)
+
+
+# -- exact integer solves ---------------------------------------------------
+
+
+def smith_normal_form(A):
+    """U A V = D with U, V unimodular and D diagonal with d_i | d_{i+1}.
+
+    Plain integer row/column reduction; matrices here are tiny (one row and
+    column per simple module)."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    D = [list(r) for r in A]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, k):  # row_i -= k * row_j
+        D[i] = [a - k * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - k * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, k):  # col_i -= k * col_j
+        for r in range(rows):
+            D[r][i] -= k * D[r][j]
+        for r in range(cols):
+            V[r][i] -= k * V[r][j]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+        for r in range(cols):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    t = 0
+    while t < min(rows, cols):
+        # locate a nonzero entry of least absolute value in the rest
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if D[i][j] and (best is None
+                                or abs(D[i][j]) < abs(D[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        dirty = False
+        for i in range(t + 1, rows):
+            if D[i][t]:
+                row_op(i, t, D[i][t] // D[t][t])
+                if D[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if D[t][j]:
+                col_op(j, t, D[t][j] // D[t][t])
+                if D[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility sweep: pivot must divide everything below-right
+        ok = True
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if D[i][j] % D[t][t]:
+                    row_op(t, i, -1)  # pull the offending row up
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            if D[t][t] < 0:
+                D[t] = [-x for x in D[t]]
+                U[t] = [-x for x in U[t]]
+            t += 1
+    return U, D, V
+
+
+def snf_solve(snf, t) -> list[int | Fraction]:
+    """The unique rational x with A x = t, from the Smith normal form
+    snf = (U, D, V), U A V = D, of a nonsingular square integer matrix A:
+    x = V D^-1 U t.  t may mix ints and Fractions; each entry of x is an
+    int where it is integral and a Fraction otherwise.
+
+    The sums are in integers over one common denominator m L: m t is
+    integral for m the lcm of t's denominators, and D^-1 U (m t) = y / L
+    with L = lcm(D_ii) and y_i = (U m t)_i (L / D_ii)."""
+    U, D, V = snf
+    s = len(D)
+    if len(t) != s:
+        raise InputError(f"a right-hand side of length {len(t)} for a "
+                         f"{s} x {s} system")
+    m = math.lcm(*(c.denominator for c in t))
+    L = math.lcm(*(D[i][i] for i in range(s)))
+    t = [c.numerator * (m // c.denominator) for c in t]
+    y = [sum(u * c for u, c in zip(U[i], t)) * (L // D[i][i])
+         for i in range(s)]
+    out = []
+    for row in V:
+        num = sum(v * c for v, c in zip(row, y))
+        q, r = divmod(num, m * L)
+        out.append(Fraction(num, m * L) if r else q)
+    return out
 
 
 # -- registry and class vectors ----------------------------------------------
@@ -640,9 +727,8 @@ class SimpleRegistry:
         Inconsistency.
 
         With B the matrix of the simples' vectors, x solves the normal
-        equations B^T B x = B^T beta(M), read modulo the prime P through
-        the cached inverse of B^T B mod P.  That is exact: a nonnegative
-        solution has entries at most dim M < P, so it is its own residue."""
+        equations B^T B x = B^T beta(M) exactly, by snf_solve on the
+        cached Smith normal form of B^T B."""
         if M.group is not self.group or M.field is not self.field:
             raise InputError("module and registry are over different data")
         return self._solve(self.brauer.vector(M), M.dim)
@@ -653,11 +739,10 @@ class SimpleRegistry:
         return self._solve(self.brauer.regular_vector(), self.group.order)
 
     def _solve(self, vector, dim: int) -> "ClassVector":
-        B, gram_inv, P = self._solver
+        B, snf = self._solver
         b = np.array([c for counts in vector for c in counts], dtype=np.int64)
-        rhs = (B.T @ b).tolist()
-        x = [sum(a * c for a, c in zip(row, rhs)) % P for row in gram_inv]
-        if (any(c > dim for c in x)
+        x = snf_solve(snf, (B.T @ b).tolist())
+        if (any(type(c) is not int or not 0 <= c <= dim for c in x)
                 or not np.array_equal(B @ np.array(x, dtype=np.int64), b)
                 or sum(c * S.dim for c, S in zip(x, self.simples)) != dim):
             raise Inconsistency(
@@ -667,17 +752,16 @@ class SimpleRegistry:
 
     @cached_property
     def _solver(self):
-        """(B, (B^T B)^-1 mod P, P) for the matrix B whose columns are the
-        simples' Brauer vectors and the Mersenne prime P = 2^61 - 1.  B^T B
-        is invertible mod P only if B has full column rank."""
-        P = (1 << 61) - 1
+        """(B, the Smith normal form of B^T B) for the matrix B whose
+        columns are the simples' Brauer vectors.  B^T B is nonsingular
+        exactly when B has full column rank."""
         B = np.array([[c for counts in key for c in counts]
                       for key in self.vectors], dtype=np.int64).T
-        gram_inv = _inverse_mod((B.T @ B).tolist(), P)
-        if gram_inv is None:
+        snf = smith_normal_form((B.T @ B).tolist())
+        if any(snf[1][i][i] == 0 for i in range(B.shape[1])):
             raise Inconsistency("the Brauer vectors of the simples are "
-                                "linearly dependent modulo 2^61 - 1")
-        return B, gram_inv, P
+                                "linearly dependent")
+        return B, snf
 
     def zero(self) -> "ClassVector":
         return ClassVector(self, ())
@@ -934,11 +1018,7 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
         raise InputError("wild subgroup has the wrong parent")
     if not P1.is_normal():
         raise InputError("wild subgroup must be normal")
-    p = M.field.p
-    o = P1.order
-    while o % p == 0:
-        o //= p
-    if o != 1:
+    if _p_part(P1.order, M.field.p) != P1.order:
         raise InputError("wild subgroup must be a p-group")
     if math.gcd(P1.order, I.order // P1.order) != 1:
         raise InputError("wild subgroup must be a Sylow subgroup")

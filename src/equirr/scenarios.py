@@ -277,11 +277,7 @@ def realize(cfg: ScenarioConfig) -> Scenario:
         geometry = P1Geometry(k, G, extra_degrees=sorted(degrees))
         cover = CoverData.from_geometry(geometry, rng)
         for D in divisors:
-            ok, orbit = geometry.divisor_is_equivariant(D)
-            if not ok:
-                raise InputError(
-                    "divisor is not constant on the orbit "
-                    + ", ".join(repr(p) for p in orbit))
+            geometry.check_equivariant(D)
         return Scenario(cfg, cover, divisors)
     data = []
     coefficients = []

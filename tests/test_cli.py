@@ -72,6 +72,23 @@ def test_parse_rejects_reducible_place(tmp_path):
     assert main(["euler", path]) == 2
 
 
+def test_tame_mod_regular_fails_with_a_wrong_oracle(monkeypatch):
+    # on a tame cover the tame variant differs from the integral formula by
+    # a multiple of [k[G]] by construction, so the verdict must compare it
+    # with the oracle: a corrupted oracle has to fail it on every divisor
+    oracle = cli.oracle_euler_class
+    monkeypatch.setattr(
+        cli, "oracle_euler_class",
+        lambda cover, D: oracle(cover, D) + cover.registry.basis_vector(0))
+    cfg = parse_scenario((SCENARIO_DIR / "a2_kummer_gf7_m3.json").read_text())
+    report = cli.run_euler(realize(cfg))
+    verdicts = {v["name"]: v["pass"] for v in report["verdicts"]}
+    for suffix in ("oracle_equals_integral", "tame_mod_regular"):
+        names = [n for n in verdicts if n.endswith(":" + suffix)]
+        assert len(names) == 6
+        assert not any(verdicts[n] for n in names), suffix
+
+
 def test_non_equivariant_divisor_names_orbit(tmp_path, capsys):
     doc = translation_config()
     doc["divisors"] = [[[[0, 1], 1]]]  # lone place of a 3-element orbit

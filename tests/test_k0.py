@@ -1,10 +1,15 @@
+import importlib
+import importlib.util
 import itertools
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from equirr import reps
-from equirr.errors import Inconsistency
+from equirr.errors import Inconsistency, InputError
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
 from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
@@ -12,7 +17,7 @@ from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
                        is_projective_class, smith_normal_form)
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, chop, extend_scalars, hom_dim,
-                         rep_regular, rep_trivial)
+                         rep_regular, rep_trivial, snf_solve)
 from reptools import socle_dim
 
 
@@ -45,6 +50,77 @@ def test_smith_normal_form_basics():
     assert prod == D
     assert D[0][1] == D[1][0] == 0
     assert D[1][1] % D[0][0] == 0
+
+
+def gauss_jordan(A, t):
+    """Reference solve of A x = t over Fraction; None when A is singular."""
+    n = len(A)
+    rows = [[Fraction(a) for a in row] + [Fraction(c)]
+            for row, c in zip(A, t)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [row[n] for row in rows]
+
+
+@st.composite
+def integer_systems(draw):
+    n = draw(st.integers(1, 6))
+    A = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    t = draw(st.lists(st.integers(-50, 50)
+                      | st.fractions(-20, 20, max_denominator=12),
+                      min_size=n, max_size=n))
+    return A, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=integer_systems())
+def test_snf_solve_matches_fraction_gauss_jordan(system):
+    A, t = system
+    expected = gauss_jordan(A, t)
+    assume(expected is not None)
+    x = snf_solve(smith_normal_form(A), t)
+    assert x == expected
+    # an int exactly where the entry is integral
+    assert [type(c) is int for c in x] == [c.denominator == 1
+                                           for c in expected]
+
+
+def test_snf_solve_rejects_a_wrong_length():
+    with pytest.raises(InputError):
+        snf_solve(smith_normal_form([[2, 1], [1, 1]]), [1])
+
+
+def test_class_of_solves_through_the_traced_smith_normal_form():
+    # the registry's solve is the one the benchmark tracer counts under
+    # k0.smith_normal_form: one Smith normal form per registry
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("equirr.cli")  # every module the tracer wraps
+    assert smith_normal_form is reps.smith_normal_form
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(3, 1)
+    reg = SimpleRegistry(G, F, rng())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        x = reg.class_of(rep_regular(G, F))
+        reg.class_of(rep_trivial(G, F))
+    finally:
+        tracer.restore()
+    assert x == reg.regular_class()
+    layers = [span[0] for span in tracer.spans]
+    assert layers.count("k0.smith_normal_form") == 1
 
 
 def test_cartan_semisimple_identity():
