@@ -163,20 +163,17 @@ def run_check(scn: Scenario) -> dict:
             continue
         for d in range(1, datum.e_t):
             cert = divided_cover_class(cover, datum, d)
-            w_reports.append({
-                "place": datum.place_json(), "twist": d, "f": datum.f,
-                "head_multiplicities": cert["head_multiplicities"],
-            })
-            _verdict(verdicts,
-                     f"divisibility:{w_reports[-1]['place']}:d{d}", True,
+            place = datum.place_json()
+            w_reports.append({"place": place, "twist": d, "f": datum.f,
+                              "head_multiplicities":
+                                  cert["head_multiplicities"]})
+            _verdict(verdicts, f"divisibility:{place}:d{d}", True,
                      f"f = {datum.f}")
             if datum.is_tame_here and cover.geometry is not None:
                 out = tame_structure_checks(cover, datum, d)
-                _verdict(verdicts,
-                         f"structure_line:{w_reports[-1]['place']}:d{d}",
+                _verdict(verdicts, f"structure_line:{place}:d{d}",
                          out["cover_equals_line"])
-                _verdict(verdicts,
-                         f"structure_ind_res:{w_reports[-1]['place']}:d{d}",
+                _verdict(verdicts, f"structure_ind_res:{place}:d{d}",
                          out["ind_res_multiplies"])
     report["divided_covers"] = w_reports
     # projectivity predicates and the Cartesian diagram need the oracle
@@ -248,10 +245,6 @@ def _realize(path: str, seed_override) -> Scenario:
     return realize(cfg)
 
 
-def _run_one(command: str, path: str, seed_override) -> dict:
-    return RUNNERS[command](_realize(path, seed_override))
-
-
 def _exit_code(report: dict) -> int:
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1
 
@@ -282,10 +275,24 @@ def _suite_reports(paths, skip, seed_override):
             yield name, command, result
 
 
+def _read_manifest(path) -> dict:
+    """The golden manifest {file name: {command: hash}} at path; InputError
+    naming the path when it is missing, unreadable or malformed."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise InputError(f"golden manifest {path}: {e.strerror}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise InputError(f"golden manifest {path}: {e}") from None
+    if not (isinstance(manifest, dict)
+            and all(isinstance(v, dict) for v in manifest.values())):
+        raise InputError(f"golden manifest {path}: expected an object of "
+                         "{command: hash} objects per scenario file")
+    return manifest
+
+
 def run_suite(paths, golden_path, seed_override) -> int:
-    manifest = {}
-    if golden_path and Path(golden_path).exists():
-        manifest = json.loads(Path(golden_path).read_text())
+    manifest = _read_manifest(golden_path) if golden_path else {}
     worst = 0
     for name, command, report in _suite_reports(paths, golden_path,
                                                 seed_override):
@@ -345,7 +352,7 @@ def main(argv=None) -> int:
                 print(f"wrote {args.write_golden}")
                 return 0
             return run_suite(args.scenarios, args.golden, args.seed)
-        report = _run_one(args.command, args.scenario, args.seed)
+        report = RUNNERS[args.command](_realize(args.scenario, args.seed))
         print(_summary(report))
         if args.json_out:
             Path(args.json_out).write_text(

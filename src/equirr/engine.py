@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .errors import Inconsistency, InputError
 from .fields import Field
-from .geometry import Divisor, P1Geometry, Place, RamificationDatum
-from .groups import FiniteGroup
+from .geometry import Divisor, P1Geometry, RamificationDatum
+from .groups import FiniteGroup, Subgroup
 from .k0 import (CartanData, cartan_coordinates, cartan_data, in_cartan_image,
                  is_projective_class)
 from .reps import (ClassVector, Rep, SimpleRegistry, head_multiplicities,
@@ -121,6 +121,25 @@ class CoverData:
                              self.cover_module(datum, d), self.G,
                              datum.I_P)))
 
+    def induce_class(self, v: ClassVector, H: Subgroup) -> ClassVector:
+        """Class of Ind_H^G M from the class v of M over H's registry.
+        Induction is exact, so Ind M has the factors Ind S for the
+        composition factors S of M; the classes of Ind S are computed once
+        per subgroup.  A v over the whole group is returned as it is."""
+        Hg = H.as_group()
+        if Hg is self.G:
+            return v
+        reg, _ = self.registry_for(Hg)
+        if v.registry is not reg:
+            raise InputError("class and subgroup registry differ")
+        induced = self.memo(("induce", id(Hg)), lambda: [
+            self.registry.class_of(rep_induce(S, self.G, H))
+            for S in reg.simples])
+        total = self.registry.zero()
+        for c, w in zip(v.padded(), induced):
+            total = total + w.scale(c)
+        return total
+
     def induced_fiber_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
         """Class of Ind_{I_P}^G of the bare d-th cotangent power (no cover);
@@ -171,10 +190,8 @@ class CoverData:
         """g_X via Riemann-Hurwitz from the ramification data."""
         if self.geometry is not None:
             return 0
-        total = 2 * self.G.order * (self.g_Y - 1)
-        for datum in self.orbit_data:
-            local = sum(size - 1 for size in datum.filtration)
-            total += datum.orbit_size * datum.deg * local
+        total = 2 * self.G.order * (self.g_Y - 1) + sum(
+            datum.orbit_different_degree for datum in self.orbit_data)
         if total % 2:
             raise InputError(f"Riemann-Hurwitz total {total} is odd; no "
                              "cover has this ramification data")
@@ -215,18 +232,19 @@ def ramification_class_via_inertia(cover: CoverData) -> ClassVector:
     if not cover.is_weakly_ramified():
         raise InputError("the ramification module needs a weakly ramified "
                          "cover")
-    total = cover.registry.zero()
-    for datum in cover.orbit_data:
-        if not datum.is_ramified:
-            continue
-        for d in range(1, datum.e_t):
-            v = cover.induced_cover_class(datum, d)
-            total = total + v.scale(datum.orbit_size * datum.e_w * d)
-    total = total.scale(Fraction(1, cover.G.order))
-    if not total.is_integral():
-        raise Inconsistency("ramification-module class is not integral; "
-                            "this falsifies the local route")
-    return total
+
+    def build():
+        total = cover.registry.zero()
+        for datum in cover.orbit_data:
+            for d in range(1, datum.e_t):
+                v = cover.induced_cover_class(datum, d)
+                total = total + v.scale(datum.orbit_size * datum.e_w * d)
+        total = total.scale(Fraction(1, cover.G.order))
+        if not total.is_integral():
+            raise Inconsistency("ramification-module class is not integral; "
+                                "this falsifies the local route")
+        return total
+    return cover.memo("ramification", build)
 
 
 def ramification_class_via_euler(cover: CoverData) -> ClassVector:
@@ -237,16 +255,11 @@ def ramification_class_via_euler(cover: CoverData) -> ClassVector:
     if not cover.is_weakly_ramified():
         raise InputError("the ramification module needs a weakly ramified "
                          "cover")
-    geo = cover.geometry
-    data: dict[Place, int] = {}
-    for orb in geo.ramified_orbits():
-        datum = geo.ramification(orb[0])
-        if datum.e_w > 1:
-            for P in orb:
-                data[P] = datum.e_w - 1
-    E = Divisor(data)
-    chi = oracle_euler_class(cover, E)
-    return cover.regular_class().scale(1 - cover.g_Y) - chi
+    # Divisor drops the zero coefficients of the tame orbits
+    E = Divisor({P: datum.e_w - 1 for datum in cover.orbit_data
+                 for P in cover.geometry.orbit_of_place(datum.place)})
+    return (cover.regular_class().scale(1 - cover.g_Y)
+            - oracle_euler_class(cover, E))
 
 
 def ramification_class_routes(cover: CoverData):
@@ -327,91 +340,72 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
         raise Inconsistency("divided cover class is not integral")
     if not is_projective_class(divided, cartan_p):
         raise Inconsistency("divided cover class is not a projective class")
-    return {
-        "place": datum.place,
-        "twist": d,
-        "f": datum.f,
-        "head_multiplicities": head,
-        "pim_multiplicities": {i: m // datum.f for i, m in head.items()},
-        "class": divided,
-    }
+    return {"f": datum.f, "head_multiplicities": head, "class": divided}
 
 
 # -- the Riemann-Roch formulas ----------------------------------------------------
 
 
-def euler_class_integral(cover: CoverData, D: Divisor | None = None):
-    """Integral formula: -[ram module] + sum over quotient points and
-    twists of the divided induced-cover classes + (1 - g_Y +
-    sum [k(R):k] m) [k[G]], each divided class certified by
-    divided_cover_class.  Returns (class, term report)."""
+def _formula_walk(cover: CoverData, D: Divisor | None, term):
+    """The shared shape of the weakly ramified formulas: -[ram module] +
+    sum over quotient points and twists d = 1..l of term(cover, datum, d)
+    + (1 - g_Y + sum [k(R):k] m) [k[G]], with n = (e_w - 1) + (l + m e_t)
+    e_w split at each orbit by split_coefficient, which rejects an n off
+    the -1 mod e_w congruence.  Returns (class, regular coefficient, term
+    report)."""
     if not cover.is_weakly_ramified():
-        raise InputError("the integral formula needs a weakly ramified "
+        raise InputError("the Riemann-Roch formulas need a weakly ramified "
                          "cover")
-    table = cover.orbit_table(D)
-    if not congruence_condition(cover, D):
-        raise InputError("divisor violates the -1 mod e_w congruence")
-    n_class = ramification_class_via_inertia(cover)
-    w_sum = cover.registry.zero()
-    reg_coeff = Fraction(1 - cover.g_Y)
+    total = -ramification_class_via_inertia(cover)
+    reg_coeff = 1 - cover.g_Y
     terms = []
-    for datum, n in table:
+    for datum, n in cover.orbit_table(D):
         l, m = split_coefficient(n, datum.e_t, datum.e_w)
-        reg_coeff += Fraction(datum.residue_deg * m)
+        reg_coeff += datum.residue_deg * m
         for d in range(1, l + 1):
-            divided_cover_class(cover, datum, d)
-            w = cover.induced_cover_class(datum, -d) \
-                .scale(Fraction(1, datum.f))
-            if not w.is_integral():
-                raise Inconsistency("induced divided class is not integral")
-            w_sum = w_sum + w
+            total = total + term(cover, datum, d)
         terms.append({"place": datum.place_json(), "n": n, "l": l, "m": m,
                       "f": datum.f, "residue_deg": datum.residue_deg})
-    if reg_coeff.denominator != 1:
-        raise Inconsistency("regular coefficient is not integral")
-    total = (-n_class) + w_sum + cover.regular_class().scale(reg_coeff)
-    if not total.is_integral():
-        raise Inconsistency("integral formula produced a fractional class")
-    report = {"n_route": "inertia", "regular_coefficient": int(reg_coeff),
-              "orbits": terms}
-    return total, report
+    total = total + cover.regular_class().scale(reg_coeff)
+    return total, reg_coeff, terms
+
+
+def _integral_term(cover: CoverData, datum: RamificationDatum, d: int):
+    w = divided_cover_class(cover, datum, d)["class"]
+    return cover.induce_class(w, datum.G_P)
+
+
+def _rational_term(cover: CoverData, datum: RamificationDatum, d: int):
+    return cover.induced_cover_class(datum, -d).scale(Fraction(1, datum.f))
+
+
+def euler_class_integral(cover: CoverData, D: Divisor | None = None):
+    """Integral formula: the walk with the term Ind_{G_P}^G W for the
+    projective k[G_P]-module W whose f-fold multiple is the induced cover
+    of the (-d)-th cotangent power, each W certified by
+    divided_cover_class.  Returns (class, term report)."""
+    total, reg_coeff, terms = _formula_walk(cover, D, _integral_term)
+    return total, {"n_route": "inertia", "regular_coefficient": reg_coeff,
+                   "orbits": terms}
 
 
 def euler_class_rational(cover: CoverData, D: Divisor | None = None):
-    """Rational prototype: identical shape with the 1/f fractional cover
-    terms, assembled without any divisibility certificates."""
-    if not cover.is_weakly_ramified():
-        raise InputError("the rational formula needs a weakly ramified "
-                         "cover")
-    table = cover.orbit_table(D)
-    if not congruence_condition(cover, D):
-        raise InputError("divisor violates the -1 mod e_w congruence")
-    n_class = ramification_class_via_inertia(cover)
-    total = -n_class
-    reg_coeff = Fraction(1 - cover.g_Y)
-    for datum, n in table:
-        l, m = split_coefficient(n, datum.e_t, datum.e_w)
-        reg_coeff += Fraction(datum.residue_deg * m)
-        for d in range(1, l + 1):
-            total = total + cover.induced_cover_class(datum, -d) \
-                .scale(Fraction(1, datum.f))
-    return total + cover.regular_class().scale(reg_coeff)
+    """Rational prototype: the walk with the term (1/f) [Ind_{I_P}^G Cov]
+    of the (-d)-th cotangent power, without any divisibility
+    certificates."""
+    return _formula_walk(cover, D, _rational_term)[0]
 
 
 def euler_class_tame_mod_regular(cover: CoverData, D: Divisor | None = None):
-    """Tame variant for the line bundle O(D): -[ram module] + the
-    cover-class sums for the fiber exponent n_P mod e_P at each place,
-    valid modulo integer multiples of [k[G]] (in the conventions of this
-    engine; see the ledger note on the sign of the printed fiber
-    decomposition)."""
+    """Tame variant for the line bundle O(D): the rational formula less its
+    multiple of [k[G]], so the cover-class sums run over the fiber
+    exponent l = n_P mod e_P (e_w = 1); valid modulo integer multiples of
+    [k[G]] (in the conventions of this engine; see the ledger note on the
+    sign of the printed fiber decomposition)."""
     if not cover.is_tame():
         raise InputError("the mod-regular variant needs a tame cover")
-    total = -ramification_class_via_inertia(cover)
-    for datum, n in cover.orbit_table(D):
-        for d in range(1, n % datum.e + 1):
-            total = total + cover.induced_cover_class(datum, -d) \
-                .scale(Fraction(1, datum.f))
-    return total
+    total, reg_coeff, _ = _formula_walk(cover, D, _rational_term)
+    return total - cover.regular_class().scale(reg_coeff)
 
 
 def regular_multiple(cover: CoverData, diff: ClassVector):
@@ -424,9 +418,7 @@ def regular_multiple(cover: CoverData, diff: ClassVector):
         raise Inconsistency("regular class is zero")
     # exact division: / on two ints would give a float
     t = Fraction(diff_c[pivot], reg_c[pivot])
-    if t.denominator != 1:
-        return False, None
-    if diff == reg.scale(t.numerator):
+    if t.denominator == 1 and diff == reg.scale(t.numerator):
         return True, t.numerator
     return False, None
 
@@ -468,7 +460,7 @@ def projectivity_report(cover: CoverData, D: Divisor) -> dict:
     cong = congruence_condition(cover, D)
     member = in_cartan_image(chi, cover.main_cartan())
     proj = is_projective(h0)
-    report = {
+    return {
         "weakly_ramified": weak,
         "tamely_ramified": tame,
         "congruence": cong,
@@ -485,7 +477,6 @@ def projectivity_report(cover: CoverData, D: Divisor) -> dict:
         "necessary_direction": (not (D.degree() > -2 and proj))
                                or (weak and cong),
     }
-    return report
 
 
 def tame_structure_checks(cover: CoverData, datum: RamificationDatum,
@@ -506,5 +497,4 @@ def tame_structure_checks(cover: CoverData, datum: RamificationDatum,
     back_class = reg_p.class_of(back)
     identity_b = back_class == line_class.scale(datum.f)
     return {"cover_equals_line": identity_a,
-            "ind_res_multiplies": identity_b,
-            "f": datum.f}
+            "ind_res_multiplies": identity_b}

@@ -272,6 +272,13 @@ class RamificationDatum:
     def is_weak_here(self) -> bool:
         return len(self.filtration) <= 2 or self.filtration[2] == 1
 
+    @property
+    def orbit_different_degree(self) -> int:
+        """The orbit's Riemann-Hurwitz term, the degree of its different:
+        orbit size * deg P * sum_s (|G_{P,s}| - 1)."""
+        local = sum(size - 1 for size in self.filtration)
+        return self.orbit_size * self.deg * local
+
     def _mult_matrix(self, scalar: int, frob_steps: int = 0) -> Mat:
         """Matrix over k of z -> frobenius^steps(z) * scalar on kP in the
         power basis of rho."""
@@ -670,11 +677,8 @@ class P1Geometry:
     def riemann_hurwitz(self):
         """Exact audit of sum deg(P) * sum_s (|G_{P,s}|-1) = 2|G| - 2 for
         the cover P^1 -> P^1; failure aborts a scenario."""
-        total = 0
-        for orbit in self.ramified_orbits():
-            datum = self.ramification(orbit[0])
-            local = sum(size - 1 for size in datum.filtration)
-            total += len(orbit) * datum.deg * local
+        total = sum(self.ramification(orbit[0]).orbit_different_degree
+                    for orbit in self.ramified_orbits())
         rhs = 2 * self.G.order - 2 if self.G.order > 1 else 0
         return {"lhs": total, "rhs": rhs, "pass": total == rhs}
 

@@ -58,6 +58,15 @@ def _json_indices(value, key: str, order: int) -> list[int]:
     return out
 
 
+def _json_below(value, key: str, bound: int, noun: str) -> int:
+    """value as a JSON integer in range(bound); InputError naming the key
+    path otherwise, so an entry is never reduced mod bound."""
+    x = _json_int(value, key)
+    if not 0 <= x < bound:
+        raise InputError(f"{key}: {noun} {x} is outside range({bound})")
+    return x
+
+
 def _residue_digits(value: list, key: str, p: int, degree: int) -> list[int]:
     """value as the GF(p) coefficients of an element of a degree-`degree`
     field: at most `degree` JSON integers, each in range(p); InputError
@@ -65,13 +74,8 @@ def _residue_digits(value: list, key: str, p: int, degree: int) -> list[int]:
     if len(value) > degree:
         raise InputError(f"{key}: {len(value)} digits for a residue field "
                          f"of degree {degree} over GF({p})")
-    out = []
-    for j, c in enumerate(value):
-        c = _json_int(c, f"{key}[{j}]")
-        if not 0 <= c < p:
-            raise InputError(f"{key}[{j}]: digit {c} is outside range({p})")
-        out.append(c)
-    return out
+    return [_json_below(c, f"{key}[{j}]", p, "digit")
+            for j, c in enumerate(value)]
 
 
 def parse_scenario(source) -> ScenarioConfig:
@@ -156,38 +160,29 @@ def _pgl2_order(k: Field, m) -> int:
     return o
 
 
+def _pgl2_elements(k: Field, order: int):
+    """The normalized PGL2(k) matrices of the given order, by encoding
+    a + b q + c q^2 + d q^3 (once per scalar multiple)."""
+    for enc in range(k.q**4):
+        raw = tuple(enc // k.q**i % k.q for i in range(4))
+        try:
+            m = pgl2_normalize(k, raw)
+        except InputError:
+            continue
+        if _pgl2_order(k, m) == order:
+            yield m
+
+
 def find_s3_pgl2(k: Field):
     """Deterministic search for an order-3 element with irreducible
     characteristic polynomial plus a normalizing involution."""
-    for enc in range(k.q**4):
-        raw = []
-        v = enc
-        for _ in range(4):
-            raw.append(v % k.q)
-            v //= k.q
-        try:
-            m = pgl2_normalize(k, tuple(raw))
-        except InputError:
-            continue
-        if _pgl2_order(k, m) != 3:
-            continue
+    for m in _pgl2_elements(k, 3):
         trace = k.add(m[0], m[3])
         det = k.sub(k.mul(m[0], m[3]), k.mul(m[1], m[2]))
         charpoly = Poly(k, [det, k.neg(trace), 1])
         if poly_roots(charpoly):
             continue  # split characteristic polynomial: keep searching
-        for enc2 in range(k.q**4):
-            raw2 = []
-            v2 = enc2
-            for _ in range(4):
-                raw2.append(v2 % k.q)
-                v2 //= k.q
-            try:
-                t = pgl2_normalize(k, tuple(raw2))
-            except InputError:
-                continue
-            if _pgl2_order(k, t) != 2:
-                continue
+        for t in _pgl2_elements(k, 2):
             conj = pgl2_mul(k, pgl2_mul(k, t, m), pgl2_inv(k, t))
             if conj == pgl2_inv(k, m):
                 return [m, t]
@@ -216,7 +211,8 @@ def build_group(cfg: ScenarioConfig, k: Field) -> FiniteGroup:
                            for row in mat)):
                 raise InputError(f"group.generators: bad matrix {mat!r}")
             gens.append(tuple(
-                _json_int(x, f"group.generators[{g}][{r}][{c}]") % k.q
+                _json_below(x, f"group.generators[{g}][{r}][{c}]", k.q,
+                            "entry")
                 for r, row in enumerate(mat) for c, x in enumerate(row)))
     return FiniteGroup.close_generators(k, gens, cap=cap)
 
@@ -230,7 +226,8 @@ def parse_place(k: Field, raw, key: str) -> Place:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"place: expected 'inf' or a coefficient list, "
                          f"got {raw!r}")
-    coeffs = [_json_int(c, f"{key}[{i}]") for i, c in enumerate(raw)]
+    coeffs = [_json_below(c, f"{key}[{i}]", k.q, "coefficient")
+              for i, c in enumerate(raw)]
     poly = Poly(k, coeffs)
     if poly.degree < 1:
         raise InputError(f"place polynomial must be nonconstant: {raw!r}")

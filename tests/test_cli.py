@@ -296,6 +296,24 @@ def test_failed_command_leaves_the_shared_scenario_usable(capsys,
         "a3_s3_gf5.json check: pass hash ok"]
 
 
+@pytest.mark.parametrize("text,message", [
+    (None, "No such file or directory"),
+    ('{"a1_translations_gf3.json": ', "Expecting value"),
+    ('["hash"]', "expected an object"),
+], ids=["missing", "not-json", "not-an-object"])
+def test_suite_unreadable_manifest_exits_2_naming_path(tmp_path, capsys,
+                                                       text, message):
+    # a manifest that cannot be read is an input error, never a suite
+    # that silently checks no hash
+    golden = tmp_path / "golden.jsn"
+    if text is not None:
+        golden.write_text(text)
+    assert main(["suite", shipped_files()[0], "--golden", str(golden)]) == 2
+    captured = capsys.readouterr()
+    assert f"golden manifest {golden}: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_write_golden_reproduces_the_shipped_manifest(tmp_path, capsys):
     out = tmp_path / "golden.json"
     assert main(["suite", *shipped_files(), "--write-golden", str(out)]) == 0
@@ -368,6 +386,25 @@ def test_non_integer_scalar_exits_2_naming_key(tmp_path, capsys, make, path,
     assert main(["analyze", write_scenario(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert f"{key}: expected an integer" in err
+
+
+@pytest.mark.parametrize("path,value,key", [
+    (["group", "generators", 0, 0, 1], 4, "group.generators[0][0][1]"),
+    (["group", "generators", 0, 1, 0], -1, "group.generators[0][1][0]"),
+    (["divisors"], [[[[3, 1], 0]]], "divisors[0][0][0][0]"),
+    (["divisors"], [[[[4, 1], 0]]], "divisors[0][0][0][0]"),
+    (["divisors"], [[[[-1, 1], 0]]], "divisors[0][0][0][0]"),
+], ids=["generator-past-q", "generator-negative", "place-coeff-q",
+        "place-coeff-past-q", "place-coeff-negative"])
+def test_out_of_range_field_entry_exits_2_naming_key(tmp_path, capsys, path,
+                                                     value, key):
+    # generator entries and place coefficients are field elements: an
+    # entry outside range(q) is rejected, never reduced mod q
+    doc = translation_config()
+    _set(doc, path, value)
+    assert main(["analyze", write_scenario(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "is outside range(3)" in err
 
 
 @pytest.mark.parametrize("path,value,message", [
@@ -455,6 +492,23 @@ def test_divisibility_certificate_runs_once_per_place_and_twist(
     assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
     pairs = [(id(datum), d) for _cover, datum, d in calls]
     assert len(pairs) == len(set(pairs)) == 4
+
+
+def test_integral_formula_sums_the_certified_divided_classes(monkeypatch):
+    # the integral formula is built from the divided classes it certifies:
+    # a corrupted certificate must make it disagree with the rational one
+    real = engine._certify_divided_cover
+
+    def corrupted(cover, datum, d):
+        cert = real(cover, datum, d)
+        w = cert["class"]
+        return {**cert, "class": w + w.registry.basis_vector(0)}
+
+    monkeypatch.setattr(engine, "_certify_divided_cover", corrupted)
+    report = cli.run_euler(shipped("a2_kummer_gf7_m3.json"))
+    failed = [v["name"] for v in report["verdicts"] if not v["pass"]]
+    assert any(name.endswith(":rational_equals_integral")
+               for name in failed)
 
 
 @pytest.mark.parametrize("command,saturations", [("euler", 1), ("check", 2)])

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,10 @@ from equirr.errors import InputError
 from equirr.fields import Poly, field_make
 from equirr.geometry import Divisor, P1Geometry, Place, abstract_datum
 from equirr.groups import FiniteGroup
-from equirr.reps import is_projective
+from equirr.reps import is_projective, rep_induce
+from equirr.scenarios import parse_scenario, realize
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_cover(k, gens, seed=0, extra_degrees=()):
@@ -226,6 +230,23 @@ def test_divided_cover_f1_trivial():
         cert = divided_cover_class(cover, datum, d)
         assert cert["f"] == 1
         assert cert["class"].is_integral()
+
+
+@pytest.mark.parametrize("name", ["a1_translations_gf3.json",
+                                  "a2_kummer_gf7_m3.json", "a3_s3_gf5.json",
+                                  "a4_affine_gf3.json"])
+def test_induce_class_matches_the_induced_module(name):
+    # induction is exact, so inducing a class simple by simple gives the
+    # class of the induced module, on every ramified orbit's G_P
+    cover = realize(parse_scenario((SCENARIO_DIR / name).read_text())).cover
+    for datum in cover.orbit_data:
+        reg_p, _ = cover.registry_for(datum.G_P.as_group())
+        modules = reg_p.simples + [datum.decomposition_line_rep(d)
+                                   for d in range(datum.e_t)]
+        for M in modules:
+            assert (cover.induce_class(reg_p.class_of(M), datum.G_P)
+                    == cover.registry.class_of(
+                        rep_induce(M, cover.G, datum.G_P)))
 
 
 def test_structure_checks_f1():
