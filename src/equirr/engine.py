@@ -29,12 +29,11 @@ from fractions import Fraction
 from .errors import Inconsistency, InputError
 from .fields import Field
 from .geometry import Divisor, P1Geometry, RamificationDatum
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, schur_zassenhaus_complement
 from .k0 import (CartanData, cartan_coordinates, cartan_data, in_cartan_image,
                  is_projective_class)
-from .reps import (ClassVector, Rep, SimpleRegistry, head_multiplicities,
-                   is_projective, projective_cover_over_inertia, rep_induce,
-                   rep_restrict)
+from .reps import (ClassVector, Rep, SimpleRegistry, is_projective,
+                   projective_cover_over_inertia, rep_induce, rep_restrict)
 
 
 @dataclass
@@ -117,9 +116,8 @@ class CoverData:
         e_t as cover_module is."""
         d %= datum.e_t
         return self.memo(("indcov", id(datum), d),
-                         lambda: self.registry.class_of(rep_induce(
-                             self.cover_module(datum, d), self.G,
-                             datum.I_P)))
+                         lambda: self.registry.class_of_induced(
+                             self.cover_module(datum, d), datum.I_P))
 
     def induce_class(self, v: ClassVector, H: Subgroup) -> ClassVector:
         """Class of Ind_H^G M from the class v of M over H's registry.
@@ -133,8 +131,7 @@ class CoverData:
         if v.registry is not reg:
             raise InputError("class and subgroup registry differ")
         induced = self.memo(("induce", id(Hg)), lambda: [
-            self.registry.class_of(rep_induce(S, self.G, H))
-            for S in reg.simples])
+            self.registry.class_of_induced(S, H) for S in reg.simples])
         total = self.registry.zero()
         for c, w in zip(v.padded(), induced):
             total = total + w.scale(c)
@@ -147,35 +144,39 @@ class CoverData:
         Keyed by d mod e_t as cover_module is."""
         d %= datum.e_t
         return self.memo(("indcot", id(datum), d),
-                         lambda: self.registry.class_of(rep_induce(
-                             datum.cotangent_power(d), self.G, datum.I_P)))
+                         lambda: self.registry.class_of_induced(
+                             datum.cotangent_power(d), datum.I_P))
 
     # -- divisor bookkeeping ----------------------------------------------------
 
     def orbit_table(self, D: Divisor | None):
-        """List of (datum, coefficient): every ramified orbit plus every
-        orbit meeting the divisor support."""
+        """Tuple of (datum, coefficient): every ramified orbit plus every
+        orbit meeting the divisor support; built once per divisor."""
         if self.geometry is None:
             if D is not None:
                 raise InputError("abstract covers carry their coefficients "
                                  "in the scenario payload")
-            return [(datum, self.abstract_coefficients.get(i, 0))
-                    for i, datum in enumerate(self.orbit_data)]
+            return self.memo(("orbits", None), lambda: tuple(
+                (datum, self.abstract_coefficients.get(i, 0))
+                for i, datum in enumerate(self.orbit_data)))
         D = D or Divisor({})
         geo = self.geometry
-        geo.check_equivariant(D)
-        out = []
-        seen: set = set()
-        for orb in geo.ramified_orbits():
-            out.append((geo.ramification(orb[0]), D.coeff(orb[0])))
-            seen.update(orb)
-        for P in D.support():
-            if P in seen:
-                continue
-            orb = geo.orbit_of_place(P)
-            seen.update(orb)
-            out.append((geo.ramification(orb[0]), D.coeff(orb[0])))
-        return out
+
+        def build():
+            geo.check_equivariant(D)
+            out = []
+            seen: set = set()
+            for orb in geo.ramified_orbits():
+                out.append((geo.ramification(orb[0]), D.coeff(orb[0])))
+                seen.update(orb)
+            for P in D.support():
+                if P in seen:
+                    continue
+                orb = geo.orbit_of_place(P)
+                seen.update(orb)
+                out.append((geo.ramification(orb[0]), D.coeff(orb[0])))
+            return tuple(out)
+        return self.memo(("orbits", divisor_key(D)), build)
 
     def divisor_degree(self, table) -> int:
         return sum(n * datum.deg * datum.orbit_size for datum, n in table)
@@ -200,6 +201,11 @@ class CoverData:
             raise InputError(f"ramification data gives genus {g_x} < 0 "
                              "upstairs")
         return g_x
+
+
+def divisor_key(D: Divisor) -> tuple:
+    """A hashable key of the divisor D for CoverData.memo."""
+    return tuple((p.sort_key(), c) for p, c in D.items())
 
 
 # -- coefficient decomposition ---------------------------------------------------
@@ -286,8 +292,7 @@ def _oracle_rr_module(cover: CoverData,
     def build():
         rep = cover.geometry.rr_action_rep(D)
         return rep, cover.registry.class_of(rep)
-    return cover.memo(("oracle", tuple((p.sort_key(), c)
-                                       for p, c in D.items())), build)
+    return cover.memo(("oracle", divisor_key(D)), build)
 
 
 def oracle_euler_class(cover: CoverData, D: Divisor) -> ClassVector:
@@ -317,14 +322,14 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
         raise InputError("divided covers are defined for weakly ramified "
                          "places")
     gp_group = datum.G_P.as_group()
-    i_in_gp = datum.I_P.in_subgroup_of(gp_group)
     cov = cover.cover_module(datum, -d)
-    induced = rep_induce(cov, gp_group, i_in_gp)
     reg_p, cartan_p = cover.registry_for(gp_group)
-    head = head_multiplicities(induced, reg_p)
-    total = reg_p.class_of(induced)
-    # two routes to the multiplicities of the P_i: Hom into the simples,
-    # and the Cartan coordinates of the class
+    head = _frobenius_heads(cover, datum, d)
+    # Ind_{I_P}^{G_P} Cov is projective, as Cov is (projective_cover_over_
+    # inertia checks it) and induction keeps projectivity
+    total = reg_p.class_of_induced(cov, datum.I_P.in_subgroup_of(gp_group))
+    # two routes to the multiplicities of the P_i: Frobenius reciprocity
+    # on the tame complement, and the Cartan coordinates of the class
     if cartan_coordinates(total, cartan_p) != [head[i] for i in sorted(head)]:
         raise Inconsistency(
             f"head multiplicities {head} at place {datum.place!r}, twist "
@@ -341,6 +346,46 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
     if not is_projective_class(divided, cartan_p):
         raise Inconsistency("divided cover class is not a projective class")
     return {"f": datum.f, "head_multiplicities": head, "class": divided}
+
+
+def _frobenius_heads(cover: CoverData, datum: RamificationDatum,
+                     d: int) -> dict[int, int]:
+    """Multiplicity of the projective cover of each simple S_i of G_P in
+    Ind_{I_P}^{G_P} Cov((m/m^2)^{tensor -d}), by Frobenius reciprocity.
+
+    Cov = Ind_C^{I_P} Res_C lambda for the Schur-Zassenhaus complement C of
+    the wild group and lambda the (-d)-th cotangent power, so the induced
+    cover is Ind_C^{G_P} lambda and Hom_{G_P}(it, S_i) = Hom_C(lambda,
+    Res_C S_i).  C = I_P / wild is cyclic (the cotangent character embeds
+    it in k(P)^*) and a p'-group, so for a generator c of C that dimension
+    is sum_j a_j b_j over the multiplicities a_j and b_j of zeta^j as an
+    eigenvalue of lambda(c) and of S_i(c).  The b_j are counted once per
+    datum; dividing by dim End(S_i) must leave an integer."""
+    gp_group = datum.G_P.as_group()
+    reg_p, _ = cover.registry_for(gp_group)
+    brauer = reg_p.brauer
+
+    def build():
+        Ig = datum.I_P.as_group()
+        C = schur_zassenhaus_complement(Ig, datum.wild.in_subgroup_of(Ig))
+        c = next((x for x in C.indices
+                  if Ig.element_order(x) == C.order), None)
+        if C.order != datum.e_t or c is None:
+            raise Inconsistency("the tame complement of the inertia group "
+                                "is not cyclic of order e_t")
+        c_in_gp = gp_group.root_index.index(Ig.root_index[c])
+        return c, [brauer.eigenvalue_counts(S.image(c_in_gp), datum.e_t)
+                   for S in reg_p.simples]
+    c, simple_counts = cover.memo(("frobenius", id(datum)), build)
+    lam = datum.cotangent_power(-d % datum.e_t)
+    a = brauer.eigenvalue_counts(lam.image(c), datum.e_t)
+    out = {}
+    for i, b in enumerate(simple_counts):
+        num, den = sum(x * y for x, y in zip(a, b)), reg_p.end_dim(i)
+        if num % den:
+            raise Inconsistency("head multiplicity is not integral")
+        out[i] = num // den
+    return out
 
 
 # -- the Riemann-Roch formulas ----------------------------------------------------

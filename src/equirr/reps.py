@@ -425,7 +425,7 @@ class BrauerCharacters:
         regular = [c for c in conjugacy_classes(G)
                    if G.element_order(c[0]) % F.p]
         where = {x: i for i, c in enumerate(regular) for x in c}
-        self.group_order = G.order
+        self.group = G
         self.orders = [G.element_order(c[0]) for c in regular]
         self.sizes = [len(c) for c in regular]
         # generators of maximal cyclic p'-subgroups, one per conjugacy
@@ -451,30 +451,88 @@ class BrauerCharacters:
             raise CapExceeded(
                 f"Brauer characters over {F} need the ambient field "
                 f"GF({F.p}^{F.n * s}), past TABLE_LIMIT = {TABLE_LIMIT}")
-        E = self.ambient = field_make(F.p, F.n * s)
-        self._roots = []
-        for _, m in self.generators:
+        self.ambient = field_make(F.p, F.n * s)
+        self._roots: dict[int, list[int]] = {}
+
+    def eigenvalue_counts(self, A: Mat, m: int) -> list[int]:
+        """Multiplicity of zeta_m^j (j < m) as an eigenvalue of the square
+        matrix A, which must satisfy A^m = 1 for an m whose roots of unity
+        the ambient field holds."""
+        E = self.ambient
+        if (E.q - 1) % m:
+            raise InputError(f"{E} holds no primitive {m}-th root of unity")
+        if m not in self._roots:
             zeta = E.pow_(E.generator, (E.q - 1) // m)
-            self._roots.append([E.pow_(zeta, j) for j in range(m)])
+            self._roots[m] = [E.pow_(zeta, j) for j in range(m)]
+        coeffs = list(A.charpoly().map_field(E).coeffs)
+        counts = [0] * m
+        for j, z in enumerate(self._roots[m]):
+            while len(coeffs) > 1:
+                quot, rem = _divide_linear(E, coeffs, z)
+                if rem:
+                    break
+                coeffs = quot
+                counts[j] += 1
+        if sum(counts) != A.rows:
+            raise Inconsistency("the eigenvalues of a p-regular element "
+                                "are not roots of unity of its order")
+        return counts
 
     def vector(self, M: Rep) -> tuple[tuple[int, ...], ...]:
         """Per p-regular class, the eigenvalue multiplicities of M."""
-        E = self.ambient
+        return self._spread([self.eigenvalue_counts(M.image(g), m)
+                             for g, m in self.generators])
+
+    def induced_vector(self, M: Rep,
+                       H: Subgroup) -> tuple[tuple[int, ...], ...]:
+        """The vector of Ind_H^G M (the module rep_induce builds), with no
+        matrix of the induced dimension.
+
+        A generator g of order m permutes the cosets G/H.  On a cycle of
+        length l through xH, g^l x = x h with h in H, and the l-th power of
+        g's block matrix there is conjugate to M(h); so g's characteristic
+        polynomial on the cycle is that of M(h) evaluated at x^l.  Each
+        eigenvalue zeta_m^(l s) of M(h) (h has order dividing m / l)
+        therefore gives the l eigenvalues zeta_m^(s + (m / l) t), t < l.
+        Only dim M x dim M characteristic polynomials are taken, one per
+        distinct (h, l)."""
+        G = H.parent
+        if G is not self.group:
+            raise InputError("induction subgroup has the wrong parent")
+        if M.group is not H.as_group():
+            raise InputError("representation is not over the given subgroup")
+        hg_pos = {x: k for k, x in enumerate(subgroup_to_parent(H))}
+        reps, where = coset_lookup(G, H)
+        block_counts: dict[tuple[int, int], list[int]] = {}
         found = []
-        for (g, _), roots in zip(self.generators, self._roots):
-            coeffs = list(M.image(g).charpoly().map_field(E).coeffs)
-            counts = [0] * len(roots)
-            for j, z in enumerate(roots):
-                while len(coeffs) > 1:
-                    quot, rem = _divide_linear(E, coeffs, z)
-                    if rem:
+        for g, m in self.generators:
+            row = G.table[g]
+            counts = [0] * m
+            seen = [False] * len(reps)
+            for j, x in enumerate(reps):
+                if seen[j]:
+                    continue
+                length, y = 0, x
+                while True:
+                    y = row[y]
+                    length += 1
+                    i, h = where[y]
+                    seen[i] = True
+                    if i == j:
                         break
-                    coeffs = quot
-                    counts[j] += 1
-            if sum(counts) != M.dim:
-                raise Inconsistency("the eigenvalues of a p-regular element "
-                                    "are not roots of unity of its order")
+                step = m // length
+                if (h, step) not in block_counts:
+                    block_counts[h, step] = self.eigenvalue_counts(
+                        M.image(hg_pos[h]), step)
+                for s, c in enumerate(block_counts[h, step]):
+                    for t in range(s, m, step):
+                        counts[t] += c
             found.append(counts)
+        return self._spread(found)
+
+    def _spread(self, found) -> tuple[tuple[int, ...], ...]:
+        """The full vector from the eigenvalue counts of each generator in
+        `generators`: every p-regular class is a power of one of them."""
         out = []
         for (t, k), order in zip(self._reads, self.orders):
             m = self.generators[t][1]
@@ -489,7 +547,7 @@ class BrauerCharacters:
         """The vector of k[G] in closed form, with no matrix: restricted to
         <g> with g of order m, k[G] is free of rank |G|/m, so each zeta_m^j
         has multiplicity |G|/m."""
-        return tuple((self.group_order // m,) * m for m in self.orders)
+        return tuple((self.group.order // m,) * m for m in self.orders)
 
 
 # -- exact integer solves ---------------------------------------------------
@@ -732,6 +790,14 @@ class SimpleRegistry:
         if M.group is not self.group or M.field is not self.field:
             raise InputError("module and registry are over different data")
         return self._solve(self.brauer.vector(M), M.dim)
+
+    def class_of_induced(self, M: Rep, H: Subgroup) -> "ClassVector":
+        """The class of Ind_H^G M, solved and checked as class_of does, from
+        BrauerCharacters.induced_vector: no induced module is built."""
+        if M.field is not self.field:
+            raise InputError("module and registry are over different data")
+        return self._solve(self.brauer.induced_vector(M, H),
+                           self.group.order // H.order * M.dim)
 
     def regular_class(self) -> "ClassVector":
         """The class of k[G], solved and checked as class_of does, from
@@ -989,22 +1055,6 @@ def is_projective(M: Rep) -> bool:
         stacked = block if stacked is None else stacked.hstack(block)
     rad_dim = stacked.rank()
     return M.dim == P.order * (M.dim - rad_dim)
-
-
-def head_multiplicities(M: Rep, registry: SimpleRegistry) -> dict[int, int]:
-    """Multiplicity of Cov(S_i) in the projective module M for each simple
-    of the registry: dim Hom(M, S_i) / dim End(S_i), asserted integral.
-    Projectivity is checked once; a failure raises Inconsistency, since
-    callers pass modules that the theory makes projective."""
-    if not is_projective(M):
-        raise Inconsistency("head multiplicities need a projective module")
-    out = {}
-    for i, S in enumerate(registry.simples):
-        num, den = hom_dim(M, S), registry.end_dim(i)
-        if num % den:
-            raise Inconsistency("head multiplicity is not integral")
-        out[i] = num // den
-    return out
 
 
 def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,

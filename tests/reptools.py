@@ -1,6 +1,7 @@
 """Module-theoretic tools that only the tests use: an explicit-intertwiner
-isomorphism test, the socle dimension, the Cartan matrix by splitting
-k[G] into projective indecomposables, the Riemann-Roch action by moving
+isomorphism test, the socle dimension, the head multiplicities of a
+projective module by Hom systems into the simples, the Cartan matrix by
+splitting k[G] into projective indecomposables, the Riemann-Roch action by moving
 every basis function on its own, the cocycle value of a decomposition
 element by division at a root, and the ramified places by solving the
 fixed-point form of every element."""
@@ -13,8 +14,8 @@ from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
-                         indecomposable_summands, regular_endomorphisms,
-                         rep_regular)
+                         indecomposable_summands, is_projective,
+                         regular_endomorphisms, rep_regular)
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
@@ -61,6 +62,25 @@ def socle_dim(M: Rep, registry: SimpleRegistry) -> int:
         for X in hom_space(S, M):
             cols = X if cols is None else cols.hstack(X)
     return 0 if cols is None else cols.rank()
+
+
+def head_multiplicities(M: Rep, registry: SimpleRegistry) -> dict[int, int]:
+    """Multiplicity of Cov(S_i) in the projective module M for each simple
+    of the registry: dim Hom(M, S_i) / dim End(S_i), asserted integral.
+    Projectivity is checked once; a failure raises Inconsistency, since
+    callers pass modules that the theory makes projective.  The engine
+    reads the same numbers off Frobenius reciprocity instead
+    (engine._frobenius_heads); this is the Hom route they are tested
+    against."""
+    if not is_projective(M):
+        raise Inconsistency("head multiplicities need a projective module")
+    out = {}
+    for i, S in enumerate(registry.simples):
+        num, den = hom_dim(M, S), registry.end_dim(i)
+        if num % den:
+            raise Inconsistency("head multiplicity is not integral")
+        out[i] = num // den
+    return out
 
 
 def split_cartan_matrix(G: FiniteGroup, F: Field, registry: SimpleRegistry,

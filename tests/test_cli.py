@@ -484,6 +484,32 @@ def test_check_builds_each_riemann_roch_rep_once(monkeypatch, name, builds):
     assert len(calls) == len(scn.divisors) == builds
 
 
+@pytest.mark.parametrize("name,divisors", [("a2_kummer_gf7_m3.json", 6),
+                                           ("a4_affine_gf3.json", 4)])
+@pytest.mark.parametrize("command", ["euler", "check"])
+def test_each_command_builds_one_orbit_table_per_divisor(
+        monkeypatch, name, divisors, command):
+    # in euler the degree entry, the congruence, the formula walks and the
+    # scaled identity all read the table that the first of them built
+    builds = []
+    real = engine.CoverData.memo
+
+    def memo(self, key, build):
+        def recorded():
+            builds.append(key)
+            return build()
+        return real(self, key, recorded)
+
+    monkeypatch.setattr(engine.CoverData, "memo", memo)
+    calls = record_calls(monkeypatch, engine.CoverData, "orbit_table")
+    scn = shipped(name)
+    assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
+    tables = [key for key in builds if key[0] == "orbits"]
+    assert len(tables) == len(set(tables)) == len(scn.divisors) == divisors
+    if command == "euler":
+        assert len(calls) >= 5 * divisors
+
+
 @pytest.mark.parametrize("command", ["euler", "check"])
 def test_divisibility_certificate_runs_once_per_place_and_twist(
         monkeypatch, command):

@@ -1,0 +1,311 @@
+"""Induced classes without induced modules.
+
+The engine reads the head multiplicities of each induced cover
+Ind_{I_P}^{G_P} Cov off Frobenius reciprocity on the tame complement, and
+the Brauer vector of every induced module off the cycles of the group's
+generators on the cosets.  Here both are compared with the routes they
+replace: Hom systems into the simples (reptools.head_multiplicities) and
+the Brauer vector of rep_induce's block matrices."""
+
+import functools
+import importlib.util
+import itertools
+import json
+import random
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from equirr import cli, engine, reps
+from equirr.errors import Inconsistency, InputError
+from equirr.fields import field_make
+from equirr.groups import FiniteGroup, Subgroup
+from equirr.reps import (SimpleRegistry, rep_direct_sum, rep_induce,
+                         rep_regular, spin_columns, split_on_submodule)
+from equirr.scenarios import parse_scenario, realize
+from reptools import head_multiplicities
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
+SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
+                 if p.name != "golden.json")
+
+
+def load_perfbench(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def workload_texts():
+    """Scenario text of each seed-0 big-divisor and big-group scenario."""
+    workloads = load_perfbench("workloads")
+    out = {}
+    for name in ("big-divisor", "big-group"):
+        for pair in workloads.WORKLOADS[name](ROOT, 0):
+            out[f"{name}/{pair.pair_id.rsplit(':', 1)[0]}"] = pair.scenario
+    return out
+
+
+def pgl2_gf7_text():
+    """PGL2(GF(7)) with every rational place at coefficient 1."""
+    places = ["inf"] + [[(-b) % 7, 1] for b in range(7)]
+    return json.dumps({
+        "field": {"p": 7, "n": 1},
+        "group": {"kind": "pgl2", "p": 7, "n": 1,
+                  "generators": [[[1, 1], [0, 1]], [[3, 0], [0, 1]],
+                                 [[0, 1], [1, 0]]]},
+        "mode": "oracle", "divisors": [[[P, 1] for P in places]],
+        "seed": 0})
+
+
+SCENARIOS = {**{name: (SCENARIO_DIR / name).read_text() for name in SHIPPED},
+             **workload_texts()}
+
+
+@functools.cache
+def scenario(name):
+    text = pgl2_gf7_text() if name == "pgl2_gf7" else SCENARIOS[name]
+    return realize(parse_scenario(text))
+
+
+def twisted_data(cover):
+    """(datum, d) for every ramified orbit and twist d = 1..e_t - 1."""
+    return [(datum, d) for datum in cover.orbit_data
+            for d in range(1, datum.e_t)]
+
+
+# -- head multiplicities by Frobenius reciprocity --------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["pgl2_gf7"])
+def test_frobenius_heads_equal_the_hom_route(name):
+    cover = scenario(name).cover
+    for datum, d in twisted_data(cover):
+        gp = datum.G_P.as_group()
+        reg_p, _ = cover.registry_for(gp)
+        induced = rep_induce(cover.cover_module(datum, -d), gp,
+                             datum.I_P.in_subgroup_of(gp))
+        assert (engine._frobenius_heads(cover, datum, d)
+                == head_multiplicities(induced, reg_p))
+
+
+def test_a_wrong_frobenius_count_fails_the_cartan_comparison(
+        monkeypatch, capsys):
+    real = engine._frobenius_heads
+
+    def off_by_one(cover, datum, d):
+        heads = real(cover, datum, d)
+        return {**heads, 0: heads[0] + 1}
+
+    monkeypatch.setattr(engine, "_frobenius_heads", off_by_one)
+    path = SCENARIO_DIR / "a3_s3_gf5.json"
+    scn = realize(parse_scenario(path.read_text()))
+    with pytest.raises(Inconsistency, match="Cartan coordinates"):
+        cli.run_check(scn)
+    assert cli.main(["suite", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "a3_s3_gf5.json check: INCONSISTENCY (head multiplicities" in out
+
+
+def test_check_solves_hom_systems_only_for_end_dims(monkeypatch):
+    # the one Hom system left per simple is dim End(S_i): the certificates
+    # solve none, so a check makes exactly sum_registries #simples calls
+    tracing = load_perfbench("tracing")
+    scn = realize(parse_scenario(SCENARIOS["big-divisor/s0:kummer_gf13"]))
+    saturated = []
+    real_saturate = reps.SimpleRegistry._saturate
+
+    def saturate(self):
+        saturated.append(self)
+        return real_saturate(self)
+
+    tracer = tracing.Tracer()
+
+    def hom_calls():
+        return sum(1 for span in tracer.spans if span[0] == "reps.hom_space")
+
+    in_end_dim = []
+    real_end_dim = reps.SimpleRegistry.end_dim
+
+    def end_dim(self, i):
+        before = hom_calls()
+        out = real_end_dim(self, i)
+        in_end_dim.append(hom_calls() - before)
+        return out
+
+    monkeypatch.setattr(reps.SimpleRegistry, "_saturate", saturate)
+    monkeypatch.setattr(reps.SimpleRegistry, "end_dim", end_dim)
+    tracer.install()
+    try:
+        report = cli.run_check(scn)
+    finally:
+        tracer.restore()
+    assert cli._exit_code(report) == 0
+    expected = sum(len(reg) for reg in saturated)
+    assert len(saturated) == 2 and expected == 24
+    assert hom_calls() == sum(in_end_dim) == expected
+
+
+@pytest.mark.parametrize("name", ["a2_kummer_gf7_m3.json", "a3_s3_gf5.json",
+                                  "a4_affine_gf3.json",
+                                  "big-divisor/s0:kummer_gf13"])
+def test_no_induced_module_outside_saturation_and_the_small_covers(
+        monkeypatch, name):
+    # induced modules are built only for the saturation source, the
+    # projective covers over the inertia group and the tame structure
+    # checks; projectivity is tested on no induced cover
+    callers = {"rep_induce": [], "is_projective": []}
+    for fn in callers:
+        real = getattr(reps, fn)
+
+        def recorded(*args, _real=real, _log=callers[fn], **kwargs):
+            _log.append(sys._getframe(1).f_code.co_name)
+            return _real(*args, **kwargs)
+        for owner in (reps, engine):
+            if hasattr(owner, fn):
+                monkeypatch.setattr(owner, fn, recorded)
+    for command in ("euler", "check"):
+        scn = realize(parse_scenario(SCENARIOS[name]))
+        assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
+    assert callers["rep_induce"]
+    assert set(callers["rep_induce"]) <= {
+        "_saturate", "projective_cover_over_inertia", "tame_structure_checks"}
+    assert set(callers["is_projective"]) <= {
+        "projective_cover_over_inertia", "projectivity_report"}
+
+
+# -- Brauer vectors of induced modules from coset cycles --------------------
+
+
+def perm_table(perms):
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[x]] for x in range(len(a)))] for b in perms]
+            for a in perms]
+
+
+def is_even(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0
+
+
+TABLES = {
+    "C4": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+    "C6": [[(i + j) % 6 for j in range(6)] for i in range(6)],
+    "S3": perm_table(itertools.permutations(range(3))),
+    "C3xC3": [[3 * ((a // 3 + b // 3) % 3) + (a + b) % 3 for b in range(9)]
+              for a in range(9)],
+    "A4": perm_table(p for p in itertools.permutations(range(4))
+                     if is_even(p)),
+    "S4": perm_table(itertools.permutations(range(4))),
+}
+GROUP_FIELDS = [("C4", 2), ("C4", 3), ("C6", 2), ("C6", 3), ("S3", 2),
+                ("S3", 3), ("S3", 5), ("C3xC3", 3), ("C3xC3", 2), ("A4", 2),
+                ("A4", 3), ("S4", 2), ("S4", 3)]
+
+
+@functools.cache
+def table_group(name):
+    return FiniteGroup.from_table(TABLES[name])
+
+
+@functools.cache
+def every_subgroup(name):
+    """Every subgroup of the table group; all of them are 2-generated."""
+    G = table_group(name)
+    found = {G.closure([x, y]) for x in range(G.order)
+             for y in range(x, G.order)}
+    return [Subgroup(G, idx, check=False) for idx in sorted(found)]
+
+
+@functools.cache
+def registry(name, p, indices):
+    """(registry of G, registry of the subgroup on indices) over GF(p)."""
+    G = table_group(name)
+    F = field_make(p, 1)
+    H = Subgroup(G, indices, check=False)
+    return (SimpleRegistry(G, F, random.Random(1)),
+            SimpleRegistry(H.as_group(), F, random.Random(2)))
+
+
+def assert_closed_form(reg_g, M, H):
+    expected = reg_g.brauer.vector(rep_induce(M, reg_g.group, H))
+    assert reg_g.brauer.induced_vector(M, H) == expected
+    assert reg_g.class_of_induced(M, H) == reg_g.class_of(
+        rep_induce(M, reg_g.group, H))
+
+
+def test_every_table_group_has_all_its_subgroups():
+    assert [len(every_subgroup(n)) for n in TABLES] == [3, 4, 6, 6, 10, 30]
+    assert all(table_group(n).order <= 24 for n in TABLES)
+
+
+@pytest.mark.parametrize("name,p", GROUP_FIELDS,
+                         ids=[f"{n}-GF{p}" for n, p in GROUP_FIELDS])
+def test_induced_vector_of_every_simple_of_every_subgroup(name, p):
+    for H in every_subgroup(name):
+        reg_g, reg_h = registry(name, p, H.indices)
+        for S in reg_h.simples:
+            assert_closed_form(reg_g, S, H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_induced_vector_of_random_subgroup_modules(data):
+    # direct sums of simples, and submodules of k[H] spun from a random
+    # vector, which are non-split extensions where p divides |H|
+    name, p = data.draw(st.sampled_from(GROUP_FIELDS))
+    H = data.draw(st.sampled_from(every_subgroup(name)))
+    reg_g, reg_h = registry(name, p, H.indices)
+    F = reg_h.field
+    if data.draw(st.booleans()):
+        picks = data.draw(st.lists(st.integers(0, len(reg_h) - 1),
+                                   min_size=1, max_size=3))
+        M = reg_h.simples[picks[0]]
+        for i in picks[1:]:
+            M = rep_direct_sum(M, reg_h.simples[i])
+    else:
+        R = rep_regular(H.as_group(), F)
+        v = data.draw(st.lists(st.integers(0, p - 1), min_size=R.dim,
+                               max_size=R.dim))
+        v[-1] = 1
+        gens = R.generator_images()
+        W = spin_columns(F, R.dim, [np.array(v, dtype=np.int64)], gens)
+        M = R if W.cols == R.dim else split_on_submodule(R, W)[0]
+    assert_closed_form(reg_g, M, H)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["pgl2_gf7"])
+def test_induced_vector_on_inertia_and_decomposition_groups(name):
+    # every cover module and cotangent power from I_P to G and to G_P, and
+    # every simple of G_P to G, as the engine induces them
+    cover = scenario(name).cover
+    for datum in cover.orbit_data:
+        gp = datum.G_P.as_group()
+        reg_p, _ = cover.registry_for(gp)
+        i_in_gp = datum.I_P.in_subgroup_of(gp)
+        for d in range(datum.e_t):
+            for M in (cover.cover_module(datum, d),
+                      datum.cotangent_power(d)):
+                assert_closed_form(cover.registry, M, datum.I_P)
+                assert_closed_form(reg_p, M, i_in_gp)
+        for S in reg_p.simples:
+            assert_closed_form(cover.registry, S, datum.G_P)
+
+
+def test_induced_vector_rejects_a_foreign_subgroup():
+    reg_g, _ = registry("S3", 5, every_subgroup("S3")[1].indices)
+    other = every_subgroup("C6")[1]
+    M = registry("C6", 5, other.indices)[1].simples[0]
+    with pytest.raises(InputError, match="wrong parent"):
+        reg_g.brauer.induced_vector(M, other)

@@ -18,7 +18,7 @@ from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, chop, extend_scalars, hom_dim,
                          rep_regular, rep_trivial, snf_solve)
-from reptools import socle_dim
+from reptools import head_multiplicities, socle_dim
 
 
 def cyclic_table(n):
@@ -188,7 +188,6 @@ def test_is_projective_class_examples():
 def test_head_reconstruction_of_projectives():
     # chop coordinates of a projective module equal the head-multiplicity
     # combination of PIM classes
-    from equirr.reps import head_multiplicities
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
     reg = SimpleRegistry(G, F, rng())

@@ -10,14 +10,14 @@ from equirr.fields import field_make
 from equirr.groups import FiniteGroup, Subgroup, sylow_p
 from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
-                         head_multiplicities, hom_dim, hom_space,
-                         is_projective, indecomposable_summands,
+                         hom_dim, hom_space, is_projective,
+                         indecomposable_summands,
                          projective_cover_over_inertia,
                          regular_endomorphisms, rep_direct_sum,
                          rep_dual, rep_induce, rep_regular,
                          rep_restrict, rep_tensor, rep_trivial)
 from equirr.scenarios import parse_scenario, realize
-from reptools import is_isomorphic
+from reptools import head_multiplicities, is_isomorphic
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
