@@ -29,11 +29,11 @@ from fractions import Fraction
 from .errors import Inconsistency, InputError
 from .fields import Field
 from .geometry import Divisor, P1Geometry, RamificationDatum
-from .groups import FiniteGroup, Subgroup, schur_zassenhaus_complement
+from .groups import FiniteGroup, Subgroup
 from .k0 import (CartanData, cartan_coordinates, cartan_data, in_cartan_image,
                  is_projective_class)
 from .reps import (ClassVector, Rep, SimpleRegistry, is_projective,
-                   projective_cover_over_inertia, rep_induce, rep_restrict)
+                   rep_restrict)
 
 
 @dataclass
@@ -98,26 +98,39 @@ class CoverData:
             return reg, cartan_data(group, self.k, reg)
         return self.memo(("registry", id(group)), build)
 
-    def cover_module(self, datum: RamificationDatum, d: int):
-        """Ind-ready projective cover of the d-th cotangent power over the
-        inertia group.  The cotangent character has order e_t, so the
-        twists d and d mod e_t give the same module and share an entry."""
+    def tame_complement(self, datum: RamificationDatum):
+        """(C, c): the tame complement C = <c> of the wild group in I_P, as
+        a subgroup of G, for c the first element of I_P of order e_t.
+        RamificationDatum._validate proves I_P / wild cyclic of order e_t
+        (the cotangent character embeds it in k(P)^*), and e_t is prime to
+        p, so any such c generates a complement: <c> meets the wild group
+        trivially and |<c>| |wild| = |I_P|."""
+        def build():
+            c = next((x for x in datum.I_P.indices
+                      if self.G.element_order(x) == datum.e_t), None)
+            if c is None:
+                raise Inconsistency("the tame quotient of the inertia group "
+                                    "is not cyclic of order e_t")
+            return Subgroup(self.G, self.G.closure([c]), check=False), c
+        return self.memo(("complement", id(datum)), build)
+
+    def induced_cover_class(self, datum: RamificationDatum, d: int,
+                            group: FiniteGroup) -> ClassVector:
+        """Class of Ind_{I_P}^group Cov((m/m^2)^{tensor d}) over the
+        registry of group, which is G or G_P.  The projective cover over
+        I_P is Cov = Ind_C^{I_P} Res_C of the cotangent power for the tame
+        complement C, so this is the class of Ind_C^group Res_C, read off
+        its Brauer vector.  The cotangent character has order e_t, so the
+        twists d and d mod e_t share an entry."""
         d %= datum.e_t
 
         def build():
-            Ig = datum.I_P.as_group()
-            return projective_cover_over_inertia(
-                Ig, datum.wild.in_subgroup_of(Ig), datum.cotangent_power(d))
-        return self.memo(("cov", id(datum), d), build)
-
-    def induced_cover_class(self, datum: RamificationDatum,
-                            d: int) -> ClassVector:
-        """Class of Ind_{I_P}^G Cov((m/m^2)^{tensor d}), keyed by d mod
-        e_t as cover_module is."""
-        d %= datum.e_t
-        return self.memo(("indcov", id(datum), d),
-                         lambda: self.registry.class_of_induced(
-                             self.cover_module(datum, d), datum.I_P))
+            C, _ = self.tame_complement(datum)
+            reg, _ = self.registry_for(group)
+            lam = rep_restrict(datum.cotangent_power(d),
+                               C.in_subgroup_of(datum.I_P.as_group()))
+            return reg.class_of_induced(lam, C.in_subgroup_of(group))
+        return self.memo(("indcov", id(datum), d, id(group)), build)
 
     def induce_class(self, v: ClassVector, H: Subgroup) -> ClassVector:
         """Class of Ind_H^G M from the class v of M over H's registry.
@@ -141,7 +154,7 @@ class CoverData:
                             d: int) -> ClassVector:
         """Class of Ind_{I_P}^G of the bare d-th cotangent power (no cover);
         used by the scaled identity, which has no weakness assumption.
-        Keyed by d mod e_t as cover_module is."""
+        Keyed by d mod e_t as induced_cover_class is."""
         d %= datum.e_t
         return self.memo(("indcot", id(datum), d),
                          lambda: self.registry.class_of_induced(
@@ -243,7 +256,7 @@ def ramification_class_via_inertia(cover: CoverData) -> ClassVector:
         total = cover.registry.zero()
         for datum in cover.orbit_data:
             for d in range(1, datum.e_t):
-                v = cover.induced_cover_class(datum, d)
+                v = cover.induced_cover_class(datum, d, cover.G)
                 total = total + v.scale(datum.orbit_size * datum.e_w * d)
         total = total.scale(Fraction(1, cover.G.order))
         if not total.is_integral():
@@ -318,16 +331,17 @@ def divided_cover_class(cover: CoverData, datum: RamificationDatum,
 
 def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
                            d: int) -> dict:
+    """divided_cover_class's certificate on the class of Ind_C^{G_P} of
+    the (-d)-th cotangent power over the tame complement C."""
     if not datum.is_weak_here:
         raise InputError("divided covers are defined for weakly ramified "
                          "places")
     gp_group = datum.G_P.as_group()
-    cov = cover.cover_module(datum, -d)
-    reg_p, cartan_p = cover.registry_for(gp_group)
+    _, cartan_p = cover.registry_for(gp_group)
     head = _frobenius_heads(cover, datum, d)
-    # Ind_{I_P}^{G_P} Cov is projective, as Cov is (projective_cover_over_
-    # inertia checks it) and induction keeps projectivity
-    total = reg_p.class_of_induced(cov, datum.I_P.in_subgroup_of(gp_group))
+    # Ind_{I_P}^{G_P} Cov = Ind_C^{G_P} Res_C lambda is projective: every
+    # module over the p'-group C is, and induction keeps projectivity
+    total = cover.induced_cover_class(datum, -d, gp_group)
     # two routes to the multiplicities of the P_i: Frobenius reciprocity
     # on the tame complement, and the Cartan coordinates of the class
     if cartan_coordinates(total, cartan_p) != [head[i] for i in sorted(head)]:
@@ -353,11 +367,10 @@ def _frobenius_heads(cover: CoverData, datum: RamificationDatum,
     """Multiplicity of the projective cover of each simple S_i of G_P in
     Ind_{I_P}^{G_P} Cov((m/m^2)^{tensor -d}), by Frobenius reciprocity.
 
-    Cov = Ind_C^{I_P} Res_C lambda for the Schur-Zassenhaus complement C of
-    the wild group and lambda the (-d)-th cotangent power, so the induced
-    cover is Ind_C^{G_P} lambda and Hom_{G_P}(it, S_i) = Hom_C(lambda,
-    Res_C S_i).  C = I_P / wild is cyclic (the cotangent character embeds
-    it in k(P)^*) and a p'-group, so for a generator c of C that dimension
+    Cov = Ind_C^{I_P} Res_C lambda for the tame complement C = <c> of
+    CoverData.tame_complement and lambda the (-d)-th cotangent power, so
+    the induced cover is Ind_C^{G_P} lambda and Hom_{G_P}(it, S_i) =
+    Hom_C(lambda, Res_C S_i).  C is a cyclic p'-group, so that dimension
     is sum_j a_j b_j over the multiplicities a_j and b_j of zeta^j as an
     eigenvalue of lambda(c) and of S_i(c).  The b_j are counted once per
     datum; dividing by dim End(S_i) must leave an integer."""
@@ -366,19 +379,15 @@ def _frobenius_heads(cover: CoverData, datum: RamificationDatum,
     brauer = reg_p.brauer
 
     def build():
-        Ig = datum.I_P.as_group()
-        C = schur_zassenhaus_complement(Ig, datum.wild.in_subgroup_of(Ig))
-        c = next((x for x in C.indices
-                  if Ig.element_order(x) == C.order), None)
-        if C.order != datum.e_t or c is None:
-            raise Inconsistency("the tame complement of the inertia group "
-                                "is not cyclic of order e_t")
-        c_in_gp = gp_group.root_index.index(Ig.root_index[c])
-        return c, [brauer.eigenvalue_counts(S.image(c_in_gp), datum.e_t)
-                   for S in reg_p.simples]
-    c, simple_counts = cover.memo(("frobenius", id(datum)), build)
+        _, c = cover.tame_complement(datum)
+        root = cover.G.root_index[c]
+        c_in_gp = gp_group.root_index.index(root)
+        return (datum.I_P.as_group().root_index.index(root),
+                [brauer.eigenvalue_counts(S.image(c_in_gp), datum.e_t)
+                 for S in reg_p.simples])
+    c_in_i, simple_counts = cover.memo(("frobenius", id(datum)), build)
     lam = datum.cotangent_power(-d % datum.e_t)
-    a = brauer.eigenvalue_counts(lam.image(c), datum.e_t)
+    a = brauer.eigenvalue_counts(lam.image(c_in_i), datum.e_t)
     out = {}
     for i, b in enumerate(simple_counts):
         num, den = sum(x * y for x, y in zip(a, b)), reg_p.end_dim(i)
@@ -421,7 +430,8 @@ def _integral_term(cover: CoverData, datum: RamificationDatum, d: int):
 
 
 def _rational_term(cover: CoverData, datum: RamificationDatum, d: int):
-    return cover.induced_cover_class(datum, -d).scale(Fraction(1, datum.f))
+    return cover.induced_cover_class(datum, -d, cover.G).scale(
+        Fraction(1, datum.f))
 
 
 def euler_class_integral(cover: CoverData, D: Divisor | None = None):
@@ -538,8 +548,7 @@ def tame_structure_checks(cover: CoverData, datum: RamificationDatum,
     line_class = reg_p.class_of(line)
     identity_a = w["class"] == line_class
     i_in_gp = datum.I_P.in_subgroup_of(gp_group)
-    back = rep_induce(rep_restrict(line, i_in_gp), gp_group, i_in_gp)
-    back_class = reg_p.class_of(back)
+    back_class = reg_p.class_of_induced(rep_restrict(line, i_in_gp), i_in_gp)
     identity_b = back_class == line_class.scale(datum.f)
     return {"cover_equals_line": identity_a,
             "ind_res_multiplies": identity_b}

@@ -102,6 +102,13 @@ class Field:
 
     @classmethod
     def make(cls, p: int, n: int) -> "Field":
+        # q against the table limit before is_prime's trial division, which
+        # would not end on a huge p; past the clipped exponent, p^n >
+        # TABLE_LIMIT for every p >= 2
+        clipped = min(n, TABLE_LIMIT.bit_length())
+        if p > 1 and p ** clipped > TABLE_LIMIT:
+            raise CapExceeded(f"GF({p}^{n}) exceeds the desk-scale table "
+                              f"limit TABLE_LIMIT = {TABLE_LIMIT}")
         if not is_prime(p):
             raise InputError(f"characteristic {p} is not prime")
         if n < 1:
@@ -123,9 +130,6 @@ class Field:
         raise CapExceeded(f"no irreducible of degree {n} over GF({p})")
 
     def _build_tables(self):
-        if self.q > TABLE_LIMIT:
-            raise CapExceeded(
-                f"GF({self.p}^{self.n}) exceeds the desk-scale table limit")
         p, q = self.p, self.q
         # exp/log over the encoding-least multiplicative generator: g has
         # order q - 1 iff g^((q-1)/r) != 1 for every prime r | q - 1

@@ -10,10 +10,8 @@ generators only and rebuild other images from the words.
 
 from __future__ import annotations
 
-import math
-
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import Field, prime_factors
+from .fields import Field
 
 DEFAULT_ORDER_CAP = 2000
 
@@ -257,11 +255,6 @@ class Subgroup:
         self.indices = idx
         self.order = len(idx)
 
-    def is_normal(self) -> bool:
-        s = set(self.indices)
-        return all(self.parent.conjugate(g, h) in s
-                   for g in range(self.parent.order) for h in self.indices)
-
     def as_group(self) -> FiniteGroup:
         return self.parent.materialize_subgroup(self.indices)
 
@@ -333,43 +326,6 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
         if not grew:
             raise Inconsistency("Sylow climb stalled; table is inconsistent")
     return Subgroup(G, sorted(current), check=False)
-
-
-def schur_zassenhaus_complement(I: FiniteGroup, P: Subgroup) -> Subgroup:
-    """Complement of a normal p-Sylow P inside I.
-
-    The quotients met here are cyclic (tame inertia), so a single element
-    of order [I:P] nearly always works; a bounded two-generator search
-    covers the rest.  Existence is guaranteed by Schur-Zassenhaus, so a
-    failed search signals an inconsistent input.
-    """
-    if P.parent is not I:
-        raise InputError("P must be a subgroup of I")
-    if not P.is_normal():
-        raise InputError("P must be normal in I")
-    m = I.order // P.order
-    if len(prime_factors(P.order)) > 1:
-        raise InputError("P must be a p-group")
-    if math.gcd(P.order, m) != 1:
-        raise InputError("complement requires coprime order and index")
-    pset = set(P.indices)
-    if m == 1:
-        return Subgroup(I, [I.identity], check=False)
-    for g in range(I.order):
-        if I.element_order(g) == m:
-            cyc = I.closure([g])
-            if len(cyc) == m and set(cyc) & pset == {I.identity}:
-                return Subgroup(I, cyc, check=False)
-    for g in range(I.order):
-        if m % I.element_order(g) != 0:
-            continue
-        for h in range(g + 1, I.order):
-            if m % I.element_order(h) != 0:
-                continue
-            sub = I.closure([g, h])
-            if len(sub) == m and set(sub) & pset == {I.identity}:
-                return Subgroup(I, sub, check=False)
-    raise Inconsistency("no Schur-Zassenhaus complement found")
 
 
 def cosets(G: FiniteGroup, H: Subgroup) -> list[int]:

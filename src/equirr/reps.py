@@ -30,16 +30,17 @@ import numpy as np
 
 from .errors import CapExceeded, Inconsistency, InputError
 from .fields import TABLE_LIMIT, Field, field_make, poly_factor
-from .groups import (FiniteGroup, Subgroup, _p_part, conjugacy_classes,
-                     coset_lookup, schur_zassenhaus_complement, sylow_p)
+from .groups import (FiniteGroup, Subgroup, conjugacy_classes, coset_lookup,
+                     sylow_p)
 from .matrices import EchelonBasis, Mat
 
 MEATAXE_ROUNDS = 80
 SPLIT_ROUNDS = 60
 SUMMAND_DIM_CAP = 400
 # Largest Hom system hom_space builds, in int64 cells (256 MiB per copy;
-# elimination holds a few copies).  The largest on the order-120 and
-# order-110 groups is 1.8e7, on an End of a 55-dimensional piece.
+# elimination holds a few copies).  The engine solves Hom systems only for
+# dim End(S) of simple modules; on the seed-0 benchmark workloads the
+# largest has 162 cells (big-group), 32 (golden-suite) and 1 (big-divisor).
 HOM_CELL_CAP = 1 << 25
 
 
@@ -1056,30 +1057,3 @@ def is_projective(M: Rep) -> bool:
     rad_dim = stacked.rank()
     return M.dim == P.order * (M.dim - rad_dim)
 
-
-def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
-                                  M: Rep) -> Rep:
-    """Projective cover over k[I] of a module M on which the normal p-Sylow
-    P1 acts trivially: induce the restriction to a Schur-Zassenhaus
-    complement C of P1, Cov(M) = Ind_C^I Res_C M."""
-    if M.group is not I:
-        raise InputError("module is not over the inertia group")
-    if P1.parent is not I:
-        raise InputError("wild subgroup has the wrong parent")
-    if not P1.is_normal():
-        raise InputError("wild subgroup must be normal")
-    if _p_part(P1.order, M.field.p) != P1.order:
-        raise InputError("wild subgroup must be a p-group")
-    if math.gcd(P1.order, I.order // P1.order) != 1:
-        raise InputError("wild subgroup must be a Sylow subgroup")
-    eye = Mat.identity(M.field, M.dim)
-    for g in P1.indices:
-        if M.image(g) != eye:
-            raise InputError("wild subgroup does not act trivially")
-    C = schur_zassenhaus_complement(I, P1)
-    cov = rep_induce(rep_restrict(M, C), I, C)
-    if cov.dim != P1.order * M.dim:
-        raise Inconsistency("projective cover has unexpected dimension")
-    if not is_projective(cov):
-        raise Inconsistency("projective cover failed the projectivity test")
-    return cov

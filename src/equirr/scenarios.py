@@ -107,8 +107,9 @@ def parse_scenario(source) -> ScenarioConfig:
     kind = group_spec["kind"]
     if kind not in ("pgl2", "table", "pgl2_s3_search"):
         raise InputError(f"group.kind: unknown kind {kind!r}")
-    if kind == "pgl2" and "generators" not in group_spec:
-        raise InputError("group: pgl2 groups need a 'generators' list")
+    if kind == "pgl2" and not isinstance(group_spec.get("generators"), list):
+        raise InputError("group.generators: pgl2 groups need a list of "
+                         "2x2 matrices")
     if kind == "table" and "table" not in group_spec:
         raise InputError("group: table groups need a 'table'")
     for key in ("p", "n"):
@@ -193,6 +194,8 @@ def build_group(cfg: ScenarioConfig, k: Field) -> FiniteGroup:
     spec = cfg.group_spec
     cap = _json_int(cfg.options.get("group_order_cap", DEFAULT_ORDER_CAP),
                    "options.group_order_cap")
+    if cap < 1:
+        raise InputError(f"options.group_order_cap: {cap} is not positive")
     if spec["kind"] == "table":
         table = spec["table"]
         if not isinstance(table, list):

@@ -3,19 +3,22 @@ isomorphism test, the socle dimension, the head multiplicities of a
 projective module by Hom systems into the simples, the Cartan matrix by
 splitting k[G] into projective indecomposables, the Riemann-Roch action by moving
 every basis function on its own, the cocycle value of a decomposition
-element by division at a root, and the ramified places by solving the
-fixed-point form of every element."""
+element by division at a root, the ramified places by solving the
+fixed-point form of every element, and the projective cover over an
+inertia group as a module, induced from a Schur-Zassenhaus complement."""
 
+import math
 import random
 
-from equirr.errors import CapExceeded, Inconsistency
-from equirr.fields import Field, Poly, poly_roots
+from equirr.errors import CapExceeded, Inconsistency, InputError
+from equirr.fields import Field, Poly, poly_roots, prime_factors
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
-from equirr.groups import FiniteGroup
+from equirr.groups import FiniteGroup, Subgroup, _p_part
 from equirr.matrices import Mat
 from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
                          indecomposable_summands, is_projective,
-                         regular_endomorphisms, rep_regular)
+                         regular_endomorphisms, rep_induce, rep_regular,
+                         rep_restrict)
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
@@ -188,3 +191,84 @@ def reference_ramified_places(geo: P1Geometry) -> list[Place]:
             pts.add(INF_POINT)
         pts.update(poly_roots(Poly(K, [K.neg(b), K.sub(d, a), c])))
     return sorted({geo.place_of_point(x) for x in pts}, key=Place.sort_key)
+
+
+def is_normal(H: Subgroup) -> bool:
+    s = set(H.indices)
+    return all(H.parent.conjugate(g, h) in s
+               for g in range(H.parent.order) for h in H.indices)
+
+
+def schur_zassenhaus_complement(I: FiniteGroup, P: Subgroup) -> Subgroup:
+    """Complement of a normal p-Sylow P inside I.
+
+    A single element of order [I:P] works when the quotient is cyclic; a
+    bounded two-generator search covers the rest.  Existence is guaranteed
+    by Schur-Zassenhaus, so a failed search signals an inconsistent
+    input."""
+    if P.parent is not I:
+        raise InputError("P must be a subgroup of I")
+    if not is_normal(P):
+        raise InputError("P must be normal in I")
+    m = I.order // P.order
+    if len(prime_factors(P.order)) > 1:
+        raise InputError("P must be a p-group")
+    if math.gcd(P.order, m) != 1:
+        raise InputError("complement requires coprime order and index")
+    pset = set(P.indices)
+    if m == 1:
+        return Subgroup(I, [I.identity], check=False)
+    for g in range(I.order):
+        if I.element_order(g) == m:
+            cyc = I.closure([g])
+            if len(cyc) == m and set(cyc) & pset == {I.identity}:
+                return Subgroup(I, cyc, check=False)
+    for g in range(I.order):
+        if m % I.element_order(g) != 0:
+            continue
+        for h in range(g + 1, I.order):
+            if m % I.element_order(h) != 0:
+                continue
+            sub = I.closure([g, h])
+            if len(sub) == m and set(sub) & pset == {I.identity}:
+                return Subgroup(I, sub, check=False)
+    raise Inconsistency("no Schur-Zassenhaus complement found")
+
+
+def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
+                                  M: Rep) -> Rep:
+    """Projective cover over k[I] of a module M on which the normal p-Sylow
+    P1 acts trivially: induce the restriction to a Schur-Zassenhaus
+    complement C of P1, Cov(M) = Ind_C^I Res_C M.  The engine reads the
+    class of its induction off Brauer vectors instead
+    (CoverData.induced_cover_class); this is the module it is tested
+    against."""
+    if M.group is not I:
+        raise InputError("module is not over the inertia group")
+    if P1.parent is not I:
+        raise InputError("wild subgroup has the wrong parent")
+    if not is_normal(P1):
+        raise InputError("wild subgroup must be normal")
+    if _p_part(P1.order, M.field.p) != P1.order:
+        raise InputError("wild subgroup must be a p-group")
+    if math.gcd(P1.order, I.order // P1.order) != 1:
+        raise InputError("wild subgroup must be a Sylow subgroup")
+    eye = Mat.identity(M.field, M.dim)
+    for g in P1.indices:
+        if M.image(g) != eye:
+            raise InputError("wild subgroup does not act trivially")
+    C = schur_zassenhaus_complement(I, P1)
+    cov = rep_induce(rep_restrict(M, C), I, C)
+    if cov.dim != P1.order * M.dim:
+        raise Inconsistency("projective cover has unexpected dimension")
+    if not is_projective(cov):
+        raise Inconsistency("projective cover failed the projectivity test")
+    return cov
+
+
+def inertia_cover(datum, d: int) -> Rep:
+    """Cov((m/m^2)^{tensor d}) over the inertia group of a ramification
+    datum, as the module projective_cover_over_inertia builds."""
+    Ig = datum.I_P.as_group()
+    return projective_cover_over_inertia(
+        Ig, datum.wild.in_subgroup_of(Ig), datum.cotangent_power(d))

@@ -23,6 +23,7 @@ from equirr.reps import (BrauerCharacters, SimpleRegistry, chop,
                          rep_regular, rep_trivial, spin_columns,
                          split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
+from reptools import inertia_cover
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
@@ -54,7 +55,7 @@ def build_module(scn, kind, r):
         return cover.geometry.rr_action_rep(r.choice(scn.divisors))
     if kind == "induced_cover":
         datum = r.choice(cover.orbit_data)
-        return rep_induce(cover.cover_module(datum, r.randrange(-3, 4)), G,
+        return rep_induce(inertia_cover(datum, r.randrange(-3, 4)), G,
                           datum.I_P)
     if kind == "simple":
         return r.choice(cover.registry.simples)

@@ -4,7 +4,7 @@ A ClassVector coefficient is an int, or a Fraction when it is not
 integral, never an integral Fraction.  Every operation must agree with
 the same arithmetic done in Fractions, down to the JSON strings and the
 hash.  The twist caches of CoverData are keyed by d mod e_t, which must
-give the same module and classes as the unreduced twist."""
+give the same classes as the modules of the unreduced twist."""
 
 import functools
 import random
@@ -18,9 +18,9 @@ from equirr import cli, engine
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
 from equirr.k0 import cartan_coordinates
-from equirr.reps import (ClassVector, SimpleRegistry,
-                         projective_cover_over_inertia, rep_induce)
+from equirr.reps import ClassVector, SimpleRegistry, rep_induce
 from equirr.scenarios import parse_scenario, realize
+from reptools import inertia_cover
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
@@ -166,16 +166,16 @@ def test_twists_are_keyed_mod_e_t(d):
     for datum in cover.orbit_data:
         e_t = datum.e_t
         assert e_t == 3
-        module = cover.cover_module(datum, d)
-        assert cover.cover_module(datum, d + e_t) is module
-        assert cover.cover_module(datum, d - e_t) is module
-        Ig = datum.I_P.as_group()
-        fresh_cover = projective_cover_over_inertia(
-            Ig, datum.wild.in_subgroup_of(Ig), datum.cotangent_power(d + e_t))
-        assert fresh_cover.generator_images() == module.generator_images()
+        for group in (cover.G, datum.G_P.as_group()):
+            vec = cover.induced_cover_class(datum, d, group)
+            assert cover.induced_cover_class(datum, d + e_t, group) is vec
+            assert cover.induced_cover_class(datum, d - e_t, group) is vec
+        fiber = cover.induced_fiber_class(datum, d)
+        assert cover.induced_fiber_class(datum, d + e_t) is fiber
+        assert cover.induced_fiber_class(datum, d - e_t) is fiber
         fresh_ind = cover.registry.class_of(
-            rep_induce(fresh_cover, cover.G, datum.I_P))
-        assert cover.induced_cover_class(datum, d + e_t) == fresh_ind
+            rep_induce(inertia_cover(datum, d + e_t), cover.G, datum.I_P))
+        assert cover.induced_cover_class(datum, d + e_t, cover.G) == fresh_ind
         fresh_fiber = cover.registry.class_of(
             rep_induce(datum.cotangent_power(d + e_t), cover.G, datum.I_P))
         assert cover.induced_fiber_class(datum, d + e_t) == fresh_fiber

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from equirr import cli, engine, reps, scenarios
+from equirr import cli, engine, fields, reps, scenarios
 from equirr.cli import main
 from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.geometry import P1Geometry
@@ -548,3 +548,40 @@ def test_whole_decomposition_group_reuses_the_main_registry(
     assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
     assert [(reg.group, reg.field.q) for reg, in calls] == (
         [(scn.cover.G, 7), (scn.cover.G, 49)][:saturations])
+
+
+def test_non_list_generators_exit_2_naming_the_key(tmp_path, capsys):
+    doc = translation_config()
+    doc["group"]["generators"] = 7
+    assert main(["euler", write_scenario(tmp_path, doc)]) == 2
+    assert "group.generators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_nonpositive_group_order_cap_exits_2_naming_the_option(
+        tmp_path, capsys, cap):
+    doc = translation_config({"options": {"group_order_cap": cap}})
+    assert main(["euler", write_scenario(tmp_path, doc)]) == 2
+    assert "options.group_order_cap" in capsys.readouterr().err
+
+
+def test_huge_characteristic_hits_the_table_limit_before_trial_division(
+        tmp_path, capsys, monkeypatch):
+    # 2^61 - 1 is prime: trial division up to its square root would not
+    # end, so the table limit must reject it without calling is_prime (a
+    # call past the limit raises here rather than run)
+    calls = []
+    real = fields.is_prime
+
+    def counting(m):
+        calls.append(m)
+        if m > fields.TABLE_LIMIT:
+            raise AssertionError(f"is_prime({m}) called")
+        return real(m)
+
+    monkeypatch.setattr(fields, "is_prime", counting)
+    doc = translation_config()
+    doc["field"]["p"] = 2 ** 61 - 1
+    assert main(["euler", write_scenario(tmp_path, doc)]) == 3
+    assert "TABLE_LIMIT" in capsys.readouterr().err
+    assert calls == []

@@ -205,8 +205,8 @@ def test_representative_independence():
         l, _ = split_coefficient(n, first.e_t, first.e_w)
         lengths.append((len(orbit), l))
         for d in range(1, l + 1):
-            assert (cover.induced_cover_class(last, -d)
-                    == cover.induced_cover_class(first, -d))
+            assert (cover.induced_cover_class(last, -d, cover.G)
+                    == cover.induced_cover_class(first, -d, cover.G))
             cert = divided_cover_class(cover, last, d)
             assert all(m % last.f == 0
                        for m in cert["head_multiplicities"].values())

@@ -6,9 +6,9 @@ import pytest
 from equirr.errors import CapExceeded, InputError
 from equirr.fields import field_make
 from equirr.groups import (FiniteGroup, Subgroup, conjugacy_classes, cosets,
-                           pgl2_normalize, schur_zassenhaus_complement,
-                           sylow_p)
+                           pgl2_normalize, sylow_p)
 from equirr.reps import subgroup_to_parent
+from reptools import schur_zassenhaus_complement
 
 
 def s3_table():

@@ -1,11 +1,14 @@
 """Induced classes without induced modules.
 
 The engine reads the head multiplicities of each induced cover
-Ind_{I_P}^{G_P} Cov off Frobenius reciprocity on the tame complement, and
-the Brauer vector of every induced module off the cycles of the group's
-generators on the cosets.  Here both are compared with the routes they
-replace: Hom systems into the simples (reptools.head_multiplicities) and
-the Brauer vector of rep_induce's block matrices."""
+Ind_{I_P}^{G_P} Cov off Frobenius reciprocity on the tame complement, the
+class of each induced cover off the induction of the cotangent power from
+that complement, and the Brauer vector of every induced module off the
+cycles of the group's generators on the cosets.  Here they are compared
+with the routes they replace: Hom systems into the simples
+(reptools.head_multiplicities), the projective cover over the inertia
+group as a module (reptools.projective_cover_over_inertia) and the Brauer
+vector of rep_induce's block matrices."""
 
 import functools
 import importlib.util
@@ -26,7 +29,7 @@ from equirr.groups import FiniteGroup, Subgroup
 from equirr.reps import (SimpleRegistry, rep_direct_sum, rep_induce,
                          rep_regular, spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
-from reptools import head_multiplicities
+from reptools import head_multiplicities, inertia_cover
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -94,10 +97,50 @@ def test_frobenius_heads_equal_the_hom_route(name):
     for datum, d in twisted_data(cover):
         gp = datum.G_P.as_group()
         reg_p, _ = cover.registry_for(gp)
-        induced = rep_induce(cover.cover_module(datum, -d), gp,
+        induced = rep_induce(inertia_cover(datum, -d), gp,
                              datum.I_P.in_subgroup_of(gp))
         assert (engine._frobenius_heads(cover, datum, d)
                 == head_multiplicities(induced, reg_p))
+
+
+# -- the tame complement and the cover classes ------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["pgl2_gf7"])
+def test_tame_complement_is_cyclic_of_order_e_t_and_meets_wild_trivially(
+        name):
+    cover = scenario(name).cover
+    G = cover.G
+    for datum in cover.orbit_data:
+        C, c = cover.tame_complement(datum)
+        assert C.parent is G and c in datum.I_P.indices
+        assert G.element_order(c) == C.order == datum.e_t
+        assert C.indices == G.closure([c])
+        assert set(C.indices) <= set(datum.I_P.indices)
+        assert set(C.indices) & set(datum.wild.indices) == {G.identity}
+        assert C.order * datum.wild.order == datum.I_P.order
+        assert cover.tame_complement(datum)[0] is C
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["pgl2_gf7"])
+def test_cover_classes_equal_the_module_reference(name):
+    # every twist d in -e_t..2e_t: the class over G, the class over G_P
+    # that the certificate divides by f, and the certificate's divided
+    # class, against Ind of the module built on a searched complement
+    cover = scenario(name).cover
+    for datum in cover.orbit_data:
+        gp = datum.G_P.as_group()
+        reg_p, _ = cover.registry_for(gp)
+        i_in_gp = datum.I_P.in_subgroup_of(gp)
+        for d in range(-datum.e_t, 2 * datum.e_t + 1):
+            cov = inertia_cover(datum, d)
+            assert cover.induced_cover_class(datum, d, cover.G) == \
+                cover.registry.class_of(rep_induce(cov, cover.G, datum.I_P))
+            total = reg_p.class_of(rep_induce(cov, gp, i_in_gp))
+            assert cover.induced_cover_class(datum, d, gp) == total
+            if datum.is_weak_here:
+                divided = engine.divided_cover_class(cover, datum, -d)
+                assert divided["class"].scale(datum.f) == total
 
 
 def test_a_wrong_frobenius_count_fails_the_cartan_comparison(
@@ -162,9 +205,8 @@ def test_check_solves_hom_systems_only_for_end_dims(monkeypatch):
                                   "big-divisor/s0:kummer_gf13"])
 def test_no_induced_module_outside_saturation_and_the_small_covers(
         monkeypatch, name):
-    # induced modules are built only for the saturation source, the
-    # projective covers over the inertia group and the tame structure
-    # checks; projectivity is tested on no induced cover
+    # the one induced module is the saturation source, and projectivity
+    # is tested only on the Riemann-Roch modules of the verdicts
     callers = {"rep_induce": [], "is_projective": []}
     for fn in callers:
         real = getattr(reps, fn)
@@ -178,11 +220,8 @@ def test_no_induced_module_outside_saturation_and_the_small_covers(
     for command in ("euler", "check"):
         scn = realize(parse_scenario(SCENARIOS[name]))
         assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
-    assert callers["rep_induce"]
-    assert set(callers["rep_induce"]) <= {
-        "_saturate", "projective_cover_over_inertia", "tame_structure_checks"}
-    assert set(callers["is_projective"]) <= {
-        "projective_cover_over_inertia", "projectivity_report"}
+    assert set(callers["rep_induce"]) == {"_saturate"}
+    assert set(callers["is_projective"]) == {"projectivity_report"}
 
 
 # -- Brauer vectors of induced modules from coset cycles --------------------
@@ -295,8 +334,7 @@ def test_induced_vector_on_inertia_and_decomposition_groups(name):
         reg_p, _ = cover.registry_for(gp)
         i_in_gp = datum.I_P.in_subgroup_of(gp)
         for d in range(datum.e_t):
-            for M in (cover.cover_module(datum, d),
-                      datum.cotangent_power(d)):
+            for M in (inertia_cover(datum, d), datum.cotangent_power(d)):
                 assert_closed_form(cover.registry, M, datum.I_P)
                 assert_closed_form(reg_p, M, i_in_gp)
         for S in reg_p.simples:

@@ -12,12 +12,12 @@ from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          hom_dim, hom_space, is_projective,
                          indecomposable_summands,
-                         projective_cover_over_inertia,
                          regular_endomorphisms, rep_direct_sum,
                          rep_dual, rep_induce, rep_regular,
                          rep_restrict, rep_tensor, rep_trivial)
 from equirr.scenarios import parse_scenario, realize
-from reptools import head_multiplicities, is_isomorphic
+from reptools import (head_multiplicities, is_isomorphic,
+                      projective_cover_over_inertia)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
