@@ -60,9 +60,7 @@ def run_analyze(scn: Scenario) -> dict:
     }
     if scn.cover.geometry is not None:
         audit = scn.cover.geometry.riemann_hurwitz()
-        report["audit"] = {"riemann_hurwitz": audit,
-                           "ambient_degree":
-                               scn.cover.geometry.ambient_degree}
+        report["audit"] = {"riemann_hurwitz": audit}
         _verdict(verdicts, "riemann_hurwitz", audit["pass"],
                  f"{audit['lhs']} = {audit['rhs']}")
     report["weakly_ramified"] = scn.cover.is_weakly_ramified()

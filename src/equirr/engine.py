@@ -260,6 +260,12 @@ def ramification_class_via_inertia(cover: CoverData) -> ClassVector:
                 total = total + v.scale(datum.orbit_size * datum.e_w * d)
         total = total.scale(Fraction(1, cover.G.order))
         if not total.is_integral():
+            # integral for every weakly ramified cover (Koeck 2004), so
+            # abstract data that fails here belong to no cover
+            if cover.geometry is None:
+                raise InputError("ramification-module class is not "
+                                 "integral; no weakly ramified cover has "
+                                 "this ramification data")
             raise Inconsistency("ramification-module class is not integral; "
                                 "this falsifies the local route")
         return total

@@ -7,10 +7,10 @@ Conventions.  The group acts on points by Mobius transformations and on
 functions by sigma . f = f o sigma^{-1}; all local data (filtrations,
 cotangent scalars, residue actions) are computed in that same convention,
 which is what makes the oracle and the closed formulas land in the same
-classes.  Geometric computations run in one ambient field GF(q^L) fixed per
-geometry; L is the lcm of the degrees that can occur (fixed points of
-Mobius maps satisfy quadratics, so ramified places have degree at most 2;
-divisor support degrees are supplied by the caller).
+classes.  Places move over k, by substituting sigma^{-1} into the place
+polynomial; the local data of a place P are computed in its residue field
+k(P) = GF(q^deg P), at rho, the first root of P there, so a place of degree
+d needs only GF(q^d).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 
 from .errors import Inconsistency, InputError
-from .fields import Field, Poly, field_make, poly_is_irreducible, poly_roots
+from .fields import (Field, Poly, field_make, poly_factor,
+                     poly_is_irreducible, poly_roots)
 from .groups import FiniteGroup, Subgroup, _p_part
 from .matrices import Mat
 from .reps import Rep, subgroup_to_parent
@@ -129,8 +130,9 @@ class Divisor:
 
 
 class PowerBasisCoords:
-    """k-linear coordinates of a subfield k(beta) of an ambient field,
-    relative to the power basis {beta^i : i < deg}."""
+    """k-linear coordinates in a field generated over k by beta (a residue
+    field k(P) and its point rho), relative to the power basis
+    {beta^i : i < deg}."""
 
     def __init__(self, k: Field, ambient: Field, beta: int, deg: int):
         self.k = k
@@ -161,16 +163,6 @@ class PowerBasisCoords:
             digits = [sol.get(i * self.k.n + t, 0) for t in range(self.k.n)]
             out.append(self.k.encode(digits))
         return out
-
-    def from_coords(self, cs, target: Field, gen: int) -> int:
-        """Rebuild sum(c_i * gen^i) inside another field containing k."""
-        emb = self.k.embedding_into(target)
-        acc = 0
-        power = 1
-        for c in cs:
-            acc = target.add(acc, target.mul(int(emb[c]), power))
-            power = target.mul(power, gen)
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +361,14 @@ class P1Geometry:
     """The projective line over k with a PGL2 action: orbits, ramification
     data, Riemann-Hurwitz audit, Riemann-Roch spaces and their action."""
 
-    def __init__(self, k: Field, G: FiniteGroup, extra_degrees=()):
+    def __init__(self, k: Field, G: FiniteGroup):
         if G.kind != "pgl2":
             raise InputError("geometry needs a PGL2 matrix group")
         if G.field is not k:
             raise InputError("group matrices are over a different field")
         self.k = k
         self.G = G
-        L = 1
-        degs = set(extra_degrees)
-        if G.order > 1:
-            degs.add(2)
-        for d in degs:
-            L = math.lcm(L, d)
-        self.ambient_degree = L
-        self.K = field_make(k.p, k.n * L)
-        self._emb = k.embedding_into(self.K)
-        self._emb_inv = {int(v): i for i, v in enumerate(self._emb)}
-        self._emb_mats: dict[int, tuple] = {}
+        self._mats: dict[tuple[Field, int], tuple] = {}
         self._root_cache: dict[Place, int] = {}
         self._datum_cache: dict[Place, RamificationDatum] = {}
         self._mobius_cache: dict[tuple[int, Place], Place] = {}
@@ -396,76 +378,67 @@ class P1Geometry:
 
     # -- points -------------------------------------------------------------
 
-    def _matrix_in_ambient(self, sigma: int):
-        if sigma not in self._emb_mats:
-            self._emb_mats[sigma] = tuple(int(self._emb[x])
-                                          for x in self.G.labels[sigma])
-        return self._emb_mats[sigma]
+    def residue_field(self, P: Place) -> Field:
+        """k(P) = GF(q^deg P)."""
+        return field_make(self.k.p, self.k.n * P.degree)
 
-    def mobius_point(self, sigma: int, x):
-        """Image of an ambient point (encoding or INF_POINT) under sigma."""
-        a, b, c, d = self._matrix_in_ambient(sigma)
-        K = self.K
+    def _matrix_in(self, F: Field, sigma: int):
+        """The label (a, b, c, d) of sigma embedded in an extension F of
+        k."""
+        key = (F, sigma)
+        if key not in self._mats:
+            emb = self.k.embedding_into(F)
+            self._mats[key] = tuple(int(emb[x]) for x in self.G.labels[sigma])
+        return self._mats[key]
+
+    def mobius_point(self, F: Field, sigma: int, x):
+        """Image of a point of P^1(F) (encoding or INF_POINT) under
+        sigma."""
+        a, b, c, d = self._matrix_in(F, sigma)
         if x == INF_POINT:
             if c == 0:
                 return INF_POINT
-            return K.mul(a, K.inv(c))
-        den = K.add(K.mul(c, x), d)
+            return F.mul(a, F.inv(c))
+        den = F.add(F.mul(c, x), d)
         if den == 0:
             return INF_POINT
-        num = K.add(K.mul(a, x), b)
-        return K.mul(num, K.inv(den))
+        num = F.add(F.mul(a, x), b)
+        return F.mul(num, F.inv(den))
 
     def place_root(self, P: Place):
-        """Deterministic geometric point over P in the ambient field."""
+        """rho, the first root of P in its residue field (INF_POINT at
+        infinity): the geometric point at which the local data of P are
+        computed."""
         if P.is_infinity:
             return INF_POINT
         if P not in self._root_cache:
-            if self.K.n % (self.k.n * P.degree):
-                raise InputError(
-                    f"ambient field is too small for a degree-{P.degree} "
-                    "place; declare the degree when building the geometry")
-            roots = poly_roots(P.poly.map_field(self.K))
+            roots = poly_roots(P.poly.map_field(self.residue_field(P)))
             if not roots:
-                raise Inconsistency("place polynomial has no ambient root")
+                raise Inconsistency("place has no root in its residue field")
             self._root_cache[P] = roots[0]
         return self._root_cache[P]
 
-    def place_of_point(self, x) -> Place:
-        """Closed point containing an ambient geometric point."""
-        if x == INF_POINT:
-            return Place.infinity()
-        K, k = self.K, self.k
-        orbit = [x]
-        cur = K.frobenius(x, k.n)
-        while cur != x:
-            orbit.append(cur)
-            cur = K.frobenius(cur, k.n)
-        poly = Poly.one(K)
-        for r in orbit:
-            poly = poly * Poly(K, [K.neg(r), 1])
-        coeffs = []
-        for cK in poly.coeffs:
-            if cK not in self._emb_inv:
-                raise Inconsistency("minimal polynomial has a coefficient "
-                                    "outside the base field")
-            coeffs.append(self._emb_inv[cK])
-        return Place(Poly(k, coeffs), check=False)
-
     def mobius_on_place(self, sigma: int, P: Place) -> Place:
+        """sigma(P): a finite P goes to the monic form of
+        (C x + D)^deg P pi_P((A x + B) / (C x + D)) for sigma^{-1} =
+        (A, B, C, D), whose roots are the images of the roots of pi_P; a
+        constant there means P went to infinity, and infinity goes to
+        a / c."""
         key = (sigma, P)
         if key not in self._mobius_cache:
+            k = self.k
             if P.is_infinity:
                 a, b, c, d = self.G.labels[sigma]
                 if c == 0:
                     img = Place.infinity()
                 else:
-                    root = self.k.mul(a, self.k.inv(c))
-                    img = Place(Poly(self.k, [self.k.neg(root), 1]),
-                                check=False)
+                    root = k.mul(a, k.inv(c))
+                    img = Place(Poly(k, [k.neg(root), 1]), check=False)
             else:
-                beta = self.mobius_point(sigma, self.place_root(P))
-                img = self.place_of_point(beta)
+                moved = P.poly.mobius_numerator(
+                    *self.G.labels[self.G.inverse[sigma]])
+                img = (Place.infinity() if moved.degree == 0
+                       else Place(moved.monic(), check=False))
             if img.degree != P.degree:
                 raise Inconsistency("Mobius action changed a place degree")
             self._mobius_cache[key] = img
@@ -506,27 +479,28 @@ class P1Geometry:
     # -- ramification -----------------------------------------------------------
 
     def ramified_places(self) -> list[Place]:
-        """All closed points with nontrivial inertia, via geometric fixed
-        points of the nonidentity elements.  An element and its
-        nonidentity powers fix the same points, so their fixed-point forms
-        c x^2 + (d - a) x - b agree up to a scalar: each monic form is
-        solved once."""
+        """All closed points with nontrivial inertia: the places of the
+        fixed-point forms c x^2 + (d - a) x - b of the nonidentity elements,
+        that is their irreducible factors over k, plus infinity where
+        c = 0.  An element and its nonidentity powers fix the same points,
+        so their forms agree up to a scalar: each monic form is factored
+        once."""
         if self._ramified is None:
-            pts = set()
+            places = set()
             seen = set()
-            K = self.K
+            k = self.k
             for s in range(self.G.order):
                 if s == self.G.identity:
                     continue
-                a, b, c, d = self._matrix_in_ambient(s)
-                fix = Poly(K, [K.neg(b), K.sub(d, a), c]).monic()
+                a, b, c, d = self.G.labels[s]
+                fix = Poly(k, [k.neg(b), k.sub(d, a), c]).monic()
                 if fix.coeffs in seen:
                     continue
                 seen.add(fix.coeffs)
                 if c == 0:
-                    pts.add(INF_POINT)
-                pts.update(poly_roots(fix))
-            places = {self.place_of_point(x) for x in pts}
+                    places.add(Place.infinity())
+                places.update(Place(g, check=False)
+                              for g, _ in poly_factor(fix))
             self._ramified = sorted(places, key=Place.sort_key)
         return self._ramified
 
@@ -545,72 +519,68 @@ class P1Geometry:
             self._ramified_orbits = orbits
         return self._ramified_orbits
 
-    def _contact_order(self, sigma: int, alpha) -> int:
-        """i(sigma) = v_Q(sigma.t - t) at the fixed geometric point."""
-        K = self.K
-        inv = self.G.inverse[sigma]
-        A, B, C, D = self._matrix_in_ambient(inv)
-        if alpha == INF_POINT:
+    def _contact_order(self, sigma: int, P: Place) -> int:
+        """i(sigma) = v_Q(sigma.t - t) at the point rho over P."""
+        F, rho = self.residue_field(P), self.place_root(P)
+        A, B, C, D = self._matrix_in(F, self.G.inverse[sigma])
+        if rho == INF_POINT:
             if C != 0:
                 raise Inconsistency("inertia element moved infinity")
-            num = Poly(K, [K.neg(B), K.sub(D, A)])
+            num = Poly(F, [F.neg(B), F.sub(D, A)])
             if num.is_zero():
                 raise Inconsistency("identity reached the contact loop")
             return 2 - num.degree
-        h = Poly(K, [B, K.sub(A, D), K.neg(C)])
+        h = Poly(F, [B, F.sub(A, D), F.neg(C)])
         if h.is_zero():
             raise Inconsistency("identity reached the contact loop")
-        return h.multiplicity(Poly(K, [K.neg(alpha), 1]))
+        return h.multiplicity(Poly(F, [F.neg(rho), 1]))
 
-    def _cotangent_scalar(self, sigma: int, alpha) -> int:
-        """a_sigma with sigma.t = a_sigma t mod m^2, in the ambient."""
-        K = self.K
-        inv = self.G.inverse[sigma]
-        A, B, C, D = self._matrix_in_ambient(inv)
-        if alpha == INF_POINT:
-            return K.mul(D, K.inv(A))
-        det = K.sub(K.mul(A, D), K.mul(B, C))
-        den = K.add(K.mul(C, alpha), D)
-        return K.mul(det, K.inv(K.mul(den, den)))
+    def _cotangent_scalar(self, sigma: int, P: Place) -> int:
+        """a_sigma with sigma.t = a_sigma t mod m^2, in k(P)."""
+        F, rho = self.residue_field(P), self.place_root(P)
+        A, B, C, D = self._matrix_in(F, self.G.inverse[sigma])
+        if rho == INF_POINT:
+            return F.mul(D, F.inv(A))
+        det = F.sub(F.mul(A, D), F.mul(B, C))
+        den = F.add(F.mul(C, rho), D)
+        return F.mul(det, F.inv(F.mul(den, den)))
 
-    def _cocycle_value(self, tau: int, P: Place, alpha) -> int:
-        """b_tau with tau.(pi_P) = b_tau pi_P mod m^2, in the ambient;
-        pi_P is the closed-point uniformizer (the place polynomial, or 1/x
-        at infinity).  With tau^{-1} = (A, B, C, D), tau fixes a finite P
+    def _cocycle_value(self, tau: int, P: Place) -> int:
+        """b_tau with tau.(pi_P) = b_tau pi_P mod m^2, in k(P); pi_P is the
+        closed-point uniformizer (the place polynomial, or 1/x at
+        infinity).  With tau^{-1} = (A, B, C, D), tau fixes a finite P
         exactly when pi_P o tau^{-1} = lambda pi_P / (C x + D)^deg P, that
         is when `mobius_numerator` gives lambda pi_P; pi_P is separable, so
-        b_tau = lambda / (C alpha + D)^deg P at its root alpha."""
-        K = self.K
+        b_tau = lambda / (C rho + D)^deg P at its root rho."""
+        F, rho = self.residue_field(P), self.place_root(P)
         inv = self.G.inverse[tau]
-        A, B, C, D = self._matrix_in_ambient(inv)
-        if alpha == INF_POINT:
+        A, B, C, D = self._matrix_in(F, inv)
+        if rho == INF_POINT:
             if C != 0:
                 raise Inconsistency("decomposition element moved infinity")
-            return K.mul(D, K.inv(A))
+            return F.mul(D, F.inv(A))
         pi = P.poly
         moved = pi.mobius_numerator(*self.G.labels[inv])
         lam = moved.leading()
         if moved != pi.scale(lam):
             raise Inconsistency("decomposition element does not fix the "
                                 "place")
-        if pi.map_field(K).multiplicity(Poly(K, [K.neg(alpha), 1])) == 0:
-            raise Inconsistency("chosen root is not a root of the place")
-        den = K.pow_(K.add(K.mul(C, alpha), D), P.degree)
-        return K.mul(int(self._emb[lam]), K.inv(den))
+        den = F.pow_(F.add(F.mul(C, rho), D), P.degree)
+        return F.mul(int(self.k.embedding_into(F)[lam]), F.inv(den))
 
     def ramification(self, P: Place) -> RamificationDatum:
         """Ramification filtration, residue data and cotangent character at
-        P, computed at a fixed geometric point over P."""
+        P, computed in k(P) at the point rho over P."""
         if P in self._datum_cache:
             return self._datum_cache[P]
-        G, k, K = self.G, self.k, self.K
+        G, k = self.G, self.k
         gp_idx = [s for s in range(G.order)
                   if self.mobius_on_place(s, P) == P]
         G_P = Subgroup(G, gp_idx, check=False)
-        alpha = self.place_root(P)
-        i_idx = [s for s in gp_idx if self.mobius_point(s, alpha) == alpha]
+        kP, x = self.residue_field(P), self.place_root(P)
+        i_idx = [s for s in gp_idx if self.mobius_point(kP, s, x) == x]
         I_P = Subgroup(G, i_idx, check=False)
-        contact = {s: self._contact_order(s, alpha)
+        contact = {s: self._contact_order(s, P)
                    for s in i_idx if s != G.identity}
         filtration = []
         s = 0
@@ -622,55 +592,31 @@ class P1Geometry:
             s += 1
         wild_idx = [G.identity] + [g for g, v in contact.items() if v >= 2]
         wild = Subgroup(G, sorted(wild_idx), check=False)
-        deg = P.degree
-        kP = field_make(k.p, k.n * deg)
-        if P.is_infinity:
-            rho = 1
-        else:
-            rho_roots = poly_roots(P.poly.map_field(kP))
-            if not rho_roots:
-                raise Inconsistency("place has no root in its residue field")
-            rho = rho_roots[0]
-        alpha_coords = PowerBasisCoords(k, K,
-                                        1 if alpha == INF_POINT else alpha,
-                                        deg)
-
-        def to_kP(z: int) -> int:
-            cs = alpha_coords.coords(z)
-            if cs is None:
-                raise Inconsistency("value does not lie in the residue "
-                                    "field")
-            return alpha_coords.from_coords(cs, kP, rho)
-
-        char = {}
-        for sidx in i_idx:
-            if sidx == G.identity:
-                char[sidx] = 1
-            else:
-                char[sidx] = to_kP(self._cotangent_scalar(sidx, alpha))
+        char = {s: 1 if s == G.identity else self._cotangent_scalar(s, P)
+                for s in i_idx}
         cocycle = {}
         for tau in gp_idx:
             if tau == G.identity:
                 cocycle[tau] = (0, 1)
                 continue
-            b = to_kP(self._cocycle_value(tau, P, alpha))
-            beta = self.mobius_point(G.inverse[tau], alpha)
+            # tau^{-1} moves x to its j-th Frobenius conjugate
+            beta = self.mobius_point(kP, G.inverse[tau], x)
             j = None
-            probe = alpha
-            for jj in range(deg):
+            probe = x
+            for jj in range(P.degree):
                 if probe == beta:
                     j = jj
                     break
-                probe = K.frobenius(probe, k.n)
+                probe = kP.frobenius(probe, k.n)
             if j is None:
                 raise Inconsistency("residue action is not a Frobenius "
                                     "power")
-            cocycle[tau] = (j, b)
-        orbit_size = G.order // G_P.order
+            cocycle[tau] = (j, self._cocycle_value(tau, P))
         datum = RamificationDatum(
             group=G, k=k, place=P, G_P=G_P, I_P=I_P, wild=wild,
-            filtration=filtration, deg=deg, orbit_size=orbit_size,
-            kP=kP, rho=rho, char=char, cocycle=cocycle)
+            filtration=filtration, deg=P.degree,
+            orbit_size=G.order // G_P.order, kP=kP,
+            rho=1 if x == INF_POINT else x, char=char, cocycle=cocycle)
         self._datum_cache[P] = datum
         return datum
 
@@ -817,6 +763,10 @@ def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
         raise InputError("wild order must divide the inertia order")
     e_t = e // e_w
     deg = residue_degree
+    f = G_P.order // I_P.order
+    if deg < 1 or deg % f:
+        raise InputError(f"residue_degree {deg} is not a positive multiple "
+                         f"of f = |decomposition| / |inertia| = {f}")
     kP = field_make(k.p, k.n * deg)
     # {y^i : i < deg} is a k-basis of the canonical residue field for the
     # field generator y (encoding p); degree-1 places use the basis {1}
@@ -858,7 +808,6 @@ def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
             {s for s in I_P.indices if char[s] == 1}:
         raise InputError("cotangent kernel is not the declared wild group")
     # Galois-compatibility of the character under decomposition conjugation
-    f = G_P.order // I_P.order
     if f > 1:
         q_r = k.q ** (deg // f)
         for tau in G_P.indices:

@@ -273,8 +273,7 @@ def realize(cfg: ScenarioConfig) -> Scenario:
     if cfg.mode == "oracle":
         divisors = [parse_divisor(k, raw, f"divisors[{i}]")
                     for i, raw in enumerate(cfg.divisors)]
-        degrees = {p.degree for D in divisors for p in D.support()}
-        geometry = P1Geometry(k, G, extra_degrees=sorted(degrees))
+        geometry = P1Geometry(k, G)
         cover = CoverData.from_geometry(geometry, rng)
         for D in divisors:
             geometry.check_equivariant(D)
@@ -300,23 +299,30 @@ def realize(cfg: ScenarioConfig) -> Scenario:
             generator = _json_int(generator, f"{key}.cotangent.generator")
         residue_degree = _json_int(raw.get("residue_degree", 1),
                                    f"{key}.residue_degree")
+        if residue_degree < 1:
+            raise InputError(f"{key}.residue_degree: {residue_degree} is "
+                             "not positive")
         value = cot.get("value")
         if isinstance(value, list):
             value = _residue_digits(value, f"{key}.cotangent.value", k.p,
                                     k.n * residue_degree)
         elif value is not None:
             value = _json_int(value, f"{key}.cotangent.value")
-        datum = abstract_datum(
-            G, k,
-            label=str(raw.get("label", f"orbit{i}")),
-            decomposition=decomposition,
-            inertia=inertia,
-            wild=_json_indices(raw.get("wild", [G.identity]), f"{key}.wild",
-                               G.order),
-            residue_degree=residue_degree,
-            cot_generator=generator,
-            cot_value=value,
-        )
+        wild = _json_indices(raw.get("wild", [G.identity]), f"{key}.wild",
+                             G.order)
+        try:
+            datum = abstract_datum(
+                G, k,
+                label=str(raw.get("label", f"orbit{i}")),
+                decomposition=decomposition,
+                inertia=inertia,
+                wild=wild,
+                residue_degree=residue_degree,
+                cot_generator=generator,
+                cot_value=value,
+            )
+        except InputError as e:
+            raise InputError(f"{key}: {e}") from None
         data.append(datum)
         coefficients.append(_json_int(raw.get("coefficient", 0),
                                       f"{key}.coefficient"))

@@ -3,15 +3,17 @@ isomorphism test, the socle dimension, the head multiplicities of a
 projective module by Hom systems into the simples, the Cartan matrix by
 splitting k[G] into projective indecomposables, the Riemann-Roch action by moving
 every basis function on its own, the cocycle value of a decomposition
-element by division at a root, the ramified places by solving the
-fixed-point form of every element, and the projective cover over an
-inertia group as a module, induced from a Schur-Zassenhaus complement."""
+element by division at a root, the image of a place by moving one of its
+roots as a point, the ramified places by solving the fixed-point form of
+every element, and the projective cover over an inertia group as a
+module, induced from a Schur-Zassenhaus complement."""
 
 import math
 import random
 
 from equirr.errors import CapExceeded, Inconsistency, InputError
-from equirr.fields import Field, Poly, poly_roots, prime_factors
+from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
+                           prime_factors)
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup, Subgroup, _p_part
 from equirr.matrices import Mat
@@ -148,15 +150,15 @@ def reference_rr_action(geo: P1Geometry, D: Divisor) -> list[Mat]:
 
 
 def reference_cocycle_value(geo: P1Geometry, tau: int, P: Place, alpha):
-    """b_tau at a finite place P with root alpha, by the route
+    """b_tau at a finite place P with root alpha in k(P), by the route
     P1Geometry._cocycle_value took before `Poly.mobius_numerator`: the
     place polynomial pi is homogenised under tau^{-1} = (A, B, C, D) in
-    the ambient field, the result N and pi are each divided by x - alpha,
-    and b_tau = (N / (x - alpha))(alpha) / ((pi / (x - alpha))(alpha)
+    k(P), the result N and pi are each divided by x - alpha, and
+    b_tau = (N / (x - alpha))(alpha) / ((pi / (x - alpha))(alpha)
     (C alpha + D)^deg P)."""
-    K = geo.K
-    A, B, C, D = geo._matrix_in_ambient(geo.G.inverse[tau])
-    deg = P.degree
+    k, deg = geo.k, P.degree
+    K = field_make(k.p, k.n * deg)
+    A, B, C, D = (embed(x, k, K) for x in geo.G.labels[geo.G.inverse[tau]])
     pi_K = P.poly.map_field(K)
     lin_a, lin_c = Poly(K, [B, A]), Poly(K, [D, C])
     N = Poly.zero(K)
@@ -176,21 +178,65 @@ def reference_cocycle_value(geo: P1Geometry, tau: int, P: Place, alpha):
     return K.mul(q1.evaluate(alpha), K.inv(K.mul(q2.evaluate(alpha), den)))
 
 
+def place_of_point(k: Field, K: Field, x) -> Place:
+    """The closed point of P^1 over k under a point x of P^1(K) (an
+    encoding or INF_POINT): the product of x - y over the Frobenius orbit
+    of x, pulled back to k."""
+    if x == INF_POINT:
+        return Place.infinity()
+    back = {int(v): i for i, v in enumerate(k.embedding_into(K))}
+    orbit = [x]
+    cur = K.frobenius(x, k.n)
+    while cur != x:
+        orbit.append(cur)
+        cur = K.frobenius(cur, k.n)
+    poly = Poly.one(K)
+    for r in orbit:
+        poly = poly * Poly(K, [K.neg(r), 1])
+    if any(c not in back for c in poly.coeffs):
+        raise Inconsistency("minimal polynomial has a coefficient outside "
+                            "the base field")
+    return Place(Poly(k, [back[c] for c in poly.coeffs]), check=False)
+
+
+def reference_place_images(geo: P1Geometry, P: Place) -> list[Place]:
+    """sigma(P) for every element sigma, by the geometric route: a root of
+    P in GF(q^deg P) (infinity itself at infinity) is moved by
+    sigma = (a, b, c, d) as a point, and the image point is turned back
+    into a place by `place_of_point`."""
+    k = geo.k
+    K = field_make(k.p, k.n * P.degree)
+    x = INF_POINT if P.is_infinity else poly_roots(P.poly.map_field(K))[0]
+    out = []
+    for label in geo.G.labels:
+        a, b, c, d = (embed(v, k, K) for v in label)
+        if x == INF_POINT:
+            y = INF_POINT if c == 0 else K.mul(a, K.inv(c))
+        else:
+            den = K.add(K.mul(c, x), d)
+            y = (INF_POINT if den == 0
+                 else K.mul(K.add(K.mul(a, x), b), K.inv(den)))
+        out.append(place_of_point(k, K, y))
+    return out
+
+
 def reference_ramified_places(geo: P1Geometry) -> list[Place]:
     """The places with nontrivial inertia by the per-element route: the
-    roots of c x^2 + (d - a) x - b for every nonidentity element
-    (a, b, c, d), plus infinity where c = 0, each form solved on its
-    own."""
-    K = geo.K
+    roots in GF(q^2) of c x^2 + (d - a) x - b for every nonidentity
+    element (a, b, c, d), plus infinity where c = 0, each form solved on
+    its own."""
+    k = geo.k
+    K = field_make(k.p, 2 * k.n)
     pts = set()
     for s in range(geo.G.order):
         if s == geo.G.identity:
             continue
-        a, b, c, d = geo._matrix_in_ambient(s)
+        a, b, c, d = (embed(x, k, K) for x in geo.G.labels[s])
         if c == 0:
             pts.add(INF_POINT)
         pts.update(poly_roots(Poly(K, [K.neg(b), K.sub(d, a), c])))
-    return sorted({geo.place_of_point(x) for x in pts}, key=Place.sort_key)
+    return sorted({place_of_point(k, K, x) for x in pts},
+                  key=Place.sort_key)
 
 
 def is_normal(H: Subgroup) -> bool:

@@ -212,6 +212,49 @@ def test_abstract_scenario_without_cover_exits_2(tmp_path, capsys):
     assert "genus -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "euler", "check"])
+@pytest.mark.parametrize("orbit,degree,message", [
+    (2, 1, "orbits[2]: residue_degree 1 is not a positive multiple of "
+           "f = |decomposition| / |inertia| = 3"),
+    (0, 0, "orbits[0].residue_degree: 0 is not positive"),
+    (0, -1, "orbits[0].residue_degree: -1 is not positive"),
+], ids=["not-a-multiple-of-f", "zero", "negative"])
+def test_bad_residue_degree_exits_2_naming_it(tmp_path, capsys, command,
+                                              orbit, degree, message):
+    # the residue degree of an abstract orbit is a positive multiple of
+    # f = |decomposition| / |inertia|; orbit 2 has f = 3
+    doc = _abstract_config()
+    doc["orbits"].append({"decomposition": [0, 1, 2], "inertia": [0],
+                          "coefficient": 0})
+    doc["orbits"][orbit]["residue_degree"] = degree
+    assert main([command, write_scenario(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_abstract_data_that_no_cover_has_exits_2(tmp_path, capsys):
+    # residue degrees 2 and 1 at two totally ramified Z/3 orbits break the
+    # cyclic-cover condition 2 * 1 + 1 * 2 = 0 mod 3, so the ramification
+    # module, integral for every weakly ramified cover, is not integral
+    doc = _abstract_config()
+    doc["orbits"][0]["residue_degree"] = 2
+    assert main(["euler", write_scenario(tmp_path, doc)]) == 2
+    assert "no weakly ramified cover has this ramification data" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["euler", "check"])
+def test_degree_three_orbit_needs_only_its_residue_field(tmp_path, command):
+    # x -> 2x over GF(7) permutes x^3+x+1, x^3+2x+1 and x^3+4x+1; their
+    # local data live in GF(7^3), and no field of degree 6 is built
+    doc = {"field": {"p": 7, "n": 1},
+           "group": {"kind": "pgl2", "generators": [[[2, 0], [0, 1]]]},
+           "mode": "oracle",
+           "divisors": [[[[1, 1, 0, 1], 1], [[1, 2, 0, 1], 1],
+                         [[1, 4, 0, 1], 1], [[0, 1], 2], ["inf", -1]]],
+           "seed": 0}
+    assert main([command, write_scenario(tmp_path, doc)]) == 0
+
+
 def test_suite_ships_green(capsys):
     files = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
     golden = str(SCENARIO_DIR / "golden.json")

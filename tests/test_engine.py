@@ -21,9 +21,9 @@ from equirr.scenarios import parse_scenario, realize
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def make_cover(k, gens, seed=0, extra_degrees=()):
+def make_cover(k, gens, seed=0):
     G = FiniteGroup.close_generators(k, gens)
-    geo = P1Geometry(k, G, extra_degrees=extra_degrees)
+    geo = P1Geometry(k, G)
     return CoverData.from_geometry(geo, random.Random(seed))
 
 

@@ -23,9 +23,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "equirr"
 
 KEPT = {
     # claimed by open ROADMAP items
-    "reps.rep_dual": "ROADMAP item 7 (Serre duality)",
-    "geometry.fiber_character": "ROADMAP items 7-8 (fiber classes)",
-    "reps.rep_tensor": "ROADMAP item 8 (E = O(D) tensor V)",
+    "reps.rep_dual": "ROADMAP item 9 (Serre duality)",
+    "geometry.fiber_character": "ROADMAP items 9-10 (fiber classes)",
+    "reps.rep_tensor": "ROADMAP item 10 (E = O(D) tensor V)",
     # the summand split: a tracer target and the tests' reference Cartan
     "reps.indecomposable_summands": "perfbench tracer target; test-time "
                                     "cross-check of the Brauer Cartan matrix",

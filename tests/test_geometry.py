@@ -14,7 +14,7 @@ from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
 from equirr.reps import SimpleRegistry, chop, rep_regular
 from equirr.scenarios import parse_scenario, realize
-from reptools import reference_ramified_places
+from reptools import reference_place_images, reference_ramified_places
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -168,6 +168,32 @@ def test_ramified_places_match_per_element_route(doc):
     assert geo.ramified_places() == reference_ramified_places(geo)
 
 
+def _place_map_geometries():
+    out = [pytest.param(doc, id=path.stem)
+           for path in sorted(SCENARIO_DIR.glob("*.json"))
+           if path.name != "golden.json"
+           for doc in [json.loads(path.read_text())]
+           if doc["mode"] == "oracle"]
+    out.append(pytest.param(
+        {"field": {"p": 7, "n": 1},
+         "group": {"kind": "pgl2",
+                   "generators": [[[1, 1], [0, 1]], [[3, 0], [0, 1]],
+                                  [[0, 1], [1, 0]]]},
+         "mode": "oracle", "divisors": [[]], "seed": 0}, id="pgl2-gf7"))
+    return out
+
+
+@pytest.mark.parametrize("doc", _place_map_geometries())
+def test_place_map_matches_moving_a_root(doc):
+    # sigma(P) by substitution over k against the image of a root of P,
+    # moved as a point of P^1(GF(q^deg P)) and closed up by its Frobenius
+    # orbit, for every element and every place of degree <= 3
+    geo = realize(parse_scenario(doc)).cover.geometry
+    for P in places_up_to(geo.k, 3):
+        assert [geo.mobius_on_place(s, P) for s in range(geo.G.order)] \
+            == reference_place_images(geo, P), P
+
+
 @pytest.mark.parametrize("q,m", [(7, 3), (5, 4), (7, 6)])
 def test_kummer_ramification(q, m):
     F, G, geo, zeta = kummer_geometry(q, m)
@@ -209,11 +235,11 @@ def test_frobenius_stabilizer_gives_f2():
     geo = P1Geometry(F, G)
     P = Place(Poly(F, [1, 0, 1]), check=False)
     # independent oracle: orbits of the roots +-i inside GF(9)
-    K = geo.K
+    K = field_make(3, 2)
     roots = sorted(set(__import__("equirr.fields", fromlist=["poly_roots"])
                        .poly_roots(P.poly.map_field(K))))
     sigma = next(i for i in range(G.order) if i != G.identity)
-    assert geo.mobius_point(sigma, roots[0]) == K.neg(roots[0])
+    assert geo.mobius_point(K, sigma, roots[0]) == K.neg(roots[0])
     assert K.frobenius(roots[0], 1) == K.neg(roots[0])  # -i = i^3
     datum = geo.ramification(P)
     deg_r, f = datum.residue_deg, datum.f
@@ -305,7 +331,7 @@ def test_rr_dimension_formula_random():
     r = random.Random(31)
     F = field_make(5, 1)
     G = FiniteGroup.close_generators(F, [(1, 0, 0, 1)])
-    geo = P1Geometry(F, G, extra_degrees=[2])
+    geo = P1Geometry(F, G)
     ps = places_up_to(F, 2)
     for _ in range(30):
         D = Divisor({p: r.randrange(-2, 3) for p in r.sample(ps, 3)})

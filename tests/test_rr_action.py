@@ -55,8 +55,7 @@ def geometry(name):
     if name in BENCHMARK_GROUPS or name in FRONTIER_GROUPS:
         p, n, gens = {**BENCHMARK_GROUPS, **FRONTIER_GROUPS}[name]
         F = field_make(p, n)
-        return P1Geometry(F, FiniteGroup.close_generators(F, gens),
-                          extra_degrees=[2])
+        return P1Geometry(F, FiniteGroup.close_generators(F, gens))
     return shipped(name)[0]
 
 
@@ -206,7 +205,7 @@ def test_cocycle_values_match_reference(name):
     for P in places - {Place.infinity()}:
         alpha = geo.place_root(P)
         for tau in geo.ramification(P).G_P.indices:
-            assert geo._cocycle_value(tau, P, alpha) == \
+            assert geo._cocycle_value(tau, P) == \
                 reference_cocycle_value(geo, tau, P, alpha)
 
 
