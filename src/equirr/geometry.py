@@ -134,27 +134,27 @@ class PowerBasisCoords:
     field k(P) and its point rho), relative to the power basis
     {beta^i : i < deg}."""
 
-    def __init__(self, k: Field, ambient: Field, beta: int, deg: int):
+    def __init__(self, k: Field, kP: Field, beta: int, deg: int):
         self.k = k
-        self.ambient = ambient
+        self.kP = kP
         self.deg = deg
         fp = field_make(k.p, 1)
         self.fp = fp
-        emb = k.embedding_into(ambient)
+        emb = k.embedding_into(kP)
         self.beta_powers = [1]
         for _ in range(deg - 1):
-            self.beta_powers.append(ambient.mul(self.beta_powers[-1], beta))
+            self.beta_powers.append(kP.mul(self.beta_powers[-1], beta))
         cols = []
         for i in range(deg):
             for t in range(k.n):
-                val = ambient.mul(int(emb[k.p**t]), self.beta_powers[i])
-                cols.append(ambient.digits(val))
-        # (ambient.n, deg*k.n): ambient digits as GF(p) coordinates
+                val = kP.mul(int(emb[k.p**t]), self.beta_powers[i])
+                cols.append(kP.digits(val))
+        # (kP.n, deg*k.n): the digits of kP as GF(p) coordinates
         self.mat = Mat.from_rows(fp, cols).T
 
     def coords(self, z: int):
         """k-coordinates of z, or None if z is outside k(beta)."""
-        rhs = Mat.column(self.fp, self.ambient.digits(z))
+        rhs = Mat.column(self.fp, self.kP.digits(z))
         sol = self.mat.solve(rhs)
         if sol is None:
             return None

@@ -146,7 +146,7 @@ BENCHMARK_GROUPS = [
 ]
 
 
-def _shipped_geometries():
+def _shipped_oracle_scenarios():
     out = []
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         if path.name == "golden.json":
@@ -154,6 +154,11 @@ def _shipped_geometries():
         doc = json.loads(path.read_text())
         if doc["mode"] == "oracle":
             out.append(pytest.param(doc, id=path.stem))
+    return out
+
+
+def _shipped_geometries():
+    out = _shipped_oracle_scenarios()
     for (p, n), gens in BENCHMARK_GROUPS:
         doc = {"field": {"p": p, "n": n},
                "group": {"kind": "pgl2", "generators": gens},
@@ -168,22 +173,15 @@ def test_ramified_places_match_per_element_route(doc):
     assert geo.ramified_places() == reference_ramified_places(geo)
 
 
-def _place_map_geometries():
-    out = [pytest.param(doc, id=path.stem)
-           for path in sorted(SCENARIO_DIR.glob("*.json"))
-           if path.name != "golden.json"
-           for doc in [json.loads(path.read_text())]
-           if doc["mode"] == "oracle"]
-    out.append(pytest.param(
-        {"field": {"p": 7, "n": 1},
-         "group": {"kind": "pgl2",
-                   "generators": [[[1, 1], [0, 1]], [[3, 0], [0, 1]],
-                                  [[0, 1], [1, 0]]]},
-         "mode": "oracle", "divisors": [[]], "seed": 0}, id="pgl2-gf7"))
-    return out
+PGL2_GF7 = {"field": {"p": 7, "n": 1},
+            "group": {"kind": "pgl2",
+                      "generators": [[[1, 1], [0, 1]], [[3, 0], [0, 1]],
+                                     [[0, 1], [1, 0]]]},
+            "mode": "oracle", "divisors": [[]], "seed": 0}
 
 
-@pytest.mark.parametrize("doc", _place_map_geometries())
+@pytest.mark.parametrize("doc", _shipped_oracle_scenarios()
+                         + [pytest.param(PGL2_GF7, id="pgl2-gf7")])
 def test_place_map_matches_moving_a_root(doc):
     # sigma(P) by substitution over k against the image of a root of P,
     # moved as a point of P^1(GF(q^deg P)) and closed up by its Frobenius
