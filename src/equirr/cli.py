@@ -22,7 +22,8 @@ from .engine import (congruence_condition, divided_cover_class,
                      euler_class_integral, euler_class_rational,
                      euler_class_scaled, euler_class_tame_mod_regular,
                      oracle_euler_class, projectivity_report,
-                     ramification_class_routes, regular_multiple,
+                     ramification_class_routes,
+                     ramification_class_via_inertia, regular_multiple,
                      tame_structure_checks)
 from .errors import CapExceeded, Inconsistency, InputError
 from .fields import field_make
@@ -174,6 +175,10 @@ def run_check(scn: Scenario) -> dict:
                 _verdict(verdicts, f"structure_ind_res:{place}:d{d}",
                          out["ind_res_multiplies"])
     report["divided_covers"] = w_reports
+    if cover.geometry is None and cover.is_weakly_ramified():
+        # abstract data whose ramification-module class is not integral
+        # belong to no weakly ramified cover: exit 2, as euler does
+        ramification_class_via_inertia(cover)
     # projectivity predicates and the Cartesian diagram need the oracle
     if cover.geometry is not None:
         proj_entries = []

@@ -629,10 +629,31 @@ def _pth_root(f: Poly) -> Poly:
     return Poly(F, out)
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Split monic squarefree f into (product of degree-d irreducibles, d)."""
+def _radical(f: Poly) -> Poly:
+    """The product of the distinct monic irreducible factors of f != 0.
+
+    g / gcd(g, g') carries every factor whose multiplicity in g is prime to
+    p; dividing those out fully leaves a p-th power (zero derivative), whose
+    p-th root carries the rest."""
+    rad = Poly.one(f.field)
+    g = f.monic()
+    while g.degree > 0:
+        gp = g.derivative()
+        if gp.is_zero():
+            g = _pth_root(g)
+            continue
+        u = g // g.gcd(gp)
+        rad = rad * u
+        while u.degree > 0:
+            g = g // u
+            u = g.gcd(u)
+    return rad
+
+
+def _distinct_degree(f: Poly):
+    """Split monic squarefree f into (product of degree-d irreducibles, d),
+    yielded in increasing d as each part is found."""
     F = f.field
-    out = []
     x = Poly.x(F)
     h = x
     rest = f
@@ -642,19 +663,21 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
         h = h.powmod(F.q, rest)
         g = rest.gcd(h - x)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             rest = rest // g
             h = h % rest
     if rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
+        yield rest, rest.degree
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus: f monic squarefree, all factors of degree d."""
+def _equal_degree_split(f: Poly, d: int, rng: random.Random):
+    """Cantor-Zassenhaus: the irreducible factors of f (monic squarefree,
+    all factors of degree d), yielded one at a time; each split yields the
+    factors of its first part before it splits the second."""
     F = f.field
     if f.degree == d:
-        return [f]
+        yield f
+        return
     while True:
         w = Poly(F, [F.rand_elem(rng) for _ in range(f.degree)])
         if w.degree < 1:
@@ -672,46 +695,32 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             v = w.powmod(e, f) - Poly.one(F)
             g = f.gcd(v)
         if 0 < g.degree < f.degree:
-            return (_equal_degree_split(g, d, rng)
-                    + _equal_degree_split(f // g, d, rng))
+            yield from _equal_degree_split(g, d, rng)
+            yield from _equal_degree_split(f // g, d, rng)
+            return
 
 
-def poly_factor(f: Poly, rng: random.Random | None = None):
-    """Full factorization into monic irreducibles with multiplicities.
+def irreducible_factors(f: Poly, rng: random.Random | None = None):
+    """The distinct monic irreducible factors of f, in nondecreasing
+    degree, found one at a time.
 
-    Squarefree extraction handles the char-p pitfalls (p-th power parts)
-    explicitly; splitting uses seeded Cantor-Zassenhaus so identical seeds
-    give identical factor ordering.  Returns [(Poly, mult)] sorted by
-    (degree, coefficients).
-    """
+    The squarefree part of f is split by distinct degree, and a part is
+    split by seeded Cantor-Zassenhaus only when its first factor is asked
+    for, so a caller that stops early pays for the parts it reached."""
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
     rng = rng or random.Random(0)
-    F = f.field
-    counts: dict[Poly, int] = {}
-    stack = [(f.monic(), 1)]
-    while stack:
-        g, mult = stack.pop()
-        if g.degree <= 0:
-            continue
-        gp = g.derivative()
-        if gp.is_zero():
-            stack.append((_pth_root(g), mult * F.p))
-            continue
-        u = g // g.gcd(gp)  # squarefree part carrying every p-coprime factor
-        for part, d in _distinct_degree(u):
-            for h in _equal_degree_split(part, d, rng):
-                h = h.monic()
-                e = 0
-                while True:
-                    quo, rem = g.divmod(h)
-                    if not rem.is_zero():
-                        break
-                    g = quo
-                    e += 1
-                counts[h] = counts.get(h, 0) + mult * e
-        stack.append((g, mult))
-    return sorted(counts.items(), key=lambda kv: kv[0].sort_key())
+    for part, d in _distinct_degree(_radical(f)):
+        yield from _equal_degree_split(part, d, rng)
+
+
+def poly_factor(f: Poly, rng: random.Random | None = None):
+    """Full factorization into monic irreducibles with multiplicities:
+    [(Poly, mult)] sorted by (degree, coefficients).  The factors come from
+    irreducible_factors, so identical seeds give identical draws."""
+    return sorted(((h, f.multiplicity(h))
+                   for h in irreducible_factors(f, rng)),
+                  key=lambda kv: kv[0].sort_key())
 
 
 def poly_is_irreducible(f: Poly) -> bool:

@@ -1,6 +1,7 @@
 """Grothendieck-group arithmetic: Cartan data, image-of-Cartan membership
-via integer Smith normal form, finite-level scalar extension, and the
-Cartesian-diagram cross-check between a base field and an extension."""
+through the exact inverse of the Cartan matrix, finite-level scalar
+extension, and the Cartesian-diagram cross-check between a base field and
+an extension."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .errors import Inconsistency, InputError
 from .fields import Field, prime_factors
 from .groups import FiniteGroup
 from .reps import (ClassVector, SimpleRegistry, extend_scalars,
-                   smith_normal_form, snf_solve)
+                   smith_normal_form, snf_inverse)
 
 
 # -- Cartan data ---------------------------------------------------------------
@@ -21,19 +22,22 @@ from .reps import (ClassVector, SimpleRegistry, extend_scalars,
 
 class CartanData:
     """The Cartan matrix over one (group, field, registry), with its
-    columns as classes (the projective indecomposables P_j) and the
-    dimensions of the P_j.  The Smith normal form U C V = D of the Cartan
-    matrix C is computed once; C must be nonsingular."""
+    columns as classes (the projective indecomposables P_j), the
+    dimensions of the P_j and the exact inverse: `inverse` is (W, L) with
+    C^-1 = W / L, W an integer matrix.  cartan_data passes the inverse it
+    knows; without one it is taken from the Smith normal form of C, which
+    must be nonsingular."""
 
-    def __init__(self, group, field, registry, matrix):
+    def __init__(self, group, field, registry, matrix, inverse=None):
         self.group = group
         self.field = field
         self.registry = registry
         self.matrix = matrix  # matrix[i][j] = mult of simple i in PIM_j
-        self.snf = smith_normal_form(matrix)
-        _, D, _ = self.snf
-        if any(D[i][i] == 0 for i in range(self.size)):
-            raise Inconsistency("Cartan matrix is singular")
+        if inverse is None:
+            inverse = snf_inverse(smith_normal_form(matrix))
+            if inverse is None:
+                raise Inconsistency("Cartan matrix is singular")
+        self.inverse = inverse
         columns = [[row[j] for row in matrix] for j in range(self.size)]
         self.pim_classes = [ClassVector(registry, col) for col in columns]
         self.pim_dims = [sum(c * S.dim for c, S in zip(col, registry.simples))
@@ -82,9 +86,11 @@ def cartan_data(G: FiniteGroup, field: Field,
 
     Each class term lies in Q(zeta_m) and the sum is rational, so zeta_m^d
     may be replaced by its Galois average: the sum is computed in integers
-    as |G| L M, L the lcm of phi(m) over the class orders m, and C is
-    solved from it column by column through its Smith normal form
-    (snf_solve), in integers.  C must be integral and nonnegative with a
+    as gram = |G| L M, L the lcm of phi(m) over the class orders m, and C
+    = |G| L gram^-1 diag(e) is read off the exact inverse that snf_inverse
+    gives from gram's Smith normal form.  The same duality gives C^-1 =
+    diag(e)^-1 gram / (|G| L) with no second solve; CartanData keeps it for
+    cartan_coordinates.  C must be integral and nonnegative with a
     positive diagonal, the e_i must add up to the
     number of p-regular classes (each S_i (x) k-bar is the sum of e_i
     Galois conjugate absolutely simple modules, and Brauer counts those by
@@ -110,22 +116,22 @@ def cartan_data(G: FiniteGroup, field: Field,
         for i in range(s):
             for j in range(s):
                 gram[i][j] += weight * block[i][j]
-    snf = smith_normal_form(gram)
-    if any(snf[1][k][k] == 0 for k in range(s)):
+    inverse = snf_inverse(smith_normal_form(gram))
+    if inverse is None:
         raise Inconsistency("the Gram matrix of the simples' Brauer "
                             "characters is singular")
+    W, Lg = inverse  # W = Lg gram^-1
     e = [registry.end_dim(i) for i in range(s)]
-    # C = |G| L gram^-1 diag(e), solved column by column
     scale = G.order * L
-    columns = [snf_solve(snf, [scale * e[j] if i == j else 0
-                               for i in range(s)]) for j in range(s)]
-    matrix = [list(row) for row in zip(*columns)]
-    if (any(type(c) is not int or c < 0 for row in matrix for c in row)
+    matrix = [[Fraction(scale * e[j] * W[i][j], Lg) for j in range(s)]
+              for i in range(s)]
+    if (any(c.denominator != 1 or c < 0 for row in matrix for c in row)
             or any(matrix[i][i] < 1 for i in range(s))):
         raise Inconsistency(
             "the Cartan matrix read off the Brauer characters is not a "
             "nonnegative integer matrix with a positive diagonal: "
             f"{[[str(c) for c in row] for row in matrix]}")
+    matrix = [[int(c) for c in row] for row in matrix]
     if sum(e) != len(brauer.orders):
         raise Inconsistency(
             f"the dims of End(S_i) add up to {sum(e)}, not to the "
@@ -140,14 +146,28 @@ def cartan_data(G: FiniteGroup, field: Field,
     if registry.regular_class().padded() != tuple(regular):
         raise Inconsistency("k[G] is not the sum of dim S_j / dim End(S_j) "
                             "copies of each P_j on classes")
-    return CartanData(G, field, registry, matrix)
+    # C^-1 = diag(e)^-1 gram / (|G| L) = W' / (|G| L lcm(e))
+    lcm_e = math.lcm(*e)
+    return CartanData(G, field, registry, matrix,
+                      ([[lcm_e // e[i] * c for c in gram[i]]
+                        for i in range(s)], scale * lcm_e))
 
 
 def cartan_coordinates(v: ClassVector,
                        cd: CartanData) -> list[int | Fraction]:
     """The unique rational x with Cartan * x = v, each entry an int where
-    it is integral and a Fraction otherwise."""
-    return snf_solve(cd.snf, v.padded())
+    it is integral and a Fraction otherwise: x = W v / L for the exact
+    inverse cd.inverse = (W, L)."""
+    W, L = cd.inverse
+    t = v.padded()
+    if len(t) != len(W):
+        raise InputError(f"a class of length {len(t)} for a "
+                         f"{len(W)} x {len(W)} Cartan matrix")
+    out = []
+    for row in W:
+        x = Fraction(sum(w * c for w, c in zip(row, t)), L)
+        out.append(x.numerator if x.denominator == 1 else x)
+    return out
 
 
 def in_cartan_image(v: ClassVector, cd: CartanData) -> bool:

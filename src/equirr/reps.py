@@ -5,11 +5,12 @@ coordinates over a registry of simple modules.  The Brauer character
 (BrauerCharacters: eigenvalue multiplicities on p-regular classes, read
 off characteristic polynomials) is the registry's one invariant: it keys,
 orders and identifies the simples.  chop() implements a Norton/Parker
-style MeatAxe (random algebra elements, kernel vectors of
-characteristic-polynomial factors, submodule spinning, recursion on sub and
-quotient) and certifies simplicity before a factor is looked up.
-snf_solve on an integer Smith normal form is the one exact solver of small
-integer systems: the registry's class solves and k0's Cartan data use it.
+style MeatAxe (random algebra elements, kernel vectors of the irreducible
+factors of their characteristic polynomials, found lazily, submodule
+spinning, recursion on sub and quotient, split in the submodule's echelon
+basis) and certifies simplicity before a factor is looked up.  snf_inverse
+turns the one Smith normal form of a small integer system into L A^-1, so
+each class solve of the registry is one matrix-vector product.
 Direct-sum splitting (primary decomposition along random endomorphisms,
 each unsplit piece certified by its simple head) is kept separate; the
 engine reads the Cartan matrix off Brauer characters instead, and the
@@ -29,11 +30,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import TABLE_LIMIT, Field, field_make, poly_factor
+from .fields import (TABLE_LIMIT, Field, field_make, irreducible_factors,
+                     poly_factor)
 from .groups import (FiniteGroup, Subgroup, conjugacy_classes, coset_lookup,
                      sylow_p)
 from .matrices import EchelonBasis, Mat
 
+# Algebra elements the MeatAxe tries on one module before it gives up: a
+# round is one element theta, with the irreducible factors of its
+# characteristic polynomial tried in turn.  The element inherited from the
+# parent's split counts as a round.  A module not decided within the budget
+# raises CapExceeded (exit 3): "did not decide a dim-d module in 80 rounds;
+# rerun with a different seed".
 MEATAXE_ROUNDS = 80
 SPLIT_ROUNDS = 60
 SUMMAND_DIM_CAP = 400
@@ -295,83 +303,103 @@ def _random_algebra_element(M: Rep, gen_mats, rng: random.Random) -> Mat:
     return acc
 
 
-def find_submodule_or_simple(M: Rep, rng: random.Random):
-    """Either ('sub', W) with W a proper nonzero invariant column space, or
-    'simple' once Norton's criterion certifies irreducibility."""
+def _trial_factors(cp, known, rng: random.Random):
+    """The distinct irreducible factors of cp: first those of `known` that
+    divide it, found by trial division, then the others as
+    irreducible_factors finds them, in nondecreasing degree."""
+    rest = cp
+    for f in known:
+        quo, rem = rest.divmod(f)
+        if not rem.is_zero():
+            continue
+        yield f
+        while rem.is_zero():
+            rest = quo
+            quo, rem = rest.divmod(f)
+    yield from irreducible_factors(rest, rng)
+
+
+def find_submodule_or_simple(M: Rep, rng: random.Random, seed=None):
+    """Either ('sub', W, seed) with W a proper nonzero invariant column
+    space, or 'simple' once Norton's criterion certifies irreducibility.
+
+    Each round tries the distinct irreducible factors f of the
+    characteristic polynomial of one algebra element theta, smallest degree
+    first (Holt-Rees), factoring only as far as it gets.  `seed` is
+    (theta, factors tried on it) for the element that split M's parent, cut
+    to M; the first round tries it, keeping the factors that still divide,
+    before any element is drawn.  The seed returned with W is the same pair
+    for the theta that found W (None for a group without generators)."""
     F = M.field
     d = M.dim
     if d == 1:
         return "simple"
     gen_mats = M.generator_images()
     if not gen_mats:
-        return "sub", Mat.column(F, [1] + [0] * (d - 1))
+        return "sub", Mat.column(F, [1] + [0] * (d - 1)), None
     gen_t = [g.T for g in gen_mats]
     for _ in range(MEATAXE_ROUNDS):
-        theta = _random_algebra_element(M, gen_mats, rng)
-        cp = theta.charpoly()
-        for f, _mult in poly_factor(cp, rng):
+        if seed is None:
+            theta, known = _random_algebra_element(M, gen_mats, rng), ()
+        else:
+            (theta, known), seed = seed, None
+        tried = []
+        for f in _trial_factors(theta.charpoly(), known, rng):
+            tried.append(f)
             ftheta = theta.eval_poly(f)
             ker = ftheta.nullspace()
-            if ker.cols == 0:
-                continue
             for c in range(ker.cols):
                 w = spin_columns(F, d, [ker.a[:, c]], gen_mats)
                 if 0 < w.cols < d:
-                    return "sub", w
+                    return "sub", w, (theta, tried)
             if ker.cols == f.degree:
                 kert = ftheta.T.nullspace()
                 for c in range(kert.cols):
                     wt = spin_columns(F, d, [kert.a[:, c]], gen_t)
                     if 0 < wt.cols < d:
-                        perp = wt.T.nullspace()
-                        return "sub", perp
+                        return "sub", wt.T.nullspace(), (theta, tried)
                 return "simple"
     raise CapExceeded(
         f"MeatAxe did not decide a dim-{d} module in {MEATAXE_ROUNDS} "
         "rounds; rerun with a different seed")
 
 
-def _complete_basis(field: Field, W: Mat) -> Mat:
-    """Extend the columns of W to an invertible square matrix (columns of W
-    first, then standard basis vectors)."""
-    d = W.rows
-    eb = EchelonBasis(field, d)
-    for c in range(W.cols):
-        if not eb.add(W.a[:, c]):
-            raise Inconsistency("submodule basis is not independent")
-    eye = Mat.identity(field, d)
-    extra = []
-    for i in range(d):
-        if len(eb) == d:
-            break
-        if eb.add(eye.a[i]):
-            extra.append(i)
-    return W.hstack(eye.columns(extra))
+def _split_pieces(M: Rep, W: Mat, seed=None) -> list[tuple[Rep, tuple]]:
+    """The sub and quotient actions of M on the invariant column space W,
+    each paired with the MeatAxe seed (theta, factors) cut to it (None
+    without a seed), in W's own echelon basis: no inverse is taken.
 
-
-def _change_basis(M: Rep, P: Mat, cuts) -> tuple[list[Mat], list[Rep]]:
-    """Generator images of M in the basis given by the columns of P, and
-    the actions on their diagonal blocks cuts[b]:cuts[b+1]; callers check
-    that the blocks they use are invariant."""
-    Pinv = P.inv()
-    if Pinv is None:
-        raise Inconsistency("change of basis is singular")
-    images = [Pinv @ M.gen_image(t) @ P
-              for t in range(len(M.group.generators))]
-    blocks = [Rep(M.group, M.field, hi - lo,
-                  {t: C.submatrix(range(lo, hi), range(lo, hi))
-                   for t, C in enumerate(images)})
-              for lo, hi in zip(cuts, cuts[1:])]
-    return images, blocks
+    The reduced column echelon form E of W is the identity on its pivot
+    rows piv.  In the basis E followed by the unit vectors of the other
+    rows, rest, a matrix A has the sub block (A E)[piv] and the quotient
+    block A[rest, rest] - E[rest] A[piv, rest]; W is invariant under A
+    exactly when (A E)[rest] = E[rest] (A E)[piv]."""
+    F = M.field
+    R, piv = W.T.rref()
+    if len(piv) != W.cols:
+        raise Inconsistency("submodule basis is not independent")
+    pivset = set(piv)
+    rest = [i for i in range(M.dim) if i not in pivset]
+    E = R.a.T
+    low = E[rest]
+    blocks = []
+    for A in M.generator_images() + ([seed[0]] if seed else []):
+        AE = F.matmul_array(A.a, E)
+        if not np.array_equal(AE[rest], F.matmul_array(low, AE[piv])):
+            raise Inconsistency("claimed submodule is not invariant")
+        blocks.append((Mat(F, AE[piv]), Mat(F, F.sub_array(
+            A.a[np.ix_(rest, rest)],
+            F.matmul_array(low, A.a[np.ix_(piv, rest)])))))
+    t = len(M.group.generators)
+    return [(Rep(M.group, F, dim, {g: pair[side]
+                                   for g, pair in enumerate(blocks[:t])}),
+             (blocks[t][side], seed[1]) if seed else None)
+            for side, dim in enumerate((W.cols, M.dim - W.cols))]
 
 
 def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
     """Sub and quotient actions for an invariant column space W."""
-    r = W.cols
-    images, (sub, quot) = _change_basis(M, _complete_basis(M.field, W),
-                                        [0, r, M.dim])
-    if any(np.any(C.a[r:, :r]) for C in images):
-        raise Inconsistency("claimed submodule is not invariant")
+    (sub, _), (quot, _) = _split_pieces(M, W)
     return sub, quot
 
 
@@ -629,31 +657,20 @@ def smith_normal_form(A):
     return U, D, V
 
 
-def snf_solve(snf, t) -> list[int | Fraction]:
-    """The unique rational x with A x = t, from the Smith normal form
-    snf = (U, D, V), U A V = D, of a nonsingular square integer matrix A:
-    x = V D^-1 U t.  t may mix ints and Fractions; each entry of x is an
-    int where it is integral and a Fraction otherwise.
-
-    The sums are in integers over one common denominator m L: m t is
-    integral for m the lcm of t's denominators, and D^-1 U (m t) = y / L
-    with L = lcm(D_ii) and y_i = (U m t)_i (L / D_ii)."""
+def snf_inverse(snf) -> tuple[list[list[int]], int] | None:
+    """(W, L) with W = L A^-1 an integer matrix, from the Smith normal form
+    snf = (U, D, V), U A V = D, of a square integer matrix A; None when A
+    is singular.  A^-1 = V D^-1 U, so W = V diag(L / D_ii) U for L the lcm
+    of the D_ii.  Every system with A is then one product with W and one
+    division by L."""
     U, D, V = snf
     s = len(D)
-    if len(t) != s:
-        raise InputError(f"a right-hand side of length {len(t)} for a "
-                         f"{s} x {s} system")
-    m = math.lcm(*(c.denominator for c in t))
+    if any(D[i][i] == 0 for i in range(s)):
+        return None
     L = math.lcm(*(D[i][i] for i in range(s)))
-    t = [c.numerator * (m // c.denominator) for c in t]
-    y = [sum(u * c for u, c in zip(U[i], t)) * (L // D[i][i])
-         for i in range(s)]
-    out = []
-    for row in V:
-        num = sum(v * c for v, c in zip(row, y))
-        q, r = divmod(num, m * L)
-        out.append(Fraction(num, m * L) if r else q)
-    return out
+    scaled = [[L // D[i][i] * u for u in U[i]] for i in range(s)]
+    return [[sum(v * row[j] for v, row in zip(Vrow, scaled))
+             for j in range(s)] for Vrow in V], L
 
 
 # -- registry and class vectors ----------------------------------------------
@@ -786,8 +803,8 @@ class SimpleRegistry:
         Inconsistency.
 
         With B the matrix of the simples' vectors, x solves the normal
-        equations B^T B x = B^T beta(M) exactly, by snf_solve on the
-        cached Smith normal form of B^T B."""
+        equations B^T B x = B^T beta(M) exactly: L x = pinv beta(M) for
+        the cached integer matrix pinv = L (B^T B)^-1 B^T."""
         if M.group is not self.group or M.field is not self.field:
             raise InputError("module and registry are over different data")
         return self._solve(self.brauer.vector(M), M.dim)
@@ -806,10 +823,16 @@ class SimpleRegistry:
         return self._solve(self.brauer.regular_vector(), self.group.order)
 
     def _solve(self, vector, dim: int) -> "ClassVector":
-        B, snf = self._solver
+        B, pinv, pinv64, top, L = self._solver
         b = np.array([c for counts in vector for c in counts], dtype=np.int64)
-        x = snf_solve(snf, (B.T @ b).tolist())
-        if (any(type(c) is not int or not 0 <= c <= dim for c in x)
+        # |(pinv b)_i| <= max|pinv| sum(b), and sum(b) = dim * #p-regular
+        # classes for the vector of a module
+        if pinv64 is not None and top * int(b.sum()) < 1 << 63:
+            Lx = (pinv64 @ b).tolist()
+        else:
+            Lx = [sum(p * c for p, c in zip(row, b.tolist())) for row in pinv]
+        x = [c // L for c in Lx]
+        if (any(c % L for c in Lx) or any(not 0 <= c <= dim for c in x)
                 or not np.array_equal(B @ np.array(x, dtype=np.int64), b)
                 or sum(c * S.dim for c, S in zip(x, self.simples)) != dim):
             raise Inconsistency(
@@ -819,16 +842,24 @@ class SimpleRegistry:
 
     @cached_property
     def _solver(self):
-        """(B, the Smith normal form of B^T B) for the matrix B whose
-        columns are the simples' Brauer vectors.  B^T B is nonsingular
+        """(B, pinv, pinv64, max|pinv|, L) for the matrix B whose columns
+        are the simples' Brauer vectors and pinv = L (B^T B)^-1 B^T in
+        Python ints, from the one Smith normal form of B^T B; pinv64 is
+        pinv in int64, or None when it does not fit.  B^T B is nonsingular
         exactly when B has full column rank."""
         B = np.array([[c for counts in key for c in counts]
                       for key in self.vectors], dtype=np.int64).T
-        snf = smith_normal_form((B.T @ B).tolist())
-        if any(snf[1][i][i] == 0 for i in range(B.shape[1])):
+        inverse = snf_inverse(smith_normal_form((B.T @ B).tolist()))
+        if inverse is None:
             raise Inconsistency("the Brauer vectors of the simples are "
                                 "linearly dependent")
-        return B, snf
+        W, L = inverse
+        columns = B.tolist()  # row c of B: entry c of every simple's vector
+        pinv = [[sum(w * c for w, c in zip(row, col)) for col in columns]
+                for row in W]
+        top = max((abs(c) for row in pinv for c in row), default=0)
+        pinv64 = np.array(pinv, dtype=np.int64) if top < 1 << 63 else None
+        return B, pinv, pinv64, top, L
 
     def zero(self) -> "ClassVector":
         return ClassVector(self, ())
@@ -922,20 +953,18 @@ def chop(M: Rep, registry: SimpleRegistry,
     if M.group is not registry.group or M.field is not registry.field:
         raise InputError("module and registry are over different data")
     counts: dict[int, int] = {}
-    stack = [M]
+    stack = [(M, None)]  # (module, MeatAxe seed)
     while stack:
-        A = stack.pop()
+        A, seed = stack.pop()
         if A.dim == 0:
             continue
-        res = find_submodule_or_simple(A, rng)
+        res = find_submodule_or_simple(A, rng, seed)
         if res == "simple":
             idx = registry.find_or_add(A)
             counts[idx] = counts.get(idx, 0) + 1
         else:
-            _, W = res
-            sub, quot = split_on_submodule(A, W)
-            stack.append(sub)
-            stack.append(quot)
+            _, W, seed = res
+            stack.extend(_split_pieces(A, W, seed))
     coeffs = [0] * len(registry)
     for i, c in counts.items():
         coeffs[i] = c
@@ -1021,7 +1050,14 @@ def indecomposable_summands(M: Rep, ends: list[Mat],
     if cuts[-1] != M.dim:
         raise Inconsistency("primary decomposition dimensions are wrong")
     stacked = Mat(M.field, np.hstack([k.a for k in kernels]))
-    images, parts = _change_basis(M, stacked, cuts)
+    inverse = stacked.inv()
+    if inverse is None:
+        raise Inconsistency("change of basis is singular")
+    images = [inverse @ A @ stacked for A in M.generator_images()]
+    parts = [Rep(M.group, F, hi - lo,
+                 {t: C.submatrix(range(lo, hi), range(lo, hi))
+                  for t, C in enumerate(images)})
+             for lo, hi in zip(cuts, cuts[1:])]
     off_diagonal = np.ones((M.dim, M.dim), dtype=bool)
     for lo, hi in zip(cuts, cuts[1:]):
         off_diagonal[lo:hi, lo:hi] = False

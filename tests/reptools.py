@@ -5,18 +5,21 @@ splitting k[G] into projective indecomposables, the Riemann-Roch action by movin
 every basis function on its own, the cocycle value of a decomposition
 element by division at a root, the image of a place by moving one of its
 roots as a point, the ramified places by solving the fixed-point form of
-every element, and the projective cover over an inertia group as a
-module, induced from a Schur-Zassenhaus complement."""
+every element, the projective cover over an inertia group as a
+module, induced from a Schur-Zassenhaus complement, and the split of a
+module on a submodule through a completed basis and its inverse."""
 
 import math
 import random
+
+import numpy as np
 
 from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
                            prime_factors)
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup, Subgroup, _p_part
-from equirr.matrices import Mat
+from equirr.matrices import EchelonBasis, Mat
 from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
                          indecomposable_summands, is_projective,
                          regular_endomorphisms, rep_induce, rep_regular,
@@ -318,3 +321,26 @@ def inertia_cover(datum, d: int) -> Rep:
     Ig = datum.I_P.as_group()
     return projective_cover_over_inertia(
         Ig, datum.wild.in_subgroup_of(Ig), datum.cotangent_power(d))
+
+
+def split_by_completed_basis(M: Rep, W: Mat) -> tuple[Rep, Rep]:
+    """Sub and quotient actions of M on the invariant column space W, taken
+    the way reps.split_on_submodule once took them: W completed by unit
+    vectors to a basis P of the whole space, each generator conjugated to
+    P^-1 A P, and the diagonal blocks read off."""
+    F, d, r = M.field, W.rows, W.cols
+    eb = EchelonBasis(F, d)
+    for c in range(r):
+        if not eb.add(W.a[:, c]):
+            raise Inconsistency("submodule basis is not independent")
+    eye = Mat.identity(F, d)
+    extra = [i for i in range(d) if len(eb) < d and eb.add(eye.a[i])]
+    P = W.hstack(eye.columns(extra))
+    Pinv = P.inv()
+    images = [Pinv @ A @ P for A in M.generator_images()]
+    if any(np.any(C.a[r:, :r]) for C in images):
+        raise Inconsistency("claimed submodule is not invariant")
+    return tuple(Rep(M.group, F, hi - lo,
+                     {t: C.submatrix(range(lo, hi), range(lo, hi))
+                      for t, C in enumerate(images)})
+                 for lo, hi in ((0, r), (r, d)))

@@ -231,13 +231,14 @@ def test_bad_residue_degree_exits_2_naming_it(tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
-def test_abstract_data_that_no_cover_has_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["euler", "check"])
+def test_abstract_data_that_no_cover_has_exits_2(tmp_path, capsys, command):
     # residue degrees 2 and 1 at two totally ramified Z/3 orbits break the
     # cyclic-cover condition 2 * 1 + 1 * 2 = 0 mod 3, so the ramification
     # module, integral for every weakly ramified cover, is not integral
     doc = _abstract_config()
     doc["orbits"][0]["residue_degree"] = 2
-    assert main(["euler", write_scenario(tmp_path, doc)]) == 2
+    assert main([command, write_scenario(tmp_path, doc)]) == 2
     assert "no weakly ramified cover has this ramification data" in \
         capsys.readouterr().err
 
@@ -317,11 +318,11 @@ def test_failed_command_leaves_the_shared_scenario_usable(capsys,
     def broken_euler(scn):
         calls = []
 
-        def failing(A, rng):
+        def failing(A, rng, seed=None):
             calls.append(A)
             if len(calls) == 3:
                 raise CapExceeded("forced")
-            return real_find(A, rng)
+            return real_find(A, rng, seed)
 
         monkeypatch.setattr(reps, "find_submodule_or_simple", failing)
         try:

@@ -39,8 +39,12 @@ KEPT = {
     "fields.Poly.evaluate": "test_fields, test_matrices, tests/reptools "
                             "(the reference cocycle value)",
     "matrices.Mat.to_lists": "test_geometry, test_matrices",
+    "matrices.Mat.columns": "test_matrices, tests/reptools (the split "
+                            "through a completed basis)",
     "geometry.places_up_to": "test_geometry",
     "reps.rep_direct_sum": "test_reps, test_acceptance",
+    "reps.split_on_submodule": "test_brauer, test_induced_classes (chop "
+                               "splits with its MeatAxe seed)",
     "reps.SimpleRegistry.basis_vector": "test_k0",
 }
 

@@ -2,10 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equirr.errors import InputError
-from equirr.fields import (Poly, embed, field_make, is_prime, poly_factor,
-                           poly_is_irreducible, poly_roots)
+from equirr.fields import (Poly, embed, field_make, irreducible_factors,
+                           is_prime, poly_factor, poly_is_irreducible,
+                           poly_roots)
 
 
 def brute_has_root(coeffs, p):
@@ -332,6 +334,55 @@ def test_factor_reconstruction_property():
                 for _ in range(m):
                     prod = prod * g
             assert prod == f
+
+
+@st.composite
+def factored_polys(draw):
+    """(f, its field): a product of small monic polynomials raised to
+    exponents that include p-th powers and repeats, times a unit."""
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (13, 1)]))
+    F = field_make(p, n)
+    f = Poly(F, [draw(st.integers(1, F.q - 1))])
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(1, 3))
+        g = Poly(F, draw(st.lists(st.integers(0, F.q - 1), min_size=deg,
+                                  max_size=deg)) + [1])
+        e = draw(st.sampled_from([1, 1, 2, p, p + 1]))
+        if f.degree + e * deg <= 30:
+            for _ in range(e):
+                f = f * g
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=factored_polys(), seed=st.integers(0, 2**16))
+def test_irreducible_factors_are_the_distinct_factors(f, seed):
+    lazy = list(irreducible_factors(f, random.Random(seed)))
+    full = poly_factor(f, random.Random(seed + 1))
+    # the distinct factors of the full factorization, each once, in
+    # nondecreasing degree
+    assert sorted(lazy, key=Poly.sort_key) == [g for g, _ in full]
+    assert len(set(lazy)) == len(lazy)
+    assert [g.degree for g in lazy] == sorted(g.degree for g in lazy)
+    # independent of the shared splitter: Rabin's test and the product
+    assert all(poly_is_irreducible(g) and g.leading() == 1 for g in lazy)
+    prod = Poly(f.field, [f.leading()])
+    for g, m in full:
+        for _ in range(m):
+            prod = prod * g
+    assert prod == f
+
+
+def test_irreducible_factors_stop_where_the_caller_stops():
+    # a caller that takes the first factor does not split the parts of
+    # higher degree: no draw is made for them
+    F = field_make(13, 1)
+    x = Poly.x(F)
+    f = (x - Poly(F, [3])) * (x * x - Poly(F, [2]))  # 2 is no square mod 13
+    r = random.Random(1)
+    state = r.getstate()
+    assert next(irreducible_factors(f, r)) == x - Poly(F, [3])
+    assert r.getstate() == state
 
 
 def test_factor_deterministic_given_seed():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from equirr import reps
+from equirr import cli, engine, reps
 from equirr.errors import Inconsistency, InputError
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
@@ -16,8 +16,10 @@ from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
                        cartan_data, cartesian_check, in_cartan_image,
                        is_projective_class, smith_normal_form)
 from equirr.matrices import Mat
-from equirr.reps import (Rep, SimpleRegistry, chop, extend_scalars, hom_dim,
-                         rep_regular, rep_trivial, snf_solve)
+from equirr.reps import (ClassVector, Rep, SimpleRegistry, chop,
+                         extend_scalars, hom_dim, rep_regular, rep_trivial,
+                         snf_inverse)
+from equirr.scenarios import parse_scenario, realize
 from reptools import head_multiplicities, socle_dim
 
 
@@ -83,20 +85,26 @@ def integer_systems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(system=integer_systems())
-def test_snf_solve_matches_fraction_gauss_jordan(system):
+def test_snf_inverse_matches_fraction_gauss_jordan(system):
     A, t = system
     expected = gauss_jordan(A, t)
+    inverse = snf_inverse(smith_normal_form(A))
+    assert (inverse is None) == (expected is None)
     assume(expected is not None)
-    x = snf_solve(smith_normal_form(A), t)
-    assert x == expected
-    # an int exactly where the entry is integral
-    assert [type(c) is int for c in x] == [c.denominator == 1
-                                           for c in expected]
+    W, L = inverse
+    n = len(A)
+    # A W = L I, in integers
+    assert [[sum(A[i][k] * W[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[L * (i == j) for j in range(n)]
+                                   for i in range(n)]
+    assert [Fraction(sum(w * c for w, c in zip(row, t)), L)
+            for row in W] == expected
 
 
-def test_snf_solve_rejects_a_wrong_length():
-    with pytest.raises(InputError):
-        snf_solve(smith_normal_form([[2, 1], [1, 1]]), [1])
+def test_snf_inverse_of_a_singular_matrix_is_none():
+    assert snf_inverse(smith_normal_form([[2, 1], [4, 2]])) is None
+    assert snf_inverse(smith_normal_form([[2, 1], [1, 1]])) == (
+        [[1, -1], [-1, 2]], 1)
 
 
 def test_class_of_solves_through_the_traced_smith_normal_form():
@@ -121,6 +129,20 @@ def test_class_of_solves_through_the_traced_smith_normal_form():
     assert x == reg.regular_class()
     layers = [span[0] for span in tracer.spans]
     assert layers.count("k0.smith_normal_form") == 1
+
+
+def test_class_solve_without_int64_gives_the_same_class():
+    # past the int64 bound the one product with L (B^T B)^-1 B^T is taken
+    # in Python ints; a bound forced past 2^63 must give the same classes
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(3, 1)
+    reg = SimpleRegistry(G, F, rng())
+    modules = [rep_regular(G, F), rep_trivial(G, F, 3)]
+    expected = [reg.class_of(M) for M in modules]
+    B, pinv, pinv64, top, L = reg._solver
+    reg.__dict__["_solver"] = (B, pinv, pinv64, 1 << 62, L)
+    assert [reg.class_of(M) for M in modules] == expected
+    assert reg.regular_class() == expected[0]
 
 
 def test_cartan_semisimple_identity():
@@ -316,6 +338,46 @@ def test_cartan_coordinates_solve_nonunimodular_cartan():
         integral = all(c.denominator == 1 for c in x)
         assert in_cartan_image(v, cd) == integral == ((a + b) % 3 == 0)
         assert is_projective_class(v, cd) == (integral and min(x) >= 0)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in SCENARIO_DIR.glob("*.json") if p.name != "golden.json"))
+def test_cartan_coordinates_equal_a_fraction_solve_on_shipped_registries(
+        monkeypatch, name):
+    # cartan_coordinates reads C^-1 off the duality C is built from, with
+    # no solve of C itself; on every registry that euler and check build
+    # (G and the decomposition groups over k, and G over GF(q^2)) it must
+    # agree with Gauss-Jordan over Fraction on C x = v
+    built = []
+    real = cartan_data
+
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "cartan_data", recorded)
+    monkeypatch.setattr(cli, "cartan_data", recorded)
+    scn = realize(parse_scenario((SCENARIO_DIR / name).read_text()))
+    cli.run_euler(scn)
+    cli.run_check(scn)
+    assert built
+    r = random.Random(name)
+    for cd in built:
+        s = cd.size
+        reg = cd.registry
+        vectors = [reg.basis_vector(i) for i in range(s)]
+        vectors += [ClassVector(reg, [r.randint(-6, 6) for _ in range(s)])
+                    for _ in range(4)]
+        vectors.append(vectors[-1].scale(Fraction(1, 3)))
+        for v in vectors:
+            x = cartan_coordinates(v, cd)
+            expected = gauss_jordan(cd.matrix, list(v.padded()))
+            assert x == expected
+            assert [type(c) is int for c in x] == [c.denominator == 1
+                                                   for c in expected]
 
 
 def test_singular_cartan_matrix_is_inconsistent():

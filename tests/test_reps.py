@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from equirr import reps
-from equirr.errors import CapExceeded
+from equirr.errors import CapExceeded, Inconsistency
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup, Subgroup, sylow_p
 from equirr.matrices import Mat
@@ -14,10 +14,11 @@ from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          indecomposable_summands,
                          regular_endomorphisms, rep_direct_sum,
                          rep_dual, rep_induce, rep_regular,
-                         rep_restrict, rep_tensor, rep_trivial)
+                         rep_restrict, rep_tensor, rep_trivial,
+                         spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
 from reptools import (head_multiplicities, is_isomorphic,
-                      projective_cover_over_inertia)
+                      projective_cover_over_inertia, split_by_completed_basis)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -296,11 +297,11 @@ def test_failed_saturation_leaves_the_registry_unsaturated(monkeypatch):
     real = reps.find_submodule_or_simple
     calls = []
 
-    def failing(A, rng):
+    def failing(A, rng, seed=None):
         calls.append(A)
         if len(calls) == 3:
             raise CapExceeded("forced")
-        return real(A, rng)
+        return real(A, rng, seed)
 
     monkeypatch.setattr(reps, "find_submodule_or_simple", failing)
     with pytest.raises(CapExceeded, match="forced"):
@@ -375,6 +376,58 @@ def test_regular_endomorphisms_are_the_hom_space_basis(make_group, p, n):
     ends = regular_endomorphisms(G, F)
     assert len(ends) == G.order
     assert ends == hom_space(M, M)
+
+
+@pytest.mark.parametrize("make_group,p,n", [
+    (lambda: FiniteGroup.from_table(s3_table()), 3, 1),
+    (lambda: FiniteGroup.from_table(cyclic_table(12)), 13, 1),
+    (pgl2_gf3, 3, 1),
+    (pgl2_gf3, 3, 2),
+    (translations_gf9, 3, 2),
+], ids=["S3-GF3", "C12-GF13", "PGL2_3-GF3", "PGL2_3-GF9", "T9-GF9"])
+def test_echelon_split_matches_the_completed_basis_split(make_group, p, n):
+    # the split in W's echelon basis (no inverse) and the split through a
+    # completed basis and its inverse give isomorphic pieces, so equal
+    # Brauer vectors; W comes from spinning (identity on its first nonzero
+    # rows) and as the perp of a spun dual submodule (identity on its last
+    # nonzero rows), and has entries off its pivot rows; half of the seeds
+    # are (1 - g) v, inside the augmentation ideal, so that local k[G]
+    # has proper pieces too
+    G = make_group()
+    F = field_make(p, n)
+    brauer = BrauerCharacters(G, F)
+    r = random.Random(5)
+    M = rep_regular(G, F)
+    gens = M.generator_images()
+    gens_t = [A.T for A in gens]
+    checked = 0
+    for trial in range(8):
+        v = Mat.column(F, [F.rand_elem(r) for _ in range(M.dim)])
+        seeds = [v.a[:, 0]] if trial % 2 else [(v - A @ v).a[:, 0]
+                                                for A in gens]
+        W = spin_columns(F, M.dim, seeds, gens)
+        perp = spin_columns(F, M.dim, seeds, gens_t).T.nullspace()
+        for W in (W, perp):
+            if not 0 < W.cols < M.dim:
+                continue
+            pivots = W.T.rref()[1]
+            off = [i for i in range(M.dim) if i not in pivots]
+            assert W.a[off].any()
+            new = split_on_submodule(M, W)
+            old = split_by_completed_basis(M, W)
+            assert [X.dim for X in new] == [X.dim for X in old]
+            assert [brauer.vector(X) for X in new] == \
+                [brauer.vector(X) for X in old]
+            checked += 1
+    assert checked >= 4
+
+
+def test_echelon_split_rejects_a_space_that_is_not_invariant():
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(3, 1)
+    M = rep_regular(G, F)
+    with pytest.raises(Inconsistency, match="not invariant"):
+        split_on_submodule(M, Mat.column(F, [1] + [0] * 5))
 
 
 def test_regular_endomorphisms_respect_hom_cell_cap(monkeypatch):
