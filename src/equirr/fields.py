@@ -21,13 +21,15 @@ no other module knows how an element is stored.
 Field construction is deterministic: GF(p^n) always uses the first monic
 irreducible of degree n in encoding order, found by a Rabin test on Poly
 over GF(p), so two descriptors with equal (p, n) are the same object.
+galois_pairing gives the integer pairing of m-th roots of unity that the
+Gram matrix of Brauer characters is summed with.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -64,6 +66,33 @@ def prime_factors(m: int) -> list[int]:
         d += 1 if d == 2 else 2
     if m > 1:
         out.append(m)
+    return out
+
+
+def totient_mobius(n: int) -> tuple[int, int]:
+    """(phi(n), mu(n)): Euler's totient and the Mobius function."""
+    phi, mu = n, 1
+    for p in prime_factors(n):
+        phi = phi // p * (p - 1)
+        mu = -mu if n % (p * p) else 0
+    return phi, mu
+
+
+@cache
+def galois_pairing(m: int) -> np.ndarray:
+    """The m x m integer matrix phi(m) * avg(zeta_m^(j - k)), where avg is
+    the average over the Galois group of Q(zeta_m)/Q.  zeta_m^d is a
+    primitive m'-th root of unity, m' = m / gcd(m, d), and the average of
+    those is mu(m') / phi(m'); phi(m') divides phi(m).  Cached and shared,
+    so read-only."""
+    phi_m = totient_mobius(m)[0]
+    row = []
+    for d in range(m):
+        phi, mu = totient_mobius(m // math.gcd(m, d))
+        row.append(mu * (phi_m // phi))
+    out = np.array([[row[(j - k) % m] for k in range(m)] for j in range(m)],
+                   dtype=np.int64)
+    out.flags.writeable = False
     return out
 
 
@@ -712,6 +741,34 @@ def irreducible_factors(f: Poly, rng: random.Random | None = None):
     rng = rng or random.Random(0)
     for part, d in _distinct_degree(_radical(f)):
         yield from _equal_degree_split(part, d, rng)
+
+
+class FactorStream:
+    """The distinct monic irreducible factors of f, in nondecreasing degree,
+    found lazily by irreducible_factors and memoized, so that readers of
+    divisors of f share them: of(g) reads the factors found so far that
+    divide g and factors further only when it asks for more."""
+
+    def __init__(self, f: Poly, rng: random.Random):
+        self._source = irreducible_factors(f, rng)
+        self._found = []
+
+    def of(self, g: Poly):
+        """The distinct irreducible factors of g, a divisor of f, in the
+        stream's order."""
+        rest, i = g, 0
+        while rest.degree > 0:
+            if i == len(self._found):
+                self._found.append(next(self._source))
+            h = self._found[i]
+            i += 1
+            quo, rem = rest.divmod(h)
+            if not rem.is_zero():
+                continue
+            yield h
+            while rem.is_zero():
+                rest = quo
+                quo, rem = rest.divmod(h)
 
 
 def poly_factor(f: Poly, rng: random.Random | None = None):

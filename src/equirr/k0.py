@@ -1,17 +1,16 @@
-"""Grothendieck-group arithmetic: Cartan data, image-of-Cartan membership
-through the exact inverse of the Cartan matrix, finite-level scalar
-extension, and the Cartesian-diagram cross-check between a base field and
-an extension."""
+"""Grothendieck-group arithmetic: Cartan data read off the exact inverse of
+the Gram matrix that each simple registry keeps for its class solves,
+image-of-Cartan membership through the exact inverse of the Cartan matrix
+(from the same duality), finite-level scalar extension, and the
+Cartesian-diagram cross-check between a base field and an extension."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import Inconsistency, InputError
-from .fields import Field, prime_factors
+from .fields import Field
 from .groups import FiniteGroup
 from .reps import (ClassVector, SimpleRegistry, extend_scalars,
                    smith_normal_form, snf_inverse)
@@ -48,28 +47,6 @@ class CartanData:
         return len(self.matrix)
 
 
-def _totient_mobius(n: int) -> tuple[int, int]:
-    phi, mu = n, 1
-    for p in prime_factors(n):
-        phi = phi // p * (p - 1)
-        mu = -mu if n % (p * p) else 0
-    return phi, mu
-
-
-def _galois_pairing(m: int) -> np.ndarray:
-    """The m x m integer matrix phi(m) * avg(zeta_m^(j - k)), where avg is
-    the average over the Galois group of Q(zeta_m)/Q.  zeta_m^d is a
-    primitive m'-th root of unity, m' = m / gcd(m, d), and the average of
-    those is mu(m') / phi(m'); phi(m') divides phi(m)."""
-    phi_m = _totient_mobius(m)[0]
-    row = []
-    for d in range(m):
-        phi, mu = _totient_mobius(m // math.gcd(m, d))
-        row.append(mu * (phi_m // phi))
-    return np.array([[row[(j - k) % m] for k in range(m)] for j in range(m)],
-                    dtype=np.int64)
-
-
 def cartan_data(G: FiniteGroup, field: Field,
                 registry: SimpleRegistry) -> CartanData:
     """The Cartan matrix C = M^-1 diag(e), read off the Brauer characters
@@ -85,57 +62,40 @@ def cartan_data(G: FiniteGroup, field: Field,
     symmetric, that is C^T M = diag(e).
 
     Each class term lies in Q(zeta_m) and the sum is rational, so zeta_m^d
-    may be replaced by its Galois average: the sum is computed in integers
-    as gram = |G| L M, L the lcm of phi(m) over the class orders m, and C
-    = |G| L gram^-1 diag(e) is read off the exact inverse that snf_inverse
-    gives from gram's Smith normal form.  The same duality gives C^-1 =
-    diag(e)^-1 gram / (|G| L) with no second solve; CartanData keeps it for
-    cartan_coordinates.  C must be integral and nonnegative with a
-    positive diagonal, the e_i must add up to the
-    number of p-regular classes (each S_i (x) k-bar is the sum of e_i
-    Galois conjugate absolutely simple modules, and Brauer counts those by
-    the p-regular classes), and the regular module must decompose as
-    k[G] = sum_j (dim S_j / e_j) P_j on classes.  That regular identity
+    may be replaced by its Galois average: the registry sums it in
+    integers as gram = B^T P B = |G| L M (SimpleRegistry.gram, B the
+    matrix of the simples' Brauer vectors, L the lcm of phi(m) over the
+    class orders) and keeps the one exact inverse W = Lg gram^-1 that its
+    class solves use too.  C = |G| L gram^-1 diag(e) is read off W, and
+    the same duality gives C^-1 = diag(e)^-1 gram / (|G| L) with no second
+    solve; CartanData keeps it for cartan_coordinates.  C must be
+    integral and nonnegative with a positive diagonal, the e_i must add up
+    to the number of p-regular classes (each S_i (x) k-bar is the sum of
+    e_i Galois conjugate absolutely simple modules, and Brauer counts
+    those by the p-regular classes), and the regular module must decompose
+    as k[G] = sum_j (dim S_j / e_j) P_j on classes.  That regular identity
     checks that the registry is complete.  The class of k[G] is solved
     from its closed-form Brauer vector (SimpleRegistry.regular_class), so
     the check builds no matrix of k[G]."""
     if registry.group is not G or registry.field is not field:
         raise InputError("registry does not match the requested group")
-    brauer = registry.brauer
-    vectors = registry.vectors
-    s = len(vectors)
-    L = math.lcm(*(_totient_mobius(m)[0] for m in brauer.orders))
-    gram = [[0] * s for _ in range(s)]  # |G| L M
-    pairings = {}
-    for c, (m, size) in enumerate(zip(brauer.orders, brauer.sizes)):
-        if m not in pairings:
-            pairings[m] = _galois_pairing(m)
-        B = np.array([v[c] for v in vectors], dtype=np.int64)
-        block = (B @ pairings[m] @ B.T).tolist()
-        weight = size * (L // _totient_mobius(m)[0])
-        for i in range(s):
-            for j in range(s):
-                gram[i][j] += weight * block[i][j]
-    inverse = snf_inverse(smith_normal_form(gram))
-    if inverse is None:
-        raise Inconsistency("the Gram matrix of the simples' Brauer "
-                            "characters is singular")
-    W, Lg = inverse  # W = Lg gram^-1
+    _, _, gram, W, Lg, L = registry.gram  # W = Lg gram^-1
+    s = len(gram)
     e = [registry.end_dim(i) for i in range(s)]
     scale = G.order * L
-    matrix = [[Fraction(scale * e[j] * W[i][j], Lg) for j in range(s)]
-              for i in range(s)]
-    if (any(c.denominator != 1 or c < 0 for row in matrix for c in row)
-            or any(matrix[i][i] < 1 for i in range(s))):
+    scaled = [[scale * e[j] * W[i][j] for j in range(s)] for i in range(s)]
+    if (any(c % Lg or c < 0 for row in scaled for c in row)
+            or any(scaled[i][i] < Lg for i in range(s))):
         raise Inconsistency(
             "the Cartan matrix read off the Brauer characters is not a "
             "nonnegative integer matrix with a positive diagonal: "
-            f"{[[str(c) for c in row] for row in matrix]}")
-    matrix = [[int(c) for c in row] for row in matrix]
-    if sum(e) != len(brauer.orders):
+            f"{[[str(Fraction(c, Lg)) for c in row] for row in scaled]}")
+    matrix = [[c // Lg for c in row] for row in scaled]
+    classes = len(registry.brauer.orders)
+    if sum(e) != classes:
         raise Inconsistency(
             f"the dims of End(S_i) add up to {sum(e)}, not to the "
-            f"{len(brauer.orders)} p-regular classes")
+            f"{classes} p-regular classes")
     copies = []
     for S, end_dim in zip(registry.simples, e):
         if S.dim % end_dim:
@@ -165,8 +125,12 @@ def cartan_coordinates(v: ClassVector,
                          f"{len(W)} x {len(W)} Cartan matrix")
     out = []
     for row in W:
-        x = Fraction(sum(w * c for w, c in zip(row, t)), L)
-        out.append(x.numerator if x.denominator == 1 else x)
+        x = sum(w * c for w, c in zip(row, t))
+        if type(x) is int and x % L == 0:
+            out.append(x // L)
+        else:
+            x = Fraction(x, L)
+            out.append(x.numerator if x.denominator == 1 else x)
     return out
 
 

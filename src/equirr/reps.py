@@ -6,11 +6,14 @@ coordinates over a registry of simple modules.  The Brauer character
 off characteristic polynomials) is the registry's one invariant: it keys,
 orders and identifies the simples.  chop() implements a Norton/Parker
 style MeatAxe (random algebra elements, kernel vectors of the irreducible
-factors of their characteristic polynomials, found lazily, submodule
-spinning, recursion on sub and quotient, split in the submodule's echelon
-basis) and certifies simplicity before a factor is looked up.  snf_inverse
-turns the one Smith normal form of a small integer system into L A^-1, so
-each class solve of the registry is one matrix-vector product.
+factors of their characteristic polynomials, found lazily and shared by
+the pieces of a split, submodule spinning, recursion on sub and quotient,
+split in the submodule's echelon basis) and certifies simplicity before a
+factor is looked up.  Each registry keeps the Gram matrix of its simples'
+Brauer characters and the one exact inverse that snf_inverse gives from
+its Smith normal form: each class solve is one matrix-vector product with
+the left inverse read off it, and k0.cartan_data reads the Cartan matrix
+off the same inverse.
 Direct-sum splitting (primary decomposition along random endomorphisms,
 each unsplit piece certified by its simple head) is kept separate; the
 engine reads the Cartan matrix off Brauer characters instead, and the
@@ -30,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import (TABLE_LIMIT, Field, field_make, irreducible_factors,
-                     poly_factor)
+from .fields import (TABLE_LIMIT, FactorStream, Field, Poly, field_make,
+                     galois_pairing, poly_factor, totient_mobius)
 from .groups import (FiniteGroup, Subgroup, conjugacy_classes, coset_lookup,
                      sylow_p)
 from .matrices import EchelonBasis, Mat
@@ -274,9 +277,12 @@ def hom_dim(M: Rep, N: Rep) -> int:
 # -- spinning and the MeatAxe ------------------------------------------------
 
 
-def spin_columns(field: Field, dim: int, seeds, gen_mats) -> Mat:
-    """Smallest invariant subspace containing the seed column vectors;
-    returned as a (dim x r) column matrix."""
+def _spin(field: Field, dim: int, seeds,
+          gen_mats) -> tuple[np.ndarray, list[int]]:
+    """Smallest invariant subspace containing the seed column vectors, as
+    its (dim x r) reduced column echelon form E and its pivot rows piv
+    (E[piv] is the identity).  The rows of the EchelonBasis are fully
+    reduced, so sorting them by pivot gives that form with no elimination."""
     eb = EchelonBasis(field, dim)
     queue = []
     for v in seeds:
@@ -289,7 +295,24 @@ def spin_columns(field: Field, dim: int, seeds, gen_mats) -> Mat:
             w = (A @ col).a[:, 0]
             if eb.add(w):
                 queue.append(eb.rows[-1].copy())
-    return eb.as_matrix().T
+    order = sorted(range(len(eb)), key=eb.pivot_cols.__getitem__)
+    return (np.ascontiguousarray(eb.as_matrix().a[order].T),
+            [eb.pivot_cols[i] for i in order])
+
+
+def spin_columns(field: Field, dim: int, seeds, gen_mats) -> Mat:
+    """Smallest invariant subspace containing the seed column vectors;
+    returned as a (dim x r) column matrix in reduced column echelon form."""
+    return Mat(field, _spin(field, dim, seeds, gen_mats)[0])
+
+
+def _echelon(W: Mat) -> tuple[np.ndarray, list[int]]:
+    """The reduced column echelon form of W and its pivot rows, for W with
+    independent columns."""
+    R, piv = W.T.rref()
+    if len(piv) != W.cols:
+        raise Inconsistency("submodule basis is not independent")
+    return np.ascontiguousarray(R.a.T), piv
 
 
 def _random_algebra_element(M: Rep, gen_mats, rng: random.Random) -> Mat:
@@ -303,84 +326,71 @@ def _random_algebra_element(M: Rep, gen_mats, rng: random.Random) -> Mat:
     return acc
 
 
-def _trial_factors(cp, known, rng: random.Random):
-    """The distinct irreducible factors of cp: first those of `known` that
-    divide it, found by trial division, then the others as
-    irreducible_factors finds them, in nondecreasing degree."""
-    rest = cp
-    for f in known:
-        quo, rem = rest.divmod(f)
-        if not rem.is_zero():
-            continue
-        yield f
-        while rem.is_zero():
-            rest = quo
-            quo, rem = rest.divmod(f)
-    yield from irreducible_factors(rest, rng)
-
-
 def find_submodule_or_simple(M: Rep, rng: random.Random, seed=None):
-    """Either ('sub', W, seed) with W a proper nonzero invariant column
-    space, or 'simple' once Norton's criterion certifies irreducibility.
+    """Either ('sub', E, piv, seed) with E a proper nonzero invariant
+    column space in reduced column echelon form and piv its pivot rows, or
+    'simple' once Norton's criterion certifies irreducibility.
 
     Each round tries the distinct irreducible factors f of the
     characteristic polynomial of one algebra element theta, smallest degree
     first (Holt-Rees), factoring only as far as it gets.  `seed` is
-    (theta, factors tried on it) for the element that split M's parent, cut
-    to M; the first round tries it, keeping the factors that still divide,
-    before any element is drawn.  The seed returned with W is the same pair
-    for the theta that found W (None for a group without generators)."""
+    (theta, its characteristic polynomial, its FactorStream) for the element
+    that split M's parent, cut to M; the first round tries it before any
+    element is drawn.  The seed returned with E is the same triple for the
+    theta that found E (None for a group without generators)."""
     F = M.field
     d = M.dim
     if d == 1:
         return "simple"
     gen_mats = M.generator_images()
     if not gen_mats:
-        return "sub", Mat.column(F, [1] + [0] * (d - 1)), None
+        return "sub", np.eye(d, 1, dtype=np.int64), [0], None
     gen_t = [g.T for g in gen_mats]
     for _ in range(MEATAXE_ROUNDS):
         if seed is None:
-            theta, known = _random_algebra_element(M, gen_mats, rng), ()
+            theta = _random_algebra_element(M, gen_mats, rng)
+            cp = theta.charpoly()
+            factors = FactorStream(cp, rng)
         else:
-            (theta, known), seed = seed, None
-        tried = []
-        for f in _trial_factors(theta.charpoly(), known, rng):
-            tried.append(f)
+            (theta, cp, factors), seed = seed, None
+        for f in factors.of(cp):
             ftheta = theta.eval_poly(f)
             ker = ftheta.nullspace()
             for c in range(ker.cols):
-                w = spin_columns(F, d, [ker.a[:, c]], gen_mats)
-                if 0 < w.cols < d:
-                    return "sub", w, (theta, tried)
+                E, piv = _spin(F, d, [ker.a[:, c]], gen_mats)
+                if 0 < len(piv) < d:
+                    return "sub", E, piv, (theta, cp, factors)
             if ker.cols == f.degree:
                 kert = ftheta.T.nullspace()
                 for c in range(kert.cols):
                     wt = spin_columns(F, d, [kert.a[:, c]], gen_t)
                     if 0 < wt.cols < d:
-                        return "sub", wt.T.nullspace(), (theta, tried)
+                        return ("sub", *_echelon(wt.T.nullspace()),
+                                (theta, cp, factors))
                 return "simple"
     raise CapExceeded(
         f"MeatAxe did not decide a dim-{d} module in {MEATAXE_ROUNDS} "
         "rounds; rerun with a different seed")
 
 
-def _split_pieces(M: Rep, W: Mat, seed=None) -> list[tuple[Rep, tuple]]:
-    """The sub and quotient actions of M on the invariant column space W,
-    each paired with the MeatAxe seed (theta, factors) cut to it (None
-    without a seed), in W's own echelon basis: no inverse is taken.
+def _split_pieces(M: Rep, E: np.ndarray, piv: list[int],
+                  seed=None) -> list[tuple[Rep, tuple]]:
+    """The sub and quotient actions of M on the invariant column space E,
+    each paired with the MeatAxe seed (theta, characteristic polynomial,
+    factors) cut to it (None without a seed), in E's own basis: no inverse
+    is taken.
 
-    The reduced column echelon form E of W is the identity on its pivot
-    rows piv.  In the basis E followed by the unit vectors of the other
-    rows, rest, a matrix A has the sub block (A E)[piv] and the quotient
-    block A[rest, rest] - E[rest] A[piv, rest]; W is invariant under A
-    exactly when (A E)[rest] = E[rest] (A E)[piv]."""
+    E is the identity on its pivot rows piv.  In the basis E followed by
+    the unit vectors of the other rows, rest, a matrix A has the sub block
+    (A E)[piv] and the quotient block A[rest, rest] - E[rest] A[piv, rest];
+    E is invariant under A exactly when (A E)[rest] = E[rest] (A E)[piv].
+    theta's two blocks have characteristic polynomials whose product is
+    theta's: the smaller block's is computed (x - a for a 1 x 1 block [a])
+    and the other's is the exact quotient."""
     F = M.field
-    R, piv = W.T.rref()
-    if len(piv) != W.cols:
-        raise Inconsistency("submodule basis is not independent")
+    r = len(piv)
     pivset = set(piv)
     rest = [i for i in range(M.dim) if i not in pivset]
-    E = R.a.T
     low = E[rest]
     blocks = []
     for A in M.generator_images() + ([seed[0]] if seed else []):
@@ -391,15 +401,27 @@ def _split_pieces(M: Rep, W: Mat, seed=None) -> list[tuple[Rep, tuple]]:
             A.a[np.ix_(rest, rest)],
             F.matmul_array(low, A.a[np.ix_(piv, rest)])))))
     t = len(M.group.generators)
+    seeds = [None, None]
+    if seed and M.dim > 2:  # a piece of dim 1 never reads its seed
+        small = int(r > M.dim - r)
+        block = blocks[t][small]
+        cps = [None, None]
+        cps[small] = (Poly(F, [F.neg(block.get(0, 0)), 1]) if block.rows == 1
+                      else block.charpoly())
+        cps[1 - small], rem = seed[1].divmod(cps[small])
+        if not rem.is_zero():
+            raise Inconsistency("a block's characteristic polynomial does "
+                                "not divide theta's")
+        seeds = [(blocks[t][side], cps[side], seed[2]) for side in (0, 1)]
     return [(Rep(M.group, F, dim, {g: pair[side]
                                    for g, pair in enumerate(blocks[:t])}),
-             (blocks[t][side], seed[1]) if seed else None)
-            for side, dim in enumerate((W.cols, M.dim - W.cols))]
+             seeds[side])
+            for side, dim in enumerate((r, M.dim - r))]
 
 
 def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
     """Sub and quotient actions for an invariant column space W."""
-    (sub, _), (quot, _) = _split_pieces(M, W)
+    (sub, _), (quot, _) = _split_pieces(M, *_echelon(W))
     return sub, quot
 
 
@@ -459,9 +481,11 @@ class BrauerCharacters:
         self.sizes = [len(c) for c in regular]
         # generators of maximal cyclic p'-subgroups, one per conjugacy
         # class: a class of largest order that no earlier generator's
-        # powers meet generates a maximal one
+        # powers meet generates a maximal one.  A class read as g^k, g of
+        # order m, has the eigenvalue zeta_order^spread[j] for each
+        # eigenvalue zeta_m^j of g, spread[j] = k j mod m / gcd(m, k).
         self.generators: list[tuple[int, int]] = []  # (element, order)
-        self._reads: list = [None] * len(regular)  # (generator, power)
+        self._reads: list = [None] * len(regular)  # (generator, spread)
         for i in sorted(range(len(regular)), key=lambda i: -self.orders[i]):
             if self._reads[i] is not None:
                 continue
@@ -470,7 +494,9 @@ class BrauerCharacters:
             for k in range(m):
                 c = where[x]
                 if self._reads[c] is None:
-                    self._reads[c] = (len(self.generators), k)
+                    step = m // self.orders[c]  # gcd(m, k)
+                    self._reads[c] = (len(self.generators),
+                                      [k * j % m // step for j in range(m)])
                 x = G.table[x][g]
             self.generators.append((g, m))
         s = 1
@@ -562,13 +588,13 @@ class BrauerCharacters:
     def _spread(self, found) -> tuple[tuple[int, ...], ...]:
         """The full vector from the eigenvalue counts of each generator in
         `generators`: every p-regular class is a power of one of them."""
+        nonzero = [[(j, c) for j, c in enumerate(counts) if c]
+                   for counts in found]
         out = []
-        for (t, k), order in zip(self._reads, self.orders):
-            m = self.generators[t][1]
-            step = m // order  # gcd(m, k): zeta_order = zeta_m^step
+        for (t, spread), order in zip(self._reads, self.orders):
             counts = [0] * order
-            for j, c in enumerate(found[t]):
-                counts[k * j % m // step] += c
+            for j, c in nonzero[t]:
+                counts[spread[j]] += c
             out.append(tuple(counts))
         return tuple(out)
 
@@ -669,8 +695,8 @@ def snf_inverse(snf) -> tuple[list[list[int]], int] | None:
         return None
     L = math.lcm(*(D[i][i] for i in range(s)))
     scaled = [[L // D[i][i] * u for u in U[i]] for i in range(s)]
-    return [[sum(v * row[j] for v, row in zip(Vrow, scaled))
-             for j in range(s)] for Vrow in V], L
+    return (np.array(V, dtype=object).reshape(s, s)
+            @ np.array(scaled, dtype=object).reshape(s, s)).tolist(), L
 
 
 # -- registry and class vectors ----------------------------------------------
@@ -802,9 +828,9 @@ class SimpleRegistry:
         that fails the exact check on the full vector and on dim M raises
         Inconsistency.
 
-        With B the matrix of the simples' vectors, x solves the normal
-        equations B^T B x = B^T beta(M) exactly: L x = pinv beta(M) for
-        the cached integer matrix pinv = L (B^T B)^-1 B^T."""
+        With B the matrix of the simples' vectors, Lg x = pinv beta(M) for
+        the cached integer left inverse pinv = W B^T P of B, read off the
+        registry's Gram matrix and its one exact inverse (gram)."""
         if M.group is not self.group or M.field is not self.field:
             raise InputError("module and registry are over different data")
         return self._solve(self.brauer.vector(M), M.dim)
@@ -841,25 +867,55 @@ class SimpleRegistry:
         return ClassVector(self, x)
 
     @cached_property
-    def _solver(self):
-        """(B, pinv, pinv64, max|pinv|, L) for the matrix B whose columns
-        are the simples' Brauer vectors and pinv = L (B^T B)^-1 B^T in
-        Python ints, from the one Smith normal form of B^T B; pinv64 is
-        pinv in int64, or None when it does not fit.  B^T B is nonsingular
-        exactly when B has full column rank."""
+    def gram(self):
+        """(B, BtP, gram, W, Lg, L), shared by the class solves and
+        k0.cartan_data.  The columns of B are the simples' Brauer vectors
+        and P is block diagonal over the p-regular classes, h (L / phi(m))
+        galois_pairing(m) for a class of size h and element order m, L =
+        lcm(phi(m)); so gram = B^T P B = |G| L M for the Gram matrix M of
+        the simples' Brauer characters, and W = Lg gram^-1 comes from its
+        one Smith normal form.  BtP = B^T P is built block by block.  Its
+        entries, gram's and its column sums are at most (sum of dims)(max
+        dim) L |G|: int64 below 2^62, Python ints otherwise."""
+        brauer = self.brauer
         B = np.array([[c for counts in key for c in counts]
                       for key in self.vectors], dtype=np.int64).T
-        inverse = snf_inverse(smith_normal_form((B.T @ B).tolist()))
+        phis = [totient_mobius(m)[0] for m in brauer.orders]
+        L = math.lcm(*phis)
+        dims = [S.dim for S in self.simples]
+        wide = sum(dims) * max(dims) * L * self.group.order >= 1 << 62
+        BtP = np.zeros(B.T.shape, dtype=object if wide else np.int64)
+        start = 0
+        for m, size, phi in zip(brauer.orders, brauer.sizes, phis):
+            block = B[start:start + m].T @ galois_pairing(m)
+            BtP[:, start:start + m] = (block.astype(BtP.dtype)
+                                       * (size * (L // phi)))
+            start += m
+        gram = (BtP @ B).tolist()
+        inverse = snf_inverse(smith_normal_form(gram))
         if inverse is None:
-            raise Inconsistency("the Brauer vectors of the simples are "
-                                "linearly dependent")
-        W, L = inverse
-        columns = B.tolist()  # row c of B: entry c of every simple's vector
-        pinv = [[sum(w * c for w, c in zip(row, col)) for col in columns]
-                for row in W]
-        top = max((abs(c) for row in pinv for c in row), default=0)
-        pinv64 = np.array(pinv, dtype=np.int64) if top < 1 << 63 else None
-        return B, pinv, pinv64, top, L
+            raise Inconsistency("the Gram matrix of the simples' Brauer "
+                                "characters is singular")
+        W, Lg = inverse
+        return B, BtP, gram, W, Lg, L
+
+    @cached_property
+    def _solver(self):
+        """(B, pinv, pinv64, max|pinv|, Lg) for the exact left inverse pinv
+        = W B^T P of B scaled by Lg (pinv B = W gram = Lg I), from gram:
+        Lg x = pinv beta(M).  pinv is Python ints; pinv64 is pinv in int64,
+        or None when it does not fit.  The product is taken in int64 while
+        max|W| times the largest column sum of |B^T P|, which bounds every
+        entry, is below 2^62, and in Python ints otherwise."""
+        B, BtP, _, W, Lg, _ = self.gram
+        colsum = max(sum(map(abs, column)) for column in BtP.T.tolist())
+        bound = max(abs(w) for row in W for w in row) * colsum
+        dtype = np.int64 if bound < 1 << 62 else object
+        product = np.array(W, dtype=dtype) @ BtP.astype(dtype)
+        pinv = product.tolist()
+        top = max(abs(c) for row in pinv for c in row)
+        pinv64 = product.astype(np.int64) if top < 1 << 63 else None
+        return B, pinv, pinv64, top, Lg
 
     def zero(self) -> "ClassVector":
         return ClassVector(self, ())
@@ -963,8 +1019,8 @@ def chop(M: Rep, registry: SimpleRegistry,
             idx = registry.find_or_add(A)
             counts[idx] = counts.get(idx, 0) + 1
         else:
-            _, W, seed = res
-            stack.extend(_split_pieces(A, W, seed))
+            _, E, piv, seed = res
+            stack.extend(_split_pieces(A, E, piv, seed))
     coeffs = [0] * len(registry)
     for i, c in counts.items():
         coeffs[i] = c

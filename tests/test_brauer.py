@@ -124,9 +124,10 @@ def test_unsolvable_brauer_vector_raises(monkeypatch):
 
     virtual = add(triv, std, tuple(tuple(-c for c in cls) for cls in sign))
     assert all(c >= 0 for cls in virtual for c in cls)
-    # every simple has zeta_3 and zeta_3^2 equally often on a 3-cycle, so
-    # [S] with both moved to zeta_3 solves the normal equations exactly
-    # and only the check on the full vector rejects it
+    # every simple has zeta_3 and zeta_3^2 equally often on a 3-cycle, and
+    # the Galois-averaged pairing B^T P cannot tell those two apart, so
+    # [S] with both moved to zeta_3 solves exactly through the left
+    # inverse and only the check on the full vector rejects it
     off_span = tuple((0, 2, 0) if len(cls) == 3 else cls for cls in std)
     for fake in (virtual, off_span):
         monkeypatch.setattr(reg.brauer, "vector", lambda N, fake=fake: fake)

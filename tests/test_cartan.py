@@ -17,7 +17,7 @@ from equirr.errors import Inconsistency
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
 from equirr.k0 import cartan_data
-from equirr.reps import SimpleRegistry, rep_trivial
+from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
 from reptools import split_cartan_matrix
 
@@ -122,11 +122,12 @@ def test_wrong_end_dims_are_inconsistent(monkeypatch):
                          ids=["S4-GF2", "PGL2-GF3"])
 def test_perturbed_brauer_vector_is_inconsistent(monkeypatch, make, p):
     # move one eigenvalue of the last simple on its first class of order
-    # m > 1 from zeta^j to zeta^(j+1); the class solver is warmed first,
-    # so only the Gram matrix sees the change
+    # m > 1 from zeta^j to zeta^(j+1) before anything is solved: the class
+    # solver and the Cartan matrix share the registry's one Gram matrix,
+    # so both see the change
     G, F = make(), field_make(p, 1)
     reg = SimpleRegistry(G, F, random.Random(0))
-    reg.class_of(rep_trivial(G, F))
+    reg.simples
     vectors = [list(v) for v in reg.vectors]
     last = vectors[-1]
     c = next(c for c, counts in enumerate(last) if len(counts) > 1)

@@ -109,7 +109,8 @@ def test_snf_inverse_of_a_singular_matrix_is_none():
 
 def test_class_of_solves_through_the_traced_smith_normal_form():
     # the registry's solve is the one the benchmark tracer counts under
-    # k0.smith_normal_form: one Smith normal form per registry
+    # k0.smith_normal_form: one Smith normal form per registry, shared by
+    # the class solves and the Cartan data
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -124,16 +125,19 @@ def test_class_of_solves_through_the_traced_smith_normal_form():
     try:
         x = reg.class_of(rep_regular(G, F))
         reg.class_of(rep_trivial(G, F))
+        cd = cartan_data(G, F, reg)
     finally:
         tracer.restore()
     assert x == reg.regular_class()
+    assert cd.matrix == [[2, 1], [1, 2]]
     layers = [span[0] for span in tracer.spans]
     assert layers.count("k0.smith_normal_form") == 1
 
 
 def test_class_solve_without_int64_gives_the_same_class():
-    # past the int64 bound the one product with L (B^T B)^-1 B^T is taken
-    # in Python ints; a bound forced past 2^63 must give the same classes
+    # past the int64 bound the one product with the left inverse
+    # Lg gram^-1 B^T P is taken in Python ints; a bound forced past 2^63
+    # must give the same classes
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
     reg = SimpleRegistry(G, F, rng())
