@@ -146,7 +146,7 @@ class CoverData:
         induced = self.memo(("induce", id(Hg)), lambda: [
             self.registry.class_of_induced(S, H) for S in reg.simples])
         total = self.registry.zero()
-        for c, w in zip(v.padded(), induced):
+        for c, w in zip(v.coeffs, induced):
             total = total + w.scale(c)
         return total
 
@@ -472,13 +472,11 @@ def euler_class_tame_mod_regular(cover: CoverData, D: Divisor | None = None):
 def regular_multiple(cover: CoverData, diff: ClassVector):
     """(True, t) when diff = t * [k[G]] for an integer t."""
     reg = cover.regular_class()
-    reg_c = reg.padded()
-    diff_c = diff.padded()
-    pivot = next((i for i, c in enumerate(reg_c) if c), None)
+    pivot = next((i for i, c in enumerate(reg.coeffs) if c), None)
     if pivot is None:
         raise Inconsistency("regular class is zero")
     # exact division: / on two ints would give a float
-    t = Fraction(diff_c[pivot], reg_c[pivot])
+    t = Fraction(diff.coeffs[pivot], reg.coeffs[pivot])
     if t.denominator == 1 and diff == reg.scale(t.numerator):
         return True, t.numerator
     return False, None

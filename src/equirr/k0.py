@@ -12,6 +12,9 @@ from fractions import Fraction
 from .errors import Inconsistency, InputError
 from .fields import Field
 from .groups import FiniteGroup
+# smith_normal_form stays imported: CartanData's bare-matrix path inverts
+# through it, and the benchmark tracer finds the one that every registry's
+# Gram matrix takes under this name (k0.smith_normal_form)
 from .reps import (ClassVector, SimpleRegistry, extend_scalars,
                    smith_normal_form, snf_inverse)
 
@@ -103,7 +106,7 @@ def cartan_data(G: FiniteGroup, field: Field,
         copies.append(S.dim // end_dim)
     regular = [sum(n * row[j] for j, n in enumerate(copies))
                for row in matrix]
-    if registry.regular_class().padded() != tuple(regular):
+    if registry.regular_class().coeffs != tuple(regular):
         raise Inconsistency("k[G] is not the sum of dim S_j / dim End(S_j) "
                             "copies of each P_j on classes")
     # C^-1 = diag(e)^-1 gram / (|G| L) = W' / (|G| L lcm(e))
@@ -117,15 +120,14 @@ def cartan_coordinates(v: ClassVector,
                        cd: CartanData) -> list[int | Fraction]:
     """The unique rational x with Cartan * x = v, each entry an int where
     it is integral and a Fraction otherwise: x = W v / L for the exact
-    inverse cd.inverse = (W, L)."""
+    inverse cd.inverse = (W, L).  v must be a class over cd's registry."""
+    if v.registry is not cd.registry:
+        raise InputError("the class and the Cartan data are over different "
+                         "registries")
     W, L = cd.inverse
-    t = v.padded()
-    if len(t) != len(W):
-        raise InputError(f"a class of length {len(t)} for a "
-                         f"{len(W)} x {len(W)} Cartan matrix")
     out = []
     for row in W:
-        x = sum(w * c for w, c in zip(row, t))
+        x = sum(w * c for w, c in zip(row, v.coeffs))
         if type(x) is int and x % L == 0:
             out.append(x // L)
         else:
@@ -157,7 +159,7 @@ def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
 def beta_vector(v: ClassVector, registry2: SimpleRegistry) -> ClassVector:
     """Image of a class under scalar extension, computed simple by simple."""
     out = registry2.zero()
-    for i, c in enumerate(v.padded()):
+    for i, c in enumerate(v.coeffs):
         if c == 0:
             continue
         ext = extend_scalars(v.registry.simples[i], registry2.field)

@@ -1,19 +1,21 @@
 """Matrix representations of finite groups over finite fields.
 
 Classes in the Grothendieck group of finitely generated modules are
-coordinates over a registry of simple modules.  The Brauer character
-(BrauerCharacters: eigenvalue multiplicities on p-regular classes, read
-off characteristic polynomials) is the registry's one invariant: it keys,
-orders and identifies the simples.  chop() implements a Norton/Parker
-style MeatAxe (random algebra elements, kernel vectors of the irreducible
-factors of their characteristic polynomials, found lazily and shared by
-the pieces of a split, submodule spinning, recursion on sub and quotient,
-split in the submodule's echelon basis) and certifies simplicity before a
-factor is looked up.  Each registry keeps the Gram matrix of its simples'
-Brauer characters and the one exact inverse that snf_inverse gives from
-its Smith normal form: each class solve is one matrix-vector product with
-the left inverse read off it, and k0.cartan_data reads the Cartan matrix
-off the same inverse.
+coordinates over a registry of simple modules, one per simple.  The
+Brauer character (BrauerCharacters: eigenvalue multiplicities on
+p-regular classes, read off characteristic polynomials) is the registry's
+one invariant: it keys, orders and identifies the simples.  chop()
+returns a module's composition factors by a Norton/Parker style MeatAxe
+(random algebra elements, kernel vectors of the irreducible factors of
+their characteristic polynomials, found lazily and shared by the pieces
+of a split, submodule spinning, recursion on sub and quotient, split in
+the submodule's echelon basis), each certified simple.  A registry is
+one table {Brauer vector: simple}, built by one saturation from the
+factors of its chop and fixed after that.  Each registry keeps the Gram
+matrix of its simples' Brauer characters and the one exact inverse that
+snf_inverse gives from its Smith normal form: each class solve is one
+matrix-vector product with the left inverse read off it, and
+k0.cartan_data reads the Cartan matrix off the same inverse.
 Direct-sum splitting (primary decomposition along random endomorphisms,
 each unsplit piece certified by its simple head) is kept separate; the
 engine reads the Cartan matrix off Brauer characters instead, and the
@@ -425,6 +427,27 @@ def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
     return sub, quot
 
 
+def chop(M: Rep, rng: random.Random) -> list[Rep]:
+    """The composition factors of M, each certified simple, in the order
+    the MeatAxe finds them."""
+    factors = []
+    stack = [(M, None)]  # (module, MeatAxe seed)
+    while stack:
+        A, seed = stack.pop()
+        if A.dim == 0:
+            continue
+        res = find_submodule_or_simple(A, rng, seed)
+        if res == "simple":
+            factors.append(A)
+        else:
+            _, E, piv, seed = res
+            stack.extend(_split_pieces(A, E, piv, seed))
+    if sum(S.dim for S in factors) != M.dim:
+        raise Inconsistency("chop reassembly failed: factor dims do not "
+                            f"sum to {M.dim}")
+    return factors
+
+
 # -- Brauer characters -------------------------------------------------------
 
 
@@ -703,36 +726,34 @@ def snf_inverse(snf) -> tuple[list[list[int]], int] | None:
 
 
 class SimpleRegistry:
-    """The simple modules over one (group, field), in canonical order.
+    """The simple modules over one (group, field), in canonical order: a
+    value, fixed once it is saturated.
 
-    On first use the registry finds its simples with one chop of the
-    permutation module Ind_P^G(k) on the cosets of a Sylow p-subgroup P,
-    of dimension |G:P|, and its random source.  That is every simple
-    module: k[P] has |P| trivial composition factors and induction is
-    exact, so k[G] = Ind_P^G k[P] has a filtration with |P| factors
-    Ind_P^G(k), and every composition factor of k[G] is one of
-    Ind_P^G(k).  (When p does not divide |G|, P = 1 and the module is k[G]
-    itself.)  A registry made by over_extension chops instead the base
-    simples with scalars extended, which is the same set of factors at a
-    fraction of the size.  find_or_add keys simples by their Brauer
-    vector, which non-isomorphic simples never share, and the simples are
-    then sorted by (dim, Brauer vector).  The order, the log and every
-    class vector are therefore functions of the group and the field, not
-    of the MeatAxe's random draws or of the modules chopped.  class_of
-    reads the class of any module off its Brauer vector, with no chop, and
-    regular_class the class of k[G] off its closed-form vector."""
+    On first use the registry saturates: it chops the permutation module
+    Ind_P^G(k) on the cosets of a Sylow p-subgroup P, of dimension |G:P|,
+    with its random source, and keeps the first composition factor found
+    for each Brauer vector.  That is every simple module: k[P] has |P|
+    trivial composition factors and induction is exact, so k[G] =
+    Ind_P^G k[P] has a filtration with |P| factors Ind_P^G(k), and every
+    composition factor of k[G] is one of Ind_P^G(k).  (When p does not
+    divide |G|, P = 1 and the module is k[G] itself.)  A registry made by
+    over_extension chops instead the base simples with scalars extended,
+    which is the same set of factors at a fraction of the size.
+    Non-isomorphic simples never share a Brauer vector, and the table
+    {vector: simple} is sorted by (dim, vector), so the order, the log and
+    every class vector are functions of the group and the field, not of
+    the MeatAxe's random draws or of the modules chopped.  class_of reads
+    the class of any module off its Brauer vector, with no chop, and
+    regular_class the class of k[G] off its closed-form vector.  Every
+    derived datum is a cached property, and one whose build raises caches
+    nothing."""
 
     def __init__(self, group: FiniteGroup, field: Field,
-                 rng: random.Random):
+                 rng: random.Random, *, base: SimpleRegistry | None = None):
         self.group = group
         self.field = field
         self._rng = rng
-        self._base: SimpleRegistry | None = None
-        self._simples: list[Rep] | None = None
-        self._saturated = False
-        self._index: dict[tuple, int] = {}
-        self._vectors: list[tuple] = []
-        self._end_dims: dict[int, int] = {}
+        self._base = base
 
     @classmethod
     def over_extension(cls, group: FiniteGroup, field: Field,
@@ -747,22 +768,16 @@ class SimpleRegistry:
         if base.group is not group:
             raise InputError("the base registry is over another group")
         _check_extension(base.field, field)
-        registry = cls(group, field, base._rng)
-        registry._base = base
-        return registry
+        return cls(group, field, base._rng, base=base)
 
     @cached_property
     def brauer(self) -> BrauerCharacters:
         return BrauerCharacters(self.group, self.field)
 
-    @property
-    def simples(self) -> list[Rep]:
-        if self._simples is None:
-            self._saturate()
-        return self._simples
-
-    def _saturate(self):
-        self.brauer  # an ambient field past TABLE_LIMIT fails before the chop
+    def _saturate(self) -> dict[tuple, Rep]:
+        """{Brauer vector: first simple found with it} over the composition
+        factors of the sources, sorted by (dim, vector)."""
+        brauer = self.brauer  # an ambient field past TABLE_LIMIT fails first
         if self._base is None:
             P = sylow_p(self.group, self.field.p)
             sources = [rep_induce(rep_trivial(P.as_group(), self.field),
@@ -770,56 +785,39 @@ class SimpleRegistry:
         else:
             sources = [extend_scalars(S, self.field)
                        for S in self._base.simples]
-        self._simples = []  # filled by find_or_add during the chops
-        try:
-            for M in sources:
-                chop(M, self, self._rng)
-        except BaseException:
-            # a failed chop leaves the registry unsaturated: the next use
-            # saturates it again from scratch
-            self._simples, self._index = None, {}
-            raise
-        keys = sorted(self._index,
-                      key=lambda b: (self._simples[self._index[b]].dim, b))
-        self._simples = [self._simples[self._index[b]] for b in keys]
-        self._index = {b: i for i, b in enumerate(keys)}
-        self._vectors = keys
-        self._saturated = True
+        found: dict[tuple, Rep] = {}
+        for M in sources:
+            for S in chop(M, self._rng):
+                found.setdefault(brauer.vector(S), S)
+        return dict(sorted(found.items(), key=lambda kv: (kv[1].dim, kv[0])))
+
+    @cached_property
+    def _table(self) -> dict[tuple, Rep]:
+        return self._saturate()
+
+    @property
+    def simples(self) -> list[Rep]:
+        return list(self._table.values())
 
     @property
     def vectors(self) -> list[tuple]:
         """The simples' Brauer vectors, in registry order."""
-        if self._simples is None:
-            self._saturate()
-        return self._vectors
+        return list(self._table)
 
     @property
     def log(self) -> list[dict]:
         return [{"id": i, "dim": S.dim} for i, S in enumerate(self.simples)]
 
     def __len__(self):
-        return len(self.simples)
+        return len(self._table)
+
+    @cached_property
+    def _end_dims(self) -> list[int]:
+        return [hom_dim(S, S) for S in self.simples]
 
     def end_dim(self, i: int) -> int:
-        """dim End(S_i), computed once per simple."""
-        if i not in self._end_dims:
-            S = self.simples[i]
-            self._end_dims[i] = hom_dim(S, S)
+        """dim End(S_i); all of them are computed on the first call."""
         return self._end_dims[i]
-
-    def find_or_add(self, S: Rep) -> int:
-        """Index of the simple module S, found by its Brauer vector; only
-        the chop that saturates the registry adds simples."""
-        simples = self.simples
-        key = self.brauer.vector(S)
-        if key not in self._index:
-            if self._saturated:
-                raise Inconsistency(f"a dim-{S.dim} simple module is not a "
-                                    "composition factor of Ind_P^G(k) for "
-                                    "a Sylow p-subgroup P")
-            self._index[key] = len(simples)
-            simples.append(S)
-        return self._index[key]
 
     def class_of(self, M: Rep) -> "ClassVector":
         """The class of M in G_0(k[G]): the x with beta(M) = sum_i x_i
@@ -918,10 +916,10 @@ class SimpleRegistry:
         return B, pinv, pinv64, top, Lg
 
     def zero(self) -> "ClassVector":
-        return ClassVector(self, ())
+        return ClassVector(self, [0] * len(self))
 
     def basis_vector(self, i: int, mult=1) -> "ClassVector":
-        coeffs = [0] * (i + 1)
+        coeffs = [0] * len(self)
         coeffs[i] = mult
         return ClassVector(self, coeffs)
 
@@ -935,7 +933,8 @@ def _exact(c) -> int | Fraction:
 
 
 class ClassVector:
-    """Composition-factor multiplicities over a registry.
+    """Composition-factor multiplicities over a registry: one coefficient
+    per simple, in registry order.
 
     A coefficient is an int, or a Fraction when it is not integral, never
     an integral Fraction: rational coefficients appear only transiently
@@ -949,19 +948,15 @@ class ClassVector:
     def __init__(self, registry: SimpleRegistry, coeffs):
         self.registry = registry
         self.coeffs = tuple(map(_exact, coeffs))
-
-    def padded(self) -> tuple[int | Fraction, ...]:
-        pad = len(self.registry) - len(self.coeffs)
-        return self.coeffs + (0,) * pad if pad > 0 else self.coeffs
-
-    def coeff(self, i: int) -> int | Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else 0
+        if len(self.coeffs) != len(registry):
+            raise InputError(f"{len(self.coeffs)} coefficients over a "
+                             f"registry of {len(registry)} simples")
 
     def _binop(self, other, op):
         if self.registry is not other.registry:
             raise InputError("class vectors over different registries")
-        a, b = self.padded(), other.padded()
-        return ClassVector(self.registry, [op(x, y) for x, y in zip(a, b)])
+        return ClassVector(self.registry, [op(x, y) for x, y in
+                                           zip(self.coeffs, other.coeffs)])
 
     def __add__(self, other):
         return self._binop(other, lambda x, y: x + y)
@@ -979,10 +974,10 @@ class ClassVector:
     def __eq__(self, other):
         return (isinstance(other, ClassVector)
                 and self.registry is other.registry
-                and self.padded() == other.padded())
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((id(self.registry), self.padded()))
+        return hash((id(self.registry), self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -990,45 +985,13 @@ class ClassVector:
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)
 
-    def total_dim(self) -> int | Fraction:
-        return sum(c * s.dim for c, s in
-                   zip(self.padded(), self.registry.simples))
-
     def to_json(self):
-        return [[i, self.registry.simples[i].dim, str(c)]
-                for i, c in enumerate(self.padded()) if c != 0]
+        return [[i, S.dim, str(c)] for i, (S, c) in
+                enumerate(zip(self.registry.simples, self.coeffs)) if c != 0]
 
     def __repr__(self):
-        parts = [f"{c}*[S{i}]" for i, c in enumerate(self.padded()) if c]
+        parts = [f"{c}*[S{i}]" for i, c in enumerate(self.coeffs) if c]
         return "ClassVector(" + (" + ".join(parts) or "0") + ")"
-
-
-def chop(M: Rep, registry: SimpleRegistry,
-         rng: random.Random) -> ClassVector:
-    """Exact composition-factor multiplicities of M over the registry."""
-    if M.group is not registry.group or M.field is not registry.field:
-        raise InputError("module and registry are over different data")
-    counts: dict[int, int] = {}
-    stack = [(M, None)]  # (module, MeatAxe seed)
-    while stack:
-        A, seed = stack.pop()
-        if A.dim == 0:
-            continue
-        res = find_submodule_or_simple(A, rng, seed)
-        if res == "simple":
-            idx = registry.find_or_add(A)
-            counts[idx] = counts.get(idx, 0) + 1
-        else:
-            _, E, piv, seed = res
-            stack.extend(_split_pieces(A, E, piv, seed))
-    coeffs = [0] * len(registry)
-    for i, c in counts.items():
-        coeffs[i] = c
-    v = ClassVector(registry, coeffs)
-    if v.total_dim() != M.dim:
-        raise Inconsistency("chop reassembly failed: factor dims do not "
-                            f"sum to {M.dim}")
-    return v
 
 
 # -- direct-sum splitting -----------------------------------------------------

@@ -1,13 +1,15 @@
 """Module-theoretic tools that only the tests use: an explicit-intertwiner
-isomorphism test, the socle dimension, the head multiplicities of a
-projective module by Hom systems into the simples, the Cartan matrix by
-splitting k[G] into projective indecomposables, the Riemann-Roch action by moving
-every basis function on its own, the cocycle value of a decomposition
-element by division at a root, the image of a place by moving one of its
-roots as a point, the ramified places by solving the fixed-point form of
-every element, the projective cover over an inertia group as a
-module, induced from a Schur-Zassenhaus complement, and the split of a
-module on a submodule through a completed basis and its inverse."""
+isomorphism test, the class of a module by counting the composition
+factors of a chop, the dimension of a class, the socle dimension, the
+head multiplicities of a projective module by Hom systems into the
+simples, the Cartan matrix by splitting k[G] into projective
+indecomposables, the Riemann-Roch action by moving every basis function
+on its own, the cocycle value of a decomposition element by division at
+a root, the image of a place by moving one of its roots as a point, the
+ramified places by solving the fixed-point form of every element, the
+projective cover over an inertia group as a module, induced from a
+Schur-Zassenhaus complement, and the split of a module on a submodule
+through a completed basis and its inverse."""
 
 import math
 import random
@@ -20,8 +22,8 @@ from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup, Subgroup, _p_part
 from equirr.matrices import EchelonBasis, Mat
-from equirr.reps import (Rep, SimpleRegistry, hom_dim, hom_space,
-                         indecomposable_summands, is_projective,
+from equirr.reps import (ClassVector, Rep, SimpleRegistry, chop, hom_dim,
+                         hom_space, indecomposable_summands, is_projective,
                          regular_endomorphisms, rep_induce, rep_regular,
                          rep_restrict)
 
@@ -59,6 +61,30 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> bool:
         # asymmetric hom dimensions can never support an isomorphism
         return False
     raise CapExceeded("isomorphism test undecided within the try budget")
+
+
+def chop_class(M: Rep, registry: SimpleRegistry,
+               rng: random.Random) -> ClassVector:
+    """The class of M over the registry by counting its composition
+    factors from reps.chop per simple, found by Brauer vector: the
+    reference that class_of is tested against.  A factor that is no simple
+    of the registry raises Inconsistency."""
+    if M.group is not registry.group or M.field is not registry.field:
+        raise InputError("module and registry are over different data")
+    index = {b: i for i, b in enumerate(registry.vectors)}
+    coeffs = [0] * len(registry)
+    for S in chop(M, rng):
+        i = index.get(registry.brauer.vector(S))
+        if i is None:
+            raise Inconsistency(f"a dim-{S.dim} composition factor is no "
+                                "simple of the registry")
+        coeffs[i] += 1
+    return ClassVector(registry, coeffs)
+
+
+def total_dim(v: ClassVector):
+    """The dimension of the class v: sum of c_i dim S_i."""
+    return sum(c * S.dim for c, S in zip(v.coeffs, v.registry.simples))
 
 
 def socle_dim(M: Rep, registry: SimpleRegistry) -> int:
@@ -115,7 +141,7 @@ def split_cartan_matrix(G: FiniteGroup, F: Field, registry: SimpleRegistry,
             raise Inconsistency("covers with equal head have distinct "
                                 "classes")
         classes.append(found.pop())
-    return [[int(classes[j].coeff(i)) for j in range(s)] for i in range(s)]
+    return [[int(classes[j].coeffs[i]) for j in range(s)] for i in range(s)]
 
 
 def reference_rr_action(geo: P1Geometry, D: Divisor) -> list[Mat]:

@@ -20,10 +20,11 @@ from equirr.geometry import Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup, Subgroup, sylow_p
 from equirr.k0 import cartan_data, cartesian_check
 from equirr.matrices import Mat
-from equirr.reps import (SimpleRegistry, chop, hom_dim, is_projective,
+from equirr.reps import (SimpleRegistry, hom_dim, is_projective,
                          rep_direct_sum, rep_induce, rep_regular,
                          rep_restrict, rep_tensor, rep_trivial)
 from equirr.scenarios import find_s3_pgl2
+from reptools import chop_class, total_dim
 
 
 def ok(criterion: str, detail: str):
@@ -272,7 +273,7 @@ def test_a7_cartesian(a1_covers, a2_covers, a3_cover):
             agree, _, _ = cartesian_check(chi, cd, cd2)
             assert agree, f"{label}, D={D!r}"
             checked += 1
-        triv = chop(rep_trivial(cover.G, k), cover.registry, cover.rng)
+        triv = chop_class(rep_trivial(cover.G, k), cover.registry, cover.rng)
         agree, base, ext = cartesian_check(triv, cd, cd2)
         assert agree
         if wild:  # [trivial] over C_p is deliberately non-projective
@@ -317,11 +318,11 @@ def test_a8_chop_reassembly_and_additivity():
         a, b = rng.choice(base), rng.choice(base)
         if rng.random() < 0.4 and a.dim * b.dim <= 36:
             a = rep_tensor(a, b)
-        va = chop(a, reg, rng)  # reassembly asserted inside chop
-        assert va.total_dim() == a.dim
+        va = chop_class(a, reg, rng)  # reassembly asserted inside chop
+        assert total_dim(va) == a.dim
         reassembled += 1
         s = rep_direct_sum(a, b)
-        assert chop(s, reg, rng) == va + chop(b, reg, rng)
+        assert chop_class(s, reg, rng) == va + chop_class(b, reg, rng)
         additive += 1
     ok("A8", f"chop reassembly x{reassembled}, additivity x{additive}")
 

@@ -18,12 +18,12 @@ from equirr.errors import CapExceeded, Inconsistency
 from equirr.fields import Poly, field_make
 from equirr.groups import FiniteGroup, conjugacy_classes
 from equirr.matrices import Mat
-from equirr.reps import (BrauerCharacters, SimpleRegistry, chop,
+from equirr.reps import (BrauerCharacters, SimpleRegistry,
                          extend_scalars, rep_direct_sum, rep_induce,
                          rep_regular, rep_trivial, spin_columns,
                          split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
-from reptools import inertia_cover
+from reptools import chop_class, inertia_cover
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
@@ -90,7 +90,7 @@ def test_class_of_equals_chop(name, extended, kind, seed):
     if extended:
         M = extend_scalars(M, registry2.field)
         reg = registry2
-    assert reg.class_of(M) == chop(M, reg, r)
+    assert reg.class_of(M) == chop_class(M, reg, r)
 
 
 S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4],
@@ -136,10 +136,16 @@ def test_unsolvable_brauer_vector_raises(monkeypatch):
 
 
 def test_saturated_registry_rejects_foreign_simples(monkeypatch):
+    # after saturation the table is fixed: a composition factor whose
+    # Brauer vector is no simple's is refused, and the registry keeps its
+    # simples
     reg = s3_registry()
+    vectors = reg.vectors
     monkeypatch.setattr(reg.brauer, "vector", lambda N: ((N.dim,),))
-    with pytest.raises(Inconsistency, match="not a composition factor"):
-        reg.find_or_add(rep_trivial(reg.group, reg.field, 3))
+    with pytest.raises(Inconsistency, match="no simple of the registry"):
+        chop_class(rep_trivial(reg.group, reg.field, 3), reg,
+                   random.Random(0))
+    assert reg.vectors == vectors and len(reg) == 3
 
 
 def cyclic_group(n):

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equirr import cli, engine
+from equirr.errors import InputError
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup
 from equirr.k0 import cartan_coordinates
 from equirr.reps import ClassVector, SimpleRegistry, rep_induce
 from equirr.scenarios import parse_scenario, realize
-from reptools import inertia_cover
+from reptools import inertia_cover, total_dim
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
@@ -42,12 +43,10 @@ def no_integral_fraction(v: ClassVector) -> bool:
 
 
 class Reference:
-    """The same class with every coefficient a Fraction, padded."""
+    """The same class with every coefficient a Fraction."""
 
     def __init__(self, coeffs):
-        n = len(registry())
-        self.c = [Fraction(x) for x in coeffs] + \
-            [Fraction(0)] * (n - len(coeffs))
+        self.c = [Fraction(x) for x in coeffs]
 
     def to_json(self):
         dims = [S.dim for S in registry().simples]
@@ -57,18 +56,18 @@ class Reference:
 coefficient = st.one_of(
     st.integers(-30, 30),
     st.fractions(min_value=-30, max_value=30, max_denominator=6))
-coefficients = st.lists(coefficient, max_size=4)
+coefficients = st.lists(coefficient, min_size=4, max_size=4)
 
 
 def agrees(v: ClassVector, ref: Reference) -> bool:
     reg = v.registry
     return (no_integral_fraction(v)
-            and list(v.padded()) == ref.c
+            and list(v.coeffs) == ref.c
             and v.to_json() == ref.to_json()
             and v == ClassVector(reg, ref.c)
             and hash(v) == hash((id(reg), tuple(ref.c)))
             and v.is_integral() == all(c.denominator == 1 for c in ref.c)
-            and v.total_dim() == sum(c * S.dim
+            and total_dim(v) == sum(c * S.dim
                                      for c, S in zip(ref.c, reg.simples)))
 
 
@@ -101,11 +100,16 @@ def test_json_strings():
     assert not v.is_integral() and v.scale(2).is_integral()
 
 
-def test_padded_returns_coeffs_when_full():
+def test_a_class_has_one_coefficient_per_simple():
     reg = registry()
-    full = ClassVector(reg, [1, 0, 2, 0])
-    assert full.padded() is full.coeffs
-    assert ClassVector(reg, [1]).padded() == (1, 0, 0, 0)
+    assert ClassVector(reg, [1, 0, 2, 0]).coeffs == (1, 0, 2, 0)
+    for short in ([], [1], [1, 0, 2, 0, 0]):
+        with pytest.raises(InputError, match="registry of 4 simples"):
+            ClassVector(reg, short)
+    assert reg.zero().coeffs == (0, 0, 0, 0)
+    assert reg.basis_vector(1, 3).coeffs == (0, 3, 0, 0)
+    assert reg.basis_vector(0) + reg.basis_vector(3) == \
+        ClassVector(reg, [1, 0, 0, 1])
 
 
 @pytest.mark.parametrize("name", SHIPPED)

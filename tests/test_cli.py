@@ -629,3 +629,21 @@ def test_huge_characteristic_hits_the_table_limit_before_trial_division(
     assert main(["euler", write_scenario(tmp_path, doc)]) == 3
     assert "TABLE_LIMIT" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "euler", "check"])
+def test_non_associative_table_exits_2(tmp_path, capsys, command):
+    # Z/30 with the 2 x 2 latin subsquare at rows 1, 16 and columns 6, 21
+    # swapped: a loop with two-sided inverses in which 432 of the 27000
+    # triples are not associative
+    table = [[(a + b) % 30 for b in range(30)] for a in range(30)]
+    for r in (1, 16):
+        table[r][6], table[r][21] = table[r][21], table[r][6]
+    doc = {"field": {"p": 7, "n": 1}, "group": {"kind": "table",
+                                                "table": table},
+           "mode": "abstract", "genus_quotient": 1,
+           "orbits": [{"decomposition": [0], "inertia": [0],
+                       "coefficient": 2}]}
+    assert main([command, write_scenario(tmp_path, doc)]) == 2
+    assert "multiplication table is not associative" in \
+        capsys.readouterr().err

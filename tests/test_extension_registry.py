@@ -87,9 +87,9 @@ def test_extension_route_chops_no_regular_module(monkeypatch):
     dims = []
     real = reps.chop
 
-    def counted(M, registry, rng):
+    def counted(M, rng):
         dims.append(M.dim)
-        return real(M, registry, rng)
+        return real(M, rng)
 
     monkeypatch.setattr(reps, "chop", counted)
     ext = SimpleRegistry.over_extension(G, field_make(3, 2), base)

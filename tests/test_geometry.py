@@ -12,9 +12,10 @@ from equirr.geometry import (Divisor, P1Geometry, Place, abstract_datum,
                              fiber_character, places_up_to)
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
-from equirr.reps import SimpleRegistry, chop, rep_regular
+from equirr.reps import SimpleRegistry, rep_regular
 from equirr.scenarios import parse_scenario, realize
-from reptools import reference_place_images, reference_ramified_places
+from reptools import (chop_class, reference_place_images,
+                      reference_ramified_places)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -365,8 +366,8 @@ def test_rr_action_translation_unipotent():
     assert m.to_lists() == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
     reg = SimpleRegistry(G, F, rng())
     r = rng()
-    v = chop(rep, reg, r)
-    assert v == chop(rep_regular(G, F), reg, r)
+    v = chop_class(rep, reg, r)
+    assert v == chop_class(rep_regular(G, F), reg, r)
 
 
 def test_rr_action_rejects_non_equivariant():

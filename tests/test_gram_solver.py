@@ -13,16 +13,23 @@ import copy
 import functools
 import importlib.util
 import math
+import random
 import sys
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from equirr import cli
+from equirr.errors import Inconsistency
+from equirr.fields import field_make
+from equirr.groups import FiniteGroup
+from equirr.k0 import cartan_data
 from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
+from test_brauer import S3_TABLE
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -57,8 +64,9 @@ def built_registries():
     real = SimpleRegistry._saturate
 
     def recorded(self):
-        real(self)
+        table = real(self)
         out.append((f"{label} {self.group.order}/{self.field}", self))
+        return table
 
     SimpleRegistry._saturate = recorded
     try:
@@ -166,16 +174,39 @@ def test_solving_a_combination_of_simples_returns_it(data):
         B, pinv, pinv64, top, Lg = solver
         assert pinv64 is not None
         try:
-            assert reg._solve(vector, dim).padded() == tuple(x), label
+            assert reg._solve(vector, dim).coeffs == tuple(x), label
             reg.__dict__["_solver"] = (B, pinv, None, top, Lg)
-            assert reg._solve(vector, dim).padded() == tuple(x), label
+            assert reg._solve(vector, dim).coeffs == tuple(x), label
             K = 1 << 64
             del reg.__dict__["_solver"]
             reg.__dict__["gram"] = (*gram[:3], [[K * w for w in row]
                                                 for row in gram[3]],
                                     K * Lg, gram[5])
             assert reg._solver[2] is None, label  # past int64
-            assert reg._solve(vector, dim).padded() == tuple(x), label
+            assert reg._solve(vector, dim).coeffs == tuple(x), label
         finally:
             reg.__dict__["_solver"] = solver
             reg.__dict__["gram"] = gram
+
+
+def test_dependent_brauer_vectors_make_a_singular_gram(monkeypatch):
+    # S3 over GF(5) has the simples 1, sign and the 2-dimensional S; a
+    # table that files S under the sum of the other two vectors has
+    # dependent columns in B, and every solve refuses it
+    real = SimpleRegistry._saturate
+
+    def dependent(self):
+        (one, S1), (sign, S2), (_, S) = real(self).items()
+        total = tuple(tuple(a + b for a, b in zip(x, y))
+                      for x, y in zip(one, sign))
+        return {one: S1, sign: S2, total: S}
+
+    monkeypatch.setattr(SimpleRegistry, "_saturate", dependent)
+    G = FiniteGroup.from_table(S3_TABLE)
+    F = field_make(5, 1)
+    reg = SimpleRegistry(G, F, random.Random(0))
+    assert [S.dim for S in reg.simples] == [1, 1, 2]
+    for use in (lambda: reg.gram, reg.regular_class,
+                lambda: cartan_data(G, F, reg)):
+        with pytest.raises(Inconsistency, match="Gram matrix .* singular"):
+            use()

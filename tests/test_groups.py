@@ -182,3 +182,53 @@ def test_subgroup_closure_validation():
     transposition = next(i for i in range(6) if S3.element_order(i) == 2)
     with pytest.raises(InputError):
         Subgroup(S3, [transposition])
+
+
+# -- associativity of explicit tables ---------------------------------------
+
+
+def swapped_intercalate(n, a, b):
+    """Z/n (n even) with the 2 x 2 latin subsquare at rows a, a + n/2 and
+    columns b, b + n/2 swapped: still a latin square with identity 0."""
+    h = n // 2
+    table = cyclic_table(n)
+    for r in (a, a + h):
+        table[r][b], table[r][b + h] = table[r][b + h], table[r][b]
+    return table
+
+
+def non_associative_triples(table):
+    n = len(table)
+    return sum(table[table[x][y]][z] != table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def test_light_test_rejects_a_table_that_spot_checks_miss():
+    # 432 of the 27000 triples fail, few enough for sampling to miss
+    table = swapped_intercalate(30, 1, 6)
+    assert non_associative_triples(table) == 432
+    with pytest.raises(InputError, match=r"not associative: \(1 5\) 1 = 7 "
+                                         r"but 1 \(5 1\) = 22"):
+        FiniteGroup.from_table(table)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_light_test_agrees_with_every_triple(n):
+    # every intercalate swap away from the identity, against the full
+    # n^3 check: from_table raises exactly on the non-associative tables
+    # (for n = 4 the swap gives the Klein four-group)
+    h = n // 2
+    for a in range(1, h):
+        for b in range(1, h):
+            table = swapped_intercalate(n, a, b)
+            if non_associative_triples(table):
+                with pytest.raises(InputError):
+                    FiniteGroup.from_table(table)
+            else:
+                assert FiniteGroup.from_table(table).order == n
+
+
+def test_groups_pass_light_test():
+    for table in (s3_table(), cyclic_table(30), cyclic_table(1)):
+        assert non_associative_triples(table) == 0
+        assert FiniteGroup.from_table(table).order == len(table)

@@ -16,11 +16,11 @@ from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
                        cartan_data, cartesian_check, in_cartan_image,
                        is_projective_class, smith_normal_form)
 from equirr.matrices import Mat
-from equirr.reps import (ClassVector, Rep, SimpleRegistry, chop,
+from equirr.reps import (ClassVector, Rep, SimpleRegistry,
                          extend_scalars, hom_dim, rep_regular, rep_trivial,
                          snf_inverse)
 from equirr.scenarios import parse_scenario, realize
-from reptools import head_multiplicities, socle_dim
+from reptools import chop_class, head_multiplicities, socle_dim, total_dim
 
 
 def cyclic_table(n):
@@ -189,9 +189,9 @@ def test_in_cartan_image_examples():
     reg = SimpleRegistry(G, F, rng())
     cd = cartan_data(G, F, reg)
     r = rng()
-    regular_class = chop(rep_regular(G, F), reg, r)
+    regular_class = chop_class(rep_regular(G, F), reg, r)
     assert in_cartan_image(regular_class, cd)
-    triv_class = chop(rep_trivial(G, F), reg, r)
+    triv_class = chop_class(rep_trivial(G, F), reg, r)
     assert not in_cartan_image(triv_class, cd)
     assert in_cartan_image(triv_class.scale(3), cd)
     assert in_cartan_image(reg.zero(), cd)
@@ -203,10 +203,10 @@ def test_is_projective_class_examples():
     reg = SimpleRegistry(G, F, rng())
     cd = cartan_data(G, F, reg)
     r = rng()
-    regular_class = chop(rep_regular(G, F), reg, r)
+    regular_class = chop_class(rep_regular(G, F), reg, r)
     assert is_projective_class(regular_class, cd)
     assert not is_projective_class(regular_class.scale(-1), cd)
-    triv = chop(rep_trivial(G, F), reg, r)
+    triv = chop_class(rep_trivial(G, F), reg, r)
     assert is_projective_class(triv.scale(3), cd)
     assert not is_projective_class(triv, cd)
 
@@ -220,7 +220,7 @@ def test_head_reconstruction_of_projectives():
     cd = cartan_data(G, F, reg)
     r = rng()
     M = rep_regular(G, F)
-    target = chop(M, reg, r)
+    target = chop_class(M, reg, r)
     recon = reg.zero()
     for j, m in head_multiplicities(M, reg).items():
         recon = recon + cd.pim_classes[j].scale(m)
@@ -237,8 +237,8 @@ def test_extend_scalars_dim_and_trivial():
     triv = rep_trivial(G, F)
     ext_t = extend_scalars(triv, F9)
     reg9 = SimpleRegistry(G, F9, rng())
-    v = chop(ext_t, reg9, rng())
-    assert v.total_dim() == 1
+    v = chop_class(ext_t, reg9, rng())
+    assert total_dim(v) == 1
 
 
 def test_extend_scalars_splits_c4_simple():
@@ -250,15 +250,15 @@ def test_extend_scalars_splits_c4_simple():
     M = Rep(G, F, 2, {0: g_mat})
     M.check_homomorphism()
     reg = SimpleRegistry(G, F, rng())
-    v = chop(M, reg, rng())
-    assert v.total_dim() == 2 and sum(v.padded()) == 1  # simple over GF(3)
+    v = chop_class(M, reg, rng())
+    assert total_dim(v) == 2 and sum(v.coeffs) == 1  # simple over GF(3)
     F9 = field_make(3, 2)
     ext = extend_scalars(M, F9)
     reg9 = SimpleRegistry(G, F9, rng())
-    v9 = chop(ext, reg9, rng())
-    dims = sorted(S.dim for c, S in zip(v9.padded(), reg9.simples) if c)
+    v9 = chop_class(ext, reg9, rng())
+    dims = sorted(S.dim for c, S in zip(v9.coeffs, reg9.simples) if c)
     assert dims == [1, 1]
-    assert sorted(int(c) for c in v9.padded() if c) == [1, 1]
+    assert sorted(int(c) for c in v9.coeffs if c) == [1, 1]
     # independent oracle: the matrix has two distinct eigenvalues over GF(9)
     cp = g_mat.map_field(F9).charpoly()
     from equirr.fields import poly_roots
@@ -278,10 +278,10 @@ def test_cartesian_check_examples():
     r = rng()
     cd = cartan_data(G, F, reg)
     cd2 = cartan_data(G, F2, reg2)
-    regular_class = chop(rep_regular(G, F), reg, r)
+    regular_class = chop_class(rep_regular(G, F), reg, r)
     agree, base, ext = cartesian_check(regular_class, cd, cd2)
     assert agree and base and ext
-    triv = chop(rep_trivial(G, F), reg, r)
+    triv = chop_class(rep_trivial(G, F), reg, r)
     agree, base, ext = cartesian_check(triv, cd, cd2)
     assert agree and not base and not ext
 
@@ -321,9 +321,25 @@ def test_cartan_coordinates_unique():
     F = field_make(3, 1)
     reg = SimpleRegistry(G, F, rng())
     cd = cartan_data(G, F, reg)
-    v = chop(rep_regular(G, F), reg, rng())
+    v = chop_class(rep_regular(G, F), reg, rng())
     coords = cartan_coordinates(v, cd)
     assert coords == [1]
+
+
+def test_cartan_coordinates_refuse_a_class_over_another_registry():
+    # C4 over GF(5) and over GF(25) both have four simples: a class over
+    # the base registry has no coordinates over the extension's Cartan
+    # matrix, only its image under beta_vector does
+    G = FiniteGroup.from_table(cyclic_table(4))
+    F, F25 = field_make(5, 1), field_make(5, 2)
+    reg = SimpleRegistry(G, F, rng())
+    ext = SimpleRegistry.over_extension(G, F25, reg)
+    cd = cartan_data(G, F25, ext)
+    v = reg.class_of(rep_trivial(G, F))
+    assert len(reg) == len(ext) == 4
+    with pytest.raises(InputError, match="different registries"):
+        cartan_coordinates(v, cd)
+    assert in_cartan_image(beta_vector(v, ext), cd)
 
 
 def test_cartan_coordinates_solve_nonunimodular_cartan():
@@ -378,7 +394,7 @@ def test_cartan_coordinates_equal_a_fraction_solve_on_shipped_registries(
         vectors.append(vectors[-1].scale(Fraction(1, 3)))
         for v in vectors:
             x = cartan_coordinates(v, cd)
-            expected = gauss_jordan(cd.matrix, list(v.padded()))
+            expected = gauss_jordan(cd.matrix, list(v.coeffs))
             assert x == expected
             assert [type(c) is int for c in x] == [c.denominator == 1
                                                    for c in expected]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -8,17 +9,19 @@ from equirr import reps
 from equirr.errors import CapExceeded, Inconsistency
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup, Subgroup, sylow_p
+from equirr.k0 import cartan_data
 from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
-                         hom_dim, hom_space, is_projective,
-                         indecomposable_summands,
+                         find_submodule_or_simple, hom_dim, hom_space,
+                         indecomposable_summands, is_projective,
                          regular_endomorphisms, rep_direct_sum,
                          rep_dual, rep_induce, rep_regular,
                          rep_restrict, rep_tensor, rep_trivial,
                          spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
-from reptools import (head_multiplicities, is_isomorphic,
-                      projective_cover_over_inertia, split_by_completed_basis)
+from reptools import (chop_class, head_multiplicities, is_isomorphic,
+                      projective_cover_over_inertia, split_by_completed_basis,
+                      total_dim)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -57,17 +60,17 @@ def test_regular_trivial_group():
     M = rep_regular(G, F)
     assert M.dim == 1
     reg = SimpleRegistry(G, F, rng())
-    v = chop(M, reg, rng())
-    assert v.total_dim() == 1 and len(reg) == 1
+    v = chop_class(M, reg, rng())
+    assert total_dim(v) == 1 and len(reg) == 1
 
 
 def test_regular_c2_gf3_semisimple():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(3, 1)
     reg = SimpleRegistry(G, F, rng())
-    v = chop(rep_regular(G, F), reg, rng())
+    v = chop_class(rep_regular(G, F), reg, rng())
     assert len(reg) == 2  # trivial and sign
-    assert sorted(int(c) for c in v.padded()) == [1, 1]
+    assert sorted(int(c) for c in v.coeffs) == [1, 1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -75,9 +78,9 @@ def test_regular_cp_gfp_local(p):
     G = FiniteGroup.from_table(cyclic_table(p))
     F = field_make(p, 1)
     reg = SimpleRegistry(G, F, rng())
-    v = chop(rep_regular(G, F), reg, rng())
+    v = chop_class(rep_regular(G, F), reg, rng())
     assert len(reg) == 1
-    assert v.padded() == (p,)
+    assert v.coeffs == (p,)
     assert reg.simples[0].dim == 1
 
 
@@ -89,12 +92,12 @@ def test_chop_s3_gf5_multiplicities():
     F = field_make(5, 1)
     reg = SimpleRegistry(G, F, rng())
     M = rep_regular(G, F)
-    v = chop(M, reg, rng())
+    v = chop_class(M, reg, rng())
     dims = sorted(S.dim for S in reg.simples)
     assert dims == [1, 1, 2]
     for i, S in enumerate(reg.simples):
-        assert v.coeff(i) == hom_dim(M, S) // hom_dim(S, S)
-        assert int(v.coeff(i)) == S.dim  # semisimple group algebra
+        assert v.coeffs[i] == hom_dim(M, S) // hom_dim(S, S)
+        assert int(v.coeffs[i]) == S.dim  # semisimple group algebra
 
 
 # -- induction / restriction ---------------------------------------------------
@@ -142,14 +145,14 @@ def test_tensor_dual_contains_trivial():
     F = field_make(5, 1)
     reg = SimpleRegistry(G, F, rng())
     r = rng()
-    chop(rep_regular(G, F), reg, r)
+    chop_class(rep_regular(G, F), reg, r)
     V = next(S for S in reg.simples if S.dim == 2)
     W = rep_tensor(V, rep_dual(V))
-    v = chop(W, reg, r)
+    v = chop_class(W, reg, r)
     triv_idx = next(i for i, S in enumerate(reg.simples)
                     if S.dim == 1 and all(S.image(g) == Mat.identity(F, 1)
                                           for g in range(G.order)))
-    assert v.coeff(triv_idx) >= 1
+    assert v.coeffs[triv_idx] >= 1
 
 
 def test_direct_sum_chop_additive():
@@ -158,9 +161,10 @@ def test_direct_sum_chop_additive():
     reg = SimpleRegistry(G, F, rng())
     r = rng()
     M = rep_regular(G, F)
-    both = rep_direct_sum(M, rep_trivial(G, F))
-    assert chop(both, reg, r) == chop(M, reg, r) + chop(rep_trivial(G, F),
-                                                        reg, r)
+    triv = rep_trivial(G, F)
+    both = rep_direct_sum(M, triv)
+    assert chop_class(both, reg, r) == (chop_class(M, reg, r)
+                                        + chop_class(triv, reg, r))
 
 
 # -- hom spaces -----------------------------------------------------------------
@@ -170,7 +174,7 @@ def test_hom_schur_absolutely_simple():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
     reg = SimpleRegistry(G, F, rng())
-    chop(rep_regular(G, F), reg, rng())
+    chop_class(rep_regular(G, F), reg, rng())
     for S in reg.simples:
         assert hom_dim(S, S) == 1  # all simples of S3 absolutely simple
 
@@ -206,7 +210,7 @@ def test_hom_regular_to_simple():
     F = field_make(5, 1)
     reg = SimpleRegistry(G, F, rng())
     M = rep_regular(G, F)
-    chop(M, reg, rng())
+    chop_class(M, reg, rng())
     for S in reg.simples:
         assert hom_dim(M, S) == S.dim  # free module maps
 
@@ -231,7 +235,7 @@ def saturated_regular(G, F, r):
     """The regular module and a registry saturated by chopping it."""
     reg = SimpleRegistry(G, F, rng())
     M = rep_regular(G, F)
-    chop(M, reg, r)
+    chop_class(M, reg, r)
     return M, reg
 
 
@@ -284,7 +288,41 @@ def test_registry_brauer_key_orders_nonisomorphic_simples(table, p):
         Pinv = P.inv()
         conj = Rep(G, F, S.dim, {t: Pinv @ X @ P
                                  for t, X in enumerate(S.generator_images())})
-        assert reg.find_or_add(conj) == i
+        assert reg.class_of(conj) == reg.basis_vector(i)
+
+
+def test_chop_returns_certified_composition_factors():
+    # k[S3] over GF(5) is semisimple: trivial, sign and twice the
+    # 2-dimensional simple, each factor decided simple by the MeatAxe
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(5, 1)
+    factors = chop(rep_regular(G, F), rng())
+    assert sorted(S.dim for S in factors) == [1, 1, 2, 2]
+    assert all(S.group is G and S.field is F for S in factors)
+    assert all(find_submodule_or_simple(S, rng()) == "simple"
+               for S in factors)
+    reg = SimpleRegistry(G, F, rng())
+    assert sorted(reg.vectors) == sorted({reg.brauer.vector(S)
+                                          for S in factors})
+
+
+def test_registry_state_after_init_is_cached_properties_only():
+    # a registry assigns nothing after __init__ but its cached properties
+    G = FiniteGroup.from_table(s3_table())
+    F = field_make(3, 1)
+    reg = SimpleRegistry(G, F, rng())
+    at_init = set(vars(reg))
+    reg.regular_class()
+    reg.class_of(rep_regular(G, F))
+    cartan_data(G, F, reg)
+    over = SimpleRegistry.over_extension(G, field_make(3, 2), reg)
+    assert set(vars(over)) == at_init
+    over.regular_class()
+    cached = {name for name, value in vars(SimpleRegistry).items()
+              if isinstance(value, functools.cached_property)}
+    for registry in (reg, over):
+        assert set(vars(registry)) - at_init <= cached
+        assert "_table" in vars(registry)
 
 
 def test_failed_saturation_leaves_the_registry_unsaturated(monkeypatch):
@@ -314,7 +352,7 @@ def test_failed_saturation_leaves_the_registry_unsaturated(monkeypatch):
     assert reg.vectors == fresh.vectors
     for S, T in zip(reg.simples, fresh.simples):
         assert S.dim == T.dim and is_isomorphic(S, T)
-    assert reg.regular_class().padded() == fresh.regular_class().padded()
+    assert reg.regular_class().coeffs == fresh.regular_class().coeffs
 
 
 @pytest.mark.parametrize("table,p,n", [
@@ -502,7 +540,7 @@ def test_head_multiplicity_of_cover_is_one():
     cov = projective_cover_over_inertia(G, P1, rep_trivial(G, F))
     assert cov.dim == 3
     reg = SimpleRegistry(G, F, rng())
-    chop(rep_regular(G, F), reg, rng())
+    chop_class(rep_regular(G, F), reg, rng())
     triv = reg.simples[0]
     assert head_multiplicities(cov, reg)[0] == 1
 
@@ -526,7 +564,7 @@ def test_cover_dimension_scaling():
     assert cov.dim == P1.order * M.dim
     # head of the cover matches the module on simples with trivial P1 action
     reg = SimpleRegistry(G, F, rng())
-    chop(rep_regular(G, F), reg, rng())
+    chop_class(rep_regular(G, F), reg, rng())
     for S in reg.simples:
         if all(S.image(g) == Mat.identity(F, S.dim) for g in P1.indices):
             assert hom_dim(cov, S) == hom_dim(M, S)
@@ -592,4 +630,5 @@ def test_chop_additivity_random_pairs():
     for _ in range(20):
         a, b = r.choice(pool), r.choice(pool)
         s = rep_direct_sum(a, b)
-        assert chop(s, reg, r) == chop(a, reg, r) + chop(b, reg, r)
+        assert chop_class(s, reg, r) == (chop_class(a, reg, r)
+                                         + chop_class(b, reg, r))

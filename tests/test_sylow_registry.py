@@ -4,10 +4,11 @@ in closed form.
 SimpleRegistry saturates by chopping Ind_P^G(k) for a Sylow p-subgroup P,
 of dimension |G:P|: k[G] = Ind_P^G k[P] has a filtration with |P| factors
 Ind_P^G(k), so every simple module is a factor of it.  The tests' k[G]
-(rep_regular) is the reference: chopping it over a saturated registry must
-hit every simple, and find_or_add raises on one that is missing.  The
-class of k[G] comes from BrauerCharacters.regular_vector, with no matrix
-of dimension |G|, and must equal the class read off k[G]'s matrices."""
+(rep_regular) is the reference: counting its composition factors over a
+saturated registry must hit every simple, and a factor that is no simple
+of the registry raises.  The class of k[G] comes from
+BrauerCharacters.regular_vector, with no matrix of dimension |G|, and must
+equal the class read off k[G]'s matrices."""
 
 import random
 
@@ -18,9 +19,11 @@ from equirr import reps
 from equirr.fields import field_make
 from equirr.k0 import cartan_data
 from equirr.matrices import Mat
-from equirr.reps import SimpleRegistry, chop, rep_regular
+from equirr.reps import SimpleRegistry, rep_regular
 from equirr.scenarios import parse_scenario, realize
+from reptools import chop_class, total_dim
 from test_cartan import TABLES, cyclic, pgl2_gf3, translations_gf9
+from test_induced_classes import load_perfbench
 from test_extension_registry import (SCENARIO_DIR, SHIPPED, SMALL_GROUPS,
                                      dihedral)
 
@@ -48,9 +51,9 @@ def small_group(kind, n):
 def assert_regular_module_hits_every_simple(G, F, seed=0):
     reg = SimpleRegistry(G, F, random.Random(seed))
     reg.simples
-    v = chop(rep_regular(G, F), reg, random.Random(seed + 1))
-    assert len(v.padded()) == len(reg)
-    assert all(c > 0 for c in v.padded())
+    v = chop_class(rep_regular(G, F), reg, random.Random(seed + 1))
+    assert len(v.coeffs) == len(reg)
+    assert all(c > 0 for c in v.coeffs)
     return reg, v
 
 
@@ -59,7 +62,7 @@ def assert_closed_form(G, F, seed=0):
     R = rep_regular(G, F)
     assert reg.brauer.regular_vector() == reg.brauer.vector(R)
     assert reg.regular_class() == reg.class_of(R)
-    assert reg.regular_class().total_dim() == G.order
+    assert total_dim(reg.regular_class()) == G.order
 
 
 # -- completeness of the Sylow route ----------------------------------------
@@ -95,9 +98,9 @@ def saturation_chop_dims(monkeypatch, G, F):
     dims = []
     real = reps.chop
 
-    def counted(M, registry, rng):
+    def counted(M, rng):
         dims.append(M.dim)
-        return real(M, registry, rng)
+        return real(M, rng)
 
     monkeypatch.setattr(reps, "chop", counted)
     SimpleRegistry(G, F, random.Random(0)).simples
@@ -137,6 +140,30 @@ def test_no_regular_size_matrix_in_saturation_or_cartan_data(monkeypatch):
     reg.regular_class()
     assert cd.size == len(reg) == 4
     assert sides and max(sides) < G.order
+
+
+def test_the_tracer_sees_one_saturation_chop_and_one_gram_solve():
+    # the benchmark tracer wraps the module-level reps.chop, which the
+    # saturation calls once on Ind_P^G(k) of dim |G:P| = 8, and counts the
+    # registry's one Smith normal form under k0's import of it
+    tracing = load_perfbench("tracing")
+    G, F = pgl2_gf3(), field_make(3, 1)
+    assert G.order // p_part(G.order, 3) == 8
+    reg = SimpleRegistry(G, F, random.Random(0))
+    tracer = tracing.Tracer()
+    tracer.begin_pair("PGL2-GF3", 0, F.n)
+    tracer.install()
+    try:
+        reg.regular_class()
+    finally:
+        tracer.restore()
+    chops = [span for span in tracer.spans if span[0] == "reps.chop"]
+    assert [(span[6], span[7]) for span in chops] == [(True, 8)]
+    metrics = tracer.metrics(0)
+    assert metrics["reps.chop.calls"] == 1
+    assert metrics["reps.chop.dim_sum"] == 8
+    assert metrics["k0.smith_normal_form.calls"] == 1
+    assert len(reg) == 4
 
 
 # -- k[G]'s Brauer vector and class in closed form -----------------------------
