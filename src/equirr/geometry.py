@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import Inconsistency, InputError
+from .errors import CapExceeded, Inconsistency, InputError
 from .fields import (Field, Poly, field_make, poly_factor,
                      poly_is_irreducible, poly_roots)
 from .groups import FiniteGroup, Subgroup, _p_part
@@ -25,6 +25,13 @@ from .matrices import Mat
 from .reps import Rep, subgroup_to_parent
 
 INF_POINT = "inf"  # geometric point at infinity (encodings are ints)
+# Largest dim L(D) the oracle builds.  On a 2-vCPU desk machine, the order-3
+# translations over GF(3) with D = (c-1) inf (dim L(D) = c) take, for
+# `euler` and `check`: c = 400, 0.5 s and 1.0 s; c = 512, 1.1 s and 2.0 s;
+# c = 801, 2.5 s for `euler`.  The cost grows as c^3 and beyond (c = 1501
+# took over a minute), and each int64 matrix takes 8 c^2 bytes.  The
+# largest L(D) of a shipped scenario, workload or test has dim 121.
+RR_DIM_CAP = 512
 
 
 class Place:
@@ -678,6 +685,9 @@ class P1Geometry:
         if dim < 0:
             raise InputError("divisor degree below -1 leaves the oracle "
                              "regime (H^1 is nonzero)")
+        if dim > RR_DIM_CAP:
+            raise CapExceeded(f"dim L(D) = {dim} exceeds RR_DIM_CAP = "
+                              f"{RR_DIM_CAP}")
         k = self.k
         if dim:
             num, den = self._rr_generator(D)

@@ -125,13 +125,15 @@ class Mat:
     def pow_(self, e: int) -> "Mat":
         if self.rows != self.cols:
             raise InputError("matrix power needs a square matrix")
-        result = Mat.identity(self.field, self.rows)
-        base = self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             e >>= 1
+            if e:
+                base = base @ base
+        if result is None:
+            return Mat.identity(self.field, self.rows)
         return result
 
     # -- elimination --------------------------------------------------------
@@ -266,54 +268,4 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field})"
-
-
-class EchelonBasis:
-    """Incrementally echelonized row collection used by spinning loops.
-
-    add() reduces the vector against the stored rows; if a nonzero residue
-    remains it is normalized, inserted, and True is returned.
-    """
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.rows: list[np.ndarray] = []
-        self.pivot_cols: list[int] = []
-
-    def __len__(self):
-        return len(self.rows)
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        F = self.field
-        v = np.array(vec, dtype=np.int64)
-        for row, pc in zip(self.rows, self.pivot_cols):
-            coef = int(v[pc])
-            if coef:
-                v = F.sub_array(v, F.mul_array(row, coef))
-        return v
-
-    def add(self, vec: np.ndarray) -> bool:
-        F = self.field
-        v = self.reduce(vec)
-        nz = v.nonzero()[0]
-        if nz.size == 0:
-            return False
-        pc = int(nz[0])
-        lead = int(v[pc])
-        if lead != 1:
-            v = F.mul_array(v, F.inv(lead))
-        # back-reduce existing rows to keep reduction canonical
-        for i, row in enumerate(self.rows):
-            coef = int(row[pc])
-            if coef:
-                self.rows[i] = F.sub_array(row, F.mul_array(v, coef))
-        self.rows.append(v)
-        self.pivot_cols.append(pc)
-        return True
-
-    def as_matrix(self) -> Mat:
-        if not self.rows:
-            return Mat.zeros(self.field, 0, self.width)
-        return Mat(self.field, np.stack(self.rows))
 

@@ -9,7 +9,8 @@ returns a module's composition factors by a Norton/Parker style MeatAxe
 (random algebra elements, kernel vectors of the irreducible factors of
 their characteristic polynomials, found lazily and shared by the pieces
 of a split, submodule spinning, recursion on sub and quotient, split in
-the submodule's echelon basis), each certified simple.  A registry is
+the submodule's echelon basis), each certified simple.  Spinning works on
+whole blocks with Mat.rref as its only elimination.  A registry is
 one table {Brauer vector: simple}, built by one saturation from the
 factors of its chop and fixed after that.  Each registry keeps the Gram
 matrix of its simples' Brauer characters and the one exact inverse that
@@ -39,7 +40,7 @@ from .fields import (TABLE_LIMIT, FactorStream, Field, Poly, field_make,
                      galois_pairing, poly_factor, totient_mobius)
 from .groups import (FiniteGroup, Subgroup, conjugacy_classes, coset_lookup,
                      sylow_p)
-from .matrices import EchelonBasis, Mat
+from .matrices import Mat
 
 # Algebra elements the MeatAxe tries on one module before it gives up: a
 # round is one element theta, with the irreducible factors of its
@@ -88,20 +89,38 @@ class Rep:
 
     def image(self, i: int) -> Mat:
         if i not in self._images:
-            m = Mat.identity(self.field, self.dim)
-            for t in self.group.words[i]:
+            first, *rest = self.group.words[i]
+            m = self._gen[first]
+            for t in rest:
                 m = m @ self._gen[t]
             self._images[i] = m
         return self._images[i]
 
     def check_homomorphism(self):
-        """Verify image(a)image(b) = image(ab) on all generator pairs."""
+        """Verify image(a)image(b) = image(ab) on generator pairs, and
+        A^ord(g) = I for each generator g with image A.
+
+        image(ab) is rebuilt from the generator word of ab, so a pair
+        tests a relation only where that word is not a b; those pairs are
+        skipped.  The power check tests each generator's order relation, at
+        O(log |G|) products each.  For one generator (a cyclic group) this
+        certifies a homomorphism.  For more the checks are necessary, not
+        sufficient: a relation of the group that neither tests can fail
+        unseen."""
         G = self.group
-        for a in G.generators:
-            for b in G.generators:
-                if self.image(a) @ self.image(b) != self.image(G.table[a][b]):
+        for ta, a in enumerate(G.generators):
+            for tb, b in enumerate(G.generators):
+                ab = G.table[a][b]
+                if G.words[ab] == (ta, tb):
+                    continue  # image(ab) is rebuilt as this very product
+                if self.image(a) @ self.image(b) != self.image(ab):
                     raise Inconsistency("generator images are not a "
                                         "homomorphism")
+        eye = Mat.identity(self.field, self.dim)
+        for t, g in enumerate(G.generators):
+            if self._gen[t].pow_(G.element_order(g)) != eye:
+                raise Inconsistency(f"generator {t} image does not have "
+                                    f"order dividing {G.element_order(g)}")
 
     def __repr__(self):
         return (f"Rep(dim {self.dim} of order-{self.group.order} group "
@@ -283,23 +302,31 @@ def _spin(field: Field, dim: int, seeds,
           gen_mats) -> tuple[np.ndarray, list[int]]:
     """Smallest invariant subspace containing the seed column vectors, as
     its (dim x r) reduced column echelon form E and its pivot rows piv
-    (E[piv] is the identity).  The rows of the EchelonBasis are fully
-    reduced, so sorting them by pivot gives that form with no elimination."""
-    eb = EchelonBasis(field, dim)
-    queue = []
-    for v in seeds:
-        if eb.add(v):
-            queue.append(eb.rows[-1].copy())
-    while queue:
-        v = queue.pop()
-        col = Mat(field, v[:, None])
-        for A in gen_mats:
-            w = (A @ col).a[:, 0]
-            if eb.add(w):
-                queue.append(eb.rows[-1].copy())
-    order = sorted(range(len(eb)), key=eb.pivot_cols.__getitem__)
-    return (np.ascontiguousarray(eb.as_matrix().a[order].T),
-            [eb.pivot_cols[i] for i in order])
+    (E[piv] is the identity).
+
+    Spins whole blocks, with Mat.rref as the only elimination: the basis is
+    kept as fully reduced rows, so the rows the last step added, times
+    every generator at once, reduce against it with one product by their
+    pivot columns.  One rref of what is left gives the next new rows, and
+    the basis is back-reduced against them; the spin stops when no row is
+    new.  The form is unique for the subspace, however it was reached."""
+    F = field
+    R, piv = Mat(F, np.array(seeds, dtype=np.int64).reshape(
+        len(seeds), dim)).rref()
+    basis = new = R.a[:len(piv)]
+    gen_t = [A.a.T for A in gen_mats]
+    while len(new) and gen_t:
+        batch = np.concatenate([F.matmul_array(new, At) for At in gen_t])
+        batch = F.sub_array(batch, F.matmul_array(batch[:, piv], basis))
+        if not batch.any():
+            break
+        R, fresh = Mat(F, batch).rref()
+        new = R.a[:len(fresh)]
+        basis = np.concatenate([F.sub_array(
+            basis, F.matmul_array(basis[:, fresh], new)), new])
+        piv = piv + fresh
+    order = np.argsort(piv)
+    return np.ascontiguousarray(basis[order].T), [piv[i] for i in order]
 
 
 def spin_columns(field: Field, dim: int, seeds, gen_mats) -> Mat:

@@ -8,8 +8,10 @@ on its own, the cocycle value of a decomposition element by division at
 a root, the image of a place by moving one of its roots as a point, the
 ramified places by solving the fixed-point form of every element, the
 projective cover over an inertia group as a module, induced from a
-Schur-Zassenhaus complement, and the split of a module on a submodule
-through a completed basis and its inverse."""
+Schur-Zassenhaus complement, the split of a module on a submodule
+through a completed basis and its inverse, and spinning one vector at a
+time through an incrementally echelonized row basis (EchelonBasis), the
+reference for the block spin of reps._spin."""
 
 import math
 import random
@@ -21,7 +23,7 @@ from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
                            prime_factors)
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup, Subgroup, _p_part
-from equirr.matrices import EchelonBasis, Mat
+from equirr.matrices import Mat
 from equirr.reps import (ClassVector, Rep, SimpleRegistry, chop, hom_dim,
                          hom_space, indecomposable_summands, is_projective,
                          regular_endomorphisms, rep_induce, rep_regular,
@@ -370,3 +372,76 @@ def split_by_completed_basis(M: Rep, W: Mat) -> tuple[Rep, Rep]:
                      {t: C.submatrix(range(lo, hi), range(lo, hi))
                       for t, C in enumerate(images)})
                  for lo, hi in ((0, r), (r, d)))
+
+
+class EchelonBasis:
+    """Incrementally echelonized row collection used by spinning loops.
+
+    add() reduces the vector against the stored rows; if a nonzero residue
+    remains it is normalized, inserted, and True is returned.
+    """
+
+    def __init__(self, field: Field, width: int):
+        self.field = field
+        self.width = width
+        self.rows: list[np.ndarray] = []
+        self.pivot_cols: list[int] = []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec: np.ndarray) -> np.ndarray:
+        F = self.field
+        v = np.array(vec, dtype=np.int64)
+        for row, pc in zip(self.rows, self.pivot_cols):
+            coef = int(v[pc])
+            if coef:
+                v = F.sub_array(v, F.mul_array(row, coef))
+        return v
+
+    def add(self, vec: np.ndarray) -> bool:
+        F = self.field
+        v = self.reduce(vec)
+        nz = v.nonzero()[0]
+        if nz.size == 0:
+            return False
+        pc = int(nz[0])
+        lead = int(v[pc])
+        if lead != 1:
+            v = F.mul_array(v, F.inv(lead))
+        # back-reduce existing rows to keep reduction canonical
+        for i, row in enumerate(self.rows):
+            coef = int(row[pc])
+            if coef:
+                self.rows[i] = F.sub_array(row, F.mul_array(v, coef))
+        self.rows.append(v)
+        self.pivot_cols.append(pc)
+        return True
+
+    def as_matrix(self) -> Mat:
+        if not self.rows:
+            return Mat.zeros(self.field, 0, self.width)
+        return Mat(self.field, np.stack(self.rows))
+
+
+def reference_spin(field: Field, dim: int, seeds,
+                   gen_mats) -> tuple[np.ndarray, list[int]]:
+    """reps._spin one vector at a time: pop a basis row, add its image
+    under each generator to the EchelonBasis, queue what is new.  The rows
+    are fully reduced, so sorting them by pivot gives the reduced column
+    echelon form E and its pivot rows with no elimination."""
+    eb = EchelonBasis(field, dim)
+    queue = []
+    for v in seeds:
+        if eb.add(v):
+            queue.append(eb.rows[-1].copy())
+    while queue:
+        v = queue.pop()
+        col = Mat(field, v[:, None])
+        for A in gen_mats:
+            w = (A @ col).a[:, 0]
+            if eb.add(w):
+                queue.append(eb.rows[-1].copy())
+    order = sorted(range(len(eb)), key=eb.pivot_cols.__getitem__)
+    return (np.ascontiguousarray(eb.as_matrix().a[order].T),
+            [eb.pivot_cols[i] for i in order])

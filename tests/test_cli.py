@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from equirr import cli, engine, fields, reps, scenarios
+from equirr import cli, engine, fields, geometry, reps, scenarios
 from equirr.cli import main
 from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.geometry import P1Geometry
@@ -490,6 +491,35 @@ def test_suite_reports_hom_cell_cap_and_goes_on(capsys, monkeypatch):
         assert out.count(name) == 3
         assert f"{name} check: CAP (" in out
     assert out.count(": CAP (") == out.count("HOM_CELL_CAP = 0)") >= 2
+
+
+def _a1_with_large_divisor(tmp_path, coefficient=3000):
+    doc = json.loads((SCENARIO_DIR / "a1_translations_gf3.json").read_text())
+    doc["divisors"][2] = [["inf", coefficient]]
+    return write_scenario(tmp_path, doc)
+
+
+@pytest.mark.parametrize("command", ["euler", "check"])
+def test_large_divisor_exits_3_naming_the_rr_dim_cap(tmp_path, capsys,
+                                                     command):
+    # dim L(D) = 3001 is refused before its generator is built, so the
+    # command ends at once instead of running for minutes
+    path = _a1_with_large_divisor(tmp_path)
+    start = time.perf_counter()
+    assert main([command, path]) == 3
+    assert time.perf_counter() - start < 1
+    assert (f"dim L(D) = 3001 exceeds RR_DIM_CAP = {geometry.RR_DIM_CAP}"
+            in capsys.readouterr().err)
+
+
+def test_suite_reports_the_rr_dim_cap_and_analyze_still_passes(tmp_path,
+                                                               capsys):
+    path = _a1_with_large_divisor(tmp_path)
+    assert main(["suite", path]) == 3
+    out = capsys.readouterr().out
+    assert "scenario.json analyze: pass" in out
+    for command in ("euler", "check"):
+        assert f"scenario.json {command}: CAP (dim L(D) = 3001" in out
 
 
 def test_find_s3_matches_shipped_scenario():

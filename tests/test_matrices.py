@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equirr.fields import Poly, embed, field_make
-from equirr.matrices import EchelonBasis, Mat
+from equirr.matrices import Mat
+
+from reptools import EchelonBasis
 
 
 def random_matrix(F, rows, cols, rng):
@@ -263,6 +265,15 @@ def test_kron_dimensions_and_values():
     assert k.get(0, 0) == F.mul(a.get(0, 0), b.get(0, 0))
     assert k.get(3, 3) == F.mul(a.get(1, 1), b.get(1, 1))
     assert k.get(1, 2) == F.mul(a.get(0, 1), b.get(1, 0))
+
+
+def test_pow_equals_repeated_products():
+    for F in (field_make(5, 1), field_make(2, 3)):
+        a = random_matrix(F, 4, 4, random.Random(F.q))
+        acc = Mat.identity(F, 4)
+        for e in range(10):
+            assert a.pow_(e) == acc
+            acc = acc @ a
 
 
 def test_echelon_basis_spin_behaviour():

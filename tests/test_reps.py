@@ -3,7 +3,9 @@ import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from equirr import reps
 from equirr.errors import CapExceeded, Inconsistency
@@ -20,8 +22,8 @@ from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
 from reptools import (chop_class, head_multiplicities, is_isomorphic,
-                      projective_cover_over_inertia, split_by_completed_basis,
-                      total_dim)
+                      projective_cover_over_inertia, reference_spin,
+                      split_by_completed_basis, total_dim)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -52,6 +54,16 @@ def rng():
 
 
 # -- regular representation ---------------------------------------------------
+
+
+def test_check_homomorphism_tests_each_generator_order():
+    # one generator: every pair check rebuilds g g from the word g g, so
+    # only A^3 = I tells [[2]] (order 3 mod 7) from [[3]] (order 6)
+    G = FiniteGroup.from_table(cyclic_table(3))
+    F = field_make(7, 1)
+    Rep(G, F, 1, {0: Mat.from_rows(F, [[2]])}).check_homomorphism()
+    with pytest.raises(Inconsistency, match="order dividing 3"):
+        Rep(G, F, 1, {0: Mat.from_rows(F, [[3]])}).check_homomorphism()
 
 
 def test_regular_trivial_group():
@@ -466,6 +478,55 @@ def test_echelon_split_rejects_a_space_that_is_not_invariant():
     M = rep_regular(G, F)
     with pytest.raises(Inconsistency, match="not invariant"):
         split_on_submodule(M, Mat.column(F, [1] + [0] * 5))
+
+
+SPIN_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (2, 3), (3, 2), (7, 2)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from(SPIN_FIELDS), dim=st.integers(1, 16),
+       ngens=st.integers(0, 2), nseeds=st.integers(0, 3),
+       block=st.integers(0, 16), zero_seed=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(field=(2, 1), dim=1, ngens=1, nseeds=1, block=0, zero_seed=False,
+         seed=0)
+@example(field=(3, 2), dim=5, ngens=0, nseeds=2, block=0, zero_seed=False,
+         seed=1)
+@example(field=(13, 1), dim=6, ngens=2, nseeds=0, block=0, zero_seed=True,
+         seed=2)
+@example(field=(5, 1), dim=6, ngens=1, nseeds=1, block=0, zero_seed=False,
+         seed=2)
+def test_block_spin_equals_the_one_vector_reference(field, dim, ngens, nseeds,
+                                                    block, zero_seed, seed):
+    # the generators fix the span of the first `block` coordinates of a
+    # random permutation, and the seeds mostly lie in it, so proper
+    # invariant subspaces with scattered pivot rows are common
+    F = field_make(*field)
+    r = random.Random(seed)
+    block = min(block, dim)
+    perm = list(range(dim))
+    r.shuffle(perm)
+    gens = []
+    for _ in range(ngens):
+        a = np.array([[F.rand_elem(r) for _ in range(dim)]
+                      for _ in range(dim)], dtype=np.int64)
+        a[block:, :block] = 0
+        gens.append(Mat(F, np.ascontiguousarray(a[np.ix_(perm, perm)])))
+    seeds = []
+    for _ in range(nseeds):
+        v = np.array([F.rand_elem(r) for _ in range(dim)], dtype=np.int64)
+        if block and r.random() < 0.7:
+            v[block:] = 0
+        seeds.append(v[perm])
+    if zero_seed:
+        seeds.append(np.zeros(dim, dtype=np.int64))
+    E, piv = reps._spin(F, dim, seeds, gens)
+    E_ref, piv_ref = reference_spin(F, dim, seeds, gens)
+    assert piv == piv_ref
+    assert np.array_equal(E, E_ref)
+    # the span is invariant, so spinning its own columns returns it
+    E_again, piv_again = reps._spin(F, dim, list(E.T), gens)
+    assert piv_again == piv and np.array_equal(E_again, E)
 
 
 def test_regular_endomorphisms_respect_hom_cell_cap(monkeypatch):
