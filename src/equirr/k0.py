@@ -53,9 +53,12 @@ class CartanData:
 def cartan_data(G: FiniteGroup, field: Field,
                 registry: SimpleRegistry) -> CartanData:
     """The Cartan matrix C = M^-1 diag(e), read off the Brauer characters
-    of the simples: no module is split and nothing is drawn at random.
+    of the simples: no module is split, no Hom system is solved and
+    nothing is drawn at random.
 
-    Here e_i = dim End(S_i) and M_il = <phi_i, phi_l> = (1/|G|) sum over
+    Here e_i = dim End(S_i), which the registry reads off the Norton
+    kernel that certified S_i simple in its chop (SimpleRegistry.end_dim),
+    and M_il = <phi_i, phi_l> = (1/|G|) sum over
     the p-regular g of phi_i(g) phi_l(g^-1), for the Brauer characters
     phi_i of the simples.  The characters Phi_j of the projective
     indecomposables satisfy <Phi_j, phi_i> = e_i delta_ij: over a

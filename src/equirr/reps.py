@@ -9,18 +9,18 @@ returns a module's composition factors by a Norton/Parker style MeatAxe
 (random algebra elements, kernel vectors of the irreducible factors of
 their characteristic polynomials, found lazily and shared by the pieces
 of a split, submodule spinning, recursion on sub and quotient, split in
-the submodule's echelon basis), each certified simple.  Spinning works on
-whole blocks with Mat.rref as its only elimination.  A registry is
-one table {Brauer vector: simple}, built by one saturation from the
-factors of its chop and fixed after that.  Each registry keeps the Gram
+the submodule's echelon basis), each certified simple by a Norton kernel
+that also gives dim End(S) (end_dim_from_kernel).  Spinning works on
+whole blocks with Mat.rref as its only elimination.  A registry is one
+table {Brauer vector: (simple, Norton kernel)}, built by one saturation
+from its chop and fixed after that.  Each registry keeps the Gram
 matrix of its simples' Brauer characters and the one exact inverse that
 snf_inverse gives from its Smith normal form: each class solve is one
 matrix-vector product with the left inverse read off it, and
-k0.cartan_data reads the Cartan matrix off the same inverse.
-Direct-sum splitting (primary decomposition along random endomorphisms,
-each unsplit piece certified by its simple head) is kept separate; the
-engine reads the Cartan matrix off Brauer characters instead, and the
-tests use the split as an independent cross-check of it.
+k0.cartan_data reads the Cartan matrix off the same inverse.  Hom
+spaces (Kronecker systems) and direct-sum splitting (along random
+endomorphisms) are kept apart: no command calls them, and the tests
+cross-check dim End(S) and the Cartan matrix with them.
 
 All randomized routines draw from an explicit random.Random so a run is
 reproducible from its seed.
@@ -52,9 +52,8 @@ MEATAXE_ROUNDS = 80
 SPLIT_ROUNDS = 60
 SUMMAND_DIM_CAP = 400
 # Largest Hom system hom_space builds, in int64 cells (256 MiB per copy;
-# elimination holds a few copies).  The engine solves Hom systems only for
-# dim End(S) of simple modules; on the seed-0 benchmark workloads the
-# largest has 162 cells (big-group), 32 (golden-suite) and 1 (big-divisor).
+# elimination holds a few copies).  No command solves a Hom system: the
+# summand split and the tests' references do.
 HOM_CELL_CAP = 1 << 25
 
 
@@ -134,17 +133,6 @@ def rep_trivial(G: FiniteGroup, field: Field, dim: int = 1) -> Rep:
     return Rep(G, field, dim,
                {t: Mat.identity(field, dim)
                 for t in range(len(G.generators))})
-
-
-def rep_regular(G: FiniteGroup, field: Field) -> Rep:
-    """Left-regular action on the group algebra: permutation matrices."""
-    n = G.order
-    images = {}
-    for t, g in enumerate(G.generators):
-        a = np.zeros((n, n), dtype=np.int64)
-        a[G.table[g], range(n)] = 1
-        images[t] = Mat(field, a)
-    return Rep(G, field, n, images)
 
 
 def rep_restrict(M: Rep, H: Subgroup) -> Rep:
@@ -268,29 +256,6 @@ def hom_space(M: Rep, N: Rep) -> list[Mat]:
     return out
 
 
-def regular_endomorphisms(G: FiniteGroup, field: Field) -> list[Mat]:
-    """End(k[G]) for rep_regular(G, field), read off the multiplication
-    table: the right multiplications R_h (column j to row G.table[j][h]),
-    the same list, in the same order, as hom_space(k[G], k[G]).
-
-    hom_space returns the kernel basis that is the identity on the free
-    columns, and those are the positions where some kernel vector has its
-    last nonzero entry; the R_h have disjoint 0/1 supports, so that basis
-    is the R_h ordered by the row-major position of their last nonzero
-    entry."""
-    n = G.order
-    _check_hom_cells(n ** 3, f"End(k[G]) for |G| = {n}")
-    table = np.array(G.table, dtype=np.int64)  # table[j][h] = j h
-    cols = np.arange(n)
-    last = (table * n + cols[:, None]).max(axis=0)
-    out = []
-    for h in np.argsort(last):
-        a = np.zeros((n, n), dtype=np.int64)
-        a[table[:, h], cols] = 1
-        out.append(Mat(field, a))
-    return out
-
-
 def hom_dim(M: Rep, N: Rep) -> int:
     return len(hom_space(M, N))
 
@@ -358,7 +323,9 @@ def _random_algebra_element(M: Rep, gen_mats, rng: random.Random) -> Mat:
 def find_submodule_or_simple(M: Rep, rng: random.Random, seed=None):
     """Either ('sub', E, piv, seed) with E a proper nonzero invariant
     column space in reduced column echelon form and piv its pivot rows, or
-    'simple' once Norton's criterion certifies irreducibility.
+    ('simple', U) once Norton's criterion certifies irreducibility, with U
+    the kernel that certified it: ker f(theta) as deg f columns (the whole
+    space, [[1]], for dim 1).
 
     Each round tries the distinct irreducible factors f of the
     characteristic polynomial of one algebra element theta, smallest degree
@@ -370,7 +337,7 @@ def find_submodule_or_simple(M: Rep, rng: random.Random, seed=None):
     F = M.field
     d = M.dim
     if d == 1:
-        return "simple"
+        return "simple", np.ones((1, 1), dtype=np.int64)
     gen_mats = M.generator_images()
     if not gen_mats:
         return "sub", np.eye(d, 1, dtype=np.int64), [0], None
@@ -396,7 +363,7 @@ def find_submodule_or_simple(M: Rep, rng: random.Random, seed=None):
                     if 0 < wt.cols < d:
                         return ("sub", *_echelon(wt.T.nullspace()),
                                 (theta, cp, factors))
-                return "simple"
+                return "simple", ker.a
     raise CapExceeded(
         f"MeatAxe did not decide a dim-{d} module in {MEATAXE_ROUNDS} "
         "rounds; rerun with a different seed")
@@ -454,9 +421,9 @@ def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
     return sub, quot
 
 
-def chop(M: Rep, rng: random.Random) -> list[Rep]:
-    """The composition factors of M, each certified simple, in the order
-    the MeatAxe finds them."""
+def chop(M: Rep, rng: random.Random) -> list[tuple[Rep, np.ndarray]]:
+    """The composition factors of M in the order the MeatAxe finds them,
+    each paired with the Norton kernel that certified it simple."""
     factors = []
     stack = [(M, None)]  # (module, MeatAxe seed)
     while stack:
@@ -464,15 +431,37 @@ def chop(M: Rep, rng: random.Random) -> list[Rep]:
         if A.dim == 0:
             continue
         res = find_submodule_or_simple(A, rng, seed)
-        if res == "simple":
-            factors.append(A)
+        if res[0] == "simple":
+            factors.append((A, res[1]))
         else:
             _, E, piv, seed = res
             stack.extend(_split_pieces(A, E, piv, seed))
-    if sum(S.dim for S in factors) != M.dim:
+    if sum(S.dim for S, _ in factors) != M.dim:
         raise Inconsistency("chop reassembly failed: factor dims do not "
                             f"sum to {M.dim}")
     return factors
+
+
+def end_dim_from_kernel(S: Rep, U: np.ndarray) -> int:
+    """dim End(S) for a simple S from the Norton kernel U = ker f(theta)
+    that certified it, columns u_1, ..., u_d (Holt-Rees).
+
+    Every phi in End(S) commutes with theta, so maps U into U, and is
+    fixed by phi(v) for v = u_1, which generates S; u is some phi(v)
+    exactly when Ann(v) u = 0.  The spin of (v, u_1, ..., u_d) in S^(1+d)
+    holds K = Ann(v) (u_1, ..., u_d) as its echelon rows with pivots past
+    the first n = dim S coordinates, so dim End(S) is d less the rank of
+    the d x (n dim K) matrix of K's blocks.  U is a vector space over the
+    field End(S), so dim End(S) divides d, and d = 1 needs no spin."""
+    n, d = U.shape
+    if d == 1:
+        return 1
+    F = S.field
+    eye = Mat.identity(F, 1 + d)
+    E, piv = _spin(F, n * (1 + d), [np.concatenate([U[:, 0], U.T.ravel()])],
+                   [eye.kron(A) for A in S.generator_images()])
+    K = E[n:, [j for j, row in enumerate(piv) if row >= n]]
+    return d - Mat(F, K.reshape(d, n * K.shape[1])).rank()
 
 
 # -- Brauer characters -------------------------------------------------------
@@ -767,13 +756,14 @@ class SimpleRegistry:
     over_extension chops instead the base simples with scalars extended,
     which is the same set of factors at a fraction of the size.
     Non-isomorphic simples never share a Brauer vector, and the table
-    {vector: simple} is sorted by (dim, vector), so the order, the log and
-    every class vector are functions of the group and the field, not of
-    the MeatAxe's random draws or of the modules chopped.  class_of reads
-    the class of any module off its Brauer vector, with no chop, and
-    regular_class the class of k[G] off its closed-form vector.  Every
-    derived datum is a cached property, and one whose build raises caches
-    nothing."""
+    {vector: (simple, Norton kernel)} is sorted by (dim, vector), so the
+    order, the log and every class vector are functions of the group and
+    the field, not of the MeatAxe's random draws or of the modules
+    chopped.  class_of reads the class of any module off its Brauer
+    vector, with no chop, regular_class the class of k[G] off its
+    closed-form vector, and end_dim dim End(S_i) off S_i's kernel, with no
+    Hom system.  Every derived datum is a cached property, and one whose
+    build raises caches nothing."""
 
     def __init__(self, group: FiniteGroup, field: Field,
                  rng: random.Random, *, base: SimpleRegistry | None = None):
@@ -801,9 +791,10 @@ class SimpleRegistry:
     def brauer(self) -> BrauerCharacters:
         return BrauerCharacters(self.group, self.field)
 
-    def _saturate(self) -> dict[tuple, Rep]:
-        """{Brauer vector: first simple found with it} over the composition
-        factors of the sources, sorted by (dim, vector)."""
+    def _saturate(self) -> dict[tuple, tuple[Rep, np.ndarray]]:
+        """{Brauer vector: (first simple found with it, its Norton kernel)}
+        over the composition factors of the sources, sorted by (dim,
+        vector)."""
         brauer = self.brauer  # an ambient field past TABLE_LIMIT fails first
         if self._base is None:
             P = sylow_p(self.group, self.field.p)
@@ -812,19 +803,20 @@ class SimpleRegistry:
         else:
             sources = [extend_scalars(S, self.field)
                        for S in self._base.simples]
-        found: dict[tuple, Rep] = {}
+        found: dict[tuple, tuple[Rep, np.ndarray]] = {}
         for M in sources:
-            for S in chop(M, self._rng):
-                found.setdefault(brauer.vector(S), S)
-        return dict(sorted(found.items(), key=lambda kv: (kv[1].dim, kv[0])))
+            for S, U in chop(M, self._rng):
+                found.setdefault(brauer.vector(S), (S, U))
+        return dict(sorted(found.items(),
+                           key=lambda kv: (kv[1][0].dim, kv[0])))
 
     @cached_property
-    def _table(self) -> dict[tuple, Rep]:
+    def _table(self) -> dict[tuple, tuple[Rep, np.ndarray]]:
         return self._saturate()
 
     @property
     def simples(self) -> list[Rep]:
-        return list(self._table.values())
+        return [S for S, _ in self._table.values()]
 
     @property
     def vectors(self) -> list[tuple]:
@@ -840,7 +832,7 @@ class SimpleRegistry:
 
     @cached_property
     def _end_dims(self) -> list[int]:
-        return [hom_dim(S, S) for S in self.simples]
+        return [end_dim_from_kernel(S, U) for S, U in self._table.values()]
 
     def end_dim(self, i: int) -> int:
         """dim End(S_i); all of them are computed on the first call."""
@@ -1044,8 +1036,8 @@ def indecomposable_summands(M: Rep, ends: list[Mat],
                             rng: random.Random) -> list[tuple[Rep, int]]:
     """Split a direct summand M of k[G] into indecomposable summands, each
     returned with the registry index of its simple head.  `ends` is the
-    basis of End(M) that hom_space(M, M) returns (for M = k[G],
-    regular_endomorphisms builds it from the multiplication table).
+    basis of End(M) that hom_space(M, M) returns (for M = k[G] the tests
+    read it off the multiplication table).
 
     Random endomorphisms are decomposed along the distinct irreducible
     factors of their characteristic polynomial (primary decomposition).

@@ -34,6 +34,30 @@ class ScenarioConfig:
     raw: dict = dc_field(default_factory=dict)
 
 
+# The keys each object of a scenario may carry; any other is an input
+# error naming its path, so a misspelled key is never silently ignored.
+KNOWN_KEYS = {
+    "": {"field", "group", "mode", "seed", "options", "divisors", "orbits",
+         "genus_quotient"},
+    "field": {"p", "n"},
+    "group": {"kind", "p", "n", "generators", "table", "size"},
+    "options": {"group_order_cap"},
+    "orbit": {"label", "decomposition", "inertia", "wild", "residue_degree",
+              "cotangent", "coefficient"},
+    "cotangent": {"generator", "value"},
+}
+
+
+def _check_keys(obj: dict, level: str, key: str):
+    """InputError naming the path of the first key of obj, in sorted
+    order, that KNOWN_KEYS[level] does not list; key is obj's own path."""
+    unknown = sorted(set(obj) - KNOWN_KEYS[level])
+    if unknown:
+        path = f"{key}.{unknown[0]}" if key else unknown[0]
+        raise InputError(f"{path}: unknown key; expected one of "
+                         f"{', '.join(sorted(KNOWN_KEYS[level]))}")
+
+
 def _json_int(value, key: str) -> int:
     """value as an int when it is a JSON integer (an int, not a bool);
     InputError naming the key path otherwise, so 1.5 is never truncated."""
@@ -94,6 +118,7 @@ def parse_scenario(source) -> ScenarioConfig:
     field_spec = doc.get("field")
     if not isinstance(field_spec, dict) or "p" not in field_spec:
         raise InputError("field: expected an object with 'p' and 'n'")
+    _check_keys(field_spec, "field", "field")
     p = _json_int(field_spec["p"], "field.p")
     n = _json_int(field_spec.get("n", 1), "field.n")
 
@@ -104,6 +129,7 @@ def parse_scenario(source) -> ScenarioConfig:
     group_spec = doc.get("group")
     if not isinstance(group_spec, dict) or "kind" not in group_spec:
         raise InputError("group: expected an object with a 'kind'")
+    _check_keys(group_spec, "group", "group")
     kind = group_spec["kind"]
     if kind not in ("pgl2", "table", "pgl2_s3_search"):
         raise InputError(f"group.kind: unknown kind {kind!r}")
@@ -140,6 +166,8 @@ def parse_scenario(source) -> ScenarioConfig:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("options must be an object")
+    _check_keys(options, "options", "options")
+    _check_keys(doc, "", "")
     return ScenarioConfig(p=p, n=n, mode=mode, group_spec=group_spec,
                           divisors=divisors, orbits=orbits,
                           genus_quotient=genus, seed=seed, options=options,
@@ -269,6 +297,10 @@ class Scenario:
 def realize(cfg: ScenarioConfig) -> Scenario:
     k = field_make(cfg.p, cfg.n)
     G = build_group(cfg, k)
+    size = cfg.group_spec.get("size", G.order)
+    if _json_int(size, "group.size") != G.order:
+        raise InputError(f"group.size: {size} is not the group order "
+                         f"{G.order}")
     rng = random.Random(cfg.seed)
     if cfg.mode == "oracle":
         divisors = [parse_divisor(k, raw, f"divisors[{i}]")
@@ -284,6 +316,7 @@ def realize(cfg: ScenarioConfig) -> Scenario:
         key = f"orbits[{i}]"
         if not isinstance(raw, dict):
             raise InputError(f"{key}: expected an object")
+        _check_keys(raw, "orbit", key)
         try:
             decomposition, inertia = (
                 _json_indices(raw[name], f"{key}.{name}", G.order)
@@ -294,6 +327,7 @@ def realize(cfg: ScenarioConfig) -> Scenario:
         if not isinstance(cot, dict):
             raise InputError(f"{key}.cotangent: expected an object, got "
                              f"{cot!r}")
+        _check_keys(cot, "cotangent", f"{key}.cotangent")
         generator = cot.get("generator")
         if generator is not None:
             generator = _json_int(generator, f"{key}.cotangent.generator")

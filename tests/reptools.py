@@ -1,5 +1,6 @@
-"""Module-theoretic tools that only the tests use: an explicit-intertwiner
-isomorphism test, the class of a module by counting the composition
+"""Module-theoretic tools that only the tests use: the regular module k[G]
+and its endomorphisms read off the multiplication table, an
+explicit-intertwiner isomorphism test, the class of a module by counting the composition
 factors of a chop, the dimension of a class, the socle dimension, the
 head multiplicities of a projective module by Hom systems into the
 simples, the Cartan matrix by splitting k[G] into projective
@@ -24,13 +25,48 @@ from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup, Subgroup, _p_part
 from equirr.matrices import Mat
-from equirr.reps import (ClassVector, Rep, SimpleRegistry, chop, hom_dim,
-                         hom_space, indecomposable_summands, is_projective,
-                         regular_endomorphisms, rep_induce, rep_regular,
-                         rep_restrict)
+from equirr.reps import (ClassVector, Rep, SimpleRegistry, _check_hom_cells,
+                         chop, hom_dim, hom_space, indecomposable_summands,
+                         is_projective, rep_induce, rep_restrict)
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
+
+
+def rep_regular(G: FiniteGroup, field: Field) -> Rep:
+    """Left-regular action on the group algebra: permutation matrices."""
+    n = G.order
+    images = {}
+    for t, g in enumerate(G.generators):
+        a = np.zeros((n, n), dtype=np.int64)
+        a[G.table[g], range(n)] = 1
+        images[t] = Mat(field, a)
+    return Rep(G, field, n, images)
+
+
+def regular_endomorphisms(G: FiniteGroup, field: Field) -> list[Mat]:
+    """End(k[G]) for rep_regular(G, field), read off the multiplication
+    table: the right multiplications R_h (column j to row G.table[j][h]),
+    the basis, in its order, that reps.hom_space(k[G], k[G]) returns from
+    a Kronecker system of |G|^4 cells per generator.
+
+    reps.hom_space returns the nullspace basis that is the identity on
+    the free columns of its system, and those are the positions where some
+    kernel vector has its last nonzero entry; the R_h have disjoint 0/1
+    supports, so that basis is the R_h ordered by the row-major position
+    of their last nonzero entry.  The |G|^3 cells are checked against
+    reps.HOM_CELL_CAP."""
+    n = G.order
+    _check_hom_cells(n ** 3, f"End(k[G]) for |G| = {n}")
+    table = np.array(G.table, dtype=np.int64)  # table[j][h] = j h
+    cols = np.arange(n)
+    last = (table * n + cols[:, None]).max(axis=0)
+    out = []
+    for h in np.argsort(last):
+        a = np.zeros((n, n), dtype=np.int64)
+        a[table[:, h], cols] = 1
+        out.append(Mat(field, a))
+    return out
 
 
 def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> bool:
@@ -75,7 +111,7 @@ def chop_class(M: Rep, registry: SimpleRegistry,
         raise InputError("module and registry are over different data")
     index = {b: i for i, b in enumerate(registry.vectors)}
     coeffs = [0] * len(registry)
-    for S in chop(M, rng):
+    for S, _ in chop(M, rng):
         i = index.get(registry.brauer.vector(S))
         if i is None:
             raise Inconsistency(f"a dim-{S.dim} composition factor is no "

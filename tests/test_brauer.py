@@ -20,10 +20,9 @@ from equirr.groups import FiniteGroup, conjugacy_classes
 from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, SimpleRegistry,
                          extend_scalars, rep_direct_sum, rep_induce,
-                         rep_regular, rep_trivial, spin_columns,
-                         split_on_submodule)
+                         rep_trivial, spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
-from reptools import chop_class, inertia_cover
+from reptools import chop_class, inertia_cover, rep_regular
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")

@@ -10,6 +10,7 @@ from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.geometry import P1Geometry
 from equirr.scenarios import find_s3_pgl2, parse_scenario, realize
 from equirr.fields import field_make
+from test_induced_classes import load_perfbench
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -480,17 +481,83 @@ def test_malformed_abstract_data_exits_2_naming_key(tmp_path, capsys, path,
     assert message in capsys.readouterr().err
 
 
-def test_suite_reports_hom_cell_cap_and_goes_on(capsys, monkeypatch):
-    # a Hom system over the cap exits 3 naming the cap, before allocating,
-    # and the suite still reports every scenario and command
-    monkeypatch.setattr(reps, "HOM_CELL_CAP", 0)
+def _shipped_a1():
+    return json.loads((SCENARIO_DIR / "a1_translations_gf3.json")
+                      .read_text())
+
+
+@pytest.mark.parametrize("make,where,key,typo", [
+    (_shipped_a1, [], "divisors", "divisor"),
+    (translation_config, ["field"], "n", "m"),
+    (_abstract_config, ["group"], "size", "sise"),
+    (lambda: translation_config({"options": {"group_order_cap": 10}}),
+     ["options"], "group_order_cap", "group_order_cp"),
+    (_abstract_config, ["orbits", 1], "coefficient", "coeficient"),
+    (_abstract_config, ["orbits", 0, "cotangent"], "value", "val"),
+], ids=["top", "field", "group", "options", "orbit", "cotangent"])
+def test_misspelled_key_exits_2_naming_its_path(tmp_path, capsys, make,
+                                                where, key, typo):
+    # a key no scenario object takes is an input error naming its path,
+    # never dropped: a1 with "divisor" would check no divisor and exit 0,
+    # and a misspelled cap would leave the default cap in force
+    doc = make()
+    obj = doc
+    for step in where:
+        obj = obj[step]
+    obj[typo] = obj.pop(key)
+    assert main(["euler", write_scenario(tmp_path, doc)]) == 2
+    path = "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                   for step in where + [typo]).lstrip(".")
+    assert f"{path}: unknown key; expected one of" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make,size", [
+    (_abstract_config, 2), (_abstract_config, 4), (_abstract_config, "3"),
+    (translation_config, 2), (translation_config, 3)])
+def test_group_size_must_be_the_group_order(tmp_path, capsys, make, size):
+    # both groups have order 3; the shipped abstract scenario says so
+    doc = make()
+    assert doc["group"].get("size", 3) == 3
+    doc["group"]["size"] = size
+    code = main(["analyze", write_scenario(tmp_path, doc)])
+    if size == 3:
+        assert code == 0
+    else:
+        assert code == 2
+        assert "group.size: " in capsys.readouterr().err
+
+
+def test_every_shipped_and_workload_scenario_parses():
+    # the keys every shipped file and every benchmark pair carries are
+    # known at every level
+    texts = [path.read_text() for path in SCENARIO_DIR.glob("*.json")
+             if path.name != "golden.json"]
+    texts += [pair.scenario for name in ("golden-suite", "big-divisor",
+                                         "big-group", "order-frontier")
+              for seed in range(4)
+              for pair in load_perfbench("workloads").WORKLOADS[name](
+                  SCENARIO_DIR.parent, seed)]
+    for text in texts:
+        cfg = parse_scenario(text)
+        if cfg.mode == "abstract":
+            realize(cfg)
+
+
+def test_suite_reports_rr_dim_cap_and_goes_on(capsys, monkeypatch):
+    # a Riemann-Roch module over the cap exits 3 naming the cap, before
+    # its basis is built, and the suite still reports every scenario and
+    # command: analyze builds none and passes
+    monkeypatch.setattr(geometry, "RR_DIM_CAP", 0)
     names = ["a1_translations_gf3.json", "a3_s3_gf5.json"]
     assert main(["suite", *(str(SCENARIO_DIR / n) for n in names)]) == 3
     out = capsys.readouterr().out
     for name in names:
         assert out.count(name) == 3
-        assert f"{name} check: CAP (" in out
-    assert out.count(": CAP (") == out.count("HOM_CELL_CAP = 0)") >= 2
+        assert f"{name} analyze: pass" in out
+        for command in ("euler", "check"):
+            assert f"{name} {command}: CAP (dim L(D) = " in out
+    assert out.count(": CAP (") == out.count("RR_DIM_CAP = 0)") == 4
 
 
 def _a1_with_large_divisor(tmp_path, coefficient=3000):

@@ -29,9 +29,6 @@ KEPT = {
     # the summand split: a tracer target and the tests' reference Cartan
     "reps.indecomposable_summands": "perfbench tracer target; test-time "
                                     "cross-check of the Brauer Cartan matrix",
-    "reps.regular_endomorphisms": "End(k[G]) for the test-time "
-                                  "cross-check of the Brauer Cartan matrix",
-    "reps.rep_regular": "tests' reference k[G]",
     # small utilities that tests use
     "fields.embed": "test_fields, test_matrices",
     "fields.Field.div": "test_fields",

@@ -12,10 +12,10 @@ from equirr.geometry import (Divisor, P1Geometry, Place, abstract_datum,
                              fiber_character, places_up_to)
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
-from equirr.reps import SimpleRegistry, rep_regular
+from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
 from reptools import (chop_class, reference_place_images,
-                      reference_ramified_places)
+                      reference_ramified_places, rep_regular)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

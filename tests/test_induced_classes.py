@@ -27,9 +27,9 @@ from equirr.errors import Inconsistency, InputError
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup, Subgroup
 from equirr.reps import (SimpleRegistry, rep_direct_sum, rep_induce,
-                         rep_regular, spin_columns, split_on_submodule)
+                         spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
-from reptools import head_multiplicities, inertia_cover
+from reptools import head_multiplicities, inertia_cover, rep_regular
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -161,11 +161,33 @@ def test_a_wrong_frobenius_count_fails_the_cartan_comparison(
     assert "a3_s3_gf5.json check: INCONSISTENCY (head multiplicities" in out
 
 
-def test_check_solves_hom_systems_only_for_end_dims(monkeypatch):
-    # the one Hom system left per simple is dim End(S_i): the certificates
-    # solve none, so a check makes exactly sum_registries #simples calls
+def seed0_pair_scenarios():
+    """Scenario text of every shipped scenario and of every seed-0 euler
+    and check pair of the golden-suite, big-divisor, big-group and
+    order-frontier workloads, one entry per distinct text."""
+    workloads = load_perfbench("workloads")
+    out = {name: (SCENARIO_DIR / name).read_text() for name in SHIPPED}
+    seen = [json.loads(text) for text in out.values()]
+    for name in ("golden-suite", "big-divisor", "big-group",
+                 "order-frontier"):
+        for pair in workloads.WORKLOADS[name](ROOT, 0):
+            doc = json.loads(pair.scenario)
+            if pair.command in ("euler", "check") and doc not in seen:
+                seen.append(doc)
+                out[f"{name}/{pair.pair_id.rsplit(':', 1)[0]}"] = \
+                    pair.scenario
+    return out
+
+
+NO_HOM_SCENARIOS = seed0_pair_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(NO_HOM_SCENARIOS))
+def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
+    # dim End(S) is read off the Norton kernel of the saturation chop, so
+    # neither command builds a Hom system; each End dim is computed once,
+    # for a simple of a saturated registry
     tracing = load_perfbench("tracing")
-    scn = realize(parse_scenario(SCENARIOS["big-divisor/s0:kummer_gf13"]))
     saturated = []
     real_saturate = reps.SimpleRegistry._saturate
 
@@ -173,31 +195,29 @@ def test_check_solves_hom_systems_only_for_end_dims(monkeypatch):
         saturated.append(self)
         return real_saturate(self)
 
-    tracer = tracing.Tracer()
+    ends = []
+    real_end_dim = reps.end_dim_from_kernel
 
-    def hom_calls():
-        return sum(1 for span in tracer.spans if span[0] == "reps.hom_space")
-
-    in_end_dim = []
-    real_end_dim = reps.SimpleRegistry.end_dim
-
-    def end_dim(self, i):
-        before = hom_calls()
-        out = real_end_dim(self, i)
-        in_end_dim.append(hom_calls() - before)
-        return out
+    def end_dim(S, U):
+        ends.append(S)
+        return real_end_dim(S, U)
 
     monkeypatch.setattr(reps.SimpleRegistry, "_saturate", saturate)
-    monkeypatch.setattr(reps.SimpleRegistry, "end_dim", end_dim)
+    monkeypatch.setattr(reps, "end_dim_from_kernel", end_dim)
+    scn = realize(parse_scenario(NO_HOM_SCENARIOS[name]))
+    tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = cli.run_check(scn)
+        reports = [cli.run_euler(scn), cli.run_check(scn)]
     finally:
         tracer.restore()
-    assert cli._exit_code(report) == 0
-    expected = sum(len(reg) for reg in saturated)
-    assert len(saturated) == 2 and expected == 24
-    assert hom_calls() == sum(in_end_dim) == expected
+    assert [cli._exit_code(report) for report in reports] == [0, 0]
+    layers = {span[0] for span in tracer.spans}
+    assert "reps.chop" in layers and "k0.cartan_data" in layers
+    assert "reps.hom_space" not in layers
+    simples = [S for reg in saturated for S in reg.simples]
+    assert ends and len({id(S) for S in ends}) == len(ends)
+    assert {id(S) for S in ends} <= {id(S) for S in simples}
 
 
 @pytest.mark.parametrize("name", ["a2_kummer_gf7_m3.json", "a3_s3_gf5.json",

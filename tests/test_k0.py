@@ -17,10 +17,11 @@ from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
                        is_projective_class, smith_normal_form)
 from equirr.matrices import Mat
 from equirr.reps import (ClassVector, Rep, SimpleRegistry,
-                         extend_scalars, hom_dim, rep_regular, rep_trivial,
-                         snf_inverse)
+                         extend_scalars, hom_dim, rep_trivial, snf_inverse)
 from equirr.scenarios import parse_scenario, realize
-from reptools import chop_class, head_multiplicities, socle_dim, total_dim
+from reptools import (chop_class, head_multiplicities, rep_regular,
+                      socle_dim, total_dim)
+from test_cartan import pgl2_gf3
 
 
 def cyclic_table(n):
@@ -431,45 +432,35 @@ def test_cartan_data_is_canonical(n):
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["GF3", "GF9"])
-def test_cartan_data_builds_no_regular_hom_system(monkeypatch, n):
-    # no Hom space on k[G]: the only hom_space calls are the End(S) of
-    # the simples
-    F3 = field_make(3, 1)
-    G = FiniteGroup.close_generators(
-        F3, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
-    F = field_make(3, n)
-    dims = []
-    real = reps.hom_space
+def test_cartan_data_solves_no_hom_system(monkeypatch, n):
+    # dim End(S) comes from the Norton kernel that certified S in the
+    # saturation chop: no Hom system is built, on k[G] or on a simple
+    def refused(M, N):
+        raise AssertionError(f"a Hom system of dims {M.dim}, {N.dim}")
 
-    def counted(M, N):
-        dims.append((M.dim, N.dim))
-        return real(M, N)
-
-    monkeypatch.setattr(reps, "hom_space", counted)
-    cartan_data(G, F, SimpleRegistry(G, F, rng()))
-    assert dims
-    assert max(max(pair) for pair in dims) < G.order
+    monkeypatch.setattr(reps, "hom_space", refused)
+    G, F = pgl2_gf3(), field_make(3, n)
+    cd = cartan_data(G, F, SimpleRegistry(G, F, rng()))
+    assert cd.matrix == CANONICAL_CARTAN
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["GF3", "GF9"])
 def test_cartan_data_computes_each_end_once(monkeypatch, n):
-    # dim End(S) is cached on the registry: one End computation per simple,
-    # however many summands have S as their head
-    F3 = field_make(3, 1)
-    G = FiniteGroup.close_generators(
-        F3, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
-    F = field_make(3, n)
-    pairs = []
-    real = reps.hom_space
+    # dim End(S) is cached on the registry: one computation per simple,
+    # however often cartan_data or end_dim reads it
+    calls = []
+    real = reps.end_dim_from_kernel
 
-    def counted(M, N):
-        pairs.append((M, N))
-        return real(M, N)
+    def counted(S, U):
+        calls.append(S)
+        return real(S, U)
 
-    monkeypatch.setattr(reps, "hom_space", counted)
+    monkeypatch.setattr(reps, "end_dim_from_kernel", counted)
+    G, F = pgl2_gf3(), field_make(3, n)
     reg = SimpleRegistry(G, F, rng())
-    cartan_data(G, F, reg)
+    for _ in range(2):
+        cartan_data(G, F, reg)
+        assert [reg.end_dim(i) for i in range(len(reg))] == [1, 1, 1, 1]
     assert len(reg) == 4
-    ends = [M for M, N in pairs
-            if M is N and any(M is S for S in reg.simples)]
-    assert len(ends) == len(reg)
+    assert len(calls) == len(reg)
+    assert all(S is T for S, T in zip(calls, reg.simples))

@@ -16,13 +16,13 @@ from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          find_submodule_or_simple, hom_dim, hom_space,
                          indecomposable_summands, is_projective,
-                         regular_endomorphisms, rep_direct_sum,
-                         rep_dual, rep_induce, rep_regular,
+                         rep_direct_sum, rep_dual, rep_induce,
                          rep_restrict, rep_tensor, rep_trivial,
                          spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
 from reptools import (chop_class, head_multiplicities, is_isomorphic,
                       projective_cover_over_inertia, reference_spin,
+                      regular_endomorphisms, rep_regular,
                       split_by_completed_basis, total_dim)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -308,11 +308,17 @@ def test_chop_returns_certified_composition_factors():
     # 2-dimensional simple, each factor decided simple by the MeatAxe
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    factors = chop(rep_regular(G, F), rng())
+    pairs = chop(rep_regular(G, F), rng())
+    factors = [S for S, _ in pairs]
     assert sorted(S.dim for S in factors) == [1, 1, 2, 2]
     assert all(S.group is G and S.field is F for S in factors)
-    assert all(find_submodule_or_simple(S, rng()) == "simple"
+    assert all(find_submodule_or_simple(S, rng())[0] == "simple"
                for S in factors)
+    # each factor comes with the Norton kernel that certified it: columns
+    # in S, independent, at most dim S of them
+    for S, U in pairs:
+        assert U.shape[0] == S.dim and 1 <= U.shape[1] <= S.dim
+        assert Mat(F, U).rank() == U.shape[1]
     reg = SimpleRegistry(G, F, rng())
     assert sorted(reg.vectors) == sorted({reg.brauer.vector(S)
                                           for S in factors})

@@ -19,9 +19,9 @@ from equirr import reps
 from equirr.fields import field_make
 from equirr.k0 import cartan_data
 from equirr.matrices import Mat
-from equirr.reps import SimpleRegistry, rep_regular
+from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
-from reptools import chop_class, total_dim
+from reptools import chop_class, rep_regular, total_dim
 from test_cartan import TABLES, cyclic, pgl2_gf3, translations_gf9
 from test_induced_classes import load_perfbench
 from test_extension_registry import (SCENARIO_DIR, SHIPPED, SMALL_GROUPS,
