@@ -1,8 +1,9 @@
 """Grothendieck-group arithmetic: Cartan data read off the exact inverse of
 the Gram matrix that each simple registry keeps for its class solves,
 image-of-Cartan membership through the exact inverse of the Cartan matrix
-(from the same duality), finite-level scalar extension, and the
-Cartesian-diagram cross-check between a base field and an extension."""
+(from the same duality), scalar extension on classes as the descent map
+of an extension registry, and the Cartesian-diagram cross-check between a
+base field and an extension."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from .groups import FiniteGroup
 # smith_normal_form stays imported: CartanData's bare-matrix path inverts
 # through it, and the benchmark tracer finds the one that every registry's
 # Gram matrix takes under this name (k0.smith_normal_form)
-from .reps import (ClassVector, SimpleRegistry, extend_scalars,
-                   smith_normal_form, snf_inverse)
+from .reps import (ClassVector, SimpleRegistry, smith_normal_form,
+                   snf_inverse)
 
 
 # -- Cartan data ---------------------------------------------------------------
@@ -160,14 +161,15 @@ def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
 
 
 def beta_vector(v: ClassVector, registry2: SimpleRegistry) -> ClassVector:
-    """Image of a class under scalar extension, computed simple by simple."""
-    out = registry2.zero()
-    for i, c in enumerate(v.coeffs):
-        if c == 0:
-            continue
-        ext = extend_scalars(v.registry.simples[i], registry2.field)
-        out = out + registry2.class_of(ext).scale(c)
-    return out
+    """Image of a class under scalar extension to registry2.field, for
+    registry2 = SimpleRegistry.over_extension(..., v.registry): S_i (x) k'
+    is the sum of the simples of registry2 that descend from S_i, each
+    once, so beta(v)_j = v_i for i = registry2.origins[j].  No module is
+    built and no class is solved."""
+    if registry2.base is not v.registry:
+        raise InputError("the extension registry does not descend from the "
+                         "class's registry")
+    return ClassVector(registry2, [v.coeffs[i] for i in registry2.origins])
 
 
 def cartesian_check(v: ClassVector, cd_base: CartanData,

@@ -13,7 +13,12 @@ the submodule's echelon basis), each certified simple by a Norton kernel
 that also gives dim End(S) (end_dim_from_kernel).  Spinning works on
 whole blocks with Mat.rref as its only elimination.  A registry is one
 table {Brauer vector: (simple, Norton kernel)}, built by one saturation
-from its chop and fixed after that.  Each registry keeps the Gram
+from its chop and fixed after that.  A registry over an extension field
+k' is built instead by Galois descent from the registry over k: a simple
+S with e = dim End(S) splits over GF(q^r) into gcd(e, r) Galois
+conjugates, so only the S with gcd(e, r) > 1 are chopped again, and the
+table files each simple over k' with the base simple it descends from,
+which is the base-change map on classes.  Each registry keeps the Gram
 matrix of its simples' Brauer characters and the one exact inverse that
 snf_inverse gives from its Smith normal form: each class solve is one
 matrix-vector product with the left inverse read off it, and
@@ -753,17 +758,20 @@ class SimpleRegistry:
     Ind_P^G k[P] has a filtration with |P| factors Ind_P^G(k), and every
     composition factor of k[G] is one of Ind_P^G(k).  (When p does not
     divide |G|, P = 1 and the module is k[G] itself.)  A registry made by
-    over_extension chops instead the base simples with scalars extended,
-    which is the same set of factors at a fraction of the size.
+    over_extension descends instead from the base simples with scalars
+    extended, and chops only those that split.
     Non-isomorphic simples never share a Brauer vector, and the table
-    {vector: (simple, Norton kernel)} is sorted by (dim, vector), so the
+    {vector: (simple, provenance)} is sorted by (dim, vector), so the
     order, the log and every class vector are functions of the group and
     the field, not of the MeatAxe's random draws or of the modules
-    chopped.  class_of reads the class of any module off its Brauer
-    vector, with no chop, regular_class the class of k[G] off its
-    closed-form vector, and end_dim dim End(S_i) off S_i's kernel, with no
-    Hom system.  Every derived datum is a cached property, and one whose
-    build raises caches nothing."""
+    chopped.  The provenance is the Norton kernel that certified the
+    simple in the chop of Ind_P^G(k), or over an extension the index of
+    the base simple it descends from (origins).  class_of reads the class
+    of any module off its Brauer vector, with no chop, regular_class the
+    class of k[G] off its closed-form vector, and end_dim dim End(S_i) off
+    S_i's kernel or its base simple's, with no Hom system.  Every derived
+    datum is a cached property, and one whose build raises caches
+    nothing."""
 
     def __init__(self, group: FiniteGroup, field: Field,
                  rng: random.Random, *, base: SimpleRegistry | None = None):
@@ -775,43 +783,91 @@ class SimpleRegistry:
     @classmethod
     def over_extension(cls, group: FiniteGroup, field: Field,
                        base: "SimpleRegistry") -> "SimpleRegistry":
-        """The registry over an extension field of base.field, saturated
-        from the simples of base with base's random source.
+        """The registry over an extension k' = GF(q^r) of k = base.field,
+        by Galois descent from the simples of base, with base's random
+        source for the chops it still needs.
 
-        k'[G] = k[G] (x) k' and extending scalars is exact, so every simple
-        k'[G]-module is a composition factor of some S (x) k' with S simple
-        over k[G].  A missing simple would still be caught: k0.cartan_data
+        End(S) of a simple S over k is the field GF(q^e), e = dim End(S),
+        and End(S (x) k') = GF(q^e) (x) GF(q^r) is a product of g = gcd(e,
+        r) copies of GF(q^lcm(e, r)).  So S (x) k' is the direct sum of g
+        pairwise non-isomorphic Galois conjugate simples, each of dim S / g
+        with dim End = e / g, and non-isomorphic simples over k share no
+        such summand (Curtis-Reiner, Methods of Representation Theory I,
+        extension of the ground field).  k'[G] = k[G] (x) k', so these are
+        all the simples over k'.  When g = 1, S (x) k' is filed as it
+        stands, with no chop and no kernel spin; when g > 1 it is chopped,
+        and anything but g pieces of those dims and End dims raises
+        Inconsistency, as does a Brauer vector that two pieces share.  A
+        missing or extra simple would still be caught: k0.cartan_data
         reads the class of k'[G] off the registry and checks it."""
         if base.group is not group:
             raise InputError("the base registry is over another group")
         _check_extension(base.field, field)
         return cls(group, field, base._rng, base=base)
 
+    @property
+    def base(self) -> SimpleRegistry | None:
+        """The registry that this one descends from, or None when it
+        saturated from a chop of Ind_P^G(k)."""
+        return self._base
+
     @cached_property
     def brauer(self) -> BrauerCharacters:
         return BrauerCharacters(self.group, self.field)
 
-    def _saturate(self) -> dict[tuple, tuple[Rep, np.ndarray]]:
-        """{Brauer vector: (first simple found with it, its Norton kernel)}
-        over the composition factors of the sources, sorted by (dim,
-        vector)."""
+    def _saturate(self) -> dict[tuple, tuple[Rep, np.ndarray | int]]:
+        """{Brauer vector: (simple, provenance)}, sorted by (dim, vector):
+        the first composition factor found for each vector in the chop of
+        Ind_P^G(k), with its Norton kernel, or over an extension each
+        summand of S_i (x) k' with its base index i (_descend)."""
         brauer = self.brauer  # an ambient field past TABLE_LIMIT fails first
         if self._base is None:
             P = sylow_p(self.group, self.field.p)
-            sources = [rep_induce(rep_trivial(P.as_group(), self.field),
-                                  self.group, P)]
-        else:
-            sources = [extend_scalars(S, self.field)
-                       for S in self._base.simples]
-        found: dict[tuple, tuple[Rep, np.ndarray]] = {}
-        for M in sources:
-            for S, U in chop(M, self._rng):
+            found: dict = {}
+            for S, U in chop(rep_induce(rep_trivial(P.as_group(), self.field),
+                                        self.group, P), self._rng):
                 found.setdefault(brauer.vector(S), (S, U))
+        else:
+            found = self._descend(brauer)
         return dict(sorted(found.items(),
                            key=lambda kv: (kv[1][0].dim, kv[0])))
 
+    def _descend(self, brauer: BrauerCharacters
+                 ) -> dict[tuple, tuple[Rep, int]]:
+        """{Brauer vector: (summand of S_i (x) k', i)} over the simples S_i
+        of the base, as over_extension states: S_i (x) k' as it stands when
+        gcd(e_i, r) = 1, else its chop, checked against the theorem."""
+        base = self._base
+        r = self.field.n // base.field.n
+        found: dict[tuple, tuple[Rep, int]] = {}
+        for i, S in enumerate(base.simples):
+            e = base.end_dim(i)
+            g = math.gcd(e, r)
+            ext = extend_scalars(S, self.field)
+            pieces = [ext]
+            if g > 1:
+                chopped = chop(ext, self._rng)
+                if (len(chopped) != g
+                        or any(P.dim * g != S.dim
+                               or end_dim_from_kernel(P, U) * g != e
+                               for P, U in chopped)):
+                    raise Inconsistency(
+                        f"a dim-{S.dim} simple with dim End = {e} does not "
+                        f"split over {self.field} into {g} conjugates with "
+                        f"dim {S.dim}/{g} and dim End {e}/{g}: the chop "
+                        f"found dims {[P.dim for P, _ in chopped]}")
+                pieces = [P for P, _ in chopped]
+            for P in pieces:
+                vector = brauer.vector(P)
+                if vector in found:
+                    raise Inconsistency(
+                        f"two summands of base simples extended to "
+                        f"{self.field} share a Brauer vector")
+                found[vector] = (P, i)
+        return found
+
     @cached_property
-    def _table(self) -> dict[tuple, tuple[Rep, np.ndarray]]:
+    def _table(self) -> dict[tuple, tuple[Rep, np.ndarray | int]]:
         return self._saturate()
 
     @property
@@ -830,9 +886,25 @@ class SimpleRegistry:
     def __len__(self):
         return len(self._table)
 
+    @property
+    def origins(self) -> list[int]:
+        """For a registry made by over_extension, the index of the base
+        simple that each simple descends from, in registry order: S_i (x)
+        k' is the sum of the S_j with origins[j] = i, each once."""
+        if self._base is None:
+            raise InputError("a registry saturated from its own chop "
+                             "descends from no base")
+        return [i for _, i in self._table.values()]
+
     @cached_property
     def _end_dims(self) -> list[int]:
-        return [end_dim_from_kernel(S, U) for S, U in self._table.values()]
+        """dim End(S) off each simple's Norton kernel, or over an extension
+        of degree r e / gcd(e, r) for its base simple's e."""
+        if self._base is None:
+            return [end_dim_from_kernel(S, U) for S, U in self._table.values()]
+        r = self.field.n // self._base.field.n
+        ends = [self._base.end_dim(i) for i in self.origins]
+        return [e // math.gcd(e, r) for e in ends]
 
     def end_dim(self, i: int) -> int:
         """dim End(S_i); all of them are computed on the first call."""

@@ -48,6 +48,24 @@ KNOWN_KEYS = {
 }
 
 
+# The keys that only one mode or group kind reads.  A scenario that
+# carries one its own mode or kind does not read is an input error naming
+# the key's path, so a key is never silently ignored there either.
+MODE_KEYS = {"oracle": {"divisors"}, "abstract": {"genus_quotient", "orbits"}}
+KIND_KEYS = {"pgl2": {"generators"}, "table": {"table"},
+             "pgl2_s3_search": set()}
+
+
+def _check_read(obj: dict, owned: dict, own: str, key: str, what: str):
+    """InputError naming the path of the first key of obj, in sorted
+    order, that some entry of `owned` lists but owned[own] does not; key
+    is obj's own path and `what` names the mode or kind."""
+    unread = sorted(set(obj) & set().union(*owned.values()) - owned[own])
+    if unread:
+        path = f"{key}.{unread[0]}" if key else unread[0]
+        raise InputError(f"{path}: {what} does not read this key")
+
+
 def _check_keys(obj: dict, level: str, key: str):
     """InputError naming the path of the first key of obj, in sorted
     order, that KNOWN_KEYS[level] does not list; key is obj's own path."""
@@ -123,16 +141,18 @@ def parse_scenario(source) -> ScenarioConfig:
     n = _json_int(field_spec.get("n", 1), "field.n")
 
     mode = doc.get("mode", "oracle")
-    if mode not in ("oracle", "abstract"):
+    if mode not in MODE_KEYS:
         raise InputError(f"mode: unknown mode {mode!r}")
+    _check_read(doc, MODE_KEYS, mode, "", f"{mode} mode")
 
     group_spec = doc.get("group")
     if not isinstance(group_spec, dict) or "kind" not in group_spec:
         raise InputError("group: expected an object with a 'kind'")
     _check_keys(group_spec, "group", "group")
     kind = group_spec["kind"]
-    if kind not in ("pgl2", "table", "pgl2_s3_search"):
+    if kind not in KIND_KEYS:
         raise InputError(f"group.kind: unknown kind {kind!r}")
+    _check_read(group_spec, KIND_KEYS, kind, "group", f"a {kind} group")
     if kind == "pgl2" and not isinstance(group_spec.get("generators"), list):
         raise InputError("group.generators: pgl2 groups need a list of "
                          "2x2 matrices")
@@ -148,16 +168,10 @@ def parse_scenario(source) -> ScenarioConfig:
     if mode == "oracle":
         if kind == "table":
             raise InputError("oracle mode needs a pgl2 group")
-        if orbits:
-            raise InputError("oracle mode does not take an 'orbits' payload")
         if not isinstance(divisors, list):
             raise InputError("divisors: expected a list of divisors")
-    else:
-        if divisors:
-            raise InputError("abstract mode carries coefficients per orbit,"
-                             " not a divisor list")
-        if not isinstance(orbits, list) or not orbits:
-            raise InputError("abstract mode needs a nonempty 'orbits' list")
+    elif not isinstance(orbits, list) or not orbits:
+        raise InputError("abstract mode needs a nonempty 'orbits' list")
 
     seed = _json_int(doc.get("seed", 0), "seed")
     genus = _json_int(doc.get("genus_quotient", 0), "genus_quotient")

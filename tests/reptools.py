@@ -1,7 +1,9 @@
 """Module-theoretic tools that only the tests use: the regular module k[G]
 and its endomorphisms read off the multiplication table, an
 explicit-intertwiner isomorphism test, the class of a module by counting the composition
-factors of a chop, the dimension of a class, the socle dimension, the
+factors of a chop, the image of a class under scalar extension solved
+simple by simple (the reference for k0.beta_vector), the dimension of a
+class, the socle dimension, the
 head multiplicities of a projective module by Hom systems into the
 simples, the Cartan matrix by splitting k[G] into projective
 indecomposables, the Riemann-Roch action by moving every basis function
@@ -26,8 +28,9 @@ from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
 from equirr.groups import FiniteGroup, Subgroup, _p_part
 from equirr.matrices import Mat
 from equirr.reps import (ClassVector, Rep, SimpleRegistry, _check_hom_cells,
-                         chop, hom_dim, hom_space, indecomposable_summands,
-                         is_projective, rep_induce, rep_restrict)
+                         chop, extend_scalars, hom_dim, hom_space,
+                         indecomposable_summands, is_projective, rep_induce,
+                         rep_restrict)
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
@@ -118,6 +121,19 @@ def chop_class(M: Rep, registry: SimpleRegistry,
                                 "simple of the registry")
         coeffs[i] += 1
     return ClassVector(registry, coeffs)
+
+
+def reference_beta(v: ClassVector, registry2: SimpleRegistry) -> ClassVector:
+    """The image of v under scalar extension to registry2.field, simple by
+    simple: the class of each S_i (x) k' solved from its Brauer vector by
+    registry2.class_of.  The reference for k0.beta_vector, which reads the
+    same map off the descent of an extension registry."""
+    out = registry2.zero()
+    for i, c in enumerate(v.coeffs):
+        if c:
+            ext = extend_scalars(v.registry.simples[i], registry2.field)
+            out = out + registry2.class_of(ext).scale(c)
+    return out
 
 
 def total_dim(v: ClassVector):

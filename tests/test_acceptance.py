@@ -264,7 +264,7 @@ def test_a7_cartesian(a1_covers, a2_covers, a3_cover):
     for label, cover, divisors, wild in jobs:
         k = cover.k
         k2 = field_make(k.p, 2 * k.n)
-        reg2 = SimpleRegistry(cover.G, k2, cover.rng)
+        reg2 = SimpleRegistry.over_extension(cover.G, k2, cover.registry)
         cd = cover.main_cartan()
         cd2 = cartan_data(cover.G, k2, reg2)
         checked = 0

@@ -512,6 +512,46 @@ def test_misspelled_key_exits_2_naming_its_path(tmp_path, capsys, make,
         capsys.readouterr().err
 
 
+def _s3_search_config():
+    return json.loads((SCENARIO_DIR / "a3_s3_gf5.json").read_text())
+
+
+PGL2_GENERATORS = [[[1, 1], [0, 1]]]
+
+
+@pytest.mark.parametrize("make,where,key,value,what", [
+    (_shipped_a1, [], "genus_quotient", 2, "oracle mode"),
+    (_shipped_a1, [], "genus_quotient", 0, "oracle mode"),
+    (_shipped_a1, [], "orbits", [], "oracle mode"),
+    (_abstract_config, [], "divisors", [], "abstract mode"),
+    (_abstract_config, [], "divisors", [[["inf", 1]]], "abstract mode"),
+    (_shipped_a1, ["group"], "table", [[0]], "a pgl2 group"),
+    (_abstract_config, ["group"], "generators", PGL2_GENERATORS,
+     "a table group"),
+    (_s3_search_config, ["group"], "generators", PGL2_GENERATORS,
+     "a pgl2_s3_search group"),
+    (_s3_search_config, ["group"], "table", [[0]],
+     "a pgl2_s3_search group"),
+], ids=["oracle-genus", "oracle-genus-0", "oracle-orbits",
+        "abstract-divisors-empty", "abstract-divisors", "pgl2-table",
+        "table-generators", "s3-search-generators", "s3-search-table"])
+def test_key_of_another_mode_or_kind_exits_2_naming_its_path(
+        tmp_path, capsys, make, where, key, value, what):
+    # a key that the scenario's own mode or group kind does not read is an
+    # input error, never ignored: a1 with "genus_quotient": 2 or with a
+    # group table would otherwise run to exit 0 with the same verdicts
+    doc = make()
+    obj = doc
+    for step in where:
+        obj = obj[step]
+    assert key not in obj
+    obj[key] = value
+    assert main(["euler", write_scenario(tmp_path, doc)]) == 2
+    path = ".".join(where + [key])
+    assert f"{path}: {what} does not read this key" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("make,size", [
     (_abstract_config, 2), (_abstract_config, 4), (_abstract_config, "3"),
     (translation_config, 2), (translation_config, 3)])
@@ -530,7 +570,7 @@ def test_group_size_must_be_the_group_order(tmp_path, capsys, make, size):
 
 def test_every_shipped_and_workload_scenario_parses():
     # the keys every shipped file and every benchmark pair carries are
-    # known at every level
+    # known at every level and read by its own mode and group kind
     texts = [path.read_text() for path in SCENARIO_DIR.glob("*.json")
              if path.name != "golden.json"]
     texts += [pair.scenario for name in ("golden-suite", "big-divisor",

@@ -275,7 +275,7 @@ def test_cartesian_check_examples():
     F = field_make(p, 1)
     F2 = field_make(p, 2)
     reg = SimpleRegistry(G, F, rng())
-    reg2 = SimpleRegistry(G, F2, rng())
+    reg2 = SimpleRegistry.over_extension(G, F2, reg)
     r = rng()
     cd = cartan_data(G, F, reg)
     cd2 = cartan_data(G, F2, reg2)
@@ -292,7 +292,7 @@ def test_beta_additive_and_injective_on_simples():
     F = field_make(3, 1)
     F9 = field_make(3, 2)
     reg = SimpleRegistry(G, F, rng())
-    reg9 = SimpleRegistry(G, F9, rng())
+    reg9 = SimpleRegistry.over_extension(G, F9, reg)
     cartan_data(G, F, reg)
     cartan_data(G, F9, reg9)
     images = []
