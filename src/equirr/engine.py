@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import Inconsistency, InputError
 from .fields import Field
 from .geometry import Divisor, P1Geometry, RamificationDatum
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup
 from .k0 import (CartanData, cartan_coordinates, cartan_data, in_cartan_image,
                  is_projective_class)
 from .reps import (ClassVector, Rep, SimpleRegistry, is_projective,
@@ -80,16 +80,13 @@ class CoverData:
             self._caches[key] = build()
         return self._caches[key]
 
-    def regular_class(self) -> ClassVector:
-        return self.registry.regular_class()
-
     def main_cartan(self) -> CartanData:
         return self.memo("cartan", lambda: cartan_data(self.G, self.k,
                                                        self.registry))
 
     def registry_for(self, group: FiniteGroup):
-        """(registry, cartan) for a materialized subgroup, cached; the
-        whole group materializes as G itself and gets the main pair."""
+        """(registry, cartan) for a subgroup of G, cached; G.subgroup of
+        all of G is G itself and gets the main pair."""
         if group is self.G:
             return self.registry, self.main_cartan()
 
@@ -99,19 +96,20 @@ class CoverData:
         return self.memo(("registry", id(group)), build)
 
     def tame_complement(self, datum: RamificationDatum):
-        """(C, c): the tame complement C = <c> of the wild group in I_P, as
-        a subgroup of G, for c the first element of I_P of order e_t.
+        """(C, c): the tame complement C = <c> of the wild group in I_P, for
+        c the first element of I_P of order e_t, as an index of I_P.
         RamificationDatum._validate proves I_P / wild cyclic of order e_t
         (the cotangent character embeds it in k(P)^*), and e_t is prime to
         p, so any such c generates a complement: <c> meets the wild group
         trivially and |<c>| |wild| = |I_P|."""
         def build():
-            c = next((x for x in datum.I_P.indices
-                      if self.G.element_order(x) == datum.e_t), None)
+            I_P = datum.I_P
+            c = next((x for x in range(I_P.order)
+                      if I_P.element_order(x) == datum.e_t), None)
             if c is None:
                 raise Inconsistency("the tame quotient of the inertia group "
                                     "is not cyclic of order e_t")
-            return Subgroup(self.G, self.G.closure([c]), check=False), c
+            return I_P.subgroup(I_P.closure([c])), c
         return self.memo(("complement", id(datum)), build)
 
     def induced_cover_class(self, datum: RamificationDatum, d: int,
@@ -127,24 +125,22 @@ class CoverData:
         def build():
             C, _ = self.tame_complement(datum)
             reg, _ = self.registry_for(group)
-            lam = rep_restrict(datum.cotangent_power(d),
-                               C.in_subgroup_of(datum.I_P.as_group()))
-            return reg.class_of_induced(lam, C.in_subgroup_of(group))
+            return reg.class_of_induced(
+                rep_restrict(datum.cotangent_power(d), C))
         return self.memo(("indcov", id(datum), d, id(group)), build)
 
-    def induce_class(self, v: ClassVector, H: Subgroup) -> ClassVector:
+    def induce_class(self, v: ClassVector, H: FiniteGroup) -> ClassVector:
         """Class of Ind_H^G M from the class v of M over H's registry.
         Induction is exact, so Ind M has the factors Ind S for the
         composition factors S of M; the classes of Ind S are computed once
         per subgroup.  A v over the whole group is returned as it is."""
-        Hg = H.as_group()
-        if Hg is self.G:
+        if H is self.G:
             return v
-        reg, _ = self.registry_for(Hg)
+        reg, _ = self.registry_for(H)
         if v.registry is not reg:
             raise InputError("class and subgroup registry differ")
-        induced = self.memo(("induce", id(Hg)), lambda: [
-            self.registry.class_of_induced(S, H) for S in reg.simples])
+        induced = self.memo(("induce", id(H)), lambda: [
+            self.registry.class_of_induced(S) for S in reg.simples])
         total = self.registry.zero()
         for c, w in zip(v.coeffs, induced):
             total = total + w.scale(c)
@@ -158,7 +154,7 @@ class CoverData:
         d %= datum.e_t
         return self.memo(("indcot", id(datum), d),
                          lambda: self.registry.class_of_induced(
-                             datum.cotangent_power(d), datum.I_P))
+                             datum.cotangent_power(d)))
 
     # -- divisor bookkeeping ----------------------------------------------------
 
@@ -283,7 +279,7 @@ def ramification_class_via_euler(cover: CoverData) -> ClassVector:
     # Divisor drops the zero coefficients of the tame orbits
     E = Divisor({P: datum.e_w - 1 for datum in cover.orbit_data
                  for P in cover.geometry.orbit_of_place(datum.place)})
-    return (cover.regular_class().scale(1 - cover.g_Y)
+    return (cover.registry.regular_class().scale(1 - cover.g_Y)
             - oracle_euler_class(cover, E))
 
 
@@ -342,12 +338,11 @@ def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
     if not datum.is_weak_here:
         raise InputError("divided covers are defined for weakly ramified "
                          "places")
-    gp_group = datum.G_P.as_group()
-    _, cartan_p = cover.registry_for(gp_group)
+    _, cartan_p = cover.registry_for(datum.G_P)
     head = _frobenius_heads(cover, datum, d)
     # Ind_{I_P}^{G_P} Cov = Ind_C^{G_P} Res_C lambda is projective: every
     # module over the p'-group C is, and induction keeps projectivity
-    total = cover.induced_cover_class(datum, -d, gp_group)
+    total = cover.induced_cover_class(datum, -d, datum.G_P)
     # two routes to the multiplicities of the P_i: Frobenius reciprocity
     # on the tame complement, and the Cartan coordinates of the class
     if cartan_coordinates(total, cartan_p) != [head[i] for i in sorted(head)]:
@@ -380,20 +375,17 @@ def _frobenius_heads(cover: CoverData, datum: RamificationDatum,
     is sum_j a_j b_j over the multiplicities a_j and b_j of zeta^j as an
     eigenvalue of lambda(c) and of S_i(c).  The b_j are counted once per
     datum; dividing by dim End(S_i) must leave an integer."""
-    gp_group = datum.G_P.as_group()
-    reg_p, _ = cover.registry_for(gp_group)
+    reg_p, _ = cover.registry_for(datum.G_P)
     brauer = reg_p.brauer
 
     def build():
         _, c = cover.tame_complement(datum)
-        root = cover.G.root_index[c]
-        c_in_gp = gp_group.root_index.index(root)
-        return (datum.I_P.as_group().root_index.index(root),
-                [brauer.eigenvalue_counts(S.image(c_in_gp), datum.e_t)
-                 for S in reg_p.simples])
-    c_in_i, simple_counts = cover.memo(("frobenius", id(datum)), build)
+        c_in_gp = datum.I_P.positions_in(datum.G_P)[c]
+        return c, [brauer.eigenvalue_counts(S.image(c_in_gp), datum.e_t)
+                   for S in reg_p.simples]
+    c, simple_counts = cover.memo(("frobenius", id(datum)), build)
     lam = datum.cotangent_power(-d % datum.e_t)
-    a = brauer.eigenvalue_counts(lam.image(c_in_i), datum.e_t)
+    a = brauer.eigenvalue_counts(lam.image(c), datum.e_t)
     out = {}
     for i, b in enumerate(simple_counts):
         num, den = sum(x * y for x, y in zip(a, b)), reg_p.end_dim(i)
@@ -426,7 +418,7 @@ def _formula_walk(cover: CoverData, D: Divisor | None, term):
             total = total + term(cover, datum, d)
         terms.append({"place": datum.place_json(), "n": n, "l": l, "m": m,
                       "f": datum.f, "residue_deg": datum.residue_deg})
-    total = total + cover.regular_class().scale(reg_coeff)
+    total = total + cover.registry.regular_class().scale(reg_coeff)
     return total, reg_coeff, terms
 
 
@@ -466,12 +458,12 @@ def euler_class_tame_mod_regular(cover: CoverData, D: Divisor | None = None):
     if not cover.is_tame():
         raise InputError("the mod-regular variant needs a tame cover")
     total, reg_coeff, _ = _formula_walk(cover, D, _rational_term)
-    return total - cover.regular_class().scale(reg_coeff)
+    return total - cover.registry.regular_class().scale(reg_coeff)
 
 
 def regular_multiple(cover: CoverData, diff: ClassVector):
     """(True, t) when diff = t * [k[G]] for an integer t."""
-    reg = cover.regular_class()
+    reg = cover.registry.regular_class()
     pivot = next((i for i, c in enumerate(reg.coeffs) if c), None)
     if pivot is None:
         raise Inconsistency("regular class is zero")
@@ -493,7 +485,7 @@ def euler_class_scaled(cover: CoverData, D: Divisor | None = None):
         C += Fraction(datum.orbit_size * datum.deg * (datum.e_t - 1), 2)
     if C.denominator != 1:
         raise Inconsistency("scaled-formula constant is not integral")
-    total = cover.regular_class().scale(C)
+    total = cover.registry.regular_class().scale(C)
     terms = []
     coeff_of = {id(datum): n for datum, n in table}
     for datum in cover.orbit_data:
@@ -545,14 +537,12 @@ def tame_structure_checks(cover: CoverData, datum: RamificationDatum,
     inducing the restriction multiplies the class by the residue degree."""
     if not datum.is_tame_here:
         raise InputError("structure checks apply at tame places")
-    gp_group = datum.G_P.as_group()
-    reg_p, _ = cover.registry_for(gp_group)
+    reg_p, _ = cover.registry_for(datum.G_P)
     w = divided_cover_class(cover, datum, d)
     line = datum.decomposition_line_rep(-d)
     line_class = reg_p.class_of(line)
     identity_a = w["class"] == line_class
-    i_in_gp = datum.I_P.in_subgroup_of(gp_group)
-    back_class = reg_p.class_of_induced(rep_restrict(line, i_in_gp), i_in_gp)
+    back_class = reg_p.class_of_induced(rep_restrict(line, datum.I_P))
     identity_b = back_class == line_class.scale(datum.f)
     return {"cover_equals_line": identity_a,
             "ind_res_multiplies": identity_b}

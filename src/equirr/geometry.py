@@ -20,9 +20,9 @@ import math
 from .errors import CapExceeded, Inconsistency, InputError
 from .fields import (Field, Poly, field_make, poly_factor,
                      poly_is_irreducible, poly_roots)
-from .groups import FiniteGroup, Subgroup, _p_part
+from .groups import FiniteGroup, _p_part
 from .matrices import Mat
-from .reps import Rep, subgroup_to_parent
+from .reps import Rep
 
 INF_POINT = "inf"  # geometric point at infinity (encodings are ints)
 # Largest dim L(D) the oracle builds.  On a 2-vCPU desk machine, the order-3
@@ -178,10 +178,12 @@ class PowerBasisCoords:
 class RamificationDatum:
     """Per-place package: decomposition and inertia groups, filtration
     sizes, ramification indices, residue data and the cotangent character
-    realized over the canonical residue field."""
+    realized over the canonical residue field.  G_P, I_P and wild are
+    subgroups of group (G.subgroup); char and cocycle are keyed by element
+    indices of group."""
 
     def __init__(self, *, group: FiniteGroup, k: Field, place,
-                 G_P: Subgroup, I_P: Subgroup, wild: Subgroup,
+                 G_P: FiniteGroup, I_P: FiniteGroup, wild: FiniteGroup,
                  filtration: list[int], deg: int, orbit_size: int,
                  kP: Field, rho: int, char: dict[int, int],
                  cocycle: dict[int, tuple[int, int]] | None):
@@ -224,9 +226,10 @@ class RamificationDatum:
         if _p_part(self.e_w, self.k.p) != self.e_w:
             raise Inconsistency("wild inertia is not a p-group")
         # character: homomorphism on I_P, kernel exactly wild, order e_t
-        wild_set = set(self.wild.indices)
+        inertia = self.I_P.positions_in(G)
+        wild_set = set(self.wild.positions_in(G))
         orders = set()
-        for s in self.I_P.indices:
+        for s in inertia:
             a = self.char[s]
             if a == 0:
                 raise Inconsistency("cotangent scalar is zero")
@@ -237,16 +240,17 @@ class RamificationDatum:
         image_order = math.lcm(*orders) if orders else 1
         if image_order != self.e_t:
             raise Inconsistency("cotangent character order differs from e_t")
-        for s in self.I_P.indices:
-            for t in self.I_P.indices:
+        for s in inertia:
+            for t in inertia:
                 st = G.table[s][t]
                 if self.kP.mul(self.char[s], self.char[t]) != self.char[st]:
                     raise Inconsistency("cotangent character is not a "
                                         "homomorphism")
         if self.cocycle is not None:
-            for s in self.G_P.indices:
+            decomposition = self.G_P.positions_in(G)
+            for s in decomposition:
                 js, bs = self.cocycle[s]
-                for t in self.G_P.indices:
+                for t in decomposition:
                     jt, bt = self.cocycle[t]
                     st = G.table[s][t]
                     jst, bst = self.cocycle[st]
@@ -300,13 +304,12 @@ class RamificationDatum:
         group; tensor powers are over the residue field, so the dimension
         stays [k(P):k] for every d."""
         if d not in self._cot_cache:
-            Ig = self.I_P.as_group()
-            to_parent = subgroup_to_parent(self.I_P)
+            in_G = self.I_P.positions_in(self.group)
             images = {}
-            for t, g in enumerate(Ig.generators):
-                a = self.char[to_parent[g]]
+            for t, g in enumerate(self.I_P.generators):
+                a = self.char[in_G[g]]
                 images[t] = self._mult_matrix(self.kP.pow_(a, d))
-            rep = Rep(Ig, self.k, self.deg, images)
+            rep = Rep(self.I_P, self.k, self.deg, images)
             rep.check_homomorphism()
             self._cot_cache[d] = rep
         return self._cot_cache[d]
@@ -319,14 +322,13 @@ class RamificationDatum:
             raise InputError("decomposition-line data needs a geometric "
                              "ramification datum")
         if d not in self._line_cache:
-            Gg = self.G_P.as_group()
-            to_parent = subgroup_to_parent(self.G_P)
+            in_G = self.G_P.positions_in(self.group)
             images = {}
-            for t, g in enumerate(Gg.generators):
-                j, b = self.cocycle[to_parent[g]]
+            for t, g in enumerate(self.G_P.generators):
+                j, b = self.cocycle[in_G[g]]
                 images[t] = self._mult_matrix(self.kP.pow_(b, d),
                                               frob_steps=j)
-            rep = Rep(Gg, self.k, self.deg, images)
+            rep = Rep(self.G_P, self.k, self.deg, images)
             rep.check_homomorphism()
             self._line_cache[d] = rep
         return self._line_cache[d]
@@ -583,10 +585,10 @@ class P1Geometry:
         G, k = self.G, self.k
         gp_idx = [s for s in range(G.order)
                   if self.mobius_on_place(s, P) == P]
-        G_P = Subgroup(G, gp_idx, check=False)
+        G_P = G.subgroup(gp_idx)
         kP, x = self.residue_field(P), self.place_root(P)
         i_idx = [s for s in gp_idx if self.mobius_point(kP, s, x) == x]
-        I_P = Subgroup(G, i_idx, check=False)
+        I_P = G.subgroup(i_idx)
         contact = {s: self._contact_order(s, P)
                    for s in i_idx if s != G.identity}
         filtration = []
@@ -598,7 +600,7 @@ class P1Geometry:
                 break
             s += 1
         wild_idx = [G.identity] + [g for g, v in contact.items() if v >= 2]
-        wild = Subgroup(G, sorted(wild_idx), check=False)
+        wild = G.subgroup(wild_idx)
         char = {s: 1 if s == G.identity else self._cotangent_scalar(s, P)
                 for s in i_idx}
         cocycle = {}
@@ -749,26 +751,27 @@ def _certify_rr_generator(num: Poly, den: Poly, D: Divisor):
 
 
 def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
-                   decomposition, inertia, wild, residue_degree: int,
+                   decomposition: FiniteGroup, inertia: FiniteGroup,
+                   wild: FiniteGroup, residue_degree: int,
                    cot_generator: int | None,
                    cot_value: int | list[int] | None) -> RamificationDatum:
-    """Build a RamificationDatum from an abstract description: subgroups by
-    element index, the residue degree [k(P):k], and the cotangent character
-    given by a generator of I/wild and a primitive value in the canonical
-    residue field (an encoding, or a GF(p) coefficient list)."""
-    G_P = Subgroup(G, decomposition)
-    I_P = Subgroup(G, inertia)
-    wild_sub = Subgroup(G, wild)
-    if not set(wild_sub.indices) <= set(I_P.indices) <= set(G_P.indices):
+    """Build a RamificationDatum from an abstract description: subgroups of
+    G (G.subgroup), the residue degree [k(P):k], and the cotangent
+    character given by a generator of I/wild (an element index of G) and a
+    primitive value in the canonical residue field (an encoding, or a
+    GF(p) coefficient list)."""
+    G_P, I_P = decomposition, inertia
+    in_dec, in_ine, in_wild = (H.positions_in(G) for H in (G_P, I_P, wild))
+    ine_set, wild_set = set(in_ine), set(in_wild)
+    if not wild_set <= ine_set <= set(in_dec):
         raise InputError("need wild <= inertia <= decomposition")
-    if any(G.conjugate(g, h) not in set(I_P.indices)
-           for g in G_P.indices for h in I_P.indices):
+    if any(G.conjugate(g, h) not in ine_set for g in in_dec for h in in_ine):
         raise InputError("inertia must be normal in the decomposition group")
-    if any(G.conjugate(g, h) not in set(wild_sub.indices)
-           for g in I_P.indices for h in wild_sub.indices):
+    if any(G.conjugate(g, h) not in wild_set
+           for g in in_ine for h in in_wild):
         raise InputError("wild group must be normal in inertia")
     e = I_P.order
-    e_w = wild_sub.order
+    e_w = wild.order
     if e % e_w:
         raise InputError("wild order must divide the inertia order")
     e_t = e // e_w
@@ -784,13 +787,13 @@ def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
     filtration = [e, e_w, 1] if e_w > 1 else [e, 1]
     char = {G.identity: 1}
     if e_t == 1:
-        for s in I_P.indices:
+        for s in in_ine:
             char[s] = 1
     else:
         if cot_generator is None:
             raise InputError("a cotangent generator is required when "
                              "e_t > 1")
-        if cot_generator not in set(I_P.indices):
+        if cot_generator not in ine_set:
             raise InputError("cotangent generator must lie in inertia")
         if cot_value is None:
             raise InputError("a cotangent value is required when e_t > 1")
@@ -799,14 +802,13 @@ def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
         if not 0 < val < kP.q or kP.element_order(val) != e_t:
             raise InputError("cotangent value must have order exactly e_t")
         # extend multiplicatively: s = g^j * w with w wild
-        wild_set = set(wild_sub.indices)
-        assigned = {s: None for s in I_P.indices}
-        for w in wild_sub.indices:
+        assigned = {s: None for s in in_ine}
+        for w in in_wild:
             assigned[w] = 1
         cur = cot_generator
         cur_val = val
         for _ in range(e_t):
-            for w in wild_sub.indices:
+            for w in in_wild:
                 assigned[G.table[cur][w]] = cur_val
             cur = G.table[cur][cot_generator]
             cur_val = kP.mul(cur_val, val)
@@ -814,24 +816,23 @@ def abstract_datum(G: FiniteGroup, k: Field, *, label: str,
             raise InputError("cotangent generator does not generate "
                              "I/wild")
         char.update(assigned)
-    if e_t > 1 and set(wild_sub.indices) != \
-            {s for s in I_P.indices if char[s] == 1}:
+    if e_t > 1 and wild_set != {s for s in in_ine if char[s] == 1}:
         raise InputError("cotangent kernel is not the declared wild group")
     # Galois-compatibility of the character under decomposition conjugation
     if f > 1:
         q_r = k.q ** (deg // f)
-        for tau in G_P.indices:
+        for tau in in_dec:
             ok = False
             for j in range(f):
                 if all(char[G.conjugate(tau, s)]
-                       == kP.pow_(char[s], q_r**j) for s in I_P.indices):
+                       == kP.pow_(char[s], q_r**j) for s in in_ine):
                     ok = True
                     break
             if not ok:
                 raise InputError("cotangent character is not Galois "
                                  "compatible with the decomposition group")
     return RamificationDatum(
-        group=G, k=k, place=label, G_P=G_P, I_P=I_P, wild=wild_sub,
+        group=G, k=k, place=label, G_P=G_P, I_P=I_P, wild=wild,
         filtration=filtration, deg=deg,
         orbit_size=G.order // G_P.order,
         kP=kP, rho=rho, char=char, cocycle=None)

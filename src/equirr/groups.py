@@ -6,6 +6,11 @@ row-major order scaled to 1) so equality of projective classes is plain
 tuple equality.  Every group carries a small generating set and a word for
 each element in those generators; representations store matrices for the
 generators only and rebuild other images from the words.
+
+A group built from generators or a table is its own root.  Every subgroup
+is a FiniteGroup over that root (G.subgroup), one object per element set,
+whose elements are root indices in increasing order; H.positions_in(K)
+reads H's elements as indices of any overgroup K over the same root.
 """
 
 from __future__ import annotations
@@ -57,11 +62,11 @@ class FiniteGroup:
 
     labels[i] identifies element i: a normalized PGL2 tuple for matrix
     groups, an int for abstract tables, or a root-group index for
-    materialized subgroups.
+    subgroups.
     """
 
     def __init__(self, labels, table, kind: str, field: Field | None = None,
-                 root=None, root_index=None):
+                 root=None):
         self.labels = list(labels)
         self.order = len(self.labels)
         self.table = table
@@ -73,7 +78,7 @@ class FiniteGroup:
         self.generators = self._greedy_generators()
         self.words = self._generator_words()
         self.root = root if root is not None else self
-        self.root_index = (root_index if root_index is not None
+        self.root_index = (self.labels if root is not None
                            else list(range(self.order)))
         self._subgroup_cache: dict[frozenset, "FiniteGroup"] = {}
         self._order_cache: dict[int, int] = {}
@@ -204,9 +209,6 @@ class FiniteGroup:
 
     # queries --------------------------------------------------------------
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.table[self.table[g][x]][self.inverse[g]]
@@ -224,12 +226,14 @@ class FiniteGroup:
     def closure(self, idxs) -> tuple[int, ...]:
         return tuple(sorted(self._closure_set(list(idxs))))
 
-    def materialize_subgroup(self, indices) -> "FiniteGroup":
-        """Subgroup on the given (closed) index set as its own FiniteGroup.
+    def subgroup(self, indices) -> "FiniteGroup":
+        """The subgroup on the given element indices, as a FiniteGroup over
+        the root whose labels are root indices in increasing order.
 
         The whole root group is the root itself.  Any other subgroup is
-        cached per root-index set, so two routes to the same subgroup share
-        one object; its element labels are root indices.
+        cached per root-index set, so every route to the same subgroup
+        gives one object.  A set without the identity, or one that the
+        table build finds a product outside of, raises InputError.
         """
         root = self.root
         root_set = frozenset(self.root_index[i] for i in indices)
@@ -237,60 +241,33 @@ class FiniteGroup:
             return root
         if root_set in root._subgroup_cache:
             return root._subgroup_cache[root_set]
+        if root.identity not in root_set:
+            raise InputError("subgroup must contain the identity")
         ordered = sorted(root_set)
         pos = {ri: k for k, ri in enumerate(ordered)}
-        root_table = root.table
-        table = [[pos[root_table[a][b]] for b in ordered] for a in ordered]
+        try:
+            table = [[pos[root.table[a][b]] for b in ordered]
+                     for a in ordered]
+        except KeyError:
+            raise InputError("element set is not closed under "
+                             "multiplication") from None
         sub = FiniteGroup(ordered, table, kind="sub", field=root.field,
-                          root=root, root_index=ordered)
+                          root=root)
         root._subgroup_cache[root_set] = sub
         return sub
 
-
-class Subgroup:
-    """A subgroup given by a sorted tuple of parent element indices."""
-
-    def __init__(self, parent: FiniteGroup, indices, check: bool = True):
-        idx = tuple(sorted(set(indices)))
-        if check:
-            if parent.identity not in idx:
-                raise InputError("subgroup must contain the identity")
-            idx_set = set(idx)
-            for a in idx:
-                for b in idx:
-                    if parent.table[a][b] not in idx_set:
-                        raise InputError("element set is not closed under "
-                                         "multiplication")
-        self.parent = parent
-        self.indices = idx
-        self.order = len(idx)
-
-    def as_group(self) -> FiniteGroup:
-        return self.parent.materialize_subgroup(self.indices)
-
-    def in_subgroup_of(self, other_parent: FiniteGroup) -> "Subgroup":
-        """Re-express this subgroup relative to a materialized overgroup
-        that shares the same root."""
-        root = self.parent.root
-        if other_parent.root is not root:
+    def positions_in(self, K: "FiniteGroup") -> list[int]:
+        """The index in K of each element of this group, for an overgroup
+        K over the same root."""
+        if K.root is not self.root:
             raise InputError("subgroups live over different root groups")
-        my_roots = {self.parent.root_index[i] for i in self.indices}
-        pos = {ri: k for k, ri in enumerate(other_parent.root_index)}
+        if K is self.root:
+            return list(self.root_index)
         try:
-            idx = tuple(sorted(pos[ri] for ri in my_roots))
+            return [K.index[r] for r in self.root_index]
         except KeyError:
-            raise InputError("subgroup is not contained in the target group")
-        return Subgroup(other_parent, idx, check=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and self.parent is other.parent
-                and self.indices == other.indices)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.indices))
-
-    def __repr__(self):
-        return f"Subgroup(order {self.order} of order-{self.parent.order})"
+            raise InputError("subgroup is not contained in the target "
+                             "group") from None
 
 
 # -- classical operations ------------------------------------------------
@@ -319,7 +296,7 @@ def _p_part(m: int, p: int) -> int:
     return out
 
 
-def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
+def sylow_p(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup by normalizer climbing; any one is acceptable."""
     target = _p_part(G.order, p)
     current = {G.identity}
@@ -335,30 +312,32 @@ def sylow_p(G: FiniteGroup, p: int) -> Subgroup:
                 break
         if not grew:
             raise Inconsistency("Sylow climb stalled; table is inconsistent")
-    return Subgroup(G, sorted(current), check=False)
+    return G.subgroup(current)
 
 
-def cosets(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Left-coset representatives gH, least unused element index first."""
-    if H.parent is not G:
-        raise InputError("H is not a subgroup of G")
+def cosets(G: FiniteGroup, H: FiniteGroup) -> list[int]:
+    """Left-coset representatives gH of a subgroup H, least unused element
+    index of G first."""
+    in_G = H.positions_in(G)
     reps = []
     assigned = [False] * G.order
     for g in range(G.order):
         if assigned[g]:
             continue
         reps.append(g)
-        for h in H.indices:
+        for h in in_G:
             assigned[G.table[g][h]] = True
     return reps
 
 
-def coset_lookup(G: FiniteGroup, H: Subgroup):
-    """Map element -> (coset position, H-part) for the deterministic
-    coset order of cosets()."""
+def coset_lookup(G: FiniteGroup, H: FiniteGroup):
+    """(representatives, where): where[x] = (k, h) for the element x of G
+    in the k-th coset of cosets(G, H), x = reps[k] h with h an index of
+    H."""
     reps = cosets(G, H)
+    in_G = H.positions_in(G)
     where = [None] * G.order
     for k, r in enumerate(reps):
-        for h in H.indices:
-            where[G.table[r][h]] = (k, h)
+        for h, x in enumerate(in_G):
+            where[G.table[r][x]] = (k, h)
     return reps, where

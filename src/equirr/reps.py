@@ -43,8 +43,7 @@ import numpy as np
 from .errors import CapExceeded, Inconsistency, InputError
 from .fields import (TABLE_LIMIT, FactorStream, Field, Poly, field_make,
                      galois_pairing, poly_factor, totient_mobius)
-from .groups import (FiniteGroup, Subgroup, conjugacy_classes, coset_lookup,
-                     sylow_p)
+from .groups import FiniteGroup, conjugacy_classes, coset_lookup, sylow_p
 from .matrices import Mat
 
 # Algebra elements the MeatAxe tries on one module before it gives up: a
@@ -60,13 +59,6 @@ SUMMAND_DIM_CAP = 400
 # elimination holds a few copies).  No command solves a Hom system: the
 # summand split and the tests' references do.
 HOM_CELL_CAP = 1 << 25
-
-
-def subgroup_to_parent(H: Subgroup) -> list[int]:
-    """Map position in H.as_group() to index in H.parent."""
-    Hg = H.as_group()
-    parent_pos = {r: i for i, r in enumerate(H.parent.root_index)}
-    return [parent_pos[r] for r in Hg.root_index]
 
 
 class Rep:
@@ -140,25 +132,19 @@ def rep_trivial(G: FiniteGroup, field: Field, dim: int = 1) -> Rep:
                 for t in range(len(G.generators))})
 
 
-def rep_restrict(M: Rep, H: Subgroup) -> Rep:
-    if H.parent is not M.group:
-        raise InputError("restriction subgroup has the wrong parent")
-    Hg = H.as_group()
-    to_parent = subgroup_to_parent(H)
-    images = {t: M.image(to_parent[g]) for t, g in enumerate(Hg.generators)}
-    return Rep(Hg, M.field, M.dim, images)
+def rep_restrict(M: Rep, H: FiniteGroup) -> Rep:
+    """Res_H M for a subgroup H of M.group over the same root: the images
+    of H's generators, read through H.positions_in(M.group)."""
+    in_G = H.positions_in(M.group)
+    images = {t: M.image(in_G[h]) for t, h in enumerate(H.generators)}
+    return Rep(H, M.field, M.dim, images)
 
 
-def rep_induce(M: Rep, G: FiniteGroup, H: Subgroup) -> Rep:
-    """Block-matrix induced representation of dimension [G:H] * dim M,
-    blocks laid out along the deterministic coset order."""
-    if H.parent is not G:
-        raise InputError("induction subgroup has the wrong parent")
-    if H.as_group() is not M.group:
-        raise InputError("representation is not over the given subgroup")
-    to_parent = subgroup_to_parent(H)
-    hg_pos = {p: k for k, p in enumerate(to_parent)}
-    reps, where = coset_lookup(G, H)
+def rep_induce(M: Rep, G: FiniteGroup) -> Rep:
+    """Ind_H^G M for H = M.group, a subgroup of G over the same root: the
+    block-matrix representation of dimension [G:H] * dim M, blocks laid
+    out along the deterministic coset order of cosets(G, H)."""
+    reps, where = coset_lookup(G, M.group)
     k = len(reps)
     m = M.dim
     F = M.field
@@ -168,7 +154,7 @@ def rep_induce(M: Rep, G: FiniteGroup, H: Subgroup) -> Rep:
         for j, rj in enumerate(reps):
             e = G.table[g][rj]
             i, h = where[e]
-            block = M.image(hg_pos[h])
+            block = M.image(h)
             a[i * m:(i + 1) * m, j * m:(j + 1) * m] = block.a
         images[t] = Mat(F, a)
     return Rep(G, F, k * m, images)
@@ -582,10 +568,10 @@ class BrauerCharacters:
         return self._spread([self.eigenvalue_counts(M.image(g), m)
                              for g, m in self.generators])
 
-    def induced_vector(self, M: Rep,
-                       H: Subgroup) -> tuple[tuple[int, ...], ...]:
-        """The vector of Ind_H^G M (the module rep_induce builds), with no
-        matrix of the induced dimension.
+    def induced_vector(self, M: Rep) -> tuple[tuple[int, ...], ...]:
+        """The vector of Ind_H^G M for H = M.group, a subgroup of G over the
+        same root (the module rep_induce builds), with no matrix of the
+        induced dimension.
 
         A generator g of order m permutes the cosets G/H.  On a cycle of
         length l through xH, g^l x = x h with h in H, and the l-th power of
@@ -595,13 +581,8 @@ class BrauerCharacters:
         therefore gives the l eigenvalues zeta_m^(s + (m / l) t), t < l.
         Only dim M x dim M characteristic polynomials are taken, one per
         distinct (h, l)."""
-        G = H.parent
-        if G is not self.group:
-            raise InputError("induction subgroup has the wrong parent")
-        if M.group is not H.as_group():
-            raise InputError("representation is not over the given subgroup")
-        hg_pos = {x: k for k, x in enumerate(subgroup_to_parent(H))}
-        reps, where = coset_lookup(G, H)
+        G = self.group
+        reps, where = coset_lookup(G, M.group)
         block_counts: dict[tuple[int, int], list[int]] = {}
         found = []
         for g, m in self.generators:
@@ -622,7 +603,7 @@ class BrauerCharacters:
                 step = m // length
                 if (h, step) not in block_counts:
                     block_counts[h, step] = self.eigenvalue_counts(
-                        M.image(hg_pos[h]), step)
+                        M.image(h), step)
                 for s, c in enumerate(block_counts[h, step]):
                     for t in range(s, m, step):
                         counts[t] += c
@@ -824,8 +805,8 @@ class SimpleRegistry:
         if self._base is None:
             P = sylow_p(self.group, self.field.p)
             found: dict = {}
-            for S, U in chop(rep_induce(rep_trivial(P.as_group(), self.field),
-                                        self.group, P), self._rng):
+            for S, U in chop(rep_induce(rep_trivial(P, self.field),
+                                        self.group), self._rng):
                 found.setdefault(brauer.vector(S), (S, U))
         else:
             found = self._descend(brauer)
@@ -924,13 +905,14 @@ class SimpleRegistry:
             raise InputError("module and registry are over different data")
         return self._solve(self.brauer.vector(M), M.dim)
 
-    def class_of_induced(self, M: Rep, H: Subgroup) -> "ClassVector":
-        """The class of Ind_H^G M, solved and checked as class_of does, from
+    def class_of_induced(self, M: Rep) -> "ClassVector":
+        """The class of Ind_H^G M for H = M.group, a subgroup of G over the
+        same root, solved and checked as class_of does, from
         BrauerCharacters.induced_vector: no induced module is built."""
         if M.field is not self.field:
             raise InputError("module and registry are over different data")
-        return self._solve(self.brauer.induced_vector(M, H),
-                           self.group.order // H.order * M.dim)
+        return self._solve(self.brauer.induced_vector(M),
+                           self.group.order // M.group.order * M.dim)
 
     def regular_class(self) -> "ClassVector":
         """The class of k[G], solved and checked as class_of does, from
@@ -1195,7 +1177,7 @@ def is_projective(M: Rep) -> bool:
         return True
     eye = Mat.identity(M.field, M.dim)
     stacked = None
-    for g in P.indices:
+    for g in P.positions_in(G):
         if g == G.identity:
             continue
         block = M.image(g) - eye

@@ -358,13 +358,18 @@ def realize(cfg: ScenarioConfig) -> Scenario:
             value = _json_int(value, f"{key}.cotangent.value")
         wild = _json_indices(raw.get("wild", [G.identity]), f"{key}.wild",
                              G.order)
+        subgroups = {}
+        for name, indices in (("decomposition", decomposition),
+                              ("inertia", inertia), ("wild", wild)):
+            try:
+                subgroups[name] = G.subgroup(indices)
+            except InputError as e:
+                raise InputError(f"{key}.{name}: {e}") from None
         try:
             datum = abstract_datum(
                 G, k,
                 label=str(raw.get("label", f"orbit{i}")),
-                decomposition=decomposition,
-                inertia=inertia,
-                wild=wild,
+                **subgroups,
                 residue_degree=residue_degree,
                 cot_generator=generator,
                 cot_value=value,

@@ -25,7 +25,7 @@ from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
                            prime_factors)
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
-from equirr.groups import FiniteGroup, Subgroup, _p_part
+from equirr.groups import FiniteGroup, _p_part
 from equirr.matrices import Mat
 from equirr.reps import (ClassVector, Rep, SimpleRegistry, _check_hom_cells,
                          chop, extend_scalars, hom_dim, hom_space,
@@ -322,36 +322,35 @@ def reference_ramified_places(geo: P1Geometry) -> list[Place]:
                   key=Place.sort_key)
 
 
-def is_normal(H: Subgroup) -> bool:
-    s = set(H.indices)
-    return all(H.parent.conjugate(g, h) in s
-               for g in range(H.parent.order) for h in H.indices)
+def is_normal(H: FiniteGroup, G: FiniteGroup) -> bool:
+    s = set(H.positions_in(G))
+    return all(G.conjugate(g, h) in s for g in range(G.order) for h in s)
 
 
-def schur_zassenhaus_complement(I: FiniteGroup, P: Subgroup) -> Subgroup:
+def schur_zassenhaus_complement(I: FiniteGroup,
+                                P: FiniteGroup) -> FiniteGroup:
     """Complement of a normal p-Sylow P inside I.
 
     A single element of order [I:P] works when the quotient is cyclic; a
     bounded two-generator search covers the rest.  Existence is guaranteed
     by Schur-Zassenhaus, so a failed search signals an inconsistent
-    input."""
-    if P.parent is not I:
-        raise InputError("P must be a subgroup of I")
-    if not is_normal(P):
+    input.  A P that is not a subgroup of I raises InputError
+    (P.positions_in)."""
+    if not is_normal(P, I):
         raise InputError("P must be normal in I")
     m = I.order // P.order
     if len(prime_factors(P.order)) > 1:
         raise InputError("P must be a p-group")
     if math.gcd(P.order, m) != 1:
         raise InputError("complement requires coprime order and index")
-    pset = set(P.indices)
+    pset = set(P.positions_in(I))
     if m == 1:
-        return Subgroup(I, [I.identity], check=False)
+        return I.subgroup([I.identity])
     for g in range(I.order):
         if I.element_order(g) == m:
             cyc = I.closure([g])
             if len(cyc) == m and set(cyc) & pset == {I.identity}:
-                return Subgroup(I, cyc, check=False)
+                return I.subgroup(cyc)
     for g in range(I.order):
         if m % I.element_order(g) != 0:
             continue
@@ -360,11 +359,11 @@ def schur_zassenhaus_complement(I: FiniteGroup, P: Subgroup) -> Subgroup:
                 continue
             sub = I.closure([g, h])
             if len(sub) == m and set(sub) & pset == {I.identity}:
-                return Subgroup(I, sub, check=False)
+                return I.subgroup(sub)
     raise Inconsistency("no Schur-Zassenhaus complement found")
 
 
-def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
+def projective_cover_over_inertia(I: FiniteGroup, P1: FiniteGroup,
                                   M: Rep) -> Rep:
     """Projective cover over k[I] of a module M on which the normal p-Sylow
     P1 acts trivially: induce the restriction to a Schur-Zassenhaus
@@ -374,20 +373,18 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
     against."""
     if M.group is not I:
         raise InputError("module is not over the inertia group")
-    if P1.parent is not I:
-        raise InputError("wild subgroup has the wrong parent")
-    if not is_normal(P1):
+    if not is_normal(P1, I):
         raise InputError("wild subgroup must be normal")
     if _p_part(P1.order, M.field.p) != P1.order:
         raise InputError("wild subgroup must be a p-group")
     if math.gcd(P1.order, I.order // P1.order) != 1:
         raise InputError("wild subgroup must be a Sylow subgroup")
     eye = Mat.identity(M.field, M.dim)
-    for g in P1.indices:
+    for g in P1.positions_in(I):
         if M.image(g) != eye:
             raise InputError("wild subgroup does not act trivially")
     C = schur_zassenhaus_complement(I, P1)
-    cov = rep_induce(rep_restrict(M, C), I, C)
+    cov = rep_induce(rep_restrict(M, C), I)
     if cov.dim != P1.order * M.dim:
         raise Inconsistency("projective cover has unexpected dimension")
     if not is_projective(cov):
@@ -398,9 +395,8 @@ def projective_cover_over_inertia(I: FiniteGroup, P1: Subgroup,
 def inertia_cover(datum, d: int) -> Rep:
     """Cov((m/m^2)^{tensor d}) over the inertia group of a ramification
     datum, as the module projective_cover_over_inertia builds."""
-    Ig = datum.I_P.as_group()
-    return projective_cover_over_inertia(
-        Ig, datum.wild.in_subgroup_of(Ig), datum.cotangent_power(d))
+    return projective_cover_over_inertia(datum.I_P, datum.wild,
+                                         datum.cotangent_power(d))
 
 
 def split_by_completed_basis(M: Rep, W: Mat) -> tuple[Rep, Rep]:

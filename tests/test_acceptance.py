@@ -17,7 +17,7 @@ from equirr.engine import (CoverData, congruence_condition,
 from equirr.errors import CapExceeded, InputError
 from equirr.fields import Poly, field_make
 from equirr.geometry import Divisor, P1Geometry, Place
-from equirr.groups import FiniteGroup, Subgroup, sylow_p
+from equirr.groups import FiniteGroup, sylow_p
 from equirr.k0 import cartan_data, cartesian_check
 from equirr.matrices import Mat
 from equirr.reps import (SimpleRegistry, hom_dim, is_projective,
@@ -131,7 +131,7 @@ def test_a1_wild_weakly_ramified(a1_covers):
         D = divisors[0]
         oracle = oracle_euler_class(cover, D)
         formula, _ = euler_class_integral(cover, D)
-        regular = cover.regular_class()
+        regular = cover.registry.regular_class()
         assert oracle == formula == regular
         h0 = cover.geometry.rr_action_rep(D)
         assert is_projective(h0)
@@ -339,17 +339,16 @@ def test_a8_frobenius_reciprocity():
     for p in (2, 3, 5):
         F = field_make(p, 1)
         reg_g = rep_regular(G, F)
-        subgroups = [Subgroup(G, [G.identity]), sylow_p(G, 2),
-                     sylow_p(G, 3), Subgroup(G, range(6), check=False)]
+        subgroups = [G.subgroup([G.identity]), sylow_p(G, 2),
+                     sylow_p(G, 3), G.subgroup(range(6))]
         for H in subgroups:
-            Hg = H.as_group()
-            pool_h = [rep_trivial(Hg, F), rep_regular(Hg, F),
+            pool_h = [rep_trivial(H, F), rep_regular(H, F),
                       rep_restrict(reg_g, H)]
             pool_g = [rep_trivial(G, F), reg_g,
                       rep_direct_sum(rep_trivial(G, F), reg_g)]
             for M in pool_h:
                 for N in pool_g:
-                    lhs = hom_dim(rep_induce(M, G, H), N)
+                    lhs = hom_dim(rep_induce(M, G), N)
                     rhs = hom_dim(M, rep_restrict(N, H))
                     assert lhs == rhs
                     count += 1

@@ -54,8 +54,7 @@ def build_module(scn, kind, r):
         return cover.geometry.rr_action_rep(r.choice(scn.divisors))
     if kind == "induced_cover":
         datum = r.choice(cover.orbit_data)
-        return rep_induce(inertia_cover(datum, r.randrange(-3, 4)), G,
-                          datum.I_P)
+        return rep_induce(inertia_cover(datum, r.randrange(-3, 4)), G)
     if kind == "simple":
         return r.choice(cover.registry.simples)
     if kind == "extension":

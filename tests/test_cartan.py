@@ -100,7 +100,7 @@ def test_benchmark_groups_over_gf_q_and_q2(make, p, n):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_scenario_groups(name):
     cover = realize(parse_scenario((SCENARIO_DIR / name).read_text())).cover
-    groups = [cover.G] + [datum.G_P.as_group() for datum in cover.orbit_data]
+    groups = [cover.G] + [datum.G_P for datum in cover.orbit_data]
     for G in groups:
         assert_matches_split(G, cover.k)
     k2 = field_make(cover.k.p, 2 * cover.k.n)

@@ -141,7 +141,7 @@ def kummer():
 
 def test_regular_multiple_is_exact():
     cover = kummer()
-    reg = cover.regular_class()
+    reg = cover.registry.regular_class()
     ok, t = engine.regular_multiple(cover, reg.scale(3))
     assert (ok, t) == (True, 3) and type(t) is int
     assert engine.regular_multiple(cover, reg.scale(-2)) == (True, -2)
@@ -170,7 +170,7 @@ def test_twists_are_keyed_mod_e_t(d):
     for datum in cover.orbit_data:
         e_t = datum.e_t
         assert e_t == 3
-        for group in (cover.G, datum.G_P.as_group()):
+        for group in (cover.G, datum.G_P):
             vec = cover.induced_cover_class(datum, d, group)
             assert cover.induced_cover_class(datum, d + e_t, group) is vec
             assert cover.induced_cover_class(datum, d - e_t, group) is vec
@@ -178,8 +178,8 @@ def test_twists_are_keyed_mod_e_t(d):
         assert cover.induced_fiber_class(datum, d + e_t) is fiber
         assert cover.induced_fiber_class(datum, d - e_t) is fiber
         fresh_ind = cover.registry.class_of(
-            rep_induce(inertia_cover(datum, d + e_t), cover.G, datum.I_P))
+            rep_induce(inertia_cover(datum, d + e_t), cover.G))
         assert cover.induced_cover_class(datum, d + e_t, cover.G) == fresh_ind
         fresh_fiber = cover.registry.class_of(
-            rep_induce(datum.cotangent_power(d + e_t), cover.G, datum.I_P))
+            rep_induce(datum.cotangent_power(d + e_t), cover.G))
         assert cover.induced_fiber_class(datum, d + e_t) == fresh_fiber

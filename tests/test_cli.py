@@ -456,6 +456,15 @@ def test_out_of_range_field_entry_exits_2_naming_key(tmp_path, capsys, path,
 @pytest.mark.parametrize("path,value,message", [
     (["orbits", 0, "inertia"], [0, 7],
      "orbits[0].inertia[1]: element index 7 is out of range"),
+    (["orbits", 0, "inertia"], [],
+     "orbits[0].inertia: subgroup must contain the identity"),
+    (["orbits", 0, "inertia"], [1],
+     "orbits[0].inertia: subgroup must contain the identity"),
+    (["orbits", 0, "wild"], [],
+     "orbits[0].wild: subgroup must contain the identity"),
+    (["orbits", 0, "decomposition"], [0, 1],
+     "orbits[0].decomposition: element set is not closed under "
+     "multiplication"),
     (["orbits", 0, "decomposition"], 5,
      "orbits[0].decomposition: expected a list"),
     (["orbits", 0, "cotangent"], [1],
@@ -468,7 +477,9 @@ def test_out_of_range_field_entry_exits_2_naming_key(tmp_path, capsys, path,
      "orbits[0].cotangent.value: 2 digits for a residue field of degree 1"),
     (["group", "table"], 3, "group.table: expected a list of rows"),
     (["group", "table"], [5, 6, 7], "group.table[0]: expected a list"),
-], ids=["inertia-out-of-range", "decomposition-int", "cotangent-list",
+], ids=["inertia-out-of-range", "inertia-empty", "inertia-no-identity",
+        "wild-empty", "decomposition-not-closed", "decomposition-int",
+        "cotangent-list",
         "cot-value-out-of-field", "cot-value-digit-past-p",
         "cot-value-too-many-digits", "table-int", "table-row-int"])
 def test_malformed_abstract_data_exits_2_naming_key(tmp_path, capsys, path,

@@ -97,7 +97,7 @@ def test_kummer_ramification_module(q, m):
     # [N] = [k[G]] - [trivial]: total dimension m - 1, all coefficients 0/1
     assert total_dim(n) == m - 1
     assert sorted(n.coeffs)[-1] <= 1
-    reg = cover.regular_class()
+    reg = cover.registry.regular_class()
     diff = reg - n
     assert total_dim(diff) == 1
 
@@ -122,7 +122,7 @@ def test_translation_full_divisor(p):
     # global route gives the same class, so either route gives the oracle
     assert (ramification_class_via_euler(cover)
             == ramification_class_via_inertia(cover))
-    assert oracle == cover.regular_class()
+    assert oracle == cover.registry.regular_class()
     assert is_projective(cover.geometry.rr_action_rep(D))
 
 
@@ -241,13 +241,13 @@ def test_induce_class_matches_the_induced_module(name):
     # class of the induced module, on every ramified orbit's G_P
     cover = realize(parse_scenario((SCENARIO_DIR / name).read_text())).cover
     for datum in cover.orbit_data:
-        reg_p, _ = cover.registry_for(datum.G_P.as_group())
+        reg_p, _ = cover.registry_for(datum.G_P)
         modules = reg_p.simples + [datum.decomposition_line_rep(d)
                                    for d in range(datum.e_t)]
         for M in modules:
             assert (cover.induce_class(reg_p.class_of(M), datum.G_P)
                     == cover.registry.class_of(
-                        rep_induce(M, cover.G, datum.G_P)))
+                        rep_induce(M, cover.G)))
 
 
 def test_structure_checks_f1():
@@ -376,13 +376,13 @@ def kummer_abstract_cover(q, m, g_y, n0, ninf, seed=0):
     dinf = geo.ramification(Place.infinity())
     gen = next(s for s in range(G.order) if G.element_order(s) == m)
     data = [
-        abstract_datum(G, F, label="zero", decomposition=list(range(m)),
-                       inertia=list(range(m)), wild=[G.identity],
+        abstract_datum(G, F, label="zero", decomposition=G, inertia=G,
+                       wild=G.subgroup([G.identity]),
                        residue_degree=1, cot_generator=gen,
                        cot_value=[d0.char[gen]]),
         abstract_datum(G, F, label="infinity",
-                       decomposition=list(range(m)),
-                       inertia=list(range(m)), wild=[G.identity],
+                       decomposition=G, inertia=G,
+                       wild=G.subgroup([G.identity]),
                        residue_degree=1, cot_generator=gen,
                        cot_value=[dinf.char[gen]]),
     ]
@@ -407,7 +407,7 @@ def test_abstract_genus_shift():
     f2, _ = euler_class_integral(lifted)
     # the two covers run the same seeded computation, so their registries
     # align index by index; raising g_Y by 2 subtracts 2 [k[G]]
-    reg = flat.regular_class().coeffs
+    reg = flat.registry.regular_class().coeffs
     a, b = f0.coeffs, f2.coeffs
     assert len(a) == len(b) == len(reg)
     assert all(x - y == 2 * r for x, y, r in zip(a, b, reg))
@@ -435,21 +435,22 @@ def s3_gf5_abstract_data(tame_orbits):
     G = FiniteGroup.close_generators(F, find_s3_pgl2(F))
     cover_geo = CoverData.from_geometry(P1Geometry(F, G), random.Random(0))
     dquad = next(d for d in cover_geo.orbit_data if d.e == 3)
-    gen3 = next(s for s in dquad.I_P.indices if G.element_order(s) == 3)
+    gen3 = next(s for s in dquad.I_P.positions_in(G)
+                if G.element_order(s) == 3)
     data = [abstract_datum(G, F, label="quad",
-                           decomposition=list(dquad.G_P.indices),
-                           inertia=list(dquad.I_P.indices),
-                           wild=[G.identity], residue_degree=2,
+                           decomposition=dquad.G_P, inertia=dquad.I_P,
+                           wild=G.subgroup([G.identity]), residue_degree=2,
                            cot_generator=gen3,
                            cot_value=list(dquad.kP.digits(dquad.char[gen3])))]
     tame = [d for d in cover_geo.orbit_data if d.e == 2][:tame_orbits]
     for i, dtame in enumerate(tame):
-        gen2 = next(s for s in dtame.I_P.indices
+        gen2 = next(s for s in dtame.I_P.positions_in(G)
                     if G.element_order(s) == 2)
         data.append(abstract_datum(G, F, label=f"tame{i}",
-                                   decomposition=list(dtame.G_P.indices),
-                                   inertia=list(dtame.I_P.indices),
-                                   wild=[G.identity], residue_degree=1,
+                                   decomposition=dtame.G_P,
+                                   inertia=dtame.I_P,
+                                   wild=G.subgroup([G.identity]),
+                                   residue_degree=1,
                                    cot_generator=gen2,
                                    cot_value=[dtame.char[gen2]]))
     return G, F, cover_geo, dquad, data

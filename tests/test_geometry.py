@@ -392,8 +392,7 @@ def test_fiber_character_zero_coefficient_trivial():
     datum = geo.ramification(Place.infinity())
     rep = fiber_character(datum, 0)
     assert rep.dim == 1
-    Ig = datum.I_P.as_group()
-    for t in range(len(Ig.generators)):
+    for t in range(len(datum.I_P.generators)):
         assert rep.gen_image(t) == Mat.identity(datum.k, 1)
 
 
@@ -402,7 +401,7 @@ def test_fiber_character_inverse_of_cotangent():
     datum = geo.ramification(place_x(F))
     fib = fiber_character(datum, 1)
     cot = datum.cotangent_power(1)
-    for t in range(len(datum.I_P.as_group().generators)):
+    for t in range(len(datum.I_P.generators)):
         prod = fib.gen_image(t) @ cot.gen_image(t)
         assert prod == Mat.identity(F, 1)
 
@@ -411,7 +410,7 @@ def test_cotangent_power_periodicity():
     F, G, geo, _ = kummer_geometry(5, 4)
     datum = geo.ramification(place_x(F))
     high = datum.cotangent_power(datum.e_t)
-    for t in range(len(datum.I_P.as_group().generators)):
+    for t in range(len(datum.I_P.generators)):
         assert high.gen_image(t) == Mat.identity(F, 1)
     assert datum.cotangent_power(3).gen_image(0) == \
         datum.cotangent_power(-1).gen_image(0)
@@ -453,9 +452,9 @@ def test_abstract_datum_matches_geometric_kummer():
     gen = next(s for s in range(G.order) if G.element_order(s) == 3)
     datum = abstract_datum(
         G, F, label="orbit0",
-        decomposition=list(range(G.order)),
-        inertia=list(range(G.order)),
-        wild=[G.identity],
+        decomposition=G,
+        inertia=G,
+        wild=G.subgroup([G.identity]),
         residue_degree=1,
         cot_generator=gen,
         cot_value=[geom.char[gen]],
@@ -470,6 +469,6 @@ def test_abstract_datum_validation():
     G = FiniteGroup.from_table([[(i + j) % 3 for j in range(3)]
                                 for i in range(3)])
     with pytest.raises(InputError):
-        abstract_datum(G, F, label="bad", decomposition=[0, 1, 2],
-                       inertia=[0, 1, 2], wild=[0], residue_degree=1,
+        abstract_datum(G, F, label="bad", decomposition=G, inertia=G,
+                       wild=G.subgroup([0]), residue_degree=1,
                        cot_generator=1, cot_value=[1])  # order-1 value

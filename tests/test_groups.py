@@ -5,9 +5,8 @@ import pytest
 
 from equirr.errors import CapExceeded, InputError
 from equirr.fields import field_make
-from equirr.groups import (FiniteGroup, Subgroup, conjugacy_classes, cosets,
+from equirr.groups import (FiniteGroup, conjugacy_classes, cosets,
                            pgl2_normalize, sylow_p)
-from equirr.reps import subgroup_to_parent
 from reptools import schur_zassenhaus_complement
 
 
@@ -109,7 +108,7 @@ def test_schur_zassenhaus_c6():
     P = sylow_p(C6, 3)
     C = schur_zassenhaus_complement(C6, P)
     assert C.order == 2
-    assert set(C.indices) & set(P.indices) == {C6.identity}
+    assert set(C.positions_in(C6)) & set(P.positions_in(C6)) == {C6.identity}
 
 
 def test_schur_zassenhaus_s3():
@@ -118,13 +117,14 @@ def test_schur_zassenhaus_s3():
     C = schur_zassenhaus_complement(S3, P)
     assert C.order == 2
     # bijection property: P x C -> S3
-    prods = {S3.table[x][c] for x in P.indices for c in C.indices}
+    prods = {S3.table[x][c] for x in P.positions_in(S3)
+             for c in C.positions_in(S3)}
     assert len(prods) == 6
 
 
 def test_schur_zassenhaus_trivial_p():
     C6 = FiniteGroup.from_table(cyclic_table(6))
-    P = Subgroup(C6, [C6.identity])
+    P = C6.subgroup([C6.identity])
     C = schur_zassenhaus_complement(C6, P)
     assert C.order == 6
 
@@ -134,9 +134,9 @@ def test_cosets():
     H = sylow_p(S3, 3)
     reps = cosets(S3, H)
     assert len(reps) * H.order == S3.order
-    whole = Subgroup(S3, range(6), check=False)
-    assert cosets(S3, whole) == [S3.identity] if S3.identity == 0 else True
-    trivial = Subgroup(S3, [S3.identity])
+    # representatives are taken least index first
+    assert cosets(S3, S3) == [0]
+    trivial = S3.subgroup([S3.identity])
     assert len(cosets(S3, trivial)) == 6
 
 
@@ -158,30 +158,37 @@ def test_lagrange_property():
 def test_materialize_subgroup_cached_and_consistent():
     S3 = FiniteGroup.from_table(s3_table())
     H = sylow_p(S3, 3)
-    g1 = H.as_group()
-    g2 = H.as_group()
-    assert g1 is g2
-    assert g1.order == 3
-    # subgroup of a materialized subgroup resolves against the same root
-    inner = Subgroup(g1, range(g1.order), check=False)
-    assert inner.in_subgroup_of(g1).indices == inner.indices
+    assert S3.subgroup(H.positions_in(S3)) is H
+    assert H.order == 3
+    # a subgroup of a subgroup resolves against the same root
+    inner = H.subgroup(range(H.order))
+    assert inner is H
+    assert inner.positions_in(H) == list(range(H.order))
 
 
 def test_whole_group_materializes_as_itself():
     S3 = FiniteGroup.from_table(s3_table())
-    whole = Subgroup(S3, range(S3.order))
-    assert whole.as_group() is S3
-    assert subgroup_to_parent(whole) == list(range(S3.order))
-    H = sylow_p(S3, 3).as_group()
-    assert Subgroup(H, range(H.order)).as_group() is H
+    whole = S3.subgroup(range(S3.order))
+    assert whole is S3
+    assert whole.positions_in(S3) == list(range(S3.order))
+    H = sylow_p(S3, 3)
+    assert H.subgroup(range(H.order)) is H
 
 
 def test_subgroup_closure_validation():
     S3 = FiniteGroup.from_table(s3_table())
     # a transposition alone (without identity) is not a subgroup
     transposition = next(i for i in range(6) if S3.element_order(i) == 2)
-    with pytest.raises(InputError):
-        Subgroup(S3, [transposition])
+    with pytest.raises(InputError, match="must contain the identity"):
+        S3.subgroup([transposition])
+
+
+def test_subgroup_rejects_a_set_that_is_not_closed():
+    S3 = FiniteGroup.from_table(s3_table())
+    # the identity and two transpositions: their product has order 3
+    t1, t2 = [i for i in range(6) if S3.element_order(i) == 2][:2]
+    with pytest.raises(InputError, match="not closed under multiplication"):
+        S3.subgroup([S3.identity, t1, t2])
 
 
 # -- associativity of explicit tables ---------------------------------------

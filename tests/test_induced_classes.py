@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from equirr import cli, engine, reps
 from equirr.errors import Inconsistency, InputError
 from equirr.fields import field_make
-from equirr.groups import FiniteGroup, Subgroup
+from equirr.groups import FiniteGroup
 from equirr.reps import (SimpleRegistry, rep_direct_sum, rep_induce,
                          spin_columns, split_on_submodule)
 from equirr.scenarios import parse_scenario, realize
@@ -95,10 +95,8 @@ def twisted_data(cover):
 def test_frobenius_heads_equal_the_hom_route(name):
     cover = scenario(name).cover
     for datum, d in twisted_data(cover):
-        gp = datum.G_P.as_group()
-        reg_p, _ = cover.registry_for(gp)
-        induced = rep_induce(inertia_cover(datum, -d), gp,
-                             datum.I_P.in_subgroup_of(gp))
+        reg_p, _ = cover.registry_for(datum.G_P)
+        induced = rep_induce(inertia_cover(datum, -d), datum.G_P)
         assert (engine._frobenius_heads(cover, datum, d)
                 == head_multiplicities(induced, reg_p))
 
@@ -113,11 +111,13 @@ def test_tame_complement_is_cyclic_of_order_e_t_and_meets_wild_trivially(
     G = cover.G
     for datum in cover.orbit_data:
         C, c = cover.tame_complement(datum)
-        assert C.parent is G and c in datum.I_P.indices
-        assert G.element_order(c) == C.order == datum.e_t
-        assert C.indices == G.closure([c])
-        assert set(C.indices) <= set(datum.I_P.indices)
-        assert set(C.indices) & set(datum.wild.indices) == {G.identity}
+        assert C.root is G and 0 <= c < datum.I_P.order
+        c_in_g = datum.I_P.positions_in(G)[c]
+        assert G.element_order(c_in_g) == C.order == datum.e_t
+        assert tuple(C.positions_in(G)) == G.closure([c_in_g])
+        assert set(C.positions_in(G)) <= set(datum.I_P.positions_in(G))
+        assert (set(C.positions_in(G)) & set(datum.wild.positions_in(G))
+                == {G.identity})
         assert C.order * datum.wild.order == datum.I_P.order
         assert cover.tame_complement(datum)[0] is C
 
@@ -129,14 +129,13 @@ def test_cover_classes_equal_the_module_reference(name):
     # class, against Ind of the module built on a searched complement
     cover = scenario(name).cover
     for datum in cover.orbit_data:
-        gp = datum.G_P.as_group()
+        gp = datum.G_P
         reg_p, _ = cover.registry_for(gp)
-        i_in_gp = datum.I_P.in_subgroup_of(gp)
         for d in range(-datum.e_t, 2 * datum.e_t + 1):
             cov = inertia_cover(datum, d)
             assert cover.induced_cover_class(datum, d, cover.G) == \
-                cover.registry.class_of(rep_induce(cov, cover.G, datum.I_P))
-            total = reg_p.class_of(rep_induce(cov, gp, i_in_gp))
+                cover.registry.class_of(rep_induce(cov, cover.G))
+            total = reg_p.class_of(rep_induce(cov, gp))
             assert cover.induced_cover_class(datum, d, gp) == total
             if datum.is_weak_here:
                 divided = engine.divided_cover_class(cover, datum, -d)
@@ -284,24 +283,23 @@ def every_subgroup(name):
     G = table_group(name)
     found = {G.closure([x, y]) for x in range(G.order)
              for y in range(x, G.order)}
-    return [Subgroup(G, idx, check=False) for idx in sorted(found)]
+    return [G.subgroup(idx) for idx in sorted(found)]
 
 
 @functools.cache
-def registry(name, p, indices):
-    """(registry of G, registry of the subgroup on indices) over GF(p)."""
+def registry(name, p, H):
+    """(registry of G, registry of its subgroup H) over GF(p)."""
     G = table_group(name)
     F = field_make(p, 1)
-    H = Subgroup(G, indices, check=False)
     return (SimpleRegistry(G, F, random.Random(1)),
-            SimpleRegistry(H.as_group(), F, random.Random(2)))
+            SimpleRegistry(H, F, random.Random(2)))
 
 
-def assert_closed_form(reg_g, M, H):
-    expected = reg_g.brauer.vector(rep_induce(M, reg_g.group, H))
-    assert reg_g.brauer.induced_vector(M, H) == expected
-    assert reg_g.class_of_induced(M, H) == reg_g.class_of(
-        rep_induce(M, reg_g.group, H))
+def assert_closed_form(reg_g, M):
+    expected = reg_g.brauer.vector(rep_induce(M, reg_g.group))
+    assert reg_g.brauer.induced_vector(M) == expected
+    assert reg_g.class_of_induced(M) == reg_g.class_of(
+        rep_induce(M, reg_g.group))
 
 
 def test_every_table_group_has_all_its_subgroups():
@@ -313,9 +311,9 @@ def test_every_table_group_has_all_its_subgroups():
                          ids=[f"{n}-GF{p}" for n, p in GROUP_FIELDS])
 def test_induced_vector_of_every_simple_of_every_subgroup(name, p):
     for H in every_subgroup(name):
-        reg_g, reg_h = registry(name, p, H.indices)
+        reg_g, reg_h = registry(name, p, H)
         for S in reg_h.simples:
-            assert_closed_form(reg_g, S, H)
+            assert_closed_form(reg_g, S)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +323,7 @@ def test_induced_vector_of_random_subgroup_modules(data):
     # vector, which are non-split extensions where p divides |H|
     name, p = data.draw(st.sampled_from(GROUP_FIELDS))
     H = data.draw(st.sampled_from(every_subgroup(name)))
-    reg_g, reg_h = registry(name, p, H.indices)
+    reg_g, reg_h = registry(name, p, H)
     F = reg_h.field
     if data.draw(st.booleans()):
         picks = data.draw(st.lists(st.integers(0, len(reg_h) - 1),
@@ -334,14 +332,14 @@ def test_induced_vector_of_random_subgroup_modules(data):
         for i in picks[1:]:
             M = rep_direct_sum(M, reg_h.simples[i])
     else:
-        R = rep_regular(H.as_group(), F)
+        R = rep_regular(H, F)
         v = data.draw(st.lists(st.integers(0, p - 1), min_size=R.dim,
                                max_size=R.dim))
         v[-1] = 1
         gens = R.generator_images()
         W = spin_columns(F, R.dim, [np.array(v, dtype=np.int64)], gens)
         M = R if W.cols == R.dim else split_on_submodule(R, W)[0]
-    assert_closed_form(reg_g, M, H)
+    assert_closed_form(reg_g, M)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + ["pgl2_gf7"])
@@ -350,20 +348,58 @@ def test_induced_vector_on_inertia_and_decomposition_groups(name):
     # every simple of G_P to G, as the engine induces them
     cover = scenario(name).cover
     for datum in cover.orbit_data:
-        gp = datum.G_P.as_group()
-        reg_p, _ = cover.registry_for(gp)
-        i_in_gp = datum.I_P.in_subgroup_of(gp)
+        reg_p, _ = cover.registry_for(datum.G_P)
         for d in range(datum.e_t):
             for M in (inertia_cover(datum, d), datum.cotangent_power(d)):
-                assert_closed_form(cover.registry, M, datum.I_P)
-                assert_closed_form(reg_p, M, i_in_gp)
+                assert_closed_form(cover.registry, M)
+                assert_closed_form(reg_p, M)
         for S in reg_p.simples:
-            assert_closed_form(cover.registry, S, datum.G_P)
+            assert_closed_form(cover.registry, S)
 
 
 def test_induced_vector_rejects_a_foreign_subgroup():
-    reg_g, _ = registry("S3", 5, every_subgroup("S3")[1].indices)
+    reg_g, _ = registry("S3", 5, every_subgroup("S3")[1])
     other = every_subgroup("C6")[1]
-    M = registry("C6", 5, other.indices)[1].simples[0]
-    with pytest.raises(InputError, match="wrong parent"):
-        reg_g.brauer.induced_vector(M, other)
+    M = registry("C6", 5, other)[1].simples[0]
+    with pytest.raises(InputError, match="different root groups"):
+        reg_g.brauer.induced_vector(M)
+
+
+def subgroup_chains(name):
+    """Every (H, K) of every_subgroup(name) with H <= K."""
+    G = table_group(name)
+    subs = every_subgroup(name)
+    return [(H, K) for H in subs for K in subs
+            if set(H.positions_in(G)) <= set(K.positions_in(G))]
+
+
+@pytest.mark.parametrize("name,p", GROUP_FIELDS,
+                         ids=[f"{n}-GF{p}" for n, p in GROUP_FIELDS])
+def test_one_subgroup_type_over_every_chain(name, p):
+    # H <= K <= G: one object per element set, positions that compose,
+    # and induction in stages
+    G = table_group(name)
+    for H, K in subgroup_chains(name):
+        in_k, in_g = H.positions_in(K), H.positions_in(G)
+        assert K.subgroup(in_k) is G.subgroup(in_g) is H
+        k_in_g = K.positions_in(G)
+        assert in_g == [k_in_g[i] for i in in_k]
+        reg_g, reg_h = registry(name, p, H)
+        for S in reg_h.simples:
+            assert (reg_g.class_of_induced(rep_induce(S, K))
+                    == reg_g.class_of_induced(S))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_positions_in_rejects_a_foreign_or_smaller_group(name):
+    G = table_group(name)
+    chains = {(id(H), id(K)) for H, K in subgroup_chains(name)}
+    other = table_group("C4" if name != "C4" else "C6")
+    for H in every_subgroup(name):
+        with pytest.raises(InputError, match="different root groups"):
+            H.positions_in(other)
+        for K in every_subgroup(name):
+            if (id(H), id(K)) not in chains:
+                with pytest.raises(InputError, match="not contained"):
+                    H.positions_in(K)
+    assert G.positions_in(G) == list(range(G.order))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from equirr import reps
 from equirr.errors import CapExceeded, Inconsistency
 from equirr.fields import field_make
-from equirr.groups import FiniteGroup, Subgroup, sylow_p
+from equirr.groups import FiniteGroup, sylow_p
 from equirr.k0 import cartan_data
 from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
@@ -118,18 +118,18 @@ def test_chop_s3_gf5_multiplicities():
 def test_induce_from_whole_group_is_identity():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    H = Subgroup(G, range(G.order), check=False)
+    H = G.subgroup(range(G.order))
     M = rep_restrict(rep_regular(G, F), H)
-    ind = rep_induce(M, G, H)
+    ind = rep_induce(M, G)
     assert is_isomorphic(ind, rep_regular(G, F), rng())
 
 
 def test_induce_trivial_from_identity_is_regular():
     G = FiniteGroup.from_table(cyclic_table(4))
     F = field_make(3, 1)
-    H = Subgroup(G, [G.identity])
-    triv_h = rep_trivial(H.as_group(), F)
-    ind = rep_induce(triv_h, G, H)
+    H = G.subgroup([G.identity])
+    triv_h = rep_trivial(H, F)
+    ind = rep_induce(triv_h, G)
     assert ind.dim == 4
     assert is_isomorphic(ind, rep_regular(G, F), rng())
 
@@ -138,13 +138,12 @@ def test_frobenius_reciprocity_dimension_identity():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
     H = sylow_p(G, 3)
-    Hg = H.as_group()
     r = rng()
-    candidates_h = [rep_trivial(Hg, F), rep_regular(Hg, F)]
+    candidates_h = [rep_trivial(H, F), rep_regular(H, F)]
     candidates_g = [rep_trivial(G, F), rep_regular(G, F)]
     for M in candidates_h:
         for N in candidates_g:
-            lhs = hom_dim(rep_induce(M, G, H), N)
+            lhs = hom_dim(rep_induce(M, G), N)
             rhs = hom_dim(M, rep_restrict(N, H))
             assert lhs == rhs
 
@@ -615,7 +614,7 @@ def test_head_multiplicity_of_cover_is_one():
 def test_cover_tame_case_identity():
     G = FiniteGroup.from_table(cyclic_table(4))
     F = field_make(3, 1)
-    P1 = Subgroup(G, [G.identity])
+    P1 = G.subgroup([G.identity])
     M = rep_regular(G, F)
     cov = projective_cover_over_inertia(G, P1, M)
     assert cov.dim == M.dim
@@ -633,7 +632,7 @@ def test_cover_dimension_scaling():
     reg = SimpleRegistry(G, F, rng())
     chop_class(rep_regular(G, F), reg, rng())
     for S in reg.simples:
-        if all(S.image(g) == Mat.identity(F, S.dim) for g in P1.indices):
+        if all(S.image(g) == Mat.identity(F, S.dim) for g in P1.positions_in(G)):
             assert hom_dim(cov, S) == hom_dim(M, S)
 
 
@@ -677,8 +676,8 @@ def test_fingerprint_iso_invariant():
     G = FiniteGroup.from_table(cyclic_table(4))
     F = field_make(3, 1)
     M = rep_regular(G, F)
-    H = Subgroup(G, [G.identity])
-    N = rep_induce(rep_trivial(H.as_group(), F), G, H)
+    H = G.subgroup([G.identity])
+    N = rep_induce(rep_trivial(H, F), G)
     assert is_isomorphic(M, N, rng())
     brauer = BrauerCharacters(G, F)
     assert brauer.vector(M) == brauer.vector(N)

@@ -204,7 +204,7 @@ def test_cocycle_values_match_reference(name):
     places = set(geo.ramified_places()) | set(places_up_to(geo.k, 2))
     for P in places - {Place.infinity()}:
         alpha = geo.place_root(P)
-        for tau in geo.ramification(P).G_P.indices:
+        for tau in geo.ramification(P).G_P.positions_in(geo.G):
             assert geo._cocycle_value(tau, P) == \
                 reference_cocycle_value(geo, tau, P, alpha)
 
@@ -214,7 +214,7 @@ def test_cocycle_identity_checked_on_large_decomposition_groups():
     geo = geometry("AGL1-GF11")
     datum = geo.ramification(Place.infinity())
     assert datum.G_P.order == 110
-    tau = datum.G_P.indices[-1]
+    tau = datum.G_P.positions_in(datum.group)[-1]
     j, b = datum.cocycle[tau]
     cocycle = {**datum.cocycle, tau: (j, datum.kP.mul(b, 2))}
     kwargs = dict(group=datum.group, k=datum.k, place=datum.place,

@@ -184,7 +184,7 @@ def test_closed_form_on_table_groups(name, p):
 def test_closed_form_on_shipped_groups(name):
     cover = shipped_cover(name)
     assert_closed_form(cover.G, cover.k)
-    assert cover.regular_class() == cover.registry.class_of(
+    assert cover.registry.regular_class() == cover.registry.class_of(
         rep_regular(cover.G, cover.k))
 
 
