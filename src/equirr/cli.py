@@ -295,6 +295,9 @@ def _read_manifest(path) -> dict:
 
 
 def run_suite(paths, golden_path, seed_override) -> int:
+    """Run every command on every scenario and print one line each; the
+    worst exit code.  With a golden manifest, a hash that differs from its
+    entry (HASH MISMATCH) or has none (NOT PINNED) fails the line."""
     manifest = _read_manifest(golden_path) if golden_path else {}
     worst = 0
     for name, command, report in _suite_reports(paths, golden_path,
@@ -305,13 +308,13 @@ def run_suite(paths, golden_path, seed_override) -> int:
             worst = max(worst, code)
             continue
         code = _exit_code(report)
-        expected = manifest.get(name, {}).get(command)
         match = ""
-        if expected is not None:
+        if golden_path:
+            expected = manifest.get(name, {}).get(command)
             if expected == report["canonical_hash"]:
                 match = " hash ok"
             else:
-                match = " HASH MISMATCH"
+                match = " NOT PINNED" if expected is None else " HASH MISMATCH"
                 code = max(code, 1)
         status = "pass" if code == 0 else "FAIL"
         print(f"{name} {command}: {status}{match}")

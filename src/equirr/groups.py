@@ -315,6 +315,39 @@ def sylow_p(G: FiniteGroup, p: int) -> FiniteGroup:
     return G.subgroup(current)
 
 
+def cyclic_quotient(G: FiniteGroup, P: FiniteGroup, p: int):
+    """(c, j) when the Sylow p-subgroup P is normal in G and G/P is cyclic:
+    c an element of order m = |G:P| and j[g] the exponent with g in c^j P,
+    for every element g of G.  None otherwise.
+
+    P is normal when conjugation by each generator keeps it.  Then every
+    p-element lies in P, so an element of order p^a m' maps to one of
+    order m' in G/P, and G/P is cyclic exactly when some element's order
+    has p'-part m; its p^a-th power c has order m."""
+    in_G = P.positions_in(G)
+    members = set(in_G)
+    if any(G.conjugate(g, x) not in members
+           for g in G.generators for x in in_G):
+        return None
+    m = G.order // P.order
+    for g in range(G.order):
+        a = _p_part(G.element_order(g), p)
+        if G.element_order(g) == a * m:
+            c = G.identity
+            for _ in range(a):
+                c = G.table[c][g]
+            break
+    else:
+        return None
+    j = [0] * G.order
+    y = G.identity
+    for s in range(m):
+        for x in in_G:
+            j[G.table[y][x]] = s
+        y = G.table[y][c]
+    return c, j
+
+
 def cosets(G: FiniteGroup, H: FiniteGroup) -> list[int]:
     """Left-coset representatives gH of a subgroup H, least unused element
     index of G first."""

@@ -58,15 +58,15 @@ def cartan_data(G: FiniteGroup, field: Field,
     nothing is drawn at random.
 
     Here e_i = dim End(S_i), which the registry reads off the Norton
-    kernel that certified S_i simple in its chop (SimpleRegistry.end_dim),
-    and M_il = <phi_i, phi_l> = (1/|G|) sum over
-    the p-regular g of phi_i(g) phi_l(g^-1), for the Brauer characters
-    phi_i of the simples.  The characters Phi_j of the projective
-    indecomposables satisfy <Phi_j, phi_i> = e_i delta_ij: over a
-    splitting field the two families are dual bases (Serre, Linear
-    Representations of Finite Groups, Part III, section 18), and S_i splits
-    into e_i Galois conjugates.  With Phi_j = sum_i C_ij phi_i and M
-    symmetric, that is C^T M = diag(e).
+    kernel that certified S_i simple in its chop, or off the whole space
+    for a simple in closed form (SimpleRegistry.end_dim), and M_il =
+    <phi_i, phi_l> = (1/|G|) sum over the p-regular g of phi_i(g)
+    phi_l(g^-1), for the Brauer characters phi_i of the simples.  The
+    characters Phi_j of the projective indecomposables satisfy <Phi_j,
+    phi_i> = e_i delta_ij: over a splitting field the two families are
+    dual bases (Serre, Linear Representations of Finite Groups, Part III,
+    section 18), and S_i splits into e_i Galois conjugates.  With Phi_j =
+    sum_i C_ij phi_i and M symmetric, that is C^T M = diag(e).
 
     Each class term lies in Q(zeta_m) and the sum is rational, so zeta_m^d
     may be replaced by its Galois average: the registry sums it in

@@ -3,27 +3,31 @@
 Classes in the Grothendieck group of finitely generated modules are
 coordinates over a registry of simple modules, one per simple.  The
 Brauer character (BrauerCharacters: eigenvalue multiplicities on
-p-regular classes, read off characteristic polynomials) is the registry's
-one invariant: it keys, orders and identifies the simples.  chop()
-returns a module's composition factors by a Norton/Parker style MeatAxe
-(random algebra elements, kernel vectors of the irreducible factors of
-their characteristic polynomials, found lazily and shared by the pieces
-of a split, submodule spinning, recursion on sub and quotient, split in
-the submodule's echelon basis), each certified simple by a Norton kernel
-that also gives dim End(S) (end_dim_from_kernel).  Spinning works on
-whole blocks with Mat.rref as its only elimination.  A registry is one
-table {Brauer vector: (simple, Norton kernel)}, built by one saturation
-from its chop and fixed after that.  A registry over an extension field
-k' is built instead by Galois descent from the registry over k: a simple
-S with e = dim End(S) splits over GF(q^r) into gcd(e, r) Galois
+p-regular classes, read off characteristic polynomials) is the
+registry's one invariant: it keys, orders and identifies the simples.
+When the Sylow p-subgroup P of G is normal and G/P is cyclic, the
+simples are written down in closed form, one per irreducible factor of
+x^m - 1 over k for m = |G:P| (_cyclic_simples).  Every other group's
+simples come from chop(), which returns a module's composition factors
+by a Norton/Parker style MeatAxe (random algebra elements, kernel
+vectors of the irreducible factors of their characteristic polynomials,
+found lazily and shared by the pieces of a split, submodule spinning,
+recursion on sub and quotient, split in the submodule's echelon basis),
+each certified simple by a Norton kernel that also gives dim End(S)
+(end_dim_from_kernel).  Spinning works on whole blocks with Mat.rref as
+its only elimination.  A registry is one table {Brauer vector: (simple,
+Norton kernel)}, built by one saturation in closed form or from one
+chop, and fixed after that.  A registry over an extension field k' is
+built instead by Galois descent from the registry over k: a simple S
+with e = dim End(S) splits over GF(q^r) into gcd(e, r) Galois
 conjugates, so only the S with gcd(e, r) > 1 are chopped again, and the
 table files each simple over k' with the base simple it descends from,
 which is the base-change map on classes.  Each registry keeps the Gram
 matrix of its simples' Brauer characters and the one exact inverse that
 snf_inverse gives from its Smith normal form: each class solve is one
 matrix-vector product with the left inverse read off it, and
-k0.cartan_data reads the Cartan matrix off the same inverse.  Hom
-spaces (Kronecker systems) and direct-sum splitting (along random
+k0.cartan_data reads the Cartan matrix off the same inverse.  Hom spaces
+(Kronecker systems) and direct-sum splitting (along random
 endomorphisms) are kept apart: no command calls them, and the tests
 cross-check dim End(S) and the Cartan matrix with them.
 
@@ -43,7 +47,8 @@ import numpy as np
 from .errors import CapExceeded, Inconsistency, InputError
 from .fields import (TABLE_LIMIT, FactorStream, Field, Poly, field_make,
                      galois_pairing, poly_factor, totient_mobius)
-from .groups import FiniteGroup, conjugacy_classes, coset_lookup, sylow_p
+from .groups import (FiniteGroup, conjugacy_classes, coset_lookup,
+                     cyclic_quotient, sylow_p)
 from .matrices import Mat
 
 # Algebra elements the MeatAxe tries on one module before it gives up: a
@@ -174,18 +179,6 @@ def rep_dual(M: Rep) -> Rep:
         inv = M.image(G.inverse[g])
         images[t] = inv.T
     return Rep(G, M.field, M.dim, images)
-
-
-def rep_direct_sum(M: Rep, N: Rep) -> Rep:
-    _check_compatible(M, N)
-    F = M.field
-    images = {}
-    for t in range(len(M.group.generators)):
-        a = np.zeros((M.dim + N.dim, M.dim + N.dim), dtype=np.int64)
-        a[:M.dim, :M.dim] = M.gen_image(t).a
-        a[M.dim:, M.dim:] = N.gen_image(t).a
-        images[t] = Mat(F, a)
-    return Rep(M.group, F, M.dim + N.dim, images)
 
 
 def extend_scalars(M: Rep, target: Field) -> Rep:
@@ -406,12 +399,6 @@ def _split_pieces(M: Rep, E: np.ndarray, piv: list[int],
             for side, dim in enumerate((r, M.dim - r))]
 
 
-def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
-    """Sub and quotient actions for an invariant column space W."""
-    (sub, _), (quot, _) = _split_pieces(M, *_echelon(W))
-    return sub, quot
-
-
 def chop(M: Rep, rng: random.Random) -> list[tuple[Rep, np.ndarray]]:
     """The composition factors of M in the order the MeatAxe finds them,
     each paired with the Norton kernel that certified it simple."""
@@ -492,7 +479,8 @@ class BrauerCharacters:
     the generator g of the ambient field E = GF(Q), the smallest extension
     of k holding every such root of unity.  One characteristic polynomial
     per conjugacy class of maximal cyclic p'-subgroups gives the
-    eigenvalues of its generator, by exact division by x - zeta_m^j; every
+    eigenvalues of its generator, by exact division by x - zeta_m^j (a
+    1 x 1 image is looked up in the table of roots instead); every
     other p-regular class is conjugate to a power of one of these
     generators, whose eigenvalues are the same powers.
 
@@ -538,26 +526,45 @@ class BrauerCharacters:
                 f"GF({F.p}^{F.n * s}), past TABLE_LIMIT = {TABLE_LIMIT}")
         self.ambient = field_make(F.p, F.n * s)
         self._roots: dict[int, list[int]] = {}
+        self._exponents: dict[int, dict[int, int]] = {}  # zeta_m^j -> j
 
-    def eigenvalue_counts(self, A: Mat, m: int) -> list[int]:
-        """Multiplicity of zeta_m^j (j < m) as an eigenvalue of the square
-        matrix A, which must satisfy A^m = 1 for an m whose roots of unity
-        the ambient field holds."""
+    def _root_table(self, m: int) -> list[int]:
+        """zeta_m^j for j < m in the ambient field, cached with the inverse
+        table {zeta_m^j: j}."""
         E = self.ambient
         if (E.q - 1) % m:
             raise InputError(f"{E} holds no primitive {m}-th root of unity")
         if m not in self._roots:
             zeta = E.pow_(E.generator, (E.q - 1) // m)
             self._roots[m] = [E.pow_(zeta, j) for j in range(m)]
-        coeffs = list(A.charpoly().map_field(E).coeffs)
+            self._exponents[m] = {z: j for j, z in enumerate(self._roots[m])}
+        return self._roots[m]
+
+    def eigenvalue_counts(self, A: Mat, m: int) -> list[int]:
+        """Multiplicity of zeta_m^j (j < m) as an eigenvalue of the square
+        matrix A, which must satisfy A^m = 1 for an m whose roots of unity
+        the ambient field holds.
+
+        A 1 x 1 matrix [a] reads the exponent of a off the cached table
+        {zeta_m^j: j}; a larger one takes its characteristic polynomial and
+        divides it exactly by each x - zeta_m^j in turn."""
+        E = self.ambient
+        roots = self._root_table(m)
         counts = [0] * m
-        for j, z in enumerate(self._roots[m]):
-            while len(coeffs) > 1:
-                quot, rem = _divide_linear(E, coeffs, z)
-                if rem:
-                    break
-                coeffs = quot
-                counts[j] += 1
+        if A.rows == 1:
+            j = self._exponents[m].get(
+                int(A.field.embedding_into(E)[A.get(0, 0)]))
+            if j is not None:
+                counts[j] = 1
+        else:
+            coeffs = list(A.charpoly().map_field(E).coeffs)
+            for j, z in enumerate(roots):
+                while len(coeffs) > 1:
+                    quot, rem = _divide_linear(E, coeffs, z)
+                    if rem:
+                        break
+                    coeffs = quot
+                    counts[j] += 1
         if sum(counts) != A.rows:
             raise Inconsistency("the eigenvalues of a p-regular element "
                                 "are not roots of unity of its order")
@@ -628,6 +635,48 @@ class BrauerCharacters:
         <g> with g of order m, k[G] is free of rank |G|/m, so each zeta_m^j
         has multiplicity |G|/m."""
         return tuple((self.group.order // m,) * m for m in self.orders)
+
+
+def _cyclic_simples(G: FiniteGroup, F: Field, brauer: BrauerCharacters,
+                    c: int, j: list[int]) -> list[Rep]:
+    """The simple k[G]-modules when the Sylow p-subgroup P is normal and
+    G/P is cyclic of order m, generated by cP for c of order m, with j[g]
+    the exponent of g's coset (groups.cyclic_quotient).
+
+    P acts trivially on every simple module in characteristic p, so these
+    are the simples of k[Z/m], m prime to p: one per q-cyclotomic coset C
+    of Z/m, k[x]/(f_C) for f_C, the product of x - zeta_m^t over t in C,
+    with zeta_m from the root table of brauer.  f_C is irreducible over k
+    and S_C(g) is its companion matrix to the power j[g]; End(S_C) is
+    GF(q^|C|).  A coefficient of f_C outside k raises Inconsistency, and
+    each S_C is checked as a homomorphism."""
+    m = G.element_order(c)
+    E = brauer.ambient
+    roots = brauer._root_table(m)
+    back = {int(e): a for a, e in enumerate(F.embedding_into(E))}
+    out, seen = [], set()
+    for s in range(m):
+        if s in seen:
+            continue
+        coset = [s]
+        while coset[-1] * F.q % m != s:
+            coset.append(coset[-1] * F.q % m)
+        seen.update(coset)
+        f = Poly.one(E)
+        for t in coset:
+            f = f * Poly(E, [E.neg(roots[t]), 1])
+        if any(a not in back for a in f.coeffs):
+            raise Inconsistency(f"a factor of x^{m} - 1 over {E} has "
+                                f"coefficients outside {F}")
+        d = len(coset)
+        companion = np.eye(d, d, -1, dtype=np.int64)
+        companion[:, -1] = [F.neg(back[a]) for a in f.coeffs[:d]]
+        A = Mat(F, companion)
+        S = Rep(G, F, d, {t: A.pow_(j[g])
+                          for t, g in enumerate(G.generators)})
+        S.check_homomorphism()
+        out.append(S)
+    return out
 
 
 # -- exact integer solves ---------------------------------------------------
@@ -731,24 +780,31 @@ class SimpleRegistry:
     """The simple modules over one (group, field), in canonical order: a
     value, fixed once it is saturated.
 
-    On first use the registry saturates: it chops the permutation module
-    Ind_P^G(k) on the cosets of a Sylow p-subgroup P, of dimension |G:P|,
-    with its random source, and keeps the first composition factor found
-    for each Brauer vector.  That is every simple module: k[P] has |P|
-    trivial composition factors and induction is exact, so k[G] =
-    Ind_P^G k[P] has a filtration with |P| factors Ind_P^G(k), and every
-    composition factor of k[G] is one of Ind_P^G(k).  (When p does not
-    divide |G|, P = 1 and the module is k[G] itself.)  A registry made by
-    over_extension descends instead from the base simples with scalars
-    extended, and chops only those that split.
+    On first use the registry saturates.  When a Sylow p-subgroup P is
+    normal and G/P is cyclic (groups.cyclic_quotient), as for every
+    inertia group and every decomposition group of a rational place of
+    P^1, it writes the simples down with no random draw: P acts trivially
+    on each, so they are the simples of the cyclic p'-group G/P
+    (_cyclic_simples), each filed with the whole space as its Norton
+    kernel.  Otherwise it chops the permutation module Ind_P^G(k) on the
+    cosets of P, of dimension |G:P|, with its random source, and keeps
+    the first composition factor found for each Brauer vector.  That is
+    every simple module: k[P] has |P| trivial composition factors and
+    induction is exact, so k[G] = Ind_P^G k[P] has a filtration with |P|
+    factors Ind_P^G(k), and every composition factor of k[G] is one of
+    Ind_P^G(k).  (When p does not divide |G|, P = 1 and the module is
+    k[G] itself.)  A registry made by over_extension descends instead
+    from the base simples with scalars extended, and chops only those
+    that split.
     Non-isomorphic simples never share a Brauer vector, and the table
     {vector: (simple, provenance)} is sorted by (dim, vector), so the
     order, the log and every class vector are functions of the group and
-    the field, not of the MeatAxe's random draws or of the modules
-    chopped.  The provenance is the Norton kernel that certified the
-    simple in the chop of Ind_P^G(k), or over an extension the index of
-    the base simple it descends from (origins).  class_of reads the class
-    of any module off its Brauer vector, with no chop, regular_class the
+    the field, not of the route, the MeatAxe's random draws or the
+    modules chopped.  The provenance is the Norton kernel that certified
+    the simple in the chop of Ind_P^G(k) (the identity for a simple in
+    closed form), or over an extension the index of the base simple it
+    descends from (origins).  class_of reads the class of any module off
+    its Brauer vector, with no chop, regular_class the
     class of k[G] off its closed-form vector, and end_dim dim End(S_i) off
     S_i's kernel or its base simple's, with no Hom system.  Every derived
     datum is a cached property, and one whose build raises caches
@@ -789,7 +845,8 @@ class SimpleRegistry:
     @property
     def base(self) -> SimpleRegistry | None:
         """The registry that this one descends from, or None when it
-        saturated from a chop of Ind_P^G(k)."""
+        saturated over its own field (in closed form or from a chop of
+        Ind_P^G(k))."""
         return self._base
 
     @cached_property
@@ -798,18 +855,29 @@ class SimpleRegistry:
 
     def _saturate(self) -> dict[tuple, tuple[Rep, np.ndarray | int]]:
         """{Brauer vector: (simple, provenance)}, sorted by (dim, vector):
-        the first composition factor found for each vector in the chop of
-        Ind_P^G(k), with its Norton kernel, or over an extension each
-        summand of S_i (x) k' with its base index i (_descend)."""
+        the simples in closed form with the identity as their Norton
+        kernel when P is normal and G/P cyclic; else the first composition
+        factor found for each vector in the chop of Ind_P^G(k), with its
+        Norton kernel; or over an extension each summand of S_i (x) k'
+        with its base index i (_descend)."""
         brauer = self.brauer  # an ambient field past TABLE_LIMIT fails first
-        if self._base is None:
-            P = sylow_p(self.group, self.field.p)
-            found: dict = {}
-            for S, U in chop(rep_induce(rep_trivial(P, self.field),
-                                        self.group), self._rng):
-                found.setdefault(brauer.vector(S), (S, U))
-        else:
+        if self._base is not None:
             found = self._descend(brauer)
+        else:
+            G, F = self.group, self.field
+            P = sylow_p(G, F.p)
+            quotient = cyclic_quotient(G, P, F.p)
+            found = {}
+            if quotient is None:
+                for S, U in chop(rep_induce(rep_trivial(P, F), G), self._rng):
+                    found.setdefault(brauer.vector(S), (S, U))
+            else:
+                for S in _cyclic_simples(G, F, brauer, *quotient):
+                    vector = brauer.vector(S)
+                    if vector in found:
+                        raise Inconsistency("two simples of a cyclic "
+                                            "quotient share a Brauer vector")
+                    found[vector] = (S, np.eye(S.dim, dtype=np.int64))
         return dict(sorted(found.items(),
                            key=lambda kv: (kv[1][0].dim, kv[0])))
 
@@ -873,7 +941,7 @@ class SimpleRegistry:
         simple that each simple descends from, in registry order: S_i (x)
         k' is the sum of the S_j with origins[j] = i, each once."""
         if self._base is None:
-            raise InputError("a registry saturated from its own chop "
+            raise InputError("a registry saturated over its own field "
                              "descends from no base")
         return [i for _, i in self._table.values()]
 
@@ -990,11 +1058,6 @@ class SimpleRegistry:
 
     def zero(self) -> "ClassVector":
         return ClassVector(self, [0] * len(self))
-
-    def basis_vector(self, i: int, mult=1) -> "ClassVector":
-        coeffs = [0] * len(self)
-        coeffs[i] = mult
-        return ClassVector(self, coeffs)
 
 
 def _exact(c) -> int | Fraction:

@@ -1,20 +1,23 @@
-"""Module-theoretic tools that only the tests use: the regular module k[G]
-and its endomorphisms read off the multiplication table, an
-explicit-intertwiner isomorphism test, the class of a module by counting the composition
-factors of a chop, the image of a class under scalar extension solved
-simple by simple (the reference for k0.beta_vector), the dimension of a
-class, the socle dimension, the
-head multiplicities of a projective module by Hom systems into the
-simples, the Cartan matrix by splitting k[G] into projective
-indecomposables, the Riemann-Roch action by moving every basis function
-on its own, the cocycle value of a decomposition element by division at
-a root, the image of a place by moving one of its roots as a point, the
-ramified places by solving the fixed-point form of every element, the
-projective cover over an inertia group as a module, induced from a
-Schur-Zassenhaus complement, the split of a module on a submodule
-through a completed basis and its inverse, and spinning one vector at a
-time through an incrementally echelonized row basis (EchelonBasis), the
-reference for the block spin of reps._spin."""
+"""Module-theoretic tools that only the tests use: the direct sum of two
+modules, the split of a module on a submodule, the basis classes of a
+registry, a registry saturated by the MeatAxe chop of Ind_P^G(k) for every
+group (the reference for the closed form of a p-by-cyclic group), the
+eigenvalue counts of a matrix by its characteristic polynomial at every
+size, the regular module k[G] and its endomorphisms read off the
+multiplication table, an explicit-intertwiner isomorphism test, the class
+of a module by counting the composition factors of a chop, the image of a
+class under scalar extension solved simple by simple (the reference for
+k0.beta_vector), the dimension of a class, the socle dimension, the head
+multiplicities of a projective module by Hom systems into the simples, the
+Cartan matrix by splitting k[G] into projective indecomposables, the
+Riemann-Roch action by moving every basis function on its own, the cocycle
+value of a decomposition element by division at a root, the image of a
+place by moving one of its roots as a point, the ramified places by solving
+the fixed-point form of every element, the projective cover over an inertia
+group as a module, induced from a Schur-Zassenhaus complement, the split of
+a module on a submodule through a completed basis and its inverse, and
+spinning one vector at a time through an incrementally echelonized row
+basis (EchelonBasis), the reference for the block spin of reps._spin."""
 
 import math
 import random
@@ -25,12 +28,14 @@ from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
                            prime_factors)
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
-from equirr.groups import FiniteGroup, _p_part
+from equirr.groups import FiniteGroup, _p_part, sylow_p
 from equirr.matrices import Mat
-from equirr.reps import (ClassVector, Rep, SimpleRegistry, _check_hom_cells,
-                         chop, extend_scalars, hom_dim, hom_space,
-                         indecomposable_summands, is_projective, rep_induce,
-                         rep_restrict)
+from equirr.reps import (BrauerCharacters, ClassVector, Rep, SimpleRegistry,
+                         _check_compatible, _check_hom_cells, _divide_linear,
+                         _echelon, _split_pieces, chop, extend_scalars,
+                         hom_dim, hom_space, indecomposable_summands,
+                         is_projective, rep_induce, rep_restrict,
+                         rep_trivial)
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
@@ -102,6 +107,79 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> bool:
         # asymmetric hom dimensions can never support an isomorphism
         return False
     raise CapExceeded("isomorphism test undecided within the try budget")
+
+
+def rep_direct_sum(M: Rep, N: Rep) -> Rep:
+    _check_compatible(M, N)
+    F = M.field
+    images = {}
+    for t in range(len(M.group.generators)):
+        a = np.zeros((M.dim + N.dim, M.dim + N.dim), dtype=np.int64)
+        a[:M.dim, :M.dim] = M.gen_image(t).a
+        a[M.dim:, M.dim:] = N.gen_image(t).a
+        images[t] = Mat(F, a)
+    return Rep(M.group, F, M.dim + N.dim, images)
+
+
+def split_on_submodule(M: Rep, W: Mat) -> tuple[Rep, Rep]:
+    """Sub and quotient actions for an invariant column space W, split as
+    reps.chop splits a module on a submodule the MeatAxe found."""
+    (sub, _), (quot, _) = _split_pieces(M, *_echelon(W))
+    return sub, quot
+
+
+def basis_vector(registry: SimpleRegistry, i: int, mult=1) -> ClassVector:
+    """mult times the class of the i-th simple of the registry."""
+    coeffs = [0] * len(registry)
+    coeffs[i] = mult
+    return ClassVector(registry, coeffs)
+
+
+class ChopRegistry(SimpleRegistry):
+    """A registry saturated by the MeatAxe whatever its group: the first
+    composition factor found for each Brauer vector in the chop of
+    Ind_P^G(k), P a Sylow p-subgroup, with the Norton kernel that
+    certified it, sorted by (dim, vector) as SimpleRegistry sorts."""
+
+    def _saturate(self):
+        brauer = self.brauer
+        found = {}
+        source = rep_induce(rep_trivial(sylow_p(self.group, self.field.p),
+                                        self.field), self.group)
+        for S, U in chop(source, self._rng):
+            found.setdefault(brauer.vector(S), (S, U))
+        return dict(sorted(found.items(),
+                           key=lambda kv: (kv[1][0].dim, kv[0])))
+
+
+def reference_saturation(G: FiniteGroup, k: Field,
+                         rng: random.Random) -> SimpleRegistry:
+    """The registry over (G, k) from the chop of Ind_P^G(k): the reference
+    for the closed form that SimpleRegistry takes when P is normal in G
+    and G/P is cyclic."""
+    return ChopRegistry(G, k, rng)
+
+
+def reference_eigenvalue_counts(brauer: BrauerCharacters, A: Mat,
+                                m: int) -> list[int]:
+    """BrauerCharacters.eigenvalue_counts by the characteristic polynomial
+    for every size of A, 1 x 1 included: exact division by each x -
+    zeta_m^j in turn.  The reference for the lookup of a 1 x 1 matrix's
+    eigenvalue in the root table."""
+    E = brauer.ambient
+    coeffs = list(A.charpoly().map_field(E).coeffs)
+    counts = [0] * m
+    for j, z in enumerate(brauer._root_table(m)):
+        while len(coeffs) > 1:
+            quot, rem = _divide_linear(E, coeffs, z)
+            if rem:
+                break
+            coeffs = quot
+            counts[j] += 1
+    if sum(counts) != A.rows:
+        raise Inconsistency("the eigenvalues of a p-regular element "
+                            "are not roots of unity of its order")
+    return counts
 
 
 def chop_class(M: Rep, registry: SimpleRegistry,
@@ -401,7 +479,7 @@ def inertia_cover(datum, d: int) -> Rep:
 
 def split_by_completed_basis(M: Rep, W: Mat) -> tuple[Rep, Rep]:
     """Sub and quotient actions of M on the invariant column space W, taken
-    the way reps.split_on_submodule once took them: W completed by unit
+    the way split_on_submodule once took them: W completed by unit
     vectors to a basis P of the whole space, each generator conjugated to
     P^-1 A P, and the diagonal blocks read off."""
     F, d, r = M.field, W.rows, W.cols

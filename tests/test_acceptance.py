@@ -21,10 +21,10 @@ from equirr.groups import FiniteGroup, sylow_p
 from equirr.k0 import cartan_data, cartesian_check
 from equirr.matrices import Mat
 from equirr.reps import (SimpleRegistry, hom_dim, is_projective,
-                         rep_direct_sum, rep_induce, rep_restrict,
+                         rep_induce, rep_restrict,
                          rep_tensor, rep_trivial)
 from equirr.scenarios import find_s3_pgl2
-from reptools import chop_class, rep_regular, total_dim
+from reptools import chop_class, rep_direct_sum, rep_regular, total_dim
 
 
 def ok(criterion: str, detail: str):

@@ -19,10 +19,11 @@ from equirr.fields import Poly, field_make
 from equirr.groups import FiniteGroup, conjugacy_classes
 from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, SimpleRegistry,
-                         extend_scalars, rep_direct_sum, rep_induce,
-                         rep_trivial, spin_columns, split_on_submodule)
+                         extend_scalars, rep_induce, rep_trivial,
+                         spin_columns)
 from equirr.scenarios import parse_scenario, realize
-from reptools import chop_class, inertia_cover, rep_regular
+from reptools import (basis_vector, chop_class, inertia_cover,
+                      rep_direct_sum, rep_regular, split_on_submodule)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
@@ -114,7 +115,7 @@ def test_unsolvable_brauer_vector_raises(monkeypatch):
     t = vectors.index(reg.brauer.vector(rep_trivial(reg.group, reg.field)))
     triv, sign, std = vectors[t], vectors[1 - t], vectors[2]
     M = rep_trivial(reg.group, reg.field, 2)
-    assert reg.class_of(M) == reg.basis_vector(t, 2)
+    assert reg.class_of(M) == basis_vector(reg, t, 2)
 
     def add(*vectors):
         return tuple(tuple(sum(c) for c in zip(*cls)) for cls in

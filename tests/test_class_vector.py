@@ -21,7 +21,7 @@ from equirr.groups import FiniteGroup
 from equirr.k0 import cartan_coordinates
 from equirr.reps import ClassVector, SimpleRegistry, rep_induce
 from equirr.scenarios import parse_scenario, realize
-from reptools import inertia_cover, total_dim
+from reptools import basis_vector, inertia_cover, total_dim
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
@@ -107,8 +107,8 @@ def test_a_class_has_one_coefficient_per_simple():
         with pytest.raises(InputError, match="registry of 4 simples"):
             ClassVector(reg, short)
     assert reg.zero().coeffs == (0, 0, 0, 0)
-    assert reg.basis_vector(1, 3).coeffs == (0, 3, 0, 0)
-    assert reg.basis_vector(0) + reg.basis_vector(3) == \
+    assert basis_vector(reg, 1, 3).coeffs == (0, 3, 0, 0)
+    assert basis_vector(reg, 0) + basis_vector(reg, 3) == \
         ClassVector(reg, [1, 0, 0, 1])
 
 
@@ -145,7 +145,7 @@ def test_regular_multiple_is_exact():
     ok, t = engine.regular_multiple(cover, reg.scale(3))
     assert (ok, t) == (True, 3) and type(t) is int
     assert engine.regular_multiple(cover, reg.scale(-2)) == (True, -2)
-    off = reg.scale(3) + cover.registry.basis_vector(0)
+    off = reg.scale(3) + basis_vector(cover.registry, 0)
     assert engine.regular_multiple(cover, off) == (False, None)
     assert engine.regular_multiple(cover, reg.scale(Fraction(1, 2))) \
         == (False, None)

@@ -10,6 +10,7 @@ from equirr.errors import CapExceeded, Inconsistency, InputError
 from equirr.geometry import P1Geometry
 from equirr.scenarios import find_s3_pgl2, parse_scenario, realize
 from equirr.fields import field_make
+from reptools import basis_vector
 from test_induced_classes import load_perfbench
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -81,7 +82,8 @@ def test_tame_mod_regular_fails_with_a_wrong_oracle(monkeypatch):
     oracle = cli.oracle_euler_class
     monkeypatch.setattr(
         cli, "oracle_euler_class",
-        lambda cover, D: oracle(cover, D) + cover.registry.basis_vector(0))
+        lambda cover, D: (oracle(cover, D)
+                          + basis_vector(cover.registry, 0)))
     cfg = parse_scenario((SCENARIO_DIR / "a2_kummer_gf7_m3.json").read_text())
     report = cli.run_euler(realize(cfg))
     verdicts = {v["name"]: v["pass"] for v in report["verdicts"]}
@@ -308,6 +310,23 @@ def test_suite_realizes_each_scenario_once(capsys, monkeypatch):
     assert main(["suite", *shipped_files(), "--golden", golden]) == 0
     assert len(calls) == 5
     assert capsys.readouterr().out.count("pass hash ok") == 15
+
+
+def test_suite_fails_a_command_the_golden_manifest_does_not_pin(
+        tmp_path, capsys):
+    # a copy of a1 under a new name has no entry in the manifest: each of
+    # its commands passes its verdicts but is not pinned, so the suite
+    # exits 1, while the pinned original still reads hash ok
+    source = SCENARIO_DIR / "a1_translations_gf3.json"
+    copy = tmp_path / "new_scn.json"
+    copy.write_text(source.read_text())
+    golden = str(SCENARIO_DIR / "golden.json")
+    assert main(["suite", str(source), str(copy), "--golden", golden]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"a1_translations_gf3.json {c}: pass hash ok" for c in cli.RUNNERS),
+        *(f"new_scn.json {c}: FAIL NOT PINNED" for c in cli.RUNNERS)]
+    assert main(["suite", str(copy)]) == 0
+    assert capsys.readouterr().out.count("new_scn.json") == 3
 
 
 def test_failed_command_leaves_the_shared_scenario_usable(capsys,
@@ -720,7 +739,7 @@ def test_integral_formula_sums_the_certified_divided_classes(monkeypatch):
     def corrupted(cover, datum, d):
         cert = real(cover, datum, d)
         w = cert["class"]
-        return {**cert, "class": w + w.registry.basis_vector(0)}
+        return {**cert, "class": w + basis_vector(w.registry, 0)}
 
     monkeypatch.setattr(engine, "_certify_divided_cover", corrupted)
     report = cli.run_euler(shipped("a2_kummer_gf7_m3.json"))

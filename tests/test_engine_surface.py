@@ -39,10 +39,6 @@ KEPT = {
     "matrices.Mat.columns": "test_matrices, tests/reptools (the split "
                             "through a completed basis)",
     "geometry.places_up_to": "test_geometry",
-    "reps.rep_direct_sum": "test_reps, test_acceptance",
-    "reps.split_on_submodule": "test_brauer, test_induced_classes (chop "
-                               "splits with its MeatAxe seed)",
-    "reps.SimpleRegistry.basis_vector": "test_k0",
 }
 
 

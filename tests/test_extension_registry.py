@@ -4,7 +4,9 @@ SimpleRegistry.over_extension files S (x) k' as it stands for each simple
 S over k whose e = dim End(S) has gcd(e, r) = 1, and chops only the
 others, into gcd(e, r) Galois conjugates checked for their dims and End
 dims; it never chops k'[G].  The direct route, a registry over k'
-saturated from its own chop, is the reference: both routes must find the
+saturated on its own (from its own chop, or in closed form for a normal
+Sylow subgroup with a cyclic quotient), is the reference: both routes
+must find the
 same simples in the same order, with the same dim End(S) and the same
 Cartan matrix.  The descent map k0.beta_vector must equal the class of
 each S (x) k' solved simple by simple (reptools.reference_beta)."""
@@ -23,7 +25,7 @@ from equirr.groups import FiniteGroup
 from equirr.k0 import beta_vector, cartan_data
 from equirr.reps import ClassVector, SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
-from reptools import reference_beta
+from reptools import basis_vector, reference_beta
 from test_cartan import TABLES, cyclic, pgl2_gf3, translations_gf9
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -56,7 +58,7 @@ def assert_routes_agree(G, F, F2, seed=0, classes=()):
     assert end_dims(via_base) == end_dims(direct)
     assert (cartan_data(G, F2, via_base).matrix
             == cartan_data(G, F2, direct).matrix)
-    for coeffs in [base.basis_vector(i).coeffs for i in range(len(base))]:
+    for coeffs in [basis_vector(base, i).coeffs for i in range(len(base))]:
         v = ClassVector(base, coeffs)
         assert beta_vector(v, via_base) == reference_beta(v, via_base)
     for coeffs in classes:
@@ -156,7 +158,7 @@ def test_descent_cases(monkeypatch, case):
         assert len(from_i) == g
         assert all(ext.simples[j].dim * g == S.dim
                    and ext.end_dim(j) * g == ends[i] for j in from_i)
-        assert (beta_vector(base.basis_vector(i), ext).coeffs
+        assert (beta_vector(basis_vector(base, i), ext).coeffs
                 == tuple(int(j in from_i) for j in range(len(ext))))
     monkeypatch.undo()
     assert_routes_agree(G, F, F2)
@@ -209,7 +211,7 @@ def test_a_split_that_breaks_the_theorem_is_inconsistent(monkeypatch):
 def test_beta_vector_needs_the_descent_registry():
     G, F, F9 = cyclic(4), field_make(3, 1), field_make(3, 2)
     base = SimpleRegistry(G, F, random.Random(0))
-    v = base.basis_vector(0)
+    v = basis_vector(base, 0)
     with pytest.raises(InputError, match="does not descend"):
         beta_vector(v, SimpleRegistry(G, F9, random.Random(0)))
     other = SimpleRegistry(G, F, random.Random(1))

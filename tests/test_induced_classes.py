@@ -25,11 +25,11 @@ from hypothesis import given, settings, strategies as st
 from equirr import cli, engine, reps
 from equirr.errors import Inconsistency, InputError
 from equirr.fields import field_make
-from equirr.groups import FiniteGroup
-from equirr.reps import (SimpleRegistry, rep_direct_sum, rep_induce,
-                         spin_columns, split_on_submodule)
+from equirr.groups import FiniteGroup, cyclic_quotient, sylow_p
+from equirr.reps import SimpleRegistry, rep_induce, spin_columns
 from equirr.scenarios import parse_scenario, realize
-from reptools import head_multiplicities, inertia_cover, rep_regular
+from reptools import (head_multiplicities, inertia_cover, rep_direct_sum,
+                      rep_regular, split_on_submodule)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -181,11 +181,27 @@ def seed0_pair_scenarios():
 NO_HOM_SCENARIOS = seed0_pair_scenarios()
 
 
+# seed-0 scenarios with a registry whose Sylow p-subgroup is not normal or
+# has a quotient that is not cyclic: PGL2(GF(3)) and its D8, S3 over
+# GF(5), PGL2(GF(5)) and its A4; every other registry takes the closed form
+STILL_CHOPS = {"a3_s3_gf5.json", "big-group/s0:pgl2_gf3",
+               "order-frontier/s0:pgl2_gf5"}
+
+
+def takes_the_closed_form(registry):
+    p = registry.field.p
+    return cyclic_quotient(registry.group, sylow_p(registry.group, p),
+                           p) is not None
+
+
 @pytest.mark.parametrize("name", sorted(NO_HOM_SCENARIOS))
 def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
-    # dim End(S) is read off the Norton kernel of the saturation chop, so
-    # neither command builds a Hom system; each End dim is computed once,
-    # for a simple of a saturated registry
+    # dim End(S) is read off the Norton kernel of the saturation chop, or
+    # off the identity for a simple in closed form, so neither command
+    # builds a Hom system; each End dim is computed once, for a simple of
+    # a saturated registry.  A registry over k chops Ind_P^G(k) exactly
+    # when P is not normal or G/P is not cyclic, and that module is the
+    # only one induced; no extension registry here has a simple to chop
     tracing = load_perfbench("tracing")
     saturated = []
     real_saturate = reps.SimpleRegistry._saturate
@@ -201,8 +217,21 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
         ends.append(S)
         return real_end_dim(S, U)
 
+    induced, chopped = [], []
+    real_induce, real_chop = reps.rep_induce, reps.chop
+
+    def induce(M, G):
+        induced.append(real_induce(M, G))
+        return induced[-1]
+
+    def chop(M, rng):
+        chopped.append(M)
+        return real_chop(M, rng)
+
     monkeypatch.setattr(reps.SimpleRegistry, "_saturate", saturate)
     monkeypatch.setattr(reps, "end_dim_from_kernel", end_dim)
+    monkeypatch.setattr(reps, "rep_induce", induce)
+    monkeypatch.setattr(reps, "chop", chop)
     scn = realize(parse_scenario(NO_HOM_SCENARIOS[name]))
     tracer = tracing.Tracer()
     tracer.install()
@@ -212,11 +241,19 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
         tracer.restore()
     assert [cli._exit_code(report) for report in reports] == [0, 0]
     layers = {span[0] for span in tracer.spans}
-    assert "reps.chop" in layers and "k0.cartan_data" in layers
+    assert "k0.cartan_data" in layers
     assert "reps.hom_space" not in layers
     simples = [S for reg in saturated for S in reg.simples]
     assert ends and len({id(S) for S in ends}) == len(ends)
     assert {id(S) for S in ends} <= {id(S) for S in simples}
+    chopping = [reg for reg in saturated
+                if reg.base is None and not takes_the_closed_form(reg)]
+    assert bool(chopping) == (name in STILL_CHOPS)
+    assert ("reps.chop" in layers) == bool(chopping)
+    assert [(M.group, M.dim) for M in chopped] == [
+        (reg.group, reg.group.order // sylow_p(reg.group, reg.field.p).order)
+        for reg in chopping]
+    assert [id(M) for M in induced] == [id(M) for M in chopped]
 
 
 @pytest.mark.parametrize("name", ["a2_kummer_gf7_m3.json", "a3_s3_gf5.json",
@@ -224,8 +261,10 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
                                   "big-divisor/s0:kummer_gf13"])
 def test_no_induced_module_outside_saturation_and_the_small_covers(
         monkeypatch, name):
-    # the one induced module is the saturation source, and projectivity
-    # is tested only on the Riemann-Roch modules of the verdicts
+    # the one induced module is the source of a saturation chop, which
+    # only S3 over GF(5) needs here (every registry of the other three
+    # takes the closed form), and projectivity is tested only on the
+    # Riemann-Roch modules of the verdicts
     callers = {"rep_induce": [], "is_projective": []}
     for fn in callers:
         real = getattr(reps, fn)
@@ -239,7 +278,8 @@ def test_no_induced_module_outside_saturation_and_the_small_covers(
     for command in ("euler", "check"):
         scn = realize(parse_scenario(SCENARIOS[name]))
         assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
-    assert set(callers["rep_induce"]) == {"_saturate"}
+    assert set(callers["rep_induce"]) == (
+        {"_saturate"} if name in STILL_CHOPS else set())
     assert set(callers["is_projective"]) == {"projectivity_report"}
 
 

@@ -19,8 +19,8 @@ from equirr.matrices import Mat
 from equirr.reps import (ClassVector, Rep, SimpleRegistry,
                          extend_scalars, hom_dim, rep_trivial, snf_inverse)
 from equirr.scenarios import parse_scenario, realize
-from reptools import (chop_class, head_multiplicities, rep_regular,
-                      socle_dim, total_dim)
+from reptools import (basis_vector, chop_class, head_multiplicities,
+                      rep_regular, socle_dim, total_dim)
 from test_cartan import pgl2_gf3
 
 
@@ -297,11 +297,11 @@ def test_beta_additive_and_injective_on_simples():
     cartan_data(G, F9, reg9)
     images = []
     for i in range(len(reg)):
-        images.append(beta_vector(reg.basis_vector(i), reg9))
+        images.append(beta_vector(basis_vector(reg, i), reg9))
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             assert images[i] != images[j]
-    v = reg.basis_vector(0) + reg.basis_vector(1)
+    v = basis_vector(reg, 0) + basis_vector(reg, 1)
     assert beta_vector(v, reg9) == images[0] + images[1]
 
 
@@ -352,7 +352,7 @@ def test_cartan_coordinates_solve_nonunimodular_cartan():
     cd = cartan_data(G, F, reg)
     assert sorted(map(sorted, cd.matrix)) == [[1, 2], [1, 2]]
     for a, b in itertools.product(range(-3, 4), repeat=2):
-        v = reg.basis_vector(0, a) + reg.basis_vector(1, b)
+        v = basis_vector(reg, 0, a) + basis_vector(reg, 1, b)
         x = cartan_coordinates(v, cd)
         assert [sum(cd.matrix[i][j] * x[j] for j in range(2))
                 for i in range(2)] == [a, b]
@@ -389,7 +389,7 @@ def test_cartan_coordinates_equal_a_fraction_solve_on_shipped_registries(
     for cd in built:
         s = cd.size
         reg = cd.registry
-        vectors = [reg.basis_vector(i) for i in range(s)]
+        vectors = [basis_vector(reg, i) for i in range(s)]
         vectors += [ClassVector(reg, [r.randint(-6, 6) for _ in range(s)])
                     for _ in range(4)]
         vectors.append(vectors[-1].scale(Fraction(1, 3)))

@@ -16,14 +16,15 @@ from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          find_submodule_or_simple, hom_dim, hom_space,
                          indecomposable_summands, is_projective,
-                         rep_direct_sum, rep_dual, rep_induce,
+                         rep_dual, rep_induce,
                          rep_restrict, rep_tensor, rep_trivial,
-                         spin_columns, split_on_submodule)
+                         spin_columns)
 from equirr.scenarios import parse_scenario, realize
-from reptools import (chop_class, head_multiplicities, is_isomorphic,
-                      projective_cover_over_inertia, reference_spin,
-                      regular_endomorphisms, rep_regular,
-                      split_by_completed_basis, total_dim)
+from reptools import (basis_vector, chop_class, head_multiplicities,
+                      is_isomorphic, projective_cover_over_inertia,
+                      reference_spin, regular_endomorphisms, rep_direct_sum,
+                      rep_regular, split_by_completed_basis,
+                      split_on_submodule, total_dim)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -299,7 +300,7 @@ def test_registry_brauer_key_orders_nonisomorphic_simples(table, p):
         Pinv = P.inv()
         conj = Rep(G, F, S.dim, {t: Pinv @ X @ P
                                  for t, X in enumerate(S.generator_images())})
-        assert reg.class_of(conj) == reg.basis_vector(i)
+        assert reg.class_of(conj) == basis_vector(reg, i)
 
 
 def test_chop_returns_certified_composition_factors():

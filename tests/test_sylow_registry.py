@@ -3,7 +3,9 @@ in closed form.
 
 SimpleRegistry saturates by chopping Ind_P^G(k) for a Sylow p-subgroup P,
 of dimension |G:P|: k[G] = Ind_P^G k[P] has a filtration with |P| factors
-Ind_P^G(k), so every simple module is a factor of it.  The tests' k[G]
+Ind_P^G(k), so every simple module is a factor of it.  When P is normal
+and G/P is cyclic it writes the simples down instead, and nothing is
+induced or chopped (test_cyclic_saturation compares the two).  The tests' k[G]
 (rep_regular) is the reference: counting its composition factors over a
 saturated registry must hit every simple, and a factor that is no simple
 of the registry raises.  The class of k[G] comes from
@@ -17,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from equirr import reps
 from equirr.fields import field_make
+from equirr.groups import cyclic_quotient, sylow_p
 from equirr.k0 import cartan_data
 from equirr.matrices import Mat
 from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
-from reptools import chop_class, rep_regular, total_dim
+from reptools import chop_class, is_normal, rep_regular, total_dim
 from test_cartan import TABLES, cyclic, pgl2_gf3, translations_gf9
 from test_induced_classes import load_perfbench
 from test_extension_registry import (SCENARIO_DIR, SHIPPED, SMALL_GROUPS,
@@ -107,21 +110,46 @@ def saturation_chop_dims(monkeypatch, G, F):
     return dims
 
 
-@pytest.mark.parametrize("make,p,n", BENCHMARK_CASES
+@pytest.mark.parametrize("make,p,n", BENCHMARK_CASES[:2]
                          + [(TABLES["S4"][0], 2, 1), (TABLES["A4"][0], 3, 1)],
-                         ids=BENCHMARK_IDS + ["S4-GF2", "A4-GF3"])
+                         ids=BENCHMARK_IDS[:2] + ["S4-GF2", "A4-GF3"])
 def test_wild_saturation_chops_the_sylow_permutation_module(monkeypatch,
                                                             make, p, n):
+    # P is not normal in any of these groups
     G = make()
     assert G.order % p == 0
+    P = sylow_p(G, p)
+    assert not is_normal(P, G) and cyclic_quotient(G, P, p) is None
     dims = saturation_chop_dims(monkeypatch, G, field_make(p, n))
     assert dims == [G.order // p_part(G.order, p)]
 
 
 def test_tame_saturation_chops_the_regular_module(monkeypatch):
-    # P = 1: Ind_1^G(k) is k[G] in the coset basis, on the same path
-    G = TABLES["C7"][0]()
-    assert saturation_chop_dims(monkeypatch, G, field_make(2, 1)) == [7]
+    # P = 1 and G = S3 is not cyclic: Ind_1^G(k) is k[G] in the coset
+    # basis, on the same path
+    G = dihedral(3)
+    assert cyclic_quotient(G, sylow_p(G, 5), 5) is None
+    assert saturation_chop_dims(monkeypatch, G, field_make(5, 1)) == [6]
+
+
+@pytest.mark.parametrize("make,p,n", [
+    (translations_gf9, 3, 2), (lambda: cyclic(7), 2, 1),
+    (lambda: cyclic(12), 13, 1), (lambda: cyclic(12), 3, 1),
+    (TABLES["A4"][0], 2, 1), (lambda: dihedral(4), 2, 1),
+    (lambda: dihedral(3), 3, 1)],
+    ids=["T9-GF9", "C7-GF2", "C12-GF13", "C12-GF3", "A4-GF2", "D8-GF2",
+         "S3-GF3"])
+def test_cyclic_quotient_saturates_without_a_chop(monkeypatch, make, p, n):
+    # P is normal and G/P is cyclic: no module is induced or chopped
+    G = make()
+    P = sylow_p(G, p)
+    assert is_normal(P, G) and cyclic_quotient(G, P, p) is not None
+    induced = []
+    real = reps.rep_induce
+    monkeypatch.setattr(reps, "rep_induce",
+                        lambda M, H: induced.append(M) or real(M, H))
+    assert saturation_chop_dims(monkeypatch, G, field_make(p, n)) == []
+    assert induced == []
 
 
 def test_no_regular_size_matrix_in_saturation_or_cartan_data(monkeypatch):
