@@ -26,14 +26,15 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import Inconsistency, InputError
 from .fields import Field
 from .geometry import Divisor, P1Geometry, RamificationDatum
 from .groups import FiniteGroup
-from .k0 import (CartanData, cartan_coordinates, cartan_data, in_cartan_image,
-                 is_projective_class)
+from .k0 import CartanData, cartan_data, in_cartan_image
 from .reps import (ClassVector, Rep, SimpleRegistry, is_projective,
-                   rep_restrict)
+                   power_counts, rep_restrict)
 
 
 @dataclass
@@ -117,44 +118,41 @@ class CoverData:
         """Class of Ind_{I_P}^group Cov((m/m^2)^{tensor d}) over the
         registry of group, which is G or G_P.  The projective cover over
         I_P is Cov = Ind_C^{I_P} Res_C of the cotangent power for the tame
-        complement C, so this is the class of Ind_C^group Res_C, read off
-        its Brauer vector.  The cotangent character has order e_t, so the
-        twists d and d mod e_t share an entry."""
-        d %= datum.e_t
-
+        complement C, so this is the class of Ind_C^group lambda^d, lambda
+        = Res_C (m/m^2) of order e_t: one table per (datum, group) holds
+        every d mod e_t, from one coset walk and one batched solve."""
         def build():
             C, _ = self.tame_complement(datum)
             reg, _ = self.registry_for(group)
-            return reg.class_of_induced(
-                rep_restrict(datum.cotangent_power(d), C))
-        return self.memo(("indcov", id(datum), d, id(group)), build)
+            lam = rep_restrict(datum.cotangent_power(1), C)
+            return reg.classes_of([lam], range(datum.e_t))
+        key = ("indcov", id(datum), id(group))
+        return self.memo(key, build)[d % datum.e_t]
 
     def induce_class(self, v: ClassVector, H: FiniteGroup) -> ClassVector:
         """Class of Ind_H^G M from the class v of M over H's registry.
         Induction is exact, so Ind M has the factors Ind S for the
-        composition factors S of M; the classes of Ind S are computed once
-        per subgroup.  A v over the whole group is returned as it is."""
+        composition factors S of M, solved in one batch per subgroup.  A v
+        over the whole group is returned as it is."""
         if H is self.G:
             return v
         reg, _ = self.registry_for(H)
         if v.registry is not reg:
             raise InputError("class and subgroup registry differ")
-        induced = self.memo(("induce", id(H)), lambda: [
-            self.registry.class_of_induced(S) for S in reg.simples])
-        total = self.registry.zero()
-        for c, w in zip(v.coeffs, induced):
-            total = total + w.scale(c)
-        return total
+        induced = self.memo(("induce", id(H)), lambda:
+                            self.registry.classes_of(reg.simples, [1]))
+        return sum((w.scale(c) for c, w in zip(v.coeffs, induced)),
+                   self.registry.zero())
 
     def induced_fiber_class(self, datum: RamificationDatum,
                             d: int) -> ClassVector:
         """Class of Ind_{I_P}^G of the bare d-th cotangent power (no cover);
-        used by the scaled identity, which has no weakness assumption.
-        Keyed by d mod e_t as induced_cover_class is."""
-        d %= datum.e_t
-        return self.memo(("indcot", id(datum), d),
-                         lambda: self.registry.class_of_induced(
-                             datum.cotangent_power(d)))
+        used by the scaled identity, which has no weakness assumption.  One
+        table per datum holds every d mod e_t, as for induced_cover_class."""
+        return self.memo(("indcot", id(datum)), lambda:
+                         self.registry.classes_of(
+                             [datum.cotangent_power(1)],
+                             range(datum.e_t)))[d % datum.e_t]
 
     # -- divisor bookkeeping ----------------------------------------------------
 
@@ -323,76 +321,95 @@ def divided_cover_class(cover: CoverData, datum: RamificationDatum,
                         d: int) -> dict:
     """The projective k[G_P]-module whose f_P-fold multiple is the induced
     cover of the (-d)-th cotangent power: certify the divisibility of every
-    head multiplicity by f_P and return the divided coordinates, computed
-    once per (datum, d).
+    head multiplicity by f_P and return the divided coordinates.  The
+    first call at a datum certifies every twist mod e_t in one pass.
 
     A divisibility failure falsifies the theorem and raises with a dump."""
-    return cover.memo(("divided", id(datum), d),
-                      lambda: _certify_divided_cover(cover, datum, d))
+    return cover.memo(("divided", id(datum)),
+                      lambda: _certify_divided_covers(cover, datum)
+                      )[d % datum.e_t]
 
 
-def _certify_divided_cover(cover: CoverData, datum: RamificationDatum,
-                           d: int) -> dict:
-    """divided_cover_class's certificate on the class of Ind_C^{G_P} of
-    the (-d)-th cotangent power over the tame complement C."""
+def _certify_divided_covers(cover: CoverData,
+                            datum: RamificationDatum) -> list[dict]:
+    """divided_cover_class's certificates for d = 0..e_t - 1 on the
+    classes X_d of Ind_C^{G_P} of the (-d)-th cotangent power: the heads
+    must equal the Cartan coordinates W X_d / L and be divisible by f, and
+    X_d / f must be integral with nonnegative integral Cartan coordinates.
+    A failure names the place, the first failing twist and the simple."""
     if not datum.is_weak_here:
         raise InputError("divided covers are defined for weakly ramified "
                          "places")
     _, cartan_p = cover.registry_for(datum.G_P)
-    head = _frobenius_heads(cover, datum, d)
+    heads = _frobenius_heads(cover, datum)
     # Ind_{I_P}^{G_P} Cov = Ind_C^{G_P} Res_C lambda is projective: every
     # module over the p'-group C is, and induction keeps projectivity
-    total = cover.induced_cover_class(datum, -d, datum.G_P)
-    # two routes to the multiplicities of the P_i: Frobenius reciprocity
-    # on the tame complement, and the Cartan coordinates of the class
-    if cartan_coordinates(total, cartan_p) != [head[i] for i in sorted(head)]:
-        raise Inconsistency(
-            f"head multiplicities {head} at place {datum.place!r}, twist "
-            f"{d} are not the Cartan coordinates of the induced cover")
-    bad = {i: m for i, m in head.items() if m % datum.f}
-    if bad:
-        raise Inconsistency(
-            "divisibility certificate failed: head multiplicities "
-            f"{bad} are not divisible by f={datum.f} at place "
-            f"{datum.place!r}, twist {d}; full head data {head}")
-    divided = total.scale(Fraction(1, datum.f))
-    if not divided.is_integral():
-        raise Inconsistency("divided cover class is not integral")
-    if not is_projective_class(divided, cartan_p):
-        raise Inconsistency("divided cover class is not a projective class")
-    return {"f": datum.f, "head_multiplicities": head, "class": divided}
+    totals = [cover.induced_cover_class(datum, -d, datum.G_P)
+              for d in range(datum.e_t)]
+    f, (W, L) = datum.f, cartan_p.inverse
+    W = np.array(W, dtype=object)
+    X = np.array([v.coeffs for v in totals], dtype=object).T
+    coords = (W @ X).T
+    divided = (W @ np.array([[c // f for c in v.coeffs] for v in totals],
+                            dtype=object).T).T
+    out = []
+    for d, row in enumerate(heads):
+        at, head = f"at place {datum.place!r}, twist {d}", dict(enumerate(row))
+        if any(c % L or c // L != m for c, m in zip(coords[d], row)):
+            raise Inconsistency(f"head multiplicities {head} {at} are not "
+                                "the Cartan coordinates of the induced cover")
+        bad = {i: m for i, m in head.items() if m % f}
+        if bad:
+            raise Inconsistency(
+                "divisibility certificate failed: head multiplicities "
+                f"{bad} are not divisible by f={f} {at}; full head data "
+                f"{head}")
+        for i, c in enumerate(X[:, d]):
+            if c % f:
+                raise Inconsistency(
+                    f"divided cover class is not integral {at}: simple {i} "
+                    f"has multiplicity {c}, not divisible by f={f}")
+        for i, c in enumerate(divided[d]):
+            if c % L or c < 0:
+                raise Inconsistency(
+                    f"divided cover class is not a projective class {at}: "
+                    "the coordinate of the projective cover of simple "
+                    f"{i} is {Fraction(c, L)}")
+        out.append({"f": f, "head_multiplicities": head,
+                    "class": totals[d].scale(Fraction(1, f))})
+    return out
 
 
-def _frobenius_heads(cover: CoverData, datum: RamificationDatum,
-                     d: int) -> dict[int, int]:
-    """Multiplicity of the projective cover of each simple S_i of G_P in
-    Ind_{I_P}^{G_P} Cov((m/m^2)^{tensor -d}), by Frobenius reciprocity.
+def _frobenius_heads(cover: CoverData, datum: RamificationDatum):
+    """Row d: the multiplicity of the projective cover of each simple S_i
+    of G_P in Ind_{I_P}^{G_P} Cov((m/m^2)^{tensor -d}), by Frobenius
+    reciprocity, for d = 0..e_t - 1.
 
     Cov = Ind_C^{I_P} Res_C lambda for the tame complement C = <c> of
     CoverData.tame_complement and lambda the (-d)-th cotangent power, so
     the induced cover is Ind_C^{G_P} lambda and Hom_{G_P}(it, S_i) =
     Hom_C(lambda, Res_C S_i).  C is a cyclic p'-group, so that dimension
     is sum_j a_j b_j over the multiplicities a_j and b_j of zeta^j as an
-    eigenvalue of lambda(c) and of S_i(c).  The b_j are counted once per
-    datum; dividing by dim End(S_i) must leave an integer."""
+    eigenvalue of lambda(c) and of S_i(c): the heads are A B^T / e, the
+    rows of A read off the counts of the first cotangent power at c by the
+    power map zeta^s -> zeta^(-s d).  Each must be an integer."""
     reg_p, _ = cover.registry_for(datum.G_P)
-    brauer = reg_p.brauer
-
-    def build():
-        _, c = cover.tame_complement(datum)
-        c_in_gp = datum.I_P.positions_in(datum.G_P)[c]
-        return c, [brauer.eigenvalue_counts(S.image(c_in_gp), datum.e_t)
-                   for S in reg_p.simples]
-    c, simple_counts = cover.memo(("frobenius", id(datum)), build)
-    lam = datum.cotangent_power(-d % datum.e_t)
-    a = brauer.eigenvalue_counts(lam.image(c), datum.e_t)
-    out = {}
-    for i, b in enumerate(simple_counts):
-        num, den = sum(x * y for x, y in zip(a, b)), reg_p.end_dim(i)
-        if num % den:
-            raise Inconsistency("head multiplicity is not integral")
-        out[i] = num // den
-    return out
+    brauer, e_t = reg_p.brauer, datum.e_t
+    _, c = cover.tame_complement(datum)
+    c_in_gp = datum.I_P.positions_in(datum.G_P)[c]
+    B = np.array([brauer.eigenvalue_counts(S.image(c_in_gp), e_t)
+                  for S in reg_p.simples])
+    a = brauer.eigenvalue_counts(datum.cotangent_power(1).image(c), e_t)
+    num = (np.array([power_counts(a, -d) for d in range(e_t)]) @ B.T).tolist()
+    ends = [reg_p.end_dim(i) for i in range(len(reg_p))]
+    for d, row in enumerate(num):
+        for i, (n, e) in enumerate(zip(row, ends)):
+            if n % e:
+                raise Inconsistency(
+                    f"head multiplicity of simple {i} at place "
+                    f"{datum.place!r}, twist {d} is not integral: Hom "
+                    f"dimension {n} over dim End = {e}")
+    return [[n // e for n, e in zip(row, ends)] for row in num]
 
 
 # -- the Riemann-Roch formulas ----------------------------------------------------
@@ -532,17 +549,33 @@ def projectivity_report(cover: CoverData, D: Divisor) -> dict:
 
 def tame_structure_checks(cover: CoverData, datum: RamificationDatum,
                           d: int) -> dict:
-    """Class identities available at tame places: the divided cover class
-    equals the (-d)-th cotangent line as a decomposition-group class, and
-    inducing the restriction multiplies the class by the residue degree."""
+    """Class identities available at tame places, for 0 < d < e_t: the
+    divided cover class equals the (-d)-th cotangent line as a
+    decomposition-group class, and inducing the restriction multiplies
+    the class by the residue degree (tables from _line_tables)."""
     if not datum.is_tame_here:
         raise InputError("structure checks apply at tame places")
-    reg_p, _ = cover.registry_for(datum.G_P)
+    if not 0 < d < datum.e_t:
+        raise InputError("structure checks take a twist 0 < d < e_t = "
+                         f"{datum.e_t}")
     w = divided_cover_class(cover, datum, d)
-    line = datum.decomposition_line_rep(-d)
-    line_class = reg_p.class_of(line)
-    identity_a = w["class"] == line_class
-    back_class = reg_p.class_of_induced(rep_restrict(line, datum.I_P))
-    identity_b = back_class == line_class.scale(datum.f)
-    return {"cover_equals_line": identity_a,
-            "ind_res_multiplies": identity_b}
+    lines, backs = cover.memo(("lines", id(datum)),
+                              lambda: _line_tables(cover, datum))
+    return {"cover_equals_line": w["class"] == lines[d - 1],
+            "ind_res_multiplies": backs[d - 1] == lines[d - 1].scale(datum.f)}
+
+
+def _line_tables(cover: CoverData, datum: RamificationDatum):
+    """The classes over G_P of line_d = decomposition_line_rep(-d) and of
+    Ind_{I_P}^{G_P} Res_{I_P} line_d = Ind (Res line_1)^(-d), d = 1..e_t - 1,
+    in batched solves; line_d = line_1^(-d) at a place of degree 1, and is
+    built per twist at a larger one, whose semilinear images do not
+    commute."""
+    reg_p, _ = cover.registry_for(datum.G_P)
+    exponents = [-d for d in range(1, datum.e_t)]
+    line = datum.decomposition_line_rep(1)
+    lines = (reg_p.classes_of([line], exponents) if datum.deg == 1 else
+             reg_p.classes_of([datum.decomposition_line_rep(x)
+                               for x in exponents], [1]))
+    return lines, reg_p.classes_of([rep_restrict(line, datum.I_P)],
+                                   exponents)

@@ -329,9 +329,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero field element")
         return self._exp2[self.q - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow_(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -351,9 +348,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
-
-    def elements(self):
-        return range(self.q)
 
     def rand_elem(self, rng: random.Random) -> int:
         return rng.randrange(self.q)
@@ -405,10 +399,6 @@ class Field:
 
 def field_make(p: int, n: int) -> Field:
     return Field.make(p, n)
-
-
-def embed(a: int, source: Field, target: Field) -> int:
-    return int(source.embedding_into(target)[a])
 
 
 # ---------------------------------------------------------------------------
@@ -572,19 +562,6 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
-
-    def evaluate(self, a: int) -> int:
-        F = self.field
-        acc = 0
-        if F.n == 1:
-            p = F.p
-            for c in reversed(self.coeffs):
-                acc = (acc * a + c) % p
-            return acc
-        add, mul = F.add, F.mul
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, a), c)
-        return acc
 
     def multiplicity(self, pi: "Poly") -> int:
         """Largest m with pi^m dividing self; self is nonzero and pi is

@@ -82,25 +82,6 @@ class Place:
         return "Place(inf)" if self.is_infinity else f"Place({self.poly!r})"
 
 
-def places_up_to(k: Field, bound: int) -> list[Place]:
-    """Infinity plus all monic irreducibles of degree <= bound over k,
-    in deterministic (degree, encoding) order."""
-    if bound < 1:
-        raise InputError("place degree bound must be at least 1")
-    out = [Place.infinity()]
-    for d in range(1, bound + 1):
-        for low in range(k.q**d):
-            coeffs = []
-            v = low
-            for _ in range(d):
-                coeffs.append(v % k.q)
-                v //= k.q
-            cand = Poly(k, coeffs + [1])
-            if poly_is_irreducible(cand):
-                out.append(Place(cand, check=False))
-    return out
-
-
 class Divisor:
     """Integer-weighted formal sum of places; zero coefficients absent."""
 
@@ -210,7 +191,6 @@ class RamificationDatum:
         self.residue_deg = deg // self.f
         self._coords = PowerBasisCoords(k, kP, rho, deg)
         self._cot_cache: dict[int, Rep] = {}
-        self._line_cache: dict[int, Rep] = {}
         self._validate()
 
     # -- validation of the spec invariants --------------------------------
@@ -321,17 +301,14 @@ class RamificationDatum:
         if self.cocycle is None:
             raise InputError("decomposition-line data needs a geometric "
                              "ramification datum")
-        if d not in self._line_cache:
-            in_G = self.G_P.positions_in(self.group)
-            images = {}
-            for t, g in enumerate(self.G_P.generators):
-                j, b = self.cocycle[in_G[g]]
-                images[t] = self._mult_matrix(self.kP.pow_(b, d),
-                                              frob_steps=j)
-            rep = Rep(self.G_P, self.k, self.deg, images)
-            rep.check_homomorphism()
-            self._line_cache[d] = rep
-        return self._line_cache[d]
+        in_G = self.G_P.positions_in(self.group)
+        images = {}
+        for t, g in enumerate(self.G_P.generators):
+            j, b = self.cocycle[in_G[g]]
+            images[t] = self._mult_matrix(self.kP.pow_(b, d), frob_steps=j)
+        rep = Rep(self.G_P, self.k, self.deg, images)
+        rep.check_homomorphism()
+        return rep
 
     def place_json(self):
         """The place as reports show it: a Place's JSON form, or the label

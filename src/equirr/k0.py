@@ -16,8 +16,8 @@ from .groups import FiniteGroup
 # smith_normal_form stays imported: CartanData's bare-matrix path inverts
 # through it, and the benchmark tracer finds the one that every registry's
 # Gram matrix takes under this name (k0.smith_normal_form)
-from .reps import (ClassVector, SimpleRegistry, smith_normal_form,
-                   snf_inverse)
+from .matrices import smith_normal_form, snf_inverse
+from .reps import ClassVector, SimpleRegistry
 
 
 # -- Cartan data ---------------------------------------------------------------
@@ -146,15 +146,6 @@ def in_cartan_image(v: ClassVector, cd: CartanData) -> bool:
     if not v.is_integral():
         raise InputError("Cartan membership needs an integral class")
     return all(c.denominator == 1 for c in cartan_coordinates(v, cd))
-
-
-def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
-    """True iff v is a nonnegative integer combination of Cartan columns;
-    coefficients are unique because the Cartan map is injective."""
-    if not v.is_integral():
-        raise InputError("projective-class test needs an integral class")
-    return all(c.denominator == 1 and c >= 0
-               for c in cartan_coordinates(v, cd))
 
 
 # -- scalar extension -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Dense exact matrices over finite fields.
+"""Dense exact matrices over finite fields, and the Smith normal form of
+small integer matrices with the exact inverse it gives.
 
 Entries are stored as a (rows, cols) numpy int64 array of field encodings,
 the same ints Field uses for scalars.  Every array-level field operation
@@ -10,6 +11,8 @@ operations return new Mat values.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,9 +58,6 @@ class Mat:
 
     def get(self, i: int, j: int) -> int:
         return int(self.a[i, j])
-
-    def to_lists(self):
-        return self.a.tolist()
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -112,9 +112,6 @@ class Mat:
     def submatrix(self, rows, cols) -> "Mat":
         return Mat(self.field, np.ascontiguousarray(
             self.a[np.ix_(list(rows), list(cols))]))
-
-    def columns(self, cols) -> "Mat":
-        return Mat(self.field, np.ascontiguousarray(self.a[:, list(cols)]))
 
     def kron(self, other: "Mat") -> "Mat":
         blocks = self.field.mul_array(self.a[:, None, :, None],
@@ -269,3 +266,96 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field})"
 
+
+# -- exact integer solves -----------------------------------------------------
+
+
+def smith_normal_form(A):
+    """U A V = D with U, V unimodular and D diagonal with d_i | d_{i+1}.
+
+    Plain integer row/column reduction; matrices here are tiny (one row and
+    column per simple module)."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    D = [list(r) for r in A]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, j, k):  # row_i -= k * row_j
+        D[i] = [a - k * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - k * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, k):  # col_i -= k * col_j
+        for r in range(rows):
+            D[r][i] -= k * D[r][j]
+        for r in range(cols):
+            V[r][i] -= k * V[r][j]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+        for r in range(cols):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    t = 0
+    while t < min(rows, cols):
+        # locate a nonzero entry of least absolute value in the rest
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if D[i][j] and (best is None
+                                or abs(D[i][j]) < abs(D[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        dirty = False
+        for i in range(t + 1, rows):
+            if D[i][t]:
+                row_op(i, t, D[i][t] // D[t][t])
+                if D[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if D[t][j]:
+                col_op(j, t, D[t][j] // D[t][t])
+                if D[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility sweep: pivot must divide everything below-right
+        ok = True
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if D[i][j] % D[t][t]:
+                    row_op(t, i, -1)  # pull the offending row up
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            if D[t][t] < 0:
+                D[t] = [-x for x in D[t]]
+                U[t] = [-x for x in U[t]]
+            t += 1
+    return U, D, V
+
+
+def snf_inverse(snf) -> tuple[list[list[int]], int] | None:
+    """(W, L) with W = L A^-1 an integer matrix, from the Smith normal form
+    snf = (U, D, V), U A V = D, of a square integer matrix A; None when A
+    is singular.  A^-1 = V D^-1 U, so W = V diag(L / D_ii) U for L the lcm
+    of the D_ii.  Every system with A is then one product with W and one
+    division by L."""
+    U, D, V = snf
+    s = len(D)
+    if any(D[i][i] == 0 for i in range(s)):
+        return None
+    L = math.lcm(*(D[i][i] for i in range(s)))
+    scaled = [[L // D[i][i] * u for u in U[i]] for i in range(s)]
+    return (np.array(V, dtype=object).reshape(s, s)
+            @ np.array(scaled, dtype=object).reshape(s, s)).tolist(), L

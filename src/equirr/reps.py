@@ -24,8 +24,8 @@ conjugates, so only the S with gcd(e, r) > 1 are chopped again, and the
 table files each simple over k' with the base simple it descends from,
 which is the base-change map on classes.  Each registry keeps the Gram
 matrix of its simples' Brauer characters and the one exact inverse that
-snf_inverse gives from its Smith normal form: each class solve is one
-matrix-vector product with the left inverse read off it, and
+snf_inverse gives from its Smith normal form: a batch of class solves is
+one matrix product with the left inverse read off it, and
 k0.cartan_data reads the Cartan matrix off the same inverse.  Hom spaces
 (Kronecker systems) and direct-sum splitting (along random
 endomorphisms) are kept apart: no command calls them, and the tests
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,7 +50,7 @@ from .fields import (TABLE_LIMIT, FactorStream, Field, Poly, field_make,
                      galois_pairing, poly_factor, totient_mobius)
 from .groups import (FiniteGroup, conjugacy_classes, coset_lookup,
                      cyclic_quotient, sylow_p)
-from .matrices import Mat
+from .matrices import Mat, smith_normal_form, snf_inverse
 
 # Algebra elements the MeatAxe tries on one module before it gives up: a
 # round is one element theta, with the irreducible factors of its
@@ -469,6 +470,16 @@ def _divide_linear(E: Field, coeffs: list[int], z: int):
     return quot, acc
 
 
+def power_counts(counts: list[int], d: int) -> list[int]:
+    """The eigenvalue counts of A^d from those of A over the m-th roots of
+    unity (counts[s] for zeta_m^s): the power map zeta^s -> zeta^(s d)."""
+    m = len(counts)
+    out = [0] * m
+    for s, c in enumerate(counts):
+        out[s * d % m] += c
+    return out
+
+
 class BrauerCharacters:
     """Brauer characters of k[G]-modules as integer vectors; no random
     draws.
@@ -570,32 +581,45 @@ class BrauerCharacters:
                                 "are not roots of unity of its order")
         return counts
 
-    def vector(self, M: Rep) -> tuple[tuple[int, ...], ...]:
-        """Per p-regular class, the eigenvalue multiplicities of M."""
-        return self._spread([self.eigenvalue_counts(M.image(g), m)
-                             for g, m in self.generators])
+    def _check_powers(self, M: Rep, exponents):
+        """g -> M(g)^d is a module for every d if M's images commute."""
+        if any(d != 1 for d in exponents):
+            gens = M.generator_images()
+            if any(A @ B != B @ A for i, A in enumerate(gens)
+                   for B in gens[i + 1:]):
+                raise InputError("a power other than 1 of a module needs "
+                                 "commuting generator images")
 
-    def induced_vector(self, M: Rep) -> tuple[tuple[int, ...], ...]:
-        """The vector of Ind_H^G M for H = M.group, a subgroup of G over the
-        same root (the module rep_induce builds), with no matrix of the
-        induced dimension.
+    def vector(self, M: Rep, exponents) -> list[tuple[tuple[int, ...], ...]]:
+        """Per p-regular class, the eigenvalue multiplicities of M^(d): g ->
+        M(g)^d for each d in exponents, by power_counts.  An exponent other
+        than 1 needs commuting generator images (else InputError)."""
+        self._check_powers(M, exponents)
+        found = [self.eigenvalue_counts(M.image(g), m)
+                 for g, m in self.generators]
+        return [self._spread([power_counts(c, d) for c in found])
+                for d in exponents]
+
+    def induced_vector(self, M: Rep,
+                       exponents) -> list[tuple[tuple[int, ...], ...]]:
+        """The vector of Ind_H^G M^(d) for H = M.group, a subgroup of G
+        over the same root, and each d in exponents (as in vector), from
+        one walk of the cosets and no matrix of the induced dimension.
 
         A generator g of order m permutes the cosets G/H.  On a cycle of
         length l through xH, g^l x = x h with h in H, and the l-th power of
         g's block matrix there is conjugate to M(h); so g's characteristic
         polynomial on the cycle is that of M(h) evaluated at x^l.  Each
-        eigenvalue zeta_m^(l s) of M(h) (h has order dividing m / l)
+        eigenvalue zeta_m^(l s) of M(h)^d (h has order dividing m / l)
         therefore gives the l eigenvalues zeta_m^(s + (m / l) t), t < l.
         Only dim M x dim M characteristic polynomials are taken, one per
         distinct (h, l)."""
+        self._check_powers(M, exponents)
         G = self.group
         reps, where = coset_lookup(G, M.group)
-        block_counts: dict[tuple[int, int], list[int]] = {}
-        found = []
+        cycles = []  # per generator, {(h, m / l): number of such cycles}
         for g, m in self.generators:
-            row = G.table[g]
-            counts = [0] * m
-            seen = [False] * len(reps)
+            row, found, seen = G.table[g], Counter(), [False] * len(reps)
             for j, x in enumerate(reps):
                 if seen[j]:
                     continue
@@ -607,15 +631,22 @@ class BrauerCharacters:
                     seen[i] = True
                     if i == j:
                         break
-                step = m // length
-                if (h, step) not in block_counts:
-                    block_counts[h, step] = self.eigenvalue_counts(
-                        M.image(h), step)
-                for s, c in enumerate(block_counts[h, step]):
-                    for t in range(s, m, step):
-                        counts[t] += c
-            found.append(counts)
-        return self._spread(found)
+                found[h, m // length] += 1
+            cycles.append(found)
+        blocks = {(h, step): self.eigenvalue_counts(M.image(h), step)
+                  for found in cycles for h, step in found}
+        out = []
+        for d in exponents:
+            vectors = []
+            for (_, m), found in zip(self.generators, cycles):
+                counts = [0] * m
+                for (h, step), n in found.items():
+                    for s, c in enumerate(power_counts(blocks[h, step], d)):
+                        for t in range(s, m, step):
+                            counts[t] += n * c
+                vectors.append(counts)
+            out.append(self._spread(vectors))
+        return out
 
     def _spread(self, found) -> tuple[tuple[int, ...], ...]:
         """The full vector from the eigenvalue counts of each generator in
@@ -679,100 +710,6 @@ def _cyclic_simples(G: FiniteGroup, F: Field, brauer: BrauerCharacters,
     return out
 
 
-# -- exact integer solves ---------------------------------------------------
-
-
-def smith_normal_form(A):
-    """U A V = D with U, V unimodular and D diagonal with d_i | d_{i+1}.
-
-    Plain integer row/column reduction; matrices here are tiny (one row and
-    column per simple module)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    D = [list(r) for r in A]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, k):  # row_i -= k * row_j
-        D[i] = [a - k * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - k * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, k):  # col_i -= k * col_j
-        for r in range(rows):
-            D[r][i] -= k * D[r][j]
-        for r in range(cols):
-            V[r][i] -= k * V[r][j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate a nonzero entry of least absolute value in the rest
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] and (best is None
-                                or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if D[i][t]:
-                row_op(i, t, D[i][t] // D[t][t])
-                if D[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if D[t][j]:
-                col_op(j, t, D[t][j] // D[t][t])
-                if D[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility sweep: pivot must divide everything below-right
-        ok = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i][j] % D[t][t]:
-                    row_op(t, i, -1)  # pull the offending row up
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            if D[t][t] < 0:
-                D[t] = [-x for x in D[t]]
-                U[t] = [-x for x in U[t]]
-            t += 1
-    return U, D, V
-
-
-def snf_inverse(snf) -> tuple[list[list[int]], int] | None:
-    """(W, L) with W = L A^-1 an integer matrix, from the Smith normal form
-    snf = (U, D, V), U A V = D, of a square integer matrix A; None when A
-    is singular.  A^-1 = V D^-1 U, so W = V diag(L / D_ii) U for L the lcm
-    of the D_ii.  Every system with A is then one product with W and one
-    division by L."""
-    U, D, V = snf
-    s = len(D)
-    if any(D[i][i] == 0 for i in range(s)):
-        return None
-    L = math.lcm(*(D[i][i] for i in range(s)))
-    scaled = [[L // D[i][i] * u for u in U[i]] for i in range(s)]
-    return (np.array(V, dtype=object).reshape(s, s)
-            @ np.array(scaled, dtype=object).reshape(s, s)).tolist(), L
-
-
 # -- registry and class vectors ----------------------------------------------
 
 
@@ -804,9 +741,11 @@ class SimpleRegistry:
     the simple in the chop of Ind_P^G(k) (the identity for a simple in
     closed form), or over an extension the index of the base simple it
     descends from (origins).  class_of reads the class of any module off
-    its Brauer vector, with no chop, regular_class the
-    class of k[G] off its closed-form vector, and end_dim dim End(S_i) off
-    S_i's kernel or its base simple's, with no Hom system.  Every derived
+    its Brauer vector, with no chop; classes_of the classes of a batch of
+    modules, their powers g -> M(g)^d and their induced modules, in one
+    exact solve; regular_class the class of k[G] off its closed-form
+    vector; and end_dim dim End(S_i) off S_i's kernel or its base
+    simple's, with no Hom system.  Every derived
     datum is a cached property, and one whose build raises caches
     nothing."""
 
@@ -870,10 +809,10 @@ class SimpleRegistry:
             found = {}
             if quotient is None:
                 for S, U in chop(rep_induce(rep_trivial(P, F), G), self._rng):
-                    found.setdefault(brauer.vector(S), (S, U))
+                    found.setdefault(brauer.vector(S, [1])[0], (S, U))
             else:
                 for S in _cyclic_simples(G, F, brauer, *quotient):
-                    vector = brauer.vector(S)
+                    vector = brauer.vector(S, [1])[0]
                     if vector in found:
                         raise Inconsistency("two simples of a cyclic "
                                             "quotient share a Brauer vector")
@@ -907,7 +846,7 @@ class SimpleRegistry:
                         f"found dims {[P.dim for P, _ in chopped]}")
                 pieces = [P for P, _ in chopped]
             for P in pieces:
-                vector = brauer.vector(P)
+                vector = brauer.vector(P, [1])[0]
                 if vector in found:
                     raise Inconsistency(
                         f"two summands of base simples extended to "
@@ -961,49 +900,68 @@ class SimpleRegistry:
 
     def class_of(self, M: Rep) -> "ClassVector":
         """The class of M in G_0(k[G]): the x with beta(M) = sum_i x_i
-        beta(S_i) over the Brauer vectors beta.  The registry holds every
-        simple, so M has such an x with nonnegative integer entries; an x
-        that fails the exact check on the full vector and on dim M raises
-        Inconsistency.
-
-        With B the matrix of the simples' vectors, Lg x = pinv beta(M) for
-        the cached integer left inverse pinv = W B^T P of B, read off the
-        registry's Gram matrix and its one exact inverse (gram)."""
+        beta(S_i) over the Brauer vectors beta, a one-column _solve.  The
+        registry holds every simple, so M has such an x with nonnegative
+        integer entries; an x that fails the exact check on the full vector
+        and on dim M raises Inconsistency."""
         if M.group is not self.group or M.field is not self.field:
             raise InputError("module and registry are over different data")
-        return self._solve(self.brauer.vector(M), M.dim)
+        return self.classes_of([M], [1])[0]
 
-    def class_of_induced(self, M: Rep) -> "ClassVector":
-        """The class of Ind_H^G M for H = M.group, a subgroup of G over the
-        same root, solved and checked as class_of does, from
-        BrauerCharacters.induced_vector: no induced module is built."""
-        if M.field is not self.field:
+    def classes_of(self, modules: list[Rep],
+                   exponents) -> list["ClassVector"]:
+        """[Ind_H^G M^(d)] for each M in modules (H = M.group, G itself or a
+        subgroup over the same root) and each d in exponents, module by
+        module, from the Brauer vectors in one batched solve."""
+        if any(M.field is not self.field for M in modules):
             raise InputError("module and registry are over different data")
-        return self._solve(self.brauer.induced_vector(M),
-                           self.group.order // M.group.order * M.dim)
+        return self._solve(
+            [v for M in modules for v in (
+                self.brauer.vector if M.group is self.group
+                else self.brauer.induced_vector)(M, exponents)],
+            [self.group.order // M.group.order * M.dim
+             for M in modules for _ in exponents])
+
+    @cached_property
+    def _regular(self) -> tuple:  # a ClassVector here would be a cycle
+        return self._solve([self.brauer.regular_vector()],
+                           [self.group.order])[0].coeffs
 
     def regular_class(self) -> "ClassVector":
-        """The class of k[G], solved and checked as class_of does, from
+        """The class of k[G], solved once and checked as class_of does, from
         BrauerCharacters.regular_vector: no matrix of k[G] is built."""
-        return self._solve(self.brauer.regular_vector(), self.group.order)
+        return ClassVector(self, self._regular)
 
-    def _solve(self, vector, dim: int) -> "ClassVector":
+    def _solve(self, vectors, dims: list[int]) -> list["ClassVector"]:
+        """The class x of each Brauer vector beta of a dim-d module, from
+        Lg x = pinv beta: one product for the batch with the integer left
+        inverse pinv = W B^T P of B (gram).  A column that fails a check
+        (Lg | pinv beta, 0 <= x_i <= d, sum x_i dim S_i = d, B x = beta)
+        fails the batch, which must not be empty."""
         B, pinv, pinv64, top, L = self._solver
-        b = np.array([c for counts in vector for c in counts], dtype=np.int64)
+        rows = [[c for counts in v for c in counts] for v in vectors]
+        b = np.array(rows, dtype=np.int64)
         # |(pinv b)_i| <= max|pinv| sum(b), and sum(b) = dim * #p-regular
         # classes for the vector of a module
-        if pinv64 is not None and top * int(b.sum()) < 1 << 63:
-            Lx = (pinv64 @ b).tolist()
+        if pinv64 is not None and top * max(map(sum, rows)) < 1 << 63:
+            Lx = (b @ pinv64.T).tolist()
         else:
-            Lx = [sum(p * c for p, c in zip(row, b.tolist())) for row in pinv]
-        x = [c // L for c in Lx]
-        if (any(c % L for c in Lx) or any(not 0 <= c <= dim for c in x)
-                or not np.array_equal(B @ np.array(x, dtype=np.int64), b)
-                or sum(c * S.dim for c, S in zip(x, self.simples)) != dim):
+            Lx = [[sum(p * c for p, c in zip(row, v)) for row in pinv]
+                  for v in rows]
+        X = [[c // L for c in row] for row in Lx]
+        sizes = [S.dim for S in self.simples]
+        ok = [not any(c % L for c in row) and all(0 <= c <= dim for c in x)
+              and sum(c * n for c, n in zip(x, sizes)) == dim
+              for row, x, dim in zip(Lx, X, dims)]
+        if all(ok):  # x is in range, so B x fits in int64
+            ok = [bx == row for bx, row in
+                  zip((np.array(X, dtype=np.int64) @ B.T).tolist(), rows)]
+        if not all(ok):
             raise Inconsistency(
-                f"the Brauer vector of a dim-{dim} module is no "
-                "nonnegative integral combination of the simples' vectors")
-        return ClassVector(self, x)
+                f"the Brauer vector of a dim-{dims[ok.index(False)]} module "
+                "is no nonnegative integral combination of the simples' "
+                "vectors")
+        return [ClassVector(self, x) for x in X]
 
     @cached_property
     def gram(self):

@@ -15,9 +15,13 @@ value of a decomposition element by division at a root, the image of a
 place by moving one of its roots as a point, the ramified places by solving
 the fixed-point form of every element, the projective cover over an inertia
 group as a module, induced from a Schur-Zassenhaus complement, the split of
-a module on a submodule through a completed basis and its inverse, and
+a module on a submodule through a completed basis and its inverse,
 spinning one vector at a time through an incrementally echelonized row
-basis (EchelonBasis), the reference for the block spin of reps._spin."""
+basis (EchelonBasis), the reference for the block spin of reps._spin, the
+class of one cotangent twist induced from the tame complement (the
+reference for the twist tables of engine.CoverData), the projective-class
+test on Cartan coordinates, and small field, polynomial, matrix and place
+utilities that no command needs."""
 
 import math
 import random
@@ -25,10 +29,11 @@ import random
 import numpy as np
 
 from equirr.errors import CapExceeded, Inconsistency, InputError
-from equirr.fields import (Field, Poly, embed, field_make, poly_roots,
-                           prime_factors)
+from equirr.fields import (Field, Poly, field_make, poly_is_irreducible,
+                           poly_roots, prime_factors)
 from equirr.geometry import INF_POINT, Divisor, P1Geometry, Place
-from equirr.groups import FiniteGroup, _p_part, sylow_p
+from equirr.k0 import CartanData, cartan_coordinates
+from equirr.groups import FiniteGroup, _p_part, coset_lookup, sylow_p
 from equirr.matrices import Mat
 from equirr.reps import (BrauerCharacters, ClassVector, Rep, SimpleRegistry,
                          _check_compatible, _check_hom_cells, _divide_linear,
@@ -39,6 +44,66 @@ from equirr.reps import (BrauerCharacters, ClassVector, Rep, SimpleRegistry,
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
+
+
+# -- small utilities ----------------------------------------------------------
+
+
+def embed(a: int, source: Field, target: Field) -> int:
+    return int(source.embedding_into(target)[a])
+
+
+def div(F: Field, a: int, b: int) -> int:
+    return F.mul(a, F.inv(b))
+
+
+def elements(F: Field):
+    return range(F.q)
+
+
+def evaluate(f: Poly, a: int) -> int:
+    """f(a) by Horner's rule."""
+    F = f.field
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = F.add(F.mul(acc, a), c)
+    return acc
+
+
+def to_lists(M: Mat) -> list[list[int]]:
+    return M.a.tolist()
+
+
+def columns(M: Mat, cols) -> Mat:
+    return Mat(M.field, np.ascontiguousarray(M.a[:, list(cols)]))
+
+
+def places_up_to(k: Field, bound: int) -> list[Place]:
+    """Infinity plus all monic irreducibles of degree <= bound over k,
+    in deterministic (degree, encoding) order."""
+    if bound < 1:
+        raise InputError("place degree bound must be at least 1")
+    out = [Place.infinity()]
+    for d in range(1, bound + 1):
+        for low in range(k.q**d):
+            coeffs = []
+            v = low
+            for _ in range(d):
+                coeffs.append(v % k.q)
+                v //= k.q
+            cand = Poly(k, coeffs + [1])
+            if poly_is_irreducible(cand):
+                out.append(Place(cand, check=False))
+    return out
+
+
+def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
+    """True iff v is a nonnegative integer combination of Cartan columns;
+    coefficients are unique because the Cartan map is injective."""
+    if not v.is_integral():
+        raise InputError("projective-class test needs an integral class")
+    return all(c.denominator == 1 and c >= 0
+               for c in cartan_coordinates(v, cd))
 
 
 def rep_regular(G: FiniteGroup, field: Field) -> Rep:
@@ -147,7 +212,7 @@ class ChopRegistry(SimpleRegistry):
         source = rep_induce(rep_trivial(sylow_p(self.group, self.field.p),
                                         self.field), self.group)
         for S, U in chop(source, self._rng):
-            found.setdefault(brauer.vector(S), (S, U))
+            found.setdefault(brauer.vector(S, [1])[0], (S, U))
         return dict(sorted(found.items(),
                            key=lambda kv: (kv[1][0].dim, kv[0])))
 
@@ -182,6 +247,57 @@ def reference_eigenvalue_counts(brauer: BrauerCharacters, A: Mat,
     return counts
 
 
+def reference_induced_vector(brauer: BrauerCharacters, M: Rep):
+    """The Brauer vector of Ind_H^G M, H = M.group, by the coset walk as it
+    was before the walk took exponents: each cycle adds the eigenvalue
+    counts of its block to g's counts as it is found.  The reference for
+    BrauerCharacters.induced_vector(M, [1])."""
+    G = brauer.group
+    reps, where = coset_lookup(G, M.group)
+    block_counts: dict[tuple[int, int], list[int]] = {}
+    found = []
+    for g, m in brauer.generators:
+        row = G.table[g]
+        counts = [0] * m
+        seen = [False] * len(reps)
+        for j, x in enumerate(reps):
+            if seen[j]:
+                continue
+            length, y = 0, x
+            while True:
+                y = row[y]
+                length += 1
+                i, h = where[y]
+                seen[i] = True
+                if i == j:
+                    break
+            step = m // length
+            if (h, step) not in block_counts:
+                block_counts[h, step] = brauer.eigenvalue_counts(
+                    M.image(h), step)
+            for s, c in enumerate(block_counts[h, step]):
+                for t in range(s, m, step):
+                    counts[t] += c
+        found.append(counts)
+    return brauer._spread(found)
+
+
+def class_of_induced(registry: SimpleRegistry, M: Rep) -> ClassVector:
+    """The class of Ind_H^G M over the registry of G, H = M.group, as a
+    one-column batch."""
+    return registry.classes_of([M], [1])[0]
+
+
+def twist_class(cover, datum, d: int, group: FiniteGroup) -> ClassVector:
+    """[Ind_C^group Res_C (m/m^2)^{tensor d}] for the tame complement C,
+    from the d-th cotangent power built as its own module: the per-twist
+    route that the twist tables of CoverData.induced_cover_class
+    replace."""
+    C, _ = cover.tame_complement(datum)
+    reg, _ = cover.registry_for(group)
+    return class_of_induced(reg, rep_restrict(datum.cotangent_power(d), C))
+
+
 def chop_class(M: Rep, registry: SimpleRegistry,
                rng: random.Random) -> ClassVector:
     """The class of M over the registry by counting its composition
@@ -193,7 +309,7 @@ def chop_class(M: Rep, registry: SimpleRegistry,
     index = {b: i for i, b in enumerate(registry.vectors)}
     coeffs = [0] * len(registry)
     for S, _ in chop(M, rng):
-        i = index.get(registry.brauer.vector(S))
+        i = index.get(registry.brauer.vector(S, [1])[0])
         if i is None:
             raise Inconsistency(f"a dim-{S.dim} composition factor is no "
                                 "simple of the registry")
@@ -336,7 +452,8 @@ def reference_cocycle_value(geo: P1Geometry, tau: int, P: Place, alpha):
     if not (r1.is_zero() and r2.is_zero()):
         raise Inconsistency("tau does not fix P, or alpha is not its root")
     den = K.pow_(K.add(K.mul(C, alpha), D), deg)
-    return K.mul(q1.evaluate(alpha), K.inv(K.mul(q2.evaluate(alpha), den)))
+    return K.mul(evaluate(q1, alpha),
+                 K.inv(K.mul(evaluate(q2, alpha), den)))
 
 
 def place_of_point(k: Field, K: Field, x) -> Place:
@@ -489,7 +606,7 @@ def split_by_completed_basis(M: Rep, W: Mat) -> tuple[Rep, Rep]:
             raise Inconsistency("submodule basis is not independent")
     eye = Mat.identity(F, d)
     extra = [i for i in range(d) if len(eb) < d and eb.add(eye.a[i])]
-    P = W.hstack(eye.columns(extra))
+    P = W.hstack(columns(eye, extra))
     Pinv = P.inv()
     images = [Pinv @ A @ P for A in M.generator_images()]
     if any(np.any(C.a[r:, :r]) for C in images):

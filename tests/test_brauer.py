@@ -111,8 +111,9 @@ def test_unsolvable_brauer_vector_raises(monkeypatch):
     # vector outside the span of the characters are no module's
     reg = s3_registry()
     assert [S.dim for S in reg.simples] == [1, 1, 2]
-    vectors = [reg.brauer.vector(S) for S in reg.simples]
-    t = vectors.index(reg.brauer.vector(rep_trivial(reg.group, reg.field)))
+    vectors = [reg.brauer.vector(S, [1])[0] for S in reg.simples]
+    trivial = rep_trivial(reg.group, reg.field)
+    t = vectors.index(reg.brauer.vector(trivial, [1])[0])
     triv, sign, std = vectors[t], vectors[1 - t], vectors[2]
     M = rep_trivial(reg.group, reg.field, 2)
     assert reg.class_of(M) == basis_vector(reg, t, 2)
@@ -129,7 +130,8 @@ def test_unsolvable_brauer_vector_raises(monkeypatch):
     # inverse and only the check on the full vector rejects it
     off_span = tuple((0, 2, 0) if len(cls) == 3 else cls for cls in std)
     for fake in (virtual, off_span):
-        monkeypatch.setattr(reg.brauer, "vector", lambda N, fake=fake: fake)
+        monkeypatch.setattr(reg.brauer, "vector",
+                            lambda N, exponents, fake=fake: [fake])
         with pytest.raises(Inconsistency, match="nonnegative integral"):
             reg.class_of(M)
 
@@ -140,7 +142,8 @@ def test_saturated_registry_rejects_foreign_simples(monkeypatch):
     # simples
     reg = s3_registry()
     vectors = reg.vectors
-    monkeypatch.setattr(reg.brauer, "vector", lambda N: ((N.dim,),))
+    monkeypatch.setattr(reg.brauer, "vector",
+                        lambda N, exponents: [((N.dim,),)])
     with pytest.raises(Inconsistency, match="no simple of the registry"):
         chop_class(rep_trivial(reg.group, reg.field, 3), reg,
                    random.Random(0))
@@ -205,4 +208,4 @@ def test_brauer_vector_counts_eigenvalues_on_every_class(table, p, n):
                     f, k = f.divmod(linear)[0], k + 1
                 counts.append(k)
             direct.append(tuple(counts))
-        assert brauer.vector(M) == tuple(direct)
+        assert brauer.vector(M, [1])[0] == tuple(direct)

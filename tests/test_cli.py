@@ -724,24 +724,41 @@ def test_each_command_builds_one_orbit_table_per_divisor(
 @pytest.mark.parametrize("command", ["euler", "check"])
 def test_divisibility_certificate_runs_once_per_place_and_twist(
         monkeypatch, command):
+    # the certificate body runs once per place (twice on a2) and certifies
+    # every twist there in one pass: each twist 1..e_t - 1 has a
+    # certificate of its own, with the heads and the class of that twist,
+    # and reading them certifies nothing again
     scn = shipped("a2_kummer_gf7_m3.json")
-    calls = record_calls(monkeypatch, engine, "_certify_divided_cover")
+    cover = scn.cover
+    calls = record_calls(monkeypatch, engine, "_certify_divided_covers")
     assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
-    pairs = [(id(datum), d) for _cover, datum, d in calls]
-    assert len(pairs) == len(set(pairs)) == 4
+    data = [datum for _cover, datum in calls]
+    assert len(data) == len({id(datum) for datum in data}) == 2
+    for datum in data:
+        heads = engine._frobenius_heads(cover, datum)
+        certs = [engine.divided_cover_class(cover, datum, d)
+                 for d in range(1, datum.e_t)]
+        assert len({id(cert) for cert in certs}) == datum.e_t - 1 == 2
+        for d, cert in enumerate(certs, 1):
+            assert cert["head_multiplicities"] == dict(enumerate(heads[d]))
+            assert cert["class"].scale(datum.f) == \
+                cover.induced_cover_class(datum, -d, datum.G_P)
+    assert len(calls) == 2
 
 
 def test_integral_formula_sums_the_certified_divided_classes(monkeypatch):
     # the integral formula is built from the divided classes it certifies:
-    # a corrupted certificate must make it disagree with the rational one
-    real = engine._certify_divided_cover
+    # corrupting the class of one twist inside the batched certificate
+    # must make it disagree with the rational one
+    real = engine._certify_divided_covers
 
-    def corrupted(cover, datum, d):
-        cert = real(cover, datum, d)
-        w = cert["class"]
-        return {**cert, "class": w + basis_vector(w.registry, 0)}
+    def corrupted(cover, datum):
+        certs = list(real(cover, datum))
+        w = certs[1]["class"]
+        certs[1] = {**certs[1], "class": w + basis_vector(w.registry, 0)}
+        return certs
 
-    monkeypatch.setattr(engine, "_certify_divided_cover", corrupted)
+    monkeypatch.setattr(engine, "_certify_divided_covers", corrupted)
     report = cli.run_euler(shipped("a2_kummer_gf7_m3.json"))
     failed = [v["name"] for v in report["verdicts"] if not v["pass"]]
     assert any(name.endswith(":rational_equals_integral")

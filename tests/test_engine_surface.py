@@ -29,16 +29,6 @@ KEPT = {
     # the summand split: a tracer target and the tests' reference Cartan
     "reps.indecomposable_summands": "perfbench tracer target; test-time "
                                     "cross-check of the Brauer Cartan matrix",
-    # small utilities that tests use
-    "fields.embed": "test_fields, test_matrices",
-    "fields.Field.div": "test_fields",
-    "fields.Field.elements": "test_fields, test_matrices",
-    "fields.Poly.evaluate": "test_fields, test_matrices, tests/reptools "
-                            "(the reference cocycle value)",
-    "matrices.Mat.to_lists": "test_geometry, test_matrices",
-    "matrices.Mat.columns": "test_matrices, tests/reptools (the split "
-                            "through a completed basis)",
-    "geometry.places_up_to": "test_geometry",
 }
 
 

@@ -203,7 +203,8 @@ def test_a_split_that_breaks_the_theorem_is_inconsistent(monkeypatch):
         SimpleRegistry.over_extension(G, F4, base).simples
     monkeypatch.setattr(reps, "chop", real)
     ext = SimpleRegistry.over_extension(G, F4, base)
-    monkeypatch.setattr(ext.brauer, "vector", lambda M: ((M.dim,),))
+    monkeypatch.setattr(ext.brauer, "vector",
+                        lambda M, exponents: [((M.dim,),)])
     with pytest.raises(Inconsistency, match="share a Brauer vector"):
         ext.simples
 

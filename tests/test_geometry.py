@@ -9,13 +9,13 @@ from equirr.errors import Inconsistency, InputError
 from equirr.engine import CoverData
 from equirr.fields import Poly, field_make
 from equirr.geometry import (Divisor, P1Geometry, Place, abstract_datum,
-                             fiber_character, places_up_to)
+                             fiber_character)
 from equirr.groups import FiniteGroup
 from equirr.matrices import Mat
 from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
-from reptools import (chop_class, reference_place_images,
-                      reference_ramified_places, rep_regular)
+from reptools import (chop_class, places_up_to, reference_place_images,
+                      reference_ramified_places, rep_regular, to_lists)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -363,7 +363,7 @@ def test_rr_action_translation_unipotent():
     sigma = G.index[(1, 1, 0, 1)]
     m = rep.image(sigma)
     # sigma . x^j = (x - 1)^j = (x + 2)^j over GF(3)
-    assert m.to_lists() == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
+    assert to_lists(m) == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
     reg = SimpleRegistry(G, F, rng())
     r = rng()
     v = chop_class(rep, reg, r)

@@ -174,19 +174,75 @@ def test_solving_a_combination_of_simples_returns_it(data):
         B, pinv, pinv64, top, Lg = solver
         assert pinv64 is not None
         try:
-            assert reg._solve(vector, dim).coeffs == tuple(x), label
+            assert reg._solve([vector], [dim])[0].coeffs == tuple(x), label
             reg.__dict__["_solver"] = (B, pinv, None, top, Lg)
-            assert reg._solve(vector, dim).coeffs == tuple(x), label
+            assert reg._solve([vector], [dim])[0].coeffs == tuple(x), label
             K = 1 << 64
             del reg.__dict__["_solver"]
             reg.__dict__["gram"] = (*gram[:3], [[K * w for w in row]
                                                 for row in gram[3]],
                                     K * Lg, gram[5])
             assert reg._solver[2] is None, label  # past int64
-            assert reg._solve(vector, dim).coeffs == tuple(x), label
+            assert reg._solve([vector], [dim])[0].coeffs == tuple(x), label
         finally:
             reg.__dict__["_solver"] = solver
             reg.__dict__["gram"] = gram
+
+
+def combination(reg, x):
+    """(sum x_i beta(S_i), sum x_i dim S_i) over the registry's simples."""
+    vector = tuple(tuple(sum(c * v[cls][j] for c, v in zip(x, reg.vectors))
+                         for j in range(len(counts)))
+                   for cls, counts in enumerate(reg.vectors[0]))
+    return vector, sum(c * S.dim for c, S in zip(x, reg.simples))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a_batched_solve_equals_the_one_column_solves(data):
+    # through the int64 product and through Python ints
+    for label, reg in built_registries():
+        s = len(reg)
+        xs = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=s,
+                                         max_size=s),
+                                min_size=1, max_size=5), label)
+        vectors, dims = zip(*(combination(reg, x) for x in xs))
+        batch = reg._solve(list(vectors), list(dims))
+        assert [v.coeffs for v in batch] == [tuple(x) for x in xs], label
+        assert batch == [reg._solve([v], [dim])[0]
+                         for v, dim in zip(vectors, dims)], label
+        solver = reg._solver
+        B, pinv, _, top, Lg = solver
+        try:
+            reg.__dict__["_solver"] = (B, pinv, None, top, Lg)
+            assert reg._solve(list(vectors), list(dims)) == batch, label
+        finally:
+            reg.__dict__["_solver"] = solver
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_one_bad_column_makes_the_whole_batch_raise(data):
+    # a column whose dim is off by one, or whose vector counts one more
+    # eigenvalue on the last p-regular class than on the others (every
+    # module's counts add up to its dim on each class), fails the exact
+    # checks; the batch of good columns around it raises all the same
+    for label, reg in built_registries():
+        s = len(reg)
+        xs = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=s,
+                                         max_size=s),
+                                min_size=2, max_size=5), label)
+        columns = [combination(reg, x) for x in xs]
+        bad = data.draw(st.integers(0, len(columns) - 1), label)
+        vector, dim = columns[bad]
+        if data.draw(st.booleans(), label) or len(vector) == 1:
+            columns[bad] = (vector, dim + 1)
+        else:
+            last = (vector[-1][0] + 1,) + vector[-1][1:]
+            columns[bad] = (vector[:-1] + (last,), dim)
+        vectors, dims = zip(*columns)
+        with pytest.raises(Inconsistency, match="nonnegative integral"):
+            reg._solve(list(vectors), list(dims))
 
 
 def test_dependent_brauer_vectors_make_a_singular_gram(monkeypatch):

@@ -15,6 +15,7 @@ import importlib.util
 import itertools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -26,10 +27,12 @@ from equirr import cli, engine, reps
 from equirr.errors import Inconsistency, InputError
 from equirr.fields import field_make
 from equirr.groups import FiniteGroup, cyclic_quotient, sylow_p
-from equirr.reps import SimpleRegistry, rep_induce, spin_columns
+from equirr.reps import (Rep, SimpleRegistry, rep_induce, rep_restrict,
+                         spin_columns)
 from equirr.scenarios import parse_scenario, realize
-from reptools import (head_multiplicities, inertia_cover, rep_direct_sum,
-                      rep_regular, split_on_submodule)
+from reptools import (basis_vector, class_of_induced, head_multiplicities,
+                      inertia_cover, reference_induced_vector, rep_direct_sum,
+                      rep_regular, split_on_submodule, twist_class)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -50,11 +53,11 @@ def load_perfbench(name):
     return module
 
 
-def workload_texts():
-    """Scenario text of each seed-0 big-divisor and big-group scenario."""
+def workload_texts(names=("big-divisor", "big-group")):
+    """Scenario text of each seed-0 scenario of the named workloads."""
     workloads = load_perfbench("workloads")
     out = {}
-    for name in ("big-divisor", "big-group"):
+    for name in names:
         for pair in workloads.WORKLOADS[name](ROOT, 0):
             out[f"{name}/{pair.pair_id.rsplit(':', 1)[0]}"] = pair.scenario
     return out
@@ -76,16 +79,16 @@ SCENARIOS = {**{name: (SCENARIO_DIR / name).read_text() for name in SHIPPED},
              **workload_texts()}
 
 
+# the larger seed-0 workload groups, PGL2(GF(5)) and AGL1(GF(11)), for the
+# tests that need no Hom system or induced module
+FRONTIER = workload_texts(("order-frontier",))
+
+
 @functools.cache
 def scenario(name):
-    text = pgl2_gf7_text() if name == "pgl2_gf7" else SCENARIOS[name]
+    text = (pgl2_gf7_text() if name == "pgl2_gf7"
+            else {**SCENARIOS, **FRONTIER}[name])
     return realize(parse_scenario(text))
-
-
-def twisted_data(cover):
-    """(datum, d) for every ramified orbit and twist d = 1..e_t - 1."""
-    return [(datum, d) for datum in cover.orbit_data
-            for d in range(1, datum.e_t)]
 
 
 # -- head multiplicities by Frobenius reciprocity --------------------------
@@ -93,12 +96,16 @@ def twisted_data(cover):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + ["pgl2_gf7"])
 def test_frobenius_heads_equal_the_hom_route(name):
+    # one table per datum, row d for the twist d mod e_t: every row, the
+    # twist 0 included, against Hom systems into the simples
     cover = scenario(name).cover
-    for datum, d in twisted_data(cover):
+    for datum in cover.orbit_data:
         reg_p, _ = cover.registry_for(datum.G_P)
-        induced = rep_induce(inertia_cover(datum, -d), datum.G_P)
-        assert (engine._frobenius_heads(cover, datum, d)
-                == head_multiplicities(induced, reg_p))
+        heads = engine._frobenius_heads(cover, datum)
+        assert [len(row) for row in heads] == [len(reg_p)] * datum.e_t
+        for d, row in enumerate(heads):
+            induced = rep_induce(inertia_cover(datum, -d), datum.G_P)
+            assert dict(enumerate(row)) == head_multiplicities(induced, reg_p)
 
 
 # -- the tame complement and the cover classes ------------------------------
@@ -142,22 +149,168 @@ def test_cover_classes_equal_the_module_reference(name):
                 assert divided["class"].scale(datum.f) == total
 
 
+@pytest.mark.parametrize("name",
+                         sorted(SCENARIOS) + sorted(FRONTIER) + ["pgl2_gf7"])
+def test_twist_tables_equal_the_per_twist_route(name):
+    # every d in -e_t..2e_t over G and over G_P, and the fiber table over
+    # G, against the class of the d-th cotangent power built as its own
+    # module and induced alone
+    cover = scenario(name).cover
+    for datum in cover.orbit_data:
+        for d in range(-datum.e_t, 2 * datum.e_t + 1):
+            for group in (cover.G, datum.G_P):
+                assert (cover.induced_cover_class(datum, d, group)
+                        == twist_class(cover, datum, d, group)), (group, d)
+            assert cover.induced_fiber_class(datum, d) == class_of_induced(
+                cover.registry, datum.cotangent_power(d)), d
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SCENARIOS
+                                        if "abstract" not in n)
+                         + sorted(FRONTIER) + ["pgl2_gf7"])
+def test_line_tables_equal_the_per_twist_lines(name):
+    # the structure checks' tables at every tame place against the line
+    # of each twist built as its own module
+    cover = scenario(name).cover
+    for datum in cover.orbit_data:
+        if not datum.is_tame_here:
+            continue
+        reg_p, _ = cover.registry_for(datum.G_P)
+        lines, backs = engine._line_tables(cover, datum)
+        assert len(lines) == len(backs) == datum.e_t - 1
+        for d in range(1, datum.e_t):
+            line = datum.decomposition_line_rep(-d)
+            assert lines[d - 1] == reg_p.class_of(line), d
+            assert backs[d - 1] == class_of_induced(
+                reg_p, rep_restrict(line, datum.I_P)), d
+
+
 def test_a_wrong_frobenius_count_fails_the_cartan_comparison(
         monkeypatch, capsys):
+    # one head of the twist 1 off by one: twist 0 passes, twist 1 fails
     real = engine._frobenius_heads
 
-    def off_by_one(cover, datum, d):
-        heads = real(cover, datum, d)
-        return {**heads, 0: heads[0] + 1}
+    def off_by_one(cover, datum):
+        heads = real(cover, datum)
+        heads[1][0] += 1
+        return heads
 
     monkeypatch.setattr(engine, "_frobenius_heads", off_by_one)
     path = SCENARIO_DIR / "a3_s3_gf5.json"
     scn = realize(parse_scenario(path.read_text()))
-    with pytest.raises(Inconsistency, match="Cartan coordinates"):
+    with pytest.raises(Inconsistency, match="twist 1 are not the Cartan "
+                                            "coordinates"):
         cli.run_check(scn)
     assert cli.main(["suite", str(path)]) == 3
     out = capsys.readouterr().out
     assert "a3_s3_gf5.json check: INCONSISTENCY (head multiplicities" in out
+
+
+def suite_line(capsys, name, command):
+    """The line that `equirr suite` prints for one scenario and command,
+    after a suite run over that scenario that must exit 3."""
+    assert cli.main(["suite", str(SCENARIO_DIR / name)]) == 3
+    prefix = f"{name} {command}: "
+    return next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(prefix))[len(prefix):]
+
+
+def test_a_non_integral_head_names_the_place_the_twist_and_the_simple(
+        monkeypatch, capsys):
+    # a2's data share the registry of G = C3, whose simples are lines: the
+    # heads of each twist are one unit row.  Doubling dim End(S_j) after
+    # the Cartan data are built, for the S_j that heads the twist 1 at the
+    # first place, leaves the twist 0 integral and breaks the twist 1
+    name = "a2_kummer_gf7_m3.json"
+    cover = scenario(name).cover
+    datum = cover.orbit_data[0]
+    heads = engine._frobenius_heads(cover, datum)
+    j = heads[1].index(1)
+    assert heads[0][j] == 0
+    real = engine.cartan_data
+
+    def doubled(G, k, reg):
+        cd = real(G, k, reg)
+        reg._end_dims[j] *= 2
+        return cd
+
+    monkeypatch.setattr(engine, "cartan_data", doubled)
+    expected = (f"head multiplicity of simple {j} at place {datum.place!r}, "
+                "twist 1 is not integral")
+    scn = realize(parse_scenario(SCENARIOS[name]))
+    with pytest.raises(Inconsistency, match=re.escape(expected)):
+        cli.run_check(scn)
+    assert suite_line(capsys, name, "check") == (
+        f"INCONSISTENCY ({expected}: Hom dimension 1 over dim End = 2)")
+
+
+def corrupt_the_f2_certificate(monkeypatch, delta):
+    """At a3's place of residue degree f = 2, where G_P = G: the class X_1
+    of the twist 1 gets delta(X_1) more copies of S_0, the Cartan inverse
+    of G becomes W = f L I, and the heads are f X, so the Cartan
+    comparison and the divisibility of the heads by f both pass whatever
+    X is.  Returns the place."""
+    cover = scenario("a3_s3_gf5.json").cover
+    place = next(datum.place for datum in cover.orbit_data
+                 if datum.f == 2)
+    real_class = engine.CoverData.induced_cover_class
+    real_cartan, real_heads = engine.cartan_data, engine._frobenius_heads
+
+    def induced_cover_class(self, datum, d, group):
+        v = real_class(self, datum, d, group)
+        if datum.f == 2 and group is datum.G_P and d % datum.e_t == 2:
+            v = v + basis_vector(v.registry, 0, delta(v))
+        return v
+
+    def cartan_data(G, k, reg):
+        cd = real_cartan(G, k, reg)
+        if G is G.root:
+            s, L = cd.size, cd.inverse[1]
+            cd.inverse = ([[2 * L * (i == j) for j in range(s)]
+                           for i in range(s)], L)
+        return cd
+
+    def heads(cover, datum):
+        if datum.f != 2:
+            return real_heads(cover, datum)
+        return [[2 * c for c in cover.induced_cover_class(datum, -d,
+                                                          datum.G_P).coeffs]
+                for d in range(datum.e_t)]
+
+    monkeypatch.setattr(engine.CoverData, "induced_cover_class",
+                        induced_cover_class)
+    monkeypatch.setattr(engine, "cartan_data", cartan_data)
+    monkeypatch.setattr(engine, "_frobenius_heads", heads)
+    return place
+
+
+def test_a_non_integral_divided_class_names_the_place_and_the_twist(
+        monkeypatch, capsys):
+    # one more copy of S_0 in X_1: f = 2 no longer divides it
+    place = corrupt_the_f2_certificate(monkeypatch, lambda v: 1)
+    scn = realize(parse_scenario(SCENARIOS["a3_s3_gf5.json"]))
+    expected = (f"divided cover class is not integral at place {place!r}, "
+                "twist 1: simple 0 has multiplicity")
+    with pytest.raises(Inconsistency, match=re.escape(expected)):
+        cli.run_check(scn)
+    assert suite_line(capsys, "a3_s3_gf5.json", "check").startswith(
+        f"INCONSISTENCY ({expected}")
+
+
+def test_a_divided_class_off_the_projectives_names_the_place_and_the_twist(
+        monkeypatch, capsys):
+    # X_1 with -2 copies of S_0: divisible by f = 2, but its Cartan
+    # coordinate under W = f L I is -2
+    place = corrupt_the_f2_certificate(monkeypatch,
+                                       lambda v: -v.coeffs[0] - 2)
+    scn = realize(parse_scenario(SCENARIOS["a3_s3_gf5.json"]))
+    expected = ("divided cover class is not a projective class at place "
+                f"{place!r}, twist 1: the coordinate of the projective cover "
+                "of simple 0 is -2")
+    with pytest.raises(Inconsistency, match=re.escape(expected)):
+        cli.run_check(scn)
+    assert suite_line(capsys, "a3_s3_gf5.json", "check") == (
+        f"INCONSISTENCY ({expected})")
 
 
 def seed0_pair_scenarios():
@@ -336,9 +489,9 @@ def registry(name, p, H):
 
 
 def assert_closed_form(reg_g, M):
-    expected = reg_g.brauer.vector(rep_induce(M, reg_g.group))
-    assert reg_g.brauer.induced_vector(M) == expected
-    assert reg_g.class_of_induced(M) == reg_g.class_of(
+    expected = reg_g.brauer.vector(rep_induce(M, reg_g.group), [1])[0]
+    assert reg_g.brauer.induced_vector(M, [1])[0] == expected
+    assert class_of_induced(reg_g, M) == reg_g.class_of(
         rep_induce(M, reg_g.group))
 
 
@@ -356,13 +509,17 @@ def test_induced_vector_of_every_simple_of_every_subgroup(name, p):
             assert_closed_form(reg_g, S)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_induced_vector_of_random_subgroup_modules(data):
-    # direct sums of simples, and submodules of k[H] spun from a random
-    # vector, which are non-split extensions where p divides |H|
+def draw_subgroup_module(data, abelian=False):
+    """(registry of G, registry of a subgroup H, module over H): a direct
+    sum of simples
+    or a submodule of k[H] spun from a random vector, which is a non-split
+    extension where p divides |H|; H abelian when asked."""
     name, p = data.draw(st.sampled_from(GROUP_FIELDS))
-    H = data.draw(st.sampled_from(every_subgroup(name)))
+    subgroups = [H for H in every_subgroup(name)
+                 if not abelian or all(H.table[a][b] == H.table[b][a]
+                                       for a in H.generators
+                                       for b in H.generators)]
+    H = data.draw(st.sampled_from(subgroups))
     reg_g, reg_h = registry(name, p, H)
     F = reg_h.field
     if data.draw(st.booleans()):
@@ -379,7 +536,74 @@ def test_induced_vector_of_random_subgroup_modules(data):
         gens = R.generator_images()
         W = spin_columns(F, R.dim, [np.array(v, dtype=np.int64)], gens)
         M = R if W.cols == R.dim else split_on_submodule(R, W)[0]
+    return reg_g, reg_h, M
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_induced_vector_of_random_subgroup_modules(data):
+    reg_g, _, M = draw_subgroup_module(data)
     assert_closed_form(reg_g, M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_induced_vector_of_exponent_1_is_the_walk_it_replaced(data):
+    reg_g, _, M = draw_subgroup_module(data)
+    assert (reg_g.brauer.induced_vector(M, [1])
+            == [reference_induced_vector(reg_g.brauer, M)])
+
+
+def power_module(M: Rep, d: int) -> Rep:
+    """M^(d), g -> M(g)^d, for M over an abelian group, built as a module
+    and checked: each generator image to the power d mod its order."""
+    H = M.group
+    out = Rep(H, M.field, M.dim, {
+        t: M.gen_image(t).pow_(d % H.element_order(g))
+        for t, g in enumerate(H.generators)})
+    out.check_homomorphism()
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_powers_of_a_module_of_an_abelian_subgroup(data):
+    # vector and induced_vector over a list of exponents against the
+    # module M^(d) built for each d, restricted to H and induced to G
+    reg_g, reg_h, M = draw_subgroup_module(data, abelian=True)
+    exponents = data.draw(st.lists(st.integers(-13, 13), min_size=1,
+                                   max_size=4))
+    powers = [power_module(M, d) for d in exponents]
+    assert reg_h.brauer.vector(M, exponents) == [
+        reg_h.brauer.vector(N, [1])[0] for N in powers]
+    assert reg_g.brauer.induced_vector(M, exponents) == [
+        reg_g.brauer.vector(rep_induce(N, reg_g.group), [1])[0]
+        for N in powers]
+    assert reg_g.classes_of([M], exponents) == [
+        class_of_induced(reg_g, N) for N in powers]
+
+
+@pytest.mark.parametrize("exponents", [[2], [1, -1], [0], [1, 3]])
+def test_a_power_of_a_module_whose_images_do_not_commute_is_refused(
+        exponents):
+    # the 2-dimensional simple of S3 over GF(5): its images do not commute,
+    # so only the exponent 1 names a module
+    reg = registry("S3", 5, every_subgroup("S3")[0])[0]
+    S = next(S for S in reg.simples if S.dim == 2)
+    a, b = S.generator_images()
+    assert a @ b != b @ a
+    with pytest.raises(InputError, match="commuting generator images"):
+        reg.brauer.vector(S, exponents)
+    with pytest.raises(InputError, match="commuting generator images"):
+        reg.classes_of([S], exponents)
+    H = next(H for H in every_subgroup("S4") if H.order == 6)
+    reg_s4, reg_h = registry("S4", 5, H)
+    S_h = next(S for S in reg_h.simples if S.dim == 2)
+    with pytest.raises(InputError, match="commuting generator images"):
+        reg_s4.brauer.induced_vector(S_h, exponents)
+    with pytest.raises(InputError, match="commuting generator images"):
+        reg_s4.classes_of([S_h], exponents)
+    assert reg.brauer.vector(S, [1]) == [reg.vectors[-1]]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + ["pgl2_gf7"])
@@ -402,7 +626,7 @@ def test_induced_vector_rejects_a_foreign_subgroup():
     other = every_subgroup("C6")[1]
     M = registry("C6", 5, other)[1].simples[0]
     with pytest.raises(InputError, match="different root groups"):
-        reg_g.brauer.induced_vector(M)
+        reg_g.brauer.induced_vector(M, [1])[0]
 
 
 def subgroup_chains(name):
@@ -426,8 +650,8 @@ def test_one_subgroup_type_over_every_chain(name, p):
         assert in_g == [k_in_g[i] for i in in_k]
         reg_g, reg_h = registry(name, p, H)
         for S in reg_h.simples:
-            assert (reg_g.class_of_induced(rep_induce(S, K))
-                    == reg_g.class_of_induced(S))
+            assert (class_of_induced(reg_g, rep_induce(S, K))
+                    == class_of_induced(reg_g, S))
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))

@@ -14,13 +14,14 @@ from equirr.fields import field_make
 from equirr.groups import FiniteGroup
 from equirr.k0 import (CartanData, beta_vector, cartan_coordinates,
                        cartan_data, cartesian_check, in_cartan_image,
-                       is_projective_class, smith_normal_form)
+                       smith_normal_form)
 from equirr.matrices import Mat
 from equirr.reps import (ClassVector, Rep, SimpleRegistry,
                          extend_scalars, hom_dim, rep_trivial, snf_inverse)
 from equirr.scenarios import parse_scenario, realize
 from reptools import (basis_vector, chop_class, head_multiplicities,
-                      rep_regular, socle_dim, total_dim)
+                      is_projective_class, rep_regular, socle_dim,
+                      total_dim)
 from test_cartan import pgl2_gf3
 
 

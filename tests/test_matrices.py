@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equirr.fields import Poly, embed, field_make
+from equirr.fields import Poly, field_make
 from equirr.matrices import Mat
 
-from reptools import EchelonBasis
+from reptools import (EchelonBasis, columns, elements, embed, evaluate,
+                      to_lists)
 
 
 def random_matrix(F, rows, cols, rng):
@@ -191,44 +192,44 @@ def field_and_matrices(draw):
 def test_matmul_extension_field(case):
     """Every Mat operation agrees entry by entry with scalar Field ops."""
     F, a, b, m, c = case
-    A, B, M = a.to_lists(), b.to_lists(), m.to_lists()
+    A, B, M = to_lists(a), to_lists(b), to_lists(m)
     assert a.a.ndim == b.a.ndim == m.a.ndim == 2
-    assert (a + b).to_lists() == [[F.add(x, y) for x, y in zip(r, s)]
+    assert to_lists(a + b) == [[F.add(x, y) for x, y in zip(r, s)]
                                   for r, s in zip(A, B)]
-    assert (a - b).to_lists() == [[F.sub(x, y) for x, y in zip(r, s)]
+    assert to_lists(a - b) == [[F.sub(x, y) for x, y in zip(r, s)]
                                   for r, s in zip(A, B)]
-    assert (-a).to_lists() == [[F.neg(x) for x in r] for r in A]
-    assert a.scale(c).to_lists() == [[F.mul(c, x) for x in r] for r in A]
-    assert (a @ m).to_lists() == ref_matmul(F, A, M)
-    assert a.kron(m).to_lists() == [
+    assert to_lists(-a) == [[F.neg(x) for x in r] for r in A]
+    assert to_lists(a.scale(c)) == [[F.mul(c, x) for x in r] for r in A]
+    assert to_lists(a @ m) == ref_matmul(F, A, M)
+    assert to_lists(a.kron(m)) == [
         [F.mul(A[i][j], M[k][t]) for j in range(a.cols)
          for t in range(m.cols)]
         for i in range(a.rows) for k in range(m.rows)]
 
     R, pivots = a.rref()
-    assert (R.to_lists(), pivots) == ref_rref(F, A)
+    assert (to_lists(R), pivots) == ref_rref(F, A)
     ns = a.nullspace()
     assert ns.cols == a.cols - len(pivots)
-    assert not any(any(row) for row in ref_matmul(F, A, ns.to_lists()))
-    rhs = b.columns([0])
+    assert not any(any(row) for row in ref_matmul(F, A, to_lists(ns)))
+    rhs = columns(b, [0])
     sol = a.solve(rhs)
-    aug_rank = len(ref_rref(F, a.hstack(rhs).to_lists())[1])
+    aug_rank = len(ref_rref(F, to_lists(a.hstack(rhs)))[1])
     assert (sol is not None) == (aug_rank == len(pivots))
     if sol is not None:
-        assert ref_matmul(F, A, sol.to_lists()) == rhs.to_lists()
+        assert ref_matmul(F, A, to_lists(sol)) == to_lists(rhs)
 
     d = min(a.rows, a.cols)
     square = a.submatrix(range(d), range(d))
-    S = square.to_lists()
+    S = to_lists(square)
     cp = square.charpoly()
     assert cp.degree == d and cp.leading() == 1
     for x in range(d + 1):  # d + 1 values fix a monic degree-d polynomial
         xI_minus_S = [[F.sub(x if i == j else 0, S[i][j]) for j in range(d)]
                       for i in range(d)]
-        assert cp.evaluate(x) == ref_det(F, xI_minus_S)
+        assert evaluate(cp, x) == ref_det(F, xI_minus_S)
 
     E = field_make(F.p, 2 * F.n)
-    assert a.map_field(E).to_lists() == [[embed(x, F, E) for x in r]
+    assert to_lists(a.map_field(E)) == [[embed(x, F, E) for x in r]
                                          for r in A]
 
 
@@ -250,10 +251,10 @@ def test_charpoly_is_det_of_xI_minus_A_everywhere(p, n):
             S = sparse_matrix(F, d, rng)
             cp = Mat.from_rows(F, S).charpoly()
             assert cp.degree == d and cp.leading() == 1
-            for x in F.elements():
+            for x in elements(F):
                 xI_minus_S = [[F.sub(x if i == j else 0, S[i][j])
                                for j in range(d)] for i in range(d)]
-                assert cp.evaluate(x) == ref_det(F, xI_minus_S), (d, x)
+                assert evaluate(cp, x) == ref_det(F, xI_minus_S), (d, x)
 
 
 def test_kron_dimensions_and_values():

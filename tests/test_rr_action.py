@@ -20,11 +20,11 @@ from hypothesis import assume, given, settings, strategies as st
 from equirr import fields
 from equirr.errors import Inconsistency
 from equirr.fields import Poly, field_make
-from equirr.geometry import (Divisor, P1Geometry, Place, RamificationDatum,
-                             places_up_to)
+from equirr.geometry import Divisor, P1Geometry, Place, RamificationDatum
 from equirr.groups import FiniteGroup
 from equirr.scenarios import parse_scenario, realize
-from reptools import reference_cocycle_value, reference_rr_action
+from reptools import (places_up_to, reference_cocycle_value,
+                      reference_rr_action)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED_ORACLE = ["a1_translations_gf3.json", "a2_kummer_gf7_m3.json",
