@@ -22,7 +22,6 @@ because each integrality IS a theorem statement.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -45,7 +44,6 @@ class CoverData:
     k: Field
     g_Y: int
     registry: SimpleRegistry
-    rng: random.Random
     orbit_data: list[RamificationDatum]
     geometry: P1Geometry | None = None
     abstract_coefficients: dict[int, int] | None = None  # index -> n
@@ -54,20 +52,19 @@ class CoverData:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_geometry(cls, geometry: P1Geometry,
-                      rng: random.Random) -> "CoverData":
+    def from_geometry(cls, geometry: P1Geometry) -> "CoverData":
         data = [geometry.ramification(orb[0])
                 for orb in geometry.ramified_orbits()]
         return cls(G=geometry.G, k=geometry.k, g_Y=0,
-                   registry=SimpleRegistry(geometry.G, geometry.k, rng),
-                   rng=rng, orbit_data=data, geometry=geometry)
+                   registry=SimpleRegistry(geometry.G, geometry.k),
+                   orbit_data=data, geometry=geometry)
 
     @classmethod
     def from_abstract(cls, G: FiniteGroup, k: Field, g_Y: int,
-                      data: list[RamificationDatum], coefficients,
-                      rng: random.Random) -> "CoverData":
-        cover = cls(G=G, k=k, g_Y=g_Y, registry=SimpleRegistry(G, k, rng),
-                    rng=rng, orbit_data=list(data), geometry=None,
+                      data: list[RamificationDatum],
+                      coefficients) -> "CoverData":
+        cover = cls(G=G, k=k, g_Y=g_Y, registry=SimpleRegistry(G, k),
+                    orbit_data=list(data), geometry=None,
                     abstract_coefficients=dict(enumerate(coefficients)))
         cover.genus_upstairs()  # rejects data that no cover has
         return cover
@@ -92,7 +89,7 @@ class CoverData:
             return self.registry, self.main_cartan()
 
         def build():
-            reg = SimpleRegistry(group, self.k, self.rng)
+            reg = SimpleRegistry(group, self.k)
             return reg, cartan_data(group, self.k, reg)
         return self.memo(("registry", id(group)), build)
 

@@ -15,8 +15,8 @@ class InputError(EquirrError):
 
 
 class CapExceeded(EquirrError):
-    """A configured size or iteration cap was hit; rerun with a new seed
-    or a larger cap."""
+    """A configured size or iteration cap was hit; every draw is fixed, so
+    the same input hits it on every run and needs a larger cap."""
 
 
 class Inconsistency(EquirrError):

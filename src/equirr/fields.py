@@ -773,10 +773,10 @@ def poly_is_irreducible(f: Poly) -> bool:
                for r in prime_factors(n))
 
 
-def poly_roots(f: Poly, rng: random.Random | None = None) -> list[int]:
+def poly_roots(f: Poly) -> list[int]:
     """Roots of f in its own coefficient field, sorted, with multiplicity."""
     out = []
-    for g, mult in poly_factor(f, rng):
+    for g, mult in poly_factor(f):
         if g.degree == 1:
             out.extend([f.field.neg(g.coeffs[0])] * mult)
     return sorted(out)

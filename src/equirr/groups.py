@@ -8,12 +8,16 @@ each element in those generators; representations store matrices for the
 generators only and rebuild other images from the words.
 
 A group built from generators or a table is its own root.  Every subgroup
-is a FiniteGroup over that root (G.subgroup), one object per element set,
-whose elements are root indices in increasing order; H.positions_in(K)
-reads H's elements as indices of any overgroup K over the same root.
+is a FiniteGroup over that root (G.subgroup), one object per element set
+while anything holds it (the root holds it weakly, so no group is in a
+reference cycle), whose elements are root indices in increasing order;
+H.positions_in(K) reads H's elements as indices of any overgroup K over
+the same root.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -77,11 +81,16 @@ class FiniteGroup:
         self.inverse = self._find_inverses()
         self.generators = self._greedy_generators()
         self.words = self._generator_words()
-        self.root = root if root is not None else self
+        self._root = root
         self.root_index = (self.labels if root is not None
                            else list(range(self.order)))
-        self._subgroup_cache: dict[frozenset, "FiniteGroup"] = {}
+        self._subgroup_cache = weakref.WeakValueDictionary()
         self._order_cache: dict[int, int] = {}
+
+    @property
+    def root(self) -> FiniteGroup:
+        """The group this one is a subgroup of; a root is its own."""
+        return self if self._root is None else self._root
 
     # construction ---------------------------------------------------------
 
@@ -231,16 +240,17 @@ class FiniteGroup:
         the root whose labels are root indices in increasing order.
 
         The whole root group is the root itself.  Any other subgroup is
-        cached per root-index set, so every route to the same subgroup
-        gives one object.  A set without the identity, or one that the
-        table build finds a product outside of, raises InputError.
+        cached weakly per root-index set: every route to the same subgroup
+        gives one object while anything holds it.  A set without the
+        identity, or one that the table build finds a product outside of,
+        raises InputError.
         """
         root = self.root
         root_set = frozenset(self.root_index[i] for i in indices)
         if len(root_set) == root.order:
             return root
-        if root_set in root._subgroup_cache:
-            return root._subgroup_cache[root_set]
+        if (sub := root._subgroup_cache.get(root_set)) is not None:
+            return sub
         if root.identity not in root_set:
             raise InputError("subgroup must contain the identity")
         ordered = sorted(root_set)
@@ -348,29 +358,16 @@ def cyclic_quotient(G: FiniteGroup, P: FiniteGroup, p: int):
     return c, j
 
 
-def cosets(G: FiniteGroup, H: FiniteGroup) -> list[int]:
-    """Left-coset representatives gH of a subgroup H, least unused element
-    index of G first."""
-    in_G = H.positions_in(G)
-    reps = []
-    assigned = [False] * G.order
-    for g in range(G.order):
-        if assigned[g]:
-            continue
-        reps.append(g)
-        for h in in_G:
-            assigned[G.table[g][h]] = True
-    return reps
-
-
 def coset_lookup(G: FiniteGroup, H: FiniteGroup):
-    """(representatives, where): where[x] = (k, h) for the element x of G
-    in the k-th coset of cosets(G, H), x = reps[k] h with h an index of
-    H."""
-    reps = cosets(G, H)
+    """(reps, where): the left-coset representatives of a subgroup H, the
+    identity for H itself and then the least unused element index of G,
+    and where[x] = (k, h) for the element x of G in the k-th coset, x =
+    reps[k] h with h an index of H."""
     in_G = H.positions_in(G)
-    where = [None] * G.order
-    for k, r in enumerate(reps):
-        for h, x in enumerate(in_G):
-            where[G.table[r][x]] = (k, h)
+    reps, where = [], [None] * G.order
+    for g in [G.identity, *range(G.order)]:
+        if where[g] is None:
+            for h, x in enumerate(in_G):
+                where[G.table[g][x]] = (len(reps), h)
+            reps.append(g)
     return reps, where

@@ -31,8 +31,9 @@ k0.cartan_data reads the Cartan matrix off the same inverse.  Hom spaces
 endomorphisms) are kept apart: no command calls them, and the tests
 cross-check dim End(S) and the Cartan matrix with them.
 
-All randomized routines draw from an explicit random.Random so a run is
-reproducible from its seed.
+The MeatAxe is the only code a command runs that draws at random, each
+chop from a random.Random(0) of its own unless the caller (a test) hands
+it one: a chop is a value of its module, a registry of (group, field).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .matrices import Mat, smith_normal_form, snf_inverse
 # round is one element theta, with the irreducible factors of its
 # characteristic polynomial tried in turn.  The element inherited from the
 # parent's split counts as a round.  A module not decided within the budget
-# raises CapExceeded (exit 3): "did not decide a dim-d module in 80 rounds;
-# rerun with a different seed".
+# raises CapExceeded (exit 3) naming the cap and the module's dimension;
+# the draws are fixed, so it fails alike on every run for that module.
 MEATAXE_ROUNDS = 80
 SPLIT_ROUNDS = 60
 SUMMAND_DIM_CAP = 400
@@ -149,7 +150,7 @@ def rep_restrict(M: Rep, H: FiniteGroup) -> Rep:
 def rep_induce(M: Rep, G: FiniteGroup) -> Rep:
     """Ind_H^G M for H = M.group, a subgroup of G over the same root: the
     block-matrix representation of dimension [G:H] * dim M, blocks laid
-    out along the deterministic coset order of cosets(G, H)."""
+    out along the deterministic coset order of coset_lookup(G, H)."""
     reps, where = coset_lookup(G, M.group)
     k = len(reps)
     m = M.dim
@@ -350,8 +351,8 @@ def find_submodule_or_simple(M: Rep, rng: random.Random, seed=None):
                                 (theta, cp, factors))
                 return "simple", ker.a
     raise CapExceeded(
-        f"MeatAxe did not decide a dim-{d} module in {MEATAXE_ROUNDS} "
-        "rounds; rerun with a different seed")
+        f"MeatAxe did not decide a dim-{d} module within MEATAXE_ROUNDS = "
+        f"{MEATAXE_ROUNDS} rounds")
 
 
 def _split_pieces(M: Rep, E: np.ndarray, piv: list[int],
@@ -400,9 +401,12 @@ def _split_pieces(M: Rep, E: np.ndarray, piv: list[int],
             for side, dim in enumerate((r, M.dim - r))]
 
 
-def chop(M: Rep, rng: random.Random) -> list[tuple[Rep, np.ndarray]]:
+def chop(M: Rep, rng: random.Random | None = None
+         ) -> list[tuple[Rep, np.ndarray]]:
     """The composition factors of M in the order the MeatAxe finds them,
-    each paired with the Norton kernel that certified it simple."""
+    each paired with the Norton kernel that certified it simple.  The
+    draws come from rng, a fresh random.Random(0) when none is given."""
+    rng = rng or random.Random(0)
     factors = []
     stack = [(M, None)]  # (module, MeatAxe seed)
     while stack:
@@ -538,6 +542,7 @@ class BrauerCharacters:
         self.ambient = field_make(F.p, F.n * s)
         self._roots: dict[int, list[int]] = {}
         self._exponents: dict[int, dict[int, int]] = {}  # zeta_m^j -> j
+        self._walks: dict[FiniteGroup, list[Counter]] = {}  # H -> _cycles
 
     def _root_table(self, m: int) -> list[int]:
         """zeta_m^j for j < m in the ambient field, cached with the inverse
@@ -581,30 +586,12 @@ class BrauerCharacters:
                                 "are not roots of unity of its order")
         return counts
 
-    def _check_powers(self, M: Rep, exponents):
-        """g -> M(g)^d is a module for every d if M's images commute."""
-        if any(d != 1 for d in exponents):
-            gens = M.generator_images()
-            if any(A @ B != B @ A for i, A in enumerate(gens)
-                   for B in gens[i + 1:]):
-                raise InputError("a power other than 1 of a module needs "
-                                 "commuting generator images")
-
     def vector(self, M: Rep, exponents) -> list[tuple[tuple[int, ...], ...]]:
-        """Per p-regular class, the eigenvalue multiplicities of M^(d): g ->
-        M(g)^d for each d in exponents, by power_counts.  An exponent other
-        than 1 needs commuting generator images (else InputError)."""
-        self._check_powers(M, exponents)
-        found = [self.eigenvalue_counts(M.image(g), m)
-                 for g, m in self.generators]
-        return [self._spread([power_counts(c, d) for c in found])
-                for d in exponents]
-
-    def induced_vector(self, M: Rep,
-                       exponents) -> list[tuple[tuple[int, ...], ...]]:
-        """The vector of Ind_H^G M^(d) for H = M.group, a subgroup of G
-        over the same root, and each d in exponents (as in vector), from
-        one walk of the cosets and no matrix of the induced dimension.
+        """The vector of Ind_H^G M^(d) for H = M.group, G itself or a
+        subgroup over the same root, and each d in exponents, M^(d) being
+        g -> M(g)^d, from one walk of the cosets and no matrix of the
+        induced dimension.  An exponent other than 1 needs commuting
+        generator images (else InputError).
 
         A generator g of order m permutes the cosets G/H.  On a cycle of
         length l through xH, g^l x = x h with h in H, and the l-th power of
@@ -613,26 +600,16 @@ class BrauerCharacters:
         eigenvalue zeta_m^(l s) of M(h)^d (h has order dividing m / l)
         therefore gives the l eigenvalues zeta_m^(s + (m / l) t), t < l.
         Only dim M x dim M characteristic polynomials are taken, one per
-        distinct (h, l)."""
-        self._check_powers(M, exponents)
-        G = self.group
-        reps, where = coset_lookup(G, M.group)
-        cycles = []  # per generator, {(h, m / l): number of such cycles}
-        for g, m in self.generators:
-            row, found, seen = G.table[g], Counter(), [False] * len(reps)
-            for j, x in enumerate(reps):
-                if seen[j]:
-                    continue
-                length, y = 0, x
-                while True:
-                    y = row[y]
-                    length += 1
-                    i, h = where[y]
-                    seen[i] = True
-                    if i == j:
-                        break
-                found[h, m // length] += 1
-            cycles.append(found)
+        distinct (h, l).  For H = G there is one coset, and each cycle has
+        length 1."""
+        # g -> M(g)^d is a module for every d when M's images commute
+        if any(d != 1 for d in exponents):
+            gens = M.generator_images()
+            if any(A @ B != B @ A for i, A in enumerate(gens)
+                   for B in gens[i + 1:]):
+                raise InputError("a power other than 1 of a module needs "
+                                 "commuting generator images")
+        cycles = self._cycles(M.group)
         blocks = {(h, step): self.eigenvalue_counts(M.image(h), step)
                   for found in cycles for h, step in found}
         out = []
@@ -641,12 +618,36 @@ class BrauerCharacters:
             for (_, m), found in zip(self.generators, cycles):
                 counts = [0] * m
                 for (h, step), n in found.items():
-                    for s, c in enumerate(power_counts(blocks[h, step], d)):
-                        for t in range(s, m, step):
-                            counts[t] += n * c
+                    block = power_counts(blocks[h, step], d)
+                    counts = [c + n * block[t % step]
+                              for t, c in enumerate(counts)]
                 vectors.append(counts)
             out.append(self._spread(vectors))
         return out
+
+    def _cycles(self, H: FiniteGroup) -> list[Counter]:
+        """Per generator g of order m, {(h, m / l): number of cycles} over
+        the cycles of g on G/H, as vector reads them; walked once per H."""
+        if H not in self._walks:
+            G = self.group
+            reps, where = coset_lookup(G, H)
+            self._walks[H] = []
+            for g, m in self.generators:
+                row, found, seen = G.table[g], Counter(), [False] * len(reps)
+                for j, x in enumerate(reps):
+                    if seen[j]:
+                        continue
+                    length, y = 0, x
+                    while True:
+                        y = row[y]
+                        length += 1
+                        i, h = where[y]
+                        seen[i] = True
+                        if i == j:
+                            break
+                    found[h, m // length] += 1
+                self._walks[H].append(found)
+        return self._walks[H]
 
     def _spread(self, found) -> tuple[tuple[int, ...], ...]:
         """The full vector from the eigenvalue counts of each generator in
@@ -724,44 +725,41 @@ class SimpleRegistry:
     on each, so they are the simples of the cyclic p'-group G/P
     (_cyclic_simples), each filed with the whole space as its Norton
     kernel.  Otherwise it chops the permutation module Ind_P^G(k) on the
-    cosets of P, of dimension |G:P|, with its random source, and keeps
-    the first composition factor found for each Brauer vector.  That is
-    every simple module: k[P] has |P| trivial composition factors and
-    induction is exact, so k[G] = Ind_P^G k[P] has a filtration with |P|
-    factors Ind_P^G(k), and every composition factor of k[G] is one of
-    Ind_P^G(k).  (When p does not divide |G|, P = 1 and the module is
-    k[G] itself.)  A registry made by over_extension descends instead
-    from the base simples with scalars extended, and chops only those
-    that split.
+    cosets of P, of dimension |G:P|, and keeps the first composition
+    factor found for each Brauer vector.  That is every simple module:
+    k[P] has |P| trivial composition factors and induction is exact, so
+    k[G] = Ind_P^G k[P] has a filtration with |P| factors Ind_P^G(k), and
+    every composition factor of k[G] is one of Ind_P^G(k).  (When p does
+    not divide |G|, P = 1 and the module is k[G] itself.)  A registry made
+    by over_extension descends instead from the base simples with scalars
+    extended, and chops only those that split.
     Non-isomorphic simples never share a Brauer vector, and the table
     {vector: (simple, provenance)} is sorted by (dim, vector), so the
     order, the log and every class vector are functions of the group and
-    the field, not of the route, the MeatAxe's random draws or the
-    modules chopped.  The provenance is the Norton kernel that certified
-    the simple in the chop of Ind_P^G(k) (the identity for a simple in
-    closed form), or over an extension the index of the base simple it
-    descends from (origins).  class_of reads the class of any module off
-    its Brauer vector, with no chop; classes_of the classes of a batch of
-    modules, their powers g -> M(g)^d and their induced modules, in one
-    exact solve; regular_class the class of k[G] off its closed-form
-    vector; and end_dim dim End(S_i) off S_i's kernel or its base
-    simple's, with no Hom system.  Every derived
-    datum is a cached property, and one whose build raises caches
+    the field, not of the route or the modules chopped, and so are the
+    simples' generator images, as each chop draws afresh.  The provenance
+    is the Norton kernel that certified the simple in the chop of
+    Ind_P^G(k) (the identity for a simple in closed form), or over an
+    extension the index of the base simple it descends from (origins).
+    class_of reads the class of any module off its Brauer vector, with no
+    chop; classes_of the classes of a batch of modules, their powers g ->
+    M(g)^d and their induced modules, in one exact solve; regular_class
+    the class of k[G] off its closed-form vector; and end_dim dim End(S_i)
+    off S_i's kernel or its base simple's, with no Hom system.  Every
+    derived datum is a cached property, and one whose build raises caches
     nothing."""
 
-    def __init__(self, group: FiniteGroup, field: Field,
-                 rng: random.Random, *, base: SimpleRegistry | None = None):
+    def __init__(self, group: FiniteGroup, field: Field, *,
+                 base: SimpleRegistry | None = None):
         self.group = group
         self.field = field
-        self._rng = rng
         self._base = base
 
     @classmethod
     def over_extension(cls, group: FiniteGroup, field: Field,
                        base: "SimpleRegistry") -> "SimpleRegistry":
         """The registry over an extension k' = GF(q^r) of k = base.field,
-        by Galois descent from the simples of base, with base's random
-        source for the chops it still needs.
+        by Galois descent from the simples of base.
 
         End(S) of a simple S over k is the field GF(q^e), e = dim End(S),
         and End(S (x) k') = GF(q^e) (x) GF(q^r) is a product of g = gcd(e,
@@ -779,7 +777,7 @@ class SimpleRegistry:
         if base.group is not group:
             raise InputError("the base registry is over another group")
         _check_extension(base.field, field)
-        return cls(group, field, base._rng, base=base)
+        return cls(group, field, base=base)
 
     @property
     def base(self) -> SimpleRegistry | None:
@@ -808,7 +806,7 @@ class SimpleRegistry:
             quotient = cyclic_quotient(G, P, F.p)
             found = {}
             if quotient is None:
-                for S, U in chop(rep_induce(rep_trivial(P, F), G), self._rng):
+                for S, U in chop(rep_induce(rep_trivial(P, F), G)):
                     found.setdefault(brauer.vector(S, [1])[0], (S, U))
             else:
                 for S in _cyclic_simples(G, F, brauer, *quotient):
@@ -834,7 +832,7 @@ class SimpleRegistry:
             ext = extend_scalars(S, self.field)
             pieces = [ext]
             if g > 1:
-                chopped = chop(ext, self._rng)
+                chopped = chop(ext)
                 if (len(chopped) != g
                         or any(P.dim * g != S.dim
                                or end_dim_from_kernel(P, U) * g != e
@@ -916,9 +914,7 @@ class SimpleRegistry:
         if any(M.field is not self.field for M in modules):
             raise InputError("module and registry are over different data")
         return self._solve(
-            [v for M in modules for v in (
-                self.brauer.vector if M.group is self.group
-                else self.brauer.induced_vector)(M, exponents)],
+            [v for M in modules for v in self.brauer.vector(M, exponents)],
             [self.group.order // M.group.order * M.dim
              for M in modules for _ in exponents])
 
@@ -1153,7 +1149,7 @@ def indecomposable_summands(M: Rep, ends: list[Mat],
             raise CapExceeded(
                 f"no endomorphism split a dim-{M.dim} module within "
                 f"SPLIT_ROUNDS = {SPLIT_ROUNDS} rounds and its head is not "
-                "simple; rerun with a different seed")
+                "simple; another source of draws may split it")
         return [(M, head)]
     # the primary decomposition along theta
     kernels = [theta.eval_poly(f).pow_(m).nullspace() for f, m in facs]

@@ -9,7 +9,6 @@ rejected with diagnostics naming the offending field or orbit.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .engine import CoverData
@@ -300,9 +299,9 @@ def parse_divisor(k: Field, raw, key: str) -> Divisor:
 
 @dataclass
 class Scenario:
-    """A realized scenario: its cover (group, field, random source and the
+    """A realized scenario: its cover (group, field, registry and the
     per-scenario caches) and, in oracle mode, its divisors.  Every command
-    of one scenario can run on the same Scenario."""
+    of one scenario can run on it; config.seed only goes into the reports."""
     config: ScenarioConfig
     cover: CoverData
     divisors: list[Divisor]
@@ -315,12 +314,11 @@ def realize(cfg: ScenarioConfig) -> Scenario:
     if _json_int(size, "group.size") != G.order:
         raise InputError(f"group.size: {size} is not the group order "
                          f"{G.order}")
-    rng = random.Random(cfg.seed)
     if cfg.mode == "oracle":
         divisors = [parse_divisor(k, raw, f"divisors[{i}]")
                     for i, raw in enumerate(cfg.divisors)]
         geometry = P1Geometry(k, G)
-        cover = CoverData.from_geometry(geometry, rng)
+        cover = CoverData.from_geometry(geometry)
         for D in divisors:
             geometry.check_equivariant(D)
         return Scenario(cfg, cover, divisors)
@@ -380,5 +378,5 @@ def realize(cfg: ScenarioConfig) -> Scenario:
         coefficients.append(_json_int(raw.get("coefficient", 0),
                                       f"{key}.coefficient"))
     cover = CoverData.from_abstract(G, k, cfg.genus_quotient, data,
-                                    coefficients, rng)
+                                    coefficients)
     return Scenario(cfg, cover, [])

@@ -1,30 +1,31 @@
-"""Module-theoretic tools that only the tests use: the direct sum of two
-modules, the split of a module on a submodule, the basis classes of a
-registry, a registry saturated by the MeatAxe chop of Ind_P^G(k) for every
-group (the reference for the closed form of a p-by-cyclic group), the
-eigenvalue counts of a matrix by its characteristic polynomial at every
-size, the regular module k[G] and its endomorphisms read off the
-multiplication table, an explicit-intertwiner isomorphism test, the class
-of a module by counting the composition factors of a chop, the image of a
-class under scalar extension solved simple by simple (the reference for
-k0.beta_vector), the dimension of a class, the socle dimension, the head
-multiplicities of a projective module by Hom systems into the simples, the
-Cartan matrix by splitting k[G] into projective indecomposables, the
-Riemann-Roch action by moving every basis function on its own, the cocycle
-value of a decomposition element by division at a root, the image of a
-place by moving one of its roots as a point, the ramified places by solving
-the fixed-point form of every element, the projective cover over an inertia
-group as a module, induced from a Schur-Zassenhaus complement, the split of
-a module on a submodule through a completed basis and its inverse,
-spinning one vector at a time through an incrementally echelonized row
-basis (EchelonBasis), the reference for the block spin of reps._spin, the
-class of one cotangent twist induced from the tame complement (the
-reference for the twist tables of engine.CoverData), the projective-class
-test on Cartan coordinates, and small field, polynomial, matrix and place
-utilities that no command needs."""
+"""Module-theoretic tools that only the tests use: a seeded source for the
+draws of reps.chop (chop_draws), the direct sum of two modules, the split of a
+module on a submodule, the basis classes of a registry, a registry saturated by
+the MeatAxe chop of Ind_P^G(k) for every group (the reference for the closed
+form of a p-by-cyclic group), the eigenvalue counts of a matrix by its
+characteristic polynomial at every size, the regular module k[G] and its
+endomorphisms read off the multiplication table, an explicit-intertwiner
+isomorphism test, the class of a module by counting the composition factors of
+a chop, the image of a class under scalar extension solved simple by simple
+(the reference for k0.beta_vector), the dimension of a class, the socle
+dimension, the head multiplicities of a projective module by Hom systems into
+the simples, the Cartan matrix by splitting k[G] into projective
+indecomposables, the Riemann-Roch action by moving every basis function on its
+own, the cocycle value of a decomposition element by division at a root, the
+image of a place by moving one of its roots as a point, the ramified places by
+solving the fixed-point form of every element, the projective cover over an
+inertia group as a module, induced from a Schur-Zassenhaus complement, the
+split of a module on a submodule through a completed basis and its inverse,
+spinning one vector at a time through an incrementally echelonized row basis
+(EchelonBasis), the reference for the block spin of reps._spin, the class of
+one cotangent twist induced from the tame complement (the reference for the
+twist tables of engine.CoverData), the projective-class test on Cartan
+coordinates, and small field, polynomial, matrix and place utilities that no
+command needs."""
 
 import math
 import random
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,6 +45,22 @@ from equirr.reps import (BrauerCharacters, ClassVector, Rep, SimpleRegistry,
 
 # random combinations of a Hom basis tried for an invertible one
 ISO_TRIES = 60
+
+
+@contextmanager
+def chop_draws(seed: int):
+    """While the block runs, every reps.chop called with no source of its
+    own, as the registries call it, draws from one random.Random(seed)
+    instead of a fresh random.Random(0) per chop: the tests vary the
+    MeatAxe's draws with it.  It sets the default of the function itself,
+    so it holds through a wrapper of reps.chop that passes on only the
+    arguments it is given."""
+    saved = chop.__defaults__
+    chop.__defaults__ = (random.Random(seed),)
+    try:
+        yield
+    finally:
+        chop.__defaults__ = saved
 
 
 # -- small utilities ----------------------------------------------------------
@@ -204,25 +221,32 @@ class ChopRegistry(SimpleRegistry):
     """A registry saturated by the MeatAxe whatever its group: the first
     composition factor found for each Brauer vector in the chop of
     Ind_P^G(k), P a Sylow p-subgroup, with the Norton kernel that
-    certified it, sorted by (dim, vector) as SimpleRegistry sorts."""
+    certified it, sorted by (dim, vector) as SimpleRegistry sorts.  The
+    chop draws from a source seeded by seed (chop_draws)."""
+
+    def __init__(self, group: FiniteGroup, field: Field, seed: int):
+        super().__init__(group, field)
+        self.seed = seed
 
     def _saturate(self):
         brauer = self.brauer
         found = {}
         source = rep_induce(rep_trivial(sylow_p(self.group, self.field.p),
                                         self.field), self.group)
-        for S, U in chop(source, self._rng):
+        with chop_draws(self.seed):
+            chopped = chop(source)
+        for S, U in chopped:
             found.setdefault(brauer.vector(S, [1])[0], (S, U))
         return dict(sorted(found.items(),
                            key=lambda kv: (kv[1][0].dim, kv[0])))
 
 
 def reference_saturation(G: FiniteGroup, k: Field,
-                         rng: random.Random) -> SimpleRegistry:
-    """The registry over (G, k) from the chop of Ind_P^G(k): the reference
-    for the closed form that SimpleRegistry takes when P is normal in G
-    and G/P is cyclic."""
-    return ChopRegistry(G, k, rng)
+                         seed: int) -> SimpleRegistry:
+    """The registry over (G, k) from the chop of Ind_P^G(k), with the
+    chop's draws seeded by seed: the reference for the closed form that
+    SimpleRegistry takes when P is normal in G and G/P is cyclic."""
+    return ChopRegistry(G, k, seed)
 
 
 def reference_eigenvalue_counts(brauer: BrauerCharacters, A: Mat,
@@ -251,7 +275,7 @@ def reference_induced_vector(brauer: BrauerCharacters, M: Rep):
     """The Brauer vector of Ind_H^G M, H = M.group, by the coset walk as it
     was before the walk took exponents: each cycle adds the eigenvalue
     counts of its block to g's counts as it is found.  The reference for
-    BrauerCharacters.induced_vector(M, [1])."""
+    BrauerCharacters.vector(M, [1])."""
     G = brauer.group
     reps, where = coset_lookup(G, M.group)
     block_counts: dict[tuple[int, int], list[int]] = {}

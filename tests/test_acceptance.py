@@ -49,7 +49,7 @@ def a1_covers():
         F = field_make(p, 1)
         G = FiniteGroup.close_generators(F, [(1, 1, 0, 1)])
         geo = P1Geometry(F, G)
-        cover = CoverData.from_geometry(geo, random.Random(0))
+        cover = CoverData.from_geometry(geo)
         out[p] = (cover, [Divisor({inf(): p - 1})])
     return out
 
@@ -62,7 +62,7 @@ def a2_covers():
         zeta = F.pow_(F.generator, (q - 1) // m)
         G = FiniteGroup.close_generators(F, [(zeta, 0, 0, 1)])
         geo = P1Geometry(F, G)
-        cover = CoverData.from_geometry(geo, random.Random(0))
+        cover = CoverData.from_geometry(geo)
         x0 = Place(Poly(F, [0, 1]), check=False)
         divisors = [
             Divisor({inf(): -1}),
@@ -82,7 +82,7 @@ def a3_cover():
     gens = find_s3_pgl2(F)  # rejected with an InputError if absent
     G = FiniteGroup.close_generators(F, gens)
     geo = P1Geometry(F, G)
-    cover = CoverData.from_geometry(geo, random.Random(0))
+    cover = CoverData.from_geometry(geo)
     quad = next(d.place for d in cover.orbit_data if d.e == 3)
     tame_orbit = geo.orbit_of_place(inf())
     divisors = [
@@ -103,7 +103,7 @@ def a4_covers():
             F, [(1, 1, 0, 1), (F.generator, 0, 0, 1)])
         assert G.order == p * (p - 1)
         geo = P1Geometry(F, G)
-        cover = CoverData.from_geometry(geo, random.Random(0))
+        cover = CoverData.from_geometry(geo)
         rational = [lin(F, c) for c in range(p)]
         divisors = []
         for l in range(p - 1):
@@ -273,7 +273,8 @@ def test_a7_cartesian(a1_covers, a2_covers, a3_cover):
             agree, _, _ = cartesian_check(chi, cd, cd2)
             assert agree, f"{label}, D={D!r}"
             checked += 1
-        triv = chop_class(rep_trivial(cover.G, k), cover.registry, cover.rng)
+        triv = chop_class(rep_trivial(cover.G, k), cover.registry,
+                          random.Random(0))
         agree, base, ext = cartesian_check(triv, cd, cd2)
         assert agree
         if wild:  # [trivial] over C_p is deliberately non-projective
@@ -313,7 +314,7 @@ def test_a8_chop_reassembly_and_additivity():
     while reassembled < 100 or additive < 100:
         G, F, base = pool[rng.randrange(len(pool))]
         key = (id(G), id(F))
-        registries.setdefault(key, SimpleRegistry(G, F, rng))
+        registries.setdefault(key, SimpleRegistry(G, F))
         reg = registries[key]
         a, b = rng.choice(base), rng.choice(base)
         if rng.random() < 0.4 and a.dim * b.dim <= 36:

@@ -38,7 +38,7 @@ def shipped(name):
     scn = realize(parse_scenario((SCENARIO_DIR / name).read_text()))
     k = scn.cover.k
     k2 = field_make(k.p, 2 * k.n)
-    return scn, SimpleRegistry(scn.cover.G, k2, random.Random(5))
+    return scn, SimpleRegistry(scn.cover.G, k2)
 
 
 def _random_vector(F, dim, r):
@@ -102,7 +102,7 @@ def cyclic_table(n):
 
 def s3_registry():
     G = FiniteGroup.from_table(S3_TABLE)
-    return SimpleRegistry(G, field_make(5, 1), random.Random(3))
+    return SimpleRegistry(G, field_make(5, 1))
 
 
 def test_unsolvable_brauer_vector_raises(monkeypatch):
@@ -190,7 +190,7 @@ def test_brauer_vector_counts_eigenvalues_on_every_class(table, p, n):
     # the vector that derives most classes from powers of a few generators
     G = FiniteGroup.from_table(table)
     F = field_make(p, n)
-    reg = SimpleRegistry(G, F, random.Random(4))
+    reg = SimpleRegistry(G, F)
     brauer = reg.brauer
     E = brauer.ambient
     reps_ = [c[0] for c in conjugacy_classes(G) if G.element_order(c[0]) % p]

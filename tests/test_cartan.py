@@ -19,7 +19,7 @@ from equirr.groups import FiniteGroup
 from equirr.k0 import cartan_data
 from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
-from reptools import split_cartan_matrix
+from reptools import chop_draws, split_cartan_matrix
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.name for p in SCENARIO_DIR.glob("*.json")
@@ -62,8 +62,9 @@ def translations_gf9():
 
 
 def assert_matches_split(G, F, seed=0):
-    reg = SimpleRegistry(G, F, random.Random(seed))
-    cd = cartan_data(G, F, reg)
+    reg = SimpleRegistry(G, F)
+    with chop_draws(seed):
+        cd = cartan_data(G, F, reg)
     assert cd.matrix == split_cartan_matrix(G, F, reg, random.Random(seed))
     return reg, cd
 
@@ -111,7 +112,7 @@ def test_wrong_end_dims_are_inconsistent(monkeypatch):
     # over GF(2) the 2-dimensional simple of A4 has End = GF(4); taking
     # End = k for it leaves a column of C = M^-1 diag(e) non-integral
     G, F = alternating4(), field_make(2, 1)
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     assert len(reg) == 2
     monkeypatch.setattr(SimpleRegistry, "end_dim", lambda self, i: 1)
     with pytest.raises(Inconsistency, match="nonnegative integer"):
@@ -126,7 +127,7 @@ def test_perturbed_brauer_vector_is_inconsistent(monkeypatch, make, p):
     # solver and the Cartan matrix share the registry's one Gram matrix,
     # so both see the change
     G, F = make(), field_make(p, 1)
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     reg.simples
     vectors = [list(v) for v in reg.vectors]
     last = vectors[-1]
@@ -146,10 +147,8 @@ def test_perturbed_brauer_vector_is_inconsistent(monkeypatch, make, p):
 @pytest.mark.parametrize("n", [1, 2], ids=["GF3", "GF9"])
 def test_cartan_data_draws_nothing_and_splits_nothing(monkeypatch, n):
     G, F = pgl2_gf3(), field_make(3, n)
-    draws = random.Random(3)
-    reg = SimpleRegistry(G, F, draws)
+    reg = SimpleRegistry(G, F)
     reg.simples  # saturate: the registry's one chop of k[G] draws here
-    state = draws.getstate()
     calls = []
     real = reps.indecomposable_summands
 
@@ -161,8 +160,16 @@ def test_cartan_data_draws_nothing_and_splits_nothing(monkeypatch, n):
     # also seen if k0 imported the name again
     monkeypatch.setattr(k0, "indecomposable_summands", counted,
                         raising=False)
+
+    def refused(self, *args):
+        raise AssertionError("cartan_data drew at random")
+
+    # every draw of a random.Random goes through one of these
+    for name in ("random", "getrandbits", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, refused)
+    with pytest.raises(AssertionError, match="drew"):
+        random.Random(3).choice([0, 1])
     cartan_data(G, F, reg)
-    assert draws.getstate() == state
     assert calls == []
 
 
@@ -172,7 +179,7 @@ def test_end_dims_must_count_the_p_regular_classes(monkeypatch):
     # other check tolerates, but the e_i then add up to 6, not to the 4
     # p-regular classes
     G, F = pgl2_gf3(), field_make(3, 1)
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     assert [S.dim for S in reg.simples] == [1, 1, 3, 3]
     real = SimpleRegistry.end_dim
     monkeypatch.setattr(SimpleRegistry, "end_dim",

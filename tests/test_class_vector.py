@@ -7,7 +7,6 @@ hash.  The twist caches of CoverData are keyed by d mod e_t, which must
 give the same classes as the modules of the unreduced twist."""
 
 import functools
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +33,7 @@ def registry():
     F = field_make(3, 1)
     G = FiniteGroup.close_generators(F, [(1, 1, 0, 1), (2, 0, 0, 1),
                                          (0, 1, 1, 0)])
-    return SimpleRegistry(G, F, random.Random(0))
+    return SimpleRegistry(G, F)
 
 
 def no_integral_fraction(v: ClassVector) -> bool:

@@ -10,7 +10,6 @@ order, the same dims, the same dim End(S) and the same Cartan matrix.
 The 1 x 1 eigenvalue lookup of BrauerCharacters is compared with the
 characteristic polynomial route (reptools.reference_eigenvalue_counts)."""
 
-import random
 
 import pytest
 
@@ -21,7 +20,7 @@ from equirr.groups import cyclic_quotient, sylow_p
 from equirr.k0 import cartan_data
 from equirr.matrices import Mat
 from equirr.reps import BrauerCharacters, SimpleRegistry
-from reptools import (is_normal, reference_eigenvalue_counts,
+from reptools import (chop_draws, is_normal, reference_eigenvalue_counts,
                       reference_saturation)
 from test_cartan import TABLES, cyclic
 from test_extension_registry import dihedral
@@ -63,9 +62,10 @@ def saturate(G, F, seed, monkeypatch):
     chops = []
     real = reps.chop
     monkeypatch.setattr(reps, "chop",
-                        lambda M, rng: chops.append(M.dim) or real(M, rng))
-    reg = SimpleRegistry(G, F, random.Random(seed))
-    reg.simples
+                        lambda *args: chops.append(args[0].dim) or real(*args))
+    reg = SimpleRegistry(G, F)
+    with chop_draws(seed):
+        reg.simples
     monkeypatch.setattr(reps, "chop", real)
     return reg, chops
 
@@ -84,13 +84,13 @@ def test_registry_equals_the_chop_of_the_sylow_permutation_module(
     except CapExceeded:
         # an ambient field past TABLE_LIMIT: both routes refuse it
         with pytest.raises(CapExceeded):
-            SimpleRegistry(G, F, random.Random(0)).simples
+            SimpleRegistry(G, F).simples
         with pytest.raises(CapExceeded):
-            reference_saturation(G, F, random.Random(1)).simples
+            reference_saturation(G, F, 1).simples
         return
     reg, chops = saturate(G, F, 0, monkeypatch)
     assert chops == ([] if closed(p) else [G.order // P.order])
-    ref = reference_saturation(G, F, random.Random(1))
+    ref = reference_saturation(G, F, 1)
     assert reg.vectors == ref.vectors
     assert [S.dim for S in reg.simples] == [S.dim for S in ref.simples]
     assert end_dims(reg) == end_dims(ref)
@@ -168,7 +168,7 @@ def test_a_factor_outside_k_is_inconsistent(monkeypatch):
     # 5th roots, the factor of x^5 - 1 over the coset {1, 2, 4, 3} has
     # coefficients in GF(16) outside GF(2)
     G, F = cyclic(5), field_make(2, 1)
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     E = reg.brauer.ambient
     assert E.q == 16
     monkeypatch.setattr(
@@ -190,7 +190,7 @@ def test_a_wrong_coset_exponent_is_caught(monkeypatch):
 
     monkeypatch.setattr(reps, "cyclic_quotient", shifted)
     with pytest.raises(Inconsistency, match="share a Brauer vector"):
-        SimpleRegistry(cyclic(6), field_make(7, 1), random.Random(0)).simples
+        SimpleRegistry(cyclic(6), field_make(7, 1)).simples
 
 
 # -- the 1 x 1 eigenvalue lookup ---------------------------------------------
@@ -225,7 +225,7 @@ def test_one_by_one_lookup_equals_the_charpoly_route(m, p, n):
 def test_brauer_vectors_of_the_simples_by_either_route(name):
     # every generator image of every simple over GF(4), 1 x 1 or not
     G, F = GROUPS[name][0](), field_make(2, 2)
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     brauer = reg.brauer
     for S in reg.simples:
         for g, m in brauer.generators:

@@ -22,20 +22,20 @@ from reptools import total_dim
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def make_cover(k, gens, seed=0):
+def make_cover(k, gens):
     G = FiniteGroup.close_generators(k, gens)
     geo = P1Geometry(k, G)
-    return CoverData.from_geometry(geo, random.Random(seed))
+    return CoverData.from_geometry(geo)
 
 
-def translation_cover(p, seed=0):
-    return make_cover(field_make(p, 1), [(1, 1, 0, 1)], seed)
+def translation_cover(p):
+    return make_cover(field_make(p, 1), [(1, 1, 0, 1)])
 
 
-def kummer_cover(q, m, seed=0):
+def kummer_cover(q, m):
     F = field_make(q, 1)
     zeta = F.pow_(F.generator, (q - 1) // m)
-    return make_cover(F, [(zeta, 0, 0, 1)], seed)
+    return make_cover(F, [(zeta, 0, 0, 1)])
 
 
 def inf():
@@ -367,7 +367,7 @@ def test_projectivity_report_tame_membership():
 # -- abstract mode -----------------------------------------------------------------------
 
 
-def kummer_abstract_cover(q, m, g_y, n0, ninf, seed=0):
+def kummer_abstract_cover(q, m, g_y, n0, ninf):
     F = field_make(q, 1)
     zeta = F.pow_(F.generator, (q - 1) // m)
     G = FiniteGroup.close_generators(F, [(zeta, 0, 0, 1)])
@@ -386,8 +386,7 @@ def kummer_abstract_cover(q, m, g_y, n0, ninf, seed=0):
                        residue_degree=1, cot_generator=gen,
                        cot_value=[dinf.char[gen]]),
     ]
-    return CoverData.from_abstract(G, F, g_y, data, [n0, ninf],
-                                   random.Random(seed))
+    return CoverData.from_abstract(G, F, g_y, data, [n0, ninf])
 
 
 def test_abstract_kummer_matches_oracle_totals():
@@ -405,7 +404,7 @@ def test_abstract_genus_shift():
     lifted = kummer_abstract_cover(q, m, 2, 1, 0)
     f0, _ = euler_class_integral(flat)
     f2, _ = euler_class_integral(lifted)
-    # the two covers run the same seeded computation, so their registries
+    # the two covers share their group and field, so their registries
     # align index by index; raising g_Y by 2 subtracts 2 [k[G]]
     reg = flat.registry.regular_class().coeffs
     a, b = f0.coeffs, f2.coeffs
@@ -433,7 +432,7 @@ def s3_gf5_abstract_data(tame_orbits):
     from equirr.scenarios import find_s3_pgl2
     F = field_make(5, 1)
     G = FiniteGroup.close_generators(F, find_s3_pgl2(F))
-    cover_geo = CoverData.from_geometry(P1Geometry(F, G), random.Random(0))
+    cover_geo = CoverData.from_geometry(P1Geometry(F, G))
     dquad = next(d for d in cover_geo.orbit_data if d.e == 3)
     gen3 = next(s for s in dquad.I_P.positions_in(G)
                 if G.element_order(s) == 3)
@@ -462,8 +461,7 @@ def test_abstract_residual_degree_two():
     # certificates must both go through without any geometry
     G, F, cover_geo, dquad, data = s3_gf5_abstract_data(tame_orbits=2)
     assert len(data) == len(cover_geo.orbit_data) == 3
-    cover = CoverData.from_abstract(G, F, 0, data, [2, 0, 0],
-                                    random.Random(0))
+    cover = CoverData.from_abstract(G, F, 0, data, [2, 0, 0])
     quad_abs = cover.orbit_data[0]
     assert quad_abs.f == 2
     for d in (1, 2):
@@ -482,10 +480,10 @@ def test_abstract_rejects_odd_riemann_hurwitz():
     # one of the two e=2 orbits alone leaves an odd Riemann-Hurwitz total
     G, F, _, _, data = s3_gf5_abstract_data(tame_orbits=1)
     with pytest.raises(InputError, match="odd"):
-        CoverData.from_abstract(G, F, 0, data, [2, 0], random.Random(0))
+        CoverData.from_abstract(G, F, 0, data, [2, 0])
 
 
 def test_abstract_rejects_negative_genus():
     G, F, _, _, data = s3_gf5_abstract_data(tame_orbits=0)
     with pytest.raises(InputError, match="genus"):
-        CoverData.from_abstract(G, F, 0, data, [0], random.Random(0))
+        CoverData.from_abstract(G, F, 0, data, [0])

@@ -143,3 +143,40 @@ def unused_imports():
 def test_every_engine_import_is_used():
     assert unused_imports() == set(), \
         "imports their module never uses: delete them"
+
+
+# The modules a command runs outside reps; reps.chop is the only engine
+# code that draws, from a source of its own.
+NO_SOURCE = ("engine", "scenarios", "cli", "k0", "geometry")
+
+
+def _takes_a_source(node: ast.FunctionDef) -> bool:
+    """Whether a def has a parameter named rng or annotated with a
+    random.Random."""
+    args = node.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs + [
+            args.vararg, args.kwarg]:
+        if arg is None:
+            continue
+        note = arg.annotation
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            note = ast.parse(note.value, mode="eval")
+        if arg.arg == "rng" or (note is not None
+                                and "Random" in ast.dump(note)):
+            return True
+    return False
+
+
+def test_no_command_code_takes_a_random_source():
+    defs, _ = _definitions()
+    takers = {qual for qual, node, _ in defs
+              if qual.split(".")[0] in NO_SOURCE and _takes_a_source(node)}
+    assert takers == set()
+    registry = {qual: node for qual, node, _ in defs
+                if qual.startswith("reps.SimpleRegistry.")}
+    assert not _takes_a_source(registry["reps.SimpleRegistry.__init__"])
+    assert not _takes_a_source(
+        registry["reps.SimpleRegistry.over_extension"])
+    # the guard sees a source where there is one
+    assert _takes_a_source(
+        [node for qual, node, _ in defs if qual == "reps.chop"][0])

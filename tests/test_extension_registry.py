@@ -12,7 +12,6 @@ Cartan matrix.  The descent map k0.beta_vector must equal the class of
 each S (x) k' solved simple by simple (reptools.reference_beta)."""
 
 import math
-import random
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,7 @@ from equirr.groups import FiniteGroup
 from equirr.k0 import beta_vector, cartan_data
 from equirr.reps import ClassVector, SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
-from reptools import basis_vector, reference_beta
+from reptools import basis_vector, chop_draws, reference_beta
 from test_cartan import TABLES, cyclic, pgl2_gf3, translations_gf9
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -51,10 +50,11 @@ def assert_routes_agree(G, F, F2, seed=0, classes=()):
     """The descent registry over F2 equals the one saturated from its own
     chop, and beta_vector equals reference_beta on every basis class and
     on each class in `classes` (coefficient lists over the base)."""
-    base = SimpleRegistry(G, F, random.Random(seed))
+    base = SimpleRegistry(G, F)
     via_base = SimpleRegistry.over_extension(G, F2, base)
-    direct = SimpleRegistry(G, F2, random.Random(seed))
-    assert via_base.vectors == direct.vectors
+    direct = SimpleRegistry(G, F2)
+    with chop_draws(seed):
+        assert via_base.vectors == direct.vectors
     assert end_dims(via_base) == end_dims(direct)
     assert (cartan_data(G, F2, via_base).matrix
             == cartan_data(G, F2, direct).matrix)
@@ -104,7 +104,7 @@ def test_small_groups_agree(group, p, r, seed, classes):
     G = cyclic(n) if kind == "cyclic" else dihedral(n)
     F, F2 = field_make(p, 1), field_make(p, r)
     try:
-        SimpleRegistry(G, F2, random.Random(0)).brauer
+        SimpleRegistry(G, F2).brauer
     except CapExceeded:
         assume(False)
     assert_routes_agree(G, F, F2, seed, classes)
@@ -113,14 +113,14 @@ def test_small_groups_agree(group, p, r, seed, classes):
 def chop_dims(monkeypatch, G, F, F2):
     """(base, extension registry, dims of the modules that reps.chop is
     handed while the extension saturates)."""
-    base = SimpleRegistry(G, F, random.Random(0))
+    base = SimpleRegistry(G, F)
     base.simples
     dims = []
     real = reps.chop
 
-    def counted(M, rng):
-        dims.append(M.dim)
-        return real(M, rng)
+    def counted(*args):
+        dims.append(args[0].dim)
+        return real(*args)
 
     monkeypatch.setattr(reps, "chop", counted)
     ext = SimpleRegistry.over_extension(G, F2, base)
@@ -179,13 +179,13 @@ def test_extension_route_chops_no_regular_module(monkeypatch):
 
 def test_mismatched_base_is_rejected():
     G = pgl2_gf3()
-    base = SimpleRegistry(G, field_make(3, 1), random.Random(0))
+    base = SimpleRegistry(G, field_make(3, 1))
     with pytest.raises(InputError, match="another group"):
         SimpleRegistry.over_extension(cyclic(3), field_make(3, 2), base)
     with pytest.raises(InputError, match="not an extension"):
         SimpleRegistry.over_extension(G, field_make(5, 1), base)
     C3 = cyclic(3)
-    base4 = SimpleRegistry(C3, field_make(2, 2), random.Random(0))
+    base4 = SimpleRegistry(C3, field_make(2, 2))
     with pytest.raises(InputError, match="not an extension"):
         SimpleRegistry.over_extension(C3, field_make(2, 3), base4)
 
@@ -195,10 +195,10 @@ def test_a_split_that_breaks_the_theorem_is_inconsistent(monkeypatch):
     # must split into 2 conjugates of dim 1 with End dim 1.  A chop that
     # leaves it whole, or two pieces with one Brauer vector, is refused
     G, F, F4 = cyclic(3), field_make(2, 1), field_make(2, 2)
-    base = SimpleRegistry(G, F, random.Random(0))
+    base = SimpleRegistry(G, F)
     assert end_dims(base) == [1, 2]
     real = reps.chop
-    monkeypatch.setattr(reps, "chop", lambda M, rng: [(M, None)])
+    monkeypatch.setattr(reps, "chop", lambda *args: [(args[0], None)])
     with pytest.raises(Inconsistency, match="does not split"):
         SimpleRegistry.over_extension(G, F4, base).simples
     monkeypatch.setattr(reps, "chop", real)
@@ -211,11 +211,11 @@ def test_a_split_that_breaks_the_theorem_is_inconsistent(monkeypatch):
 
 def test_beta_vector_needs_the_descent_registry():
     G, F, F9 = cyclic(4), field_make(3, 1), field_make(3, 2)
-    base = SimpleRegistry(G, F, random.Random(0))
+    base = SimpleRegistry(G, F)
     v = basis_vector(base, 0)
     with pytest.raises(InputError, match="does not descend"):
-        beta_vector(v, SimpleRegistry(G, F9, random.Random(0)))
-    other = SimpleRegistry(G, F, random.Random(1))
+        beta_vector(v, SimpleRegistry(G, F9))
+    other = SimpleRegistry(G, F)
     with pytest.raises(InputError, match="does not descend"):
         beta_vector(v, SimpleRegistry.over_extension(G, F9, other))
     with pytest.raises(InputError, match="descends from no base"):

@@ -262,10 +262,10 @@ def test_orbit_degree_sum_property():
 
 def test_predicates_translation_vs_kummer():
     _, _, geo = translation_geometry(3)
-    cover = CoverData.from_geometry(geo, rng())
+    cover = CoverData.from_geometry(geo)
     assert cover.is_weakly_ramified() and not cover.is_tame()
     _, _, geo_k, _ = kummer_geometry(7, 3)
-    cover_k = CoverData.from_geometry(geo_k, rng())
+    cover_k = CoverData.from_geometry(geo_k)
     assert cover_k.is_tame() and cover_k.is_weakly_ramified()
 
 
@@ -364,7 +364,7 @@ def test_rr_action_translation_unipotent():
     m = rep.image(sigma)
     # sigma . x^j = (x - 1)^j = (x + 2)^j over GF(3)
     assert to_lists(m) == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     r = rng()
     v = chop_class(rep, reg, r)
     assert v == chop_class(rep_regular(G, F), reg, r)

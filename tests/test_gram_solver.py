@@ -13,7 +13,6 @@ import copy
 import functools
 import importlib.util
 import math
-import random
 import sys
 import types
 from pathlib import Path
@@ -260,7 +259,7 @@ def test_dependent_brauer_vectors_make_a_singular_gram(monkeypatch):
     monkeypatch.setattr(SimpleRegistry, "_saturate", dependent)
     G = FiniteGroup.from_table(S3_TABLE)
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     assert [S.dim for S in reg.simples] == [1, 1, 2]
     for use in (lambda: reg.gram, reg.regular_class,
                 lambda: cartan_data(G, F, reg)):

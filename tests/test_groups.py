@@ -1,13 +1,23 @@
+import gc
 import itertools
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 
+from equirr import cli
 from equirr.errors import CapExceeded, InputError
 from equirr.fields import field_make
-from equirr.groups import (FiniteGroup, conjugacy_classes, cosets,
+from equirr.groups import (FiniteGroup, conjugacy_classes, coset_lookup,
                            pgl2_normalize, sylow_p)
+from equirr.scenarios import parse_scenario, realize
 from reptools import schur_zassenhaus_complement
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ORACLE_SCENARIOS = sorted(
+    p.name for p in SCENARIO_DIR.glob("*.json") if p.name != "golden.json"
+    and parse_scenario(p.read_text()).mode == "oracle")
 
 
 def s3_table():
@@ -132,12 +142,18 @@ def test_schur_zassenhaus_trivial_p():
 def test_cosets():
     S3 = FiniteGroup.from_table(s3_table())
     H = sylow_p(S3, 3)
-    reps = cosets(S3, H)
+    reps, _ = coset_lookup(S3, H)
     assert len(reps) * H.order == S3.order
-    # representatives are taken least index first
-    assert cosets(S3, S3) == [0]
+    # the identity represents H, the others are taken least index first
+    assert coset_lookup(S3, S3)[0] == [S3.identity]
     trivial = S3.subgroup([S3.identity])
-    assert len(cosets(S3, trivial)) == 6
+    assert len(coset_lookup(S3, trivial)[0]) == 6
+    # also where the identity is not the least index, as in PGL2(GF(3))
+    G = FiniteGroup.close_generators(
+        field_make(3, 1), [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
+    reps, where = coset_lookup(G, sylow_p(G, 3))
+    assert G.identity != 0 and reps[0] == G.identity
+    assert where[G.identity] == (0, sylow_p(G, 3).index[G.identity])
 
 
 def test_lagrange_property():
@@ -173,6 +189,34 @@ def test_whole_group_materializes_as_itself():
     assert whole.positions_in(S3) == list(range(S3.order))
     H = sylow_p(S3, 3)
     assert H.subgroup(range(H.order)) is H
+
+
+@pytest.mark.parametrize("name", ORACLE_SCENARIOS)
+def test_a_realized_group_dies_with_its_scenario(name):
+    # no group is part of a reference cycle: a subgroup holds its root and
+    # the root its subgroups weakly, so with the cyclic collector off the
+    # group of a scenario dies as soon as the scenario does
+    text = (SCENARIO_DIR / name).read_text()
+    gc.disable()
+    try:
+        scn = realize(parse_scenario(text))
+        for command in ("euler", "check"):
+            cli.RUNNERS[command](scn)
+        group = weakref.ref(scn.cover.G)
+        del scn
+        assert group() is None
+    finally:
+        gc.enable()
+
+
+def test_a_cached_subgroup_lives_while_it_is_held():
+    S3 = FiniteGroup.from_table(s3_table())
+    H = sylow_p(S3, 3)
+    assert S3.subgroup(H.positions_in(S3)) is H
+    held = weakref.ref(H)
+    del H
+    assert held() is None
+    assert sylow_p(S3, 3).root is S3
 
 
 def test_subgroup_closure_validation():

@@ -19,9 +19,9 @@ from equirr.matrices import Mat
 from equirr.reps import (ClassVector, Rep, SimpleRegistry,
                          extend_scalars, hom_dim, rep_trivial, snf_inverse)
 from equirr.scenarios import parse_scenario, realize
-from reptools import (basis_vector, chop_class, head_multiplicities,
-                      is_projective_class, rep_regular, socle_dim,
-                      total_dim)
+from reptools import (basis_vector, chop_class, chop_draws,
+                      head_multiplicities, is_projective_class, rep_regular,
+                      socle_dim, total_dim)
 from test_cartan import pgl2_gf3
 
 
@@ -121,7 +121,7 @@ def test_class_of_solves_through_the_traced_smith_normal_form():
     assert smith_normal_form is reps.smith_normal_form
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -142,7 +142,7 @@ def test_class_solve_without_int64_gives_the_same_class():
     # must give the same classes
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     modules = [rep_regular(G, F), rep_trivial(G, F, 3)]
     expected = [reg.class_of(M) for M in modules]
     B, pinv, pinv64, top, L = reg._solver
@@ -154,7 +154,7 @@ def test_class_solve_without_int64_gives_the_same_class():
 def test_cartan_semisimple_identity():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     s = cd.size
     assert cd.matrix == [[int(i == j) for j in range(s)] for i in range(s)]
@@ -164,7 +164,7 @@ def test_cartan_semisimple_identity():
 def test_cartan_cp_is_p(p):
     G = FiniteGroup.from_table(cyclic_table(p))
     F = field_make(p, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     assert cd.matrix == [[p]]
 
@@ -173,7 +173,7 @@ def test_cartan_s3_gf3():
     # validate through sum over simples of dim Cov(S) * m_S = |G|
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     assert cd.size == 2
     total = 0
@@ -188,7 +188,7 @@ def test_cartan_s3_gf3():
 def test_in_cartan_image_examples():
     G = FiniteGroup.from_table(cyclic_table(3))
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     r = rng()
     regular_class = chop_class(rep_regular(G, F), reg, r)
@@ -202,7 +202,7 @@ def test_in_cartan_image_examples():
 def test_is_projective_class_examples():
     G = FiniteGroup.from_table(cyclic_table(3))
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     r = rng()
     regular_class = chop_class(rep_regular(G, F), reg, r)
@@ -218,7 +218,7 @@ def test_head_reconstruction_of_projectives():
     # combination of PIM classes
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     r = rng()
     M = rep_regular(G, F)
@@ -238,7 +238,7 @@ def test_extend_scalars_dim_and_trivial():
     assert ext.dim == M.dim
     triv = rep_trivial(G, F)
     ext_t = extend_scalars(triv, F9)
-    reg9 = SimpleRegistry(G, F9, rng())
+    reg9 = SimpleRegistry(G, F9)
     v = chop_class(ext_t, reg9, rng())
     assert total_dim(v) == 1
 
@@ -251,12 +251,12 @@ def test_extend_scalars_splits_c4_simple():
     g_mat = Mat.from_rows(F, [[0, 2], [1, 0]])  # order 4: x^2+1 irreducible
     M = Rep(G, F, 2, {0: g_mat})
     M.check_homomorphism()
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     v = chop_class(M, reg, rng())
     assert total_dim(v) == 2 and sum(v.coeffs) == 1  # simple over GF(3)
     F9 = field_make(3, 2)
     ext = extend_scalars(M, F9)
-    reg9 = SimpleRegistry(G, F9, rng())
+    reg9 = SimpleRegistry(G, F9)
     v9 = chop_class(ext, reg9, rng())
     dims = sorted(S.dim for c, S in zip(v9.coeffs, reg9.simples) if c)
     assert dims == [1, 1]
@@ -275,7 +275,7 @@ def test_cartesian_check_examples():
     G = FiniteGroup.from_table(cyclic_table(p))
     F = field_make(p, 1)
     F2 = field_make(p, 2)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     reg2 = SimpleRegistry.over_extension(G, F2, reg)
     r = rng()
     cd = cartan_data(G, F, reg)
@@ -292,7 +292,7 @@ def test_beta_additive_and_injective_on_simples():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
     F9 = field_make(3, 2)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     reg9 = SimpleRegistry.over_extension(G, F9, reg)
     cartan_data(G, F, reg)
     cartan_data(G, F9, reg9)
@@ -314,14 +314,14 @@ def test_extension_of_simple_is_semisimple():
     M = Rep(G, F, 2, {0: g_mat})
     F9 = field_make(3, 2)
     ext = extend_scalars(M, F9)
-    reg9 = SimpleRegistry(G, F9, rng())
+    reg9 = SimpleRegistry(G, F9)
     assert socle_dim(ext, reg9) == ext.dim
 
 
 def test_cartan_coordinates_unique():
     G = FiniteGroup.from_table(cyclic_table(3))
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     v = chop_class(rep_regular(G, F), reg, rng())
     coords = cartan_coordinates(v, cd)
@@ -334,7 +334,7 @@ def test_cartan_coordinates_refuse_a_class_over_another_registry():
     # matrix, only its image under beta_vector does
     G = FiniteGroup.from_table(cyclic_table(4))
     F, F25 = field_make(5, 1), field_make(5, 2)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     ext = SimpleRegistry.over_extension(G, F25, reg)
     cd = cartan_data(G, F25, ext)
     v = reg.class_of(rep_trivial(G, F))
@@ -349,7 +349,7 @@ def test_cartan_coordinates_solve_nonunimodular_cartan():
     # integral classes have fractional coordinates
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     assert sorted(map(sorted, cd.matrix)) == [[1, 2], [1, 2]]
     for a, b in itertools.product(range(-3, 4), repeat=2):
@@ -405,7 +405,7 @@ def test_cartan_coordinates_equal_a_fraction_solve_on_shipped_registries(
 def test_singular_cartan_matrix_is_inconsistent():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(2, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     with pytest.raises(Inconsistency, match="singular"):
         CartanData(G, F, reg, [[1, 2], [2, 4]])
 
@@ -419,15 +419,15 @@ CANONICAL_CARTAN = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 @pytest.mark.parametrize("n", [1, 2], ids=["GF3", "GF9"])
 def test_cartan_data_is_canonical(n):
     # the registry sorts its simples, so the Cartan matrix is a function of
-    # the group and the field, not of the random draws
+    # the group and the field, not of the MeatAxe's draws
     F3 = field_make(3, 1)
     G = FiniteGroup.close_generators(
         F3, [(1, 1, 0, 1), (2, 0, 0, 1), (0, 1, 1, 0)])
     assert len(G.labels) == 24
     F = field_make(3, n)
     for seed in (11, 12):
-        draws = random.Random(seed)
-        cd = cartan_data(G, F, SimpleRegistry(G, F, draws))
+        with chop_draws(seed):
+            cd = cartan_data(G, F, SimpleRegistry(G, F))
         assert cd.matrix == CANONICAL_CARTAN
         assert cd.pim_dims == [3, 3, 3, 3]
 
@@ -441,7 +441,7 @@ def test_cartan_data_solves_no_hom_system(monkeypatch, n):
 
     monkeypatch.setattr(reps, "hom_space", refused)
     G, F = pgl2_gf3(), field_make(3, n)
-    cd = cartan_data(G, F, SimpleRegistry(G, F, rng()))
+    cd = cartan_data(G, F, SimpleRegistry(G, F))
     assert cd.matrix == CANONICAL_CARTAN
 
 
@@ -458,7 +458,7 @@ def test_cartan_data_computes_each_end_once(monkeypatch, n):
 
     monkeypatch.setattr(reps, "end_dim_from_kernel", counted)
     G, F = pgl2_gf3(), field_make(3, n)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     for _ in range(2):
         cartan_data(G, F, reg)
         assert [reg.end_dim(i) for i in range(len(reg))] == [1, 1, 1, 1]

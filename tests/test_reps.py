@@ -20,8 +20,9 @@ from equirr.reps import (BrauerCharacters, Rep, SimpleRegistry, chop,
                          rep_restrict, rep_tensor, rep_trivial,
                          spin_columns)
 from equirr.scenarios import parse_scenario, realize
-from reptools import (basis_vector, chop_class, head_multiplicities,
-                      is_isomorphic, projective_cover_over_inertia,
+from reptools import (basis_vector, chop_class, chop_draws,
+                      head_multiplicities, is_isomorphic,
+                      projective_cover_over_inertia,
                       reference_spin, regular_endomorphisms, rep_direct_sum,
                       rep_regular, split_by_completed_basis,
                       split_on_submodule, total_dim)
@@ -72,7 +73,7 @@ def test_regular_trivial_group():
     F = field_make(3, 1)
     M = rep_regular(G, F)
     assert M.dim == 1
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     v = chop_class(M, reg, rng())
     assert total_dim(v) == 1 and len(reg) == 1
 
@@ -80,7 +81,7 @@ def test_regular_trivial_group():
 def test_regular_c2_gf3_semisimple():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     v = chop_class(rep_regular(G, F), reg, rng())
     assert len(reg) == 2  # trivial and sign
     assert sorted(int(c) for c in v.coeffs) == [1, 1]
@@ -90,7 +91,7 @@ def test_regular_c2_gf3_semisimple():
 def test_regular_cp_gfp_local(p):
     G = FiniteGroup.from_table(cyclic_table(p))
     F = field_make(p, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     v = chop_class(rep_regular(G, F), reg, rng())
     assert len(reg) == 1
     assert v.coeffs == (p,)
@@ -103,7 +104,7 @@ def test_chop_s3_gf5_multiplicities():
     # hom_dim counts, the independent route.
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     M = rep_regular(G, F)
     v = chop_class(M, reg, rng())
     dims = sorted(S.dim for S in reg.simples)
@@ -155,7 +156,7 @@ def test_frobenius_reciprocity_dimension_identity():
 def test_tensor_dual_contains_trivial():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     r = rng()
     chop_class(rep_regular(G, F), reg, r)
     V = next(S for S in reg.simples if S.dim == 2)
@@ -170,7 +171,7 @@ def test_tensor_dual_contains_trivial():
 def test_direct_sum_chop_additive():
     G = FiniteGroup.from_table(cyclic_table(2))
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     r = rng()
     M = rep_regular(G, F)
     triv = rep_trivial(G, F)
@@ -185,7 +186,7 @@ def test_direct_sum_chop_additive():
 def test_hom_schur_absolutely_simple():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     chop_class(rep_regular(G, F), reg, rng())
     for S in reg.simples:
         assert hom_dim(S, S) == 1  # all simples of S3 absolutely simple
@@ -220,7 +221,7 @@ def test_hom_trivial_group_is_unit_matrices(n, dm, dn):
 def test_hom_regular_to_simple():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     M = rep_regular(G, F)
     chop_class(M, reg, rng())
     for S in reg.simples:
@@ -245,7 +246,7 @@ def test_is_isomorphic_basics():
 
 def saturated_regular(G, F, r):
     """The regular module and a registry saturated by chopping it."""
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     M = rep_regular(G, F)
     chop_class(M, reg, r)
     return M, reg
@@ -285,8 +286,10 @@ def test_registry_brauer_key_orders_nonisomorphic_simples(table, p):
     # simple is found at its index
     G = FiniteGroup.from_table(table)
     F = field_make(p, 1)
-    reg = SimpleRegistry(G, F, random.Random(1))
-    other = SimpleRegistry(G, F, random.Random(2))
+    reg, other = SimpleRegistry(G, F), SimpleRegistry(G, F)
+    for seed, registry in ((1, reg), (2, other)):
+        with chop_draws(seed):
+            registry.simples
     keys = [(S.dim, reg.brauer.vector(S, [1])[0]) for S in reg.simples]
     assert keys == sorted(set(keys))
     assert keys == [(S.dim, other.brauer.vector(S, [1])[0])
@@ -320,7 +323,7 @@ def test_chop_returns_certified_composition_factors():
     for S, U in pairs:
         assert U.shape[0] == S.dim and 1 <= U.shape[1] <= S.dim
         assert Mat(F, U).rank() == U.shape[1]
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     assert sorted(reg.vectors) == sorted({reg.brauer.vector(S, [1])[0]
                                           for S in factors})
 
@@ -329,7 +332,7 @@ def test_registry_state_after_init_is_cached_properties_only():
     # a registry assigns nothing after __init__ but its cached properties
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     at_init = set(vars(reg))
     reg.regular_class()
     reg.class_of(rep_regular(G, F))
@@ -366,8 +369,9 @@ def test_failed_saturation_leaves_the_registry_unsaturated(monkeypatch):
     assert len(calls) == 3
     assert len(reg.simples) == 3
     assert len(calls) > 3  # saturated again
-    fresh = SimpleRegistry(reg.group, reg.field, random.Random(7))
-    assert len(fresh.simples) == 3
+    fresh = SimpleRegistry(reg.group, reg.field)
+    with chop_draws(7):
+        assert len(fresh.simples) == 3
     assert reg.vectors == fresh.vectors
     for S, T in zip(reg.simples, fresh.simples):
         assert S.dim == T.dim and is_isomorphic(S, T)
@@ -607,7 +611,7 @@ def test_head_multiplicity_of_cover_is_one():
     P1 = sylow_p(G, 3)
     cov = projective_cover_over_inertia(G, P1, rep_trivial(G, F))
     assert cov.dim == 3
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     chop_class(rep_regular(G, F), reg, rng())
     triv = reg.simples[0]
     assert head_multiplicities(cov, reg)[0] == 1
@@ -631,7 +635,7 @@ def test_cover_dimension_scaling():
     cov = projective_cover_over_inertia(G, P1, M)
     assert cov.dim == P1.order * M.dim
     # head of the cover matches the module on simples with trivial P1 action
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     chop_class(rep_regular(G, F), reg, rng())
     for S in reg.simples:
         if all(S.image(g) == Mat.identity(F, S.dim) for g in P1.positions_in(G)):
@@ -692,7 +696,7 @@ def test_chop_additivity_random_pairs():
     r = random.Random(99)
     G = FiniteGroup.from_table(s3_table())
     F = field_make(3, 1)
-    reg = SimpleRegistry(G, F, rng())
+    reg = SimpleRegistry(G, F)
     pool = [rep_trivial(G, F), rep_regular(G, F)]
     pool.append(rep_tensor(pool[1], pool[0]))
     for _ in range(20):

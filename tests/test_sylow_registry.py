@@ -24,7 +24,8 @@ from equirr.k0 import cartan_data
 from equirr.matrices import Mat
 from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
-from reptools import chop_class, is_normal, rep_regular, total_dim
+from reptools import (chop_class, chop_draws, is_normal, rep_regular,
+                      total_dim)
 from test_cartan import TABLES, cyclic, pgl2_gf3, translations_gf9
 from test_induced_classes import load_perfbench
 from test_extension_registry import (SCENARIO_DIR, SHIPPED, SMALL_GROUPS,
@@ -52,8 +53,9 @@ def small_group(kind, n):
 
 
 def assert_regular_module_hits_every_simple(G, F, seed=0):
-    reg = SimpleRegistry(G, F, random.Random(seed))
-    reg.simples
+    reg = SimpleRegistry(G, F)
+    with chop_draws(seed):
+        reg.simples
     v = chop_class(rep_regular(G, F), reg, random.Random(seed + 1))
     assert len(v.coeffs) == len(reg)
     assert all(c > 0 for c in v.coeffs)
@@ -61,7 +63,9 @@ def assert_regular_module_hits_every_simple(G, F, seed=0):
 
 
 def assert_closed_form(G, F, seed=0):
-    reg = SimpleRegistry(G, F, random.Random(seed))
+    reg = SimpleRegistry(G, F)
+    with chop_draws(seed):
+        reg.simples
     R = rep_regular(G, F)
     assert reg.brauer.regular_vector() == reg.brauer.vector(R, [1])[0]
     assert reg.regular_class() == reg.class_of(R)
@@ -101,12 +105,12 @@ def saturation_chop_dims(monkeypatch, G, F):
     dims = []
     real = reps.chop
 
-    def counted(M, rng):
-        dims.append(M.dim)
-        return real(M, rng)
+    def counted(*args):
+        dims.append(args[0].dim)
+        return real(*args)
 
     monkeypatch.setattr(reps, "chop", counted)
-    SimpleRegistry(G, F, random.Random(0)).simples
+    SimpleRegistry(G, F).simples
     return dims
 
 
@@ -163,7 +167,7 @@ def test_no_regular_size_matrix_in_saturation_or_cartan_data(monkeypatch):
             sides.append(self.rows)
 
     monkeypatch.setattr(Mat, "__init__", recorded)
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     cd = cartan_data(G, F, reg)
     reg.regular_class()
     assert cd.size == len(reg) == 4
@@ -177,7 +181,7 @@ def test_the_tracer_sees_one_saturation_chop_and_one_gram_solve():
     tracing = load_perfbench("tracing")
     G, F = pgl2_gf3(), field_make(3, 1)
     assert G.order // p_part(G.order, 3) == 8
-    reg = SimpleRegistry(G, F, random.Random(0))
+    reg = SimpleRegistry(G, F)
     tracer = tracing.Tracer()
     tracer.begin_pair("PGL2-GF3", 0, F.n)
     tracer.install()
