@@ -2,11 +2,13 @@
 
 Each command emits a plain-text summary on stdout and, with --json, one
 JSON document with sections {scenario, ramification, classes, formulas,
-verdicts, audit}.  Reports are byte-deterministic for a fixed (config,
-seed); the canonical hash recorded inside excludes only the timestamp.
+verdicts, audit}.  A report is a function of the scenario's group, field
+and divisors (or orbit data) alone; the canonical hash recorded inside
+excludes only the timestamp.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed (a theorem would have
-to be false), 2 input error, 3 internal cap or inconsistency.
+to be false), 2 input error (a bad scenario, or a file that cannot be
+read or written), 3 internal cap or inconsistency.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ def run_analyze(scn: Scenario) -> dict:
     report = {
         "command": "analyze",
         "scenario": scn.config.raw,
-        "seed": scn.config.seed,
         "group_order": scn.cover.G.order,
         "ramification": [datum.to_json() for datum in scn.cover.orbit_data],
         "verdicts": verdicts,
@@ -92,7 +93,7 @@ def _euler_one_divisor(scn: Scenario, D, tag: str, verdicts):
                      oracle == integral)
     else:
         entry["integral_formula"] = "refused: congruence or weakness fails"
-    scaled, C, _terms = euler_class_scaled(cover, D)
+    scaled, C = euler_class_scaled(cover, D)
     entry["scaled_constant"] = C
     entry["scaled_formula"] = scaled.to_json()
     if oracle is not None:
@@ -118,7 +119,6 @@ def run_euler(scn: Scenario) -> dict:
     report = {
         "command": "euler",
         "scenario": scn.config.raw,
-        "seed": scn.config.seed,
         "ramification": [datum.to_json() for datum in cover.orbit_data],
         "verdicts": verdicts,
     }
@@ -148,7 +148,6 @@ def run_check(scn: Scenario) -> dict:
     report = {
         "command": "check",
         "scenario": scn.config.raw,
-        "seed": scn.config.seed,
         "verdicts": verdicts,
     }
     if cover.geometry is not None:
@@ -166,8 +165,6 @@ def run_check(scn: Scenario) -> dict:
             w_reports.append({"place": place, "twist": d, "f": datum.f,
                               "head_multiplicities":
                                   cert["head_multiplicities"]})
-            _verdict(verdicts, f"divisibility:{place}:d{d}", True,
-                     f"f = {datum.f}")
             if datum.is_tame_here and cover.geometry is not None:
                 out = tame_structure_checks(cover, datum, d)
                 _verdict(verdicts, f"structure_line:{place}:d{d}",
@@ -239,20 +236,35 @@ _SUITE_ERRORS = {InputError: ("INPUT ERROR", 2), CapExceeded: ("CAP", 3),
                  Inconsistency: ("INCONSISTENCY", 3)}
 
 
-def _realize(path: str, seed_override) -> Scenario:
-    text = Path(path).read_text() if path != "-" else sys.stdin.read()
-    cfg = parse_scenario(text)
-    if seed_override is not None:
-        cfg.seed = seed_override
-        cfg.raw["seed"] = seed_override
-    return realize(cfg)
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at path; InputError naming `what` and
+    the path when it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) else e
+        raise InputError(f"{what} {path}: {reason}") from None
+
+
+def _write_text(path, text: str, what: str) -> None:
+    """Write text to path; InputError naming `what` and the path when it
+    cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"{what} {path}: {e.strerror}") from None
+
+
+def _realize(path: str) -> Scenario:
+    text = _read_text(path, "scenario") if path != "-" else sys.stdin.read()
+    return realize(parse_scenario(text))
 
 
 def _exit_code(report: dict) -> int:
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1
 
 
-def _suite_reports(paths, skip, seed_override):
+def _suite_reports(paths, skip):
     """(file name, command, report or exception) for every scenario file
     but skip and every command.  Each scenario is realized once and that
     one Scenario serves all the commands, so they share its registries,
@@ -265,7 +277,7 @@ def _suite_reports(paths, skip, seed_override):
             continue
         name = Path(path).name
         try:
-            scn = _realize(path, seed_override)
+            scn = _realize(path)
         except errors as e:
             for command in RUNNERS:
                 yield name, command, e
@@ -281,11 +293,10 @@ def _suite_reports(paths, skip, seed_override):
 def _read_manifest(path) -> dict:
     """The golden manifest {file name: {command: hash}} at path; InputError
     naming the path when it is missing, unreadable or malformed."""
+    text = _read_text(path, "golden manifest")
     try:
-        manifest = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise InputError(f"golden manifest {path}: {e.strerror}") from None
-    except ValueError as e:  # not UTF-8, or not JSON
+        manifest = json.loads(text)
+    except ValueError as e:
         raise InputError(f"golden manifest {path}: {e}") from None
     if not (isinstance(manifest, dict)
             and all(isinstance(v, dict) for v in manifest.values())):
@@ -294,14 +305,13 @@ def _read_manifest(path) -> dict:
     return manifest
 
 
-def run_suite(paths, golden_path, seed_override) -> int:
+def run_suite(paths, golden_path) -> int:
     """Run every command on every scenario and print one line each; the
     worst exit code.  With a golden manifest, a hash that differs from its
     entry (HASH MISMATCH) or has none (NOT PINNED) fails the line."""
     manifest = _read_manifest(golden_path) if golden_path else {}
     worst = 0
-    for name, command, report in _suite_reports(paths, golden_path,
-                                                seed_override):
+    for name, command, report in _suite_reports(paths, golden_path):
         if isinstance(report, Exception):
             label, code = _SUITE_ERRORS[type(report)]
             print(f"{name} {command}: {label} ({report})")
@@ -324,11 +334,12 @@ def run_suite(paths, golden_path, seed_override) -> int:
 
 def make_golden(paths, out_path) -> None:
     manifest: dict = {}
-    for name, command, report in _suite_reports(paths, out_path, None):
+    for name, command, report in _suite_reports(paths, out_path):
         if isinstance(report, Exception):
             raise type(report)(f"{name} {command}: {report}") from report
         manifest.setdefault(name, {})[command] = report["canonical_hash"]
-    Path(out_path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    _write_text(out_path, json.dumps(manifest, indent=1, sort_keys=True),
+                "golden manifest")
 
 
 def main(argv=None) -> int:
@@ -339,14 +350,12 @@ def main(argv=None) -> int:
     for name in ("analyze", "euler", "check"):
         p = sub.add_parser(name)
         p.add_argument("scenario", help="scenario file path, or - for stdin")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", dest="json_out", default=None,
                        help="write the full JSON report here")
     p = sub.add_parser("suite")
     p.add_argument("scenarios", nargs="+")
     p.add_argument("--golden", default=None,
                    help="manifest of expected canonical hashes")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--write-golden", default=None,
                    help="write a fresh manifest and exit")
     args = parser.parse_args(argv)
@@ -357,12 +366,12 @@ def main(argv=None) -> int:
                 make_golden(args.scenarios, args.write_golden)
                 print(f"wrote {args.write_golden}")
                 return 0
-            return run_suite(args.scenarios, args.golden, args.seed)
-        report = RUNNERS[args.command](_realize(args.scenario, args.seed))
+            return run_suite(args.scenarios, args.golden)
+        report = RUNNERS[args.command](_realize(args.scenario))
         print(_summary(report))
         if args.json_out:
-            Path(args.json_out).write_text(
-                json.dumps(report, indent=1, sort_keys=True))
+            _write_text(args.json_out,
+                        json.dumps(report, indent=1, sort_keys=True), "report")
         return _exit_code(report)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

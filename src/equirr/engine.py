@@ -452,8 +452,7 @@ def euler_class_integral(cover: CoverData, D: Divisor | None = None):
     of the (-d)-th cotangent power, each W certified by
     divided_cover_class.  Returns (class, term report)."""
     total, reg_coeff, terms = _formula_walk(cover, D, _integral_term)
-    return total, {"n_route": "inertia", "regular_coefficient": reg_coeff,
-                   "orbits": terms}
+    return total, {"regular_coefficient": reg_coeff, "orbits": terms}
 
 
 def euler_class_rational(cover: CoverData, D: Divisor | None = None):
@@ -490,8 +489,8 @@ def regular_multiple(cover: CoverData, diff: ClassVector):
 
 def euler_class_scaled(cover: CoverData, D: Divisor | None = None):
     """|G| times the Euler characteristic as C [k[G]] minus the weighted
-    induced fiber twists; no weakness assumption.  Returns
-    (class, C, term report); C is computed exactly and must be integral."""
+    induced fiber twists; no weakness assumption.  Returns (class, C);
+    C is computed exactly and must be integral."""
     table = cover.orbit_table(D)
     g_x = cover.genus_upstairs()
     C = Fraction(1 - g_x) + cover.divisor_degree(table)
@@ -500,15 +499,13 @@ def euler_class_scaled(cover: CoverData, D: Divisor | None = None):
     if C.denominator != 1:
         raise Inconsistency("scaled-formula constant is not integral")
     total = cover.registry.regular_class().scale(C)
-    terms = []
     coeff_of = {id(datum): n for datum, n in table}
     for datum in cover.orbit_data:
         n_p = coeff_of.get(id(datum), 0)
         for d in range(1, datum.e_t):
             v = cover.induced_fiber_class(datum, d - n_p)
             total = total - v.scale(datum.orbit_size * datum.e_w * d)
-        terms.append({"place": datum.place_json(), "n": n_p})
-    return total, int(C), terms
+    return total, int(C)
 
 
 # -- predicates of the projectivity theorems ----------------------------------------

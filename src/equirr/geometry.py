@@ -328,7 +328,6 @@ class RamificationDatum:
             "e": self.e, "e_tame": self.e_t, "e_wild": self.e_w,
             "f": self.f,
             "filtration": list(self.filtration),
-            "cotangent_order": self.e_t,
             "cotangent_values": values,
             "weakly_ramified": self.is_weak_here,
         }

@@ -1181,24 +1181,17 @@ def indecomposable_summands(M: Rep, ends: list[Mat],
 
 
 def is_projective(M: Rep) -> bool:
-    """Projective over k[G] iff free over k[P] for a Sylow p-subgroup P:
-    dim M = |P| * dim(M / rad M) with rad spanned by (g-1)v.
-
-    The augmentation ideal is spanned as a vector space by g - 1 over all
-    g in P (generators alone would not span a submodule when P is
-    nonabelian)."""
+    """Projective over k[G] iff free over k[P] for a Sylow p-subgroup P,
+    iff dim M = |P| * dim M^P: k[P] is self-injective with a simple
+    socle, so M embeds in k[P]^(dim M^P), with equality exactly when M is
+    free.  M^P is the common kernel of g - 1 over P's generators."""
     G = M.group
-    p = M.field.p
-    P = sylow_p(G, p)
+    P = sylow_p(G, M.field.p)
     if P.order == 1 or M.dim == 0:
         return True
     eye = Mat.identity(M.field, M.dim)
-    stacked = None
-    for g in P.positions_in(G):
-        if g == G.identity:
-            continue
-        block = M.image(g) - eye
-        stacked = block if stacked is None else stacked.hstack(block)
-    rad_dim = stacked.rank()
-    return M.dim == P.order * (M.dim - rad_dim)
+    in_G = P.positions_in(G)
+    stacked = Mat(M.field, np.concatenate(
+        [(M.image(in_G[g]) - eye).a for g in P.generators]))
+    return M.dim == P.order * (M.dim - stacked.rank())
 

@@ -28,7 +28,6 @@ class ScenarioConfig:
     divisors: list  # raw JSON divisors (oracle mode)
     orbits: list  # raw JSON orbit payloads (abstract mode)
     genus_quotient: int
-    seed: int
     options: dict = dc_field(default_factory=dict)
     raw: dict = dc_field(default_factory=dict)
 
@@ -172,7 +171,8 @@ def parse_scenario(source) -> ScenarioConfig:
     elif not isinstance(orbits, list) or not orbits:
         raise InputError("abstract mode needs a nonempty 'orbits' list")
 
-    seed = _json_int(doc.get("seed", 0), "seed")
+    # the seed reaches no draw: it is checked, then dropped from the echo
+    _json_int(doc.get("seed", 0), "seed")
     genus = _json_int(doc.get("genus_quotient", 0), "genus_quotient")
     if genus < 0:
         raise InputError("genus_quotient must be nonnegative")
@@ -183,8 +183,8 @@ def parse_scenario(source) -> ScenarioConfig:
     _check_keys(doc, "", "")
     return ScenarioConfig(p=p, n=n, mode=mode, group_spec=group_spec,
                           divisors=divisors, orbits=orbits,
-                          genus_quotient=genus, seed=seed, options=options,
-                          raw=doc)
+                          genus_quotient=genus, options=options,
+                          raw={k: v for k, v in doc.items() if k != "seed"})
 
 
 # -- group construction ------------------------------------------------------------
@@ -301,7 +301,7 @@ def parse_divisor(k: Field, raw, key: str) -> Divisor:
 class Scenario:
     """A realized scenario: its cover (group, field, registry and the
     per-scenario caches) and, in oracle mode, its divisors.  Every command
-    of one scenario can run on it; config.seed only goes into the reports."""
+    of one scenario can run on it, and a report reads nothing else."""
     config: ScenarioConfig
     cover: CoverData
     divisors: list[Divisor]

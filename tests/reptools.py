@@ -20,7 +20,7 @@ spinning one vector at a time through an incrementally echelonized row basis
 (EchelonBasis), the reference for the block spin of reps._spin, the class of
 one cotangent twist induced from the tame complement (the reference for the
 twist tables of engine.CoverData), the projective-class test on Cartan
-coordinates, and small field, polynomial, matrix and place utilities that no
+coordinates, the all-elements projectivity test, and small field, polynomial, matrix and place utilities that no
 command needs."""
 
 import math
@@ -121,6 +121,23 @@ def is_projective_class(v: ClassVector, cd: CartanData) -> bool:
         raise InputError("projective-class test needs an integral class")
     return all(c.denominator == 1 and c >= 0
                for c in cartan_coordinates(v, cd))
+
+
+def reference_is_projective(M: Rep) -> bool:
+    """The all-elements projectivity test (the reference for
+    reps.is_projective): free over k[P] for a Sylow p-subgroup P iff
+    dim M = |P| * dim(M / rad M), with rad M spanned by (g - 1)v over
+    every g in P, as generators alone would not span it for a nonabelian
+    P."""
+    G = M.group
+    P = sylow_p(G, M.field.p)
+    if P.order == 1 or M.dim == 0:
+        return True
+    eye = Mat.identity(M.field, M.dim)
+    blocks = [(M.image(g) - eye).a for g in P.positions_in(G)
+              if g != G.identity]
+    rad_dim = Mat(M.field, np.concatenate(blocks, axis=1)).rank()
+    return M.dim == P.order * (M.dim - rad_dim)
 
 
 def rep_regular(G: FiniteGroup, field: Field) -> Rep:

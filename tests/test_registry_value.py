@@ -2,10 +2,11 @@
 
 Each MeatAxe chop draws from a source of its own, so the simples of every
 registry a command reads are the same matrices, byte for byte, whatever
-the scenario's seed and whichever command saturates them first: the main
+the scenario's seed key and whichever command saturates them first: the main
 registry, the registries of the decomposition and inertia groups, and the
 GF(q^2) registry of the Cartesian section."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ def scenario_text(name):
 def simple_images(monkeypatch, text, seed, commands):
     """{(group elements, field): (dim, generator image bytes) per simple}
     over every registry whose Cartan data the commands build, for the
-    scenario realized at the given seed."""
+    scenario realized with the given value of its seed key."""
     found = {}
 
     def recorded(G, F, registry):
@@ -38,9 +39,9 @@ def simple_images(monkeypatch, text, seed, commands):
 
     monkeypatch.setattr(engine, "cartan_data", recorded)
     monkeypatch.setattr(cli, "cartan_data", recorded)
-    cfg = parse_scenario(text)
-    cfg.seed = seed
-    scn = realize(cfg)
+    doc = json.loads(text)
+    doc["seed"] = seed
+    scn = realize(parse_scenario(doc))
     for command in commands:
         cli.RUNNERS[command](scn)
     return found

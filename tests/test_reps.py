@@ -23,9 +23,12 @@ from equirr.scenarios import parse_scenario, realize
 from reptools import (basis_vector, chop_class, chop_draws,
                       head_multiplicities, is_isomorphic,
                       projective_cover_over_inertia,
-                      reference_spin, regular_endomorphisms, rep_direct_sum,
+                      reference_is_projective, reference_spin,
+                      regular_endomorphisms, rep_direct_sum,
                       rep_regular, split_by_completed_basis,
                       split_on_submodule, total_dim)
+from test_extension_registry import dihedral
+from test_induced_classes import load_perfbench
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -603,6 +606,50 @@ def test_everything_projective_coprime_order():
     G = FiniteGroup.from_table(s3_table())
     F = field_make(5, 1)
     assert is_projective(rep_trivial(G, F))
+
+
+def riemann_roch_modules():
+    """The Riemann-Roch module of every divisor of the shipped oracle
+    scenarios and of the oracle workloads at benchmark seeds 0-3."""
+    workloads = load_perfbench("workloads")
+    texts = {path.read_text() for path in SCENARIO_DIR.glob("a*.json")}
+    texts |= {pair.scenario
+              for name in ("big-divisor", "big-group", "order-frontier")
+              for seed in range(4)
+              for pair in workloads.WORKLOADS[name](SCENARIO_DIR.parent, seed)}
+    for text in sorted(texts):
+        scn = realize(parse_scenario(text))
+        for D in scn.divisors:
+            yield scn.cover.geometry.rr_action_rep(D)
+
+
+def test_projectivity_by_fixed_points_agrees_on_riemann_roch_modules():
+    # dim M = |P| dim M^P against dim M = |P| dim M / rad M over all of P
+    verdicts = [(is_projective(M), reference_is_projective(M))
+                for M in riemann_roch_modules()]
+    assert len(verdicts) == 49
+    assert all(new == ref for new, ref in verdicts)
+    assert {new for new, _ in verdicts} == {True, False}
+
+
+def test_projectivity_by_fixed_points_over_a_nonabelian_sylow():
+    # D8 over GF(2) is its own Sylow 2-subgroup, and not abelian; r = 1,
+    # s = 4 and r^2 = 2 is central
+    G = dihedral(4)
+    F = field_make(2, 1)
+    trivial = rep_trivial(G, F)
+    modules = {
+        "k[D8]": (rep_regular(G, F), True),
+        "k": (trivial, False),
+        "Ind_<s> k": (rep_induce(rep_trivial(G.subgroup([0, 4]), F), G),
+                      False),
+        "Ind_<r^2> k": (rep_induce(rep_trivial(G.subgroup([0, 2]), F), G),
+                        False),
+        "Ind_1 k": (rep_induce(rep_trivial(G.subgroup([0]), F), G), True),
+        "k[D8] + k": (rep_direct_sum(rep_regular(G, F), trivial), False),
+    }
+    for name, (M, free) in modules.items():
+        assert is_projective(M) == reference_is_projective(M) == free, name
 
 
 def test_head_multiplicity_of_cover_is_one():
