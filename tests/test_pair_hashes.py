@@ -22,89 +22,89 @@ WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 PINNED = {
     ("big-divisor", "s0:kummer_gf13:euler"):
-        "850e17d49d98f635488ad5f8145f953320725c976bd6ff230e3216b82e24fe07",
+        "02623febbc6e4a1bb0d6e45447f978a6df3fb74b683fda6352dc0d595bd52697",
     ("big-divisor", "s0:kummer_gf13:check"):
-        "2cf3e2f64ff973f77904cd45f00885f196624a45f461307cc09ecebfff433704",
+        "c806340154430d2a9016feb53d32d2f5c906011fe54b1ca3957b6874ed6004f4",
     ("big-group", "s0:pgl2_gf3:euler"):
-        "4a9eaf47580b616d067cbe0520ce5c92da54ea60720033a1ba7a7dade38c8181",
+        "ecaee037cbc71a257af2ea5b967850f25ec524dec2ade031c55ccdbfcb29df97",
     ("big-group", "s0:pgl2_gf3:check"):
-        "c5a512da9b5f5e19cff48479ea9e2860168eaca3bd19bf4929b30132f676d65e",
+        "6de0aadecfa390b0aa110c3205a73eb1d9bb5317c98728cded28479a57d6c031",
     ("big-group", "s1:translations_gf9:euler"):
-        "f2e38e81cbfd448556b5596debee12d5c9387676499bda516fd1bbdbcf4a0255",
+        "f323aa61406447066f3a735324381b066ca8e7dd2e76c322f022740cec09c314",
     ("big-group", "s1:translations_gf9:check"):
-        "04ad619863ea6b669e76b880151006980082313c92dcd1302e2a0af819210af3",
+        "cc676414dc6415fd155f8525916304fb4b7bceb31e0a784ae1f0855a79c0b891",
     ("order-frontier", "s0:pgl2_gf5:euler"):
-        "61a4cc5d81656bfc4033bcaf40730d7373aa0fa5b0476dd292e888c510d83d5d",
+        "d1eb67646d5a7e128937e3c9feed2b9f4cc8b9fd53e9a03963ea1d05fda3a396",
     ("order-frontier", "s0:pgl2_gf5:check"):
-        "820a26df797abeceed8e501afe57e00743fe3d117e47c6f5de44d99ec3131793",
+        "e30ca8f9005f8dddb12e66b572fc457dc75a762b2c698e3652ffe4667a4dbba1",
     ("order-frontier", "s1:agl1_gf11:euler"):
-        "6298b8007f3a929ace1b68d6dd01af1467d7ff44ce553b88db145736f3a5f8c2",
+        "8eeb502115658f457244ba8acac63ffcd0cc55b7c744eddc601d0ce4501587d6",
     ("order-frontier", "s1:agl1_gf11:check"):
-        "2dcc13d039e96a4d6025ee7893b0f434d97d237dfaa169e8c434d2ab51ace5d3",
+        "7d4c37f06a23382be59fdc19a56b70cb21f2f63eb64fad5ea87578800909ada3",
 }
 
 # (workload, benchmark seed, pair id) -> hash, for seeds 1-3
 PINNED_LATER_SEEDS = {
     ("big-divisor", 1, "s0:kummer_gf13:check"):
-        "fe77c7efa03d4ae3db660be968f429969468873cc10349d417455ae08abede24",
+        "508b0109e22cad82b6867d6434b7265b36e62f39588ac08d460f083fd32fc762",
     ("big-divisor", 1, "s0:kummer_gf13:euler"):
-        "06cba4425ec583ebac223f78178d7c36fb652573277cbdc1c8b499b80b681f72",
+        "21cd405987023a16852f95f94da5e0c3e2c5d57a25aa9062346c3591e9494336",
     ("big-divisor", 2, "s0:kummer_gf13:check"):
-        "83d08e63071d37158c931a90da642f39c24e25a18df1e73079fb357d3653e721",
+        "aa01a8050d2eb4ff366bf2175f9b0c5bec329021aebf9181e4143dd2d8b61fe9",
     ("big-divisor", 2, "s0:kummer_gf13:euler"):
-        "926b9b18d5cd28fe977bab35bab059991d93a366d634ad3fced09bb912576f56",
+        "3cb816b26c673c915470ca0069727b26db95a1d9e7e58d065cc6a97f7c0bc094",
     ("big-divisor", 3, "s0:kummer_gf13:check"):
-        "d4b02c36888ac2888155d77d168a187c2febc3b07699d993ab32f07a4093f4c4",
+        "1bcef4fc099c0799e8c9e692e91f60f2bbe5de3e1699fde582ee095d89c8f019",
     ("big-divisor", 3, "s0:kummer_gf13:euler"):
-        "cf60cf813a1f89616e60bebab5b23524064b3203285b700c204f7c3023f19ab0",
+        "117b961d217a364adedd90f0e3f7bcfd7350737af86bf6fa68704d76da65e19e",
     ("big-group", 1, "s0:pgl2_gf3:check"):
-        "257695dc7f77a01e4569ee2e40e5be58df2794c29e4fde1692095407a948070a",
+        "00ecb2ab142c8543b2fbc7abf017e0420b6d231c541c4c15d171bb0abf66d4b7",
     ("big-group", 1, "s0:pgl2_gf3:euler"):
-        "bb69b2bf7b54509fa60b37f03c23dcc40c5c17209605079b899f52a3afa057a1",
+        "67cb9021988b1ed0e91e9a27cd8e6f630ebd674483716bdb1318598202cb4b27",
     ("big-group", 1, "s1:translations_gf9:check"):
-        "bcf376e943c008dc3eb78ab97860ad9258499bc04e1d0dc72a9aba21e11ad544",
+        "1b17e380d5c0759062802dff6e4071e8fdb37a1ccd6b5e11ea9c5e8d40592498",
     ("big-group", 1, "s1:translations_gf9:euler"):
-        "dc91863283362a5cdb65af575a4a05a324f987503e5047c47451d241f4b3f739",
+        "046b2d008a8a71af4abbbb21f1d3bec5120257a8fdf29db811eb755e12c4c7d9",
     ("big-group", 2, "s0:pgl2_gf3:check"):
-        "2d530407372a68134a5b441efac0e0bfe0effb0004da8b767e0efe82dfa8226f",
+        "b771942701fd4d4036919da0f2ae0f1874a727ff89e92626a63e32e2a4b83619",
     ("big-group", 2, "s0:pgl2_gf3:euler"):
-        "080f94b99ff2d8c1eaf9ae3ab99018d6c49991e80a5373bfac68bf24d91abb64",
+        "fae33c9dbef1bd0325204dd53c3660f7d8c7a264455398d99f074632ab3e2b74",
     ("big-group", 2, "s1:translations_gf9:check"):
-        "83dd7249b39e46139e296cdd2d5f3e7ff914d9562426ad98a926cd9ae18b42ec",
+        "1b17e380d5c0759062802dff6e4071e8fdb37a1ccd6b5e11ea9c5e8d40592498",
     ("big-group", 2, "s1:translations_gf9:euler"):
-        "14370849916b070b7d6e527afb40e1e83e09841748ccd71d3960668046a13d55",
+        "046b2d008a8a71af4abbbb21f1d3bec5120257a8fdf29db811eb755e12c4c7d9",
     ("big-group", 3, "s0:pgl2_gf3:check"):
-        "4a07afd1b6494369cc3e3b32a3e13454aa6678c435a59b3d1db6eeabd0345deb",
+        "00ecb2ab142c8543b2fbc7abf017e0420b6d231c541c4c15d171bb0abf66d4b7",
     ("big-group", 3, "s0:pgl2_gf3:euler"):
-        "3678c6b949f78ca50cdf09063eb7a4b66068156e5cd5fd360ba8e73e42dec18c",
+        "67cb9021988b1ed0e91e9a27cd8e6f630ebd674483716bdb1318598202cb4b27",
     ("big-group", 3, "s1:translations_gf9:check"):
-        "38272b38501b007ca74e4462097f8e3e8059c060975f6099a976fab6290d9b00",
+        "cc676414dc6415fd155f8525916304fb4b7bceb31e0a784ae1f0855a79c0b891",
     ("big-group", 3, "s1:translations_gf9:euler"):
-        "b2c27046f8698022510e8b730ceaa206283f4abd2441d50775bb70a083fdc343",
+        "f323aa61406447066f3a735324381b066ca8e7dd2e76c322f022740cec09c314",
     ("order-frontier", 1, "s0:pgl2_gf5:check"):
-        "090921bf6a1c4df459d87c2cbb5752b5a11d9ad24fc9bb21deb8cb82b4eba154",
+        "e30ca8f9005f8dddb12e66b572fc457dc75a762b2c698e3652ffe4667a4dbba1",
     ("order-frontier", 1, "s0:pgl2_gf5:euler"):
-        "e939d6dd4c35305b59bd64998b3e60c730695258685748eb32b0409644c84a37",
+        "d1eb67646d5a7e128937e3c9feed2b9f4cc8b9fd53e9a03963ea1d05fda3a396",
     ("order-frontier", 1, "s1:agl1_gf11:check"):
-        "605495024be33ebef0fff269778076b0afaf84946762515e0e438a57ca16dc64",
+        "7d4c37f06a23382be59fdc19a56b70cb21f2f63eb64fad5ea87578800909ada3",
     ("order-frontier", 1, "s1:agl1_gf11:euler"):
-        "42230f6a6a31be5ab3e4c00d847b80925891988cba677ea650fe1f3c953a6811",
+        "8eeb502115658f457244ba8acac63ffcd0cc55b7c744eddc601d0ce4501587d6",
     ("order-frontier", 2, "s0:pgl2_gf5:check"):
-        "d1d82acf10aadee6697fc3b269b34fed912e2f543cda781955805143c346e8dd",
+        "e30ca8f9005f8dddb12e66b572fc457dc75a762b2c698e3652ffe4667a4dbba1",
     ("order-frontier", 2, "s0:pgl2_gf5:euler"):
-        "60f2ec78350a5ea32e107662ac9035499d6944c2688af9f758ec77734e529ec7",
+        "d1eb67646d5a7e128937e3c9feed2b9f4cc8b9fd53e9a03963ea1d05fda3a396",
     ("order-frontier", 2, "s1:agl1_gf11:check"):
-        "b6b215d00cae6ead759c740150c0605f6c02957501953ca00c25c9687b36859a",
+        "7d4c37f06a23382be59fdc19a56b70cb21f2f63eb64fad5ea87578800909ada3",
     ("order-frontier", 2, "s1:agl1_gf11:euler"):
-        "47e4163e9067d86f67084d6182002e9c3692f88bc0929863ce3c84f49b317fb4",
+        "8eeb502115658f457244ba8acac63ffcd0cc55b7c744eddc601d0ce4501587d6",
     ("order-frontier", 3, "s0:pgl2_gf5:check"):
-        "125141d9a192d10f1231ba1132d674064293cc208fe922fd02dd0b24e7953a7a",
+        "e30ca8f9005f8dddb12e66b572fc457dc75a762b2c698e3652ffe4667a4dbba1",
     ("order-frontier", 3, "s0:pgl2_gf5:euler"):
-        "991b55dccdcd735acd21661f71f8ccead9c43007942a5687d5eacd1de35ea26f",
+        "d1eb67646d5a7e128937e3c9feed2b9f4cc8b9fd53e9a03963ea1d05fda3a396",
     ("order-frontier", 3, "s1:agl1_gf11:check"):
-        "13f37261b763bab417c5fc53b19fca8f5aeb8d5738d6f6eb0633714b294333bb",
+        "7d4c37f06a23382be59fdc19a56b70cb21f2f63eb64fad5ea87578800909ada3",
     ("order-frontier", 3, "s1:agl1_gf11:euler"):
-        "283077917b78af313246e531c096c581a3bf2163cb93ab84d6cb0e25abb7d10f",
+        "8eeb502115658f457244ba8acac63ffcd0cc55b7c744eddc601d0ce4501587d6",
 }
 
 
