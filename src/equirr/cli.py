@@ -255,9 +255,25 @@ def _write_text(path, text: str, what: str) -> None:
         raise InputError(f"{what} {path}: {e.strerror}") from None
 
 
+def _scenario_text(path: str) -> str:
+    return _read_text(path, "scenario") if path != "-" else sys.stdin.read()
+
+
 def _realize(path: str) -> Scenario:
-    text = _read_text(path, "scenario") if path != "-" else sys.stdin.read()
-    return realize(parse_scenario(text))
+    return realize(parse_scenario(_scenario_text(path)))
+
+
+def _is_manifest(text: str) -> bool:
+    """Whether text is a golden manifest, a nonempty JSON object of
+    nonempty {command: hash} objects, rather than a scenario."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return False
+    return (isinstance(doc, dict) and bool(doc)
+            and all(isinstance(v, dict) and v and set(v) <= set(RUNNERS)
+                    and all(isinstance(h, str) for h in v.values())
+                    for v in doc.values()))
 
 
 def _exit_code(report: dict) -> int:
@@ -269,7 +285,9 @@ def _suite_reports(paths, skip):
     but skip and every command.  Each scenario is realized once and that
     one Scenario serves all the commands, so they share its registries,
     Cartan data and Riemann-Roch modules; a realize failure is reported
-    against every command."""
+    against every command.  A golden manifest among the files, as
+    scenarios/*.json holds one, is no scenario: it yields (file name,
+    None, None) alone."""
     errors = tuple(_SUITE_ERRORS)
     skip = Path(skip).resolve() if skip else None
     for path in paths:
@@ -277,7 +295,11 @@ def _suite_reports(paths, skip):
             continue
         name = Path(path).name
         try:
-            scn = _realize(path)
+            text = _scenario_text(path)
+            if _is_manifest(text):
+                yield name, None, None
+                continue
+            scn = realize(parse_scenario(text))
         except errors as e:
             for command in RUNNERS:
                 yield name, command, e
@@ -312,6 +334,9 @@ def run_suite(paths, golden_path) -> int:
     manifest = _read_manifest(golden_path) if golden_path else {}
     worst = 0
     for name, command, report in _suite_reports(paths, golden_path):
+        if command is None:
+            print(f"{name}: skipped (golden manifest)")
+            continue
         if isinstance(report, Exception):
             label, code = _SUITE_ERRORS[type(report)]
             print(f"{name} {command}: {label} ({report})")
@@ -335,6 +360,8 @@ def run_suite(paths, golden_path) -> int:
 def make_golden(paths, out_path) -> None:
     manifest: dict = {}
     for name, command, report in _suite_reports(paths, out_path):
+        if command is None:
+            continue
         if isinstance(report, Exception):
             raise type(report)(f"{name} {command}: {report}") from report
         manifest.setdefault(name, {})[command] = report["canonical_hash"]

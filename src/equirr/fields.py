@@ -274,6 +274,13 @@ class Field:
             (self._log_array[a] + self._log_array[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 
+    def div_array(self, a, b) -> np.ndarray:
+        """Elementwise quotient a / b through the exp/log tables; an entry
+        where b is 0 is garbage, for the caller to mask."""
+        quot = self._exp_array[
+            (self._log_array[a] - self._log_array[b]) % (self.q - 1)]
+        return np.where(a == 0, 0, quot)
+
     def matmul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of 2-D encoding arrays.  An extension field multiplies
         digit planes as polynomials in the generator, then folds the

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import (Field, Poly, field_make, poly_factor,
-                     poly_is_irreducible, poly_roots)
-from .groups import FiniteGroup, _p_part
+from .fields import Field, Poly, field_make, poly_is_irreducible, poly_roots
+from .groups import FiniteGroup, _p_part, mobius_images
 from .matrices import Mat
 from .reps import Rep
 
@@ -344,7 +345,17 @@ def fiber_character(datum: RamificationDatum, n: int) -> Rep:
 
 class P1Geometry:
     """The projective line over k with a PGL2 action: orbits, ramification
-    data, Riemann-Hurwitz audit, Riemann-Roch spaces and their action."""
+    data, Riemann-Hurwitz audit, Riemann-Roch spaces and their action.
+
+    Everything about how G moves a place P is read off one evaluation of
+    every element at rho, the first root of P in k(P) (point_images,
+    groups.mobius_images): the orbit of P and each image place, closed up
+    from the image points by their Frobenius orbits over k, with their own
+    first roots; the decomposition group, the elements that send rho to a
+    Frobenius conjugate of rho; and the inertia group, those that fix it.
+    The ramified places are the places of the points of P^1(k^2) with a
+    nontrivial stabilizer, where every fixed point of an element lies:
+    the points whose orbit under the generators is shorter than |G|."""
 
     def __init__(self, k: Field, G: FiniteGroup):
         if G.kind != "pgl2":
@@ -353,10 +364,11 @@ class P1Geometry:
             raise InputError("group matrices are over a different field")
         self.k = k
         self.G = G
-        self._mats: dict[tuple[Field, int], tuple] = {}
+        self._labels: dict[Field, np.ndarray] = {}
+        self._backs: dict[tuple[Field, Field], dict[int, int]] = {}
         self._root_cache: dict[Place, int] = {}
+        self._image_cache: dict[Place, np.ndarray] = {}
         self._datum_cache: dict[Place, RamificationDatum] = {}
-        self._mobius_cache: dict[tuple[int, Place], Place] = {}
         self._orbit_cache: dict[Place, list[Place]] = {}
         self._ramified: list[Place] | None = None
         self._ramified_orbits: list[list[Place]] | None = None
@@ -367,75 +379,107 @@ class P1Geometry:
         """k(P) = GF(q^deg P)."""
         return field_make(self.k.p, self.k.n * P.degree)
 
+    def _labels_in(self, F: Field) -> np.ndarray:
+        """The (|G|, 4) array of the labels (a, b, c, d) embedded in an
+        extension F of k."""
+        if F not in self._labels:
+            emb = self.k.embedding_into(F)
+            self._labels[F] = emb[np.array(self.G.labels, dtype=np.int64)]
+        return self._labels[F]
+
     def _matrix_in(self, F: Field, sigma: int):
         """The label (a, b, c, d) of sigma embedded in an extension F of
         k."""
-        key = (F, sigma)
-        if key not in self._mats:
-            emb = self.k.embedding_into(F)
-            self._mats[key] = tuple(int(emb[x]) for x in self.G.labels[sigma])
-        return self._mats[key]
+        return tuple(self._labels_in(F)[sigma].tolist())
 
-    def mobius_point(self, F: Field, sigma: int, x):
-        """Image of a point of P^1(F) (encoding or INF_POINT) under
-        sigma."""
-        a, b, c, d = self._matrix_in(F, sigma)
-        if x == INF_POINT:
-            if c == 0:
-                return INF_POINT
-            return F.mul(a, F.inv(c))
-        den = F.add(F.mul(c, x), d)
-        if den == 0:
-            return INF_POINT
-        num = F.add(F.mul(a, x), b)
-        return F.mul(num, F.inv(den))
+    def _back(self, F: Field, K: Field) -> dict[int, int]:
+        """{image in K: encoding in F} for the embedding of F into K."""
+        if (F, K) not in self._backs:
+            self._backs[F, K] = {int(v): a for a, v in
+                                 enumerate(F.embedding_into(K))}
+        return self._backs[F, K]
 
     def place_root(self, P: Place):
         """rho, the first root of P in its residue field (INF_POINT at
         infinity): the geometric point at which the local data of P are
-        computed."""
+        computed.  Known for every place that an orbit or the ramified
+        places reached; a rational place reads it off its polynomial, and
+        only a place of higher degree met first factors."""
         if P.is_infinity:
             return INF_POINT
         if P not in self._root_cache:
-            roots = poly_roots(P.poly.map_field(self.residue_field(P)))
+            if P.degree == 1:
+                roots = [self.k.neg(P.poly.coeffs[0])]
+            else:
+                roots = poly_roots(P.poly.map_field(self.residue_field(P)))
             if not roots:
                 raise Inconsistency("place has no root in its residue field")
             self._root_cache[P] = roots[0]
         return self._root_cache[P]
 
-    def mobius_on_place(self, sigma: int, P: Place) -> Place:
-        """sigma(P): a finite P goes to the monic form of
-        (C x + D)^deg P pi_P((A x + B) / (C x + D)) for sigma^{-1} =
-        (A, B, C, D), whose roots are the images of the roots of pi_P; a
-        constant there means P went to infinity, and infinity goes to
-        a / c."""
-        key = (sigma, P)
-        if key not in self._mobius_cache:
-            k = self.k
-            if P.is_infinity:
-                a, b, c, d = self.G.labels[sigma]
-                if c == 0:
-                    img = Place.infinity()
-                else:
-                    root = k.mul(a, k.inv(c))
-                    img = Place(Poly(k, [k.neg(root), 1]), check=False)
-            else:
-                moved = P.poly.mobius_numerator(
-                    *self.G.labels[self.G.inverse[sigma]])
-                img = (Place.infinity() if moved.degree == 0
-                       else Place(moved.monic(), check=False))
-            if img.degree != P.degree:
-                raise Inconsistency("Mobius action changed a place degree")
-            self._mobius_cache[key] = img
-        return self._mobius_cache[key]
+    def _place_of_point(self, K: Field, y: int) -> Place:
+        """The closed point of P^1 over k under y in P^1(K) (an encoding, or
+        K.q for infinity): the product of x - z over the Frobenius orbit of
+        y over k, pulled back to k.  Its first root, the least preimage of
+        that orbit in its residue field, is cached for place_root."""
+        if y == K.q:
+            return Place.infinity()
+        k = self.k
+        orbit = [y]
+        while (z := K.frobenius(orbit[-1], k.n)) != y:
+            orbit.append(z)
+        poly = Poly.one(K)
+        for z in orbit:
+            poly = poly * Poly(K, [K.neg(z), 1])
+        try:
+            P = Place(Poly(k, [self._back(k, K)[c] for c in poly.coeffs]),
+                      check=False)
+        except KeyError:
+            raise Inconsistency("a Frobenius orbit has a minimal polynomial "
+                                "outside the base field") from None
+        back = self._back(self.residue_field(P), K)
+        self._root_cache.setdefault(P, min(back[z] for z in orbit))
+        return P
+
+    def point_images(self, P: Place) -> np.ndarray:
+        """sigma(rho) for every element sigma, at rho = place_root(P): one
+        groups.mobius_images evaluation, as encodings of k(P) with k(P).q
+        for infinity; cached per place."""
+        if P not in self._image_cache:
+            F, rho = self.residue_field(P), self.place_root(P)
+            x = F.q if rho == INF_POINT else rho
+            self._image_cache[P] = mobius_images(
+                F, self._labels_in(F), np.array([x]))[:, 0]
+        return self._image_cache[P]
+
+    def _root_orbit(self, P: Place) -> list[int]:
+        """rho and its Frobenius conjugates over k, in k(P): the roots of
+        P, in the order rho^(q^j), j < deg P ([k(P).q] at infinity)."""
+        F, rho = self.residue_field(P), self.place_root(P)
+        if rho == INF_POINT:
+            return [F.q]
+        return [F.frobenius(rho, self.k.n * j) for j in range(P.degree)]
+
+    def place_images(self, P: Place) -> list[Place]:
+        """sigma(P) for every element sigma, in element order: each image
+        point of point_images closed up by its Frobenius orbit over k.  An
+        image of another degree raises Inconsistency."""
+        F = self.residue_field(P)
+        images = self.point_images(P).tolist()
+        places = {}
+        for y in images:
+            if y not in places:
+                places[y] = self._place_of_point(F, y)
+                if places[y].degree != P.degree:
+                    raise Inconsistency("Mobius action changed a place "
+                                        "degree")
+        return [places[y] for y in images]
 
     def orbit_of_place(self, P: Place) -> list[Place]:
         """G.P sorted by `Place.sort_key`; computed once and cached under
         every member, so callers share the list and must not mutate it."""
         if P not in self._orbit_cache:
-            orbit = sorted({self.mobius_on_place(s, P)
-                            for s in range(self.G.order)},
-                           key=Place.sort_key)
+            orbit = sorted(set(self.place_images(P)), key=Place.sort_key)
             for Q in orbit:
                 self._orbit_cache[Q] = orbit
         return self._orbit_cache[P]
@@ -464,29 +508,22 @@ class P1Geometry:
     # -- ramification -----------------------------------------------------------
 
     def ramified_places(self) -> list[Place]:
-        """All closed points with nontrivial inertia: the places of the
-        fixed-point forms c x^2 + (d - a) x - b of the nonidentity elements,
-        that is their irreducible factors over k, plus infinity where
-        c = 0.  An element and its nonidentity powers fix the same points,
-        so their forms agree up to a scalar: each monic form is factored
-        once."""
+        """All closed points with nontrivial inertia.  The fixed points of
+        a nonidentity element are the roots of its fixed-point form
+        c x^2 + (d - a) x - b, with infinity where c = 0, so they lie in
+        P^1(K) for K = GF(q^2).  A point has a nontrivial stabilizer exactly
+        when its orbit is shorter than |G|, and the orbits come from the
+        generators' images of every point of P^1(K) alone (_orbit_sizes);
+        the ramified places are the places of those points."""
         if self._ramified is None:
-            places = set()
-            seen = set()
-            k = self.k
-            for s in range(self.G.order):
-                if s == self.G.identity:
-                    continue
-                a, b, c, d = self.G.labels[s]
-                fix = Poly(k, [k.neg(b), k.sub(d, a), c]).monic()
-                if fix.coeffs in seen:
-                    continue
-                seen.add(fix.coeffs)
-                if c == 0:
-                    places.add(Place.infinity())
-                places.update(Place(g, check=False)
-                              for g, _ in poly_factor(fix))
-            self._ramified = sorted(places, key=Place.sort_key)
+            k, G = self.k, self.G
+            K = field_make(k.p, 2 * k.n)
+            moves = mobius_images(K, self._labels_in(K)[list(G.generators)],
+                                  np.arange(K.q + 1))
+            short = np.flatnonzero(_orbit_sizes(moves) < G.order)
+            self._ramified = sorted(
+                {self._place_of_point(K, int(y)) for y in short},
+                key=Place.sort_key)
         return self._ramified
 
     def ramified_orbits(self) -> list[list[Place]]:
@@ -555,15 +592,19 @@ class P1Geometry:
 
     def ramification(self, P: Place) -> RamificationDatum:
         """Ramification filtration, residue data and cotangent character at
-        P, computed in k(P) at the point rho over P."""
+        P, computed in k(P) at the point rho over P.  G_P and I_P, and the
+        Frobenius power by which each element of G_P moves rho, are read
+        off point_images."""
         if P in self._datum_cache:
             return self._datum_cache[P]
         G, k = self.G, self.k
-        gp_idx = [s for s in range(G.order)
-                  if self.mobius_on_place(s, P) == P]
+        images = self.point_images(P).tolist()
+        roots = self._root_orbit(P)
+        power = {z: j for j, z in enumerate(roots)}
+        gp_idx = [s for s, y in enumerate(images) if y in power]
         G_P = G.subgroup(gp_idx)
         kP, x = self.residue_field(P), self.place_root(P)
-        i_idx = [s for s in gp_idx if self.mobius_point(kP, s, x) == x]
+        i_idx = [s for s in gp_idx if images[s] == roots[0]]
         I_P = G.subgroup(i_idx)
         contact = {s: self._contact_order(s, P)
                    for s in i_idx if s != G.identity}
@@ -579,24 +620,11 @@ class P1Geometry:
         wild = G.subgroup(wild_idx)
         char = {s: 1 if s == G.identity else self._cotangent_scalar(s, P)
                 for s in i_idx}
-        cocycle = {}
-        for tau in gp_idx:
-            if tau == G.identity:
-                cocycle[tau] = (0, 1)
-                continue
-            # tau^{-1} moves x to its j-th Frobenius conjugate
-            beta = self.mobius_point(kP, G.inverse[tau], x)
-            j = None
-            probe = x
-            for jj in range(P.degree):
-                if probe == beta:
-                    j = jj
-                    break
-                probe = kP.frobenius(probe, k.n)
-            if j is None:
-                raise Inconsistency("residue action is not a Frobenius "
-                                    "power")
-            cocycle[tau] = (j, self._cocycle_value(tau, P))
+        # tau^{-1} moves x to its j-th Frobenius conjugate
+        cocycle = {tau: (power[images[G.inverse[tau]]],
+                         self._cocycle_value(tau, P))
+                   for tau in gp_idx if tau != G.identity}
+        cocycle[G.identity] = (0, 1)
         datum = RamificationDatum(
             group=G, k=k, place=P, G_P=G_P, I_P=I_P, wild=wild,
             filtration=filtration, deg=P.degree,
@@ -700,6 +728,23 @@ class P1Geometry:
         rep = Rep(self.G, k, dim, images)
         rep.check_homomorphism()
         return rep
+
+
+def _orbit_sizes(moves: np.ndarray) -> np.ndarray:
+    """The size of the orbit of every point under the group that the rows
+    of moves generate, each row a permutation of the points.  Every point
+    is labelled by the least point of its orbit: each round takes the
+    least label along every generator and then the label of the label,
+    which only lowers labels within an orbit, until nothing moves."""
+    label = np.arange(moves.shape[1])
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.bincount(label)[label]
+        label = new
 
 
 def _certify_rr_generator(num: Poly, den: Poly, D: Divisor):

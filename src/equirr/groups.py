@@ -18,6 +18,7 @@ the same root.
 from __future__ import annotations
 
 import weakref
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,6 +57,60 @@ def pgl2_mul(field: Field, m1, m2) -> tuple[int, int, int, int]:
 def pgl2_inv(field: Field, m) -> tuple[int, int, int, int]:
     a, b, c, d = m
     return pgl2_normalize(field, (d, field.neg(b), field.neg(c), a))
+
+
+def mobius_images(F: Field, mats: np.ndarray,
+                  points: np.ndarray) -> np.ndarray:
+    """(a x + b) / (c x + d) for every row (a, b, c, d) of mats and every
+    point x of P^1(F) in points, as one array of shape (len(mats),
+    len(points)).  Points and images are encodings of F, with F.q standing
+    for infinity; the entries of mats are encodings of F too, so a label
+    over k is first pushed through k.embedding_into(F)."""
+    a, b, c, d = mats.T[:, :, None]
+    x = points[None, :]
+    finite = x < F.q
+    x = np.where(finite, x, 0)
+    num = np.where(finite, F.add_array(F.mul_array(a, x), b), a)
+    den = np.where(finite, F.add_array(F.mul_array(c, x), d), c)
+    return np.where(den == 0, F.q, F.div_array(num, den))
+
+
+def _pgl2_table(field: Field, labels, gens, steps) -> list[list[int]]:
+    """The Cayley table of the sorted PGL2 labels of a closure, read off
+    how the elements permute P^1(k).
+
+    A Mobius map is fixed by its images of 0, 1 and infinity, so each
+    element has a key, the number those three images spell in base q + 1.
+    The row of a generator g, the index of g b for every b, is the element
+    whose key g spells on b's three images: one lookup per cell, and a
+    product that is not an element raises Inconsistency.  `steps` maps
+    each label, in closure order, to (e, t) with label = e gens[t] (None
+    for the identity), and the row of e g is the row of e composed with
+    the row of g."""
+    q, n = field.q, len(labels)
+    perms = mobius_images(field, np.array(labels + gens, dtype=np.int64),
+                          np.arange(q + 1))
+    triples = perms[:n, [0, 1, q]]
+
+    def keys(images):
+        return (images[..., 0] * (q + 1) + images[..., 1]) * (q + 1) \
+            + images[..., 2]
+
+    order = np.argsort(keys(triples))
+    known = keys(triples)[order]
+    wanted = keys(perms[n:, triples])
+    at = np.minimum(np.searchsorted(known, wanted), n - 1)
+    if not np.array_equal(known[at], wanted):
+        raise Inconsistency("a product of two elements left the group")
+    # the row of e g picks the entries of e's row at g's row; the rows
+    # share the identity row's int objects
+    picks = [itemgetter(*row) for row in order[at].tolist()]
+    index = {label: i for i, label in enumerate(labels)}
+    rows = [None] * n
+    for label, step in steps.items():
+        rows[index[label]] = (list(range(n)) if step is None else
+                              list(picks[step[1]](rows[index[step[0]]])))
+    return rows
 
 
 # -- finite groups ----------------------------------------------------------
@@ -111,27 +166,23 @@ class FiniteGroup:
         """Breadth-first closure of PGL2 generators."""
         gens = [pgl2_normalize(field, tuple(m)) for m in gen_matrices]
         ident = pgl2_normalize(field, (1, 0, 0, 1))
-        elements = [ident]
-        seen = {ident}
+        steps = {ident: None}  # label -> (e, t) with label = e gens[t]
         frontier = [ident]
         while frontier:
             nxt = []
             for e in frontier:
-                for g in gens:
+                for t, g in enumerate(gens):
                     prod = pgl2_mul(field, e, g)
-                    if prod not in seen:
-                        if len(elements) >= cap:
+                    if prod not in steps:
+                        if len(steps) >= cap:
                             raise CapExceeded(
                                 f"group closure exceeded cap {cap}")
-                        seen.add(prod)
-                        elements.append(prod)
+                        steps[prod] = (e, t)
                         nxt.append(prod)
             frontier = nxt
-        elements.sort()
-        index = {e: i for i, e in enumerate(elements)}
-        table = [[index[pgl2_mul(field, a, b)] for b in elements]
-                 for a in elements]
-        return cls(elements, table, kind="pgl2", field=field)
+        labels = sorted(steps)
+        return cls(labels, _pgl2_table(field, labels, gens, steps),
+                   kind="pgl2", field=field)
 
     def _find_identity(self) -> int:
         for i in range(self.order):
@@ -141,17 +192,18 @@ class FiniteGroup:
         raise InputError("multiplication table has no identity")
 
     def _find_inverses(self):
-        inv = [None] * self.order
+        """inverse[i], the first j with i j = 1 in row i of the table,
+        which must also have j i = 1."""
+        inv = []
         e = self.identity
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == e:
-                    if self.table[j][i] != e:
-                        raise InputError("one-sided inverse in table")
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise InputError(f"element {i} has no inverse")
+        for i, row in enumerate(self.table):
+            try:
+                j = row.index(e)
+            except ValueError:
+                raise InputError(f"element {i} has no inverse") from None
+            if self.table[j][i] != e:
+                raise InputError("one-sided inverse in table")
+            inv.append(j)
         return inv
 
     def _greedy_generators(self):

@@ -510,6 +510,8 @@ class BrauerCharacters:
                    if G.element_order(c[0]) % F.p]
         where = {x: i for i, c in enumerate(regular) for x in c}
         self.group = G
+        self.field = F
+        self._classes, self._where = regular, where
         self.orders = [G.element_order(c[0]) for c in regular]
         self.sizes = [len(c) for c in regular]
         # generators of maximal cyclic p'-subgroups, one per conjugacy
@@ -543,6 +545,28 @@ class BrauerCharacters:
         self._roots: dict[int, list[int]] = {}
         self._exponents: dict[int, dict[int, int]] = {}  # zeta_m^j -> j
         self._walks: dict[FiniteGroup, list[Counter]] = {}  # H -> _cycles
+
+    @cached_property
+    def simple_count(self) -> int:
+        """The number of simple k[G]-modules: the p-regular classes, with
+        the class of g merged with that of g^q, by the modular form of the
+        Witt-Berman theorem (Curtis-Reiner, Methods of Representation
+        Theory I).  g -> g^q permutes the p-regular classes, so the count
+        is its number of cycles."""
+        G, q = self.group, self.field.q
+        image = []
+        for c, m in zip(self._classes, self.orders):
+            x = G.identity
+            for _ in range(q % m):
+                x = G.table[x][c[0]]
+            image.append(self._where[x])
+        count, seen = 0, set()
+        for i in range(len(image)):
+            count += i not in seen
+            while i not in seen:
+                seen.add(i)
+                i = image[i]
+        return count
 
     def _root_table(self, m: int) -> list[int]:
         """zeta_m^j for j < m in the ambient field, cached with the inverse
@@ -711,6 +735,52 @@ def _cyclic_simples(G: FiniteGroup, F: Field, brauer: BrauerCharacters,
     return out
 
 
+def _is_pgl2_of_prime(G: FiniteGroup, F: Field) -> bool:
+    """Whether G is all of PGL2(F) for a prime field F."""
+    return (G.kind == "pgl2" and G.field is F and F.n == 1
+            and G.order == F.p * (F.p ** 2 - 1))
+
+
+def _sym_power(k: Field, label, a: int, b: int) -> Mat:
+    """The matrix of g = (alpha, beta, gamma, delta) on Sym^a(V) (x)
+    det^b, V = k^2 with g X = alpha X + gamma Y and g Y = beta X + delta Y:
+    column i holds (alpha X + gamma Y)^(a-i) (beta X + delta Y)^i in the
+    basis X^(a-j) Y^j, read as a polynomial in Y / X."""
+    alpha, beta, gamma, delta = label
+    det = k.pow_(k.sub(k.mul(alpha, delta), k.mul(beta, gamma)), b)
+    first, second = Poly(k, [alpha, gamma]), Poly(k, [beta, delta])
+    cols = []
+    for i in range(a + 1):
+        f = Poly.one(k)
+        for _ in range(a - i):
+            f = f * first
+        for _ in range(i):
+            f = f * second
+        cols.append([k.mul(det, c) for c in f.coeffs]
+                    + [0] * (a + 1 - len(f.coeffs)))
+    return Mat.from_rows(k, [list(row) for row in zip(*cols)])
+
+
+def _brauer_nesbitt_simples(G: FiniteGroup) -> list[Rep]:
+    """The simple k[G]-modules for G = PGL2(k), k = GF(p), with no chop:
+    Sym^a(V) (x) det^b for 0 <= a <= p - 1 and 0 <= b < p - 1 with
+    a + 2b = 0 mod p - 1 (R. Brauer and C. Nesbitt, Ann. of Math. 42
+    (1941)).  A scalar lambda acts on Sym^a(V) (x) det^b by
+    lambda^(a + 2b) = 1, so each is a module for PGL2, built from the
+    normalized labels.  Each is checked as a homomorphism."""
+    k, p = G.field, G.field.p
+    out = []
+    for a in range(p):
+        for b in range(p - 1):
+            if (a + 2 * b) % (p - 1):
+                continue
+            S = Rep(G, k, a + 1, {t: _sym_power(k, G.labels[g], a, b)
+                                  for t, g in enumerate(G.generators)})
+            S.check_homomorphism()
+            out.append(S)
+    return out
+
+
 # -- registry and class vectors ----------------------------------------------
 
 
@@ -724,22 +794,27 @@ class SimpleRegistry:
     P^1, it writes the simples down with no random draw: P acts trivially
     on each, so they are the simples of the cyclic p'-group G/P
     (_cyclic_simples), each filed with the whole space as its Norton
-    kernel.  Otherwise it chops the permutation module Ind_P^G(k) on the
-    cosets of P, of dimension |G:P|, and keeps the first composition
+    kernel.  When G is all of PGL2(k) for a prime field k, it writes down
+    Sym^a(V) (x) det^b (_brauer_nesbitt_simples), filed the same way.  A
+    registry made by over_subgroup chops the restrictions of its
+    overgroup's simples instead, and one made by over_extension descends
+    from the base simples with scalars extended, and chops only those
+    that split.  Otherwise it chops the permutation module Ind_P^G(k) on
+    the cosets of P, of dimension |G:P|, and keeps the first composition
     factor found for each Brauer vector.  That is every simple module:
     k[P] has |P| trivial composition factors and induction is exact, so
     k[G] = Ind_P^G k[P] has a filtration with |P| factors Ind_P^G(k), and
     every composition factor of k[G] is one of Ind_P^G(k).  (When p does
-    not divide |G|, P = 1 and the module is k[G] itself.)  A registry made
-    by over_extension descends instead from the base simples with scalars
-    extended, and chops only those that split.
+    not divide |G|, P = 1 and the module is k[G] itself.)  Every route
+    must find BrauerCharacters.simple_count simples, or the saturation
+    raises Inconsistency.
     Non-isomorphic simples never share a Brauer vector, and the table
     {vector: (simple, provenance)} is sorted by (dim, vector), so the
     order, the log and every class vector are functions of the group and
     the field, not of the route or the modules chopped, and so are the
     simples' generator images, as each chop draws afresh.  The provenance
-    is the Norton kernel that certified the simple in the chop of
-    Ind_P^G(k) (the identity for a simple in closed form), or over an
+    is the Norton kernel that certified the simple in its chop (the
+    identity for a simple in closed form), or over an
     extension the index of the base simple it descends from (origins).
     class_of reads the class of any module off its Brauer vector, with no
     chop; classes_of the classes of a batch of modules, their powers g ->
@@ -750,10 +825,12 @@ class SimpleRegistry:
     nothing."""
 
     def __init__(self, group: FiniteGroup, field: Field, *,
-                 base: SimpleRegistry | None = None):
+                 base: SimpleRegistry | None = None,
+                 overgroup: SimpleRegistry | None = None):
         self.group = group
         self.field = field
         self._base = base
+        self._overgroup = overgroup
 
     @classmethod
     def over_extension(cls, group: FiniteGroup, field: Field,
@@ -779,11 +856,29 @@ class SimpleRegistry:
         _check_extension(base.field, field)
         return cls(group, field, base=base)
 
+    @classmethod
+    def over_subgroup(cls, group: FiniteGroup,
+                      overgroup: "SimpleRegistry") -> "SimpleRegistry":
+        """The registry of a subgroup H = group of overgroup.group (over the
+        same root), over the same field, from the simples of overgroup: the
+        mirror of over_extension.
+
+        An H whose Sylow p-subgroup is normal with a cyclic quotient keeps
+        its closed form.  Any other H chops Res_H S for the simples S of
+        overgroup, in increasing dim, and stops as soon as it holds as
+        many simples as BrauerCharacters.simple_count: every simple T of H
+        is a composition factor of some Res_H S, since Ind_H^G T has a
+        simple quotient S and Hom_G(Ind_H^G T, S) = Hom_H(T, Res_H S) by
+        Frobenius reciprocity.  Restricting every S and still falling
+        short raises Inconsistency."""
+        if group.root is not overgroup.group.root:
+            raise InputError("the subgroup lives over another root group")
+        return cls(group, overgroup.field, overgroup=overgroup)
+
     @property
     def base(self) -> SimpleRegistry | None:
         """The registry that this one descends from, or None when it
-        saturated over its own field (in closed form or from a chop of
-        Ind_P^G(k))."""
+        saturated over its own field (in closed form or from a chop)."""
         return self._base
 
     @cached_property
@@ -793,30 +888,53 @@ class SimpleRegistry:
     def _saturate(self) -> dict[tuple, tuple[Rep, np.ndarray | int]]:
         """{Brauer vector: (simple, provenance)}, sorted by (dim, vector):
         the simples in closed form with the identity as their Norton
-        kernel when P is normal and G/P cyclic; else the first composition
-        factor found for each vector in the chop of Ind_P^G(k), with its
-        Norton kernel; or over an extension each summand of S_i (x) k'
-        with its base index i (_descend)."""
+        kernel when P is normal and G/P cyclic, or when G is all of
+        PGL2(k) for k = GF(p); else the first composition factor found for
+        each vector, with its Norton kernel, in the chops of Res_H S over
+        a subgroup (_restrict) or in the chop of Ind_P^G(k); or over an
+        extension each summand of S_i (x) k' with its base index i
+        (_descend).  Every route must meet BrauerCharacters.simple_count,
+        or Inconsistency is raised."""
         brauer = self.brauer  # an ambient field past TABLE_LIMIT fails first
+        G, F = self.group, self.field
         if self._base is not None:
             found = self._descend(brauer)
-        else:
-            G, F = self.group, self.field
-            P = sylow_p(G, F.p)
-            quotient = cyclic_quotient(G, P, F.p)
+        elif ((quotient := cyclic_quotient(G, sylow_p(G, F.p), F.p))
+              or _is_pgl2_of_prime(G, F)):
             found = {}
-            if quotient is None:
-                for S, U in chop(rep_induce(rep_trivial(P, F), G)):
-                    found.setdefault(brauer.vector(S, [1])[0], (S, U))
-            else:
-                for S in _cyclic_simples(G, F, brauer, *quotient):
-                    vector = brauer.vector(S, [1])[0]
-                    if vector in found:
-                        raise Inconsistency("two simples of a cyclic "
-                                            "quotient share a Brauer vector")
-                    found[vector] = (S, np.eye(S.dim, dtype=np.int64))
+            for S in (_cyclic_simples(G, F, brauer, *quotient) if quotient
+                      else _brauer_nesbitt_simples(G)):
+                vector = brauer.vector(S, [1])[0]
+                if vector in found:
+                    raise Inconsistency("two simples in closed form share "
+                                        "a Brauer vector")
+                found[vector] = (S, np.eye(S.dim, dtype=np.int64))
+        elif self._overgroup is not None:
+            found = self._restrict(brauer)
+        else:
+            found = {}
+            for S, U in chop(rep_induce(rep_trivial(sylow_p(G, F.p), F), G)):
+                found.setdefault(brauer.vector(S, [1])[0], (S, U))
+        if len(found) != brauer.simple_count:
+            raise Inconsistency(
+                f"the registry over {F} holds {len(found)} simples, but the "
+                f"p-regular classes count {brauer.simple_count}")
         return dict(sorted(found.items(),
                            key=lambda kv: (kv[1][0].dim, kv[0])))
+
+    def _restrict(self, brauer: BrauerCharacters
+                  ) -> dict[tuple, tuple[Rep, np.ndarray]]:
+        """{Brauer vector: (first composition factor found, its Norton
+        kernel)} over the chops of Res_H S for the overgroup's simples S in
+        registry order, which is increasing dim, until the simple count is
+        met (over_subgroup)."""
+        found: dict[tuple, tuple[Rep, np.ndarray]] = {}
+        for S in self._overgroup.simples:
+            for T, U in chop(rep_restrict(S, self.group)):
+                found.setdefault(brauer.vector(T, [1])[0], (T, U))
+            if len(found) == brauer.simple_count:
+                break
+        return found
 
     def _descend(self, brauer: BrauerCharacters
                  ) -> dict[tuple, tuple[Rep, int]]:

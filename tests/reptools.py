@@ -518,11 +518,11 @@ def place_of_point(k: Field, K: Field, x) -> Place:
     return Place(Poly(k, [back[c] for c in poly.coeffs]), check=False)
 
 
-def reference_place_images(geo: P1Geometry, P: Place) -> list[Place]:
-    """sigma(P) for every element sigma, by the geometric route: a root of
-    P in GF(q^deg P) (infinity itself at infinity) is moved by
-    sigma = (a, b, c, d) as a point, and the image point is turned back
-    into a place by `place_of_point`."""
+def reference_point_images(geo: P1Geometry, P: Place):
+    """(K, x, [sigma(x) for every element sigma]) by scalar field
+    operations: x is the least root of P in K = GF(q^deg P) (infinity
+    itself at infinity), moved by each sigma = (a, b, c, d) as a point of
+    P^1(K)."""
     k = geo.k
     K = field_make(k.p, k.n * P.degree)
     x = INF_POINT if P.is_infinity else poly_roots(P.poly.map_field(K))[0]
@@ -535,8 +535,16 @@ def reference_place_images(geo: P1Geometry, P: Place) -> list[Place]:
             den = K.add(K.mul(c, x), d)
             y = (INF_POINT if den == 0
                  else K.mul(K.add(K.mul(a, x), b), K.inv(den)))
-        out.append(place_of_point(k, K, y))
-    return out
+        out.append(y)
+    return K, x, out
+
+
+def reference_place_images(geo: P1Geometry, P: Place) -> list[Place]:
+    """sigma(P) for every element sigma, by the geometric route: the
+    images of a root of P (reference_point_images) turned back into
+    places by `place_of_point`."""
+    K, _, points = reference_point_images(geo, P)
+    return [place_of_point(geo.k, K, y) for y in points]
 
 
 def reference_ramified_places(geo: P1Geometry) -> list[Place]:

@@ -440,20 +440,37 @@ def test_suite_reports_a_missing_scenario_and_goes_on(tmp_path, capsys):
 
 
 def test_write_golden_reproduces_the_shipped_manifest(tmp_path, capsys):
+    # the shipped manifest among the files is skipped, not read as a
+    # scenario
     out = tmp_path / "golden.json"
-    assert main(["suite", *shipped_files(), "--write-golden", str(out)]) == 0
+    files = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
+    assert main(["suite", *files, "--write-golden", str(out)]) == 0
     assert out.read_bytes() == (SCENARIO_DIR / "golden.json").read_bytes()
 
 
 def test_write_golden_names_the_failing_file(tmp_path, capsys):
-    # a manifest in the scenario list is parsed as a scenario and fails;
-    # the error names it, and no manifest is written
+    # a scenario that fails to parse names itself in the error, and no
+    # manifest is written
     out = tmp_path / "g.json"
-    files = [*shipped_files()[:1], str(SCENARIO_DIR / "golden.json")]
-    assert main(["suite", *files, "--write-golden", str(out)]) == 2
+    bad = write_scenario(tmp_path, {**translation_config(), "field": 3},
+                         "bad.json")
+    assert main(["suite", *shipped_files()[:1], bad,
+                 "--write-golden", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "golden.json analyze: field: expected an object" in err
+    assert "bad.json analyze: field: expected an object" in err
     assert not out.exists()
+
+
+def test_suite_skips_a_golden_manifest_among_the_scenarios(capsys):
+    # scenarios/*.json holds golden.json: without --golden the suite
+    # skips it with one line and runs every scenario
+    files = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
+    assert main(["suite", *files]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("golden.json: skipped (golden manifest)") == 1
+    assert len(lines) == 1 + 3 * len(shipped_files())
+    assert all(line.endswith(": pass") for line in lines
+               if not line.startswith("golden.json"))
 
 
 def _set(doc, path, value):

@@ -15,7 +15,8 @@ from equirr.matrices import Mat
 from equirr.reps import SimpleRegistry
 from equirr.scenarios import parse_scenario, realize
 from reptools import (chop_class, places_up_to, reference_place_images,
-                      reference_ramified_places, rep_regular, to_lists)
+                      reference_point_images, reference_ramified_places,
+                      rep_regular, to_lists)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -79,13 +80,13 @@ def test_places_are_irreducible():
 def test_mobius_identity_fixes_places():
     F, G, geo = translation_geometry(3)
     for P in places_up_to(F, 2):
-        assert geo.mobius_on_place(G.identity, P) == P
+        assert geo.place_images(P)[G.identity] == P
 
 
 def test_mobius_translation_moves_x():
     F, G, geo = translation_geometry(3)
     sigma = G.index[(1, 1, 0, 1)]
-    img = geo.mobius_on_place(sigma, place_x(F))
+    img = geo.place_images(place_x(F))[sigma]
     # root 0 goes to 1; minimal polynomial of 1 is x - 1 = x + 2
     assert img == place_lin(F, 1)
 
@@ -95,8 +96,8 @@ def test_mobius_inversion_swaps_zero_and_infinity():
     G = FiniteGroup.close_generators(F, [(0, 1, 1, 0)])  # x -> 1/x
     geo = P1Geometry(F, G)
     sigma = next(i for i in range(G.order) if i != G.identity)
-    assert geo.mobius_on_place(sigma, place_x(F)).is_infinity
-    assert geo.mobius_on_place(sigma, Place.infinity()) == place_x(F)
+    assert geo.place_images(place_x(F))[sigma].is_infinity
+    assert geo.place_images(Place.infinity())[sigma] == place_x(F)
 
 
 def test_mobius_preserves_degree():
@@ -104,8 +105,9 @@ def test_mobius_preserves_degree():
     G = FiniteGroup.close_generators(F, [(1, 1, 0, 1), (2, 0, 0, 1)])
     geo = P1Geometry(F, G)
     quad = next(p for p in places_up_to(F, 2) if p.degree == 2)
-    for s in range(G.order):
-        assert geo.mobius_on_place(s, quad).degree == 2
+    images = geo.place_images(quad)
+    assert len(images) == G.order
+    assert all(Q.degree == 2 for Q in images)
 
 
 # -- equivariance ----------------------------------------------------------------
@@ -174,6 +176,24 @@ def test_ramified_places_match_per_element_route(doc):
     assert geo.ramified_places() == reference_ramified_places(geo)
 
 
+@pytest.mark.parametrize("doc", _shipped_geometries())
+def test_local_groups_match_moving_a_root(doc):
+    # at every ramified place: rho is the least root of P in k(P), G_P
+    # the elements that map P to itself, and I_P those of them that fix
+    # rho, each by the scalar route
+    geo = realize(parse_scenario(doc)).cover.geometry
+    G = geo.G
+    for P in geo.ramified_places():
+        K, x, points = reference_point_images(geo, P)
+        images = reference_place_images(geo, P)
+        datum = geo.ramification(P)
+        assert geo.place_root(P) == x
+        assert sorted(datum.G_P.positions_in(G)) == [
+            s for s in range(G.order) if images[s] == P]
+        assert sorted(datum.I_P.positions_in(G)) == [
+            s for s in range(G.order) if points[s] == x]
+
+
 PGL2_GF7 = {"field": {"p": 7, "n": 1},
             "group": {"kind": "pgl2",
                       "generators": [[[1, 1], [0, 1]], [[3, 0], [0, 1]],
@@ -184,13 +204,13 @@ PGL2_GF7 = {"field": {"p": 7, "n": 1},
 @pytest.mark.parametrize("doc", _shipped_oracle_scenarios()
                          + [pytest.param(PGL2_GF7, id="pgl2-gf7")])
 def test_place_map_matches_moving_a_root(doc):
-    # sigma(P) by substitution over k against the image of a root of P,
-    # moved as a point of P^1(GF(q^deg P)) and closed up by its Frobenius
-    # orbit, for every element and every place of degree <= 3
+    # sigma(P) from one array evaluation of every element at the first
+    # root of P against the image of a root of P moved element by element
+    # with scalar field operations, for every element and every place of
+    # degree <= 3
     geo = realize(parse_scenario(doc)).cover.geometry
     for P in places_up_to(geo.k, 3):
-        assert [geo.mobius_on_place(s, P) for s in range(geo.G.order)] \
-            == reference_place_images(geo, P), P
+        assert geo.place_images(P) == reference_place_images(geo, P), P
 
 
 @pytest.mark.parametrize("q,m", [(7, 3), (5, 4), (7, 6)])
@@ -238,7 +258,8 @@ def test_frobenius_stabilizer_gives_f2():
     roots = sorted(set(__import__("equirr.fields", fromlist=["poly_roots"])
                        .poly_roots(P.poly.map_field(K))))
     sigma = next(i for i in range(G.order) if i != G.identity)
-    assert geo.mobius_point(K, sigma, roots[0]) == K.neg(roots[0])
+    assert geo.place_root(P) == roots[0]
+    assert geo.point_images(P)[sigma] == K.neg(roots[0])
     assert K.frobenius(roots[0], 1) == K.neg(roots[0])  # -i = i^3
     datum = geo.ramification(P)
     deg_r, f = datum.residue_deg, datum.f

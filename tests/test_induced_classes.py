@@ -333,27 +333,33 @@ def seed0_pair_scenarios():
 NO_HOM_SCENARIOS = seed0_pair_scenarios()
 
 
-# seed-0 scenarios with a registry whose Sylow p-subgroup is not normal or
-# has a quotient that is not cyclic: PGL2(GF(3)) and its D8, S3 over
-# GF(5), PGL2(GF(5)) and its A4; every other registry takes the closed form
+# seed-0 scenarios with a registry that chops: S3 over GF(5) chops
+# Ind_P^G(k), and the D8 of PGL2(GF(3)) and the D12 of PGL2(GF(5)) chop
+# restrictions of the simples of their root, which takes the
+# Brauer-Nesbitt closed form; every other registry takes a closed form
 STILL_CHOPS = {"a3_s3_gf5.json", "big-group/s0:pgl2_gf3",
                "order-frontier/s0:pgl2_gf5"}
 
 
 def takes_the_closed_form(registry):
-    p = registry.field.p
-    return cyclic_quotient(registry.group, sylow_p(registry.group, p),
-                           p) is not None
+    G, F = registry.group, registry.field
+    whole_pgl2 = (G.kind == "pgl2" and G.field is F and F.n == 1
+                  and G.order == F.p * (F.p ** 2 - 1))
+    return whole_pgl2 or cyclic_quotient(G, sylow_p(G, F.p),
+                                         F.p) is not None
 
 
 @pytest.mark.parametrize("name", sorted(NO_HOM_SCENARIOS))
 def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
-    # dim End(S) is read off the Norton kernel of the saturation chop, or
+    # dim End(S) is read off the Norton kernel of a saturation chop, or
     # off the identity for a simple in closed form, so neither command
     # builds a Hom system; each End dim is computed once, for a simple of
-    # a saturated registry.  A registry over k chops Ind_P^G(k) exactly
-    # when P is not normal or G/P is not cyclic, and that module is the
-    # only one induced; no extension registry here has a simple to chop
+    # a saturated registry.  A registry over k chops exactly when its
+    # group is neither p-by-cyclic nor all of PGL2(GF(p)): over the root it
+    # chops Ind_P^G(k), the only module induced, and over a subgroup H it
+    # chops Res_H S for the root's simples S in registry order, and stops
+    # at the chop that meets the simple count; no extension registry here
+    # has a simple to chop
     tracing = load_perfbench("tracing")
     saturated = []
     real_saturate = reps.SimpleRegistry._saturate
@@ -377,8 +383,8 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
         return induced[-1]
 
     def chop(*args):
-        chopped.append(args[0])
-        return real_chop(*args)
+        chopped.append((args[0], real_chop(*args)))
+        return chopped[-1][1]
 
     monkeypatch.setattr(reps.SimpleRegistry, "_saturate", saturate)
     monkeypatch.setattr(reps, "end_dim_from_kernel", end_dim)
@@ -395,6 +401,7 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
     layers = {span[0] for span in tracer.spans}
     assert "k0.cartan_data" in layers
     assert "reps.hom_space" not in layers
+    assert all(len(reg) == reg.brauer.simple_count for reg in saturated)
     simples = [S for reg in saturated for S in reg.simples]
     assert ends and len({id(S) for S in ends}) == len(ends)
     assert {id(S) for S in ends} <= {id(S) for S in simples}
@@ -402,10 +409,29 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
                 if reg.base is None and not takes_the_closed_form(reg)]
     assert bool(chopping) == (name in STILL_CHOPS)
     assert ("reps.chop" in layers) == bool(chopping)
-    assert [(M.group, M.dim) for M in chopped] == [
-        (reg.group, reg.group.order // sylow_p(reg.group, reg.field.p).order)
-        for reg in chopping]
-    assert [id(M) for M in induced] == [id(M) for M in chopped]
+    assert {id(M.group) for M, _ in chopped} == {id(reg.group)
+                                                  for reg in chopping}
+    sources = []
+    for reg in chopping:
+        mine = [(M, factors) for M, factors in chopped if M.group is reg.group]
+        over = reg._overgroup
+        if over is None:
+            assert [M.dim for M, _ in mine] == [
+                reg.group.order // sylow_p(reg.group, reg.field.p).order]
+            sources.append(mine[0][0])
+            continue
+        assert over.group is scn.cover.G and over.base is None
+        assert 0 < len(mine) <= len(over)
+        seen, met = set(), []
+        for (M, factors), S in zip(mine, over.simples):
+            restricted = rep_restrict(S, reg.group)
+            assert M.dim == S.dim
+            assert M.generator_images() == restricted.generator_images()
+            seen |= {reg.brauer.vector(T, [1])[0] for T, _ in factors}
+            met.append(len(seen))
+        assert met[-1] == reg.brauer.simple_count == len(reg)
+        assert all(count < met[-1] for count in met[:-1])
+    assert [id(M) for M in induced] == [id(M) for M in sources]
 
 
 @pytest.mark.parametrize("name", ["a2_kummer_gf7_m3.json", "a3_s3_gf5.json",

@@ -24,7 +24,7 @@ from equirr.geometry import Divisor, P1Geometry, Place, RamificationDatum
 from equirr.groups import FiniteGroup
 from equirr.scenarios import parse_scenario, realize
 from reptools import (places_up_to, reference_cocycle_value,
-                      reference_rr_action)
+                      reference_place_images, reference_rr_action)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED_ORACLE = ["a1_translations_gf3.json", "a2_kummer_gf7_m3.json",
@@ -233,9 +233,8 @@ def test_cocycle_identity_checked_on_large_decomposition_groups():
 @pytest.mark.parametrize("name", GEOMETRIES)
 def test_cached_orbits_equal_fresh_orbits(name):
     geo = geometry(name)
-    G = geo.G
     for P in places_up_to(geo.k, 2):
-        fresh = sorted({geo.mobius_on_place(s, P) for s in range(G.order)},
+        fresh = sorted(set(reference_place_images(geo, P)),
                        key=Place.sort_key)
         orbit = geo.orbit_of_place(P)
         assert orbit == fresh
@@ -245,7 +244,6 @@ def test_cached_orbits_equal_fresh_orbits(name):
     firsts = []
     for P in geo.ramified_places():
         if not any(P in orb for orb in firsts):
-            firsts.append(sorted({geo.mobius_on_place(s, P)
-                                  for s in range(G.order)},
+            firsts.append(sorted(set(reference_place_images(geo, P)),
                                  key=Place.sort_key))
     assert ramified == firsts

@@ -114,18 +114,32 @@ def saturation_chop_dims(monkeypatch, G, F):
     return dims
 
 
-@pytest.mark.parametrize("make,p,n", BENCHMARK_CASES[:2]
-                         + [(TABLES["S4"][0], 2, 1), (TABLES["A4"][0], 3, 1)],
-                         ids=BENCHMARK_IDS[:2] + ["S4-GF2", "A4-GF3"])
+@pytest.mark.parametrize("make,p,n,chops", [
+    (pgl2_gf3, 3, 1, False), (pgl2_gf3, 3, 2, True),
+    (TABLES["S4"][0], 2, 1, True), (TABLES["A4"][0], 3, 1, True)],
+    ids=BENCHMARK_IDS[:2] + ["S4-GF2", "A4-GF3"])
 def test_wild_saturation_chops_the_sylow_permutation_module(monkeypatch,
-                                                            make, p, n):
-    # P is not normal in any of these groups
+                                                            make, p, n,
+                                                            chops):
+    # P is not normal in any of these groups.  PGL2(GF(3)) over its own
+    # field takes the Brauer-Nesbitt closed form: nothing is induced or
+    # chopped, and its four simples are Sym^a(V) (x) det^b of dims 1, 1, 3
+    # and 3 (test_pgl2_action compares them with this chop); over GF(9),
+    # as every other group here, it chops Ind_P^G(k)
     G = make()
     assert G.order % p == 0
     P = sylow_p(G, p)
     assert not is_normal(P, G) and cyclic_quotient(G, P, p) is None
+    induced = []
+    real = reps.rep_induce
+    monkeypatch.setattr(reps, "rep_induce",
+                        lambda M, H: induced.append(M) or real(M, H))
     dims = saturation_chop_dims(monkeypatch, G, field_make(p, n))
-    assert dims == [G.order // p_part(G.order, p)]
+    assert dims == ([G.order // p_part(G.order, p)] if chops else [])
+    assert len(induced) == len(dims)
+    if not chops:
+        reg = SimpleRegistry(G, field_make(p, n))
+        assert [S.dim for S in reg.simples] == [1, 1, 3, 3]
 
 
 def test_tame_saturation_chops_the_regular_module(monkeypatch):
@@ -174,28 +188,36 @@ def test_no_regular_size_matrix_in_saturation_or_cartan_data(monkeypatch):
     assert sides and max(sides) < G.order
 
 
-def test_the_tracer_sees_one_saturation_chop_and_one_gram_solve():
-    # the benchmark tracer wraps the module-level reps.chop, which the
-    # saturation calls once on Ind_P^G(k) of dim |G:P| = 8, and counts the
-    # registry's one Smith normal form under k0's import of it
+def test_the_tracer_sees_the_restriction_chops_and_one_gram_solve_each():
+    # the benchmark tracer wraps the module-level reps.chop.  PGL2(GF(3))
+    # takes the Brauer-Nesbitt closed form and chops nothing; its Sylow
+    # 2-subgroup D8 chops Res_D8 S for its simples S of dims 1, 1, 3 and
+    # 3, and needs all four to meet its count of 5 simples.  Each registry
+    # takes one Smith normal form, counted under k0's import of it
     tracing = load_perfbench("tracing")
     G, F = pgl2_gf3(), field_make(3, 1)
-    assert G.order // p_part(G.order, 3) == 8
     reg = SimpleRegistry(G, F)
+    D8 = SimpleRegistry.over_subgroup(sylow_p(G, 2), reg)
+    assert D8.group.order == 8
     tracer = tracing.Tracer()
     tracer.begin_pair("PGL2-GF3", 0, F.n)
     tracer.install()
     try:
         reg.regular_class()
+        chops_of_the_root = len([s for s in tracer.spans
+                                 if s[0] == "reps.chop"])
+        D8.regular_class()
     finally:
         tracer.restore()
+    assert chops_of_the_root == 0
     chops = [span for span in tracer.spans if span[0] == "reps.chop"]
-    assert [(span[6], span[7]) for span in chops] == [(True, 8)]
+    assert [(span[6], span[7]) for span in chops] == [
+        (True, 1), (True, 1), (True, 3), (True, 3)]
     metrics = tracer.metrics(0)
-    assert metrics["reps.chop.calls"] == 1
+    assert metrics["reps.chop.calls"] == 4
     assert metrics["reps.chop.dim_sum"] == 8
-    assert metrics["k0.smith_normal_form.calls"] == 1
-    assert len(reg) == 4
+    assert metrics["k0.smith_normal_form.calls"] == 2
+    assert len(reg) == 4 and len(D8) == 5
 
 
 # -- k[G]'s Brauer vector and class in closed form -----------------------------
