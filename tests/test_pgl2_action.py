@@ -22,6 +22,7 @@ from equirr.reps import BrauerCharacters, SimpleRegistry
 from equirr.scenarios import build_group, parse_scenario, realize
 from reptools import reference_saturation
 from test_cartan import TABLES, cyclic
+from test_extension_registry import end_dims
 from test_induced_classes import NO_HOM_SCENARIOS
 
 
@@ -80,10 +81,6 @@ def test_a_product_outside_the_labels_raises():
     steps = {(1, 0, 0, 1): None, (1, 1, 0, 1): ((1, 0, 0, 1), 0)}
     with pytest.raises(Inconsistency):
         _pgl2_table(k, labels, [(1, 1, 0, 1)], steps)
-
-
-def end_dims(registry):
-    return [registry.end_dim(i) for i in range(len(registry))]
 
 
 def assert_same_registry(reg, ref):
