@@ -280,19 +280,17 @@ def _exit_code(report: dict) -> int:
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1
 
 
-def _suite_reports(paths, skip):
+def _suite_reports(paths):
     """(file name, command, report or exception) for every scenario file
-    but skip and every command.  Each scenario is realized once and that
-    one Scenario serves all the commands, so they share its registries,
+    and every command.  Each scenario is realized once and that one
+    Scenario serves all the commands, so they share its registries,
     Cartan data and Riemann-Roch modules; a realize failure is reported
     against every command.  A golden manifest among the files, as
     scenarios/*.json holds one, is no scenario: it yields (file name,
-    None, None) alone."""
+    None, None) alone, also when it is the manifest that --golden reads
+    or --write-golden replaces."""
     errors = tuple(_SUITE_ERRORS)
-    skip = Path(skip).resolve() if skip else None
     for path in paths:
-        if Path(path).resolve() == skip:
-            continue
         name = Path(path).name
         try:
             text = _scenario_text(path)
@@ -333,7 +331,7 @@ def run_suite(paths, golden_path) -> int:
     entry (HASH MISMATCH) or has none (NOT PINNED) fails the line."""
     manifest = _read_manifest(golden_path) if golden_path else {}
     worst = 0
-    for name, command, report in _suite_reports(paths, golden_path):
+    for name, command, report in _suite_reports(paths):
         if command is None:
             print(f"{name}: skipped (golden manifest)")
             continue
@@ -359,7 +357,7 @@ def run_suite(paths, golden_path) -> int:
 
 def make_golden(paths, out_path) -> None:
     manifest: dict = {}
-    for name, command, report in _suite_reports(paths, out_path):
+    for name, command, report in _suite_reports(paths):
         if command is None:
             continue
         if isinstance(report, Exception):

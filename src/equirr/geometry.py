@@ -7,10 +7,12 @@ Conventions.  The group acts on points by Mobius transformations and on
 functions by sigma . f = f o sigma^{-1}; all local data (filtrations,
 cotangent scalars, residue actions) are computed in that same convention,
 which is what makes the oracle and the closed formulas land in the same
-classes.  Places move over k, by substituting sigma^{-1} into the place
-polynomial; the local data of a place P are computed in its residue field
-k(P) = GF(q^deg P), at rho, the first root of P there, so a place of degree
-d needs only GF(q^d).
+classes.  Places move with their roots: every element is evaluated at rho,
+the first root of P in its residue field k(P) = GF(q^deg P), where the
+local data of P are computed too, so a place of degree d needs only
+GF(q^d).  A place whose residue field is past the table limit moves over
+k instead, by substituting into the place polynomial, so that the
+equivariance of a divisor can be checked without that field.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import math
 import numpy as np
 
 from .errors import CapExceeded, Inconsistency, InputError
-from .fields import Field, Poly, field_make, poly_is_irreducible, poly_roots
+from .fields import (TABLE_LIMIT, Field, Poly, field_make,
+                     poly_is_irreducible)
 from .groups import FiniteGroup, _p_part, mobius_images
 from .matrices import Mat
 from .reps import Rep
@@ -353,9 +356,9 @@ class P1Geometry:
     from the image points by their Frobenius orbits over k, with their own
     first roots; the decomposition group, the elements that send rho to a
     Frobenius conjugate of rho; and the inertia group, those that fix it.
-    The ramified places are the places of the points of P^1(k^2) with a
-    nontrivial stabilizer, where every fixed point of an element lies:
-    the points whose orbit under the generators is shorter than |G|."""
+    The ramified places are read off how the generators permute P^1(k)
+    and off the fixed-point forms of the elements, with no factoring
+    (ramified_places)."""
 
     def __init__(self, k: Field, G: FiniteGroup):
         if G.kind != "pgl2":
@@ -402,16 +405,22 @@ class P1Geometry:
     def place_root(self, P: Place):
         """rho, the first root of P in its residue field (INF_POINT at
         infinity): the geometric point at which the local data of P are
-        computed.  Known for every place that an orbit or the ramified
-        places reached; a rational place reads it off its polynomial, and
-        only a place of higher degree met first factors."""
+        computed.  Known for every place that an orbit reached; a rational
+        place reads it off its polynomial, and a place of higher degree met
+        first evaluates its polynomial at every element of k(P)."""
         if P.is_infinity:
             return INF_POINT
         if P not in self._root_cache:
             if P.degree == 1:
                 roots = [self.k.neg(P.poly.coeffs[0])]
             else:
-                roots = poly_roots(P.poly.map_field(self.residue_field(P)))
+                F = self.residue_field(P)
+                coeffs = self.k.embedding_into(F)[list(P.poly.coeffs)]
+                z = np.arange(F.q)
+                values = np.zeros_like(z)
+                for c in coeffs[::-1]:
+                    values = F.add_array(F.mul_array(values, z), c)
+                roots = np.flatnonzero(values == 0).tolist()
             if not roots:
                 raise Inconsistency("place has no root in its residue field")
             self._root_cache[P] = roots[0]
@@ -479,10 +488,38 @@ class P1Geometry:
         """G.P sorted by `Place.sort_key`; computed once and cached under
         every member, so callers share the list and must not mutate it."""
         if P not in self._orbit_cache:
-            orbit = sorted(set(self.place_images(P)), key=Place.sort_key)
+            if self.k.q ** P.degree > TABLE_LIMIT:
+                orbit = self._substituted_orbit(P)
+            else:
+                orbit = set(self.place_images(P))
+            orbit = sorted(orbit, key=Place.sort_key)
             for Q in orbit:
                 self._orbit_cache[Q] = orbit
         return self._orbit_cache[P]
+
+    def _substituted_orbit(self, P: Place) -> set[Place]:
+        """G.P for a finite place whose residue field is past TABLE_LIMIT,
+        so that no root of P can be evaluated: P closed up under the moves
+        of the generators over k, the generator g sending a place to the
+        monic form of (c x + d)^deg pi((a x + b) / (c x + d)) for g =
+        (a, b, c, d), whose roots are the images of the roots of pi under
+        g^{-1}."""
+        labels = [self.G.labels[g] for g in self.G.generators]
+        orbit, frontier = {P}, [P]
+        while frontier:
+            nxt = []
+            for Q in frontier:
+                for label in labels:
+                    moved = Q.poly.mobius_numerator(*label)
+                    if moved.degree != P.degree:
+                        raise Inconsistency("Mobius action changed a place "
+                                            "degree")
+                    R = Place(moved.monic(), check=False)
+                    if R not in orbit:
+                        orbit.add(R)
+                        nxt.append(R)
+            frontier = nxt
+        return orbit
 
     def divisor_is_equivariant(self, D: Divisor):
         """(True, None) or (False, offending orbit)."""
@@ -508,22 +545,38 @@ class P1Geometry:
     # -- ramification -----------------------------------------------------------
 
     def ramified_places(self) -> list[Place]:
-        """All closed points with nontrivial inertia.  The fixed points of
-        a nonidentity element are the roots of its fixed-point form
-        c x^2 + (d - a) x - b, with infinity where c = 0, so they lie in
-        P^1(K) for K = GF(q^2).  A point has a nontrivial stabilizer exactly
-        when its orbit is shorter than |G|, and the orbits come from the
-        generators' images of every point of P^1(K) alone (_orbit_sizes);
-        the ramified places are the places of those points."""
+        """All closed points with nontrivial inertia.  The fixed points of a
+        nonidentity element are the roots of its fixed-point form
+        c x^2 + (d - a) x - b, with infinity where c = 0, so every ramified
+        place has degree 1 or 2.  The rational ones are the points of
+        P^1(k) whose orbit is shorter than |G|, from the generators' moves
+        of P^1(k) alone (_orbit_sizes).  Each rational fixed point is one of
+        those, so a monic form x^2 + u x + v with no root among them has no
+        root in k: it is irreducible, and the place of degree 2 it names is
+        ramified.  No extension field is built here."""
         if self._ramified is None:
             k, G = self.k, self.G
-            K = field_make(k.p, 2 * k.n)
-            moves = mobius_images(K, self._labels_in(K)[list(G.generators)],
-                                  np.arange(K.q + 1))
-            short = np.flatnonzero(_orbit_sizes(moves) < G.order)
-            self._ramified = sorted(
-                {self._place_of_point(K, int(y)) for y in short},
-                key=Place.sort_key)
+            labels = self._labels_in(k)
+            moves = mobius_images(k, labels[list(G.generators)],
+                                  np.arange(k.q + 1))
+            short = np.flatnonzero(_orbit_sizes(moves) < G.order).tolist()
+            places = {Place.infinity() if y == k.q else
+                      Place(Poly(k, [k.neg(y), 1]), check=False)
+                      for y in short}
+            # the monic forms x^2 + u x + v of the elements with c != 0,
+            # each once, keyed v q + u
+            a, b, c, d = labels[labels[:, 2] != 0].T
+            v, u = np.divmod(np.unique(
+                k.div_array(k.neg_array(b), c) * k.q
+                + k.div_array(k.sub_array(d, a), c)), k.q)
+            x = np.array([y for y in short if y < k.q], dtype=np.int64)
+            values = k.add_array(
+                k.mul_array(k.add_array(x[:, None], u), x[:, None]), v)
+            rootless = (values != 0).all(axis=0)
+            places.update(Place(Poly(k, [vi, ui, 1]), check=False)
+                          for vi, ui in zip(v[rootless].tolist(),
+                                            u[rootless].tolist()))
+            self._ramified = sorted(places, key=Place.sort_key)
         return self._ramified
 
     def ramified_orbits(self) -> list[list[Place]]:

@@ -88,9 +88,10 @@ def _pgl2_table(field: Field, labels, gens, steps) -> list[list[int]]:
     for the identity), and the row of e g is the row of e composed with
     the row of g."""
     q, n = field.q, len(labels)
-    perms = mobius_images(field, np.array(labels + gens, dtype=np.int64),
-                          np.arange(q + 1))
-    triples = perms[:n, [0, 1, q]]
+    points = np.arange(q + 1)
+    triples = mobius_images(field, np.array(labels, dtype=np.int64),
+                            points[[0, 1, q]])
+    perms = mobius_images(field, np.array(gens, dtype=np.int64), points)
 
     def keys(images):
         return (images[..., 0] * (q + 1) + images[..., 1]) * (q + 1) \
@@ -98,7 +99,7 @@ def _pgl2_table(field: Field, labels, gens, steps) -> list[list[int]]:
 
     order = np.argsort(keys(triples))
     known = keys(triples)[order]
-    wanted = keys(perms[n:, triples])
+    wanted = keys(perms[:, triples])
     at = np.minimum(np.searchsorted(known, wanted), n - 1)
     if not np.array_equal(known[at], wanted):
         raise Inconsistency("a product of two elements left the group")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from equirr import geometry
+from equirr import cli, geometry
 from equirr.errors import Inconsistency, InputError
 from equirr.engine import CoverData
 from equirr.fields import Poly, field_make
@@ -211,6 +211,63 @@ def test_place_map_matches_moving_a_root(doc):
     geo = realize(parse_scenario(doc)).cover.geometry
     for P in places_up_to(geo.k, 3):
         assert geo.place_images(P) == reference_place_images(geo, P), P
+
+
+@pytest.mark.parametrize("doc", _shipped_oracle_scenarios())
+def test_substituted_orbit_matches_moving_a_root(doc):
+    # a place whose residue field is past the table limit is moved over k
+    # by substitution; on the places of degree 2 and 3, where both routes
+    # run, that orbit is the one read off the image points of a root
+    geo = realize(parse_scenario(doc)).cover.geometry
+    for P in places_up_to(geo.k, 3):
+        if P.degree > 1:
+            assert geo._substituted_orbit(P) == set(geo.place_images(P)), P
+
+
+def gf257_scenario(gens, divisors):
+    return {"field": {"p": 257, "n": 1},
+            "group": {"kind": "pgl2", "p": 257, "n": 1, "generators": gens},
+            "mode": "oracle", "divisors": divisors}
+
+
+@pytest.mark.parametrize("gens, divisors, hashes", [
+    pytest.param([[[1, 1], [0, 1]]], [[["inf", 2]], [["inf", 1]]],
+                 {"analyze": "24cabe4e05bb8281d6fdb3d84a7016be"
+                             "f2d8823cb6128c25b89e884ecf001d30",
+                  "euler": "9ac9213fd4e4c0e0b57951867cb3f6df"
+                           "5d7de0cbc158229bec689d778f50cc7f"},
+                 id="translation"),
+    pytest.param([[[2, 0], [0, 1]]], [[["inf", 1], [[0, 1], 2]], [["inf", 3]]],
+                 {"analyze": "d8130f79ccc75eb7a988e31c6e43a763"
+                             "81651b3415f9ce44d1cf6232e35e958c",
+                  "euler": "9af351cbdcefb8d6509b0d316ea8c701"
+                           "17e7ca55ff5d128fa31625d897174feb"},
+                 id="kummer-16")])
+def test_rational_covers_past_gf256_keep_their_hashes(monkeypatch, gens,
+                                                      divisors, hashes):
+    # GF(257^2) is past the table limit; these covers ramify at rational
+    # places only, so they realize and run without it
+    made = []
+    real = geometry.field_make
+    monkeypatch.setattr(geometry, "field_make",
+                        lambda p, n: made.append((p, n)) or real(p, n))
+    scn = realize(parse_scenario(gf257_scenario(gens, divisors)))
+    got = {}
+    for command in hashes:
+        report = cli.RUNNERS[command](scn)
+        assert cli._exit_code(report) == 0
+        got[command] = report["canonical_hash"]
+    assert got == hashes
+    assert set(made) <= {(257, 1)}
+
+
+def test_non_equivariant_place_past_the_table_limit_is_an_input_error():
+    # x^2 - 3 is irreducible over GF(257), and GF(257^2) is past the table
+    # limit: its orbit under the translations is closed up over k
+    doc = gf257_scenario([[[1, 1], [0, 1]]], [[[[254, 0, 1], 1]]])
+    with pytest.raises(InputError, match="not equivariant"):
+        realize(parse_scenario(doc))
+
 
 
 @pytest.mark.parametrize("q,m", [(7, 3), (5, 4), (7, 6)])
