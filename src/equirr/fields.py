@@ -767,14 +767,14 @@ def poly_factor(f: Poly, rng: random.Random | None = None):
 def poly_is_irreducible(f: Poly) -> bool:
     """Rabin's test over GF(q): f of degree n >= 1 is irreducible iff
     x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for every prime
-    r | n.  x is reduced mod f before the comparison, since for deg f = 1
-    the power x^(q^n) mod f is a constant.  Draws nothing."""
+    r | n.  A polynomial of degree 1 is irreducible with no power taken.
+    Draws nothing."""
     n = f.degree
-    if n < 1:
-        return False
+    if n <= 1:
+        return n == 1
     q = f.field.q
     x = Poly.x(f.field)
-    if x.powmod(q**n, f) != x % f:
+    if x.powmod(q**n, f) != x:
         return False
     return all(f.gcd(x.powmod(q ** (n // r), f) - x).degree == 0
                for r in prime_factors(n))

@@ -26,7 +26,7 @@ from .fields import (TABLE_LIMIT, Field, Poly, field_make,
                      poly_is_irreducible)
 from .groups import FiniteGroup, _p_part, mobius_images
 from .matrices import Mat
-from .reps import Rep
+from .reps import Rep, _sym_power
 
 INF_POINT = "inf"  # geometric point at infinity (encodings are ints)
 # Largest dim L(D) the oracle builds.  On a 2-vCPU desk machine, the order-3
@@ -40,11 +40,13 @@ RR_DIM_CAP = 512
 
 class Place:
     """A closed point of P^1 over GF(q): the symbol at infinity or a monic
-    irreducible polynomial; infinity sorts before every finite place."""
+    irreducible polynomial; infinity sorts before every finite place.  The
+    hash is computed once, since places key every orbit and datum cache."""
 
-    __slots__ = ("poly", "degree")
+    __slots__ = ("poly", "degree", "_hash")
 
     def __init__(self, poly: Poly | None, check: bool = True):
+        self._hash = hash(("place", poly))
         if poly is None:
             self.poly = None
             self.degree = 1
@@ -77,7 +79,7 @@ class Place:
         return self.poly == other.poly
 
     def __hash__(self):
-        return hash(("place", None if self.is_infinity else self.poly))
+        return self._hash
 
     def to_json(self):
         return "inf" if self.is_infinity else list(self.poly.coeffs)
@@ -497,24 +499,33 @@ class P1Geometry:
                 self._orbit_cache[Q] = orbit
         return self._orbit_cache[P]
 
+    def _moved_place(self, P: Place, label) -> tuple[Place, int]:
+        """(Q, lambda) for a finite place P and a label (a, b, c, d): the
+        numerator h = (c x + d)^deg P P((a x + b) / (c x + d)) of
+        `Poly.mobius_numerator` is lambda Q, so the roots of Q are the
+        images of the roots of P under the inverse of the label.  Q is
+        infinity when h is a nonzero constant, as it is for a rational P
+        sent there; an h of any other degree raises Inconsistency."""
+        moved = P.poly.mobius_numerator(*label)
+        lam = moved.leading()
+        if moved.degree == P.degree:
+            return Place(moved.monic(), check=False), lam
+        if moved.degree == 0 and P.degree == 1:
+            return Place.infinity(), lam
+        raise Inconsistency("Mobius action changed a place degree")
+
     def _substituted_orbit(self, P: Place) -> set[Place]:
         """G.P for a finite place whose residue field is past TABLE_LIMIT,
         so that no root of P can be evaluated: P closed up under the moves
-        of the generators over k, the generator g sending a place to the
-        monic form of (c x + d)^deg pi((a x + b) / (c x + d)) for g =
-        (a, b, c, d), whose roots are the images of the roots of pi under
-        g^{-1}."""
+        of the generators over k (_moved_place), each generator g sending a
+        place to the place of the images of its roots under g^{-1}."""
         labels = [self.G.labels[g] for g in self.G.generators]
         orbit, frontier = {P}, [P]
         while frontier:
             nxt = []
             for Q in frontier:
                 for label in labels:
-                    moved = Q.poly.mobius_numerator(*label)
-                    if moved.degree != P.degree:
-                        raise Inconsistency("Mobius action changed a place "
-                                            "degree")
-                    R = Place(moved.monic(), check=False)
+                    R = self._moved_place(Q, label)[0]
                     if R not in orbit:
                         orbit.add(R)
                         nxt.append(R)
@@ -625,7 +636,7 @@ class P1Geometry:
         closed-point uniformizer (the place polynomial, or 1/x at
         infinity).  With tau^{-1} = (A, B, C, D), tau fixes a finite P
         exactly when pi_P o tau^{-1} = lambda pi_P / (C x + D)^deg P, that
-        is when `mobius_numerator` gives lambda pi_P; pi_P is separable, so
+        is when _moved_place gives (P, lambda); pi_P is separable, so
         b_tau = lambda / (C rho + D)^deg P at its root rho."""
         F, rho = self.residue_field(P), self.place_root(P)
         inv = self.G.inverse[tau]
@@ -634,10 +645,8 @@ class P1Geometry:
             if C != 0:
                 raise Inconsistency("decomposition element moved infinity")
             return F.mul(D, F.inv(A))
-        pi = P.poly
-        moved = pi.mobius_numerator(*self.G.labels[inv])
-        lam = moved.leading()
-        if moved != pi.scale(lam):
+        Q, lam = self._moved_place(P, self.G.labels[inv])
+        if Q != P:
             raise Inconsistency("decomposition element does not fix the "
                                 "place")
         den = F.pow_(F.add(F.mul(C, rho), D), P.degree)
@@ -696,49 +705,30 @@ class P1Geometry:
 
     # -- Riemann-Roch spaces -----------------------------------------------------
 
-    def _rr_generator(self, D: Divisor) -> tuple[Poly, Poly]:
-        """(num, den) of u with div(u) = -D away from infinity, so that
-        L(D) = u k[x]_{<= deg D}: div(u x^j) + D = j (0) + (deg D - j) inf.
-
-        Certified before it is returned, without factoring: at each finite
-        place P of D, v_P(num) - v_P(den) = -D(P), and those places fill
-        deg num and deg den exactly, so u has no other finite zero or
-        pole."""
-        k = self.k
-        num = Poly.one(k)
-        den = Poly.one(k)
-        for P, c in D.items():
-            if P.is_infinity:
-                continue
-            if c > 0:
-                for _ in range(c):
-                    den = den * P.poly
-            else:
-                for _ in range(-c):
-                    num = num * P.poly
-        _certify_rr_generator(num, den, D)
-        return num, den
-
     def rr_action_rep(self, D: Divisor) -> Rep:
         """Matrices of f -> f o sigma^{-1} on the basis f_j = u x^j
-        (j = 0..deg D) of L(D), u = num/den from `_rr_generator`, whose
-        certificate div(u) = -D away from infinity puts every f_j in L(D);
-        genus 0, so dim L(D) = deg D + 1 and H^1 vanishes for deg D >= -1.
-        Certified a homomorphism on generator pairs.  Non-equivariant
-        divisors are rejected, never symmetrized.
+        (j = 0..d, d = deg D) of L(D), u the product of P^-D(P) over the
+        finite places P of D: div(u x^j) + D = j (0) + (d - j) inf, so every
+        f_j lies in L(D); genus 0, so dim L(D) = d + 1 and H^1 vanishes for
+        d >= -1.  Non-equivariant divisors are rejected, never symmetrized.
+        Certified a homomorphism on generator pairs.
 
-        Column j holds the coefficients of w_j = (f_j o sigma^{-1}) / u, a
-        polynomial of degree <= d = deg D.  With sigma^{-1} = (A, B, C, D'),
-        L = C x + D', s = deg den - deg num and h = `Poly.mobius_numerator`
-        of (A, B, C, D'), it follows the two-term recurrence
+        The matrices are written down in closed form.  With sigma^{-1} =
+        (A, B, C, D') and L = C x + D', u o sigma^{-1} = c_sigma L^d u, so
+        column j holds c_sigma (A x + B)^j L^(d - j): c_sigma times Sym^d
+        of (D', B, C, A) (reps._sym_power).  Each finite place P of D moves
+        to (Q, lambda_P) = _moved_place(P, sigma^{-1}), so that
+        P o sigma^{-1} = lambda_P Q / L^deg P, with Q = inf for a rational
+        P sent there, and
 
-            w_0 = num^h den L^s / (den^h num),   w_j = w_{j-1} (A x + B) / L,
+            c_sigma = eps^-D(inf) prod_P lambda_P^-D(P),
 
-        (for s < 0 the power L^-s joins the divisor), one exact division
-        for w_0 and one linear product and one synthetic division per
-        column.  Three exact checks together say that every moved basis
-        element stays in L(D): w_0 leaves remainder zero, so does each
-        later division, and deg w_j <= d."""
+        eps = C if C != 0 (then L = C (x + D'/C), and x + D'/C = sigma(inf)
+        stands in for inf) and eps = D' otherwise.  The certificate is
+        exact and works place by place: D(Q) = D(P) for every finite P, and
+        D(x + D'/C) = D(inf) when C != 0.  Then sigma permutes the support
+        of D keeping coefficients and degrees, which proves the identity
+        above, so every column lies in L(D)."""
         self.check_equivariant(D)
         dim = D.degree() + 1
         if dim < 0:
@@ -747,38 +737,25 @@ class P1Geometry:
         if dim > RR_DIM_CAP:
             raise CapExceeded(f"dim L(D) = {dim} exceeds RR_DIM_CAP = "
                               f"{RR_DIM_CAP}")
-        k = self.k
-        if dim:
-            num, den = self._rr_generator(D)
+        k, G = self.k, self.G
+        at_inf = D.coeff(Place.infinity())
+        finite = [(P, c) for P, c in D.items() if not P.is_infinity]
         left = "moved basis element left the Riemann-Roch space"
         images = {}
-        for t, g in enumerate(self.G.generators):
-            A, B, C, Dd = self.G.labels[self.G.inverse[g]]
-            cols = []
-            if dim:
-                top, bottom = Poly(k, [B, A]), Poly(k, [Dd, C])
-                above = num.mobius_numerator(A, B, C, Dd) * den
-                below = den.mobius_numerator(A, B, C, Dd) * num
-                s = den.degree - num.degree
-                for _ in range(abs(s)):
-                    if s > 0:
-                        above = above * bottom
-                    else:
-                        below = below * bottom
-                w, rem = above.divmod(below)
-                if not rem.is_zero():
+        for t, g in enumerate(G.generators):
+            label = G.labels[G.inverse[g]]
+            A, B, C, Dd = label
+            scalar = k.pow_(C or Dd, -at_inf)
+            for P, c in finite:
+                Q, lam = self._moved_place(P, label)
+                if D.coeff(Q) != c:
                     raise Inconsistency(left)
-            for j in range(dim):
-                if j:
-                    w, rem = (w * top).divmod(bottom)
-                    if not rem.is_zero():
-                        raise Inconsistency(left)
-                if w.degree >= dim:  # deg w_j > deg D
-                    raise Inconsistency(left)
-                cols.append(list(w.coeffs) + [0] * (dim - len(w.coeffs)))
-            rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-            images[t] = Mat.from_rows(k, rows)
-        rep = Rep(self.G, k, dim, images)
+                scalar = k.mul(scalar, k.pow_(lam, -c))
+            if C and D.coeff(Place(Poly(k, [k.mul(Dd, k.inv(C)), 1]),
+                                   check=False)) != at_inf:
+                raise Inconsistency(left)
+            images[t] = _sym_power(k, (Dd, B, C, A), dim - 1, 0).scale(scalar)
+        rep = Rep(G, k, dim, images)
         rep.check_homomorphism()
         return rep
 
@@ -798,26 +775,6 @@ def _orbit_sizes(moves: np.ndarray) -> np.ndarray:
         if np.array_equal(new, label):
             return np.bincount(label)[label]
         label = new
-
-
-def _certify_rr_generator(num: Poly, den: Poly, D: Divisor):
-    """Raise Inconsistency unless div(num/den) = -D away from infinity:
-    v_P(num) - v_P(den) = -D(P) at each finite place P of D, and these
-    places fill deg num and deg den, so num/den has no other finite zero
-    or pole."""
-    filled_num = filled_den = 0
-    for P, c in D.items():
-        if P.is_infinity:
-            continue
-        zeros, poles = num.multiplicity(P.poly), den.multiplicity(P.poly)
-        if zeros - poles != -c:
-            raise Inconsistency(f"Riemann-Roch generator has valuation "
-                                f"{zeros - poles} at {P!r}, not {-c}")
-        filled_num += zeros * P.degree
-        filled_den += poles * P.degree
-    if (filled_num, filled_den) != (num.degree, den.degree):
-        raise Inconsistency("Riemann-Roch generator has a zero or pole "
-                            "outside the divisor")
 
 
 # ---------------------------------------------------------------------------

@@ -745,20 +745,25 @@ def _sym_power(k: Field, label, a: int, b: int) -> Mat:
     """The matrix of g = (alpha, beta, gamma, delta) on Sym^a(V) (x)
     det^b, V = k^2 with g X = alpha X + gamma Y and g Y = beta X + delta Y:
     column i holds (alpha X + gamma Y)^(a-i) (beta X + delta Y)^i in the
-    basis X^(a-j) Y^j, read as a polynomial in Y / X."""
+    basis X^(a-j) Y^j, read as a polynomial in Y / X.  Column 0 is a power
+    of the first form, and each later column is the one before times the
+    second form over the first: one linear product and one exact synthetic
+    division per column.  a = -1 gives the 0 x 0 matrix."""
     alpha, beta, gamma, delta = label
-    det = k.pow_(k.sub(k.mul(alpha, delta), k.mul(beta, gamma)), b)
     first, second = Poly(k, [alpha, gamma]), Poly(k, [beta, delta])
-    cols = []
+    f = Poly.one(k)
+    for _ in range(a):
+        f = f * first
+    out = np.zeros((a + 1, a + 1), dtype=np.int64)
     for i in range(a + 1):
-        f = Poly.one(k)
-        for _ in range(a - i):
-            f = f * first
-        for _ in range(i):
-            f = f * second
-        cols.append([k.mul(det, c) for c in f.coeffs]
-                    + [0] * (a + 1 - len(f.coeffs)))
-    return Mat.from_rows(k, [list(row) for row in zip(*cols)])
+        if i:
+            f, rem = (f * second).divmod(first)
+            if not rem.is_zero():
+                raise Inconsistency("a symmetric power column is not a "
+                                    "polynomial")
+        out[:len(f.coeffs), i] = f.coeffs
+    det = k.sub(k.mul(alpha, delta), k.mul(beta, gamma))
+    return Mat(k, out).scale(k.pow_(det, b))
 
 
 def _brauer_nesbitt_simples(G: FiniteGroup) -> list[Rep]:

@@ -10,8 +10,9 @@ a chop, the image of a class under scalar extension solved simple by simple
 (the reference for k0.beta_vector), the dimension of a class, the socle
 dimension, the head multiplicities of a projective module by Hom systems into
 the simples, the Cartan matrix by splitting k[G] into projective
-indecomposables, the Riemann-Roch action by moving every basis function on its
-own, the cocycle value of a decomposition element by division at a root, the
+indecomposables, the Riemann-Roch generator u = num/den certified by its
+valuations and the Riemann-Roch action by moving every basis function u x^j on
+its own, the cocycle value of a decomposition element by division at a root, the
 image of a place by moving one of its roots as a point, the ramified places by
 solving the fixed-point form of every element, the projective cover over an
 inertia group as a module, induced from a Schur-Zassenhaus complement, the
@@ -433,9 +434,51 @@ def split_cartan_matrix(G: FiniteGroup, F: Field, registry: SimpleRegistry,
     return [[int(classes[j].coeffs[i]) for j in range(s)] for i in range(s)]
 
 
+def rr_generator(k: Field, D: Divisor) -> tuple[Poly, Poly]:
+    """(num, den) of u with div(u) = -D away from infinity, so that
+    L(D) = u k[x]_{<= deg D}: div(u x^j) + D = j (0) + (deg D - j) inf.
+
+    Certified before it is returned, without factoring: at each finite
+    place P of D, v_P(num) - v_P(den) = -D(P), and those places fill
+    deg num and deg den exactly, so u has no other finite zero or pole."""
+    num = Poly.one(k)
+    den = Poly.one(k)
+    for P, c in D.items():
+        if P.is_infinity:
+            continue
+        if c > 0:
+            for _ in range(c):
+                den = den * P.poly
+        else:
+            for _ in range(-c):
+                num = num * P.poly
+    certify_rr_generator(num, den, D)
+    return num, den
+
+
+def certify_rr_generator(num: Poly, den: Poly, D: Divisor):
+    """Raise Inconsistency unless div(num/den) = -D away from infinity:
+    v_P(num) - v_P(den) = -D(P) at each finite place P of D, and these
+    places fill deg num and deg den, so num/den has no other finite zero
+    or pole."""
+    filled_num = filled_den = 0
+    for P, c in D.items():
+        if P.is_infinity:
+            continue
+        zeros, poles = num.multiplicity(P.poly), den.multiplicity(P.poly)
+        if zeros - poles != -c:
+            raise Inconsistency(f"Riemann-Roch generator has valuation "
+                                f"{zeros - poles} at {P!r}, not {-c}")
+        filled_num += zeros * P.degree
+        filled_den += poles * P.degree
+    if (filled_num, filled_den) != (num.degree, den.degree):
+        raise Inconsistency("Riemann-Roch generator has a zero or pole "
+                            "outside the divisor")
+
+
 def reference_rr_action(geo: P1Geometry, D: Divisor) -> list[Mat]:
     """The matrix of each generator of G on L(D) by the direct route: every
-    basis function f_j = x^j num/den (num/den = u from `_rr_generator`) is
+    basis function f_j = x^j num/den (num/den = u from rr_generator) is
     moved by sigma^{-1} = (A, B, C, D') in full, as
     (x^j num)^h / (C x + D')^(j + deg num) over den^h / (C x + D')^deg den
     with h = `Poly.mobius_numerator`, and divided by u; what is left must
@@ -443,7 +486,7 @@ def reference_rr_action(geo: P1Geometry, D: Divisor) -> list[Mat]:
     k = geo.k
     dim = D.degree() + 1
     if dim:
-        num, den = geo._rr_generator(D)
+        num, den = rr_generator(k, D)
     G = geo.G
     out = []
     for g in G.generators:

@@ -716,7 +716,7 @@ def _a1_with_large_divisor(tmp_path, coefficient=3000):
 @pytest.mark.parametrize("command", ["euler", "check"])
 def test_large_divisor_exits_3_naming_the_rr_dim_cap(tmp_path, capsys,
                                                      command):
-    # dim L(D) = 3001 is refused before its generator is built, so the
+    # dim L(D) = 3001 is refused before any matrix is built, so the
     # command ends at once instead of running for minutes
     path = _a1_with_large_divisor(tmp_path)
     start = time.perf_counter()
@@ -734,6 +734,24 @@ def test_suite_reports_the_rr_dim_cap_and_analyze_still_passes(tmp_path,
     assert "scenario.json analyze: pass" in out
     for command in ("euler", "check"):
         assert f"scenario.json {command}: CAP (dim L(D) = 3001" in out
+
+
+# euler and check on a1 with D = 511 inf, dim L(D) = 512 = RR_DIM_CAP
+AT_THE_CAP = {
+    "euler": "6b04cd712df224a1ca48e88a2723ab3005210d27a90c1e45b7a513600682f7f2",
+    "check": "f9f53562fc89f59691afcbb09b37d9efe49dceb68ac16afb2e74300e24dcb491",
+}
+
+
+def test_divisor_at_the_rr_dim_cap_keeps_its_hashes():
+    doc = json.loads((SCENARIO_DIR / "a1_translations_gf3.json").read_text())
+    doc["divisors"][2] = [["inf", 511]]
+    assert geometry.RR_DIM_CAP == 512
+    scn = realize(parse_scenario(json.dumps(doc)))
+    for command, expected in AT_THE_CAP.items():
+        report = cli.RUNNERS[command](scn)
+        assert all(v["pass"] for v in report["verdicts"])
+        assert report["canonical_hash"] == expected
 
 
 def test_find_s3_matches_shipped_scenario():

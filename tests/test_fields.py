@@ -418,6 +418,21 @@ def test_poly_is_irreducible():
                 assert poly_is_irreducible(f) == expected, f
 
 
+def test_linear_polynomials_are_irreducible_with_no_power(monkeypatch):
+    # a polynomial of degree 1 is irreducible: Rabin's test takes no power
+    def no_power(self, e, mod):
+        raise AssertionError("powmod called on a linear polynomial")
+
+    fields = [field_make(13, 1), field_make(3, 2), field_make(257, 1)]
+    monkeypatch.setattr(Poly, "powmod", no_power)
+    for F in fields:
+        for a in (0, 1, F.q - 1):
+            for lead in (1, F.q - 1):
+                assert poly_is_irreducible(Poly(F, [a, lead]))
+        assert not poly_is_irreducible(Poly.one(F))
+        assert not poly_is_irreducible(Poly.zero(F))
+
+
 def test_poly_divmod_random():
     rng = random.Random(5)
     F = field_make(7, 1)

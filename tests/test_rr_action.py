@@ -1,12 +1,16 @@
-"""The Riemann-Roch action by its two-term recurrence, the cocycle values
-of decomposition elements, and the orbit caches.
+"""The Riemann-Roch action in closed form, the Riemann-Roch generator, the
+symmetric powers, the cocycle values of decomposition elements, and the
+orbit caches.
 
-P1Geometry.rr_action_rep moves the basis f_j = u x^j of L(D) with one
-Mobius substitution of u per generator, w_0 = (u o sigma^{-1}) / u, and
-then w_j = w_{j-1} (A x + B) / (C x + D').  tests/reptools.reference_rr_action
-moves every f_j on its own; the two must give the same matrices on the
-shipped scenarios, on the benchmark groups and on drawn equivariant
-divisors.  P1Geometry._cocycle_value reads b_tau off Poly.mobius_numerator
+P1Geometry.rr_action_rep writes the matrix of a generator sigma on the basis
+f_j = u x^j of L(D) down as c_sigma times Sym^d of sigma^{-1}: column j is
+c_sigma (A x + B)^j (C x + D')^(d - j), with one Mobius substitution per
+finite place of D for the multiplier c_sigma and its place-by-place
+certificate.  tests/reptools.reference_rr_action builds u = num/den
+(reptools.rr_generator, certified by its valuations) and moves every f_j
+on its own; the two must give the same matrices on the shipped scenarios,
+on the benchmark and frontier groups and on drawn equivariant divisors,
+orbits of places of degree 3 among them.  P1Geometry._cocycle_value reads b_tau off Poly.mobius_numerator
 of the place polynomial; tests/reptools.reference_cocycle_value divides at
 a root, and the two must agree on every ramified place.  Orbits of places
 are computed once per geometry and must equal a fresh computation."""
@@ -22,9 +26,12 @@ from equirr.errors import Inconsistency
 from equirr.fields import Poly, field_make
 from equirr.geometry import Divisor, P1Geometry, Place, RamificationDatum
 from equirr.groups import FiniteGroup
+from equirr.matrices import Mat
+from equirr.reps import _sym_power
 from equirr.scenarios import parse_scenario, realize
-from reptools import (places_up_to, reference_cocycle_value,
-                      reference_place_images, reference_rr_action)
+from reptools import (certify_rr_generator, places_up_to,
+                      reference_cocycle_value, reference_place_images,
+                      reference_rr_action, rr_generator)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED_ORACLE = ["a1_translations_gf3.json", "a2_kummer_gf7_m3.json",
@@ -60,11 +67,12 @@ def geometry(name):
 
 
 @functools.lru_cache(maxsize=None)
-def orbits(name):
-    """The orbits of the places of degree <= 2, by their first members."""
+def orbits(name, bound=2):
+    """The orbits of the places of degree <= bound, by their first
+    members."""
     geo = geometry(name)
     out, seen = [], set()
-    for P in places_up_to(geo.k, 2):
+    for P in places_up_to(geo.k, bound):
         if P not in seen:
             orb = geo.orbit_of_place(P)
             seen.update(orb)
@@ -84,7 +92,79 @@ def assert_matches_reference(geo, D):
     assert [rep.image(g) for g in geo.G.generators] == expected
 
 
-# -- the recurrence against the direct route --------------------------------
+# -- the Riemann-Roch generator ------------------------------------------------
+
+
+def test_rr_basis_polynomials():
+    # u = 1, so the basis u x^j of L(2 inf) is 1, x, x^2
+    F = field_make(3, 1)
+    one = Poly.one(F)
+    assert rr_generator(F, Divisor({Place.infinity(): 2})) == (one, one)
+
+
+def test_rr_basis_mixed_divisor():
+    F = field_make(3, 1)
+    x, x1 = Poly(F, [0, 1]), Poly(F, [1, 1])
+    D = Divisor({Place(x, check=False): 1, Place(x1, check=False): -1})
+    assert D.degree() == 0
+    num, den = rr_generator(F, D)
+    assert (num, den) == (x1, x)
+    assert num.multiplicity(x) == 0
+    assert den.multiplicity(x) == 1
+    assert num.multiplicity(x1) == 1
+
+
+def test_rr_generator_certificate_rejects_wrong_generators():
+    F = field_make(3, 1)
+    x, x1 = Poly(F, [0, 1]), Poly(F, [2, 1])
+    D = Divisor({Place.infinity(): 2, Place(x, check=False): 1,
+                 Place(x1, check=False): -1})
+    assert rr_generator(F, D) == (x1, x)
+    # a wrong valuation at a place of D
+    for num, den in [(x1, x * x), (x1 * x1, x), (Poly.one(F), x)]:
+        with pytest.raises(Inconsistency, match="valuation"):
+            certify_rr_generator(num, den, D)
+    # a zero, or a pole, at a finite place outside D
+    x2, quad = Poly(F, [1, 1]), Poly(F, [1, 0, 1])
+    for num, den in [(x1 * x2, x), (x1, x * quad)]:
+        with pytest.raises(Inconsistency, match="outside the divisor"):
+            certify_rr_generator(num, den, D)
+
+
+# -- symmetric powers ----------------------------------------------------------
+
+
+def direct_sym_power(k, label, a, b):
+    """Column i is det^b (alpha + gamma x)^(a-i) (beta + delta x)^i, each
+    power multiplied out on its own."""
+    alpha, beta, gamma, delta = label
+    det = k.pow_(k.sub(k.mul(alpha, delta), k.mul(beta, gamma)), b)
+    cols = []
+    for i in range(a + 1):
+        f = Poly.one(k)
+        for _ in range(a - i):
+            f = f * Poly(k, [alpha, gamma])
+        for _ in range(i):
+            f = f * Poly(k, [beta, delta])
+        cols.append([k.mul(det, c) for c in f.coeffs]
+                    + [0] * (a + 1 - len(f.coeffs)))
+    return Mat.from_rows(k, [list(row) for row in zip(*cols)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from([(3, 1), (5, 1), (3, 2), (13, 1)]))
+def test_sym_power_recurrence_matches_direct_products(data, q):
+    k = field_make(*q)
+    label = tuple(data.draw(st.lists(st.integers(0, k.q - 1), min_size=4,
+                                     max_size=4)))
+    alpha, beta, gamma, delta = label
+    assume(k.mul(alpha, delta) != k.mul(beta, gamma))
+    a = data.draw(st.integers(-1, 12))
+    b = data.draw(st.integers(0, 3))
+    assert _sym_power(k, label, a, b) == direct_sym_power(k, label, a, b)
+
+
+# -- the closed form against the direct route --------------------------------
 
 
 @pytest.mark.parametrize("name", SHIPPED_ORACLE)
@@ -118,10 +198,14 @@ def test_kummer_degree_minus_one_and_large_degree():
     assert_matches_reference(geo, D)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), name=st.sampled_from(GEOMETRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       name=st.sampled_from(GEOMETRIES + sorted(FRONTIER_GROUPS)))
 def test_drawn_equivariant_divisors_match_reference(data, name):
-    orbs = orbits(name)
+    # orbits of places of degree <= 3, each of degree <= 30 (the degree-3
+    # orbits of PGL2(GF(5)) and AGL1(GF(11)) have degree 120 and 330)
+    orbs = [orb for orb in orbits(name, 3)
+            if len(orb) * orb[0].degree <= 30]
     picks = data.draw(st.lists(
         st.tuples(st.integers(0, len(orbs) - 1), st.integers(-1, 4)),
         min_size=1, max_size=3))
@@ -131,7 +215,8 @@ def test_drawn_equivariant_divisors_match_reference(data, name):
 
 
 def test_one_mobius_substitution_per_generator(monkeypatch):
-    # moving u = num/den takes the Mobius numerators of num and of den
+    # the multiplier and its certificate take the Mobius numerator of each
+    # finite place of D, once per generator
     calls = []
     numerator = Poly.mobius_numerator
 
@@ -147,7 +232,8 @@ def test_one_mobius_substitution_per_generator(monkeypatch):
             calls.clear()
             rep = geo.rr_action_rep(D)
             assert rep.dim == D.degree() + 1
-            assert len(calls) == 2 * len(geo.G.generators)
+            finite = [P for P in orb if not P.is_infinity]
+            assert len(calls) == len(finite) * len(geo.G.generators)
     # deg D = -1: L(D) = 0 and nothing is moved
     geo = geometry("K12-GF13")
     calls.clear()
@@ -158,9 +244,9 @@ def test_one_mobius_substitution_per_generator(monkeypatch):
 def test_moved_column_of_too_high_degree_is_inconsistent(monkeypatch):
     # 3 (x + 1) is not equivariant under PGL2(GF(3)) = <x -> x + 1,
     # x -> 1/x>.  The generator x -> 1/(x + 1) moves u = 1/(x + 1)^3 to
-    # x^3, so w_0 = x^3 (x + 1)^3 is a polynomial of degree 6 > deg D:
-    # with the equivariance guard bypassed, only the degree bound
-    # rejects it (its columns used to be cut to four coefficients).
+    # x^3, so (u o sigma^{-1}) / u = x^3 (x + 1)^3 has degree 6 > deg D:
+    # with the equivariance guard bypassed, the certificate rejects it,
+    # since that generator sends the place x + 1 to x, which D misses.
     F = field_make(3, 1)
     G = FiniteGroup.close_generators(F, [(1, 1, 0, 1), (0, 1, 1, 0)])
     assert G.order == 24
@@ -173,9 +259,25 @@ def test_moved_column_of_too_high_degree_is_inconsistent(monkeypatch):
         geo.rr_action_rep(D)
 
 
+def test_certificate_checks_where_infinity_goes(monkeypatch):
+    # 2 inf is not equivariant under PGL2(GF(3)): x -> 1/(x + 1) sends
+    # inf to 0.  D has no finite place, so only the check at inf, D(x) =
+    # D(inf) for sigma(inf) = 0, can reject it once the guard is bypassed.
+    F = field_make(3, 1)
+    G = FiniteGroup.close_generators(F, [(1, 1, 0, 1), (0, 1, 1, 0)])
+    geo = P1Geometry(F, G)
+    monkeypatch.setattr(geo, "divisor_is_equivariant",
+                        lambda D: (True, None))
+    with pytest.raises(Inconsistency, match="left the Riemann-Roch space"):
+        geo.rr_action_rep(Divisor({Place.infinity(): 2}))
+    # 2 inf + 2 (every rational place) is equivariant and passes
+    D = Divisor({P: 2 for P in places_up_to(F, 1)})
+    assert geo.rr_action_rep(D).dim == D.degree() + 1
+
+
 def test_no_factoring_once_orbits_are_known(monkeypatch):
-    # L(D) is certified from valuations of its generator: with the orbits
-    # of D already computed, building the action factors nothing
+    # L(D) is certified place by place: with the orbits of D already
+    # computed, building the action factors nothing
     calls = []
     factor = fields.poly_factor
 
