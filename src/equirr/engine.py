@@ -85,13 +85,13 @@ class CoverData:
     def registry_for(self, group: FiniteGroup):
         """(registry, cartan) for a subgroup of G, cached; G.subgroup of
         all of G is G itself and gets the main pair.  A proper subgroup's
-        registry restricts the main registry's simples
-        (SimpleRegistry.over_subgroup)."""
+        registry saturates on its own, as SimpleRegistry(group, k) does,
+        and shares nothing with the main registry."""
         if group is self.G:
             return self.registry, self.main_cartan()
 
         def build():
-            reg = SimpleRegistry.over_subgroup(group, self.registry)
+            reg = SimpleRegistry(group, self.k)
             return reg, cartan_data(group, self.k, reg)
         return self.memo(("registry", id(group)), build)
 

@@ -7,8 +7,9 @@ p-regular classes, read off characteristic polynomials) is the
 registry's one invariant: it keys, orders and identifies the simples.
 When the Sylow p-subgroup P of G is normal and G/P is cyclic, the
 simples are written down in closed form, one per irreducible factor of
-x^m - 1 over k for m = |G:P| (_cyclic_simples).  Every other group's
-simples come from chop(), which returns a module's composition factors
+x^m - 1 over k for m = |G:P| (_cyclic_simples); any other group of
+Mobius maps takes Steinberg's simples of PGL2(k) (_steinberg_simples),
+chopped unless it is all of PGL2(k).  Chopping is chop(), which returns a module's composition factors
 by a Norton/Parker style MeatAxe (random algebra elements, kernel
 vectors of the irreducible factors of their characteristic polynomials,
 found lazily and shared by the pieces of a split, submodule spinning,
@@ -16,8 +17,8 @@ recursion on sub and quotient, split in the submodule's echelon basis),
 each certified simple by a Norton kernel that also gives dim End(S)
 (end_dim_from_kernel).  Spinning works on whole blocks with Mat.rref as
 its only elimination.  A registry is one table {Brauer vector: (simple,
-Norton kernel)}, built by one saturation in closed form or from one
-chop, and fixed after that.  A registry over an extension field k' is
+Norton kernel)}, built by one saturation in closed form or from chops,
+and fixed after that.  A registry over an extension field k' is
 built instead by Galois descent from the registry over k: a simple S
 with e = dim End(S) splits over GF(q^r) into gcd(e, r) Galois
 conjugates, so only the S with gcd(e, r) > 1 are chopped again, and the
@@ -38,9 +39,11 @@ it one: a chop is a value of its module, a registry of (group, field).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 
@@ -735,12 +738,6 @@ def _cyclic_simples(G: FiniteGroup, F: Field, brauer: BrauerCharacters,
     return out
 
 
-def _is_pgl2_of_prime(G: FiniteGroup, F: Field) -> bool:
-    """Whether G is all of PGL2(F) for a prime field F."""
-    return (G.kind == "pgl2" and G.field is F and F.n == 1
-            and G.order == F.p * (F.p ** 2 - 1))
-
-
 def _sym_power(k: Field, label, a: int, b: int) -> Mat:
     """The matrix of g = (alpha, beta, gamma, delta) on Sym^a(V) (x)
     det^b, V = k^2 with g X = alpha X + gamma Y and g Y = beta X + delta Y:
@@ -766,24 +763,41 @@ def _sym_power(k: Field, label, a: int, b: int) -> Mat:
     return Mat(k, out).scale(k.pow_(det, b))
 
 
-def _brauer_nesbitt_simples(G: FiniteGroup) -> list[Rep]:
-    """The simple k[G]-modules for G = PGL2(k), k = GF(p), with no chop:
-    Sym^a(V) (x) det^b for 0 <= a <= p - 1 and 0 <= b < p - 1 with
-    a + 2b = 0 mod p - 1 (R. Brauer and C. Nesbitt, Ann. of Math. 42
-    (1941)).  A scalar lambda acts on Sym^a(V) (x) det^b by
-    lambda^(a + 2b) = 1, so each is a module for PGL2, built from the
-    normalized labels.  Each is checked as a homomorphism."""
-    k, p = G.field, G.field.p
-    out = []
-    for a in range(p):
-        for b in range(p - 1):
-            if (a + 2 * b) % (p - 1):
-                continue
-            S = Rep(G, k, a + 1, {t: _sym_power(k, G.labels[g], a, b)
-                                  for t, g in enumerate(G.generators)})
-            S.check_homomorphism()
-            out.append(S)
-    return out
+def _steinberg_simples(G: FiniteGroup, F: Field) -> Iterator[Rep]:
+    """Steinberg's simple modules of PGL2(k), k = GF(p^n) the field of
+    G's root, at G's own generators over an extension F of k, built lazily
+    in increasing dim: (x)_{i<n} Sym^(a_i)(V)^[p^i] (x) det^b, 0 <= a_i <
+    p, a = sum a_i p^i, 0 <= b < q - 1, a + 2b = 0 mod q - 1, where [p^i]
+    raises a label's entries to the p^i-th power (R. Steinberg, Nagoya
+    Math. J. 22 (1963); Brauer-Nesbitt for n = 1).  Scalars act by
+    lambda^(a + 2b) = 1, so each is a module for PGL2 on the normalized
+    labels.  Each is absolutely simple, and checked as a homomorphism."""
+    k = G.root.field
+    p, n, q = k.p, k.n, k.q
+    emb = k.embedding_into(F)
+    twists = [[tuple(F.frobenius(int(emb[x]), i)
+                     for x in G.root.labels[G.root_index[g]])
+               for i in range(n)] for g in G.generators]
+    # 2b = -a mod q - 1: for even q, 2 has the inverse q / 2; for odd q, a
+    # must be even, and b = -a / 2 mod (q - 1) / 2 gives two b
+    g = math.gcd(2, q - 1)
+    period, unit = (q - 1) // g, q // 2 if g == 1 else 1
+    weights = sorted(
+        (math.prod(d + 1 for d in digits), digits,
+         (-a // g * unit) % period + j * period)
+        for digits in itertools.product(range(p), repeat=n)
+        if (a := sum(d * p ** i for i, d in enumerate(digits))) % g == 0
+        for j in range(g))
+    for dim, digits, b in weights:
+        images = {}
+        for t, labels in enumerate(twists):
+            A = _sym_power(F, labels[0], digits[0], b)
+            for label, d in zip(labels[1:], digits[1:]):
+                A = A.kron(_sym_power(F, label, d, 0))
+            images[t] = A
+        S = Rep(G, F, dim, images)
+        S.check_homomorphism()
+        yield S
 
 
 # -- registry and class vectors ----------------------------------------------
@@ -799,15 +813,17 @@ class SimpleRegistry:
     P^1, it writes the simples down with no random draw: P acts trivially
     on each, so they are the simples of the cyclic p'-group G/P
     (_cyclic_simples), each filed with the whole space as its Norton
-    kernel.  When G is all of PGL2(k) for a prime field k, it writes down
-    Sym^a(V) (x) det^b (_brauer_nesbitt_simples), filed the same way.  A
-    registry made by over_subgroup chops the restrictions of its
-    overgroup's simples instead, and one made by over_extension descends
-    from the base simples with scalars extended, and chops only those
-    that split.  Otherwise it chops the permutation module Ind_P^G(k) on
-    the cosets of P, of dimension |G:P|, and keeps the first composition
-    factor found for each Brauer vector.  That is every simple module:
-    k[P] has |P| trivial composition factors and induction is exact, so
+    kernel.  Any other group over a PGL2 root takes Steinberg's simples of
+    PGL2(k) (_steinberg_simples): all of PGL2(k) files them the same way,
+    and a smaller G chops them until it holds
+    BrauerCharacters.simple_count simples, as every simple T of G is a
+    factor of one of them (Ind^PGL2 T has a simple quotient S, and
+    Hom(Ind T, S) = Hom_G(T, Res S)).  One made by over_extension descends
+    from the base simples.  A group over an abstract table chops the
+    permutation module Ind_P^G(k) on the cosets of P, of dimension |G:P|,
+    which holds every simple module (a chop keeps the first composition
+    factor found for each Brauer vector): k[P] has |P| trivial
+    composition factors and induction is exact, so
     k[G] = Ind_P^G k[P] has a filtration with |P| factors Ind_P^G(k), and
     every composition factor of k[G] is one of Ind_P^G(k).  (When p does
     not divide |G|, P = 1 and the module is k[G] itself.)  Every route
@@ -830,12 +846,10 @@ class SimpleRegistry:
     nothing."""
 
     def __init__(self, group: FiniteGroup, field: Field, *,
-                 base: SimpleRegistry | None = None,
-                 overgroup: SimpleRegistry | None = None):
+                 base: SimpleRegistry | None = None):
         self.group = group
         self.field = field
         self._base = base
-        self._overgroup = overgroup
 
     @classmethod
     def over_extension(cls, group: FiniteGroup, field: Field,
@@ -861,25 +875,6 @@ class SimpleRegistry:
         _check_extension(base.field, field)
         return cls(group, field, base=base)
 
-    @classmethod
-    def over_subgroup(cls, group: FiniteGroup,
-                      overgroup: "SimpleRegistry") -> "SimpleRegistry":
-        """The registry of a subgroup H = group of overgroup.group (over the
-        same root), over the same field, from the simples of overgroup: the
-        mirror of over_extension.
-
-        An H whose Sylow p-subgroup is normal with a cyclic quotient keeps
-        its closed form.  Any other H chops Res_H S for the simples S of
-        overgroup, in increasing dim, and stops as soon as it holds as
-        many simples as BrauerCharacters.simple_count: every simple T of H
-        is a composition factor of some Res_H S, since Ind_H^G T has a
-        simple quotient S and Hom_G(Ind_H^G T, S) = Hom_H(T, Res_H S) by
-        Frobenius reciprocity.  Restricting every S and still falling
-        short raises Inconsistency."""
-        if group.root is not overgroup.group.root:
-            raise InputError("the subgroup lives over another root group")
-        return cls(group, overgroup.field, overgroup=overgroup)
-
     @property
     def base(self) -> SimpleRegistry | None:
         """The registry that this one descends from, or None when it
@@ -892,54 +887,45 @@ class SimpleRegistry:
 
     def _saturate(self) -> dict[tuple, tuple[Rep, np.ndarray | int]]:
         """{Brauer vector: (simple, provenance)}, sorted by (dim, vector):
-        the simples in closed form with the identity as their Norton
-        kernel when P is normal and G/P cyclic, or when G is all of
-        PGL2(k) for k = GF(p); else the first composition factor found for
-        each vector, with its Norton kernel, in the chops of Res_H S over
-        a subgroup (_restrict) or in the chop of Ind_P^G(k); or over an
-        extension each summand of S_i (x) k' with its base index i
-        (_descend).  Every route must meet BrauerCharacters.simple_count,
-        or Inconsistency is raised."""
+        over an extension each summand of S_i (x) k' with its base index i
+        (_descend); else the simples in closed form with the identity as
+        their Norton kernel, or the first composition factor found for
+        each vector, with its Norton kernel, in the chops of the Steinberg
+        modules up to the simple count or of Ind_P^G(k).  Two simples in
+        closed form that share a vector, or any count but
+        BrauerCharacters.simple_count, raise Inconsistency."""
         brauer = self.brauer  # an ambient field past TABLE_LIMIT fails first
         G, F = self.group, self.field
         if self._base is not None:
             found = self._descend(brauer)
-        elif ((quotient := cyclic_quotient(G, sylow_p(G, F.p), F.p))
-              or _is_pgl2_of_prime(G, F)):
-            found = {}
-            for S in (_cyclic_simples(G, F, brauer, *quotient) if quotient
-                      else _brauer_nesbitt_simples(G)):
-                vector = brauer.vector(S, [1])[0]
-                if vector in found:
-                    raise Inconsistency("two simples in closed form share "
-                                        "a Brauer vector")
-                found[vector] = (S, np.eye(S.dim, dtype=np.int64))
-        elif self._overgroup is not None:
-            found = self._restrict(brauer)
         else:
+            quotient = cyclic_quotient(G, sylow_p(G, F.p), F.p)
+            chopped = quotient is None
+            if quotient:
+                modules = _cyclic_simples(G, F, brauer, *quotient)
+            elif G.root.kind == "pgl2":
+                q = G.root.field.q
+                modules = _steinberg_simples(G, F)
+                chopped = G.order != q * (q * q - 1)
+            else:
+                modules = [rep_induce(rep_trivial(sylow_p(G, F.p), F), G)]
             found = {}
-            for S, U in chop(rep_induce(rep_trivial(sylow_p(G, F.p), F), G)):
-                found.setdefault(brauer.vector(S, [1])[0], (S, U))
+            for M in modules:
+                for S, U in (chop(M) if chopped
+                             else [(M, np.eye(M.dim, dtype=np.int64))]):
+                    vector = brauer.vector(S, [1])[0]
+                    if not chopped and vector in found:
+                        raise Inconsistency("two simples in closed form "
+                                            "share a Brauer vector")
+                    found.setdefault(vector, (S, U))
+                if chopped and len(found) == brauer.simple_count:
+                    break
         if len(found) != brauer.simple_count:
             raise Inconsistency(
                 f"the registry over {F} holds {len(found)} simples, but the "
                 f"p-regular classes count {brauer.simple_count}")
         return dict(sorted(found.items(),
                            key=lambda kv: (kv[1][0].dim, kv[0])))
-
-    def _restrict(self, brauer: BrauerCharacters
-                  ) -> dict[tuple, tuple[Rep, np.ndarray]]:
-        """{Brauer vector: (first composition factor found, its Norton
-        kernel)} over the chops of Res_H S for the overgroup's simples S in
-        registry order, which is increasing dim, until the simple count is
-        met (over_subgroup)."""
-        found: dict[tuple, tuple[Rep, np.ndarray]] = {}
-        for S in self._overgroup.simples:
-            for T, U in chop(rep_restrict(S, self.group)):
-                found.setdefault(brauer.vector(T, [1])[0], (T, U))
-            if len(found) == brauer.simple_count:
-                break
-        return found
 
     def _descend(self, brauer: BrauerCharacters
                  ) -> dict[tuple, tuple[Rep, int]]:

@@ -2,7 +2,7 @@
 draws of reps.chop (chop_draws), the direct sum of two modules, the split of a
 module on a submodule, the basis classes of a registry, a registry saturated by
 the MeatAxe chop of Ind_P^G(k) for every group (the reference for the closed
-form of a p-by-cyclic group), the eigenvalue counts of a matrix by its
+form of a p-by-cyclic group and for the Steinberg route), the eigenvalue counts of a matrix by its
 characteristic polynomial at every size, the regular module k[G] and its
 endomorphisms read off the multiplication table, an explicit-intertwiner
 isomorphism test, the class of a module by counting the composition factors of
@@ -263,7 +263,8 @@ def reference_saturation(G: FiniteGroup, k: Field,
                          seed: int) -> SimpleRegistry:
     """The registry over (G, k) from the chop of Ind_P^G(k), with the
     chop's draws seeded by seed: the reference for the closed form that
-    SimpleRegistry takes when P is normal in G and G/P is cyclic."""
+    SimpleRegistry takes when P is normal in G and G/P is cyclic, and for
+    the Steinberg modules that it files or chops over a PGL2 root."""
     return ChopRegistry(G, k, seed)
 
 

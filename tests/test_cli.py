@@ -212,6 +212,23 @@ def test_s3_search_fails_where_impossible(tmp_path):
     assert main(["analyze", path]) == 2
 
 
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 2), (2, 4)],
+                         ids=["GF7", "GF9", "GF16"])
+def test_s3_search_fails_fast_unless_q_is_2_mod_3(tmp_path, capsys,
+                                                 monkeypatch, p, n):
+    # for q = 1 mod 3 the cube roots of unity lie in k, and in
+    # characteristic 3 every element of order 3 is unipotent: no S3 of the
+    # requested shape exists, and no encoding of PGL2(k) is scanned
+    scanned = []
+    monkeypatch.setattr(scenarios, "_pgl2_elements",
+                        lambda *args: scanned.append(args) or iter(()))
+    doc = {"field": {"p": p, "n": n}, "group": {"kind": "pgl2_s3_search"},
+           "mode": "oracle", "divisors": [[]]}
+    assert main(["analyze", write_scenario(tmp_path, doc)]) == 2
+    assert "no S3 with the requested shape" in capsys.readouterr().err
+    assert scanned == []
+
+
 def test_abstract_scenario_roundtrip(tmp_path, capsys):
     path = str(SCENARIO_DIR / "abstract_kummer_genus2.json")
     assert main(["euler", path]) == 0

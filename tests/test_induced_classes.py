@@ -333,20 +333,23 @@ def seed0_pair_scenarios():
 NO_HOM_SCENARIOS = seed0_pair_scenarios()
 
 
-# seed-0 scenarios with a registry that chops: S3 over GF(5) chops
-# Ind_P^G(k), and the D8 of PGL2(GF(3)) and the D12 of PGL2(GF(5)) chop
-# restrictions of the simples of their root, which takes the
-# Brauer-Nesbitt closed form; every other registry takes a closed form
+# seed-0 scenarios with a registry that chops: S3 over GF(5), the D8 of
+# PGL2(GF(3)) and the D12 of PGL2(GF(5)) chop the Steinberg modules of
+# PGL2(k) at their own generators; every other registry takes a closed
+# form
 STILL_CHOPS = {"a3_s3_gf5.json", "big-group/s0:pgl2_gf3",
                "order-frontier/s0:pgl2_gf5"}
 
 
 def takes_the_closed_form(registry):
+    """Whether the registry files its simples as they are built: all of
+    PGL2(k) for any finite field k, or a p-by-cyclic group."""
     G, F = registry.group, registry.field
-    whole_pgl2 = (G.kind == "pgl2" and G.field is F and F.n == 1
-                  and G.order == F.p * (F.p ** 2 - 1))
-    return whole_pgl2 or cyclic_quotient(G, sylow_p(G, F.p),
-                                         F.p) is not None
+    if G.root.kind == "pgl2":
+        q = G.root.field.q
+        if G.order == q * (q * q - 1):
+            return True
+    return cyclic_quotient(G, sylow_p(G, F.p), F.p) is not None
 
 
 @pytest.mark.parametrize("name", sorted(NO_HOM_SCENARIOS))
@@ -355,11 +358,11 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
     # off the identity for a simple in closed form, so neither command
     # builds a Hom system; each End dim is computed once, for a simple of
     # a saturated registry.  A registry over k chops exactly when its
-    # group is neither p-by-cyclic nor all of PGL2(GF(p)): over the root it
-    # chops Ind_P^G(k), the only module induced, and over a subgroup H it
-    # chops Res_H S for the root's simples S in registry order, and stops
-    # at the chop that meets the simple count; no extension registry here
-    # has a simple to chop
+    # group is neither p-by-cyclic nor all of PGL2(k).  Over a PGL2 root it
+    # chops the Steinberg modules at its own generators, in increasing
+    # dim, and stops at the chop that meets the simple count; only a
+    # group over an abstract table chops Ind_P^G(k), the only module
+    # induced; no extension registry here has a simple to chop
     tracing = load_perfbench("tracing")
     saturated = []
     real_saturate = reps.SimpleRegistry._saturate
@@ -414,19 +417,18 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
     sources = []
     for reg in chopping:
         mine = [(M, factors) for M, factors in chopped if M.group is reg.group]
-        over = reg._overgroup
-        if over is None:
+        if reg.group.root.kind != "pgl2":
             assert [M.dim for M, _ in mine] == [
                 reg.group.order // sylow_p(reg.group, reg.field.p).order]
             sources.append(mine[0][0])
             continue
-        assert over.group is scn.cover.G and over.base is None
-        assert 0 < len(mine) <= len(over)
+        steinberg = list(reps._steinberg_simples(reg.group, reg.field))
+        assert [S.dim for S in steinberg] == sorted(S.dim for S in steinberg)
+        assert 0 < len(mine) <= len(steinberg)
         seen, met = set(), []
-        for (M, factors), S in zip(mine, over.simples):
-            restricted = rep_restrict(S, reg.group)
+        for (M, factors), S in zip(mine, steinberg):
             assert M.dim == S.dim
-            assert M.generator_images() == restricted.generator_images()
+            assert M.generator_images() == S.generator_images()
             seen |= {reg.brauer.vector(T, [1])[0] for T, _ in factors}
             met.append(len(seen))
         assert met[-1] == reg.brauer.simple_count == len(reg)
@@ -439,11 +441,11 @@ def test_euler_and_check_solve_no_hom_system(monkeypatch, name):
                                   "big-divisor/s0:kummer_gf13"])
 def test_no_induced_module_outside_saturation_and_the_small_covers(
         monkeypatch, name):
-    # the one induced module is the source of a saturation chop, which
-    # only S3 over GF(5) needs here (every registry of the other three
-    # takes the closed form), and projectivity is tested only on the
-    # Riemann-Roch modules of the verdicts
-    callers = {"rep_induce": [], "is_projective": []}
+    # no module is induced: S3 over GF(5) chops the Steinberg modules of
+    # PGL2(GF(5)) in its saturation, every registry of the other three
+    # takes a closed form and chops nothing, and projectivity is tested
+    # only on the Riemann-Roch modules of the verdicts
+    callers = {"rep_induce": [], "chop": [], "is_projective": []}
     for fn in callers:
         real = getattr(reps, fn)
 
@@ -456,7 +458,8 @@ def test_no_induced_module_outside_saturation_and_the_small_covers(
     for command in ("euler", "check"):
         scn = realize(parse_scenario(SCENARIOS[name]))
         assert cli._exit_code(cli.RUNNERS[command](scn)) == 0
-    assert set(callers["rep_induce"]) == (
+    assert callers["rep_induce"] == []
+    assert set(callers["chop"]) == (
         {"_saturate"} if name in STILL_CHOPS else set())
     assert set(callers["is_projective"]) == {"projectivity_report"}
 

@@ -2,15 +2,20 @@
 
 FiniteGroup.close_generators composes the permutations that the elements
 induce on P^1(k), against the products of pgl2_mul; SimpleRegistry writes
-the simples of PGL2(GF(p)) down as Sym^a(V) (x) det^b (Brauer-Nesbitt) and
-restricts the root's simples to a subgroup (over_subgroup), against the
-chop of the Sylow permutation module (reptools.reference_saturation).
-Every route must meet BrauerCharacters.simple_count, the number of
-p-regular classes with the class of g merged with that of g^q."""
+the simples of PGL2(GF(q)) down as Steinberg's tensor products of Frobenius
+twists of Sym^a(V) (x) det^b, and chops them at a subgroup's own
+generators, against the chop of the Sylow permutation module
+(reptools.reference_saturation).  Every route must meet
+BrauerCharacters.simple_count, the number of p-regular classes with the
+class of g merged with that of g^q."""
 
+import functools
+import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equirr import cli, reps
 from equirr.errors import Inconsistency
@@ -18,7 +23,7 @@ from equirr.fields import field_make
 from equirr.groups import (FiniteGroup, _pgl2_table, pgl2_inv, pgl2_mul,
                            sylow_p)
 from equirr.k0 import cartan_data
-from equirr.reps import BrauerCharacters, SimpleRegistry
+from equirr.reps import BrauerCharacters, SimpleRegistry, rep_restrict
 from equirr.scenarios import build_group, parse_scenario, realize
 from reptools import reference_saturation
 from test_cartan import TABLES, cyclic
@@ -26,12 +31,13 @@ from test_extension_registry import end_dims
 from test_induced_classes import NO_HOM_SCENARIOS
 
 
-def pgl2(p):
-    """PGL2(GF(p)) from a translation, a scaling by a generator of GF(p)^*
-    and x -> 1/x."""
-    k = field_make(p, 1)
+@functools.cache
+def pgl2(p, n=1):
+    """PGL2(GF(p^n)) from a translation, a scaling by a generator of
+    GF(p^n)^* and x -> 1/x."""
+    k = field_make(p, n)
     return FiniteGroup.close_generators(
-        k, [(1, 1, 0, 1), (k.generator, 0, 0, 1), (0, 1, 1, 0)], cap=3000)
+        k, [(1, 1, 0, 1), (k.generator, 0, 0, 1), (0, 1, 1, 0)], cap=6000)
 
 
 def pgl2_scenario_groups():
@@ -92,21 +98,50 @@ def assert_same_registry(reg, ref):
     assert len(reg) == reg.brauer.simple_count
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_brauer_nesbitt_equals_the_chop(monkeypatch, p):
-    G, F = pgl2(p), field_make(p, 1)
-    assert G.order == p * (p * p - 1)
+def steinberg_dims(p, n):
+    """dim of (x)_i Sym^(a_i)(V)^[p^i] (x) det^b over the (a, b) with
+    a + 2b = 0 mod q - 1, in increasing order."""
+    q = p ** n
+    return sorted(math.prod(d + 1 for d in digits)
+                  for digits in itertools.product(range(p), repeat=n)
+                  for b in range(q - 1)
+                  if (sum(d * p ** i for i, d in enumerate(digits)) + 2 * b)
+                  % (q - 1) == 0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                 (2, 3), (3, 2)],
+                         ids=["GF2", "GF3", "GF5", "GF7", "GF4", "GF8",
+                              "GF9"])
+def test_steinberg_equals_the_chop(monkeypatch, p, n):
+    # all of PGL2(GF(q)) files Steinberg's modules as they stand, and they
+    # are the simples that the chop of Ind_P^G(k) finds, in the same order
+    # with the same End dims: a Frobenius twist dropped, or a + 2b read
+    # mod p - 1, breaks this for n > 1
+    G, F = pgl2(p, n), field_make(p, n)
+    q = p ** n
+    assert G.order == q * (q * q - 1)
     chopped = []
     real = reps.chop
     monkeypatch.setattr(reps, "chop",
                         lambda *a: chopped.append(a[0].dim) or real(*a))
     reg = SimpleRegistry(G, F)
-    assert [(S.dim - 1) for S in reg.simples] == sorted(
-        a for a in range(p) for b in range(p - 1)
-        if (a + 2 * b) % (p - 1) == 0)
+    assert [S.dim for S in reg.simples] == steinberg_dims(p, n)
     assert chopped == []
     monkeypatch.setattr(reps, "chop", real)
     assert_same_registry(reg, reference_saturation(G, F, 1))
+
+
+def test_steinberg_meets_the_count_over_gf16():
+    # PGL2(GF(16)), order 4080: its 16 simples, of dims 1 up to 16, with
+    # distinct Brauer vectors, and no chop (the chop of Ind_P^G(k), of dim
+    # 255, is the reference only up to GF(9))
+    G, F = pgl2(2, 4), field_make(2, 4)
+    assert G.order == 4080
+    reg = SimpleRegistry(G, F)
+    assert len(reg) == reg.brauer.simple_count == 16
+    assert len(set(reg.vectors)) == 16
+    assert [S.dim for S in reg.simples] == steinberg_dims(2, 4)
 
 
 def alternating4_in_pgl2_gf5(G):
@@ -125,19 +160,53 @@ def alternating4_in_pgl2_gf5(G):
 
 
 @pytest.mark.parametrize("p,name", [(3, "D8"), (5, "A4")])
-def test_the_restricted_registry_equals_the_chop(p, name):
+def test_the_restricted_registry_equals_the_chop(monkeypatch, p, name):
+    # a subgroup chops the Steinberg modules of its root written at its own
+    # generators, which are their restrictions, and saturates no other
+    # registry on the way
     G, F = pgl2(p), field_make(p, 1)
     H = sylow_p(G, 2) if name == "D8" else alternating4_in_pgl2_gf5(G)
     assert H.order == {"D8": 8, "A4": 12}[name]
-    reg = SimpleRegistry.over_subgroup(H, SimpleRegistry(G, F))
+    saturated = []
+    real = SimpleRegistry._saturate
+    monkeypatch.setattr(SimpleRegistry, "_saturate",
+                        lambda self: saturated.append(self) or real(self))
+    reg = SimpleRegistry(H, F)
+    reg.simples
+    assert saturated == [reg]
+    for S, R in zip(reps._steinberg_simples(H, F),
+                    reps._steinberg_simples(G, F)):
+        assert S.generator_images() == rep_restrict(R, H).generator_images()
+    monkeypatch.setattr(SimpleRegistry, "_saturate", real)
     assert_same_registry(reg, reference_saturation(H, F, 1))
+
+
+# q -> PGL2(GF(q)) for the subgroups drawn below
+SUBGROUP_ROOTS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from(sorted(SUBGROUP_ROOTS)), data=st.data())
+def test_a_drawn_subgroup_registry_equals_the_chop(q, data):
+    # the subgroup generated by two drawn elements of order 2 or 3 of
+    # PGL2(GF(q)): a closed form, all of PGL2(GF(q)) or, about half the
+    # time, a chop of the Steinberg modules (Klein four groups, dihedral
+    # groups, A4, S4, A5, PSL2(GF(7)), PSL2(GF(9)), ...), against the
+    # chop of its own Ind_P^H(k)
+    G, F = pgl2(*SUBGROUP_ROOTS[q]), field_make(*SUBGROUP_ROOTS[q])
+    small = [g for g in range(G.order) if G.element_order(g) <= 3]
+    drawn = data.draw(st.lists(st.sampled_from(small), min_size=2,
+                               max_size=2))
+    H = G.subgroup(G.closure(drawn))
+    assert_same_registry(SimpleRegistry(H, F),
+                         reference_saturation(H, F, 1))
 
 
 # -- the simple count -----------------------------------------------------
 
 
 def drop_last(build):
-    return lambda *args: build(*args)[:-1]
+    return lambda *args: list(build(*args))[:-1]
 
 
 def test_the_count_merges_g_with_its_qth_power():
@@ -164,8 +233,8 @@ def test_an_unmerged_count_fails_the_check(monkeypatch):
 DROPS = {
     "cyclic": (lambda: (cyclic(3), field_make(2, 1)),
                "_cyclic_simples"),
-    "brauer-nesbitt": (lambda: (pgl2(3), field_make(3, 1)),
-                       "_brauer_nesbitt_simples"),
+    "steinberg": (lambda: (pgl2(3), field_make(3, 1)),
+                  "_steinberg_simples"),
     "induced-chop": (lambda: (TABLES["S4"][0](), field_make(2, 1)), "chop"),
 }
 
@@ -181,16 +250,15 @@ def test_a_dropped_simple_fails_the_count(monkeypatch, route):
 
 
 def test_a_dropped_restriction_factor_fails_the_count(monkeypatch):
-    # D8 over GF(3) meets its 5 simples only at the last of the root's
-    # four simples; losing every factor of dim 2 loses one simple
+    # D8 over GF(3) meets its 5 simples only at the last of the four
+    # Steinberg modules of PGL2(GF(3)) at its generators; losing every
+    # factor of dim 2 loses one simple
     G, F = pgl2(3), field_make(3, 1)
-    root = SimpleRegistry(G, F)
-    root.simples
     real = reps.chop
     monkeypatch.setattr(reps, "chop", lambda *a: [
         (T, U) for T, U in real(*a) if T.dim != 2])
     with pytest.raises(Inconsistency, match="count 5"):
-        SimpleRegistry.over_subgroup(sylow_p(G, 2), root).simples
+        SimpleRegistry(sylow_p(G, 2), F).simples
 
 
 def test_a_dropped_descended_simple_fails_the_count(monkeypatch):
@@ -229,3 +297,40 @@ def test_pgl2_gf7_reports_keep_their_hashes():
                  "68188e5f75707941a6685d76a19a657f",
         "check": "27b9716c1124324ae1086993abe290d1"
                  "bf30b9a044a835cdd5adb968fb1554dd"}
+
+
+def pgl2_report_hashes(p, n, order):
+    """{command: canonical hash} of the euler and check reports of
+    PGL2(GF(p^n)) with every rational place at coefficient 1."""
+    k = field_make(p, n)
+    places = ["inf"] + [[k.neg(b), 1] for b in range(k.q)]
+    doc = {"field": {"p": p, "n": n},
+           "group": {"kind": "pgl2", "p": p, "n": n,
+                     "generators": [[[1, 1], [0, 1]],
+                                    [[k.generator, 0], [0, 1]],
+                                    [[0, 1], [1, 0]]]},
+           "mode": "oracle", "divisors": [[[P, 1] for P in places]],
+           "options": {"group_order_cap": 6000}}
+    scn = realize(parse_scenario(json.dumps(doc)))
+    assert scn.cover.G.order == order
+    hashes = {}
+    for command in ("check", "euler"):
+        report = cli.RUNNERS[command](scn)
+        assert cli._exit_code(report) == 0
+        hashes[command] = report["canonical_hash"]
+    return hashes
+
+
+def test_pgl2_gf8_and_gf9_reports_keep_their_hashes():
+    # the roots PGL2(GF(8)) and PGL2(GF(9)) chopped Ind_P^G(k) before
+    # they took Steinberg's closed form; their reports did not move
+    assert pgl2_report_hashes(2, 3, 504) == {
+        "check": "2d63e69eee6360c516d34cc16b3f38c3"
+                 "9c030600663609cbae9827d02db4658f",
+        "euler": "637255de4dbd3524d4441f8c86bef1ac"
+                 "10f4729771293a01ea49ace5d61b6597"}
+    assert pgl2_report_hashes(3, 2, 720) == {
+        "check": "5e3e248d7c44a5c0a069d75db3e735fd"
+                 "dfc69a1f9ba0347a385bf73a769cc49a",
+        "euler": "3be0cfef4481deaec784a7f43acd9803"
+                 "81b13edec5874534dc950f1ff6835884"}

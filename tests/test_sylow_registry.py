@@ -1,11 +1,13 @@
 """Registries saturated from the Sylow permutation module, and k[G]'s class
 in closed form.
 
-SimpleRegistry saturates by chopping Ind_P^G(k) for a Sylow p-subgroup P,
-of dimension |G:P|: k[G] = Ind_P^G k[P] has a filtration with |P| factors
-Ind_P^G(k), so every simple module is a factor of it.  When P is normal
-and G/P is cyclic it writes the simples down instead, and nothing is
-induced or chopped (test_cyclic_saturation compares the two).  The tests' k[G]
+SimpleRegistry saturates a group over an abstract table by chopping
+Ind_P^G(k) for a Sylow p-subgroup P, of dimension |G:P|: k[G] = Ind_P^G k[P]
+has a filtration with |P| factors Ind_P^G(k), so every simple module is a
+factor of it.  When P is normal and G/P is cyclic it writes the simples down
+instead, and nothing is induced or chopped (test_cyclic_saturation compares
+the two); a group over a PGL2 root takes Steinberg's modules
+(test_pgl2_action compares them with this chop).  The tests' k[G]
 (rep_regular) is the reference: counting its composition factors over a
 saturated registry must hit every simple, and a factor that is no simple
 of the registry raises.  The class of k[G] comes from
@@ -115,17 +117,18 @@ def saturation_chop_dims(monkeypatch, G, F):
 
 
 @pytest.mark.parametrize("make,p,n,chops", [
-    (pgl2_gf3, 3, 1, False), (pgl2_gf3, 3, 2, True),
+    (pgl2_gf3, 3, 1, False), (pgl2_gf3, 3, 2, False),
     (TABLES["S4"][0], 2, 1, True), (TABLES["A4"][0], 3, 1, True)],
     ids=BENCHMARK_IDS[:2] + ["S4-GF2", "A4-GF3"])
 def test_wild_saturation_chops_the_sylow_permutation_module(monkeypatch,
                                                             make, p, n,
                                                             chops):
-    # P is not normal in any of these groups.  PGL2(GF(3)) over its own
-    # field takes the Brauer-Nesbitt closed form: nothing is induced or
-    # chopped, and its four simples are Sym^a(V) (x) det^b of dims 1, 1, 3
-    # and 3 (test_pgl2_action compares them with this chop); over GF(9),
-    # as every other group here, it chops Ind_P^G(k)
+    # P is not normal in any of these groups.  PGL2(GF(3)), over its own
+    # field or over GF(9), takes Steinberg's closed form: nothing is
+    # induced or chopped, and its four simples are Sym^a(V) (x) det^b of
+    # dims 1, 1, 3 and 3, absolutely simple (test_pgl2_action compares
+    # them with this chop); the groups over an abstract table chop
+    # Ind_P^G(k)
     G = make()
     assert G.order % p == 0
     P = sylow_p(G, p)
@@ -190,14 +193,15 @@ def test_no_regular_size_matrix_in_saturation_or_cartan_data(monkeypatch):
 
 def test_the_tracer_sees_the_restriction_chops_and_one_gram_solve_each():
     # the benchmark tracer wraps the module-level reps.chop.  PGL2(GF(3))
-    # takes the Brauer-Nesbitt closed form and chops nothing; its Sylow
-    # 2-subgroup D8 chops Res_D8 S for its simples S of dims 1, 1, 3 and
-    # 3, and needs all four to meet its count of 5 simples.  Each registry
-    # takes one Smith normal form, counted under k0's import of it
+    # takes Steinberg's closed form and chops nothing; its Sylow
+    # 2-subgroup D8 chops the Steinberg modules at its own generators,
+    # of dims 1, 1, 3 and 3, and needs all four to meet its count of 5
+    # simples.  Each registry takes one Smith normal form, counted under
+    # k0's import of it
     tracing = load_perfbench("tracing")
     G, F = pgl2_gf3(), field_make(3, 1)
     reg = SimpleRegistry(G, F)
-    D8 = SimpleRegistry.over_subgroup(sylow_p(G, 2), reg)
+    D8 = SimpleRegistry(sylow_p(G, 2), F)
     assert D8.group.order == 8
     tracer = tracing.Tracer()
     tracer.begin_pair("PGL2-GF3", 0, F.n)
