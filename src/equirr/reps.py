@@ -39,7 +39,7 @@ it one: a chop is a value of its module, a registry of (group, field).
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 import random
 from collections import Counter
@@ -782,22 +782,29 @@ def _steinberg_simples(G: FiniteGroup, F: Field) -> Iterator[Rep]:
     # must be even, and b = -a / 2 mod (q - 1) / 2 gives two b
     g = math.gcd(2, q - 1)
     period, unit = (q - 1) // g, q // 2 if g == 1 else 1
-    weights = sorted(
-        (math.prod(d + 1 for d in digits), digits,
-         (-a // g * unit) % period + j * period)
-        for digits in itertools.product(range(p), repeat=n)
-        if (a := sum(d * p ** i for i, d in enumerate(digits))) % g == 0
-        for j in range(g))
-    for dim, digits, b in weights:
-        images = {}
-        for t, labels in enumerate(twists):
-            A = _sym_power(F, labels[0], digits[0], b)
-            for label, d in zip(labels[1:], digits[1:]):
-                A = A.kron(_sym_power(F, label, d, 0))
-            images[t] = A
-        S = Rep(G, F, dim, images)
-        S.check_homomorphism()
-        yield S
+    # the digit tuples best first: raising a digit raises dim, so the heap
+    # pops them in (dim, digits) order with no walk over all q of them
+    heap, seen = [(1, (0,) * n)], {(0,) * n}
+    while heap:
+        dim, digits = heapq.heappop(heap)
+        for i, d in enumerate(digits):
+            up = digits[:i] + (d + 1,) + digits[i + 1:]
+            if d < p - 1 and up not in seen:
+                seen.add(up)
+                heapq.heappush(heap, (dim // (d + 1) * (d + 2), up))
+        a = sum(d * p ** i for i, d in enumerate(digits))
+        if a % g:
+            continue
+        for b in range(-a // g * unit % period, q - 1, period):
+            images = {}
+            for t, labels in enumerate(twists):
+                A = _sym_power(F, labels[0], digits[0], b)
+                for label, d in zip(labels[1:], digits[1:]):
+                    A = A.kron(_sym_power(F, label, d, 0))
+                images[t] = A
+            S = Rep(G, F, dim, images)
+            S.check_homomorphism()
+            yield S
 
 
 # -- registry and class vectors ----------------------------------------------

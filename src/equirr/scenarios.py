@@ -217,12 +217,11 @@ def _pgl2_elements(k: Field, order: int):
 
 def find_s3_pgl2(k: Field):
     """Deterministic search for an order-3 element with irreducible
-    characteristic polynomial plus a normalizing involution.
-
-    Such an element lies in a nonsplit torus, of order q + 1, so it exists
-    exactly when q = 2 mod 3: for q = 1 mod 3 the cube roots of unity lie
-    in k, and in characteristic 3 every element of order 3 is unipotent.
-    Any other q is refused before the scan of all q^4 encodings."""
+    characteristic polynomial plus a normalizing involution.  Such an
+    element lies in a nonsplit torus, of order q + 1, so it exists exactly
+    when q = 2 mod 3 (else the cube roots of unity lie in k, or p = 3 and
+    every element of order 3 is unipotent): any other q is refused at once,
+    with no scan of the q^4 encodings."""
     if k.q % 3 != 2:
         raise InputError("no S3 with the requested shape exists in PGL2 here")
     for m in _pgl2_elements(k, 3):

@@ -2,8 +2,9 @@
 draws of reps.chop (chop_draws), the direct sum of two modules, the split of a
 module on a submodule, the basis classes of a registry, a registry saturated by
 the MeatAxe chop of Ind_P^G(k) for every group (the reference for the closed
-form of a p-by-cyclic group and for the Steinberg route), the eigenvalue counts of a matrix by its
-characteristic polynomial at every size, the regular module k[G] and its
+form of a p-by-cyclic group and for the Steinberg route), the eigenvalue
+counts of a matrix by its characteristic polynomial at every size, the
+regular module k[G] and its
 endomorphisms read off the multiplication table, an explicit-intertwiner
 isomorphism test, the class of a module by counting the composition factors of
 a chop, the image of a class under scalar extension solved simple by simple
